@@ -174,8 +174,7 @@ const T_AUDIT: &str = "audit_log";
 // ---- Binary row/audit codec ---------------------------------------------
 //
 // Length-prefixed binary (shs_vnistore::codec primitives), one version
-// tag byte up front. Legacy JSON rows (first byte `{`) still decode, so
-// a device image written before the codec switch recovers cleanly.
+// tag byte up front.
 
 const CODEC_V1: u8 = 1;
 
@@ -201,9 +200,6 @@ fn encode_row(row: &VniRow) -> Vec<u8> {
 }
 
 fn try_decode_row(bytes: &[u8]) -> Option<VniRow> {
-    if bytes.first() == Some(&b'{') {
-        return serde_json::from_slice(bytes).ok(); // legacy JSON row
-    }
     let mut off = 0usize;
     if read_u8(bytes, &mut off)? != CODEC_V1 {
         return None;
@@ -239,9 +235,6 @@ fn encode_audit(entry: &AuditEntry) -> Vec<u8> {
 }
 
 fn try_decode_audit(bytes: &[u8]) -> Option<AuditEntry> {
-    if bytes.first() == Some(&b'{') {
-        return serde_json::from_slice(bytes).ok(); // legacy JSON entry
-    }
     let mut off = 0usize;
     if read_u8(bytes, &mut off)? != CODEC_V1 {
         return None;
@@ -501,7 +494,7 @@ impl VniDb {
     }
 
     fn decode_row(bytes: &[u8]) -> VniRow {
-        try_decode_row(bytes).expect("vnis rows decode (binary v1 or legacy JSON)")
+        try_decode_row(bytes).expect("vnis rows decode")
     }
 
     /// Look up a row.
@@ -1109,7 +1102,7 @@ mod tests {
     }
 
     #[test]
-    fn row_codec_rejects_truncation_and_accepts_legacy_json() {
+    fn row_codec_rejects_truncation_and_trailing_garbage() {
         let row = VniRow {
             vni: 1500,
             state: VniState::Quarantined { released_at_ns: 123 },
@@ -1124,9 +1117,6 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert_eq!(try_decode_row(&long), None);
-        // A legacy JSON row still decodes.
-        let json = serde_json::to_vec(&row).unwrap();
-        assert_eq!(try_decode_row(&json), Some(row));
     }
 
     #[test]

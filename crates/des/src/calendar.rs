@@ -29,12 +29,11 @@
 //!   few buckets, wasting the day-granular window. 65.5 µs buckets give
 //!   a ≈ 16.8 ms horizon that absorbs the common control-plane
 //!   latencies, and measured fastest on both the churn and steady-state
-//!   scenarios (the ns/µs-scale users — `shs_fabric::pktsim`, test
-//!   rigs — keep few events in flight, so bucket width barely matters
-//!   there; the fabric and MPI data paths never enqueue here at all —
-//!   they advance explicit per-rank virtual-time cursors; the sharded
-//!   fabric sweeps do enqueue µs-scale bursts, which the per-bucket
-//!   heaps below absorb).
+//!   scenarios (the ns/µs-scale users — test rigs — keep few events
+//!   in flight, so bucket width barely matters there; the fabric and
+//!   MPI data paths never enqueue here at all — they advance explicit
+//!   per-rank virtual-time cursors; the sharded fabric sweeps do
+//!   enqueue µs-scale bursts, which the per-bucket heaps below absorb).
 //! * **Ring size** is 256 buckets (≈ 16.8 ms horizon). Events past the
 //!   horizon (kubelet retry backoffs, multi-second job runtimes) wait
 //!   in an unsorted `overflow` list whose minimum *day* (bucket-granular

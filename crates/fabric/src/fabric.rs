@@ -1,12 +1,14 @@
-//! The fabric engine: a dragonfly [`Topology`] of switches (NICs on
-//! edge ports, local links within a group, global links between
-//! groups), the cut-through timing model for message delivery, and the
-//! per-link occupancy that produces queueing effects.
+//! The serial fabric engine: the packet path of `trunknet.rs`
+//! owning every group of a dragonfly [`Topology`], wrapped in what only
+//! the full-stack simulation needs — NIC attachment to edge ports, VNI
+//! enforcement at the source and destination edge switches, per-tenant
+//! traffic counters, ECN feedback to senders and the fabric-manager
+//! audit trail.
 //!
-//! Edge (NIC↔switch) links keep the original scalar busy-until
-//! semantics, so a 1-group × 1-switch topology is byte-for-byte the
-//! legacy single-switch fabric. Inter-switch (*trunk*) links add what
-//! the paper's multi-tenant story needs: **per-traffic-class weighted
+//! Edge (NIC↔switch) links have scalar busy-until semantics, so a
+//! 1-group × 1-switch topology times a message as one serialization
+//! plus per-hop constants. Inter-switch (*trunk*) links add what the
+//! paper's multi-tenant story needs: **per-traffic-class weighted
 //! scheduling** (the message-level counterpart of the packet-level
 //! [`crate::switch::WrrArbiter`], modeled as weighted processor
 //! sharing over the four classes) and **finite per-class queues** whose
@@ -14,104 +16,16 @@
 //! tenant VNI.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use shs_des::{SimDur, SimTime};
 
-use crate::faults::{repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
+use crate::faults::{FaultKind, LivenessMask, MAX_REPAIR_PATH};
 use crate::packet::{CostModel, Packet};
 use crate::switch::{DropReason, Switch, SwitchConfig};
 use crate::topology::{RoutingPolicy, Topology, TopologySpec};
+use crate::trunknet::{LinkState, TrunkClassCounters, TrunkNet, WalkEnd};
 use crate::types::{NicAddr, PortId, SwitchId, TrafficClass, Vni};
-
-/// Per-port edge-link occupancy (full duplex: separate up/down
-/// directions), with the legacy scalar busy-until semantics. Shared
-/// with the sharded engine in [`crate::shardsim`], which models the
-/// same edge links per group.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LinkState {
-    /// Node→switch direction busy until this instant.
-    pub(crate) up_busy: SimTime,
-    /// Switch→node direction busy until this instant.
-    pub(crate) down_busy: SimTime,
-}
-
-/// Per-traffic-class counters of one directed trunk link (or, via
-/// [`Fabric::trunk_class_totals`], of all of them).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrunkClassCounters {
-    /// Messages that traversed the link on this class.
-    pub messages: u64,
-    /// Payload bytes carried.
-    pub payload_bytes: u64,
-    /// Messages dropped because the class queue exceeded the cost
-    /// model's `trunk_queue_ns` bound.
-    pub congestion_drops: u64,
-    /// Worst queueing delay a message of this class accepted (ns).
-    pub queued_ns_max: u64,
-}
-
-/// One directed inter-switch link: per-class busy horizons (the
-/// weighted-sharing state) plus per-class counters. The timing math
-/// lives in [`TrunkState::traverse`] so the serial [`Fabric`] and the
-/// sharded engine ([`crate::shardsim`]) stay bit-identical per hop.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TrunkState {
-    cls_busy: [SimTime; 4],
-    pub(crate) counters: [TrunkClassCounters; 4],
-}
-
-impl TrunkState {
-    /// One message crossing this directed trunk: the per-class
-    /// finite-queue check plus weighted-processor-sharing bookkeeping.
-    /// Returns `(start, finish)` — the instants the head enters the
-    /// link and the last byte clears it at the class's weighted share
-    /// of the link rate — or `Err(queued_ns)` when the class queue
-    /// exceeds `queue_bound_ns` (the congestion drop is already
-    /// counted on this trunk; the caller books tenant/switch counters).
-    pub(crate) fn traverse(
-        &mut self,
-        tc: TrafficClass,
-        ser_ns: u64,
-        len: u64,
-        head_t: SimTime,
-        queue_bound_ns: u64,
-    ) -> Result<(SimTime, SimTime), u64> {
-        let cls = tc.index();
-        let start = head_t.max(self.cls_busy[cls]);
-        let queued_ns = (start - head_t).as_nanos();
-        if queued_ns > queue_bound_ns {
-            self.counters[cls].congestion_drops += 1;
-            return Err(queued_ns);
-        }
-        // Weighted processor sharing across the classes backlogged at
-        // `start`: class `tc` drains at weight(tc)/Σ weights of the
-        // link rate, so its serialization stretches by the inverse
-        // share (1x when it has the trunk to itself).
-        let active: u64 = TrafficClass::ALL
-            .iter()
-            .filter(|c| c.index() == cls || self.cls_busy[c.index()] > start)
-            .map(|c| c.weight() as u64)
-            .sum();
-        let ser_eff = SimDur::from_nanos(ser_ns * active / tc.weight() as u64);
-        self.cls_busy[cls] = start + ser_eff;
-        self.counters[cls].messages += 1;
-        self.counters[cls].payload_bytes += len;
-        self.counters[cls].queued_ns_max = self.counters[cls].queued_ns_max.max(queued_ns);
-        Ok((start, start + ser_eff))
-    }
-
-    /// Current queue depth of one class in ns: how long a message of
-    /// this class injected at `now` would wait before its head enters
-    /// the link. The live-occupancy signal UGAL routing decides on.
-    pub(crate) fn queue_ns(&self, tc: TrafficClass, now: SimTime) -> u64 {
-        let busy = self.cls_busy[tc.index()];
-        if busy > now {
-            (busy - now).as_nanos()
-        } else {
-            0
-        }
-    }
-}
 
 /// Outcome of a message-level transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,18 +111,12 @@ pub enum FabricAuditEvent {
 /// The Slingshot fabric: topology, switches, links, timing.
 #[derive(Debug)]
 pub struct Fabric {
-    model: CostModel,
-    topo: Topology,
+    /// Trunks, liveness and routing over every group.
+    net: TrunkNet,
     switches: Vec<Switch>,
     /// Edge-link occupancy, indexed `[switch][edge port]` (rows grow on
     /// attach; a reattached port's slot is reset to a fresh link).
     links: Vec<Vec<LinkState>>,
-    /// Directed trunk-link state, in [`Topology::trunk_links`] order.
-    trunks: Vec<TrunkState>,
-    /// Dense `(from, to) → trunks` index (`from * n + to`), `u32::MAX`
-    /// where no trunk exists. Turns the per-hop trunk lookup into two
-    /// array indexings.
-    trunk_idx: Vec<u32>,
     /// NIC attachment points, sorted by NIC (binary search; attach and
     /// detach are cold, lookups are per-transfer).
     ports_of: Vec<(NicAddr, (usize, PortId))>,
@@ -220,32 +128,19 @@ pub struct Fabric {
     /// small and reads never iterate).
     traffic: Vec<(Vni, VniTraffic)>,
     audit: Vec<FabricAuditEvent>,
-    /// Runtime fault state. Empty on a healthy fabric — route selection
-    /// then takes the interned fast path untouched.
-    liveness: LivenessMask,
-    /// BFS repair routes computed since the last fault event, keyed by
-    /// `(src switch, dst switch)`; `None` caches "partitioned". Cleared
-    /// by [`Fabric::apply_fault`].
-    repair_cache: BTreeMap<(u32, u32), Option<Vec<SwitchId>>>,
     /// ECN marks awaiting pickup by the sending NIC, per source NIC.
     /// Consumed (and cleared) by [`Fabric::take_ecn_marks`].
     ecn_feedback: BTreeMap<NicAddr, u64>,
 }
 
 impl Fabric {
-    /// Build a single-switch fabric with default cost model and switch
-    /// configuration (the legacy constructor).
+    /// Build a single-switch fabric with the default cost model and
+    /// switch configuration.
     pub fn new(ports: usize) -> Self {
-        Fabric::with_config(CostModel::default(), SwitchConfig { ports, ..Default::default() })
-    }
-
-    /// Build a single-switch fabric with explicit cost model and switch
-    /// configuration.
-    pub fn with_config(model: CostModel, switch_config: SwitchConfig) -> Self {
-        Fabric::build(
-            model,
-            Topology::new(TopologySpec::single_switch(switch_config.ports), RoutingPolicy::Minimal),
-            switch_config,
+        Fabric::with_topology(
+            CostModel::default(),
+            TopologySpec::single_switch(ports),
+            RoutingPolicy::Minimal,
         )
     }
 
@@ -253,31 +148,16 @@ impl Fabric {
     /// default switch configuration (VNI enforcement + source checks on).
     pub fn with_topology(model: CostModel, spec: TopologySpec, policy: RoutingPolicy) -> Self {
         let switch_config = SwitchConfig { ports: spec.edge_ports, ..Default::default() };
-        Fabric::build(model, Topology::new(spec, policy), switch_config)
-    }
-
-    fn build(model: CostModel, topo: Topology, switch_config: SwitchConfig) -> Self {
-        let n = topo.switch_count();
-        let switches = (0..n).map(|_| Switch::new(switch_config.clone())).collect();
-        let links = topo.trunk_links();
-        let mut trunk_idx = vec![u32::MAX; n * n];
-        for (i, &(a, b)) in links.iter().enumerate() {
-            trunk_idx[a.0 * n + b.0] = i as u32;
-        }
+        let n = spec.total_switches();
         Fabric {
-            model,
-            topo,
-            switches,
+            net: TrunkNet::new(Arc::new(Topology::new(spec, policy)), model, None),
+            switches: (0..n).map(|_| Switch::new(switch_config.clone())).collect(),
             links: vec![Vec::new(); n],
-            trunks: vec![TrunkState::default(); links.len()],
-            trunk_idx,
             ports_of: Vec::new(),
             next_port: vec![0; n],
             free_ports: vec![Vec::new(); n],
             traffic: Vec::new(),
             audit: Vec::new(),
-            liveness: LivenessMask::default(),
-            repair_cache: BTreeMap::new(),
             ecn_feedback: BTreeMap::new(),
         }
     }
@@ -305,35 +185,17 @@ impl Fabric {
 
     /// The cost model in force.
     pub fn model(&self) -> &CostModel {
-        &self.model
+        &self.net.model
     }
 
     /// The topology in force.
     pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Access the first switch — the only one in single-switch fabrics
-    /// (kept for the legacy monitoring surface; multi-switch callers use
-    /// [`Fabric::switch_at`]).
-    pub fn switch(&self) -> &Switch {
-        &self.switches[0]
-    }
-
-    /// Mutable access to the first switch (fabric-manager operations on
-    /// single-switch fabrics).
-    pub fn switch_mut(&mut self) -> &mut Switch {
-        &mut self.switches[0]
+        &self.net.topo
     }
 
     /// Access one switch of the topology.
     pub fn switch_at(&self, sw: SwitchId) -> &Switch {
         &self.switches[sw.0]
-    }
-
-    /// All switches, in id order.
-    pub fn switches(&self) -> impl Iterator<Item = &Switch> {
-        self.switches.iter()
     }
 
     /// Anomalous fabric-manager operations recorded so far.
@@ -395,11 +257,6 @@ impl Fabric {
         true
     }
 
-    /// Edge port a NIC is attached to (on its switch).
-    pub fn port_of(&self, nic: NicAddr) -> Option<PortId> {
-        self.lookup_nic(nic).map(|(_, p)| p)
-    }
-
     /// Full attachment point of a NIC: (switch, edge port).
     pub fn attachment(&self, nic: NicAddr) -> Option<(SwitchId, PortId)> {
         self.lookup_nic(nic).map(|(s, p)| (SwitchId(s), p))
@@ -448,19 +305,15 @@ impl Fabric {
 
     /// Per-class counters of one directed trunk link, if it exists.
     pub fn trunk_counters(&self, from: SwitchId, to: SwitchId) -> Option<&[TrunkClassCounters; 4]> {
-        let n = self.topo.switch_count();
-        match self.trunk_idx.get(from.0 * n + to.0) {
-            Some(&i) if i != u32::MAX => Some(&self.trunks[i as usize].counters),
-            _ => None,
-        }
+        self.net.trunk_counters(from, to)
     }
 
     /// Per-class counters summed over every directed trunk link, in
     /// [`TrafficClass::index`] order.
     pub fn trunk_class_totals(&self) -> [TrunkClassCounters; 4] {
         let mut out = [TrunkClassCounters::default(); 4];
-        for trunk in self.trunks.iter() {
-            for (acc, c) in out.iter_mut().zip(trunk.counters.iter()) {
+        for counters in self.net.all_trunk_counters() {
+            for (acc, c) in out.iter_mut().zip(counters.iter()) {
                 acc.messages += c.messages;
                 acc.payload_bytes += c.payload_bytes;
                 acc.congestion_drops += c.congestion_drops;
@@ -471,17 +324,15 @@ impl Fabric {
     }
 
     /// Apply a runtime fault event (scheduled through the DES by the
-    /// scenario engine): the liveness mask flips and every cached
-    /// repair route is invalidated. Interned route arenas are never
-    /// rebuilt — dead candidates are filtered per transfer.
+    /// scenario engine). A dead switch forwards nothing, same-switch
+    /// traffic included.
     pub fn apply_fault(&mut self, kind: FaultKind) {
-        self.liveness.apply(kind);
-        self.repair_cache.clear();
+        self.net.apply_fault(kind);
     }
 
     /// The current liveness mask (empty on a healthy fabric).
     pub fn liveness(&self) -> &LivenessMask {
-        &self.liveness
+        self.net.liveness()
     }
 
     /// Take (and clear) the ECN marks accrued against `nic`'s messages
@@ -510,10 +361,10 @@ impl Fabric {
     }
 
     /// Message-level transfer: enforcement at the source and destination
-    /// edge switches, deterministic routing over the topology, link
-    /// reservation hop by hop, and the arrival time of the last byte
-    /// (cut-through pipelining: end-to-end time ≈ one serialization of
-    /// the message plus per-hop constants, plus any queueing).
+    /// edge switches, one route selection and one trunk walk over the
+    /// topology, and the arrival time of the last byte (cut-through
+    /// pipelining: end-to-end time ≈ one serialization of the message
+    /// plus per-hop constants, plus any queueing).
     #[allow(clippy::too_many_arguments)]
     pub fn transfer(
         &mut self,
@@ -528,16 +379,18 @@ impl Fabric {
         let Some((ssw, sport)) = self.lookup_nic(src) else {
             return TransferOutcome::Dropped(DropReason::NoRoute);
         };
+        let model = &self.net.model;
+        let pkts = model.packets_for(len);
         // Representative head packet carries the routing/enforcement fields.
         let head = Packet {
             src,
             dst,
             vni,
             tc,
-            payload_len: len.min(self.model.mtu as u64) as u32,
+            payload_len: len.min(model.mtu as u64) as u32,
             msg_id,
             seq: 0,
-            last_of_msg: self.model.packets_for(len) == 1,
+            last_of_msg: pkts == 1,
         };
         // Ingress enforcement at the source edge switch.
         if let Some(reason) = self.switches[ssw].admit(sport, &head) {
@@ -548,7 +401,7 @@ impl Fabric {
         };
         // The destination switch's routing table stays authoritative: a
         // NIC unbound there (node removal via `Switch::unbind`) must drop
-        // NoRoute exactly as the single-switch forward path did.
+        // NoRoute.
         if self.switches[dsw].route_to(dst) != Some(dport) {
             return TransferOutcome::Dropped(self.switches[dsw].note_drop(DropReason::NoRoute));
         }
@@ -557,137 +410,59 @@ impl Fabric {
             return TransferOutcome::Dropped(reason);
         }
 
-        let wire = self.model.wire_bytes(len);
-        let ser_ns = self.model.serialize_ns(wire);
+        let ser_ns = model.serialize_ns(model.wire_bytes(len));
         let ser = SimDur::from_nanos(ser_ns);
-        let hop = SimDur::from_nanos(self.model.hop_latency_ns);
-        let prop = SimDur::from_nanos(self.model.propagation_ns);
+        let prop = SimDur::from_nanos(model.propagation_ns);
 
-        let up = &mut self.links[ssw][sport.0];
-        let t0 = now.max(up.up_busy);
-        up.up_busy = t0 + ser;
+        let t0 = self.links[ssw][sport.0].reserve_up(now, ser);
         let src_done = t0 + ser;
-
-        // Head reaches the egress side of the first switch (cut-through).
-        let mut head_t = t0 + prop + hop;
-
-        let pkts = self.model.packets_for(len);
-        let mut hops = 1u64;
-        // Last byte's progress through the pipeline: a trunk carrying the
-        // message at a weighted share of the link rate holds the tail
-        // back, so contended classes see their serialization stretch in
-        // the reported arrival, not only in the trunk's busy horizon.
-        let mut tail_t = src_done;
-        // ECN marks accrued on this message (a trunk accepted it after
-        // queueing past `ecn_threshold_ns`) and whether the route was a
-        // failure reroute; both are booked per tenant at delivery.
-        let mut ecn_marks = 0u64;
-        let mut rerouted = false;
+        // Head at the egress side of the first switch (cut-through), and
+        // the last byte's progress through the pipeline.
+        let (mut head_t, mut tail_t) =
+            (t0 + prop + SimDur::from_nanos(model.hop_latency_ns), src_done);
+        // Switch hops, failure reroute and ECN marks of this message,
+        // booked per tenant at delivery.
+        let (mut hops, mut rerouted, mut ecn_marks) = (1u64, false, 0u64);
         if ssw == dsw {
-            // Same-switch fast path (every legacy single-switch fabric):
-            // no route to compute, no trunks to schedule, no allocation.
-            self.switches[ssw].note_forwarded(pkts, len);
-        } else {
-            // Trunk hops: per-class weighted scheduling, finite queue.
-            // Forwarded counts are booked progressively — a switch counts
-            // the message only once it has cleared that switch's outbound
-            // trunk — so per-switch and per-trunk totals reconcile even
-            // when a later hop congestion-drops the message. Minimal
-            // routing walks the precomputed next-hop table directly;
-            // Valiant copies its interned detour route onto the stack
-            // (≤ 6 switch ids). Neither allocates.
-            let step = SimDur::from_nanos(self.model.propagation_ns + self.model.hop_latency_ns);
-            let healthy = self.liveness.is_empty();
-            match self.topo.policy() {
-                RoutingPolicy::Minimal if healthy => {
-                    let mut a = ssw;
-                    while a != dsw {
-                        let b = self.topo.next_hop_min(SwitchId(a), SwitchId(dsw)).0;
-                        let (start, finish) =
-                            match self.traverse_trunk(a, b, tc, ser_ns, len, vni, head_t) {
-                                Ok(t) => t,
-                                Err(outcome) => return outcome,
-                            };
-                        if (start - head_t).as_nanos() > self.model.ecn_threshold_ns {
-                            ecn_marks += 1;
-                        }
-                        head_t = start + step;
-                        tail_t = (tail_t + prop).max(finish);
-                        self.switches[a].note_forwarded(pkts, len);
-                        hops += 1;
-                        a = b;
-                    }
-                }
-                RoutingPolicy::Valiant if healthy => {
-                    let mut route_buf = [SwitchId(0); 6];
-                    let cached = self.topo.route(SwitchId(ssw), SwitchId(dsw), msg_id);
-                    let path = &mut route_buf[..cached.len()];
-                    path.copy_from_slice(cached);
-                    hops = path.len() as u64;
-                    for w in path.windows(2) {
-                        let (a, b) = (w[0].0, w[1].0);
-                        let (start, finish) =
-                            match self.traverse_trunk(a, b, tc, ser_ns, len, vni, head_t) {
-                                Ok(t) => t,
-                                Err(outcome) => return outcome,
-                            };
-                        if (start - head_t).as_nanos() > self.model.ecn_threshold_ns {
-                            ecn_marks += 1;
-                        }
-                        head_t = start + step;
-                        tail_t = (tail_t + prop).max(finish);
-                        self.switches[a].note_forwarded(pkts, len);
-                    }
-                }
-                _ => {
-                    // Adaptive routing, or any policy on a degraded
-                    // fabric: pick the route once at injection (UGAL
-                    // choice and/or deterministic failure fallback),
-                    // then walk it like the interned-route path above.
-                    let mut route_buf = [SwitchId(0); MAX_REPAIR_PATH];
-                    let Some((plen, rr)) = self.select_route(
-                        SwitchId(ssw),
-                        SwitchId(dsw),
-                        tc,
-                        msg_id,
-                        now,
-                        &mut route_buf,
-                    ) else {
-                        return TransferOutcome::Dropped(
-                            self.switches[ssw].note_drop(DropReason::NoRoute),
-                        );
-                    };
-                    rerouted = rr;
-                    hops = plen as u64;
-                    for i in 1..plen {
-                        let (a, b) = (route_buf[i - 1].0, route_buf[i].0);
-                        let (start, finish) =
-                            match self.traverse_trunk(a, b, tc, ser_ns, len, vni, head_t) {
-                                Ok(t) => t,
-                                Err(outcome) => return outcome,
-                            };
-                        if (start - head_t).as_nanos() > self.model.ecn_threshold_ns {
-                            ecn_marks += 1;
-                        }
-                        head_t = start + step;
-                        tail_t = (tail_t + prop).max(finish);
-                        self.switches[a].note_forwarded(pkts, len);
-                    }
-                }
+            // Same-switch fast path (every single-switch fabric): no
+            // route to select, no trunks to walk.
+            if !self.net.liveness().switch_live(SwitchId(ssw)) {
+                return TransferOutcome::Dropped(self.switches[ssw].note_drop(DropReason::NoRoute));
             }
-
-            // The destination edge switch forwards onto its downlink.
-            self.switches[dsw].note_forwarded(pkts, len);
+        } else {
+            let mut route = [SwitchId(0); MAX_REPAIR_PATH];
+            let Some((route_len, failover)) =
+                self.net.select_route(SwitchId(ssw), SwitchId(dsw), tc, msg_id, now, &mut route)
+            else {
+                return TransferOutcome::Dropped(self.switches[ssw].note_drop(DropReason::NoRoute));
+            };
+            let route = &route[..route_len];
+            let walk = self.net.walk(route, 0, tc, ser_ns, len, head_t, tail_t);
+            // A switch counts the message once it has cleared that
+            // switch's outbound trunk, so per-switch and per-trunk totals
+            // reconcile even when a later hop drops the message.
+            for sw in &route[..walk.pos] {
+                self.switches[sw.0].note_forwarded(pkts, len);
+            }
+            let stopped = &mut self.switches[route[walk.pos].0];
+            match walk.end {
+                WalkEnd::Arrived => {}
+                WalkEnd::Congested => {
+                    let reason = stopped.note_drop(DropReason::Congested);
+                    self.traffic_mut(vni).congestion_drops += 1;
+                    return TransferOutcome::Dropped(reason);
+                }
+                WalkEnd::LinkDead => {
+                    return TransferOutcome::Dropped(stopped.note_drop(DropReason::NoRoute));
+                }
+                WalkEnd::Handoff => unreachable!("the serial fabric owns every group"),
+            }
+            (head_t, tail_t, ecn_marks) = (walk.head_t, walk.tail_t, walk.ecn_marks);
+            (hops, rerouted) = (route.len() as u64, failover);
         }
-
-        let down = &mut self.links[dsw][dport.0];
-        let t1 = head_t.max(down.down_busy);
-        down.down_busy = t1 + ser;
-        // The last byte reaches the NIC after both the downlink's own
-        // serialization and the slowest upstream stage have released it.
-        // On a single switch `t1 + ser` always dominates (t1 ≥ t0 + prop
-        // + hop), so the legacy formula is preserved bit for bit.
-        let arrival = (t1 + ser).max(tail_t + prop) + prop;
+        // The destination edge switch forwards onto its downlink.
+        self.switches[dsw].note_forwarded(pkts, len);
+        let arrival = self.links[dsw][dport.0].reserve_down(head_t, tail_t, ser, prop);
 
         let t = self.traffic_mut(vni);
         t.messages += 1;
@@ -702,153 +477,12 @@ impl Fabric {
         TransferOutcome::Delivered { arrival, src_done }
     }
 
-    /// Route selection for the adaptive/degraded path of
-    /// [`Fabric::transfer`]: the policy's primary route (for
-    /// [`RoutingPolicy::Adaptive`], the UGAL choice between minimal and
-    /// the salted Valiant detour) when it is fully live, else the
-    /// deterministic failure fallback — minimal, then every Valiant salt
-    /// class in `salt`-relative order, then a cached BFS repair over the
-    /// live graph. Copies the chosen route into `buf` and returns its
-    /// length plus whether it was a failure reroute; `None` means the
-    /// pair is partitioned (the caller drops `NoRoute`).
-    fn select_route(
-        &mut self,
-        ssw: SwitchId,
-        dsw: SwitchId,
-        tc: TrafficClass,
-        salt: u64,
-        now: SimTime,
-        buf: &mut [SwitchId; MAX_REPAIR_PATH],
-    ) -> Option<(usize, bool)> {
-        let (plen, live) = {
-            let primary: &[SwitchId] = match self.topo.policy() {
-                RoutingPolicy::Minimal => self.topo.route_minimal(ssw, dsw),
-                RoutingPolicy::Valiant => self.topo.route_valiant(ssw, dsw, salt),
-                RoutingPolicy::Adaptive => {
-                    let min = self.topo.route_minimal(ssw, dsw);
-                    let val = self.topo.route_valiant(ssw, dsw, salt);
-                    if self.ugal_prefers_valiant(min, val, tc, now) {
-                        val
-                    } else {
-                        min
-                    }
-                }
-            };
-            buf[..primary.len()].copy_from_slice(primary);
-            (primary.len(), self.liveness.route_live(primary))
-        };
-        if live {
-            return Some((plen, false));
-        }
-        // Deterministic fallback order, independent of queue state so
-        // serial and sharded runs agree: the minimal route first.
-        let min = self.topo.route_minimal(ssw, dsw);
-        if self.liveness.route_live(min) {
-            buf[..min.len()].copy_from_slice(min);
-            return Some((min.len(), true));
-        }
-        // Then every Valiant salt class, starting from the message's own
-        // and wrapping (a no-op below 3 groups, where every class
-        // degrades to the minimal route just rejected).
-        let classes = self.topo.salt_classes() as u64;
-        if self.topo.groups() >= 3 {
-            for k in 0..classes {
-                let val = self.topo.route_valiant(ssw, dsw, (salt + k) % classes);
-                if self.liveness.route_live(val) {
-                    buf[..val.len()].copy_from_slice(val);
-                    return Some((val.len(), true));
-                }
-            }
-        }
-        // Last resort: BFS over the live graph, cached per pair until
-        // the next fault event clears the cache.
-        let key = (ssw.0 as u32, dsw.0 as u32);
-        let repaired = match self.repair_cache.get(&key) {
-            Some(r) => r.clone(),
-            None => {
-                let r = repair_route(&self.topo, &self.liveness, ssw, dsw);
-                self.repair_cache.insert(key, r.clone());
-                r
-            }
-        };
-        let path = repaired?;
-        buf[..path.len()].copy_from_slice(&path);
-        Some((path.len(), true))
-    }
-
-    /// The UGAL-L decision: detour onto the salted Valiant route only
-    /// when the minimal path's cost — first-trunk queue depth × path
-    /// switch count — exceeds the detour's by more than the cost model's
-    /// `adaptive_bias_ns`. Only locally-observable state is consulted
-    /// (the candidate's first trunk hop), mirroring what a Rosetta
-    /// ingress port can see at injection time.
-    fn ugal_prefers_valiant(
-        &self,
-        min: &[SwitchId],
-        val: &[SwitchId],
-        tc: TrafficClass,
-        now: SimTime,
-    ) -> bool {
-        if val.len() <= min.len() {
-            // Degenerate detour (< 3 groups or same-group pair): the
-            // Valiant arena degraded to the minimal route.
-            return false;
-        }
-        let n = self.topo.switch_count();
-        let first_q = |path: &[SwitchId]| -> u64 {
-            let ti = self.trunk_idx[path[0].0 * n + path[1].0];
-            debug_assert!(ti != u32::MAX, "route follows topology links");
-            self.trunks[ti as usize].queue_ns(tc, now)
-        };
-        first_q(min) * min.len() as u64
-            > first_q(val) * val.len() as u64 + self.model.adaptive_bias_ns
-    }
-
-    /// One trunk hop of [`Fabric::transfer`]: the per-class finite-queue
-    /// check plus weighted-sharing bookkeeping on the directed link
-    /// `a → b`. Returns `(start, finish)` — the instants the head enters
-    /// the link and the last byte clears it at the class's weighted
-    /// share of the link rate — or the congestion-drop outcome (already
-    /// counted per hop, per class and per tenant).
-    #[allow(clippy::too_many_arguments)]
-    fn traverse_trunk(
-        &mut self,
-        a: usize,
-        b: usize,
-        tc: TrafficClass,
-        ser_ns: u64,
-        len: u64,
-        vni: Vni,
-        head_t: SimTime,
-    ) -> Result<(SimTime, SimTime), TransferOutcome> {
-        let n = self.topo.switch_count();
-        let ti = self.trunk_idx[a * n + b];
-        debug_assert!(ti != u32::MAX, "route follows topology links");
-        match self.trunks[ti as usize].traverse(tc, ser_ns, len, head_t, self.model.trunk_queue_ns)
-        {
-            Ok(window) => Ok(window),
-            Err(_queued_ns) => {
-                self.traffic_mut(vni).congestion_drops += 1;
-                Err(TransferOutcome::Dropped(self.switches[a].note_drop(DropReason::Congested)))
-            }
-        }
-    }
-
-    /// Packet-level variant used by the packet-granular data path and the
-    /// traffic-class arbitration demo. Timing mirrors [`Fabric::transfer`]
-    /// for a single packet.
-    pub fn send_packet(&mut self, now: SimTime, pkt: &Packet) -> TransferOutcome {
-        self.transfer(now, pkt.src, pkt.dst, pkt.vni, pkt.tc, pkt.payload_len as u64, pkt.msg_id)
-    }
-
     /// Unloaded one-way message time (no queueing) across a same-switch
     /// path: the analytic form of [`Fabric::transfer`] on a single
     /// switch. Exposed for calibration tests.
     pub fn unloaded_ns(&self, len: u64) -> u64 {
-        let wire = self.model.wire_bytes(len);
-        self.model.serialize_ns(wire)
-            + self.model.hop_latency_ns
-            + 2 * self.model.propagation_ns
+        let model = &self.net.model;
+        model.serialize_ns(model.wire_bytes(len)) + model.hop_latency_ns + 2 * model.propagation_ns
     }
 
     /// Unloaded one-way time between two attached NICs, accounting every
@@ -859,12 +493,12 @@ impl Fabric {
     pub fn unloaded_route_ns(&self, src: NicAddr, dst: NicAddr, len: u64) -> Option<u64> {
         let (ssw, _) = self.lookup_nic(src)?;
         let (dsw, _) = self.lookup_nic(dst)?;
-        let hops = self.topo.route_minimal(SwitchId(ssw), SwitchId(dsw)).len() as u64;
-        let wire = self.model.wire_bytes(len);
+        let hops = self.net.topo.route_minimal(SwitchId(ssw), SwitchId(dsw)).len() as u64;
+        let model = &self.net.model;
         Some(
-            self.model.serialize_ns(wire)
-                + hops * self.model.hop_latency_ns
-                + (hops + 1) * self.model.propagation_ns,
+            model.serialize_ns(model.wire_bytes(len))
+                + hops * model.hop_latency_ns
+                + (hops + 1) * model.propagation_ns,
         )
     }
 }
@@ -1038,18 +672,18 @@ mod tests {
         granted(&mut f, a, b, Vni(2));
         let len = 10_000u64; // 5 packets at 2 KiB MTU
         f.transfer(SimTime::ZERO, a, b, Vni(2), TrafficClass::Dedicated, len, 1);
-        assert_eq!(f.switch().counters.forwarded, 5);
-        assert_eq!(f.switch().counters.forwarded_payload_bytes, len);
+        assert_eq!(f.switch_at(SwitchId(0)).counters.forwarded, 5);
+        assert_eq!(f.switch_at(SwitchId(0)).counters.forwarded_payload_bytes, len);
     }
 
     #[test]
     fn unbound_destination_drops_no_route() {
         // Node removal through either surface must stop delivery with
-        // NoRoute, exactly as the legacy routing-table lookup did.
+        // NoRoute.
         let (mut f, a, b) = fabric2();
         granted(&mut f, a, b, Vni(4));
-        let port = f.port_of(b).unwrap();
-        f.switch_mut().unbind(port);
+        let (_, port) = f.attachment(b).unwrap();
+        f.switches[0].unbind(port);
         assert_eq!(
             f.transfer(SimTime::ZERO, a, b, Vni(4), TrafficClass::Dedicated, 8, 1),
             TransferOutcome::Dropped(DropReason::NoRoute)
@@ -1063,7 +697,7 @@ mod tests {
             f.transfer(SimTime::ZERO, a, b, Vni(4), TrafficClass::Dedicated, 8, 1),
             TransferOutcome::Dropped(DropReason::NoRoute)
         );
-        assert_eq!(f.port_of(b), None);
+        assert_eq!(f.attachment(b), None);
     }
 
     #[test]
@@ -1350,6 +984,21 @@ mod tests {
     }
 
     #[test]
+    fn a_down_switch_blocks_same_switch_traffic_too() {
+        let (mut f, a, b) = fabric2();
+        granted(&mut f, a, b, Vni(4));
+        f.apply_fault(FaultKind::SwitchDown(SwitchId(0)));
+        assert_eq!(
+            f.transfer(SimTime::ZERO, a, b, Vni(4), TrafficClass::Dedicated, 8, 1),
+            TransferOutcome::Dropped(DropReason::NoRoute)
+        );
+        let counters = &f.switch_at(SwitchId(0)).counters;
+        assert_eq!(counters.drops.get(&DropReason::NoRoute), Some(&1));
+        assert_eq!(counters.forwarded, 0);
+        assert_eq!(f.traffic(Vni(4)).messages, 0);
+    }
+
+    #[test]
     fn ecn_marks_accrue_per_tenant_and_drain_per_sender() {
         // Same incast shape as `incast_rig`, with the ECN threshold
         // lowered below the queue bound so marks can fire.
@@ -1432,7 +1081,7 @@ mod tests {
         // class queue on the trunk is empty; only BulkData is backed up).
         let fresh = NicAddr(42);
         f.attach_to(fresh, SwitchId(0));
-        assert_eq!(f.port_of(fresh), Some(PortId(2)), "port was recycled");
+        assert_eq!(f.attachment(fresh), Some((SwitchId(0), PortId(2))), "port was recycled");
         f.grant_vni(fresh, Vni(7)).unwrap();
         let probe_dst = NicAddr(10);
         f.attach_to(probe_dst, SwitchId(1));

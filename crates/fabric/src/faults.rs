@@ -1,20 +1,20 @@
 //! Runtime fabric faults: link and switch failures, the liveness mask
-//! the routing engines consult, and the deterministic breadth-first
-//! repair used when every interned route is dead.
+//! route selection consults, and the deterministic failure fallback
+//! ([`fallback_route`]) used when a message's primary route is dead.
 //!
 //! Faults never rebuild the interned route arenas — they are filtered.
 //! A [`LivenessMask`] records which trunks and switches are down; route
-//! selection checks candidates against it and falls back in a fixed,
-//! deterministic order (minimal, then every Valiant salt class, then a
-//! BFS over the live graph). The mask's `epoch` counter invalidates any
-//! cached repair when a fault event mutates liveness.
+//! selection checks the primary route against it and otherwise falls
+//! back in a fixed order that ignores queue state (minimal, then every
+//! Valiant salt class, then a BFS over the live graph), so every
+//! instance of the packet path picks the same detour.
 //!
-//! Both engines share this module: the serial [`crate::Fabric`] applies
-//! [`FaultKind`] events directly, and the sharded engine
-//! ([`crate::shardsim`]) schedules the same globally-known fault
-//! schedule into **every** shard's local event queue — liveness views
-//! never diverge between shards, so no cross-shard fault notification
-//! exists and the conservative lookahead is untouched by failures.
+//! The serial [`crate::Fabric`] applies [`FaultKind`] events directly;
+//! the sharded engine ([`crate::shardsim`]) schedules the same
+//! globally-known fault schedule into **every** shard's local event
+//! queue — liveness views never diverge between shards, so no
+//! cross-shard fault notification exists and the conservative lookahead
+//! is untouched by failures.
 
 use std::collections::BTreeSet;
 
@@ -50,8 +50,6 @@ pub struct LivenessMask {
     dead_trunks: BTreeSet<(u32, u32)>,
     /// Dead switches.
     dead_switches: BTreeSet<u32>,
-    /// Bumped on every mutation; caches keyed by epoch self-invalidate.
-    epoch: u64,
 }
 
 impl LivenessMask {
@@ -62,8 +60,7 @@ impl LivenessMask {
     }
 
     /// Apply one fault event. `LinkUp` on a live link and `LinkDown` on
-    /// a dead one are idempotent (flap schedules may repeat an edge);
-    /// the epoch still advances so cached repairs are re-derived.
+    /// a dead one are idempotent (flap schedules may repeat an edge).
     pub fn apply(&mut self, kind: FaultKind) {
         match kind {
             FaultKind::LinkDown(a, b) => {
@@ -76,19 +73,12 @@ impl LivenessMask {
                 self.dead_switches.insert(s.0 as u32);
             }
         }
-        self.epoch += 1;
     }
 
     /// Whether the fabric is fully healthy (fast-path guard).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.dead_trunks.is_empty() && self.dead_switches.is_empty()
-    }
-
-    /// Mutation count (cache-invalidation key).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Whether a switch is up.
@@ -174,6 +164,35 @@ pub fn repair_route(
     None
 }
 
+/// The deterministic failure fallback, tried when a message's primary
+/// route is dead: the minimal route, then every Valiant salt class
+/// starting from the message's own and wrapping (skipped below 3
+/// groups, where every class degrades to the minimal route just
+/// rejected), then [`repair_route`]. Depends on `salt` only through
+/// `salt % topo.salt_classes()`. `None` means the pair is partitioned.
+pub fn fallback_route(
+    topo: &Topology,
+    mask: &LivenessMask,
+    from: SwitchId,
+    to: SwitchId,
+    salt: u64,
+) -> Option<Vec<SwitchId>> {
+    let min = topo.route_minimal(from, to);
+    if mask.route_live(min) {
+        return Some(min.to_vec());
+    }
+    if topo.groups() >= 3 {
+        let classes = topo.salt_classes() as u64;
+        for k in 0..classes {
+            let val = topo.route_valiant(from, to, (salt % classes + k) % classes);
+            if mask.route_live(val) {
+                return Some(val.to_vec());
+            }
+        }
+    }
+    repair_route(topo, mask, from, to)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,11 +220,9 @@ mod tests {
         assert!(!m.link_live(SwitchId(0), SwitchId(1)));
         assert!(!m.link_live(SwitchId(1), SwitchId(0)));
         assert!(m.link_live(SwitchId(0), SwitchId(2)));
-        let e = m.epoch();
         m.apply(FaultKind::LinkUp(SwitchId(0), SwitchId(1)));
         assert!(m.link_live(SwitchId(0), SwitchId(1)));
         assert!(m.is_empty());
-        assert!(m.epoch() > e, "every mutation bumps the epoch");
     }
 
     #[test]

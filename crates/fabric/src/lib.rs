@@ -22,28 +22,29 @@
 //! See `FABRIC.md` at the repository root for the topology model, the
 //! routing scheme, and the packet path end to end.
 //!
-//! For cluster-scale sweeps (1000+ nodes) the [`shardsim`] module runs
-//! the same per-hop timing model sharded per dragonfly group under
+//! There is one packet path (`trunknet.rs`: trunk state, liveness, route
+//! selection, the hop walk). [`fabric::Fabric`] is that path owning
+//! every dragonfly group; for cluster-scale sweeps (1000+ nodes) the
+//! [`shardsim`] module runs one instance per group under
 //! `shs_des::ParallelSim` — bit-identical results at any thread count.
 
 pub mod fabric;
 pub mod faults;
 pub mod packet;
-pub mod pktsim;
 pub mod shardsim;
 pub mod switch;
 pub mod topology;
+mod trunknet;
 pub mod types;
 
-pub use fabric::{
-    Fabric, FabricAuditEvent, FabricError, TransferOutcome, TrunkClassCounters, VniTraffic,
-};
-pub use faults::{repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
-pub use pktsim::{simulate_contention, ClassStats, Flow};
+pub use fabric::{Fabric, FabricAuditEvent, FabricError, TransferOutcome, VniTraffic};
+pub use faults::{fallback_route, repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
 pub use packet::{segment, CostModel, Packet};
 pub use switch::{DropReason, Switch, SwitchConfig, SwitchCounters, Verdict, WrrArbiter};
 pub use shardsim::{
-    run_sweep, trunk_lookahead, GroupCounters, GroupNet, SweepConfig, SweepFault, SweepStats,
+    run_sweep, sweep_messages, trunk_lookahead, GroupCounters, GroupNet, SweepConfig, SweepFault,
+    SweepMsg, SweepStats,
 };
 pub use topology::{GroupView, RoutingPolicy, Topology, TopologySpec};
+pub use trunknet::TrunkClassCounters;
 pub use types::{NicAddr, PortId, SwitchId, TrafficClass, Vni};

@@ -26,21 +26,21 @@
 //!
 //! # Per-hop timing
 //!
-//! Identical math to the serial [`Fabric`](crate::Fabric): edge links
-//! keep scalar busy-until semantics, trunks share the fabric's
-//! `TrunkState::traverse` (weighted processor sharing + finite
-//! queue). This engine measures routing, queueing and QoS at scale; VNI
-//! enforcement stays with the serial k8s engine, which exercises it
-//! end to end per message.
+//! A shard is the packet path of `trunknet.rs` owning one group —
+//! the serial [`Fabric`](crate::Fabric) is the same code owning all of
+//! them — so routing, edge links, weighted trunk sharing and finite
+//! queues cannot differ between the engines. This engine measures
+//! routing, queueing and QoS at scale; VNI enforcement stays with the
+//! serial k8s engine, which exercises it end to end per message.
 
 use std::sync::Arc;
 
 use shs_des::{ParallelSim, ShardSim, SimDur, SimTime};
 
-use crate::fabric::{LinkState, TrunkState};
-use crate::faults::{repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
+use crate::faults::{FaultKind, MAX_REPAIR_PATH};
 use crate::packet::CostModel;
 use crate::topology::{RoutingPolicy, Topology, TopologySpec};
+use crate::trunknet::{LinkState, RouteBuf, TrunkNet, WalkEnd};
 use crate::types::{SwitchId, TrafficClass};
 
 /// The conservative lookahead of the sharded engine: one trunk step.
@@ -50,24 +50,24 @@ pub fn trunk_lookahead(model: &CostModel) -> SimDur {
     SimDur::from_nanos(model.propagation_ns + model.hop_latency_ns)
 }
 
-/// One message in flight (small and `Copy`: continuations carry it
-/// across shard boundaries by value). The route is chosen once at
-/// injection — where adaptive/fault-fallback selection runs against the
-/// source shard's live state — and travels with the message, so a
-/// boundary handoff never re-derives it (the destination shard would
-/// not know which candidate the source picked).
-#[derive(Debug, Clone, Copy)]
-struct Msg {
-    src: u32,
-    dst: u32,
-    t0: SimTime,
-    len: u64,
-    tc: TrafficClass,
-    id: u64,
-    /// Switch ids of the chosen route, endpoints included.
-    path: [u16; MAX_REPAIR_PATH],
-    /// Number of valid entries in `path`.
-    path_len: u8,
+/// One message of a sweep's generated workload (see
+/// [`sweep_messages`]); small and `Copy`, so continuations carry it
+/// across shard boundaries by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepMsg {
+    /// Sending node (global id; node `i` hangs off switch
+    /// `i / nodes_per_switch`).
+    pub src: u32,
+    /// Receiving node.
+    pub dst: u32,
+    /// Injection instant.
+    pub t0: SimTime,
+    /// Payload bytes.
+    pub len: u64,
+    /// Traffic class.
+    pub tc: TrafficClass,
+    /// Message id (the route salt).
+    pub id: u64,
 }
 
 /// Counters one shard owns outright (its group's slice of the sweep).
@@ -99,47 +99,29 @@ pub struct GroupCounters {
 
 /// The per-shard world: one group's slice of the fabric.
 pub struct GroupNet {
-    topo: Arc<Topology>,
-    model: CostModel,
-    group: usize,
+    /// The trunks sourced in this group, plus this shard's view of
+    /// fabric liveness. Every shard schedules the same globally-known
+    /// fault schedule locally, so the views never diverge and no
+    /// cross-shard fault notification (which would break the lookahead)
+    /// is needed.
+    net: TrunkNet,
     nodes_per_switch: usize,
     /// First global node id of this group.
     node_base: u32,
     /// Edge-link occupancy per local node.
     edge: Vec<LinkState>,
-    /// Trunk state for the directed trunks this group owns.
-    trunks: Vec<TrunkState>,
-    /// Dense `(from, to) → trunks` index over all switch pairs
-    /// (`u32::MAX` where this group owns no such trunk).
-    trunk_idx: Vec<u32>,
-    /// This shard's view of fabric liveness. Every shard schedules the
-    /// same globally-known fault schedule locally, so the copies never
-    /// diverge and no cross-shard fault notification (which would break
-    /// the lookahead) is needed.
-    mask: LivenessMask,
     /// The group's counters.
     pub counters: GroupCounters,
 }
 
 impl GroupNet {
     fn new(topo: Arc<Topology>, model: CostModel, group: usize, nodes_per_switch: usize) -> Self {
-        let view = topo.group_view(group);
-        let n = topo.switch_count();
-        let mut trunk_idx = vec![u32::MAX; n * n];
-        for (i, &(a, b)) in view.trunks_out.iter().enumerate() {
-            trunk_idx[a.0 * n + b.0] = i as u32;
-        }
-        let node_base = (view.switches[0].0 * nodes_per_switch) as u32;
+        let nodes_per_group = topo.spec().switches_per_group * nodes_per_switch;
         GroupNet {
-            model,
-            group,
+            net: TrunkNet::new(topo, model, Some(group)),
             nodes_per_switch,
-            node_base,
-            edge: vec![LinkState::default(); view.switches.len() * nodes_per_switch],
-            trunks: vec![TrunkState::default(); view.trunks_out.len()],
-            trunk_idx,
-            mask: LivenessMask::default(),
-            topo,
+            node_base: (group * nodes_per_group) as u32,
+            edge: vec![LinkState::default(); nodes_per_group],
             counters: GroupCounters::default(),
         }
     }
@@ -153,188 +135,79 @@ impl GroupNet {
     fn edge_mut(&mut self, node: u32) -> &mut LinkState {
         &mut self.edge[(node - self.node_base) as usize]
     }
-
-    /// Reserve the owned directed trunk `a → b` for one message.
-    fn traverse(
-        &mut self,
-        a: SwitchId,
-        b: SwitchId,
-        tc: TrafficClass,
-        ser_ns: u64,
-        len: u64,
-        head_t: SimTime,
-    ) -> Result<(SimTime, SimTime), ()> {
-        debug_assert_eq!(self.topo.group_of(a), self.group, "shard reserves only owned trunks");
-        let n = self.topo.switch_count();
-        let ti = self.trunk_idx[a.0 * n + b.0];
-        debug_assert!(ti != u32::MAX, "route follows topology links");
-        self.trunks[ti as usize]
-            .traverse(tc, ser_ns, len, head_t, self.model.trunk_queue_ns)
-            .map_err(|_| ())
-    }
-
-    /// Live queue depth of an owned directed trunk (UGAL's signal).
-    fn queue_of(&self, a: SwitchId, b: SwitchId, tc: TrafficClass, now: SimTime) -> u64 {
-        let n = self.topo.switch_count();
-        let ti = self.trunk_idx[a.0 * n + b.0];
-        debug_assert!(ti != u32::MAX, "UGAL only inspects owned first hops");
-        self.trunks[ti as usize].queue_ns(tc, now)
-    }
-
-    /// Route selection at injection: the policy's primary route (for
-    /// [`RoutingPolicy::Adaptive`], the UGAL-L choice — both candidate
-    /// first hops are sourced at the local switch, so the signal is
-    /// shard-local) when fully live, else the same deterministic
-    /// fallback order as the serial engine: minimal, every Valiant salt
-    /// class, BFS repair. `None` means the pair is partitioned.
-    fn select_path(
-        &self,
-        src_sw: SwitchId,
-        dst_sw: SwitchId,
-        tc: TrafficClass,
-        salt: u64,
-        now: SimTime,
-        out: &mut [u16; MAX_REPAIR_PATH],
-    ) -> Option<u8> {
-        let fill = |out: &mut [u16; MAX_REPAIR_PATH], path: &[SwitchId]| -> u8 {
-            for (slot, s) in out.iter_mut().zip(path.iter()) {
-                *slot = s.0 as u16;
-            }
-            path.len() as u8
-        };
-        let primary: &[SwitchId] = match self.topo.policy() {
-            RoutingPolicy::Adaptive if src_sw != dst_sw => {
-                let min = self.topo.route_minimal(src_sw, dst_sw);
-                let val = self.topo.route_valiant(src_sw, dst_sw, salt);
-                let prefer_val = val.len() > min.len() && {
-                    let qm = self.queue_of(min[0], min[1], tc, now);
-                    let qv = self.queue_of(val[0], val[1], tc, now);
-                    qm * min.len() as u64 > qv * val.len() as u64 + self.model.adaptive_bias_ns
-                };
-                if prefer_val {
-                    val
-                } else {
-                    min
-                }
-            }
-            _ => self.topo.route(src_sw, dst_sw, salt),
-        };
-        if self.mask.route_live(primary) {
-            return Some(fill(out, primary));
-        }
-        let min = self.topo.route_minimal(src_sw, dst_sw);
-        if self.mask.route_live(min) {
-            return Some(fill(out, min));
-        }
-        if self.topo.groups() >= 3 {
-            let classes = self.topo.salt_classes() as u64;
-            for k in 0..classes {
-                let val = self.topo.route_valiant(src_sw, dst_sw, (salt + k) % classes);
-                if self.mask.route_live(val) {
-                    return Some(fill(out, val));
-                }
-            }
-        }
-        repair_route(&self.topo, &self.mask, src_sw, dst_sw).map(|p| fill(out, &p))
-    }
-
-    /// Apply one fault event to this shard's liveness view.
-    pub(crate) fn apply_fault(&mut self, kind: FaultKind) {
-        self.mask.apply(kind);
-    }
 }
 
-/// The launch event: route selection against the shard's live state,
-/// uplink reservation in the source group, then the route walk (which
+/// The launch event: uplink reservation in the source group, route
+/// selection against the shard's live state, then the route walk (which
 /// may hand off at a group boundary).
-fn launch(s: &mut ShardSim<GroupNet>, mut m: Msg) {
+fn launch(s: &mut ShardSim<GroupNet>, m: SweepMsg) {
     let now = s.now();
     let w = &mut s.world;
     w.counters.sent += 1;
-    let src_sw = SwitchId(m.src as usize / w.nodes_per_switch);
-    let dst_sw = SwitchId(m.dst as usize / w.nodes_per_switch);
-    let mut path = [0u16; MAX_REPAIR_PATH];
-    let Some(path_len) = w.select_path(src_sw, dst_sw, m.tc, m.id, now, &mut path) else {
+    let model = w.net.model;
+    let ser = SimDur::from_nanos(model.serialize_ns(model.wire_bytes(m.len)));
+    let t_start = w.edge_mut(m.src).reserve_up(now, ser);
+    let (from, to) = (w.switch_of(m.src), w.switch_of(m.dst));
+    let mut route = [SwitchId(0); MAX_REPAIR_PATH];
+    let Some((hops, _)) = w.net.select_route(from, to, m.tc, m.id, now, &mut route) else {
         w.counters.route_drops += 1;
         return;
     };
-    m.path = path;
-    m.path_len = path_len;
-    let ser = SimDur::from_nanos(w.model.serialize_ns(w.model.wire_bytes(m.len)));
-    let step = trunk_lookahead(&w.model);
-    let up = w.edge_mut(m.src);
-    let t_start = now.max(up.up_busy);
-    up.up_busy = t_start + ser;
-    let head_t = t_start + step;
-    let tail_t = t_start + ser;
-    walk_from(s, m, 0, head_t, tail_t);
+    walk_from(s, m, route, hops, 0, t_start + trunk_lookahead(&model), t_start + ser);
 }
 
-/// Walk the message's carried route from hop index `pos` (an owned
-/// switch), reserving owned trunks; hand off to the next group's shard
-/// at a boundary, or deliver onto the destination downlink. A trunk
-/// that died after injection (the liveness check below) drops the
-/// message `NoRoute` at the hop that would have crossed it.
-fn walk_from(s: &mut ShardSim<GroupNet>, m: Msg, pos: usize, head_t: SimTime, tail_t: SimTime) {
-    let topo = Arc::clone(&s.world.topo);
-    let model = s.world.model;
+/// Walk the message's carried route (`hops` switches of `route`) from
+/// hop index `pos` (an owned switch): hand off to the next group's
+/// shard at a boundary, or deliver onto the destination downlink.
+fn walk_from(
+    s: &mut ShardSim<GroupNet>,
+    m: SweepMsg,
+    route: RouteBuf,
+    hops: usize,
+    pos: usize,
+    head_t: SimTime,
+    tail_t: SimTime,
+) {
+    let w = &mut s.world;
+    let model = w.net.model;
     let ser_ns = model.serialize_ns(model.wire_bytes(m.len));
-    let step = trunk_lookahead(&model);
-    let prop = SimDur::from_nanos(model.propagation_ns);
-    let ser = SimDur::from_nanos(ser_ns);
-
-    let (mut head_t, mut tail_t) = (head_t, tail_t);
-    let mut i = pos;
-    while i + 1 < m.path_len as usize {
-        let (a, b) = (SwitchId(m.path[i] as usize), SwitchId(m.path[i + 1] as usize));
-        if !s.world.mask.link_live(a, b) {
-            // The trunk died while the message was in flight.
-            s.world.counters.route_drops += 1;
-            return;
+    let walk = w.net.walk(&route[..hops], pos, m.tc, ser_ns, m.len, head_t, tail_t);
+    match walk.end {
+        // A trunk on the route died while the message was in flight.
+        WalkEnd::LinkDead => w.counters.route_drops += 1,
+        WalkEnd::Congested => {
+            w.counters.congestion_drops += 1;
+            w.counters.class_drops[m.tc.index()] += 1;
         }
-        match s.world.traverse(a, b, m.tc, ser_ns, m.len, head_t) {
-            Err(()) => {
-                let c = &mut s.world.counters;
-                c.congestion_drops += 1;
-                c.class_drops[m.tc.index()] += 1;
-                return;
-            }
-            Ok((start, finish)) => {
-                head_t = start + step;
-                tail_t = (tail_t + prop).max(finish);
-            }
-        }
-        i += 1;
-        let gb = topo.group_of(b);
-        if gb != s.world.group {
+        WalkEnd::Handoff => {
             // The message cleared the boundary trunk this shard owns;
-            // its head arrives at switch `b` (owned by group `gb`) at
-            // `head_t`, at least one trunk step in the future — the
-            // conservative lookahead. The continuation resumes at hop
-            // index `i` of the carried route.
-            let delay = head_t - s.now();
-            s.send_to(gb, delay, move |d| {
+            // its head arrives at the next group's switch at
+            // `walk.head_t`, at least one trunk step in the future —
+            // the conservative lookahead.
+            let group = w.net.topo.group_of(route[walk.pos]);
+            let delay = walk.head_t - s.now();
+            s.send_to(group, delay, move |d| {
                 let head = d.now();
-                walk_from(d, m, i, head, tail_t);
+                walk_from(d, m, route, hops, walk.pos, head, walk.tail_t);
             });
-            return;
+        }
+        WalkEnd::Arrived => {
+            let arrival = w.edge_mut(m.dst).reserve_down(
+                walk.head_t,
+                walk.tail_t,
+                SimDur::from_nanos(ser_ns),
+                SimDur::from_nanos(model.propagation_ns),
+            );
+            let lat = (arrival - m.t0).as_nanos();
+            let c = &mut w.counters;
+            c.delivered += 1;
+            c.payload_bytes += m.len;
+            c.switch_hops += hops as u64;
+            c.class_delivered[m.tc.index()] += 1;
+            c.latency_sum_ns += lat;
+            c.latency_max_ns = c.latency_max_ns.max(lat);
         }
     }
-
-    // Destination switch reached (it is ours): downlink + delivery.
-    debug_assert_eq!(s.world.switch_of(m.dst).0, m.path[m.path_len as usize - 1] as usize);
-    let down = s.world.edge_mut(m.dst);
-    let t1 = head_t.max(down.down_busy);
-    down.down_busy = t1 + ser;
-    let arrival = (t1 + ser).max(tail_t + prop) + prop;
-    let c = &mut s.world.counters;
-    c.delivered += 1;
-    c.payload_bytes += m.len;
-    c.switch_hops += m.path_len as u64;
-    c.class_delivered[m.tc.index()] += 1;
-    let lat = (arrival - m.t0).as_nanos();
-    c.latency_sum_ns += lat;
-    c.latency_max_ns = c.latency_max_ns.max(lat);
 }
 
 /// One scheduled fault in a sweep's globally-known fault schedule.
@@ -406,6 +279,44 @@ fn mix(seed: u64, node: u32, k: u32, lane: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The messages a sweep injects, node-major: the order [`run_sweep`]
+/// schedules them in, which breaks ties between equal injection
+/// instants inside a shard.
+pub fn sweep_messages(cfg: &SweepConfig) -> impl Iterator<Item = SweepMsg> + '_ {
+    let nodes_per_group = (cfg.spec.switches_per_group * cfg.nodes_per_switch) as u32;
+    let groups = cfg.spec.groups;
+    let interval = cfg.interval_ns.max(1);
+    let message = move |node: u32, k: u32| {
+        let g = (node / nodes_per_group) as usize;
+        let cross = groups > 1 && cfg.cross_group_every > 0 && k.is_multiple_of(cfg.cross_group_every);
+        let dst = if cross {
+            let dg = (g + 1 + (mix(cfg.seed, node, k, 1) as usize % (groups - 1))) % groups;
+            dg as u32 * nodes_per_group + mix(cfg.seed, node, k, 2) as u32 % nodes_per_group
+        } else {
+            if nodes_per_group < 2 {
+                return None; // no distinct local peer exists
+            }
+            let base = g as u32 * nodes_per_group;
+            let peer = base + mix(cfg.seed, node, k, 2) as u32 % nodes_per_group;
+            if peer == node {
+                base + (peer - base + 1) % nodes_per_group
+            } else {
+                peer
+            }
+        };
+        Some(SweepMsg {
+            src: node,
+            dst,
+            t0: SimTime::from_nanos(k as u64 * interval + mix(cfg.seed, node, k, 3) % interval),
+            len: cfg.payload_bytes,
+            tc: TrafficClass::ALL[(mix(cfg.seed, node, k, 4) % 4) as usize],
+            id: (node as u64) << 32 | k as u64,
+        })
+    };
+    (0..nodes_per_group * groups as u32)
+        .flat_map(move |node| (0..cfg.messages_per_node).filter_map(move |k| message(node, k)))
+}
+
 /// Aggregated outcome of [`run_sweep`]: the sum of every group's
 /// counters plus the coordinator's accounting. Identical for any
 /// thread count — the scenario layer serialises this into reports.
@@ -468,52 +379,13 @@ pub fn run_sweep(cfg: &SweepConfig, threads: usize) -> SweepStats {
         for f in &cfg.faults {
             let kind = f.kind;
             psim.shard_mut(g)
-                .at(SimTime::from_nanos(f.at_ns), move |s| s.world.apply_fault(kind));
+                .at(SimTime::from_nanos(f.at_ns), move |s| s.world.net.apply_fault(kind));
         }
     }
 
     let nodes_per_group = (cfg.spec.switches_per_group * cfg.nodes_per_switch) as u32;
-    let total_nodes = nodes_per_group * cfg.spec.groups as u32;
-    let interval = cfg.interval_ns.max(1);
-    for node in 0..total_nodes {
-        let g = (node / nodes_per_group) as usize;
-        for k in 0..cfg.messages_per_node {
-            let cross = cfg.spec.groups > 1
-                && cfg.cross_group_every > 0
-                && k % cfg.cross_group_every == 0;
-            let dst = if cross {
-                let dg = (g + 1 + (mix(cfg.seed, node, k, 1) as usize % (cfg.spec.groups - 1)))
-                    % cfg.spec.groups;
-                dg as u32 * nodes_per_group + mix(cfg.seed, node, k, 2) as u32 % nodes_per_group
-            } else {
-                if nodes_per_group < 2 {
-                    continue; // no distinct local peer exists
-                }
-                let base = g as u32 * nodes_per_group;
-                let peer = base + mix(cfg.seed, node, k, 2) as u32 % nodes_per_group;
-                if peer == node {
-                    base + (peer - base + 1) % nodes_per_group
-                } else {
-                    peer
-                }
-            };
-            let t0 = SimTime::from_nanos(
-                k as u64 * interval + mix(cfg.seed, node, k, 3) % interval,
-            );
-            let tc = TrafficClass::ALL[(mix(cfg.seed, node, k, 4) % 4) as usize];
-            let m = Msg {
-                src: node,
-                dst,
-                t0,
-                len: cfg.payload_bytes,
-                tc,
-                id: (node as u64) << 32 | k as u64,
-                // Filled in by `launch` against the shard's live state.
-                path: [0; MAX_REPAIR_PATH],
-                path_len: 0,
-            };
-            psim.shard_mut(g).at(t0, move |s| launch(s, m));
-        }
+    for m in sweep_messages(cfg) {
+        psim.shard_mut((m.src / nodes_per_group) as usize).at(m.t0, move |s| launch(s, m));
     }
 
     psim.run(threads);
@@ -535,7 +407,7 @@ pub fn run_sweep(cfg: &SweepConfig, threads: usize) -> SweepStats {
         }
     }
     SweepStats {
-        nodes: total_nodes as u64,
+        nodes: nodes_per_group as u64 * cfg.spec.groups as u64,
         shards: psim.shard_count(),
         lookahead_ns: (cfg.model.propagation_ns + cfg.model.hop_latency_ns),
         totals,
@@ -666,6 +538,19 @@ mod tests {
             stats.totals.sent - stats.totals.delivered,
         );
         assert_eq!(run_sweep(&cfg, 1), stats);
+    }
+
+    #[test]
+    fn a_down_switch_route_drops_same_switch_traffic_too() {
+        let cfg = SweepConfig {
+            spec: TopologySpec { groups: 1, switches_per_group: 1, edge_ports: 8 },
+            faults: vec![SweepFault { at_ns: 0, kind: FaultKind::SwitchDown(SwitchId(0)) }],
+            ..SweepConfig::default()
+        };
+        let stats = run_sweep(&cfg, 1);
+        assert!(stats.totals.sent > 0);
+        assert_eq!(stats.totals.delivered, 0);
+        assert_eq!(stats.totals.route_drops, stats.totals.sent);
     }
 
     #[test]

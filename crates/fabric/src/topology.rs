@@ -308,16 +308,6 @@ impl Topology {
         }
     }
 
-    /// Next switch on the minimal route from `from` towards `to` (one
-    /// lookup in the build-time table; `from` itself when already
-    /// there). The allocation-free primitive behind [`route_minimal`]
-    /// — hot paths walk it directly.
-    ///
-    /// [`route_minimal`]: Topology::route_minimal
-    pub fn next_hop_min(&self, from: SwitchId, to: SwitchId) -> SwitchId {
-        SwitchId(self.next_hop[from.0][to.0] as usize)
-    }
-
     /// Minimal route between two switches, endpoints included. A route
     /// never revisits a switch and is at most 4 switches long. One
     /// arena lookup — the route was interned at build time.

@@ -8,11 +8,19 @@
 //! delivery count), and the whole result must be **bit-identical**
 //! between the serial and the multi-threaded engine under the same
 //! schedule.
+//!
+//! The last property is the executable form of "the serial `Fabric` is
+//! the one-shard instance of the packet path": on single-group
+//! topologies (no cross-shard handoff, so both engines reserve hops in
+//! the same order) replaying a sweep's messages through a `Fabric`
+//! reproduces `run_sweep`'s totals exactly, healthy and across a link
+//! cut.
 
 use proptest::prelude::*;
 use shs_fabric::{
-    run_sweep, FaultKind, RoutingPolicy, SweepConfig, SweepFault, SwitchId, Topology,
-    TopologySpec,
+    run_sweep, sweep_messages, DropReason, Fabric, FaultKind, GroupCounters, NicAddr,
+    RoutingPolicy, SweepConfig, SweepFault, SweepMsg, SwitchId, Topology, TopologySpec,
+    TransferOutcome, Vni,
 };
 
 /// A sweep shape with at least two groups, so fault schedules have
@@ -81,6 +89,45 @@ fn schedule(cfg: &SweepConfig, raw: &[(u64, u8, usize, usize)]) -> Vec<SweepFaul
         .collect()
 }
 
+/// Replay `cfg`'s messages and fault schedule through a serial
+/// [`Fabric`] in the order the sweep's event queue runs them (by
+/// instant; at equal instants faults first, then messages in generation
+/// order) and collect the counters `run_sweep` reports.
+fn replay_on_serial_fabric(cfg: &SweepConfig) -> GroupCounters {
+    let mut fabric = Fabric::with_topology(cfg.model, cfg.spec, cfg.policy);
+    let vni = Vni(1);
+    let nodes = cfg.spec.total_switches() * cfg.nodes_per_switch;
+    for node in 0..nodes {
+        fabric.attach_to(NicAddr(node as u32), SwitchId(node / cfg.nodes_per_switch));
+        fabric.grant_vni(NicAddr(node as u32), vni).unwrap();
+    }
+    let mut msgs: Vec<SweepMsg> = sweep_messages(cfg).collect();
+    msgs.sort_by_key(|m| m.t0); // stable: generation order breaks ties
+    let mut faults = cfg.faults.clone();
+    faults.sort_by_key(|f| f.at_ns);
+    let mut faults = faults.into_iter().peekable();
+    let mut c = GroupCounters::default();
+    for m in msgs {
+        while let Some(f) = faults.next_if(|f| f.at_ns <= m.t0.as_nanos()) {
+            fabric.apply_fault(f.kind);
+        }
+        c.sent += 1;
+        match fabric.transfer(m.t0, NicAddr(m.src), NicAddr(m.dst), vni, m.tc, m.len, m.id) {
+            TransferOutcome::Delivered { arrival, .. } => {
+                let lat = (arrival - m.t0).as_nanos();
+                c.delivered += 1;
+                c.latency_sum_ns += lat;
+                c.latency_max_ns = c.latency_max_ns.max(lat);
+            }
+            TransferOutcome::Dropped(DropReason::Congested) => c.congestion_drops += 1,
+            TransferOutcome::Dropped(DropReason::NoRoute) => c.route_drops += 1,
+            other => panic!("enforcement is satisfied by construction: {other:?}"),
+        }
+    }
+    c.switch_hops = fabric.traffic(vni).switch_hops;
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -143,5 +190,41 @@ proptest! {
         prop_assert_eq!(cut.totals.route_drops, cut.totals.sent);
         // Thread invariance holds for the degenerate schedule too.
         prop_assert_eq!(&run_sweep(&cfg, 4), &cut);
+    }
+
+    /// The serial fabric is the one-shard instance: same deliveries,
+    /// drops, hops and latencies as the sharded engine on one group,
+    /// on a healthy fabric and with one local link cut mid-run (which
+    /// partitions a 2-switch group and forces a repair detour in a
+    /// larger one).
+    #[test]
+    fn serial_fabric_matches_the_one_shard_sweep(
+        cfg in config_strategy(),
+        spg in 2usize..=4,
+        cut in (0usize..4, 1usize..4),
+    ) {
+        let mut cfg = cfg;
+        cfg.spec.groups = 1;
+        cfg.spec.switches_per_group = spg;
+        // A trunk queue a handful of large messages overflow, so the
+        // congestion-drop path is compared too.
+        cfg.model.trunk_queue_ns = 15_000;
+        let a = cut.0 % spg;
+        let link_down = SweepFault {
+            at_ns: cfg.messages_per_node as u64 * cfg.interval_ns / 2,
+            kind: FaultKind::LinkDown(SwitchId(a), SwitchId((a + cut.1 % (spg - 1) + 1) % spg)),
+        };
+        for faults in [Vec::new(), vec![link_down]] {
+            cfg.faults = faults;
+            let sharded = run_sweep(&cfg, 1).totals;
+            let serial = replay_on_serial_fabric(&cfg);
+            prop_assert_eq!(serial.sent, sharded.sent);
+            prop_assert_eq!(serial.delivered, sharded.delivered);
+            prop_assert_eq!(serial.congestion_drops, sharded.congestion_drops);
+            prop_assert_eq!(serial.route_drops, sharded.route_drops);
+            prop_assert_eq!(serial.switch_hops, sharded.switch_hops);
+            prop_assert_eq!(serial.latency_sum_ns, sharded.latency_sum_ns);
+            prop_assert_eq!(serial.latency_max_ns, sharded.latency_max_ns);
+        }
     }
 }

@@ -2,12 +2,13 @@
 //! deterministic, loop-free, link-valid and hop-bounded for arbitrary
 //! (groups, switches/group, edge ports) within bounds, under the
 //! minimal, Valiant and adaptive (UGAL) policies — and, with a fault
-//! mask in play, the deterministic failure-fallback chain must keep
-//! every pair routable across any single link cut.
+//! mask in play, the crate's deterministic failure fallback
+//! (`fallback_route`, the function both engines route through) must
+//! keep every pair routable across any single link cut.
 
 use proptest::prelude::*;
 use shs_fabric::{
-    repair_route, FaultKind, LivenessMask, RoutingPolicy, SwitchId, Topology, TopologySpec,
+    fallback_route, FaultKind, LivenessMask, RoutingPolicy, SwitchId, Topology, TopologySpec,
     MAX_REPAIR_PATH,
 };
 
@@ -25,33 +26,6 @@ fn resilient_spec_strategy() -> impl Strategy<Value = TopologySpec> {
     (3usize..6, 1usize..4, 1usize..5).prop_map(|(groups, switches_per_group, edge_ports)| {
         TopologySpec { groups, switches_per_group, edge_ports }
     })
-}
-
-/// The engines' deterministic failure-fallback chain (`Fabric` and the
-/// sharded sweep both implement exactly this order): the minimal route
-/// if fully live, else the first live Valiant salt class starting from
-/// the message's own, else a BFS repair over the live graph.
-fn fallback_route(
-    topo: &Topology,
-    mask: &LivenessMask,
-    from: SwitchId,
-    to: SwitchId,
-    salt: u64,
-) -> Option<Vec<SwitchId>> {
-    let min = topo.route_minimal(from, to);
-    if mask.route_live(min) {
-        return Some(min.to_vec());
-    }
-    if topo.groups() >= 3 {
-        let classes = topo.salt_classes() as u64;
-        for k in 0..classes {
-            let val = topo.route_valiant(from, to, (salt + k) % classes);
-            if mask.route_live(val) {
-                return Some(val.to_vec());
-            }
-        }
-    }
-    repair_route(topo, mask, from, to)
 }
 
 fn check_route(topo: &Topology, path: &[SwitchId], from: SwitchId, to: SwitchId, max_len: usize) {

@@ -14,7 +14,7 @@
 use shs_cassini::{CassiniNic, CassiniParams};
 use shs_cxi::{CxiDevice, CxiDriver, CxiServiceDesc, SvcMember};
 use shs_des::{DetRng, SimDur, SimTime};
-use shs_fabric::{NicAddr, TrafficClass, Vni};
+use shs_fabric::{NicAddr, SwitchId, TrafficClass, Vni};
 use shs_k8s::kinds;
 use shs_mpi::{PairDevices, RankPair};
 use shs_oslinux::{Gid, Host, IdMapEntry, Pid, Uid};
@@ -91,7 +91,7 @@ fn main() {
 
     // Even a forged NIC-level message on the wrong VNI dies at the switch.
     {
-        let drops_before = cluster.fabric.switch().counters.total_drops();
+        let drops_before = cluster.fabric.switch_at(SwitchId(0)).counters.total_drops();
         let src = cluster.nodes[0].inner.nic;
         let dst = cluster.nodes[1].inner.nic;
         let out = cluster.fabric.transfer(
@@ -104,7 +104,7 @@ fn main() {
             999,
         );
         println!("forged packet on un-granted VNI: {out:?}");
-        assert!(cluster.fabric.switch().counters.total_drops() > drops_before);
+        assert!(cluster.fabric.switch_at(SwitchId(0)).counters.total_drops() > drops_before);
     }
 
     // --- The §III UID-spoofing attack, stock vs extended driver -------

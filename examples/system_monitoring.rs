@@ -11,7 +11,7 @@
 //! ```
 
 use shs_des::{SimDur, SimTime};
-use shs_fabric::{TrafficClass, Vni};
+use shs_fabric::{SwitchId, TrafficClass, Vni};
 use shs_k8s::kinds;
 use shs_mpi::{PairDevices, RankPair};
 use slingshot_k8s::{osu_image, Cluster, ClusterConfig, VniCrdSpec};
@@ -61,8 +61,8 @@ fn main() {
     );
     println!(
         "switch counters: {} packets forwarded, {} drops",
-        cluster.fabric.switch().counters.forwarded,
-        cluster.fabric.switch().counters.total_drops()
+        cluster.fabric.switch_at(SwitchId(0)).counters.forwarded,
+        cluster.fabric.switch_at(SwitchId(0)).counters.total_drops()
     );
     for node in &cluster.nodes {
         println!("node {}:", node.inner.name);
