@@ -3,7 +3,7 @@
 //! a veth pair (host side on the bridge, container side in the pod's
 //! netns) and assigns an address from a host-local /24.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use shs_des::SimDur;
 use shs_oslinux::Host;
@@ -32,8 +32,15 @@ pub struct BridgePlugin {
     subnet_prefix: String,
     /// container-id -> allocated host ip suffix.
     allocated: BTreeMap<String, u8>,
+    /// Suffixes currently handed out.
+    in_use: BTreeSet<u8>,
+    /// Where the next-fit search resumes.
     next_suffix: u8,
 }
+
+/// Host suffixes of the /24 pool: `.2` ..= `.254` (`.1` is the bridge).
+const FIRST_SUFFIX: u8 = 2;
+const LAST_SUFFIX: u8 = 254;
 
 impl BridgePlugin {
     /// New plugin bridging onto `bridge` with addresses from
@@ -43,7 +50,8 @@ impl BridgePlugin {
             bridge: bridge.into(),
             subnet_prefix: subnet_prefix.into(),
             allocated: BTreeMap::new(),
-            next_suffix: 2,
+            in_use: BTreeSet::new(),
+            next_suffix: FIRST_SUFFIX,
         }
     }
 
@@ -74,11 +82,19 @@ impl<C: HasHost> CniPlugin<C> for BridgePlugin {
                 args.container_id
             )));
         }
-        let suffix = self.next_suffix;
-        if suffix == u8::MAX {
+        if self.in_use.len() == usize::from(LAST_SUFFIX - FIRST_SUFFIX) + 1 {
             return Err(CniError::plugin(110, "IPAM pool exhausted"));
         }
-        self.next_suffix += 1;
+        // Next-fit with wrap-around, like host-local IPAM: resume after
+        // the last address handed out and skip the ones still held, so
+        // released addresses come back only after the pool has cycled.
+        let after = |s: u8| if s == LAST_SUFFIX { FIRST_SUFFIX } else { s + 1 };
+        let mut suffix = self.next_suffix;
+        while self.in_use.contains(&suffix) {
+            suffix = after(suffix);
+        }
+        self.next_suffix = after(suffix);
+        self.in_use.insert(suffix);
         self.allocated.insert(args.container_id.clone(), suffix);
 
         // veth pair: host side + container side.
@@ -113,7 +129,9 @@ impl<C: HasHost> CniPlugin<C> for BridgePlugin {
             ns.detach_interface(&args.ifname);
         }
         // Idempotent: releasing an unknown container is fine.
-        self.allocated.remove(&args.container_id);
+        if let Some(suffix) = self.allocated.remove(&args.container_id) {
+            self.in_use.remove(&suffix);
+        }
         Ok(())
     }
 
@@ -215,6 +233,39 @@ mod tests {
         assert_eq!(plugin.allocated(), 0);
         let ns = host.net_namespace(args.netns).unwrap();
         assert!(!ns.interfaces.iter().any(|i| i == "eth0"));
+    }
+
+    #[test]
+    fn ipam_recycles_released_addresses_and_never_double_allocates() {
+        let (mut host, base) = setup();
+        let mut plugin = BridgePlugin::new("cni0", "10.42.0");
+        let args = |i: usize| CniArgs { container_id: format!("c{i}"), ..base.clone() };
+        // A window of 8 live containers sliding over 1 000 add/del cycles:
+        // far more than the 253 addresses a monotone allocator owns.
+        let mut held: BTreeMap<String, String> = BTreeMap::new();
+        for i in 0..1_000 {
+            let r = plugin.add(&mut host, &args(i), CniResult::default()).expect("pool never exhausts");
+            let ip = r.ips[0].address.clone();
+            assert!(!held.values().any(|h| h == &ip), "{ip} handed out while still allocated");
+            if i < 253 {
+                assert_eq!(ip, format!("10.42.0.{}/24", i + 2), "first pass is sequential");
+            }
+            held.insert(args(i).container_id, ip);
+            if i >= 7 {
+                plugin.del(&mut host, &args(i - 7)).unwrap();
+                held.remove(&args(i - 7).container_id);
+            }
+        }
+        assert_eq!(plugin.allocated(), 7);
+        // A genuinely full pool still reports exhaustion.
+        let mut full = BridgePlugin::new("cni0", "10.42.1");
+        for i in 0..253 {
+            full.add(&mut host, &args(i), CniResult::default()).unwrap();
+        }
+        assert_eq!(full.add(&mut host, &args(999), CniResult::default()).unwrap_err().code, 110);
+        full.del(&mut host, &args(100)).unwrap();
+        let r = full.add(&mut host, &args(999), CniResult::default()).unwrap();
+        assert_eq!(r.ips[0].address, "10.42.1.102/24", "the one free address");
     }
 
     #[test]

@@ -254,7 +254,7 @@ impl NodeCniPlugin for CxiCniPlugin {
             // The kubelet treats "try again" as a retriable failure.
             return Err((CniError::try_again(format!("VNI CRD {crd_name} not present")), cost));
         };
-        let crd_spec: VniCrdSpec = match serde_json::from_value(crd.spec.clone()) {
+        let crd_spec: VniCrdSpec = match serde_json::from_value_ref(&crd.spec) {
             Ok(s) => s,
             Err(e) => return Err((CniError::decoding(format!("bad VNI CRD: {e}")), cost)),
         };

@@ -63,7 +63,8 @@ pub use vni_db::{
     VniState,
 };
 pub use workloads::{
-    AcquireReleaseWorkload, ChurnHotWorkload, FabricAdaptiveHotWorkload,
-    FabricTransferHotWorkload, PlegStatusReadWorkload, ServiceMeshHotWorkload,
+    run_admission_spike, AcquireReleaseWorkload, AdmissionSpikeRun, ChurnHotWorkload,
+    ClusterTickIdleWorkload, FabricAdaptiveHotWorkload, FabricTransferHotWorkload,
+    PlegStatusReadWorkload, SchedulerPollPendingWorkload, ServiceMeshHotWorkload,
     VniStressWorkload,
 };

@@ -8,7 +8,10 @@
 //!
 //! The two VNI-database workloads run at the default range width
 //! (3072, §III-C1's VNI space minus the reserved global VNI); the
-//! fabric workload runs on a 3-group dragonfly topology.
+//! fabric workload runs on a 3-group dragonfly topology; the three
+//! control-plane workloads ([`ClusterTickIdleWorkload`],
+//! [`run_admission_spike`], [`SchedulerPollPendingWorkload`]) run on the
+//! paper's 2-node testbed.
 
 use std::collections::VecDeque;
 
@@ -17,8 +20,9 @@ use shs_fabric::{
     CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySpec, TrafficClass,
     TransferOutcome, Vni,
 };
-use shs_k8s::{kinds, ApiObject, ApiServer, Pleg, PodPhase};
+use shs_k8s::{kinds, make_node, ApiObject, ApiServer, Pleg, PodPhase, Scheduler};
 
+use crate::cluster::{alpine, Cluster, ClusterConfig};
 use crate::sharded_db::ShardedVniDb;
 use crate::vni_db::{VniDb, VniDbConfig, VniOwner};
 
@@ -412,6 +416,136 @@ impl PlegStatusReadWorkload {
     }
 }
 
+/// The control-plane cadence every cluster workload ticks at.
+const TICK: SimDur = SimDur::from_millis(20);
+
+/// The idle control-plane tick behind the `cluster_tick_idle_<N>pods`
+/// bench row: the 2-node testbed with `pods` single-pod jobs that run
+/// until killed, settled so that nothing is queued, due or changing.
+/// One [`step`] is one [`Cluster::tick`] — five controllers, the
+/// scheduler, two kubelets and the PLEG sync finding no work. Its cost
+/// must not depend on `pods`.
+///
+/// [`step`]: ClusterTickIdleWorkload::step
+pub struct ClusterTickIdleWorkload {
+    cluster: Cluster,
+    now: SimTime,
+}
+
+impl ClusterTickIdleWorkload {
+    /// Submit `pods` run-forever jobs and tick until all are Running.
+    pub fn new(pods: usize) -> Self {
+        let mut cluster = Cluster::new(ClusterConfig::default());
+        for i in 0..pods {
+            cluster.submit_job(SimTime::ZERO, "bench", &format!("idle-{i:03}"), &[], 1, &alpine(), None);
+        }
+        let mut now = SimTime::ZERO;
+        while cluster.pods_in_phase(PodPhase::Running) < pods {
+            now = cluster.run_until(now, now + SimDur::from_secs(1), TICK);
+            assert!(now < SimTime::from_nanos(3_600_000_000_000), "{pods} idle pods never settled");
+        }
+        ClusterTickIdleWorkload { cluster, now }
+    }
+
+    /// One idle tick.
+    pub fn step(&mut self) {
+        self.now += TICK;
+        self.cluster.tick(self.now);
+    }
+
+    /// The settled cluster.
+    pub fn cluster(&self) -> &Cluster {
+        &self.cluster
+    }
+}
+
+/// What one [`run_admission_spike`] did (all deterministic in the seed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdmissionSpikeRun {
+    /// Control-plane ticks until the last pod object was reaped.
+    pub ticks: u64,
+    /// Pods started, summed over the kubelets.
+    pub pods_started: u64,
+    /// Pods marked Failed, summed over the kubelets.
+    pub pods_failed: u64,
+}
+
+/// The paper's Fig. 11 spike behind the `admission_spike_<N>` bench
+/// row: `jobs` single-pod 10 ms jobs submitted at t=0 on the 2-node
+/// testbed (with the `vni: true` annotation when `vni`), ticked until
+/// every job has been admitted, has completed, and its pod has been torn
+/// down and reaped. One call is the whole control plane end to end.
+pub fn run_admission_spike(jobs: usize, vni: bool, seed: u64) -> AdmissionSpikeRun {
+    let mut cluster = Cluster::new(ClusterConfig { seed, ..Default::default() });
+    let annotations: &[(&str, &str)] = if vni { &[("vni", "true")] } else { &[] };
+    for i in 0..jobs {
+        cluster.submit_job(SimTime::ZERO, "bench", &format!("job-{i:03}"), annotations, 1, &alpine(), Some(10));
+    }
+    // Only the Node objects outlive the spike.
+    let (mut now, mut ticks) = (SimTime::ZERO, 0u64);
+    while cluster.api.object_count() > cluster.nodes.len() {
+        now += TICK;
+        cluster.tick(now);
+        ticks += 1;
+        assert!(now < SimTime::from_nanos(3_600_000_000_000), "{jobs}-job spike never drained");
+    }
+    let counters = || cluster.nodes.iter().map(|n| n.kubelet.counters);
+    AdmissionSpikeRun {
+        ticks,
+        pods_started: counters().map(|c| c.pods_started).sum(),
+        pods_failed: counters().map(|c| c.pods_failed).sum(),
+    }
+}
+
+/// One scheduler pass over pods that stay pending behind full nodes —
+/// what every tick of a spike pays while it waits for capacity — behind
+/// the `scheduler_poll_<N>pending` bench row. Two ready nodes of
+/// `pending / 2` seats each are filled by the first poll, leaving
+/// `pending` pods unschedulable. One [`step`] writes one bound pod's
+/// status (so the watch stream is not empty, as on any tick where
+/// something happened) and polls: one event ingested, `pending` pods
+/// tried and left pending, nothing listed.
+///
+/// [`step`]: SchedulerPollPendingWorkload::step
+#[derive(Debug)]
+pub struct SchedulerPollPendingWorkload {
+    api: ApiServer,
+    scheduler: Scheduler,
+    pending: u64,
+    i: u64,
+}
+
+impl SchedulerPollPendingWorkload {
+    /// `2 * pending` pods over two nodes with `pending` seats in total.
+    pub fn new(pending: u64) -> Self {
+        let mut api = ApiServer::default();
+        for n in 0..2 {
+            api.create(make_node(&format!("node{n}"), (pending / 2) as u32), SimTime::ZERO)
+                .expect("fresh node name");
+        }
+        for i in 0..2 * pending {
+            let pod = ApiObject::new(kinds::POD, "bench", &format!("p{i:04}"), serde_json::json!({"image": "x"}));
+            api.create(pod, SimTime::ZERO).expect("fresh pod name");
+        }
+        let mut scheduler = Scheduler::new();
+        scheduler.poll(&mut api, SimTime::ZERO);
+        assert_eq!(scheduler.pending() as u64, pending, "full nodes leave half the pods pending");
+        SchedulerPollPendingWorkload { api, scheduler, pending, i: 0 }
+    }
+
+    /// One status write on a bound pod, then one scheduler pass.
+    pub fn step(&mut self) -> usize {
+        // Pods bind in name order, so the first `pending` names are bound.
+        let name = format!("p{:04}", self.i % self.pending);
+        self.i += 1;
+        self.api
+            .mutate(kinds::POD, "bench", &name, |o| o.status = serde_json::json!({"phase": "Running"}))
+            .expect("bound pod exists");
+        self.scheduler.poll(&mut self.api, SimTime::ZERO);
+        self.scheduler.pending()
+    }
+}
+
 /// The control-plane stress workload behind the `vni_stress` scenarios
 /// and bench rows: a rolling population of tenants churning through the
 /// widest legal VNI range (1024..65535) against a [`ShardedVniDb`] in
@@ -627,6 +761,26 @@ mod tests {
         // Deterministic: a fresh workload replays the same outcomes.
         let mut w2 = ServiceMeshHotWorkload::new();
         assert_eq!(run(&mut w2), (completed, total_ns));
+    }
+
+    #[test]
+    fn control_plane_workloads_settle_and_repeat() {
+        let mut idle = ClusterTickIdleWorkload::new(40);
+        let requests = idle.cluster().api.requests;
+        for _ in 0..50 {
+            idle.step();
+        }
+        assert_eq!(idle.cluster().api.requests, requests, "an idle tick writes nothing");
+        assert_eq!(idle.cluster().pods_in_phase(PodPhase::Running), 40);
+
+        let spike = run_admission_spike(30, true, 9);
+        assert_eq!((spike.pods_started, spike.pods_failed), (30, 0));
+        assert_eq!(spike, run_admission_spike(30, true, 9), "deterministic in the seed");
+
+        let mut sched = SchedulerPollPendingWorkload::new(100);
+        for _ in 0..250 {
+            assert_eq!(sched.step(), 100, "full nodes: everything stays pending");
+        }
     }
 
     #[test]

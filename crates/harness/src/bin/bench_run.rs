@@ -56,7 +56,18 @@
 //!   100× pod-count step while the `pod_scan_status_read_*` pair — the
 //!   same answer computed by the pre-PLEG full pod scan — grows
 //!   linearly; the emitted `"pleg_status_reads"` block records both
-//!   ratios.
+//!   ratios;
+//! * `cluster_tick_idle_500pods` — one `Cluster::tick` on the 2-node
+//!   testbed with 500 settled, run-forever pods: every controller, the
+//!   scheduler, both kubelets and the PLEG sync finding nothing to do.
+//!   A tick must cost O(changes), so this row must not track the pod
+//!   count;
+//! * `admission_spike_500` — the paper's Fig. 11 end to end: 500
+//!   `vni: true` jobs submitted at once, ticked until the last pod is
+//!   reaped; one op is the whole run (≈13 k ticks);
+//! * `scheduler_poll_100pending` — one pod status write plus one
+//!   scheduler pass with 100 pods pending behind full nodes: what each
+//!   tick of an oversubscribed spike pays while it waits for capacity.
 //!
 //! Scenarios (`churn`, `steady-state`) run once under the DES clock;
 //! their event counts are deterministic, their wall-clock is not.
@@ -91,9 +102,10 @@ use shs_harness::gate::{self, GateCheck};
 use shs_harness::{HostInfo, OsuAllreduceWorkload};
 use shs_vnistore::{SimDisk, Store, StoreConfig};
 use slingshot_k8s::{
-    by_name, parallel_by_name, run_fabric_scenario, run_scenario, run_vni_stress,
-    AcquireReleaseWorkload, ChurnHotWorkload, FabricAdaptiveHotWorkload, FabricSweepReport,
-    FabricTransferHotWorkload, PlegStatusReadWorkload, ServiceMeshHotWorkload, VniDb,
+    by_name, parallel_by_name, run_admission_spike, run_fabric_scenario, run_scenario,
+    run_vni_stress, AcquireReleaseWorkload, ChurnHotWorkload, ClusterTickIdleWorkload,
+    FabricAdaptiveHotWorkload, FabricSweepReport, FabricTransferHotWorkload,
+    PlegStatusReadWorkload, SchedulerPollPendingWorkload, ServiceMeshHotWorkload, VniDb,
     VniStressReport, VniStressScenario,
 };
 
@@ -352,6 +364,35 @@ fn bench_pod_scan_status_read(samples: usize, iters: u64, pods: u64) -> f64 {
     })
 }
 
+/// One idle control-plane tick over 500 settled pods (see
+/// `slingshot_k8s::workloads::ClusterTickIdleWorkload`).
+fn bench_cluster_tick_idle(samples: usize, iters: u64) -> f64 {
+    let mut w = ClusterTickIdleWorkload::new(500);
+    measure(samples, iters, || w.step())
+}
+
+/// Spike runs per sample of `admission_spike_500`: one op is already
+/// ~13 k ticks, so the sample is its own average.
+const SPIKE_ITERS: u64 = 1;
+
+/// One whole 500-job `vni: true` admission spike per op (see
+/// `slingshot_k8s::workloads::run_admission_spike`).
+fn bench_admission_spike(samples: usize) -> f64 {
+    measure(samples, SPIKE_ITERS, || {
+        let run = run_admission_spike(500, true, 42);
+        assert_eq!((run.pods_started, run.pods_failed), (500, 0));
+    })
+}
+
+/// One status write + scheduler pass with 100 pods pending (see
+/// `slingshot_k8s::workloads::SchedulerPollPendingWorkload`).
+fn bench_scheduler_poll_pending(samples: usize, iters: u64) -> f64 {
+    let mut w = SchedulerPollPendingWorkload::new(100);
+    measure(samples, iters, || {
+        w.step();
+    })
+}
+
 /// `"pleg_status_read_<N>"` / `"pod_scan_status_read_<N>"` → (cached?,
 /// pods) for the gate re-measure arm (`"10k"` → 10,000).
 fn status_read_pods(name: &str) -> Option<(bool, u64)> {
@@ -557,6 +598,11 @@ fn remeasure(name: &str, b: &Budgets) -> Option<(f64, Option<f64>)> {
         "fabric_adaptive_hot" => (bench_fabric_adaptive_hot(b.samples, b.store_iters), None),
         "osu_allreduce" => (bench_osu_allreduce(b.samples, b.churn_iters), None),
         "service_mesh_hot" => (bench_service_mesh_hot(b.samples, b.store_iters), None),
+        "cluster_tick_idle_500pods" => (bench_cluster_tick_idle(b.samples, b.store_iters), None),
+        "admission_spike_500" => (bench_admission_spike(b.samples), None),
+        "scheduler_poll_100pending" => {
+            (bench_scheduler_poll_pending(b.samples, b.store_iters), None)
+        }
         "churn" | "steady-state" => {
             let (events, wall_s) = run_scenario_timed(name);
             (events as f64 / wall_s, Some(wall_s * 1e3))
@@ -690,6 +736,12 @@ fn main() {
     eprintln!("bench-run: timing pod_scan_status_read_100 / pod_scan_status_read_10k ...");
     let scan_100 = bench_pod_scan_status_read(samples, churn_iters, 100);
     let scan_10k = bench_pod_scan_status_read(samples, churn_iters, 10_000);
+    eprintln!("bench-run: timing cluster_tick_idle_500pods ...");
+    let tick_idle = bench_cluster_tick_idle(samples, store_iters);
+    eprintln!("bench-run: timing admission_spike_500 ...");
+    let spike = bench_admission_spike(samples);
+    eprintln!("bench-run: timing scheduler_poll_100pending ...");
+    let sched_pending = bench_scheduler_poll_pending(samples, store_iters);
 
     let mut recover_10k_entry = bench_entry("store_recover_hist10k", recover_10k, samples, churn_iters);
     recover_10k_entry["device_bytes"] = json!(disk_10k.len());
@@ -712,6 +764,9 @@ fn main() {
         bench_entry("pleg_status_read_10k", pleg_10k, samples, store_iters),
         bench_entry("pod_scan_status_read_100", scan_100, samples, churn_iters),
         bench_entry("pod_scan_status_read_10k", scan_10k, samples, churn_iters),
+        bench_entry("cluster_tick_idle_500pods", tick_idle, samples, store_iters),
+        bench_entry("admission_spike_500", spike, samples, SPIKE_ITERS),
+        bench_entry("scheduler_poll_100pending", sched_pending, samples, store_iters),
     ];
 
     let mut scenarios = Vec::new();

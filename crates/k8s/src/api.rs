@@ -6,7 +6,8 @@
 //! Resource Definitions (the VNI and VniClaim CRDs of §III-C1) ordinary
 //! objects rather than special cases.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use shs_des::{SimDur, SimTime};
@@ -108,8 +109,9 @@ pub struct WatchEvent {
     pub rv: u64,
     /// Event type.
     pub kind: WatchType,
-    /// Snapshot of the object after (or for Deleted: before) the change.
-    pub object: ApiObject,
+    /// Snapshot of the object after (or for Deleted: before) the change,
+    /// taken once and shared by every watcher.
+    pub object: Rc<ApiObject>,
 }
 
 /// API errors.
@@ -164,7 +166,12 @@ type Key = (String, String, String); // kind, namespace, name
 #[derive(Debug)]
 pub struct ApiServer {
     params: ApiParams,
-    objects: BTreeMap<Key, ApiObject>,
+    /// Each stored object is the snapshot its latest watch event carries.
+    objects: BTreeMap<Key, Rc<ApiObject>>,
+    /// Owner index: uid → keys of the stored objects naming it in
+    /// `owner_uids`. A reaped owner's entry lives on until its last
+    /// (terminating) child is reaped too; uids are never reused.
+    owned: BTreeMap<u64, BTreeSet<Key>>,
     events: Vec<WatchEvent>,
     next_rv: u64,
     next_uid: u64,
@@ -184,6 +191,7 @@ impl ApiServer {
         ApiServer {
             params,
             objects: BTreeMap::new(),
+            owned: BTreeMap::new(),
             events: Vec::new(),
             next_rv: 1,
             next_uid: 1,
@@ -206,13 +214,31 @@ impl ApiServer {
         rv
     }
 
-    fn emit(&mut self, kind: WatchType, object: ApiObject) {
+    fn emit(&mut self, kind: WatchType, object: Rc<ApiObject>) {
         let rv = object.meta.resource_version;
         self.events.push(WatchEvent { rv, kind, object });
     }
 
+    /// Move `key` in the owner index from the `old` owner list to `new`.
+    fn reindex(&mut self, key: &Key, old: &[u64], new: &[u64]) {
+        if old == new {
+            return;
+        }
+        for uid in old {
+            if let Some(set) = self.owned.get_mut(uid) {
+                set.remove(key);
+                if set.is_empty() {
+                    self.owned.remove(uid);
+                }
+            }
+        }
+        for &uid in new {
+            self.owned.entry(uid).or_default().insert(key.clone());
+        }
+    }
+
     /// Create an object; assigns uid and resource version.
-    pub fn create(&mut self, mut obj: ApiObject, now: SimTime) -> Result<ApiObject, ApiError> {
+    pub fn create(&mut self, mut obj: ApiObject, now: SimTime) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
         let key = Self::key(&obj.kind, &obj.meta.namespace, &obj.meta.name);
         if self.objects.contains_key(&key) {
@@ -223,38 +249,51 @@ impl ApiServer {
         obj.meta.resource_version = self.bump();
         obj.meta.created_at_ns = now.as_nanos();
         obj.meta.deletion_requested = false;
-        self.objects.insert(key, obj.clone());
-        self.emit(WatchType::Added, obj.clone());
+        let obj = Rc::new(obj);
+        self.reindex(&key, &[], &obj.meta.owner_uids);
+        self.objects.insert(key, Rc::clone(&obj));
+        self.emit(WatchType::Added, Rc::clone(&obj));
         Ok(obj)
     }
 
     /// Get an object.
     pub fn get(&self, kind: &str, namespace: &str, name: &str) -> Option<&ApiObject> {
-        self.objects.get(&Self::key(kind, namespace, name))
+        self.objects.get(&Self::key(kind, namespace, name)).map(|o| &**o)
     }
 
     /// List all objects of a kind (all namespaces), in deterministic
-    /// (namespace, name) order.
+    /// (namespace, name) order: a range over the sorted key, not a scan.
     pub fn list(&self, kind: &str) -> Vec<&ApiObject> {
         self.objects
-            .iter()
-            .filter(|((k, _, _), _)| k == kind)
-            .map(|(_, v)| v)
+            .range(Self::key(kind, "", "")..)
+            .take_while(|((k, _, _), _)| k == kind)
+            .map(|(_, v)| &**v)
             .collect()
     }
 
-    /// List objects of a kind in one namespace.
+    /// List objects of a kind in one namespace, in name order.
     pub fn list_namespaced(&self, kind: &str, namespace: &str) -> Vec<&ApiObject> {
         self.objects
-            .iter()
-            .filter(|((k, ns, _), _)| k == kind && ns == namespace)
-            .map(|(_, v)| v)
+            .range(Self::key(kind, namespace, "")..)
+            .take_while(|((k, ns, _), _)| k == kind && ns == namespace)
+            .map(|(_, v)| &**v)
+            .collect()
+    }
+
+    /// Stored objects of `kind` naming `uid` among their owners, in
+    /// (namespace, name) order — an owner-index read proportional to the
+    /// owner's children, never to the store.
+    pub fn owned_by(&self, uid: u64, kind: &str) -> Vec<&ApiObject> {
+        let Some(keys) = self.owned.get(&uid) else { return Vec::new() };
+        keys.range(Self::key(kind, "", "")..)
+            .take_while(|(k, _, _)| k == kind)
+            .map(|key| &*self.objects[key])
             .collect()
     }
 
     /// Update an object (full replace). Enforces optimistic concurrency:
     /// the supplied object must carry the current resource version.
-    pub fn update(&mut self, mut obj: ApiObject) -> Result<ApiObject, ApiError> {
+    pub fn update(&mut self, mut obj: ApiObject) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
         let key = Self::key(&obj.kind, &obj.meta.namespace, &obj.meta.name);
         let current = self.objects.get(&key).ok_or(ApiError::NotFound)?;
@@ -265,10 +304,29 @@ impl ApiServer {
         obj.meta.created_at_ns = current.meta.created_at_ns;
         obj.meta.deletion_requested = current.meta.deletion_requested;
         obj.meta.resource_version = self.bump();
-        self.objects.insert(key, obj.clone());
-        self.emit(WatchType::Modified, obj.clone());
-        self.maybe_reap(&obj.kind, &obj.meta.namespace.clone(), &obj.meta.name.clone());
+        let obj = Rc::new(obj);
+        let old = self.objects.insert(key.clone(), Rc::clone(&obj)).expect("checked above");
+        self.reindex(&key, &old.meta.owner_uids, &obj.meta.owner_uids);
+        self.emit(WatchType::Modified, Rc::clone(&obj));
+        self.maybe_reap(&key);
         Ok(obj)
+    }
+
+    /// Apply `f` to the stored object under a fresh resource version,
+    /// emit the Modified event, and reap if that cleared the way. The
+    /// previous snapshot stays with the events that carry it.
+    fn write(&mut self, key: &Key, f: impl FnOnce(&mut ApiObject)) -> Result<Rc<ApiObject>, ApiError> {
+        let slot = self.objects.get_mut(key).ok_or(ApiError::NotFound)?;
+        let before = Rc::clone(slot);
+        let obj = Rc::make_mut(slot);
+        f(obj);
+        obj.meta.resource_version = self.next_rv;
+        self.next_rv += 1;
+        let snapshot = Rc::clone(slot);
+        self.reindex(key, &before.meta.owner_uids, &snapshot.meta.owner_uids);
+        self.emit(WatchType::Modified, Rc::clone(&snapshot));
+        self.maybe_reap(key);
+        Ok(snapshot)
     }
 
     /// Mutate an object in place via a closure (read-modify-write without
@@ -279,22 +337,9 @@ impl ApiServer {
         namespace: &str,
         name: &str,
         f: impl FnOnce(&mut ApiObject),
-    ) -> Result<ApiObject, ApiError> {
+    ) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        let key = Self::key(kind, namespace, name);
-        let obj = self.objects.get_mut(&key).ok_or(ApiError::NotFound)?;
-        f(obj);
-        let rv = {
-            let rv = self.next_rv;
-            self.next_rv += 1;
-            rv
-        };
-        let obj = self.objects.get_mut(&key).expect("still there");
-        obj.meta.resource_version = rv;
-        let snapshot = obj.clone();
-        self.emit(WatchType::Modified, snapshot.clone());
-        self.maybe_reap(kind, namespace, name);
-        Ok(snapshot)
+        self.write(&Self::key(kind, namespace, name), f)
     }
 
     /// Request deletion. With finalizers present the object enters the
@@ -303,22 +348,11 @@ impl ApiServer {
     pub fn delete(&mut self, kind: &str, namespace: &str, name: &str) -> Result<(), ApiError> {
         self.requests += 1;
         let key = Self::key(kind, namespace, name);
-        let obj = self.objects.get_mut(&key).ok_or(ApiError::NotFound)?;
-        if obj.meta.deletion_requested {
-            return Ok(()); // idempotent
+        let terminating = self.objects.get(&key).ok_or(ApiError::NotFound)?.meta.deletion_requested;
+        if !terminating {
+            self.write(&key, |o| o.meta.deletion_requested = true)?;
         }
-        obj.meta.deletion_requested = true;
-        let rv = {
-            let rv = self.next_rv;
-            self.next_rv += 1;
-            rv
-        };
-        let obj = self.objects.get_mut(&key).expect("still there");
-        obj.meta.resource_version = rv;
-        let snapshot = obj.clone();
-        self.emit(WatchType::Modified, snapshot);
-        self.maybe_reap(kind, namespace, name);
-        Ok(())
+        Ok(()) // idempotent while terminating
     }
 
     /// Remove a finalizer; reaps the object if it was the last one and
@@ -336,18 +370,14 @@ impl ApiServer {
         .map(|_| ())
     }
 
-    fn maybe_reap(&mut self, kind: &str, namespace: &str, name: &str) {
-        let key = Self::key(kind, namespace, name);
-        let Some(obj) = self.objects.get(&key) else { return };
+    fn maybe_reap(&mut self, key: &Key) {
+        let Some(obj) = self.objects.get(key) else { return };
         if obj.meta.deletion_requested && obj.meta.finalizers.is_empty() {
-            let obj = self.objects.remove(&key).expect("present");
-            // Cascade: delete children owned by this uid.
-            let children: Vec<Key> = self
-                .objects
-                .iter()
-                .filter(|(_, o)| o.meta.owner_uids.contains(&obj.meta.uid))
-                .map(|(k, _)| k.clone())
-                .collect();
+            let obj = self.objects.remove(key).expect("present");
+            self.reindex(key, &obj.meta.owner_uids, &[]);
+            // Cascade: delete children owned by this uid, in key order.
+            let children: Vec<Key> =
+                self.owned.get(&obj.meta.uid).map_or_else(Vec::new, |c| c.iter().cloned().collect());
             self.emit(WatchType::Deleted, obj);
             for (k, ns, n) in children {
                 let _ = self.delete(&k, &ns, &n);
@@ -358,7 +388,7 @@ impl ApiServer {
     /// Watch events with rv strictly greater than `since`. Returns the
     /// events and the latest rv to resume from. The event log is sorted
     /// by rv, so resumption is a binary search plus a (usually tiny) tail
-    /// clone.
+    /// of shared snapshot handles.
     pub fn events_since(&self, since: u64) -> (Vec<WatchEvent>, u64) {
         let start = self.events.partition_point(|e| e.rv <= since);
         let evs: Vec<WatchEvent> = self.events[start..].to_vec();
@@ -404,8 +434,8 @@ mod tests {
     fn update_enforces_optimistic_concurrency() {
         let mut api = api();
         let obj = api.create(ApiObject::new("Job", "ns", "a", json!({})), SimTime::ZERO).unwrap();
-        let mut stale = obj.clone();
-        let mut fresh = obj;
+        let mut stale = (*obj).clone();
+        let mut fresh = stale.clone();
         fresh.spec = json!({"v": 1});
         let fresh = api.update(fresh).unwrap();
         stale.spec = json!({"v": 2});

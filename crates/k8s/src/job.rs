@@ -64,19 +64,14 @@ impl JobController {
         let spec: JobSpec = spec_of(&job);
         let mut status: JobStatus = status_of(&job).unwrap_or_default();
 
-        // Existing pods of this job.
-        let pods: Vec<ApiObject> = api
-            .list_namespaced(kinds::POD, ns)
-            .into_iter()
-            .filter(|p| {
-                let ps: PodSpec = spec_of(p);
-                ps.job_name.as_deref() == Some(job_name)
-            })
-            .cloned()
-            .collect();
+        // Existing pods of this job, from the owner index.
+        let pods = api.owned_by(job.meta.uid, kinds::POD);
+        let existing: BTreeSet<String> = pods.iter().map(|p| p.meta.name.clone()).collect();
+        let succeeded =
+            pods.iter().filter(|p| pod_phase(p) == PodPhase::Succeeded).count() as u32;
+        let failed = pods.iter().any(|p| pod_phase(p) == PodPhase::Failed);
 
         // Create missing pods.
-        let existing: BTreeSet<String> = pods.iter().map(|p| p.meta.name.clone()).collect();
         for i in 0..spec.parallelism {
             let pod_name = format!("{job_name}-{i}");
             if existing.contains(&pod_name) {
@@ -109,9 +104,6 @@ impl JobController {
         }
 
         // Completion accounting.
-        let succeeded =
-            pods.iter().filter(|p| pod_phase(p) == PodPhase::Succeeded).count() as u32;
-        let failed = pods.iter().any(|p| pod_phase(p) == PodPhase::Failed);
         let newly_complete = !status.complete && !failed && succeeded >= spec.parallelism;
         if succeeded != status.succeeded || newly_complete {
             status.succeeded = succeeded;

@@ -12,6 +12,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::rc::Rc;
 
 use shs_des::{SimDur, SimTime};
 use shs_oslinux::NetNsId;
@@ -80,6 +81,8 @@ impl Default for KubeletParams {
     }
 }
 
+type PodKey = (String, String); // namespace, name
+
 #[derive(Debug, Clone, PartialEq)]
 enum Stage {
     QueuedSetup,
@@ -95,9 +98,26 @@ enum Stage {
     RemovingSandbox { done: SimTime },
 }
 
+impl Stage {
+    /// The instant this stage completes on its own, if it has one.
+    fn deadline(&self) -> Option<SimTime> {
+        match *self {
+            Stage::CreatingSandbox { done }
+            | Stage::CniAdd { done }
+            | Stage::Starting { done }
+            | Stage::CniDel { done }
+            | Stage::RemovingSandbox { done } => Some(done),
+            Stage::Running { exits } => exits,
+            Stage::RetryWait { at } => Some(at),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct PodWork {
-    pod: ApiObject,
+    /// The latest watch snapshot (shared with the event log).
+    pod: Rc<ApiObject>,
     stage: Stage,
     netns: Option<NetNsId>,
     attempts: u32,
@@ -140,6 +160,14 @@ pub struct Kubelet {
     setup_slots: BinaryHeap<Reverse<SimTime>>,
     /// The statically reserved teardown slot(s).
     teardown_slots: BinaryHeap<Reverse<SimTime>>,
+    /// One `(instant, pod key)` entry per timed stage entered: the only
+    /// pods [`Self::advance_stages`] looks at are those with an entry
+    /// that has come due. Entries whose pod has since moved on or gone
+    /// are dropped when they surface.
+    deadlines: BinaryHeap<Reverse<(SimTime, PodKey)>>,
+    /// Pods `advance_stages` looked at (diagnostics): grows with due
+    /// deadlines, not with tracked pods.
+    pub stage_visits: u64,
     /// Counters.
     pub counters: KubeletCounters,
 }
@@ -165,6 +193,8 @@ impl Kubelet {
             teardown_q: VecDeque::new(),
             setup_slots,
             teardown_slots,
+            deadlines: BinaryHeap::new(),
+            stage_visits: 0,
             counters: KubeletCounters::default(),
         }
     }
@@ -219,7 +249,7 @@ impl Kubelet {
                             self.work.insert(
                                 key.clone(),
                                 PodWork {
-                                    pod: ev.object.clone(),
+                                    pod: Rc::clone(&ev.object),
                                     stage: Stage::QueuedSetup,
                                     netns: None,
                                     attempts: 0,
@@ -232,7 +262,7 @@ impl Kubelet {
                             self.setup_q.push_back(key);
                         }
                         Some(w) => {
-                            w.pod = ev.object.clone();
+                            w.pod = Rc::clone(&ev.object);
                             if terminating && !w.terminating {
                                 w.terminating = true;
                                 // Pods idle in a terminal or waiting state
@@ -276,8 +306,17 @@ impl Kubelet {
         now: SimTime,
     ) -> bool {
         let mut progressed = false;
-        let keys: Vec<(String, String)> = self.work.keys().cloned().collect();
-        for key in keys {
+        let mut due: Vec<PodKey> = Vec::new();
+        while self.deadlines.peek().is_some_and(|Reverse((t, _))| *t <= now) {
+            let Reverse((_, key)) = self.deadlines.pop().expect("peeked");
+            due.push(key);
+        }
+        // Visit in (namespace, name) order — the order a scan over `work`
+        // would use — so API writes land in the same sequence.
+        due.sort_unstable();
+        due.dedup();
+        for key in due {
+            self.stage_visits += 1;
             while let Some(w) = self.work.get_mut(&key) {
                 match w.stage.clone() {
                     Stage::CreatingSandbox { done } if done <= now => {
@@ -392,21 +431,15 @@ impl Kubelet {
                     _ => break,
                 }
                 progressed = true;
-                // Loop again: a stage may complete instantly at `now`.
-                if let Some(w) = self.work.get(&key) {
-                    match &w.stage {
-                        Stage::CreatingSandbox { done }
-                        | Stage::CniAdd { done }
-                        | Stage::Starting { done }
-                        | Stage::CniDel { done }
-                        | Stage::RemovingSandbox { done }
-                            if *done <= now => {}
-                        Stage::Running { exits: Some(t) } if *t <= now => {}
-                        Stage::RetryWait { at } if *at <= now => {}
-                        _ => break,
+                // Loop again while the next stage is already due at `now`
+                // (or is not timed); otherwise park on its deadline.
+                match self.work.get(&key).and_then(|w| w.stage.deadline()) {
+                    Some(t) if t <= now => {}
+                    Some(t) => {
+                        self.deadlines.push(Reverse((t, key.clone())));
+                        break;
                     }
-                } else {
-                    break;
+                    None => break,
                 }
             }
         }
@@ -435,9 +468,9 @@ impl Kubelet {
                     self.setup_slots.pop();
                     let start = slot.max(w.enqueued_at);
                     w.netns = Some(netns);
-                    w.stage = Stage::CreatingSandbox {
-                        done: start + self.params.sync_overhead + cost,
-                    };
+                    let done = start + self.params.sync_overhead + cost;
+                    w.stage = Stage::CreatingSandbox { done };
+                    self.deadlines.push(Reverse((done, key)));
                     progressed = true;
                 }
                 Err(msg) => {
@@ -479,7 +512,9 @@ impl Kubelet {
                     w.borrowed_setup_slot = borrowed;
                     let start = slot.max(w.enqueued_at);
                     let cost = backend.cni_del(&w.pod, netns);
-                    w.stage = Stage::CniDel { done: start + cost };
+                    let done = start + cost;
+                    w.stage = Stage::CniDel { done };
+                    self.deadlines.push(Reverse((done, key)));
                     progressed = true;
                 }
                 None => {
@@ -705,6 +740,36 @@ mod tests {
         assert!(api.get(kinds::POD, "ns", "p").is_none(), "finalizer released, reaped");
         assert_eq!(kubelet.counters.pods_removed, 1);
         assert_eq!(kubelet.tracked(), 0);
+    }
+
+    #[test]
+    fn tick_with_no_due_deadline_touches_no_pod() {
+        let mut api = ApiServer::default();
+        let params = KubeletParams { workers: 33, ..Default::default() };
+        let mut kubelet = Kubelet::new("n0", params);
+        let mut backend = MockBackend::default();
+        for i in 0..500 {
+            // Most run forever (no deadline at all); every tenth exits
+            // far in the future (a parked deadline).
+            let run_ms = (i % 10 == 0).then_some(3_600_000);
+            api.create(bound_pod(&format!("p{i:03}"), run_ms), SimTime::ZERO).unwrap();
+        }
+        run(&mut kubelet, &mut api, &mut backend, 10_000);
+        assert_eq!(kubelet.counters.pods_started, 500);
+        assert_eq!(kubelet.tracked(), 500);
+        let (visits, requests, sandboxes) =
+            (kubelet.stage_visits, api.requests, backend.next_netns);
+        for tick in 0..100 {
+            kubelet.poll(&mut api, &mut backend, SimTime::from_nanos((10_010 + tick * 10) * 1_000_000));
+        }
+        assert_eq!(kubelet.stage_visits, visits, "idle ticks look at no pod");
+        assert_eq!(api.requests, requests, "and write nothing");
+        assert_eq!(backend.next_netns, sandboxes);
+        // The parked deadlines still fire when their time comes.
+        kubelet.poll(&mut api, &mut backend, SimTime::from_nanos(3_700_000 * 1_000_000));
+        assert_eq!(kubelet.stage_visits, visits + 50);
+        let done = api.list(kinds::POD).iter().filter(|p| pod_phase(p) == PodPhase::Succeeded).count();
+        assert_eq!(done, 50);
     }
 
     #[test]

@@ -216,9 +216,8 @@ impl<H: DecoratorHooks> Metacontroller<H> {
 
         // Observed children owned by this parent.
         let children: Vec<ApiObject> = api
-            .list_namespaced(&self.config.child_kind, &key.0)
+            .owned_by(parent.meta.uid, &self.config.child_kind)
             .into_iter()
-            .filter(|c| c.meta.owner_uids.contains(&parent.meta.uid))
             .cloned()
             .collect();
 

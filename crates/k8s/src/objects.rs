@@ -150,7 +150,7 @@ pub fn make_node(name: &str, max_pods: u32) -> ApiObject {
 /// Decode a typed spec from an object; panics on schema mismatch (which
 /// is a programming error in this closed system).
 pub fn spec_of<T: serde::de::DeserializeOwned>(obj: &ApiObject) -> T {
-    serde_json::from_value(obj.spec.clone())
+    serde_json::from_value_ref(&obj.spec)
         .unwrap_or_else(|e| panic!("bad {} spec for {}: {e}", obj.kind, obj.full_name()))
 }
 
@@ -159,7 +159,7 @@ pub fn status_of<T: serde::de::DeserializeOwned>(obj: &ApiObject) -> Option<T> {
     if obj.status.is_null() {
         None
     } else {
-        serde_json::from_value(obj.status.clone()).ok()
+        serde_json::from_value_ref(&obj.status).ok()
     }
 }
 

@@ -3,8 +3,9 @@
 //! paper uses to place the two benchmark ranks on two nodes, §IV-A).
 //!
 //! Event-driven: pods enter the pending set via watch events and leave
-//! when bound, deleted, or failed; a poll with an empty pending set is
-//! O(events) only.
+//! when bound, deleted, or failed, and node occupancy is counted from
+//! the same events; a poll that saw no events returns at once, and any
+//! other poll costs O(events + pending).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -13,11 +14,22 @@ use shs_des::SimTime;
 use crate::api::{ApiServer, WatchType};
 use crate::objects::{kinds, pod_phase, spec_of, PodPhase, PodSpec};
 
+type PodKey = (String, String); // namespace, name
+
+/// Where a counted pod sits: its node and topology-spread group.
+type Placement = (String, Option<String>);
+
 /// Scheduler state (a controller; poll-driven).
 #[derive(Debug, Default)]
 pub struct Scheduler {
     last_rv: u64,
-    pending: BTreeSet<(String, String)>,
+    pending: BTreeSet<PodKey>,
+    /// Every stored pod that is bound and not Failed, as last seen on
+    /// the watch stream (or bound here), with the two occupancy tallies
+    /// derived from it.
+    placed: BTreeMap<PodKey, Placement>,
+    pods_on: BTreeMap<String, u32>,
+    group_on: BTreeMap<(String, String), u32>,
     /// Pods bound over this scheduler's lifetime (diagnostics).
     pub bindings: u64,
 }
@@ -33,11 +45,39 @@ impl Scheduler {
         self.pending.len()
     }
 
+    /// Record where `key` now counts (`None`: nowhere), keeping the
+    /// per-node and per-(group, node) tallies in step.
+    fn place(&mut self, key: &PodKey, new: Option<Placement>) {
+        if self.placed.get(key) == new.as_ref() {
+            return;
+        }
+        if let Some(old) = self.placed.remove(key) {
+            self.count(&old, false);
+        }
+        if let Some(new) = new {
+            self.count(&new, true);
+            self.placed.insert(key.clone(), new);
+        }
+    }
+
+    fn count(&mut self, (node, group): &Placement, up: bool) {
+        tally(&mut self.pods_on, node.clone(), up);
+        if let Some(g) = group {
+            tally(&mut self.group_on, (g.clone(), node.clone()), up);
+        }
+    }
+
     /// One reconcile pass: bind every pending, non-terminating pod.
     /// Binding writes `spec.node_name` (the "binding" subresource).
     pub fn poll(&mut self, api: &mut ApiServer, _now: SimTime) {
-        // Learn about new pods from the watch stream.
+        // Learn about new pods, bindings and departures from the watch
+        // stream.
         let (events, rv) = api.events_since(self.last_rv);
+        if events.is_empty() {
+            // The store is as the last pass left it: whatever is still
+            // pending stays unschedulable.
+            return;
+        }
         self.last_rv = rv;
         for ev in &events {
             if ev.object.kind != kinds::POD {
@@ -47,14 +87,18 @@ impl Scheduler {
             match ev.kind {
                 WatchType::Deleted => {
                     self.pending.remove(&key);
+                    self.place(&key, None);
                 }
                 _ => {
                     let spec: PodSpec = spec_of(&ev.object);
                     if spec.node_name.is_none() && !ev.object.meta.deletion_requested {
-                        self.pending.insert(key);
+                        self.pending.insert(key.clone());
                     } else {
                         self.pending.remove(&key);
                     }
+                    let counted = pod_phase(&ev.object) != PodPhase::Failed;
+                    let placement = spec.node_name.filter(|_| counted).map(|n| (n, spec.spread_key));
+                    self.place(&key, placement);
                 }
             }
         }
@@ -75,30 +119,14 @@ impl Scheduler {
             return;
         }
 
-        // Current occupancy and per-spread-group placement counts.
-        let mut pods_on: BTreeMap<String, u32> = BTreeMap::new();
-        let mut group_on: BTreeMap<(String, String), u32> = BTreeMap::new();
-        for pod in api.list(kinds::POD) {
-            if pod_phase(pod) == PodPhase::Failed {
-                continue;
-            }
-            let spec: PodSpec = spec_of(pod);
-            if let Some(node) = &spec.node_name {
-                *pods_on.entry(node.clone()).or_insert(0) += 1;
-                if let Some(g) = &spec.spread_key {
-                    *group_on.entry((g.clone(), node.clone())).or_insert(0) += 1;
-                }
-            }
-        }
-
-        let work: Vec<(String, String)> = self.pending.iter().cloned().collect();
-        for (ns, name) in work {
-            let Some(pod) = api.get(kinds::POD, &ns, &name) else {
-                self.pending.remove(&(ns, name));
+        let work: Vec<PodKey> = self.pending.iter().cloned().collect();
+        for key in work {
+            let Some(pod) = api.get(kinds::POD, &key.0, &key.1) else {
+                self.pending.remove(&key);
                 continue;
             };
             if pod.meta.deletion_requested {
-                self.pending.remove(&(ns, name));
+                self.pending.remove(&key);
                 continue;
             }
             let spec: PodSpec = spec_of(pod);
@@ -113,14 +141,14 @@ impl Scheduler {
                         continue;
                     }
                 }
-                let total = pods_on.get(node).copied().unwrap_or(0);
+                let total = self.pods_on.get(node).copied().unwrap_or(0);
                 if total >= *max {
                     continue;
                 }
                 let group = spec
                     .spread_key
                     .as_ref()
-                    .map(|g| group_on.get(&(g.clone(), node.clone())).copied().unwrap_or(0))
+                    .map(|g| self.group_on.get(&(g.clone(), node.clone())).copied().unwrap_or(0))
                     .unwrap_or(0);
                 let cand = (group, total, node.as_str());
                 if best.is_none_or(|b| cand < b) {
@@ -129,18 +157,27 @@ impl Scheduler {
             }
             let Some((_, _, chosen)) = best else { continue }; // no capacity: stays pending
             let chosen = chosen.to_string();
-            api.mutate(kinds::POD, &ns, &name, |o| {
+            api.mutate(kinds::POD, &key.0, &key.1, |o| {
                 let mut s: PodSpec = spec_of(o);
                 s.node_name = Some(chosen.clone());
                 o.spec = serde_json::to_value(s).expect("PodSpec serializes");
             })
             .expect("pod exists");
-            *pods_on.entry(chosen.clone()).or_insert(0) += 1;
-            if let Some(g) = &spec.spread_key {
-                *group_on.entry((g.clone(), chosen)).or_insert(0) += 1;
-            }
+            self.place(&key, Some((chosen, spec.spread_key)));
             self.bindings += 1;
-            self.pending.remove(&(ns, name));
+            self.pending.remove(&key);
+        }
+    }
+}
+
+/// Count one pod on (`up`) or off a tally, dropping entries at zero.
+fn tally<K: Ord>(counts: &mut BTreeMap<K, u32>, key: K, up: bool) {
+    if up {
+        *counts.entry(key).or_insert(0) += 1;
+    } else if let Some(n) = counts.get_mut(&key) {
+        *n -= 1;
+        if *n == 0 {
+            counts.remove(&key);
         }
     }
 }
@@ -280,6 +317,88 @@ mod tests {
         api.create(pod("ns", "p", None), SimTime::ZERO).unwrap();
         Scheduler::new().poll(&mut api, SimTime::ZERO);
         assert!(bound_node(&api, "ns", "p").is_none());
+    }
+
+    /// The pre-index occupancy: list and decode every pod (test oracle).
+    #[allow(clippy::type_complexity)]
+    fn scan_occupancy(api: &ApiServer) -> (BTreeMap<String, u32>, BTreeMap<(String, String), u32>) {
+        let mut pods_on = BTreeMap::new();
+        let mut group_on = BTreeMap::new();
+        for pod in api.list(kinds::POD) {
+            if pod_phase(pod) == PodPhase::Failed {
+                continue;
+            }
+            let spec: PodSpec = spec_of(pod);
+            if let Some(node) = spec.node_name {
+                *pods_on.entry(node.clone()).or_insert(0) += 1;
+                if let Some(g) = spec.spread_key {
+                    *group_on.entry((g, node)).or_insert(0) += 1;
+                }
+            }
+        }
+        (pods_on, group_on)
+    }
+
+    #[test]
+    fn watch_tallied_occupancy_equals_a_full_scan_under_churn() {
+        let mut api = ApiServer::default();
+        cluster(&mut api, &[("n0", 6), ("n1", 6), ("n2", 4)]);
+        let mut s = Scheduler::new();
+        let check = |s: &Scheduler, api: &ApiServer, at: &str| {
+            assert_eq!((s.pods_on.clone(), s.group_on.clone()), scan_occupancy(api), "{at}");
+        };
+        for round in 0..40u32 {
+            let group = format!("g{}", round % 5);
+            for i in 0..3 {
+                let mut p = pod("ns", &format!("r{round}-{i}"), (i > 0).then_some(group.as_str()));
+                if i == 2 {
+                    p.meta.finalizers.push("hold".into());
+                }
+                api.create(p, SimTime::ZERO).unwrap();
+            }
+            s.poll(&mut api, SimTime::ZERO);
+            check(&s, &api, "after bind");
+            // Churn an earlier round: one pod fails (frees its seat while
+            // still stored), one is reaped, one lingers terminating.
+            if let Some(old) = round.checked_sub(3) {
+                let _ = api.mutate(kinds::POD, "ns", &format!("r{old}-0"), |o| {
+                    o.status = json!({"phase": "Failed"});
+                });
+                let _ = api.delete(kinds::POD, "ns", &format!("r{old}-1"));
+                let _ = api.delete(kinds::POD, "ns", &format!("r{old}-2"));
+            }
+            if let Some(older) = round.checked_sub(6) {
+                let _ = api.remove_finalizer(kinds::POD, "ns", &format!("r{older}-2"), "hold");
+                let _ = api.delete(kinds::POD, "ns", &format!("r{older}-0"));
+            }
+            s.poll(&mut api, SimTime::ZERO);
+            check(&s, &api, "after churn");
+        }
+        assert!(s.bindings > 40, "capacity kept turning over: {}", s.bindings);
+    }
+
+    #[test]
+    fn eventless_poll_with_100_unschedulable_pods_is_a_noop() {
+        let mut api = ApiServer::default();
+        cluster(&mut api, &[("n0", 50), ("n1", 50)]);
+        for i in 0..200 {
+            api.create(pod("ns", &format!("p{i:03}"), None), SimTime::ZERO).unwrap();
+        }
+        let mut s = Scheduler::new();
+        s.poll(&mut api, SimTime::ZERO); // binds 100
+        s.poll(&mut api, SimTime::ZERO); // ingests its own 100 binding events
+        assert_eq!((s.pending(), s.bindings), (100, 100));
+        let (requests, rv) = (api.requests, api.latest_rv());
+        for _ in 0..10 {
+            s.poll(&mut api, SimTime::ZERO);
+        }
+        assert_eq!((api.requests, api.latest_rv()), (requests, rv), "nothing written");
+        assert_eq!((s.pending(), s.bindings), (100, 100));
+        // One seat frees up: exactly one more pod binds.
+        api.delete(kinds::POD, "ns", "p000").unwrap();
+        s.poll(&mut api, SimTime::ZERO);
+        assert_eq!((s.pending(), s.bindings), (99, 101));
+        assert_eq!(s.pods_on.values().sum::<u32>(), 100);
     }
 
     #[test]

@@ -161,12 +161,8 @@ impl ServiceController {
         let ceiling = (spec.replicas + max_surge) as usize;
 
         let mut pods: Vec<PodView> = api
-            .list_namespaced(kinds::POD, ns)
+            .owned_by(svc.meta.uid, kinds::POD)
             .into_iter()
-            .filter(|p| {
-                let ps: PodSpec = spec_of(p);
-                ps.job_name.as_deref() == Some(name)
-            })
             .map(|p| PodView {
                 name: p.meta.name.clone(),
                 current: pod_revision(p) == spec.version,

@@ -73,7 +73,7 @@ proptest! {
             last_rv = ev.rv;
             match ev.kind {
                 WatchType::Added | WatchType::Modified => {
-                    replica.insert(ev.object.meta.name.clone(), ev.object.clone());
+                    replica.insert(ev.object.meta.name.clone(), (*ev.object).clone());
                 }
                 WatchType::Deleted => {
                     replica.remove(&ev.object.meta.name);
