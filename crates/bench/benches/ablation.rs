@@ -110,13 +110,11 @@ fn bench_drc_vs_cni_path(c: &mut Criterion) {
     });
     group.bench_function("vni_service_sync", |b| {
         use shs_k8s::{ApiObject, DecoratorHooks};
-        use slingshot_k8s::{EndpointHandle, EndpointRole, VniDb, VniDbConfig, VniEndpoint};
+        use slingshot_k8s::{EndpointHandle, EndpointRole, ShardedVniDb, VniDbConfig, VniEndpoint};
         use std::cell::RefCell;
         use std::rc::Rc;
-        let ep = Rc::new(RefCell::new(VniEndpoint::new(VniDb::new(VniDbConfig {
-            range: 1024..60_000,
-            quarantine: SimDur::from_secs(30),
-        }))));
+        let cfg = VniDbConfig { range: 1024..60_000, quarantine: SimDur::from_secs(30) };
+        let ep = Rc::new(RefCell::new(VniEndpoint::new(ShardedVniDb::new(cfg, 1))));
         let mut handle = EndpointHandle { endpoint: ep, role: EndpointRole::Jobs };
         let mut i = 0u64;
         b.iter(|| {

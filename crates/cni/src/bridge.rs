@@ -163,7 +163,6 @@ impl<C: HasHost> CniPlugin<C> for BridgePlugin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::PluginChain;
     use shs_oslinux::{Gid, Uid};
 
     fn setup() -> (Host, CniArgs) {
@@ -282,12 +281,11 @@ mod tests {
     #[test]
     fn works_inside_a_chain() {
         let (mut host, args) = setup();
-        let mut chain: PluginChain<Host> = PluginChain::new();
-        chain.push(Box::new(BridgePlugin::new("cni0", "10.42.0")));
-        let (result, cost) = chain.add(&mut host, &args).unwrap();
+        // What a chain runner sees: a boxed plugin behind the trait.
+        let mut plugin: Box<dyn CniPlugin<Host>> = Box::new(BridgePlugin::new("cni0", "10.42.0"));
+        let result = plugin.add(&mut host, &args, CniResult::default()).unwrap();
         assert_eq!(result.ips.len(), 1);
-        assert_eq!(cost, SimDur::from_millis(25));
-        let (r, _) = chain.del(&mut host, &args);
-        r.unwrap();
+        assert_eq!(plugin.cost(CniCommand::Add), SimDur::from_millis(25));
+        plugin.del(&mut host, &args).unwrap();
     }
 }

@@ -1,11 +1,13 @@
-//! Chained plugin execution.
+//! The plugin interface a CNI chain executes.
 //!
-//! Mirrors libcni's conflist semantics: on ADD, plugins run in order and
-//! each receives the previous plugin's result (`prevResult`); on DEL,
-//! plugins run in *reverse* order and every plugin is attempted even if
-//! an earlier one fails (best-effort teardown). The paper's CXI plugin
-//! relies on this chaining to compose with Flannel/Cilium-style primary
-//! plugins (§III-B).
+//! libcni's conflist semantics — on ADD, plugins run in order and each
+//! receives the previous plugin's result (`prevResult`); on DEL, plugins
+//! run in *reverse* order and every plugin is attempted even if an
+//! earlier one fails — are implemented once, by the node-side runner
+//! every pod goes through (`slingshot_k8s::NodeChain`). This module
+//! defines what that runner drives: the generic [`CniPlugin`] trait the
+//! paper's CXI plugin and Flannel/Cilium-style primary plugins both
+//! present (§III-B).
 
 use shs_des::SimDur;
 
@@ -42,193 +44,5 @@ pub trait CniPlugin<C> {
     fn cost(&self, cmd: CniCommand) -> SimDur {
         let _ = cmd;
         SimDur::from_millis(15)
-    }
-}
-
-/// An executable plugin chain.
-pub struct PluginChain<C> {
-    plugins: Vec<Box<dyn CniPlugin<C>>>,
-}
-
-impl<C> Default for PluginChain<C> {
-    fn default() -> Self {
-        PluginChain { plugins: Vec::new() }
-    }
-}
-
-impl<C> PluginChain<C> {
-    /// Empty chain.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a plugin to the chain.
-    pub fn push(&mut self, plugin: Box<dyn CniPlugin<C>>) -> &mut Self {
-        self.plugins.push(plugin);
-        self
-    }
-
-    /// Plugin type names, in order.
-    pub fn kinds(&self) -> Vec<&str> {
-        self.plugins.iter().map(|p| p.kind()).collect()
-    }
-
-    /// Run ADD through the chain. Returns the final result and the summed
-    /// invocation cost. On failure, already-added plugins are rolled back
-    /// with DEL (libcni behaviour) and the error is returned.
-    pub fn add(&mut self, ctx: &mut C, args: &CniArgs) -> Result<(CniResult, SimDur), CniError> {
-        let mut result = CniResult::default();
-        let mut cost = SimDur::ZERO;
-        for i in 0..self.plugins.len() {
-            cost += self.plugins[i].cost(CniCommand::Add);
-            match self.plugins[i].add(ctx, args, result.clone()) {
-                Ok(r) => result = r,
-                Err(e) => {
-                    // Roll back the prefix, reverse order, best-effort.
-                    for j in (0..=i).rev() {
-                        cost += self.plugins[j].cost(CniCommand::Del);
-                        let _ = self.plugins[j].del(ctx, args);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok((result, cost))
-    }
-
-    /// Run DEL through the chain in reverse order; all plugins are
-    /// attempted, the first error (if any) is reported at the end.
-    pub fn del(&mut self, ctx: &mut C, args: &CniArgs) -> (Result<(), CniError>, SimDur) {
-        let mut first_err = None;
-        let mut cost = SimDur::ZERO;
-        for p in self.plugins.iter_mut().rev() {
-            cost += p.cost(CniCommand::Del);
-            if let Err(e) = p.del(ctx, args) {
-                first_err.get_or_insert(e);
-            }
-        }
-        (first_err.map_or(Ok(()), Err), cost)
-    }
-
-    /// Run CHECK in order, stopping at the first failure.
-    pub fn check(&mut self, ctx: &mut C, args: &CniArgs) -> Result<(), CniError> {
-        for p in self.plugins.iter_mut() {
-            p.check(ctx, args)?;
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spec::Interface;
-    use shs_oslinux::NetNsId;
-
-    /// Test context: a shared event log.
-    #[derive(Default)]
-    struct Log(Vec<String>);
-
-    struct Recorder {
-        name: &'static str,
-        fail_add: bool,
-    }
-
-    impl CniPlugin<Log> for Recorder {
-        fn kind(&self) -> &str {
-            self.name
-        }
-        fn add(&mut self, ctx: &mut Log, _a: &CniArgs, mut prev: CniResult) -> Result<CniResult, CniError> {
-            ctx.0.push(format!("{}:add", self.name));
-            if self.fail_add {
-                return Err(CniError::plugin(100, "boom"));
-            }
-            prev.interfaces.push(Interface { name: self.name.into(), sandbox: String::new() });
-            Ok(prev)
-        }
-        fn del(&mut self, ctx: &mut Log, _a: &CniArgs) -> Result<(), CniError> {
-            ctx.0.push(format!("{}:del", self.name));
-            Ok(())
-        }
-    }
-
-    fn args() -> CniArgs {
-        CniArgs {
-            container_id: "ctr-1".into(),
-            netns: NetNsId(42),
-            ifname: "eth0".into(),
-            pod: None,
-        }
-    }
-
-    #[test]
-    fn add_runs_in_order_and_threads_result() {
-        let mut chain = PluginChain::new();
-        chain.push(Box::new(Recorder { name: "bridge", fail_add: false }));
-        chain.push(Box::new(Recorder { name: "cxi", fail_add: false }));
-        let mut log = Log::default();
-        let (result, cost) = chain.add(&mut log, &args()).unwrap();
-        assert_eq!(log.0, vec!["bridge:add", "cxi:add"]);
-        let names: Vec<&str> = result.interfaces.iter().map(|i| i.name.as_str()).collect();
-        assert_eq!(names, vec!["bridge", "cxi"], "prevResult accumulates");
-        assert!(cost > SimDur::ZERO);
-    }
-
-    #[test]
-    fn del_runs_in_reverse_order() {
-        let mut chain = PluginChain::new();
-        chain.push(Box::new(Recorder { name: "bridge", fail_add: false }));
-        chain.push(Box::new(Recorder { name: "cxi", fail_add: false }));
-        let mut log = Log::default();
-        let (r, _) = chain.del(&mut log, &args());
-        r.unwrap();
-        assert_eq!(log.0, vec!["cxi:del", "bridge:del"]);
-    }
-
-    #[test]
-    fn failed_add_rolls_back_prefix() {
-        let mut chain = PluginChain::new();
-        chain.push(Box::new(Recorder { name: "bridge", fail_add: false }));
-        chain.push(Box::new(Recorder { name: "cxi", fail_add: true }));
-        let mut log = Log::default();
-        let err = chain.add(&mut log, &args()).unwrap_err();
-        assert_eq!(err.code, 100);
-        // bridge added, cxi failed, both rolled back in reverse order.
-        assert_eq!(
-            log.0,
-            vec!["bridge:add", "cxi:add", "cxi:del", "bridge:del"]
-        );
-    }
-
-    #[test]
-    fn del_attempts_all_plugins_despite_errors() {
-        struct FailingDel;
-        impl CniPlugin<Log> for FailingDel {
-            fn kind(&self) -> &str {
-                "faildel"
-            }
-            fn add(&mut self, _c: &mut Log, _a: &CniArgs, prev: CniResult) -> Result<CniResult, CniError> {
-                Ok(prev)
-            }
-            fn del(&mut self, ctx: &mut Log, _a: &CniArgs) -> Result<(), CniError> {
-                ctx.0.push("faildel:del".into());
-                Err(CniError::plugin(101, "del failed"))
-            }
-        }
-        let mut chain = PluginChain::new();
-        chain.push(Box::new(Recorder { name: "bridge", fail_add: false }));
-        chain.push(Box::new(FailingDel));
-        let mut log = Log::default();
-        let (r, _) = chain.del(&mut log, &args());
-        assert_eq!(r.unwrap_err().code, 101);
-        assert_eq!(log.0, vec!["faildel:del", "bridge:del"], "bridge still ran");
-    }
-
-    #[test]
-    fn kinds_lists_chain_order() {
-        let mut chain = PluginChain::new();
-        chain.push(Box::new(Recorder { name: "bridge", fail_add: false }));
-        chain.push(Box::new(Recorder { name: "cxi", fail_add: false }));
-        assert_eq!(chain.kinds(), vec!["bridge", "cxi"]);
     }
 }

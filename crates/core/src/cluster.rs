@@ -24,7 +24,8 @@ use shs_k8s::{
 };
 use shs_oslinux::{Creds, Host, NetNsId, Pid};
 
-use crate::cxi_cni::{CxiCniPlugin, NodeChain, NodeCniCtx};
+use crate::chain::{NodeChain, NodeCniCtx};
+use crate::cxi_cni::CxiCniPlugin;
 use crate::endpoint::{EndpointHandle, EndpointRole, VniEndpoint};
 use crate::sharded_db::ShardedVniDb;
 use crate::vni_db::VniDbConfig;
@@ -373,7 +374,7 @@ impl Cluster {
             });
         }
 
-        let endpoint = Rc::new(RefCell::new(VniEndpoint::sharded(ShardedVniDb::new(
+        let endpoint = Rc::new(RefCell::new(VniEndpoint::new(ShardedVniDb::new(
             VniDbConfig { range: config.vni_range.clone(), quarantine: config.quarantine },
             config.vni_shards,
         ))));

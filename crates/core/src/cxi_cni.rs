@@ -1,156 +1,28 @@
-//! The CXI CNI plugin (§III-B) and the node-side plugin chain.
+//! The CXI CNI plugin (§III-B).
 //!
-//! The plugin is deployed *chained* after the primary network plugin. On
-//! ADD it (1) extracts the container's network-namespace inode, (2)
-//! fetches the job's VNI from the VNI CRD instance in the management
-//! plane, and (3) creates a CXI service whose sole member is that netns,
-//! realising the virtual network on the node's switch port. On DEL it
-//! destroys every CXI service associated with the container and retires
-//! unused fabric grants. Containers without the `vni` annotation are
-//! untouched.
+//! The plugin is deployed *chained* after the primary network plugin
+//! (see [`NodeChain`](crate::NodeChain) for the chain runner and
+//! [`NodeCniCtx`] for the node context). On ADD it
+//! (1) extracts the container's network-namespace inode, (2) fetches the
+//! job's VNI from the VNI CRD instance in the management plane, and (3)
+//! creates a CXI service whose sole member is that netns, realising the
+//! virtual network on the node's switch port. On DEL it destroys every
+//! CXI service associated with the container and retires unused fabric
+//! grants. Containers without the `vni` annotation are untouched.
 
-use shs_cni::{CniArgs, CniCommand, CniError, CniPlugin, CniResult, HasHost};
-use shs_cxi::{CxiDevice, CxiServiceDesc, SvcMember};
+use shs_cni::{CniArgs, CniError, CniResult};
+use shs_cxi::{CxiServiceDesc, SvcMember};
 use shs_des::SimDur;
-use shs_fabric::{Fabric, NicAddr, Vni};
-use shs_k8s::{kinds, spec_of, ApiServer, PodSpec, VNI_ANNOTATION};
-use shs_oslinux::{Creds, Host};
+use shs_fabric::Vni;
+use shs_k8s::{kinds, spec_of, PodSpec, VNI_ANNOTATION};
 
+use crate::chain::{NodeCniCtx, NodeCniPlugin};
 use crate::endpoint::{VniCrdSpec, VniEndpoint};
 
 /// Maximum termination grace period the plugin accepts for VNI pods
 /// (§III-C1: the 30 s quarantine bound is only safe if no pod outlives
 /// its job by more than 30 s).
 pub const MAX_GRACE_SECS: u64 = 30;
-
-/// The per-invocation node context the CNI chain operates on.
-pub struct NodeCniCtx<'a> {
-    /// The node kernel.
-    pub host: &'a mut Host,
-    /// The node's CXI device (driver + NIC).
-    pub device: &'a mut CxiDevice,
-    /// The fabric (switch-port VNI realization).
-    pub fabric: &'a mut Fabric,
-    /// Read-only view of the management plane.
-    pub api: &'a ApiServer,
-    /// The node's NIC address.
-    pub nic: NicAddr,
-    /// Credentials the plugin runs with (CNI plugins execute privileged).
-    pub root: Creds,
-}
-
-impl HasHost for NodeCniCtx<'_> {
-    fn host_mut(&mut self) -> &mut Host {
-        self.host
-    }
-}
-
-/// Object-safe plugin interface specialised to [`NodeCniCtx`] (the
-/// generic `shs_cni::CniPlugin<C>` cannot be boxed over a borrowed
-/// context type; this trait quantifies the lifetime per call). Unlike
-/// the generic trait, verbs return the *actual* cost of the invocation:
-/// a no-op CXI ADD (pod without the `vni` annotation) is much cheaper
-/// than one that fetches the VNI CRD and programs a service — the cost
-/// asymmetry behind the paper's vni:true admission overhead.
-pub trait NodeCniPlugin {
-    /// Plugin type name.
-    fn kind(&self) -> &str;
-    /// ADD verb; returns (result, cost) or (error, cost-paid).
-    fn add(
-        &mut self,
-        ctx: &mut NodeCniCtx<'_>,
-        args: &CniArgs,
-        prev: CniResult,
-    ) -> Result<(CniResult, SimDur), (CniError, SimDur)>;
-    /// DEL verb (idempotent); returns the cost paid.
-    fn del(&mut self, ctx: &mut NodeCniCtx<'_>, args: &CniArgs) -> (Result<(), CniError>, SimDur);
-}
-
-/// Every generic CNI plugin usable with [`NodeCniCtx`] is a node plugin
-/// (covers the reference bridge plugin), with its static cost model.
-impl<P> NodeCniPlugin for P
-where
-    P: for<'a> CniPlugin<NodeCniCtx<'a>>,
-{
-    fn kind(&self) -> &str {
-        CniPlugin::kind(self)
-    }
-    fn add(
-        &mut self,
-        ctx: &mut NodeCniCtx<'_>,
-        args: &CniArgs,
-        prev: CniResult,
-    ) -> Result<(CniResult, SimDur), (CniError, SimDur)> {
-        let cost = CniPlugin::cost(self, CniCommand::Add);
-        CniPlugin::add(self, ctx, args, prev).map(|r| (r, cost)).map_err(|e| (e, cost))
-    }
-    fn del(&mut self, ctx: &mut NodeCniCtx<'_>, args: &CniArgs) -> (Result<(), CniError>, SimDur) {
-        (CniPlugin::del(self, ctx, args), CniPlugin::cost(self, CniCommand::Del))
-    }
-}
-
-/// The node's configured plugin chain (conflist order), with libcni
-/// semantics: ADD threads `prevResult` and rolls back on failure, DEL
-/// runs in reverse and is best-effort.
-#[derive(Default)]
-pub struct NodeChain {
-    plugins: Vec<Box<dyn NodeCniPlugin>>,
-}
-
-impl NodeChain {
-    /// Empty chain.
-    pub fn new() -> Self {
-        NodeChain::default()
-    }
-
-    /// Append a plugin.
-    pub fn push(&mut self, p: Box<dyn NodeCniPlugin>) -> &mut Self {
-        self.plugins.push(p);
-        self
-    }
-
-    /// Plugin kinds in order.
-    pub fn kinds(&self) -> Vec<&str> {
-        self.plugins.iter().map(|p| p.kind()).collect()
-    }
-
-    /// Chained ADD.
-    pub fn add(
-        &mut self,
-        ctx: &mut NodeCniCtx<'_>,
-        args: &CniArgs,
-    ) -> Result<(CniResult, SimDur), (CniError, SimDur)> {
-        let mut result = CniResult::default();
-        let mut cost = SimDur::ZERO;
-        for i in 0..self.plugins.len() {
-            match self.plugins[i].add(ctx, args, result.clone()) {
-                Ok((r, c)) => {
-                    result = r;
-                    cost += c;
-                }
-                Err((e, c)) => {
-                    cost += c;
-                    for j in (0..=i).rev() {
-                        let (_, c) = self.plugins[j].del(ctx, args);
-                        cost += c;
-                    }
-                    return Err((e, cost));
-                }
-            }
-        }
-        Ok((result, cost))
-    }
-
-    /// Chained DEL (reverse order, all plugins attempted).
-    pub fn del(&mut self, ctx: &mut NodeCniCtx<'_>, args: &CniArgs) -> SimDur {
-        let mut cost = SimDur::ZERO;
-        for p in self.plugins.iter_mut().rev() {
-            let (_, c) = p.del(ctx, args);
-            cost += c;
-        }
-        cost
-    }
-}
 
 /// CXI CNI plugin timing.
 #[derive(Debug, Clone, Copy, PartialEq)]

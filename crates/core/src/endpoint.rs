@@ -10,8 +10,9 @@
 //! * **VniClaims** own a VNI for their lifetime; deletion stalls until
 //!   the user list is empty.
 //!
-//! All state transitions go through single [`VniDb`] transactions, so
-//! concurrent controller events cannot double-allocate.
+//! All state transitions go through single
+//! [`VniDb`](crate::vni_db::VniDb) transactions, so concurrent
+//! controller events cannot double-allocate.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -24,7 +25,7 @@ use shs_k8s::{
 };
 
 use crate::sharded_db::ShardedVniDb;
-use crate::vni_db::{VniDb, VniDbError, VniOwner};
+use crate::vni_db::{VniDbError, VniOwner};
 
 /// Spec of a VNI CRD instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -58,8 +59,8 @@ pub struct EndpointCounters {
 }
 
 /// The endpoint: VNI database + webhook logic. The database is always
-/// the sharded facade — a plain [`VniDb`] enters as a 1-shard instance,
-/// so webhook logic and reports are identical at any shard count.
+/// the sharded facade — a single store is its 1-shard instance — so
+/// webhook logic and reports are identical at any shard count.
 #[derive(Debug)]
 pub struct VniEndpoint {
     /// The ACID-backed (possibly sharded) VNI database.
@@ -69,14 +70,8 @@ pub struct VniEndpoint {
 }
 
 impl VniEndpoint {
-    /// Build an endpoint over a single-store database (wrapped as one
-    /// shard).
-    pub fn new(db: VniDb) -> Self {
-        VniEndpoint { db: ShardedVniDb::from_single(db), counters: EndpointCounters::default() }
-    }
-
-    /// Build an endpoint over an explicitly sharded database.
-    pub fn sharded(db: ShardedVniDb) -> Self {
+    /// Build an endpoint over a (possibly one-shard) database.
+    pub fn new(db: ShardedVniDb) -> Self {
         VniEndpoint { db, counters: EndpointCounters::default() }
     }
 
@@ -294,7 +289,7 @@ mod tests {
     use serde_json::json;
 
     fn endpoint() -> VniEndpoint {
-        VniEndpoint::new(VniDb::new(VniDbConfig::default()))
+        VniEndpoint::new(ShardedVniDb::new(VniDbConfig::default(), 1))
     }
 
     fn job(ns: &str, name: &str, ann: &str) -> ApiObject {
@@ -399,10 +394,8 @@ mod tests {
 
     #[test]
     fn exhaustion_yields_no_child() {
-        let mut ep = VniEndpoint::new(VniDb::new(VniDbConfig {
-            range: 2000..2001,
-            quarantine: shs_des::SimDur::from_secs(30),
-        }));
+        let cfg = VniDbConfig { range: 2000..2001, quarantine: shs_des::SimDur::from_secs(30) };
+        let mut ep = VniEndpoint::new(ShardedVniDb::new(cfg, 1));
         ep.sync_job(&job("t", "j1", "true"), SimTime::ZERO);
         let r = ep.sync_job(&job("t", "j2", "true"), SimTime::ZERO);
         assert!(r.desired_children.is_empty());

@@ -33,6 +33,7 @@
 //! assert!(!cluster.job_exists("tenant", "hello"), "completed and reaped");
 //! ```
 
+mod chain;
 pub mod cluster;
 pub mod cxi_cni;
 pub mod endpoint;
@@ -45,7 +46,8 @@ pub mod workloads;
 pub use cluster::{
     alpine, osu_image, Cluster, ClusterConfig, Node, NodeInner, NodePlacement, PodHandle,
 };
-pub use cxi_cni::{CxiCniParams, CxiCniPlugin, NodeChain, NodeCniCtx, NodeCniPlugin, MAX_GRACE_SECS};
+pub use chain::{NodeChain, NodeCniCtx, NodeCniPlugin};
+pub use cxi_cni::{CxiCniParams, CxiCniPlugin, MAX_GRACE_SECS};
 pub use endpoint::{EndpointCounters, EndpointHandle, EndpointRole, VniCrdSpec, VniEndpoint};
 pub use parsim::{
     parallel_by_name, parallel_library, run_fabric_scenario, FabricClassReport, FabricGroupReport,

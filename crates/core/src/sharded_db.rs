@@ -113,22 +113,6 @@ impl ShardedVniDb {
         }
     }
 
-    /// Wrap an existing single-store database as a 1-shard facade
-    /// (API-compatibility path for callers constructing a [`VniDb`]).
-    pub fn from_single(db: VniDb) -> Self {
-        let config = db.config().clone();
-        let c = db.counters();
-        ShardedVniDb {
-            next_audit_seq: db.audit_seq(),
-            logical_txns: db.txn_count(),
-            sweeps: c.sweeps,
-            exhaustions: c.exhaustions,
-            ranges: vec![config.range.clone()],
-            config,
-            shards: vec![db],
-        }
-    }
-
     /// Recover from per-shard device images (same shard layout as the
     /// run that produced them: `disks.len()` shards over the same
     /// range). The global cursor resumes past the highest key on any
@@ -653,19 +637,6 @@ mod tests {
         // The resumed cursor continues the global sequence without gaps.
         db2.acquire(job("ns/after"), t(2)).unwrap();
         db2.check_index_consistency().unwrap();
-    }
-
-    #[test]
-    fn from_single_preserves_state_and_api() {
-        let mut single = VniDb::new(cfg(1024..1028));
-        let v = single.acquire(job("ns/a"), t(0)).unwrap();
-        let mut db = ShardedVniDb::from_single(single);
-        assert_eq!(db.shard_count(), 1);
-        assert_eq!(db.find_by_owner(&job("ns/a")).unwrap().vni, v.raw());
-        assert_eq!(db.txn_count(), 1);
-        db.release(v, t(1)).unwrap();
-        assert_eq!(db.txn_count(), 2);
-        db.check_index_consistency().unwrap();
     }
 
     #[test]

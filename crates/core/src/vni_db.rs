@@ -388,12 +388,6 @@ impl VniDb {
         self.config.quarantine
     }
 
-    /// Full configuration (the sharding facade adopts it wholesale when
-    /// wrapping an existing database).
-    pub(crate) fn config(&self) -> &VniDbConfig {
-        &self.config
-    }
-
     /// Allocator counters for this instance (not carried across
     /// recovery).
     pub fn counters(&self) -> VniDbCounters {

@@ -31,6 +31,7 @@
 pub mod fabric;
 pub mod faults;
 pub mod packet;
+mod ring;
 pub mod shardsim;
 pub mod switch;
 pub mod topology;
@@ -40,6 +41,7 @@ pub mod types;
 pub use fabric::{Fabric, FabricAuditEvent, FabricError, TransferOutcome, VniTraffic};
 pub use faults::{fallback_route, repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
 pub use packet::{segment, CostModel, Packet};
+pub use ring::{ring_allreduce_schedule, ring_step_into};
 pub use switch::{DropReason, Switch, SwitchConfig, SwitchCounters, Verdict, WrrArbiter};
 pub use shardsim::{
     run_sweep, sweep_messages, trunk_lookahead, GroupCounters, GroupNet, SweepConfig, SweepFault,

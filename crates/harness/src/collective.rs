@@ -124,23 +124,6 @@ mod tests {
         TopologySpec { groups: 2, switches_per_group: 1, edge_ports: 8 }
     }
 
-    /// The scenario engine's `TrafficPattern::Allreduce` cannot share
-    /// code with `shs_mpi::Communicator::allreduce` (core sits below
-    /// mpi in the layering), so it mirrors the schedule — this test is
-    /// the pin that keeps the two byte-for-byte identical.
-    #[test]
-    fn scenario_engine_allreduce_schedule_matches_the_communicator() {
-        for n in 2usize..=16 {
-            for size in [0u64, 1, 7, 1000, 4096, 65_535, 1 << 20] {
-                assert_eq!(
-                    shs_mpi::ring_allreduce_schedule(n, size),
-                    slingshot_k8s::ring_allreduce_schedule(n, size),
-                    "schedules diverged at n={n} size={size}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn collective_sweeps_run_on_the_standalone_rig() {
         let mut rig = CollectiveRig::new(8, two_group(), 7);

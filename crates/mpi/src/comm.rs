@@ -88,7 +88,7 @@
 
 use shs_cxi::CxiDevice;
 use shs_des::SimTime;
-use shs_fabric::{Fabric, TrafficClass, Vni};
+use shs_fabric::{ring_step_into, Fabric, TrafficClass, Vni};
 use shs_ofi::{open_many, CompKind, OfiEp, OfiError};
 use shs_oslinux::{Host, Pid};
 
@@ -406,9 +406,9 @@ impl Communicator {
             }
         } else {
             // The same steps [`ring_allreduce_schedule`] returns —
-            // both call [`ring_step_into`] — generated one step at a
-            // time into the scratch arena instead of materializing the
-            // full `2(n−1)`-step schedule.
+            // both call `shs_fabric::ring_step_into` — generated one
+            // step at a time into the scratch arena instead of
+            // materializing the full `2(n−1)`-step schedule.
             for phase in 0..2usize {
                 for s in 0..n - 1 {
                     ops.clear();
@@ -475,17 +475,12 @@ pub(crate) fn blocking_recv(ep: &mut OfiEp, t: SimTime, tag: u64) -> (SimTime, b
     }
 }
 
-/// The ring-allreduce schedule for `n` ranks and `size` bytes: one
-/// inner `Vec` of `(src rank, dst rank, chunk bytes)` per step — `n−1`
-/// reduce-scatter steps (step *s*: rank *i* passes chunk `(i − s) mod
-/// n` to its successor) then `n−1` allgather steps (chunk `(i + 1 − s)
-/// mod n`). Chunks split at byte boundaries `⌊i·size/n⌋`, so lengths
-/// are balanced within one byte and sum exactly to `size`.
-///
-/// This is the single schedule [`Communicator::allreduce`] executes;
-/// the scenario engine's `TrafficPattern::Allreduce`
-/// (`slingshot_k8s::scenario`) mirrors it, and a harness test pins the
-/// two byte-for-byte.
+/// The ring-allreduce schedule — `2(n−1)` steps of `(src rank, dst
+/// rank, chunk bytes)` ops — defined once in `shs-fabric` (the lowest
+/// crate both of its executors see) and re-exported here under the name
+/// MPI users expect. It is the schedule [`Communicator::allreduce`]
+/// executes, and the scenario engine's `TrafficPattern::Allreduce`
+/// (`slingshot_k8s::scenario`) calls the very same function.
 ///
 /// ```
 /// let steps = shs_mpi::ring_allreduce_schedule(4, 1000);
@@ -496,35 +491,7 @@ pub(crate) fn blocking_recv(ep: &mut OfiEp, t: SimTime, tag: u64) -> (SimTime, b
 /// let total: u64 = steps.iter().flatten().map(|&(_, _, len)| len).sum();
 /// assert_eq!(total, 2 * 3 * 1000);
 /// ```
-pub fn ring_allreduce_schedule(n: usize, size: u64) -> Vec<Vec<(usize, usize, u64)>> {
-    let mut steps = Vec::with_capacity(2 * (n.saturating_sub(1)));
-    for phase in 0..2usize {
-        for s in 0..n - 1 {
-            let mut ops = Vec::with_capacity(n);
-            ring_step_into(n, size, phase, s, &mut ops);
-            steps.push(ops);
-        }
-    }
-    steps
-}
-
-/// Append one ring-allreduce step's ops (phase 0 = reduce-scatter,
-/// phase 1 = allgather, step `s` within the phase) to `out`. The single
-/// generator behind both [`ring_allreduce_schedule`] and the zero-alloc
-/// path inside [`Communicator::allreduce`], so the two cannot diverge.
-fn ring_step_into(n: usize, size: u64, phase: usize, s: usize, out: &mut Vec<P2pOp>) {
-    let chunk = |idx: usize| -> u64 {
-        let (n, idx) = (n as u64, (idx % n) as u64);
-        (idx + 1) * size / n - idx * size / n
-    };
-    out.extend((0..n).map(|i| {
-        let idx = match phase {
-            0 => (i + n - s) % n,
-            _ => (i + 1 + n - s) % n,
-        };
-        (i, (i + 1) % n, chunk(idx))
-    }));
-}
+pub use shs_fabric::ring_allreduce_schedule;
 
 #[cfg(test)]
 mod tests {
