@@ -42,6 +42,10 @@ pub struct BridgePlugin {
 const FIRST_SUFFIX: u8 = 2;
 const LAST_SUFFIX: u8 = 254;
 
+/// Addresses in the pool — the most pods one node's bridge can network
+/// at once, and therefore the `maxPods` a node may advertise.
+pub const POOL_SIZE: u32 = (LAST_SUFFIX - FIRST_SUFFIX) as u32 + 1;
+
 impl BridgePlugin {
     /// New plugin bridging onto `bridge` with addresses from
     /// `{subnet_prefix}.2` upward.
@@ -82,7 +86,7 @@ impl<C: HasHost> CniPlugin<C> for BridgePlugin {
                 args.container_id
             )));
         }
-        if self.in_use.len() == usize::from(LAST_SUFFIX - FIRST_SUFFIX) + 1 {
+        if self.in_use.len() == POOL_SIZE as usize {
             return Err(CniError::plugin(110, "IPAM pool exhausted"));
         }
         // Next-fit with wrap-around, like host-local IPAM: resume after

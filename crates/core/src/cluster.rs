@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use shs_cassini::{CassiniNic, CassiniParams};
-use shs_cni::{BridgePlugin, CniArgs, PodRef};
+use shs_cni::{bridge, BridgePlugin, CniArgs, PodRef};
 use shs_containers::{ContainerRuntime, Image, ImageStore, RuntimeError, RuntimeParams, UserNsMode};
 use shs_cxi::{CxiDevice, CxiDriver, CxiServiceDesc};
 use shs_des::{DetRng, SimDur, SimTime};
@@ -45,8 +45,6 @@ pub struct ClusterConfig {
     pub vni_range: core::ops::Range<u16>,
     /// VNI reuse quarantine (paper: 30 s).
     pub quarantine: SimDur,
-    /// Per-node pod capacity.
-    pub max_pods_per_node: u32,
     /// NIC timing model.
     pub nic_params: CassiniParams,
     /// Periodic resync of the job-VNI decorator. `None` (the default)
@@ -103,7 +101,6 @@ impl Default for ClusterConfig {
             kubelet: KubeletParams::default(),
             vni_range: 1024..4096,
             quarantine: SimDur::from_secs(30),
-            max_pods_per_node: 256,
             nic_params: CassiniParams::default(),
             vni_resync: None,
             vni_shards: 1,
@@ -366,8 +363,9 @@ impl Cluster {
             chain.push(Box::new(BridgePlugin::new("cni0", format!("10.42.{i}"))));
             chain.push(Box::new(CxiCniPlugin::default()));
             let kubelet = Kubelet::new(&name, config.kubelet);
-            api.create(make_node(&name, config.max_pods_per_node), SimTime::ZERO)
-                .expect("node object");
+            // `maxPods` is the bridge's address pool: the scheduler
+            // never binds a pod the node's IPAM could not address.
+            api.create(make_node(&name, bridge::POOL_SIZE), SimTime::ZERO).expect("node object");
             nodes.push(Node {
                 kubelet,
                 inner: NodeInner { name, host, device, runtime, chain, nic },
@@ -630,24 +628,11 @@ impl Cluster {
         Some(PodHandle { node_idx, pid, netns: sandbox.netns })
     }
 
-    /// Split-borrow every node plus the fabric (the N-rank communicator
-    /// harness builds its per-node device list from this).
-    pub fn fabric_and_nodes(&mut self) -> (&mut Fabric, &mut [Node]) {
-        (&mut self.fabric, &mut self.nodes[..])
-    }
-
-    /// Split-borrow two distinct nodes plus the fabric (OSU harness).
-    /// Panics if `a == b` or out of range.
-    pub fn two_nodes_mut(&mut self, a: usize, b: usize) -> (&mut Node, &mut Node, &mut Fabric) {
-        assert_ne!(a, b, "need two distinct nodes");
-        let (lo, hi) = (a.min(b), a.max(b));
-        let (left, right) = self.nodes.split_at_mut(hi);
-        let (na, nb) = if a < b {
-            (&mut left[lo], &mut right[0])
-        } else {
-            (&mut right[0], &mut left[lo])
-        };
-        (na, nb, &mut self.fabric)
+    /// The VNI the pods of job (or service) `namespace/job` authenticate
+    /// with, once the VNI Service has decorated it with its CRD.
+    pub fn job_vni(&self, namespace: &str, job: &str) -> Option<Vni> {
+        let crd = self.api.get(kinds::VNI, namespace, &VniEndpoint::child_name_for_job(job))?;
+        crd.spec["vni"].as_u64().map(|v| Vni(v as u16))
     }
 }
 

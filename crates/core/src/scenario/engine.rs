@@ -22,7 +22,6 @@ use shs_k8s::{kinds, spec_of, PodSpec};
 use super::report::{self, ScenarioReport};
 use super::spec::{Fault, JobPlan, Scenario, ServicePlan, TrafficPlan, VniMode};
 use crate::cluster::{alpine, Cluster, PodHandle};
-use crate::endpoint::VniEndpoint;
 
 pub(super) struct JobTrack {
     pub(super) plan: JobPlan,
@@ -236,11 +235,7 @@ fn annotations(mode: &VniMode) -> Vec<(&str, &str)> {
 fn resolve_vni(cluster: &Cluster, mode: &VniMode, tenant: &str, name: &str) -> Option<Vni> {
     match mode {
         VniMode::Global => Some(Vni::GLOBAL),
-        _ => {
-            let child = VniEndpoint::child_name_for_job(name);
-            let crd = cluster.api.get(kinds::VNI, tenant, &child)?;
-            crd.spec["vni"].as_u64().map(|v| Vni(v as u16))
-        }
+        _ => cluster.job_vni(tenant, name),
     }
 }
 

@@ -6,6 +6,11 @@
 //! last event, a pin list on an idle job — and names the scenario.
 //!
 //! A deliberate spec change updates the digest here, in the same commit.
+//! The fifteen library digests were re-pinned once since: `ClusterConfig`
+//! lost its `max_pods_per_node` field (nodes advertise the bridge IPAM
+//! pool size instead), which every spec's rendering carried. Putting
+//! `max_pods_per_node: 256, ` back in front of `nic_params:` reproduced
+//! each PR 14 digest, so nothing else in any spec moved.
 
 use slingshot_k8s::scenario::{library, stress_by_name, stress_library};
 
@@ -28,21 +33,21 @@ fn library_specs_match_their_pinned_digests() {
     assert_digests(
         library(42).iter().map(|s| (s.name.clone(), format!("{s:?}"))).collect(),
         &[
-            ("steady-state", 0x0dcb1df5b231894f),
-            ("churn", 0xf0f769309ba4e0ea),
-            ("quarantine-pressure", 0xbed55ccea291f78a),
-            ("node-drain", 0xd17bd94dfdc9183c),
-            ("oversubscribed", 0x3ab2029d6ecf669c),
-            ("noisy-neighbor", 0xb89a3c61a92a08d5),
-            ("incast", 0x8909970dc824de04),
-            ("collective-noisy-neighbor", 0x43a7c3f2bdbcc539),
-            ("cross-group-allreduce", 0xc9a7e944643aaa21),
-            ("trunk-cut-allreduce", 0x94e783f4fafb5c63),
-            ("flapping-link-incast", 0xf76150c8cb25787e),
-            ("adaptive-incast", 0x2d8b3084e0b63057),
-            ("service-mesh-allreduce", 0xf847ce975f3f3180),
-            ("autoscale-burst", 0x4ac043410c2fc847),
-            ("rolling-update-allreduce", 0x996cd139e3338c2f),
+            ("steady-state", 0xd7ee330ae6cc230a),
+            ("churn", 0xea915b4947b273a3),
+            ("quarantine-pressure", 0x31d8545c6b97b7e7),
+            ("node-drain", 0x209204d3ca8be2b5),
+            ("oversubscribed", 0x90033f3dc73473a9),
+            ("noisy-neighbor", 0x0d1ca62aa4d9cec6),
+            ("incast", 0xe7702916a2f497a9),
+            ("collective-noisy-neighbor", 0xca77cbfca6c196cc),
+            ("cross-group-allreduce", 0xe909332443538a32),
+            ("trunk-cut-allreduce", 0xbcc5cef1f9acbb24),
+            ("flapping-link-incast", 0x0a2bc32f997c40c9),
+            ("adaptive-incast", 0xc9173bcd5819e904),
+            ("service-mesh-allreduce", 0xfd4275261fbdb665),
+            ("autoscale-burst", 0x6678985359ab078c),
+            ("rolling-update-allreduce", 0xcfb4bab706328df6),
         ],
     );
 }

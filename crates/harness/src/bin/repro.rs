@@ -2,8 +2,12 @@
 //!
 //! ```text
 //! repro <table1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|all>
-//!       [--seed N] [--runs N] [--paper-scale] [--out DIR] [--spike-jobs N]
+//!       [--seed N] [--runs N] [--paper-scale] [--out DIR | --no-out]
+//!       [--spike-jobs N]
 //! ```
+//!
+//! `--runs` and `--spike-jobs` take positive integers; a malformed
+//! command line prints the usage line and exits 2.
 //!
 //! Default scale is reduced (same shapes, minutes instead of hours);
 //! `--paper-scale` switches to the paper's iteration counts (10 k / 20 k
@@ -26,6 +30,15 @@ struct Opts {
     spike_jobs: usize,
 }
 
+const USAGE: &str = "usage: repro <table1|fig5..fig12|all> [--seed N] [--runs N>0] \
+                     [--paper-scale] [--out DIR | --no-out] [--spike-jobs N>0]";
+
+/// Bad command line: say why, print the usage line, exit 2.
+fn usage_exit(why: String) -> ! {
+    eprintln!("{why}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn parse_args() -> Opts {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "all".to_string());
@@ -37,23 +50,27 @@ fn parse_args() -> Opts {
         out: Some(PathBuf::from("results")),
         spike_jobs: 0,
     };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => opts.seed = args.next().expect("--seed N").parse().expect("numeric seed"),
-            "--runs" => {
-                opts.runs = Some(args.next().expect("--runs N").parse().expect("numeric runs"))
+    while let Some(flag) = args.next() {
+        let mut value =
+            || args.next().unwrap_or_else(|| usage_exit(format!("{flag} needs a value")));
+        // A count of zero measures nothing (and averages to NaN).
+        let count = |v: String| match v.parse::<u32>() {
+            Ok(n) if n > 0 => n,
+            _ => usage_exit(format!("{flag} takes a positive integer, not {v:?}")),
+        };
+        match flag.as_str() {
+            "--seed" => {
+                let v = value();
+                opts.seed = v
+                    .parse()
+                    .unwrap_or_else(|_| usage_exit(format!("{flag} takes an integer, not {v:?}")));
             }
+            "--runs" => opts.runs = Some(count(value())),
             "--paper-scale" => opts.paper_scale = true,
-            "--out" => opts.out = Some(PathBuf::from(args.next().expect("--out DIR"))),
+            "--out" => opts.out = Some(PathBuf::from(value())),
             "--no-out" => opts.out = None,
-            "--spike-jobs" => {
-                opts.spike_jobs =
-                    args.next().expect("--spike-jobs N").parse().expect("numeric count")
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            "--spike-jobs" => opts.spike_jobs = count(value()) as usize,
+            other => usage_exit(format!("unknown flag {other}")),
         }
     }
     if opts.spike_jobs == 0 {
@@ -153,10 +170,6 @@ fn main() {
     }
 
     if !ran_any {
-        eprintln!(
-            "unknown command {:?}; expected one of table1 fig5..fig12 all",
-            opts.cmd
-        );
-        std::process::exit(2);
+        usage_exit(format!("unknown command {:?}", opts.cmd));
     }
 }

@@ -1,58 +1,75 @@
-//! Collective-communication harness: OSU-style collective benchmarks
-//! over the dragonfly fabric, both standalone (bare-metal rig) and over
-//! a real [`Cluster`](slingshot_k8s::Cluster)'s pods.
+//! Rank-world harness: open MPI ranks over a real
+//! [`Cluster`]'s pods, and the OSU-style collective benchmark workload
+//! over the bare-metal rig.
 //!
 //! Two surfaces:
 //!
+//! * [`job_communicator`] — open a [`Communicator`] over the pods of a
+//!   running job, authenticating each rank through its node's CXI
+//!   driver exactly like an MPI application inside the pod would
+//!   ([`pod_communicator`] is the same for an explicit rank list);
 //! * [`OsuAllreduceWorkload`] — the canonical `osu_allreduce` benchmark
 //!   workload (8 ranks round-robined across a 2-group dragonfly, 64 KiB
 //!   ring allreduce), shared by the Criterion `micro` target and the
-//!   `bench-run` trajectory binary so both time the same thing;
-//! * [`job_communicator`] — open an N-rank [`Communicator`] over the
-//!   pods of a running job, authenticating each rank through its node's
-//!   CXI driver exactly like an MPI application inside the pod would.
+//!   `bench-run` trajectory binary so both time the same thing.
 //!
-//! See `COLLECTIVES.md` at the repository root for the algorithms and
-//! the expected dragonfly scaling.
+//! Together with [`CollectiveRig::open`] on bare metal these are the
+//! only places ranks are opened. See `COLLECTIVES.md` at the repository
+//! root for the algorithms and the expected dragonfly scaling.
 
 use shs_cxi::CxiDevice;
 use shs_des::SimTime;
 use shs_fabric::{Fabric, TopologySpec, TrafficClass, Vni};
+use shs_k8s::{kinds, spec_of, JobSpec};
 use shs_mpi::{CommDevices, Communicator, RankSite};
 use shs_ofi::OfiError;
-use shs_oslinux::Host;
-use slingshot_k8s::{Node, PodHandle};
+use slingshot_k8s::{Cluster, PodHandle};
 
 pub use shs_mpi::CollectiveRig;
 
-/// Open an N-rank [`Communicator`] over the pods of a running job:
-/// `handles[r]` is rank *r*'s pod (from [`Cluster::pod_handle`]), and
-/// each rank authenticates through its own node's CXI driver against
-/// `vni` — the path an MPI job inside the pods would take. Use
-/// [`Cluster::fabric_and_nodes`] for the split borrow.
-///
-/// [`Cluster::pod_handle`]: slingshot_k8s::Cluster::pod_handle
-/// [`Cluster::fabric_and_nodes`]: slingshot_k8s::Cluster::fabric_and_nodes
+/// Open a [`Communicator`] over the pods of the running job
+/// `namespace/job`: rank *r* is pod `{job}-{r}`, and each rank
+/// authenticates through its own node's CXI driver against `vni`
+/// ([`Cluster::job_vni`] for the job's own) — the path an MPI job
+/// inside the pods would take. Panics if a rank's pod is not running.
 pub fn job_communicator<'a>(
-    nodes: &'a mut [Node],
-    fabric: &'a mut Fabric,
-    handles: &[PodHandle],
+    cluster: &'a mut Cluster,
+    namespace: &str,
+    job: &str,
     vni: Vni,
     tc: TrafficClass,
     start: SimTime,
 ) -> Result<(Communicator, CommDevices<'a>), OfiError> {
-    let mut hosts: Vec<&Host> = Vec::with_capacity(nodes.len());
-    let mut devices: Vec<&mut CxiDevice> = Vec::with_capacity(nodes.len());
-    for node in nodes.iter_mut() {
-        let slingshot_k8s::NodeInner { host, device, .. } = &mut node.inner;
-        hosts.push(&*host);
-        devices.push(device);
-    }
-    let sites: Vec<RankSite<'_>> = handles
+    let spec: JobSpec = spec_of(cluster.api.get(kinds::JOB, namespace, job).expect("job exists"));
+    let ranks: Vec<PodHandle> = (0..spec.parallelism)
+        .map(|r| {
+            let pod = format!("{job}-{r}");
+            let handle = cluster.pod_handle(namespace, &pod);
+            handle.unwrap_or_else(|| panic!("{namespace}/{pod} is not running"))
+        })
+        .collect();
+    pod_communicator(cluster, &ranks, vni, tc, start)
+}
+
+/// Open a [`Communicator`] whose rank *r* is the pod `ranks[r]` (from
+/// [`Cluster::pod_handle`]) — for worlds that span jobs, such as two
+/// jobs sharing a claimed VNI. A refused rank leaves no endpoint open
+/// on any node.
+pub fn pod_communicator<'a>(
+    cluster: &'a mut Cluster,
+    ranks: &[PodHandle],
+    vni: Vni,
+    tc: TrafficClass,
+    start: SimTime,
+) -> Result<(Communicator, CommDevices<'a>), OfiError> {
+    let Cluster { nodes, fabric, .. } = cluster;
+    let (hosts, devs): (Vec<_>, Vec<_>) =
+        nodes.iter_mut().map(|n| (&n.inner.host, &mut n.inner.device)).unzip();
+    let sites: Vec<RankSite<'_>> = ranks
         .iter()
         .map(|h| RankSite { host: hosts[h.node_idx], pid: h.pid, node: h.node_idx })
         .collect();
-    let mut devs = CommDevices { devs: devices, fabric };
+    let mut devs = CommDevices { devs, fabric };
     let comm = Communicator::open(&sites, &mut devs, vni, tc, start)?;
     Ok((comm, devs))
 }
@@ -116,9 +133,8 @@ mod tests {
     use super::*;
     use shs_des::SimDur;
     use shs_fabric::NicAddr;
-    use shs_mpi::{osu_allreduce_once, osu_allreduce_sweep, osu_alltoall_once, osu_bcast_once, OsuParams};
-    use shs_k8s::kinds;
-    use slingshot_k8s::{osu_image, Cluster, ClusterConfig, VniCrdSpec};
+    use shs_mpi::{osu_allreduce_once, osu_alltoall_once, osu_bcast_once, osu_sweep, OsuParams};
+    use slingshot_k8s::{osu_image, ClusterConfig};
 
     fn two_group() -> TopologySpec {
         TopologySpec { groups: 2, switches_per_group: 1, edge_ports: 8 }
@@ -129,7 +145,9 @@ mod tests {
         let mut rig = CollectiveRig::new(8, two_group(), 7);
         let (mut comm, mut devs) = rig.open(TrafficClass::Dedicated, SimTime::ZERO);
         let params = OsuParams { sizes: vec![64, 4096, 1 << 18], iterations: 5, warmup: 1, window: 1 };
-        let points = osu_allreduce_sweep(&mut comm, &mut devs, &params);
+        let points = osu_sweep(&params, |size| {
+            osu_allreduce_once(&mut comm, &mut devs, size, params.iterations, params.warmup)
+        });
         assert_eq!(points.len(), 3);
         assert!(points.windows(2).all(|w| w[1].value > w[0].value), "latency grows with size: {points:?}");
         let bcast = osu_bcast_once(&mut comm, &mut devs, 4096, 5, 1);
@@ -171,17 +189,11 @@ mod tests {
             SimTime::from_nanos(10_000_000_000),
             SimDur::from_millis(20),
         );
-        let handles: Vec<_> = (0..8)
-            .map(|r| cluster.pod_handle("hpc", &format!("cg-{r}")).expect("rank running"))
-            .collect();
-        let crd = cluster.api.get(kinds::VNI, "hpc", "vni-cg").expect("VNI CRD");
-        let spec: VniCrdSpec = serde_json::from_value(crd.spec.clone()).expect("spec");
-        let vni = Vni(spec.vni);
-        let (fabric, nodes) = cluster.fabric_and_nodes();
-        let (mut comm, mut devs) = job_communicator(
-            nodes, fabric, &handles, vni, TrafficClass::Dedicated, admitted,
-        )
-        .expect("pod processes authenticate against their own VNI");
+        let vni = cluster.job_vni("hpc", "cg").expect("VNI CRD");
+        let (mut comm, mut devs) =
+            job_communicator(&mut cluster, "hpc", "cg", vni, TrafficClass::Dedicated, admitted)
+                .expect("pod processes authenticate against their own VNI");
+        assert_eq!(comm.size(), 8);
         let lat = osu_allreduce_once(&mut comm, &mut devs, 1 << 16, 5, 1);
         assert!(lat > 0.0);
         assert_eq!(comm.lost(), 0);
@@ -214,15 +226,10 @@ mod tests {
             SimTime::from_nanos(10_000_000_000),
             SimDur::from_millis(20),
         );
-        let handles: Vec<_> = (0..4)
-            .map(|r| cluster.pod_handle("t", &format!("j-{r}")).expect("rank running"))
-            .collect();
-        let (fabric, nodes) = cluster.fabric_and_nodes();
         // A foreign VNI no service carries: the driver refuses rank 0
         // and no endpoint survives on any node.
-        let err = job_communicator(
-            nodes, fabric, &handles, Vni(4000), TrafficClass::Dedicated, SimTime::ZERO,
-        );
+        let (tc, t0) = (TrafficClass::Dedicated, SimTime::ZERO);
+        let err = job_communicator(&mut cluster, "t", "j", Vni(4000), tc, t0);
         assert!(err.is_err(), "foreign VNI must fail the member check");
     }
 }

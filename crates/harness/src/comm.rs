@@ -11,15 +11,13 @@
 //! data path is identical in all three; observed differences are pure
 //! run-to-run jitter — which is the paper's claim.
 
-use shs_cassini::{CassiniNic, CassiniParams};
-use shs_cxi::{CxiDevice, CxiDriver, CxiServiceDesc};
 use shs_des::stats;
 use shs_des::{DetRng, SimDur, SimTime};
-use shs_fabric::{Fabric, NicAddr, TrafficClass, Vni};
-use shs_k8s::kinds;
-use shs_mpi::{osu_bw_sweep, osu_latency_sweep, OsuParams, PairDevices, RankPair};
-use shs_oslinux::{Gid, Host, Pid, Uid};
-use slingshot_k8s::{osu_image, Cluster, ClusterConfig, VniCrdSpec};
+use shs_fabric::{TopologySpec, TrafficClass, Vni};
+use shs_mpi::{osu_bw_once, osu_latency_once, osu_sweep, CommDevices, Communicator, OsuParams};
+use slingshot_k8s::{osu_image, Cluster, ClusterConfig};
+
+use crate::collective::{job_communicator, CollectiveRig};
 
 /// Which metric to measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,59 +85,39 @@ impl CommResult {
     }
 }
 
-fn sweep(pair: &mut RankPair, devs: &mut PairDevices<'_>, metric: Metric, params: &OsuParams) -> Vec<f64> {
-    match metric {
-        Metric::Bandwidth => osu_bw_sweep(pair, devs, params).into_iter().map(|p| p.value).collect(),
-        Metric::Latency => {
-            osu_latency_sweep(pair, devs, params).into_iter().map(|p| p.value).collect()
+/// One run of the OSU program between ranks 0 and 1 of an opened world
+/// — the same function inside and outside the pods: re-draw the per-run
+/// NIC jitter (endpoint bring-up draws none, so this is the first draw
+/// of the run either way), sweep the sizes, close the endpoints.
+fn osu_run(
+    mut comm: Communicator,
+    mut devs: CommDevices<'_>,
+    metric: Metric,
+    p: &OsuParams,
+) -> Vec<f64> {
+    devs.new_run();
+    let points = osu_sweep(p, |size| match metric {
+        Metric::Bandwidth => {
+            osu_bw_once(&mut comm, &mut devs, size, p.iterations, p.warmup, p.window)
         }
-    }
+        Metric::Latency => osu_latency_once(&mut comm, &mut devs, size, p.iterations, p.warmup),
+    });
+    comm.close(&mut devs);
+    points.into_iter().map(|point| point.value).collect()
 }
 
 /// Run the host (bare-metal) configuration.
 fn run_host(metric: Metric, params: &OsuParams, runs: u32, seed: u64) -> ModeSamples {
-    let mut values = Vec::with_capacity(runs as usize);
-    let mut host_a = Host::new("host-a");
-    let mut host_b = Host::new("host-b");
     let rng = DetRng::new(seed);
-    let mut fabric = Fabric::new(4);
-    let mut dev_a = CxiDevice::new(
-        CxiDriver::extended(),
-        CassiniNic::new(NicAddr(1), CassiniParams::default(), rng.derive("host/a")),
+    let mut rig = CollectiveRig::with_nic_rngs(
+        TopologySpec::single_switch(4),
+        [rng.derive("host/a"), rng.derive("host/b")],
     );
-    let mut dev_b = CxiDevice::new(
-        CxiDriver::extended(),
-        CassiniNic::new(NicAddr(2), CassiniParams::default(), rng.derive("host/b")),
-    );
-    fabric.attach(NicAddr(1));
-    fabric.attach(NicAddr(2));
-    fabric.grant_vni(NicAddr(1), Vni::GLOBAL).unwrap();
-    fabric.grant_vni(NicAddr(2), Vni::GLOBAL).unwrap();
-    let ra = host_a.credentials(Pid(1)).expect("init");
-    let rb = host_b.credentials(Pid(1)).expect("init");
-    dev_a.alloc_svc(&ra, CxiServiceDesc::default_service()).expect("svc");
-    dev_b.alloc_svc(&rb, CxiServiceDesc::default_service()).expect("svc");
-    let pid_a = host_a.spawn_detached("osu", Uid(1000), Gid(1000));
-    let pid_b = host_b.spawn_detached("osu", Uid(1000), Gid(1000));
-    for _ in 0..runs {
-        let mut devs =
-            PairDevices { dev_a: &mut dev_a, dev_b: &mut dev_b, fabric: &mut fabric };
-        devs.new_run();
-        let mut pair = RankPair::open(
-            &host_a,
-            pid_a,
-            &host_b,
-            pid_b,
-            &mut devs,
-            Vni::GLOBAL,
-            TrafficClass::Dedicated,
-            SimTime::ZERO,
-        )
-        .expect("default service admits");
-        values.push(sweep(&mut pair, &mut devs, metric, params));
-        pair.close(&mut devs);
-    }
-    ModeSamples { name: "host", values }
+    let run = |_| {
+        let (comm, devs) = rig.open(TrafficClass::Dedicated, SimTime::ZERO);
+        osu_run(comm, devs, metric, params)
+    };
+    ModeSamples { name: "host", values: (0..runs).map(run).collect() }
 }
 
 /// Run one in-Kubernetes configuration (`vni:true` / `vni:false`).
@@ -151,53 +129,28 @@ fn run_k8s(
     seed: u64,
 ) -> ModeSamples {
     let name = if vni_enabled { "vni:true" } else { "vni:false" };
-    let mut values = Vec::with_capacity(runs as usize);
-    for run in 0..runs {
+    let run = |run: u32| {
         let mut cluster = Cluster::new(ClusterConfig {
             seed: seed.wrapping_add(run as u64),
             ..Default::default()
         });
-        let ann: &[(&str, &str)] =
-            if vni_enabled { &[("vni", "true")] } else { &[] };
+        let ann: &[(&str, &str)] = if vni_enabled { &[("vni", "true")] } else { &[] };
         cluster.submit_job(SimTime::ZERO, "bench", "osu", ann, 2, &osu_image(), None);
         let admitted = cluster.run_until(
             SimTime::ZERO,
             SimTime::from_nanos(10_000_000_000),
             SimDur::from_millis(20),
         );
-        let h0 = cluster.pod_handle("bench", "osu-0").expect("pod 0 running");
-        let h1 = cluster.pod_handle("bench", "osu-1").expect("pod 1 running");
-        assert_ne!(h0.node_idx, h1.node_idx, "topology spread placed ranks apart");
         // Which VNI do the ranks use?
-        let vni = if vni_enabled {
-            let crd = cluster.api.get(kinds::VNI, "bench", "vni-osu").expect("VNI CRD");
-            let spec: VniCrdSpec = serde_json::from_value(crd.spec.clone()).expect("spec");
-            Vni(spec.vni)
-        } else {
-            Vni::GLOBAL
-        };
-        let (na, nb, fabric) = cluster.two_nodes_mut(h0.node_idx, h1.node_idx);
-        let mut devs = PairDevices {
-            dev_a: &mut na.inner.device,
-            dev_b: &mut nb.inner.device,
-            fabric,
-        };
-        devs.new_run();
-        let mut pair = RankPair::open(
-            &na.inner.host,
-            h0.pid,
-            &nb.inner.host,
-            h1.pid,
-            &mut devs,
-            vni,
-            TrafficClass::Dedicated,
-            admitted,
-        )
-        .expect("pod processes authenticate");
-        values.push(sweep(&mut pair, &mut devs, metric, params));
-        pair.close(&mut devs);
-    }
-    ModeSamples { name, values }
+        let vni =
+            if vni_enabled { cluster.job_vni("bench", "osu").expect("VNI CRD") } else { Vni::GLOBAL };
+        let (comm, devs) =
+            job_communicator(&mut cluster, "bench", "osu", vni, TrafficClass::Dedicated, admitted)
+                .expect("pod processes authenticate");
+        assert_ne!(comm.node_of(0), comm.node_of(1), "topology spread placed ranks apart");
+        osu_run(comm, devs, metric, params)
+    };
+    ModeSamples { name, values: (0..runs).map(run).collect() }
 }
 
 /// Experiment scale.

@@ -29,7 +29,7 @@ pub use admission::{
     median_overhead_pct, ramp_batches, run_admission, run_pattern, AdmissionRun,
     AdmissionSeries, JobRecord, JobTracker, Pattern,
 };
-pub use collective::{job_communicator, CollectiveRig, OsuAllreduceWorkload};
+pub use collective::{job_communicator, pod_communicator, CollectiveRig, OsuAllreduceWorkload};
 pub use gate::{evaluate as evaluate_gate, GateCheck, GateReport, MAX_REGRESSION_PCT};
 pub use comm::{run_comm, CommConfig, CommResult, Metric, ModeSamples};
 pub use output::{ascii_boxplot, ascii_plot, fmt_size, OutputSink, Series};

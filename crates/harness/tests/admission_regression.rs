@@ -8,6 +8,9 @@
 //!   mutation — survived the rewrite.
 //! * The 600-job cliff: past 253 pods *ever started* per node the bridge
 //!   IPAM used to run dry, leaving jobs `Failed` forever.
+//! * The 2 000-job cliff: nodes used to advertise `maxPods` 256 over a
+//!   253-address bridge pool, so a deep enough spike bound a 254th
+//!   *concurrent* pod to a node, whose CNI ADD is fatal.
 
 use shs_harness::admission::{run_admission, Pattern};
 use slingshot_k8s::run_admission_spike;
@@ -50,4 +53,23 @@ fn no_pod_fails_when_a_node_starts_more_pods_than_it_has_addresses() {
         let run = run_admission_spike(600, vni, 5);
         assert_eq!((run.pods_started, run.pods_failed), (600, 0), "vni={vni}");
     }
+}
+
+/// A spike deep enough to keep both nodes full: the scheduler must stop
+/// at what the bridge can address (`maxPods` = the IPAM pool size), so
+/// no CNI ADD ever finds the pool exhausted. (One test per `vni` value
+/// so the two 2 000-job runs share the wall clock.)
+fn spike_of_2000_jobs_never_overbinds_a_node(vni: bool) {
+    let run = run_admission_spike(2000, vni, 5);
+    assert_eq!((run.pods_started, run.pods_failed), (2000, 0), "vni={vni}");
+}
+
+#[test]
+fn spike_of_2000_vni_jobs_never_binds_more_pods_than_a_node_can_address() {
+    spike_of_2000_jobs_never_overbinds_a_node(true);
+}
+
+#[test]
+fn spike_of_2000_plain_jobs_never_binds_more_pods_than_a_node_can_address() {
+    spike_of_2000_jobs_never_overbinds_a_node(false);
 }

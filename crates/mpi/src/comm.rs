@@ -1,13 +1,27 @@
-//! An N-rank communicator with virtual-time-correct MPI collectives
-//! over the real per-node OFI/CXI device stack.
+//! The rank world: an N-rank communicator with MPI point-to-point and
+//! virtual-time-correct collectives over the real per-node OFI/CXI
+//! device stack.
 //!
-//! [`Communicator`] generalizes the two-rank [`RankPair`]: every rank
-//! owns a tagged OFI endpoint (opened through the full authenticated
-//! CXI path) and an explicit virtual-time cursor. Collectives are
-//! decomposed into the same tagged point-to-point sends the two-rank
-//! world uses, so **every hop** of every collective flows through
-//! fabric routing, per-traffic-class trunk scheduling, and per-VNI
-//! traffic accounting:
+//! [`Communicator`] is the only way ranks reach the fabric — the OSU
+//! two-rank benchmarks drive ranks 0 and 1 of one, collectives drive
+//! all of them. Every rank owns a tagged OFI endpoint (opened through
+//! the full authenticated CXI path) and an explicit virtual-time
+//! cursor, and everything is built from three non-blocking primitives:
+//!
+//! * [`Communicator::irecv`] — post a tagged receive at the rank's
+//!   cursor (`MPI_Irecv`);
+//! * [`Communicator::isend`] — post a tagged send at the sender's
+//!   cursor and hand the wire message to the destination rank's
+//!   matching engine (`MPI_Isend`);
+//! * [`Communicator::wait`] — block a rank for its next completion,
+//!   advancing its cursor to the completion instant (`fi_cq_sread`).
+//!
+//! Blocking [`Communicator::send`] / [`Communicator::recv`] are a post
+//! plus one `wait`; an `osu_bw` window is `window` posts then `window`
+//! waits; and a collective round posts every receive, then every send,
+//! then waits each rank out. So **every hop** of every benchmark flows
+//! through fabric routing, per-traffic-class trunk scheduling, and
+//! per-VNI traffic accounting:
 //!
 //! * [`Communicator::barrier`] — dissemination: ⌈log₂ n⌉ rounds, each
 //!   rank sending a zero-byte message `2^k` ranks ahead;
@@ -20,67 +34,46 @@
 //! * [`Communicator::alltoall`] — pairwise exchange over `n − 1` ring
 //!   shifts, each rank sending its full per-peer block every shift.
 //!
+//! ## Tag spaces
+//!
+//! Point-to-point callers own the tags below
+//! [`Communicator::COLLECTIVE_TAGS`]; collective rounds draw theirs at
+//! or above it. The two never match each other, so a receive left
+//! posted by a dropped point-to-point message cannot swallow a later
+//! collective's message on the same endpoint.
+//!
 //! ## Virtual-time accounting
 //!
 //! All clock state is **value-local**: a communicator owns its per-rank
-//! cursors, a pair owns its two — there are no statics, thread-locals,
-//! or other process-global clocks anywhere in this crate, so `cargo
-//! test` may run any number of collective tests concurrently without
-//! interleaving timelines (see [`crate::osu::reset_clocks`]). Within
-//! one round every rank posts its receive, then posts its send at its
-//! own cursor, then blocks for all its completions; blocking follows
-//! `fi_cq_sread` semantics, advancing the rank's cursor to the
-//! completion instant. A message the fabric drops (VNI enforcement or
-//! trunk congestion) never completes at the receiver — RDMA semantics —
-//! and is counted in [`Communicator::lost`] instead of hanging the
-//! round.
-//!
-//! [`RankPair`]: crate::pair::RankPair
+//! cursors — there are no statics, thread-locals, or other
+//! process-global clocks anywhere in this crate, so `cargo test` may
+//! run any number of worlds concurrently without interleaving timelines
+//! (resetting one with [`Communicator::reset_clocks`] touches no
+//! other). Within one collective round every rank posts its receive,
+//! then posts its send at its own cursor, then blocks for all its
+//! completions. A message the fabric drops (VNI enforcement or trunk
+//! congestion) never completes at the receiver — RDMA semantics —
+//! and is counted in [`Communicator::lost`] (collectives) or reported
+//! by [`Communicator::recv`] returning `false` instead of hanging.
 //!
 //! ```
-//! use shs_cassini::{CassiniNic, CassiniParams};
-//! use shs_cxi::{CxiDevice, CxiDriver, CxiServiceDesc};
-//! use shs_des::{DetRng, SimTime};
-//! use shs_fabric::{Fabric, NicAddr, TrafficClass, Vni};
-//! use shs_mpi::{CommDevices, Communicator, RankSite};
-//! use shs_oslinux::{Gid, Host, Pid, Uid};
+//! use shs_des::SimTime;
+//! use shs_fabric::TrafficClass;
+//! use shs_mpi::CollectiveRig;
 //!
 //! // Four single-rank nodes on one switch.
-//! let rng = DetRng::new(7);
-//! let mut fabric = Fabric::new(8);
-//! let mut hosts = Vec::new();
-//! let mut devices = Vec::new();
-//! let mut pids = Vec::new();
-//! for i in 0..4u32 {
-//!     let mut host = Host::new(&format!("n{i}"));
-//!     let nic = NicAddr(i + 1);
-//!     let mut dev = CxiDevice::new(
-//!         CxiDriver::extended(),
-//!         CassiniNic::new(nic, CassiniParams::default(), rng.derive(&format!("{i}"))),
-//!     );
-//!     fabric.attach(nic);
-//!     fabric.grant_vni(nic, Vni::GLOBAL).unwrap();
-//!     let root = host.credentials(Pid(1)).unwrap();
-//!     dev.alloc_svc(&root, CxiServiceDesc::default_service()).unwrap();
-//!     pids.push(host.spawn_detached("rank", Uid(1000), Gid(1000)));
-//!     hosts.push(host);
-//!     devices.push(dev);
-//! }
-//! let mut devs = CommDevices {
-//!     devs: devices.iter_mut().collect(),
-//!     fabric: &mut fabric,
-//! };
-//! let sites: Vec<RankSite> = (0..4)
-//!     .map(|r| RankSite { host: &hosts[r], pid: pids[r], node: r })
-//!     .collect();
-//! let mut comm = Communicator::open(
-//!     &sites, &mut devs, Vni::GLOBAL, TrafficClass::Dedicated, SimTime::ZERO,
-//! ).unwrap();
+//! let mut rig = CollectiveRig::single_switch(4, 7);
+//! let (mut comm, mut devs) = rig.open(TrafficClass::Dedicated, SimTime::ZERO);
+//! // Point-to-point: a blocking ping from rank 0 to rank 3.
+//! comm.send(&mut devs, 0, 3, 1, 4096);
+//! assert!(comm.recv(3, 1), "uncontended fabric delivers");
+//! assert!(comm.clock(3) > comm.clock(1), "only the two ranks involved moved");
+//! // Collectives share the endpoints (and a disjoint tag space).
 //! comm.allreduce(&mut devs, 4096);
-//! assert_eq!(comm.lost(), 0, "uncontended fabric delivers everything");
+//! assert_eq!(comm.lost(), 0);
 //! // Ring allreduce: every rank sent and received 2(n-1) = 6 chunks.
-//! assert!(comm.io().iter().all(|io| io.sent_msgs == 6 && io.recv_msgs == 6));
-//! // The OSU collective benchmarks reuse the same communicator.
+//! assert!(comm.io().iter().all(|io| io.recv_msgs >= 6));
+//! // The OSU benchmarks reuse the same communicator.
 //! let us = shs_mpi::osu_allreduce_once(&mut comm, &mut devs, 1024, 3, 1);
 //! assert!(us > 0.0, "collectives consume virtual time: {us} us");
 //! comm.close(&mut devs);
@@ -261,7 +254,7 @@ impl Communicator {
 
     /// Reset every cursor to `at` (a fresh measurement run). Clock
     /// state is value-local — see the [module docs](self) — so this
-    /// never affects any other communicator or pair.
+    /// never affects any other communicator.
     pub fn reset_clocks(&mut self, at: SimTime) {
         self.clocks.iter_mut().for_each(|c| *c = at);
     }
@@ -282,62 +275,118 @@ impl Communicator {
         self.node_of[rank]
     }
 
+    /// First tag of the collective tag space: point-to-point callers
+    /// use tags below it, collective rounds at or above it (see the
+    /// [module docs](self#tag-spaces)).
+    pub const COLLECTIVE_TAGS: u64 = 1 << 63;
+
+    // The five point-to-point calls are `#[inline]`: the OSU loops call
+    // them per message from another module (another codegen unit), and
+    // without it the `osu-pair` benchmark workload reads ~5 % slower.
+
+    /// `MPI_Irecv`: post a tagged receive on `rank` at its cursor.
+    #[inline]
+    pub fn irecv(&mut self, rank: usize, tag: u64) {
+        self.clocks[rank] = self.eps[rank].trecv(self.clocks[rank], tag, 0, tag);
+    }
+
+    /// `MPI_Isend`: post `len` bytes from `src` to `dst` at the sender's
+    /// cursor; the composition layer carries the wire message to the
+    /// destination NIC's matching engine. The send completion always
+    /// fires (RDMA drops are silent at the sender).
+    #[inline]
+    pub fn isend(
+        &mut self,
+        devs: &mut CommDevices<'_>,
+        src: usize,
+        dst: usize,
+        tag: u64,
+        len: u64,
+    ) {
+        let dst_addr = self.eps[dst].addr;
+        let (t, msg) = self.eps[src].tsend(
+            self.clocks[src],
+            devs.devs[self.node_of[src]],
+            devs.fabric,
+            dst_addr,
+            tag,
+            len,
+            tag,
+        );
+        self.clocks[src] = t;
+        self.io[src].sent_msgs += 1;
+        self.io[src].sent_bytes += len;
+        if let Some(msg) = msg {
+            self.eps[dst].deliver(devs.devs[self.node_of[dst]], msg);
+        }
+    }
+
+    /// Block `rank` until its next completion (`fi_cq_sread`),
+    /// advancing its cursor to the completion instant. `None` (cursor
+    /// untouched) when nothing is outstanding or ever will complete —
+    /// a receive whose message the fabric dropped.
+    #[inline]
+    pub fn wait(&mut self, rank: usize) -> Option<CompKind> {
+        let (t, c) = self.eps[rank].cq_wait(self.clocks[rank])?;
+        self.clocks[rank] = t;
+        if c.kind == CompKind::Recv {
+            self.io[rank].recv_msgs += 1;
+            self.io[rank].recv_bytes += c.len;
+        }
+        Some(c.kind)
+    }
+
+    /// Blocking `MPI_Send`: post, then block until the sender's local
+    /// completion (delivery is the receiver's business).
+    #[inline]
+    pub fn send(
+        &mut self,
+        devs: &mut CommDevices<'_>,
+        src: usize,
+        dst: usize,
+        tag: u64,
+        len: u64,
+    ) {
+        self.isend(devs, src, dst, tag, len);
+        self.wait(src);
+    }
+
+    /// Blocking `MPI_Recv`: post, then block for the matching
+    /// completion. `false` = nothing arrived: the fabric dropped the
+    /// message (in tests, a correctly enforced isolation drop), and the
+    /// receive stays posted.
+    #[inline]
+    pub fn recv(&mut self, rank: usize, tag: u64) -> bool {
+        self.irecv(rank, tag);
+        self.wait(rank) == Some(CompKind::Recv)
+    }
+
     /// One round of point-to-point exchanges, executed with MPI
     /// semantics per rank: receives posted first, sends posted at each
     /// sender's cursor, then every rank blocks until all its
     /// completions for this round are visible.
     fn exchange(&mut self, devs: &mut CommDevices<'_>, ops: &[P2pOp]) {
         debug_assert!(ops.len() < (1 << 20), "round too wide for the tag space");
-        let tag_base = (self.op_seq + 1) << 20;
         self.op_seq += 1;
+        let tag_base = Self::COLLECTIVE_TAGS | (self.op_seq << 20);
         let mut expect = std::mem::take(&mut self.expect_buf);
         expect.clear();
         expect.resize(self.size(), 0);
-        // Receivers pre-post.
         for (k, &(_, dst, _)) in ops.iter().enumerate() {
-            let tag = tag_base | k as u64;
-            self.clocks[dst] = self.eps[dst].trecv(self.clocks[dst], tag, 0, k as u64);
+            self.irecv(dst, tag_base | k as u64);
             expect[dst] += 1;
         }
-        // Senders post; the composition layer carries the wire message
-        // to the destination NIC's matching engine.
         for (k, &(src, dst, len)) in ops.iter().enumerate() {
-            let tag = tag_base | k as u64;
-            let dst_addr = self.eps[dst].addr;
-            let (t, msg) = self.eps[src].tsend(
-                self.clocks[src],
-                devs.devs[self.node_of[src]],
-                devs.fabric,
-                dst_addr,
-                tag,
-                len,
-                k as u64,
-            );
-            self.clocks[src] = t;
-            self.io[src].sent_msgs += 1;
-            self.io[src].sent_bytes += len;
+            self.isend(devs, src, dst, tag_base | k as u64, len);
             expect[src] += 1; // the send completion
-            if let Some(msg) = msg {
-                self.eps[dst].deliver(devs.devs[self.node_of[dst]], msg);
-            }
         }
-        // Everyone blocks for this round's completions. Send completions
-        // always fire (RDMA drops are silent at the sender); a missing
-        // receive completion means the fabric dropped the message.
+        // A missing completion is a receive whose message the fabric
+        // dropped (send completions always fire).
         for (r, &expected) in expect.iter().enumerate() {
             for done in 0..expected {
-                match self.eps[r].cq_wait(self.clocks[r]) {
-                    Some((t, c)) => {
-                        self.clocks[r] = t;
-                        if c.kind == CompKind::Recv {
-                            self.io[r].recv_msgs += 1;
-                            self.io[r].recv_bytes += c.len;
-                        }
-                    }
-                    None => {
-                        self.lost += (expected - done) as u64;
-                        break;
-                    }
+                if self.wait(r).is_none() {
+                    self.lost += (expected - done) as u64;
+                    break;
                 }
             }
         }
@@ -432,46 +481,6 @@ impl Communicator {
             self.exchange(devs, &ops);
         }
         self.ops_buf = ops;
-    }
-}
-
-/// Blocking MPI-style send between two endpoints: post at the sender's
-/// cursor, hand the wire message to the destination NIC's matching
-/// engine, then block until the sender's local completion (`MPI_Send`
-/// returns at local completion). Returns the sender's new cursor. The
-/// shared primitive both [`Communicator`] rounds and the two-rank
-/// [`crate::pair::RankPair`] wrap.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn blocking_send(
-    src_ep: &mut OfiEp,
-    src_dev: &mut CxiDevice,
-    fabric: &mut Fabric,
-    t_src: SimTime,
-    dst_ep: &mut OfiEp,
-    dst_dev: &mut CxiDevice,
-    tag: u64,
-    len: u64,
-) -> SimTime {
-    let (mut t, msg) = src_ep.tsend(t_src, src_dev, fabric, dst_ep.addr, tag, len, tag);
-    if let Some(msg) = msg {
-        dst_ep.deliver(dst_dev, msg);
-    }
-    if let Some((tc, c)) = src_ep.cq_wait(t) {
-        debug_assert_eq!(c.kind, CompKind::Send);
-        t = tc;
-    }
-    t
-}
-
-/// Blocking MPI-style receive: post at the cursor, then block for the
-/// matching completion. Returns the new cursor and whether data
-/// actually arrived (`false` = the fabric dropped it — in tests, a
-/// correctly enforced isolation drop).
-pub(crate) fn blocking_recv(ep: &mut OfiEp, t: SimTime, tag: u64) -> (SimTime, bool) {
-    let t = ep.trecv(t, tag, 0, tag);
-    match ep.cq_wait(t) {
-        Some((tc, c)) if c.kind == CompKind::Recv => (tc, true),
-        _ => (t, false),
     }
 }
 
@@ -642,71 +651,108 @@ mod tests {
         comm.close(&mut devs);
     }
 
+    /// A service carrying the private VNI 77 on each of `nodes` — on the
+    /// NIC only: the switch ports are *not* granted, so the fabric drops
+    /// everything sent on it.
+    fn private_svc(rig: &mut CollectiveRig, nodes: &[usize]) -> Vec<shs_cassini::SvcId> {
+        let alloc = |&i: &usize| {
+            let root = rig.hosts[i].credentials(Pid(1)).unwrap();
+            let desc = shs_cxi::CxiServiceDesc {
+                members: vec![shs_cxi::SvcMember::AllUsers],
+                vnis: vec![Vni(77)],
+                limits: Default::default(),
+                label: "private".into(),
+            };
+            rig.devices[i].alloc_svc(&root, desc).unwrap()
+        };
+        nodes.iter().map(alloc).collect()
+    }
+
     #[test]
     fn open_failure_rolls_back_every_endpoint() {
         // VNI 77 is not realised on any service: open must fail and
         // leave no endpoints allocated on any NIC.
         let mut rig = single(3, 8);
-        let mut devs = CommDevices {
-            devs: rig.devices.iter_mut().collect(),
-            fabric: &mut rig.fabric,
-        };
-        let sites: Vec<RankSite<'_>> = rig
-            .hosts
-            .iter()
-            .zip(rig.pids.iter())
-            .enumerate()
-            .map(|(i, (host, &pid))| RankSite { host, pid, node: i })
-            .collect();
-        let err = Communicator::open(
-            &sites,
-            &mut devs,
-            Vni(77),
-            TrafficClass::Dedicated,
-            SimTime::ZERO,
-        );
-        assert!(err.is_err());
-        drop(devs);
+        assert!(rig.open_on(Vni(77), TrafficClass::Dedicated, SimTime::ZERO).is_err());
         for dev in &rig.devices {
             assert_eq!(dev.nic.endpoints_of(shs_cassini::SvcId(1)), 0, "no leaked endpoints");
         }
     }
 
     #[test]
+    fn open_failure_rolls_back_the_admitted_prefix() {
+        // Rank 0's node carries the private VNI, rank 1's does not:
+        // rank 0 is admitted, rank 1 refused — and rank 0's endpoint
+        // must be closed again.
+        let mut rig = single(2, 8);
+        let svc = private_svc(&mut rig, &[0])[0];
+        assert!(rig.open_on(Vni(77), TrafficClass::Dedicated, SimTime::ZERO).is_err());
+        assert_eq!(rig.devices[0].nic.endpoints_of(svc), 0, "rank 0's endpoint leaked");
+    }
+
+    #[test]
     fn unrealised_vni_counts_lost_messages_instead_of_hanging() {
-        // Grant a private VNI on the NICs' services but *not* on the
-        // switch ports: sends complete locally, nothing is delivered.
         let mut rig = single(3, 9);
-        for (host, dev) in rig.hosts.iter().zip(rig.devices.iter_mut()) {
-            let root = host.credentials(Pid(1)).unwrap();
-            dev.alloc_svc(
-                &root,
-                shs_cxi::CxiServiceDesc {
-                    members: vec![shs_cxi::SvcMember::AllUsers],
-                    vnis: vec![Vni(77)],
-                    limits: Default::default(),
-                    label: "private".into(),
-                },
-            )
-            .unwrap();
-        }
-        let mut devs = CommDevices {
-            devs: rig.devices.iter_mut().collect(),
-            fabric: &mut rig.fabric,
-        };
-        let sites: Vec<RankSite<'_>> = rig
-            .hosts
-            .iter()
-            .zip(rig.pids.iter())
-            .enumerate()
-            .map(|(i, (host, &pid))| RankSite { host, pid, node: i })
-            .collect();
-        let mut comm =
-            Communicator::open(&sites, &mut devs, Vni(77), TrafficClass::Dedicated, SimTime::ZERO)
-                .unwrap();
+        private_svc(&mut rig, &[0, 1, 2]);
+        let (mut comm, mut devs) =
+            rig.open_on(Vni(77), TrafficClass::Dedicated, SimTime::ZERO).unwrap();
         comm.barrier(&mut devs);
         assert_eq!(comm.lost(), 6, "2 rounds x 3 ranks, all dropped at the switch");
         assert!(comm.io().iter().all(|io| io.recv_msgs == 0));
+        comm.close(&mut devs);
+    }
+
+    #[test]
+    fn p2p_ping_pong_advances_both_clocks() {
+        let mut rig = single(2, 1);
+        let (mut comm, mut devs) = open_comm(&mut rig, SimTime::ZERO);
+        comm.send(&mut devs, 0, 1, 1, 8);
+        assert!(comm.recv(1, 1));
+        comm.send(&mut devs, 1, 0, 2, 8);
+        assert!(comm.recv(0, 2));
+        assert!(comm.clock(0) > SimTime::ZERO);
+        assert!(comm.clock(1) > SimTime::ZERO);
+        let one = RankIo { sent_msgs: 1, sent_bytes: 8, recv_msgs: 1, recv_bytes: 8 };
+        assert_eq!(comm.io(), [one, one], "p2p feeds the same per-rank totals");
+        comm.close(&mut devs);
+    }
+
+    #[test]
+    fn p2p_isolation_drop_surfaces_as_failed_recv() {
+        let mut rig = single(2, 3);
+        private_svc(&mut rig, &[0, 1]);
+        let (mut comm, mut devs) =
+            rig.open_on(Vni(77), TrafficClass::Dedicated, SimTime::ZERO).unwrap();
+        comm.send(&mut devs, 0, 1, 1, 8); // switch drops it silently
+        assert!(!comm.recv(1, 1), "no data may cross a non-realised VNI");
+        comm.close(&mut devs);
+    }
+
+    #[test]
+    fn allreduce_after_a_dropped_p2p_message_loses_nothing() {
+        // The enforced drop leaves rank 1's receive posted, under the
+        // very tag the first collective round's first message would
+        // carry without the collective tag bit: that message must match
+        // the round's own receive, not the stale one.
+        let mut rig = single(2, 4);
+        private_svc(&mut rig, &[0, 1]);
+        let (mut comm, mut devs) =
+            rig.open_on(Vni(77), TrafficClass::Dedicated, SimTime::ZERO).unwrap();
+        comm.send(&mut devs, 0, 1, 1 << 20, 8);
+        assert!(!comm.recv(1, 1 << 20), "dropped at the switch");
+        // The fabric manager realises the VNI; collectives now deliver.
+        for nic in 1..=2 {
+            devs.fabric.grant_vni(shs_fabric::NicAddr(nic), Vni(77)).unwrap();
+        }
+        comm.allreduce(&mut devs, 64);
+        assert_eq!(comm.lost(), 0);
+        assert!(comm.io().iter().all(|io| io.recv_msgs == 1 && io.recv_bytes == 64));
+        // The collective left the point-to-point receive alone: it is
+        // still posted, and the retried send is what completes it.
+        assert_eq!(comm.eps[1].posted_depth(), 1);
+        comm.isend(&mut devs, 0, 1, 1 << 20, 8);
+        assert_eq!(comm.wait(1), Some(CompKind::Recv));
+        assert_eq!(comm.eps[1].posted_depth(), 0);
         comm.close(&mut devs);
     }
 

@@ -10,11 +10,7 @@
 //! convention of reporting the max across ranks. The paper sweeps
 //! packet sizes 1 B .. 1 MB.
 
-use shs_des::SimTime;
-use shs_ofi::CompKind;
-
 use crate::comm::{CommDevices, Communicator};
-use crate::pair::{PairDevices, RankPair};
 
 /// The size sweep used in Figs. 5-8 (1 B to 1 MiB in powers of two).
 pub fn paper_sizes() -> Vec<u64> {
@@ -63,10 +59,27 @@ pub struct OsuPoint {
     pub value: f64,
 }
 
-/// `osu_latency`: average one-way latency (µs) for one message size.
+/// Run one benchmark over the whole size sweep: `once(size)` is the
+/// `osu_*_once` call measuring one message size.
+pub fn osu_sweep(params: &OsuParams, mut once: impl FnMut(u64) -> f64) -> Vec<OsuPoint> {
+    params.sizes.iter().map(|&size| OsuPoint { size, value: once(size) }).collect()
+}
+
+/// Zero-byte ping + pong between ranks 0 and 1, then synchronized
+/// cursors: the barrier the point-to-point benchmarks time from.
+fn ping_pong_barrier(comm: &mut Communicator, devs: &mut CommDevices<'_>, tag: u64) {
+    comm.send(devs, 0, 1, tag, 0);
+    comm.recv(1, tag);
+    comm.send(devs, 1, 0, tag + 1, 0);
+    comm.recv(0, tag + 1);
+    comm.sync_clocks();
+}
+
+/// `osu_latency`: average one-way latency (µs) between ranks 0 and 1
+/// for one message size.
 pub fn osu_latency_once(
-    pair: &mut RankPair,
-    devs: &mut PairDevices<'_>,
+    comm: &mut Communicator,
+    devs: &mut CommDevices<'_>,
     size: u64,
     iterations: u32,
     warmup: u32,
@@ -74,187 +87,107 @@ pub fn osu_latency_once(
     let mut measured_rtt_ns: u128 = 0;
     for it in 0..(warmup + iterations) {
         let tag = 0x10_0000 + it as u64;
-        let start = pair.t_a;
-        pair.send_a_to_b(devs, tag, size);
-        pair.recv_on_b(tag);
-        pair.send_b_to_a(devs, tag, size);
-        pair.recv_on_a(tag);
+        let start = comm.clock(0);
+        comm.send(devs, 0, 1, tag, size);
+        comm.recv(1, tag);
+        comm.send(devs, 1, 0, tag, size);
+        comm.recv(0, tag);
         if it >= warmup {
-            measured_rtt_ns += (pair.t_a - start).as_nanos() as u128;
+            measured_rtt_ns += (comm.clock(0) - start).as_nanos() as u128;
         }
     }
     // One-way latency in µs: RTT / 2, averaged.
     measured_rtt_ns as f64 / iterations as f64 / 2.0 / 1000.0
 }
 
-/// `osu_bw`: bandwidth (MB/s, MB = 1e6) for one message size.
+/// `osu_bw`: bandwidth (MB/s, MB = 1e6) from rank 0 to rank 1 for one
+/// message size.
 pub fn osu_bw_once(
-    pair: &mut RankPair,
-    devs: &mut PairDevices<'_>,
+    comm: &mut Communicator,
+    devs: &mut CommDevices<'_>,
     size: u64,
     iterations: u32,
     warmup: u32,
     window: u32,
 ) -> f64 {
-    let mut start = pair.t_a;
+    let window = window as u64;
+    let mut start = comm.clock(0);
     for it in 0..(warmup + iterations) {
         if it == warmup {
-            pair.barrier(devs, 0xB000_0000 + it as u64);
-            start = pair.t_a;
+            ping_pong_barrier(comm, devs, 0xB000_0000 + it as u64);
+            start = comm.clock(0);
         }
-        let base_tag = 0x20_0000 + (it as u64) * (window as u64 + 1);
+        let base_tag = 0x20_0000 + (it as u64) * (window + 1);
         // Receiver pre-posts the window.
         for w in 0..window {
-            pair.t_b = pair.b.trecv(pair.t_b, base_tag + w as u64, 0, w as u64);
+            comm.irecv(1, base_tag + w);
         }
         // Sender posts the window of non-blocking sends.
         for w in 0..window {
-            let (t, msg) = pair.a.tsend(
-                pair.t_a,
-                devs.dev_a,
-                devs.fabric,
-                pair.b.addr,
-                base_tag + w as u64,
-                size,
-                w as u64,
-            );
-            pair.t_a = t;
-            if let Some(msg) = msg {
-                pair.b.deliver(devs.dev_b, msg);
-            }
+            comm.isend(devs, 0, 1, base_tag + w, size);
         }
-        // Sender waits for all local completions (MPI_Waitall on isends).
+        // Sender waits for all local completions (MPI_Waitall on isends),
+        // then the receiver drains its window (MPI_Waitall on irecvs).
         for _ in 0..window {
-            let (t, c) = pair.a.cq_wait(pair.t_a).expect("send completion");
-            debug_assert_eq!(c.kind, CompKind::Send);
-            pair.t_a = t;
+            comm.wait(0);
         }
-        // Receiver drains its window (MPI_Waitall on irecvs).
         for _ in 0..window {
-            if let Some((t, c)) = pair.b.cq_wait(pair.t_b) {
-                debug_assert_eq!(c.kind, CompKind::Recv);
-                pair.t_b = t;
-            }
+            comm.wait(1);
         }
-        // Receiver acks the window with a zero-byte message.
-        let ack_tag = base_tag + window as u64;
-        pair.t_a = pair.a.trecv(pair.t_a, ack_tag, 0, 0);
-        let (t, msg) =
-            pair.b.tsend(pair.t_b, devs.dev_b, devs.fabric, pair.a.addr, ack_tag, 0, 0);
-        pair.t_b = t;
-        if let Some(msg) = msg {
-            pair.a.deliver(devs.dev_a, msg);
-        }
-        // Drain b's send completion.
-        if let Some((t, _)) = pair.b.cq_wait(pair.t_b) {
-            pair.t_b = t;
-        }
-        // a waits for the ack.
-        if let Some((t, c)) = pair.a.cq_wait(pair.t_a) {
-            debug_assert_eq!(c.kind, CompKind::Recv);
-            pair.t_a = t;
-        }
+        // Receiver acks the window with a zero-byte message: rank 1
+        // drains its send completion, rank 0 waits for the ack.
+        let ack_tag = base_tag + window;
+        comm.irecv(0, ack_tag);
+        comm.isend(devs, 1, 0, ack_tag, 0);
+        comm.wait(1);
+        comm.wait(0);
     }
-    let elapsed_ns = (pair.t_a - start).as_nanos();
+    let elapsed_ns = (comm.clock(0) - start).as_nanos();
     let bytes = size as u128 * window as u128 * iterations as u128;
     bytes as f64 / (elapsed_ns as f64 / 1e9) / 1e6
 }
 
 /// `osu_bibw`: bidirectional bandwidth (MB/s) for one message size —
-/// both ranks stream a window to each other concurrently, so the figure
-/// approaches twice the unidirectional rate on a full-duplex link.
+/// ranks 0 and 1 stream a window to each other concurrently, so the
+/// figure approaches twice the unidirectional rate on a full-duplex
+/// link.
 pub fn osu_bibw_once(
-    pair: &mut RankPair,
-    devs: &mut PairDevices<'_>,
+    comm: &mut Communicator,
+    devs: &mut CommDevices<'_>,
     size: u64,
     iterations: u32,
     warmup: u32,
     window: u32,
 ) -> f64 {
-    let mut start = pair.t_a.max(pair.t_b);
+    let window = window as u64;
+    let mut start = comm.clock(0);
     for it in 0..(warmup + iterations) {
         if it == warmup {
-            pair.barrier(devs, 0xD000_0000 + it as u64);
-            start = pair.t_a;
+            ping_pong_barrier(comm, devs, 0xD000_0000 + it as u64);
+            start = comm.clock(0);
         }
-        let base = 0x40_0000 + (it as u64) * (2 * window as u64 + 2);
+        let base = 0x40_0000 + (it as u64) * (2 * window + 2);
         // Both sides pre-post their receive windows.
         for w in 0..window {
-            pair.t_b = pair.b.trecv(pair.t_b, base + w as u64, 0, w as u64);
-            pair.t_a = pair.a.trecv(pair.t_a, base + window as u64 + w as u64, 0, w as u64);
+            comm.irecv(1, base + w);
+            comm.irecv(0, base + window + w);
         }
         // Both sides post their send windows (full duplex).
         for w in 0..window {
-            let (ta, msg_ab) = pair.a.tsend(
-                pair.t_a, devs.dev_a, devs.fabric, pair.b.addr, base + w as u64, size, w as u64,
-            );
-            pair.t_a = ta;
-            if let Some(m) = msg_ab {
-                pair.b.deliver(devs.dev_b, m);
-            }
-            let (tb, msg_ba) = pair.b.tsend(
-                pair.t_b,
-                devs.dev_b,
-                devs.fabric,
-                pair.a.addr,
-                base + window as u64 + w as u64,
-                size,
-                w as u64,
-            );
-            pair.t_b = tb;
-            if let Some(m) = msg_ba {
-                pair.a.deliver(devs.dev_a, m);
-            }
+            comm.isend(devs, 0, 1, base + w, size);
+            comm.isend(devs, 1, 0, base + window + w, size);
         }
         // Drain all completions on both sides (sends + recvs).
         for _ in 0..(2 * window) {
-            if let Some((t, _)) = pair.a.cq_wait(pair.t_a) {
-                pair.t_a = t;
-            }
-            if let Some((t, _)) = pair.b.cq_wait(pair.t_b) {
-                pair.t_b = t;
-            }
+            comm.wait(0);
+            comm.wait(1);
         }
         // Synchronize for the next iteration.
-        let sync = pair.t_a.max(pair.t_b);
-        pair.t_a = sync;
-        pair.t_b = sync;
+        comm.sync_clocks();
     }
-    let elapsed_ns = (pair.t_a.max(pair.t_b) - start).as_nanos();
+    let elapsed_ns = (comm.clock(0) - start).as_nanos();
     let bytes = 2 * size as u128 * window as u128 * iterations as u128;
     bytes as f64 / (elapsed_ns as f64 / 1e9) / 1e6
-}
-
-/// Run the full latency sweep.
-pub fn osu_latency_sweep(
-    pair: &mut RankPair,
-    devs: &mut PairDevices<'_>,
-    params: &OsuParams,
-) -> Vec<OsuPoint> {
-    params
-        .sizes
-        .iter()
-        .map(|&size| OsuPoint {
-            size,
-            value: osu_latency_once(pair, devs, size, params.iterations, params.warmup),
-        })
-        .collect()
-}
-
-/// Run the full bandwidth sweep.
-pub fn osu_bw_sweep(
-    pair: &mut RankPair,
-    devs: &mut PairDevices<'_>,
-    params: &OsuParams,
-) -> Vec<OsuPoint> {
-    params
-        .sizes
-        .iter()
-        .map(|&size| OsuPoint {
-            size,
-            value: osu_bw_once(pair, devs, size, params.iterations, params.warmup, params.window),
-        })
-        .collect()
 }
 
 /// One timed collective phase: warm up untimed, synchronize the rank
@@ -312,104 +245,49 @@ pub fn osu_alltoall_once(
     osu_collective_once(comm, devs, iterations, warmup, |c, d| c.alltoall(d, size))
 }
 
-/// Run the full `osu_allreduce` sweep.
-pub fn osu_allreduce_sweep(
-    comm: &mut Communicator,
-    devs: &mut CommDevices<'_>,
-    params: &OsuParams,
-) -> Vec<OsuPoint> {
-    params
-        .sizes
-        .iter()
-        .map(|&size| OsuPoint {
-            size,
-            value: osu_allreduce_once(comm, devs, size, params.iterations, params.warmup),
-        })
-        .collect()
-}
-
-/// Run the full `osu_bcast` sweep (root 0).
-pub fn osu_bcast_sweep(
-    comm: &mut Communicator,
-    devs: &mut CommDevices<'_>,
-    params: &OsuParams,
-) -> Vec<OsuPoint> {
-    params
-        .sizes
-        .iter()
-        .map(|&size| OsuPoint {
-            size,
-            value: osu_bcast_once(comm, devs, size, params.iterations, params.warmup),
-        })
-        .collect()
-}
-
-/// Run the full `osu_alltoall` sweep.
-pub fn osu_alltoall_sweep(
-    comm: &mut Communicator,
-    devs: &mut CommDevices<'_>,
-    params: &OsuParams,
-) -> Vec<OsuPoint> {
-    params
-        .sizes
-        .iter()
-        .map(|&size| OsuPoint {
-            size,
-            value: osu_alltoall_once(comm, devs, size, params.iterations, params.warmup),
-        })
-        .collect()
-}
-
-/// Reset rank clocks between runs (the OSU binary restarts per run).
-///
-/// **Invariant (audited for concurrent `cargo test`):** every clock in
-/// this crate is value-local — the two cursors live inside the
-/// [`RankPair`], an N-rank communicator owns its own cursor vector
-/// ([`Communicator::reset_clocks`]), and there are no statics or
-/// thread-locals anywhere in `shs-mpi` — so resetting one world can
-/// never interleave with another running on a different test thread.
-pub fn reset_clocks(pair: &mut RankPair, at: SimTime) {
-    pair.t_a = at;
-    pair.t_b = at;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pair::tests::rig;
-    use shs_fabric::{TrafficClass, Vni};
+    use crate::rig::CollectiveRig;
+    use shs_des::SimTime;
+    use shs_fabric::TrafficClass;
 
-    fn pair_on(r: &mut crate::pair::tests::Rig) -> (RankPair, PairDevices<'_>) {
-        let mut devs =
-            PairDevices { dev_a: &mut r.dev_a, dev_b: &mut r.dev_b, fabric: &mut r.fabric };
-        let pair = RankPair::open(
-            &r.host_a,
-            r.pid_a,
-            &r.host_b,
-            r.pid_b,
-            &mut devs,
-            Vni::GLOBAL,
-            TrafficClass::Dedicated,
-            SimTime::ZERO,
-        )
-        .unwrap();
-        (pair, devs)
+    fn rig(seed: u64) -> CollectiveRig {
+        CollectiveRig::single_switch(2, seed)
+    }
+
+    fn open(rig: &mut CollectiveRig) -> (Communicator, CommDevices<'_>) {
+        rig.open(TrafficClass::Dedicated, SimTime::ZERO)
+    }
+
+    #[test]
+    fn ping_pong_barrier_synchronizes_clocks() {
+        let mut r = rig(2);
+        let (mut comm, mut devs) = open(&mut r);
+        // Skew the clocks: a 5 MB message completes locally at rank 0
+        // well before it has fully arrived at rank 1.
+        comm.send(&mut devs, 0, 1, 1, 5_000_000);
+        comm.recv(1, 1);
+        assert_ne!(comm.clock(0), comm.clock(1));
+        ping_pong_barrier(&mut comm, &mut devs, 100);
+        assert_eq!(comm.clock(0), comm.clock(1));
+        comm.close(&mut devs);
     }
 
     #[test]
     fn small_message_latency_is_about_two_microseconds() {
         let mut r = rig(10);
-        let (mut pair, mut devs) = pair_on(&mut r);
-        let lat = osu_latency_once(&mut pair, &mut devs, 8, 200, 20);
+        let (mut comm, mut devs) = open(&mut r);
+        let lat = osu_latency_once(&mut comm, &mut devs, 8, 200, 20);
         assert!(lat > 0.8 && lat < 4.0, "8B one-way latency {lat}us");
     }
 
     #[test]
     fn latency_grows_with_size() {
         let mut r = rig(11);
-        let (mut pair, mut devs) = pair_on(&mut r);
-        let small = osu_latency_once(&mut pair, &mut devs, 8, 100, 10);
-        let large = osu_latency_once(&mut pair, &mut devs, 1 << 20, 20, 2);
+        let (mut comm, mut devs) = open(&mut r);
+        let small = osu_latency_once(&mut comm, &mut devs, 8, 100, 10);
+        let large = osu_latency_once(&mut comm, &mut devs, 1 << 20, 20, 2);
         assert!(large > 10.0 * small, "1MB {large}us vs 8B {small}us");
         // 1 MiB one-way ≈ size/goodput + overheads ≈ 43-60 µs.
         assert!(large > 30.0 && large < 90.0, "1MB latency {large}us");
@@ -418,8 +296,8 @@ mod tests {
     #[test]
     fn peak_bandwidth_approaches_line_rate() {
         let mut r = rig(12);
-        let (mut pair, mut devs) = pair_on(&mut r);
-        let bw = osu_bw_once(&mut pair, &mut devs, 1 << 20, 20, 2, 64);
+        let (mut comm, mut devs) = open(&mut r);
+        let bw = osu_bw_once(&mut comm, &mut devs, 1 << 20, 20, 2, 64);
         // Paper Fig. 5 plateau: ~24 GB/s on a 200 Gb/s link.
         assert!(bw > 20_000.0 && bw < 25_000.0, "1MB bandwidth {bw} MB/s");
     }
@@ -427,8 +305,8 @@ mod tests {
     #[test]
     fn small_message_bandwidth_is_rate_limited() {
         let mut r = rig(13);
-        let (mut pair, mut devs) = pair_on(&mut r);
-        let bw = osu_bw_once(&mut pair, &mut devs, 1, 100, 10, 64);
+        let (mut comm, mut devs) = open(&mut r);
+        let bw = osu_bw_once(&mut comm, &mut devs, 1, 100, 10, 64);
         // ~3 M msg/s × 1 B ≈ single-digit MB/s (Fig. 5 left edge).
         assert!(bw > 0.5 && bw < 10.0, "1B bandwidth {bw} MB/s");
     }
@@ -436,14 +314,16 @@ mod tests {
     #[test]
     fn bandwidth_is_monotone_in_size() {
         let mut r = rig(14);
-        let (mut pair, mut devs) = pair_on(&mut r);
+        let (mut comm, mut devs) = open(&mut r);
         let params = OsuParams {
             sizes: vec![1, 64, 4096, 1 << 18],
             iterations: 30,
             warmup: 3,
             window: 32,
         };
-        let points = osu_bw_sweep(&mut pair, &mut devs, &params);
+        let points = osu_sweep(&params, |size| {
+            osu_bw_once(&mut comm, &mut devs, size, params.iterations, params.warmup, params.window)
+        });
         for w in points.windows(2) {
             assert!(
                 w[1].value > w[0].value,
@@ -459,9 +339,9 @@ mod tests {
     #[test]
     fn bidirectional_bandwidth_exceeds_unidirectional() {
         let mut r = rig(15);
-        let (mut pair, mut devs) = pair_on(&mut r);
-        let uni = osu_bw_once(&mut pair, &mut devs, 1 << 20, 15, 2, 32);
-        let bi = osu_bibw_once(&mut pair, &mut devs, 1 << 20, 15, 2, 32);
+        let (mut comm, mut devs) = open(&mut r);
+        let uni = osu_bw_once(&mut comm, &mut devs, 1 << 20, 15, 2, 32);
+        let bi = osu_bibw_once(&mut comm, &mut devs, 1 << 20, 15, 2, 32);
         // Full-duplex links: bibw approaches 2x; at minimum it clearly
         // exceeds the unidirectional figure.
         assert!(bi > 1.5 * uni, "bibw {bi} vs bw {uni}");
@@ -472,8 +352,8 @@ mod tests {
     fn sweeps_are_deterministic_per_seed() {
         let run = |seed| {
             let mut r = rig(seed);
-            let (mut pair, mut devs) = pair_on(&mut r);
-            osu_latency_once(&mut pair, &mut devs, 1024, 50, 5)
+            let (mut comm, mut devs) = open(&mut r);
+            osu_latency_once(&mut comm, &mut devs, 1024, 50, 5)
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100), "different seeds, different jitter");

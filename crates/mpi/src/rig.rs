@@ -1,16 +1,18 @@
-//! A standalone N-rank world for collective benchmarks and tests: one
-//! single-rank node per NIC, round-robin across the switches of a
-//! dragonfly, every NIC granted the global VNI — the bare-metal
-//! counterpart of a cluster-scheduled job.
+//! A standalone N-rank world for benchmarks and tests: one single-rank
+//! node per NIC, round-robin across the switches of a dragonfly, every
+//! NIC granted the global VNI — the bare-metal counterpart of a
+//! cluster-scheduled job.
 //!
 //! One definition serves the `shs-mpi` unit tests, the collective
-//! oracle property tests, and the `shs-harness` benchmark workloads,
-//! so every harness brings up the same stack.
+//! oracle property tests, the Figs. 5-8 host baseline and the
+//! `shs-harness` benchmark workloads, so every harness brings up the
+//! same stack.
 
 use shs_cassini::{CassiniNic, CassiniParams};
 use shs_cxi::{CxiDevice, CxiDriver, CxiServiceDesc};
 use shs_des::{DetRng, SimTime};
 use shs_fabric::{CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySpec, TrafficClass, Vni};
+use shs_ofi::OfiError;
 use shs_oslinux::{Gid, Host, Pid, Uid};
 
 use crate::comm::{CommDevices, Communicator, RankSite};
@@ -34,17 +36,22 @@ impl CollectiveRig {
     /// the extended CXI driver with a default (global-VNI) service.
     pub fn new(n: usize, spec: TopologySpec, seed: u64) -> Self {
         let rng = DetRng::new(seed);
+        Self::with_nic_rngs(spec, (0..n).map(|i| rng.derive(&format!("nic/{i}"))))
+    }
+
+    /// [`Self::new`] with one rank per caller-named NIC jitter stream
+    /// (the Figs. 5-8 host baseline keeps the streams it was captured
+    /// with).
+    pub fn with_nic_rngs(spec: TopologySpec, nic_rngs: impl IntoIterator<Item = DetRng>) -> Self {
         let mut fabric = Fabric::with_topology(CostModel::default(), spec, RoutingPolicy::Minimal);
         let switches = spec.total_switches();
-        let mut hosts = Vec::with_capacity(n);
-        let mut pids = Vec::with_capacity(n);
-        let mut devices = Vec::with_capacity(n);
-        for i in 0..n {
+        let (mut hosts, mut pids, mut devices) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, rng) in nic_rngs.into_iter().enumerate() {
             let mut host = Host::new(format!("n{i}"));
             let nic = NicAddr(i as u32 + 1);
             let mut dev = CxiDevice::new(
                 CxiDriver::extended(),
-                CassiniNic::new(nic, CassiniParams::default(), rng.derive(&format!("nic/{i}"))),
+                CassiniNic::new(nic, CassiniParams::default(), rng),
             );
             fabric.attach_to(nic, SwitchId(i % switches));
             fabric.grant_vni(nic, Vni::GLOBAL).expect("just attached");
@@ -66,6 +73,18 @@ impl CollectiveRig {
     /// Open a communicator over every rank of the rig (global VNI).
     /// Panics if the default service refuses a rank (a rig bug).
     pub fn open(&mut self, tc: TrafficClass, start: SimTime) -> (Communicator, CommDevices<'_>) {
+        self.open_on(Vni::GLOBAL, tc, start).expect("default service admits every rank")
+    }
+
+    /// Open a communicator over every rank of the rig on `vni` — which
+    /// some service on every node must carry, or the open is refused
+    /// (and rolled back).
+    pub fn open_on(
+        &mut self,
+        vni: Vni,
+        tc: TrafficClass,
+        start: SimTime,
+    ) -> Result<(Communicator, CommDevices<'_>), OfiError> {
         let CollectiveRig { hosts, pids, devices, fabric } = self;
         let mut devs = CommDevices { devs: devices.iter_mut().collect(), fabric };
         let sites: Vec<RankSite<'_>> = hosts
@@ -74,8 +93,7 @@ impl CollectiveRig {
             .enumerate()
             .map(|(i, (host, &pid))| RankSite { host, pid, node: i })
             .collect();
-        let comm = Communicator::open(&sites, &mut devs, Vni::GLOBAL, tc, start)
-            .expect("default service admits every rank");
-        (comm, devs)
+        let comm = Communicator::open(&sites, &mut devs, vni, tc, start)?;
+        Ok((comm, devs))
     }
 }

@@ -15,9 +15,9 @@
 
 use shs_des::{SimDur, SimTime};
 use shs_fabric::{segment, CostModel, NicAddr, TrafficClass, Vni, WrrArbiter};
-use shs_k8s::kinds;
-use shs_mpi::{osu_latency_once, PairDevices, RankPair};
-use slingshot_k8s::{osu_image, Cluster, ClusterConfig, VniCrdSpec};
+use shs_harness::job_communicator;
+use shs_mpi::osu_latency_once;
+use slingshot_k8s::{osu_image, Cluster, ClusterConfig};
 
 fn main() {
     // --- Part 1: egress arbitration under congestion ------------------
@@ -62,27 +62,17 @@ fn main() {
         SimDur::from_millis(20),
     );
 
-    let solver_vni = {
-        let crd = cluster.api.get(kinds::VNI, "hpc", "vni-solver").expect("CRD");
-        let spec: VniCrdSpec = serde_json::from_value(crd.spec.clone()).expect("spec");
-        Vni(spec.vni)
-    };
-    let s0 = cluster.pod_handle("hpc", "solver-0").expect("running");
-    let s1 = cluster.pod_handle("hpc", "solver-1").expect("running");
+    let solver_vni = cluster.job_vni("hpc", "solver").expect("CRD");
 
     // The solver runs on the low-latency class; measure its latency with
     // an idle fabric.
     let idle_latency = {
-        let (na, nb, fabric) = cluster.two_nodes_mut(s0.node_idx, s1.node_idx);
-        let mut devs =
-            PairDevices { dev_a: &mut na.inner.device, dev_b: &mut nb.inner.device, fabric };
-        let mut pair = RankPair::open(
-            &na.inner.host, s0.pid, &nb.inner.host, s1.pid, &mut devs, solver_vni,
-            TrafficClass::LowLatency, now,
+        let (mut comm, mut devs) = job_communicator(
+            &mut cluster, "hpc", "solver", solver_vni, TrafficClass::LowLatency, now,
         )
         .expect("solver authenticates");
-        let lat = osu_latency_once(&mut pair, &mut devs, 8, 500, 50);
-        pair.close(&mut devs);
+        let lat = osu_latency_once(&mut comm, &mut devs, 8, 500, 50);
+        comm.close(&mut devs);
         lat
     };
     println!("solver 8B latency (idle fabric, low-latency TC): {idle_latency:.2} us");

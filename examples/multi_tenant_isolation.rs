@@ -15,19 +15,9 @@ use shs_cassini::{CassiniNic, CassiniParams};
 use shs_cxi::{CxiDevice, CxiDriver, CxiServiceDesc, SvcMember};
 use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::{NicAddr, SwitchId, TrafficClass, Vni};
-use shs_k8s::kinds;
-use shs_mpi::{PairDevices, RankPair};
+use shs_harness::job_communicator;
 use shs_oslinux::{Gid, Host, IdMapEntry, Pid, Uid};
-use slingshot_k8s::{osu_image, Cluster, ClusterConfig, VniCrdSpec};
-
-fn job_vni(cluster: &Cluster, ns: &str, job: &str) -> Vni {
-    let crd = cluster
-        .api
-        .get(kinds::VNI, ns, &format!("vni-{job}"))
-        .unwrap_or_else(|| panic!("VNI CRD for {ns}/{job}"));
-    let spec: VniCrdSpec = serde_json::from_value(crd.spec.clone()).expect("spec");
-    Vni(spec.vni)
-}
+use slingshot_k8s::{osu_image, Cluster, ClusterConfig};
 
 fn main() {
     let mut cluster = Cluster::new(ClusterConfig::default());
@@ -50,27 +40,20 @@ fn main() {
         SimDur::from_millis(20),
     );
 
-    let vni_a = job_vni(&cluster, "tenant-a", "app");
-    let vni_b = job_vni(&cluster, "tenant-b", "app");
+    let vni_a = cluster.job_vni("tenant-a", "app").expect("VNI CRD for tenant-a/app");
+    let vni_b = cluster.job_vni("tenant-b", "app").expect("VNI CRD for tenant-b/app");
     assert_ne!(vni_a, vni_b);
     println!("tenant-a got {vni_a}, tenant-b got {vni_b} — mutually exclusive by construction");
 
     // Intra-tenant traffic flows.
-    let a0 = cluster.pod_handle("tenant-a", "app-0").expect("running");
-    let a1 = cluster.pod_handle("tenant-a", "app-1").expect("running");
     {
-        let (na, nb, fabric) = cluster.two_nodes_mut(a0.node_idx, a1.node_idx);
-        let mut devs =
-            PairDevices { dev_a: &mut na.inner.device, dev_b: &mut nb.inner.device, fabric };
-        let mut pair = RankPair::open(
-            &na.inner.host, a0.pid, &nb.inner.host, a1.pid, &mut devs, vni_a,
-            TrafficClass::Dedicated, now,
-        )
-        .expect("tenant-a authenticates on its own VNI");
-        pair.send_a_to_b(&mut devs, 1, 4096);
-        assert!(pair.recv_on_b(1));
+        let (mut comm, mut devs) =
+            job_communicator(&mut cluster, "tenant-a", "app", vni_a, TrafficClass::Dedicated, now)
+                .expect("tenant-a authenticates on its own VNI");
+        comm.send(&mut devs, 0, 1, 1, 4096);
+        assert!(comm.recv(1, 1));
         println!("tenant-a intra-job RDMA: OK");
-        pair.close(&mut devs);
+        comm.close(&mut devs);
     }
 
     // Cross-tenant: tenant-b's pod cannot even *open* an endpoint on

@@ -7,10 +7,10 @@
 //! ```
 
 use shs_des::{SimDur, SimTime};
-use shs_fabric::{TrafficClass, Vni};
-use shs_k8s::kinds;
-use shs_mpi::{osu_bw_once, osu_latency_once, PairDevices, RankPair};
-use slingshot_k8s::{osu_image, Cluster, ClusterConfig, VniCrdSpec};
+use shs_fabric::TrafficClass;
+use shs_harness::job_communicator;
+use shs_mpi::{osu_bw_once, osu_latency_once};
+use slingshot_k8s::{osu_image, Cluster, ClusterConfig};
 
 fn main() {
     // 1. A two-node cluster: Rosetta-like switch, Cassini NICs, extended
@@ -39,9 +39,7 @@ fn main() {
     );
 
     // 4. Inspect what the VNI Service built.
-    let crd = cluster.api.get(kinds::VNI, "tenant-a", "vni-osu").expect("VNI CRD created");
-    let spec: VniCrdSpec = serde_json::from_value(crd.spec.clone()).expect("valid spec");
-    let vni = Vni(spec.vni);
+    let vni = cluster.job_vni("tenant-a", "osu").expect("VNI CRD created");
     println!("VNI Service allocated {vni} and the CNI plugin created netns-member CXI services");
 
     let h0 = cluster.pod_handle("tenant-a", "osu-0").expect("rank 0 running");
@@ -53,26 +51,15 @@ fn main() {
 
     // 5. Run OSU-style measurements over the job's private VNI, from
     //    processes inside the pods (netns authentication end to end).
-    let (na, nb, fabric) = cluster.two_nodes_mut(h0.node_idx, h1.node_idx);
-    let mut devs =
-        PairDevices { dev_a: &mut na.inner.device, dev_b: &mut nb.inner.device, fabric };
-    let mut pair = RankPair::open(
-        &na.inner.host,
-        h0.pid,
-        &nb.inner.host,
-        h1.pid,
-        &mut devs,
-        vni,
-        TrafficClass::Dedicated,
-        now,
-    )
-    .expect("pod processes authenticate via their netns");
+    let (mut comm, mut devs) =
+        job_communicator(&mut cluster, "tenant-a", "osu", vni, TrafficClass::Dedicated, now)
+            .expect("pod processes authenticate via their netns");
 
-    let lat = osu_latency_once(&mut pair, &mut devs, 8, 1000, 100);
-    let bw = osu_bw_once(&mut pair, &mut devs, 1 << 20, 100, 10, 64);
+    let lat = osu_latency_once(&mut comm, &mut devs, 8, 1000, 100);
+    let bw = osu_bw_once(&mut comm, &mut devs, 1 << 20, 100, 10, 64);
     println!("osu_latency   8 B: {lat:.2} us (one-way)");
     println!("osu_bw       1 MB: {bw:.0} MB/s");
-    pair.close(&mut devs);
+    comm.close(&mut devs);
 
     // 6. Tear down: deleting the job releases the VNI (30 s quarantine)
     //    and removes every CXI service.

@@ -11,10 +11,9 @@
 //! ```
 
 use shs_des::{SimDur, SimTime};
-use shs_fabric::{SwitchId, TrafficClass, Vni};
-use shs_k8s::kinds;
-use shs_mpi::{PairDevices, RankPair};
-use slingshot_k8s::{osu_image, Cluster, ClusterConfig, VniCrdSpec};
+use shs_fabric::{SwitchId, TrafficClass};
+use shs_harness::job_communicator;
+use slingshot_k8s::{osu_image, Cluster, ClusterConfig};
 
 fn main() {
     let mut cluster = Cluster::new(ClusterConfig::default());
@@ -30,25 +29,16 @@ fn main() {
     );
 
     // Generate some tenant traffic.
-    let crd = cluster.api.get(kinds::VNI, "tenant", "vni-app").expect("CRD");
-    let spec: VniCrdSpec = serde_json::from_value(crd.spec.clone()).expect("spec");
-    let vni = Vni(spec.vni);
-    let h0 = cluster.pod_handle("tenant", "app-0").expect("running");
-    let h1 = cluster.pod_handle("tenant", "app-1").expect("running");
+    let vni = cluster.job_vni("tenant", "app").expect("CRD");
     {
-        let (na, nb, fabric) = cluster.two_nodes_mut(h0.node_idx, h1.node_idx);
-        let mut devs =
-            PairDevices { dev_a: &mut na.inner.device, dev_b: &mut nb.inner.device, fabric };
-        let mut pair = RankPair::open(
-            &na.inner.host, h0.pid, &nb.inner.host, h1.pid, &mut devs, vni,
-            TrafficClass::Dedicated, now,
-        )
-        .expect("tenant authenticates");
+        let (mut comm, mut devs) =
+            job_communicator(&mut cluster, "tenant", "app", vni, TrafficClass::Dedicated, now)
+                .expect("tenant authenticates");
         for i in 0..32 {
-            pair.send_a_to_b(&mut devs, i, 128 * 1024);
-            pair.recv_on_b(i);
+            comm.send(&mut devs, 0, 1, i, 128 * 1024);
+            comm.recv(1, i);
         }
-        pair.close(&mut devs);
+        comm.close(&mut devs);
     }
 
     // --- The monitoring view -------------------------------------------

@@ -8,16 +8,10 @@
 //! ```
 
 use shs_des::{SimDur, SimTime};
-use shs_fabric::{TrafficClass, Vni};
+use shs_fabric::TrafficClass;
+use shs_harness::pod_communicator;
 use shs_k8s::kinds;
-use shs_mpi::{PairDevices, RankPair};
-use slingshot_k8s::{osu_image, Cluster, ClusterConfig, VniCrdSpec};
-
-fn vni_of(cluster: &Cluster, ns: &str, crd_name: &str) -> Vni {
-    let crd = cluster.api.get(kinds::VNI, ns, crd_name).expect("VNI CRD");
-    let spec: VniCrdSpec = serde_json::from_value(crd.spec.clone()).expect("spec");
-    Vni(spec.vni)
-}
+use slingshot_k8s::{osu_image, Cluster, ClusterConfig};
 
 fn main() {
     let mut cluster = Cluster::new(ClusterConfig::default());
@@ -39,31 +33,24 @@ fn main() {
 
     // 2. Producer and consumer share the claim's VNI; the bystander owns
     //    a different one.
-    let claim_vni = vni_of(&cluster, "workflow", "vni-claim-stage-net");
-    let producer_vni = vni_of(&cluster, "workflow", "vni-producer");
-    let consumer_vni = vni_of(&cluster, "workflow", "vni-consumer");
-    let bystander_vni = vni_of(&cluster, "workflow", "vni-bystander");
-    assert_eq!(producer_vni, claim_vni);
-    assert_eq!(consumer_vni, claim_vni);
+    let vni_of = |job| cluster.job_vni("workflow", job).expect("VNI CRD");
+    let claim_vni = vni_of("producer");
+    let bystander_vni = vni_of("bystander");
+    assert_eq!(vni_of("consumer"), claim_vni);
     assert_ne!(bystander_vni, claim_vni);
     println!("claim 'stage-net' owns {claim_vni}; producer+consumer share it; bystander has {bystander_vni}");
 
     // 3. Cross-job communication inside the claim works.
     let hp = cluster.pod_handle("workflow", "producer-0").expect("producer running");
     let hc = cluster.pod_handle("workflow", "consumer-0").expect("consumer running");
-    if hp.node_idx != hc.node_idx {
-        let (na, nb, fabric) = cluster.two_nodes_mut(hp.node_idx, hc.node_idx);
-        let mut devs =
-            PairDevices { dev_a: &mut na.inner.device, dev_b: &mut nb.inner.device, fabric };
-        let mut pair = RankPair::open(
-            &na.inner.host, hp.pid, &nb.inner.host, hc.pid, &mut devs, claim_vni,
-            TrafficClass::Dedicated, now,
-        )
-        .expect("both jobs authenticate on the claim VNI");
-        pair.send_a_to_b(&mut devs, 7, 65536);
-        assert!(pair.recv_on_b(7));
+    {
+        let (mut comm, mut devs) =
+            pod_communicator(&mut cluster, &[hp, hc], claim_vni, TrafficClass::Dedicated, now)
+                .expect("both jobs authenticate on the claim VNI");
+        comm.send(&mut devs, 0, 1, 7, 65536);
+        assert!(comm.recv(1, 7));
         println!("producer -> consumer over the shared claim VNI: OK (64 kB)");
-        pair.close(&mut devs);
+        comm.close(&mut devs);
     }
 
     // 4. Deleting the claim stalls while jobs use it...

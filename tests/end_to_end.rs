@@ -5,10 +5,9 @@
 
 use shs_des::{SimDur, SimTime};
 use shs_fabric::{TrafficClass, Vni};
-use shs_harness::{run_comm, CommConfig, Metric};
-use shs_k8s::kinds;
-use shs_mpi::{osu_bw_once, osu_latency_once, OsuParams, PairDevices, RankPair};
-use slingshot_k8s::{osu_image, Cluster, ClusterConfig, VniCrdSpec};
+use shs_harness::{job_communicator, run_comm, CommConfig, Metric};
+use shs_mpi::{osu_bw_once, osu_latency_once, OsuParams};
+use slingshot_k8s::{osu_image, Cluster, ClusterConfig};
 
 fn admit_osu_job(cluster: &mut Cluster, vni: bool) -> (Vni, SimTime) {
     let ann: &[(&str, &str)] = if vni { &[("vni", "true")] } else { &[] };
@@ -18,13 +17,7 @@ fn admit_osu_job(cluster: &mut Cluster, vni: bool) -> (Vni, SimTime) {
         SimTime::from_nanos(10_000_000_000),
         SimDur::from_millis(20),
     );
-    let vni = if vni {
-        let crd = cluster.api.get(kinds::VNI, "bench", "vni-osu").expect("CRD");
-        let spec: VniCrdSpec = serde_json::from_value(crd.spec.clone()).expect("spec");
-        Vni(spec.vni)
-    } else {
-        Vni::GLOBAL
-    };
+    let vni = if vni { cluster.job_vni("bench", "osu").expect("CRD") } else { Vni::GLOBAL };
     (vni, now)
 }
 
@@ -34,21 +27,14 @@ fn admit_osu_job(cluster: &mut Cluster, vni: bool) -> (Vni, SimTime) {
 fn osu_inside_pods_on_allocated_vni() {
     let mut cluster = Cluster::new(ClusterConfig::default());
     let (vni, now) = admit_osu_job(&mut cluster, true);
-    let h0 = cluster.pod_handle("bench", "osu-0").expect("rank 0");
-    let h1 = cluster.pod_handle("bench", "osu-1").expect("rank 1");
-    let (na, nb, fabric) = cluster.two_nodes_mut(h0.node_idx, h1.node_idx);
-    let mut devs =
-        PairDevices { dev_a: &mut na.inner.device, dev_b: &mut nb.inner.device, fabric };
-    let mut pair = RankPair::open(
-        &na.inner.host, h0.pid, &nb.inner.host, h1.pid, &mut devs, vni,
-        TrafficClass::Dedicated, now,
-    )
-    .expect("netns-member service admits the pod process");
-    let lat = osu_latency_once(&mut pair, &mut devs, 8, 300, 30);
+    let (mut comm, mut devs) =
+        job_communicator(&mut cluster, "bench", "osu", vni, TrafficClass::Dedicated, now)
+            .expect("netns-member service admits the pod process");
+    let lat = osu_latency_once(&mut comm, &mut devs, 8, 300, 30);
     assert!(lat > 1.0 && lat < 3.5, "small-message latency {lat}us (paper: ~2us)");
-    let bw = osu_bw_once(&mut pair, &mut devs, 1 << 20, 30, 3, 64);
+    let bw = osu_bw_once(&mut comm, &mut devs, 1 << 20, 30, 3, 64);
     assert!(bw > 20_000.0 && bw < 25_000.0, "1MB bandwidth {bw} MB/s (paper: ~24 GB/s)");
-    pair.close(&mut devs);
+    comm.close(&mut devs);
 }
 
 /// Figs. 5-8 acceptance: all three configurations agree within the

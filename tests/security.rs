@@ -10,7 +10,7 @@ use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::{Fabric, NicAddr, TrafficClass, TransferOutcome, Vni};
 use shs_k8s::kinds;
 use shs_oslinux::{Gid, Host, Pid, Uid};
-use slingshot_k8s::{osu_image, Cluster, ClusterConfig, VniCrdSpec};
+use slingshot_k8s::{osu_image, Cluster, ClusterConfig};
 
 fn device_on(host: &Host, addr: u32, driver: CxiDriver, seed: u64) -> CxiDevice {
     let _ = host;
@@ -119,9 +119,7 @@ fn cross_tenant_endpoint_refused_in_cluster() {
     cluster.submit_job(SimTime::ZERO, "b", "appb", &[("vni", "true")], 1, &osu_image(), None);
     cluster.run_until(SimTime::ZERO, SimTime::from_nanos(8_000_000_000), SimDur::from_millis(20));
 
-    let crd = cluster.api.get(kinds::VNI, "a", "vni-appa").expect("CRD");
-    let spec: VniCrdSpec = serde_json::from_value(crd.spec.clone()).unwrap();
-    let vni_a = Vni(spec.vni);
+    let vni_a = cluster.job_vni("a", "appa").expect("CRD");
 
     let hb = cluster.pod_handle("b", "appb-0").expect("tenant b running");
     let node = &mut cluster.nodes[hb.node_idx];
