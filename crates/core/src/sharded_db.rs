@@ -178,10 +178,10 @@ impl ShardedVniDb {
     /// current range on any shard).
     fn shard_holding(&self, vni: u16) -> Option<usize> {
         let dir = self.shard_of(vni);
-        if self.shards[dir].row(Vni(vni)).is_some() {
+        if self.shards[dir].has_row(vni) {
             return Some(dir);
         }
-        (0..self.shards.len()).find(|&i| i != dir && self.shards[i].row(Vni(vni)).is_some())
+        (0..self.shards.len()).find(|&i| i != dir && self.shards[i].has_row(vni))
     }
 
     /// Deterministic home shard for a tenant key (FNV-1a) — lookup probe
@@ -469,23 +469,23 @@ impl ShardedVniDb {
         for (i, s) in self.shards.iter().enumerate() {
             s.check_index_consistency().map_err(|e| format!("shard {i}: {e}"))?;
         }
-        let mut keys: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.audit_with_seq().into_iter().map(|(k, _)| k))
-            .collect();
-        keys.sort_unstable();
-        if keys.len() as u64 != self.next_audit_seq {
+        let keys = self.audit_len() as u64;
+        if keys != self.next_audit_seq {
             return Err(format!(
-                "global audit cursor diverged: {} keys, cursor {}",
-                keys.len(),
+                "global audit cursor diverged: {keys} keys, cursor {}",
                 self.next_audit_seq
             ));
         }
-        for (i, k) in keys.iter().enumerate() {
-            if *k != i as u64 {
-                return Err(format!("audit sequence gap: position {i} holds key {k}"));
-            }
+        // Merge the shards' ascending key streams against the expected
+        // sequence: each `want` must be some shard's next key. With as
+        // many keys as sequence numbers, finding every number also rules
+        // out duplicates.
+        let mut heads: Vec<_> = self.shards.iter().map(|s| s.audit_keys().peekable()).collect();
+        for want in 0..self.next_audit_seq {
+            match heads.iter_mut().position(|h| h.peek() == Some(&want)) {
+                Some(shard) => heads[shard].next(),
+                None => return Err(format!("audit sequence gap: no shard holds key {want}")),
+            };
         }
         Ok(())
     }

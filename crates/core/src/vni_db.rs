@@ -8,7 +8,10 @@
 //! * `audit_log` — append-only log of every allocation, release, and
 //!   user add/remove, as the paper requires ("we keep a log for all VNI
 //!   allocation and release requests, as well as VNI user addition and
-//!   removal requests").
+//!   removal requests"). It is a store *log table*: entries are appended
+//!   under a strictly ascending sequence key, so writing one is a copy
+//!   onto the end of one arena, and the last key and the length are O(1)
+//!   however long the history grows.
 //!
 //! Every public operation is a single serializable transaction, so the
 //! check-then-allocate races the paper worries about (§III-C2 TOCTOU)
@@ -178,25 +181,23 @@ const T_AUDIT: &str = "audit_log";
 
 const CODEC_V1: u8 = 1;
 
-fn encode_row(row: &VniRow) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + row.users.len() * 16);
+fn encode_row_into(out: &mut Vec<u8>, row: &VniRow) {
     out.push(CODEC_V1);
-    push_u16(&mut out, row.vni);
+    push_u16(out, row.vni);
     match row.state {
         VniState::Allocated => out.push(0),
         VniState::Quarantined { released_at_ns } => {
             out.push(1);
-            push_u64(&mut out, released_at_ns);
+            push_u64(out, released_at_ns);
         }
     }
     let (tag, key) = owner_slot(&row.owner);
     out.push(tag as u8);
-    push_bytes(&mut out, key.as_bytes());
-    push_u32(&mut out, row.users.len() as u32);
+    push_bytes(out, key.as_bytes());
+    push_u32(out, row.users.len() as u32);
     for user in &row.users {
-        push_bytes(&mut out, user.as_bytes());
+        push_bytes(out, user.as_bytes());
     }
-    out
 }
 
 fn try_decode_row(bytes: &[u8]) -> Option<VniRow> {
@@ -225,13 +226,15 @@ fn try_decode_row(bytes: &[u8]) -> Option<VniRow> {
     (off == bytes.len()).then_some(VniRow { vni, state, owner, users })
 }
 
-fn encode_audit(entry: &AuditEntry) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + entry.event.len());
+/// Encode an [`AuditEntry`] whose event string is `event` followed by
+/// `detail` (`"add_user:"` + the user), without building the string.
+fn encode_audit_into(out: &mut Vec<u8>, at_ns: u64, vni: u16, event: &str, detail: &str) {
     out.push(CODEC_V1);
-    push_u64(&mut out, entry.at_ns);
-    push_u16(&mut out, entry.vni);
-    push_bytes(&mut out, entry.event.as_bytes());
-    out
+    push_u64(out, at_ns);
+    push_u16(out, vni);
+    push_u32(out, (event.len() + detail.len()) as u32);
+    out.extend_from_slice(event.as_bytes());
+    out.extend_from_slice(detail.as_bytes());
 }
 
 fn try_decode_audit(bytes: &[u8]) -> Option<AuditEntry> {
@@ -255,6 +258,10 @@ fn owner_slot(owner: &VniOwner) -> (usize, &str) {
         VniOwner::Job { key } => (SLOT_JOB, key.as_str()),
         VniOwner::Claim { key } => (SLOT_CLAIM, key.as_str()),
     }
+}
+
+fn audit_seq_of(key: &[u8]) -> u64 {
+    u64::from_be_bytes(key.try_into().expect("8-byte audit key"))
 }
 
 /// Allocator-level counters: how allocations were satisfied and how much
@@ -321,6 +328,9 @@ pub struct VniDb {
     next_audit_seq: u64,
     idx: Indexes,
     counters: VniDbCounters,
+    /// Scratch for the row and audit entry a transaction is about to
+    /// write, so encoding them allocates nothing.
+    scratch: Vec<u8>,
 }
 
 impl VniDb {
@@ -334,14 +344,7 @@ impl VniDb {
 
     /// Fresh database.
     pub fn new(config: VniDbConfig) -> Self {
-        let idx = Indexes { free: config.range.clone().collect(), ..Default::default() };
-        VniDb {
-            store: Store::new(VniDb::store_config()),
-            config,
-            next_audit_seq: 0,
-            idx,
-            counters: VniDbCounters::default(),
-        }
+        VniDb::recover(shs_vnistore::SimDisk::new(), config)
     }
 
     /// Recover a database from a crashed/persisted store image. One scan
@@ -355,10 +358,7 @@ impl VniDb {
     /// are contiguous and the two are equal.
     pub fn recover(disk: shs_vnistore::SimDisk, config: VniDbConfig) -> Self {
         let store = Store::recover(disk, VniDb::store_config());
-        let next_audit_seq = store
-            .scan(T_AUDIT)
-            .last()
-            .map_or(0, |(k, _)| u64::from_be_bytes(k.try_into().expect("8-byte audit key")) + 1);
+        let next_audit_seq = store.last_key(T_AUDIT).map_or(0, |k| audit_seq_of(k) + 1);
         let mut idx = Indexes { free: config.range.clone().collect(), ..Default::default() };
         let q_ns = config.quarantine.as_nanos();
         for (_, bytes) in store.scan(T_VNIS) {
@@ -375,7 +375,14 @@ impl VniDb {
                 }
             }
         }
-        VniDb { store, config, next_audit_seq, idx, counters: VniDbCounters::default() }
+        VniDb {
+            store,
+            config,
+            next_audit_seq,
+            idx,
+            counters: VniDbCounters::default(),
+            scratch: Vec::new(),
+        }
     }
 
     /// Access the underlying store (crash injection in tests).
@@ -442,13 +449,20 @@ impl VniDb {
     pub(crate) fn audit_with_seq(&self) -> Vec<(u64, AuditEntry)> {
         self.store
             .scan(T_AUDIT)
-            .map(|(k, v)| {
-                (
-                    u64::from_be_bytes(k.try_into().expect("8-byte audit key")),
-                    try_decode_audit(v).expect("audit rows decode"),
-                )
-            })
+            .map(|(k, v)| (audit_seq_of(k), try_decode_audit(v).expect("audit rows decode")))
             .collect()
+    }
+
+    /// The persisted audit sequence keys, ascending, without decoding
+    /// the entries under them (the facade's contiguity check).
+    pub(crate) fn audit_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.store.scan(T_AUDIT).map(|(k, _)| audit_seq_of(k))
+    }
+
+    /// Whether a row (allocated or quarantined) exists for `vni` — the
+    /// facade's directory probe, which needs presence, not the row.
+    pub(crate) fn has_row(&self, vni: u16) -> bool {
+        self.store.get(T_VNIS, &Self::key(vni)).is_some()
     }
 
     /// The VNI `acquire` would hand out at `now`, without allocating —
@@ -614,15 +628,7 @@ impl VniDb {
             }
         };
         let row = VniRow { vni, state: VniState::Allocated, owner, users: Vec::new() };
-        let seq = self.next_audit_seq;
-        let mut txn = self.store.begin();
-        txn.put(T_VNIS, &Self::key(vni), &encode_row(&row));
-        txn.put(
-            T_AUDIT,
-            &seq.to_be_bytes(),
-            &encode_audit(&AuditEntry { at_ns: now.as_nanos(), event: "acquire".into(), vni }),
-        );
-        txn.commit();
+        self.commit_row(&row, now, "acquire", "");
         // Committed: fold the allocation into the indexes.
         if self.idx.free.remove(&vni) {
             self.counters.fresh_allocs += 1;
@@ -632,11 +638,29 @@ impl VniDb {
             self.idx.quarantined.remove(&vni);
             self.counters.reuse_allocs += 1;
         }
-        let (slot, key) = owner_slot(&row.owner);
-        self.idx.owners[slot].insert(key.to_string(), vni);
+        let (slot, key) = match row.owner {
+            VniOwner::Job { key } => (SLOT_JOB, key),
+            VniOwner::Claim { key } => (SLOT_CLAIM, key),
+        };
+        self.idx.owners[slot].insert(key, vni);
         self.counters.acquires += 1;
-        self.next_audit_seq += 1;
         Ok(Vni(vni))
+    }
+
+    /// The transaction every single-row operation is: write `row` and
+    /// append its audit entry (`event` + `detail`) under the next
+    /// sequence key.
+    fn commit_row(&mut self, row: &VniRow, now: SimTime, event: &str, detail: &str) {
+        self.scratch.clear();
+        encode_row_into(&mut self.scratch, row);
+        let audit_at = self.scratch.len();
+        encode_audit_into(&mut self.scratch, now.as_nanos(), row.vni, event, detail);
+        let (row_bytes, audit_bytes) = self.scratch.split_at(audit_at);
+        let mut txn = self.store.begin();
+        txn.put(T_VNIS, &Self::key(row.vni), row_bytes);
+        txn.append(T_AUDIT, &self.next_audit_seq.to_be_bytes(), audit_bytes);
+        txn.commit();
+        self.next_audit_seq += 1;
     }
 
     /// Atomically release a VNI into quarantine.
@@ -648,19 +672,7 @@ impl VniDb {
         }
         row.state = VniState::Quarantined { released_at_ns: now.as_nanos() };
         row.users.clear();
-        let seq = self.next_audit_seq;
-        let mut txn = self.store.begin();
-        txn.put(T_VNIS, &Self::key(vni.raw()), &encode_row(&row));
-        txn.put(
-            T_AUDIT,
-            &seq.to_be_bytes(),
-            &encode_audit(&AuditEntry {
-                at_ns: now.as_nanos(),
-                event: "release".into(),
-                vni: vni.raw(),
-            }),
-        );
-        txn.commit();
+        self.commit_row(&row, now, "release", "");
         let (slot, key) = owner_slot(&row.owner);
         self.idx.owners[slot].remove(key);
         self.idx.quarantined.insert(vni.raw(), now.as_nanos());
@@ -668,7 +680,6 @@ impl VniDb {
             .expiry
             .push(Reverse((now.as_nanos().saturating_add(self.config.quarantine.as_nanos()), vni.raw())));
         self.counters.releases += 1;
-        self.next_audit_seq += 1;
         Ok(())
     }
 
@@ -688,21 +699,8 @@ impl VniDb {
         if !row.users.iter().any(|u| u == user) {
             row.users.push(user.to_string());
         }
-        let seq = self.next_audit_seq;
-        let mut txn = self.store.begin();
-        txn.put(T_VNIS, &Self::key(vni.raw()), &encode_row(&row));
-        txn.put(
-            T_AUDIT,
-            &seq.to_be_bytes(),
-            &encode_audit(&AuditEntry {
-                at_ns: now.as_nanos(),
-                event: format!("add_user:{user}"),
-                vni: vni.raw(),
-            }),
-        );
-        txn.commit();
+        self.commit_row(&row, now, "add_user:", user);
         self.counters.user_adds += 1;
-        self.next_audit_seq += 1;
         Ok(())
     }
 
@@ -720,21 +718,8 @@ impl VniDb {
         }
         row.users.retain(|u| u != user);
         let remaining = row.users.len();
-        let seq = self.next_audit_seq;
-        let mut txn = self.store.begin();
-        txn.put(T_VNIS, &Self::key(vni.raw()), &encode_row(&row));
-        txn.put(
-            T_AUDIT,
-            &seq.to_be_bytes(),
-            &encode_audit(&AuditEntry {
-                at_ns: now.as_nanos(),
-                event: format!("remove_user:{user}"),
-                vni: vni.raw(),
-            }),
-        );
-        txn.commit();
+        self.commit_row(&row, now, "remove_user:", user);
         self.counters.user_removes += 1;
-        self.next_audit_seq += 1;
         Ok(remaining)
     }
 
@@ -786,15 +771,9 @@ impl VniDb {
         let mut txn = self.store.begin();
         for &vni in &expired {
             txn.delete(T_VNIS, &Self::key(vni));
-            txn.put(
-                T_AUDIT,
-                &seq.to_be_bytes(),
-                &encode_audit(&AuditEntry {
-                    at_ns: now.as_nanos(),
-                    event: "quarantine_expire".into(),
-                    vni,
-                }),
-            );
+            self.scratch.clear();
+            encode_audit_into(&mut self.scratch, now.as_nanos(), vni, "quarantine_expire", "");
+            txn.append(T_AUDIT, &seq.to_be_bytes(), &self.scratch);
             seq += 1;
         }
         txn.commit();
@@ -894,13 +873,7 @@ impl VniDb {
         // shard of a global sequence) but must never lag them; the
         // sharded facade's check restores full strictness by requiring
         // the union of shard keys to be contiguous.
-        let min_next = self
-            .store
-            .scan(T_AUDIT)
-            .last()
-            .map_or(0, |(k, _)| {
-                u64::from_be_bytes(k.try_into().expect("8-byte audit key")) + 1
-            });
+        let min_next = self.store.last_key(T_AUDIT).map_or(0, |k| audit_seq_of(k) + 1);
         if self.next_audit_seq < min_next {
             return Err(format!(
                 "audit cursor lags persisted keys: next_audit_seq={} max key+1={}",
@@ -932,6 +905,12 @@ mod tests {
 
     fn job(key: &str) -> VniOwner {
         VniOwner::Job { key: key.to_string() }
+    }
+
+    fn encode_row(row: &VniRow) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_row_into(&mut out, row);
+        out
     }
 
     #[test]
@@ -1092,7 +1071,9 @@ mod tests {
             assert_eq!(try_decode_row(&encode_row(&row)), Some(row));
         }
         let entry = AuditEntry { at_ns: 7, event: "add_user:n/x".into(), vni: 2048 };
-        assert_eq!(try_decode_audit(&encode_audit(&entry)), Some(entry));
+        let mut bytes = Vec::new();
+        encode_audit_into(&mut bytes, 7, 2048, "add_user:", "n/x");
+        assert_eq!(try_decode_audit(&bytes), Some(entry));
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! # Example
 //!
 //! ```
-//! use shs_vnistore::codec::{push_bytes, push_u64, read_bytes, read_u64};
+//! use shs_vnistore::codec::{push_bytes, push_u64, read_slice, read_u64};
 //!
 //! let mut buf = Vec::new();
 //! push_u64(&mut buf, 42);
 //! push_bytes(&mut buf, b"tenant/train");
 //! let mut off = 0;
 //! assert_eq!(read_u64(&buf, &mut off), Some(42));
-//! assert_eq!(read_bytes(&buf, &mut off).as_deref(), Some(&b"tenant/train"[..]));
+//! assert_eq!(read_slice(&buf, &mut off), Some(&b"tenant/train"[..]));
 //! assert_eq!(off, buf.len());
 //! ```
 
@@ -27,12 +27,8 @@ pub fn push_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-/// Read a length-prefixed byte string written by [`push_bytes`].
-pub fn read_bytes(buf: &[u8], off: &mut usize) -> Option<Vec<u8>> {
-    read_slice(buf, off).map(<[u8]>::to_vec)
-}
-
-/// Borrowing variant of [`read_bytes`]: no copy, same framing.
+/// Read a length-prefixed byte string written by [`push_bytes`],
+/// borrowed from `buf`.
 pub fn read_slice<'a>(buf: &'a [u8], off: &mut usize) -> Option<&'a [u8]> {
     if buf.len().saturating_sub(*off) < 4 {
         return None;
@@ -146,7 +142,7 @@ mod tests {
         push_bytes(&mut buf, b"");
         push_bytes(&mut buf, b"x");
         let mut off = 0;
-        assert_eq!(read_bytes(&buf, &mut off).as_deref(), Some(&b""[..]));
-        assert_eq!(read_bytes(&buf, &mut off).as_deref(), Some(&b"x"[..]));
+        assert_eq!(read_slice(&buf, &mut off), Some(&b""[..]));
+        assert_eq!(read_slice(&buf, &mut off), Some(&b"x"[..]));
     }
 }

@@ -66,6 +66,14 @@ impl SimDisk {
         self.fsyncs += 1;
     }
 
+    /// Cut the device back to its first `len` bytes: recovery drops a
+    /// torn tail this way, so the next append lands directly behind the
+    /// last intact frame instead of behind garbage.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+        self.synced_len = self.synced_len.min(self.buf.len());
+    }
+
     /// Simulate a crash: the synced prefix survives intact; of the
     /// unsynced tail, a random prefix (possibly zero bytes, possibly all)
     /// survives — a torn final write.
@@ -139,6 +147,18 @@ mod tests {
         let mut rng = DetRng::new(9);
         let d2 = d.crash(&mut rng);
         assert_eq!(d2.contents(), b"snapshot");
+    }
+
+    #[test]
+    fn truncate_cuts_the_tail() {
+        let mut d = SimDisk::new();
+        d.append(b"intact|torn");
+        d.fsync();
+        d.truncate(7);
+        assert_eq!(d.contents(), b"intact|");
+        assert_eq!(d.synced_len(), 7);
+        d.truncate(100); // never extends
+        assert_eq!(d.len(), 7);
     }
 
     #[test]

@@ -7,13 +7,17 @@
 //! of scope for this reproduction's dependency budget, so this crate
 //! provides the same guarantees from scratch:
 //!
-//! * named tables of byte keys/values ([`Store`]),
-//! * single-writer **serializable transactions** with read-your-writes
-//!   ([`Txn`]),
+//! * named tables of byte keys/values ([`Store`]) — ordered **map**
+//!   tables for rows that change, append-only **log** tables for
+//!   history that only grows (the audit log),
+//! * single-writer **serializable transactions** ([`Txn`]), staged
+//!   directly in the log's wire format so that a commit applies exactly
+//!   the bytes it logged,
 //! * durability via a CRC-framed **write-ahead log** ([`wal`]) on a
 //!   simulated device with explicit fsync/crash semantics ([`SimDisk`]),
-//! * snapshot checkpoints and **crash recovery** that tolerate torn
-//!   tails.
+//! * snapshot checkpoints and **crash recovery** that borrows every
+//!   payload from the device image, replays from the last snapshot, and
+//!   cuts a torn tail off the device.
 //!
 //! The crash-consistency property (no committed VNI allocation is ever
 //! lost, no partial transaction is ever visible) is property-tested in
@@ -25,4 +29,4 @@ pub mod store;
 pub mod wal;
 
 pub use disk::SimDisk;
-pub use store::{OverlayScan, Store, StoreConfig, StoreStats, Txn};
+pub use store::{Store, StoreConfig, StoreStats, Txn};

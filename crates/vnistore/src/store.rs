@@ -8,6 +8,34 @@
 //! properties of SQLite ... by implementing all relevant database
 //! operations as atomic SQL transactions" (§III-C2).
 //!
+//! # Commit applies what it logs
+//!
+//! A [`Txn`] stages its operations directly in the WAL op encoding
+//! ([`crate::wal`]), in one buffer the store recycles. [`Txn::commit`]
+//! frames that buffer as it is and then updates the tables by *parsing
+//! it* — the same routine recovery runs over every replayed payload.
+//! There is no second, in-memory representation of an operation, so the
+//! live tables cannot disagree with what a recovery would rebuild.
+//!
+//! # Map tables and log tables
+//!
+//! A table is one of two kinds, fixed by the first operation on it:
+//!
+//! * a **map** table ([`Txn::put`] / [`Txn::delete`]) is an ordered map
+//!   of owned rows — any key, overwritten and removed freely;
+//! * a **log** table ([`Txn::append`]) only grows, and every appended
+//!   key must be above the last. Its rows sit back to back in one byte
+//!   arena, in the WAL op encoding, next to an index of their offsets:
+//!   an append is a copy onto the end, the last key and the row count
+//!   are O(1), a lookup is a binary search, a snapshot copies the arena
+//!   in one piece, and dropping the table frees two allocations however
+//!   many rows it holds. An audit log is this shape.
+//!
+//! Mixing the kinds — `put` or `delete` on a log table, `append` on a
+//! map table, an append at or below the table's last key — is a bug in
+//! the caller and panics when the operation is staged, before anything
+//! reaches the log.
+//!
 //! # Example
 //!
 //! Commit a transaction, shut down cleanly, and recover the same state
@@ -20,8 +48,10 @@
 //! let mut txn = store.begin();
 //! txn.put("vnis", b"k1", b"row-1");
 //! txn.put("vnis", b"k2", b"row-2");
+//! txn.append("audit_log", &1u64.to_be_bytes(), b"two rows in");
 //! txn.commit();
 //! assert_eq!(store.get("vnis", b"k1"), Some(&b"row-1"[..]));
+//! assert_eq!(store.last_key("audit_log"), Some(&1u64.to_be_bytes()[..]));
 //!
 //! // A dropped (uncommitted) transaction leaves no trace.
 //! let mut txn = store.begin();
@@ -32,62 +62,104 @@
 //! let disk = store.shutdown();
 //! let recovered = Store::recover(disk, StoreConfig::default());
 //! assert_eq!(recovered.row_count("vnis"), 2);
+//! assert_eq!(recovered.row_count("audit_log"), 1);
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use shs_des::DetRng;
 
-use crate::codec::{push_bytes, read_bytes};
 use crate::disk::SimDisk;
-use crate::wal::{decode_all, decode_batch, encode_into, push_batch_txn, RecordKind};
+use crate::wal::{self, Frame, Op, OpKind, RecordKind};
 
-type Table = BTreeMap<Vec<u8>, Vec<u8>>;
-
-/// A staged operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Op {
-    Put { table: String, key: Vec<u8>, value: Vec<u8> },
-    Delete { table: String, key: Vec<u8> },
+/// An append-only table (see the module docs): the rows' WAL op
+/// encodings back to back — which is also the table's snapshot image —
+/// and where each one starts. Keys strictly ascend.
+#[derive(Debug, Default)]
+struct LogTable {
+    image: Vec<u8>,
+    starts: Vec<usize>,
 }
 
-fn encode_ops_into(ops: &[Op], out: &mut Vec<u8>) {
-    for op in ops {
-        match op {
-            Op::Put { table, key, value } => {
-                out.push(1u8);
-                push_bytes(out, table.as_bytes());
-                push_bytes(out, key);
-                push_bytes(out, value);
+impl LogTable {
+    fn row_at(&self, start: usize) -> (&[u8], &[u8]) {
+        let op = wal::ops(&self.image[start..]).next().expect("log rows are whole ops");
+        (op.key, op.value)
+    }
+
+    fn rows(&self) -> impl DoubleEndedIterator<Item = (&[u8], &[u8])> {
+        self.starts.iter().map(|&s| self.row_at(s))
+    }
+
+    fn last_key(&self) -> Option<&[u8]> {
+        self.starts.last().map(|&s| self.row_at(s).0)
+    }
+
+    fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        let i = self.starts.binary_search_by(|&s| self.row_at(s).0.cmp(key)).ok()?;
+        Some(self.row_at(self.starts[i]).1)
+    }
+
+    fn push(&mut self, op: &Op<'_>) {
+        // Staging already refused this for a live transaction; a
+        // replayed image gets the same check, because `get` depends on it.
+        assert!(
+            self.last_key().is_none_or(|last| last < op.key),
+            "append to log table `{}` at or below its last key",
+            op.table
+        );
+        self.starts.push(self.image.len());
+        self.image.extend_from_slice(op.raw);
+    }
+}
+
+#[derive(Debug)]
+enum Table {
+    Map(BTreeMap<Vec<u8>, Vec<u8>>),
+    Log(LogTable),
+}
+
+impl Table {
+    fn apply(&mut self, op: &Op<'_>) {
+        match (self, op.kind) {
+            // One descent either way; an overwrite keeps the row's value
+            // allocation.
+            (Table::Map(rows), OpKind::Put) => match rows.entry(op.key.to_vec()) {
+                Entry::Occupied(mut row) => {
+                    row.get_mut().clear();
+                    row.get_mut().extend_from_slice(op.value);
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(op.value.to_vec());
+                }
+            },
+            (Table::Map(rows), OpKind::Delete) => {
+                rows.remove(op.key);
             }
-            Op::Delete { table, key } => {
-                out.push(2u8);
-                push_bytes(out, table.as_bytes());
-                push_bytes(out, key);
-            }
+            (Table::Log(log), OpKind::Append) => log.push(op),
+            (_, kind) => panic!("{kind:?} on the wrong kind of table `{}`", op.table),
         }
     }
 }
 
-fn decode_ops(payload: &[u8]) -> Vec<Op> {
-    let mut ops = Vec::new();
-    let mut off = 0usize;
-    while off < payload.len() {
-        let tag = payload[off];
-        off += 1;
-        let Some(table) = read_bytes(payload, &mut off) else { break };
-        let Some(key) = read_bytes(payload, &mut off) else { break };
-        let table = String::from_utf8_lossy(&table).into_owned();
-        match tag {
-            1 => {
-                let Some(value) = read_bytes(payload, &mut off) else { break };
-                ops.push(Op::Put { table, key, value });
-            }
-            2 => ops.push(Op::Delete { table, key }),
-            _ => break,
+/// Apply one commit or snapshot payload to the tables — the one routine
+/// behind both a live commit and recovery's replay.
+fn apply_payload(tables: &mut BTreeMap<String, Table>, payload: &[u8]) {
+    for op in wal::ops(payload) {
+        // Probe first: the common case (the table exists) must not
+        // allocate the table name just to use the `entry` API.
+        if let Some(table) = tables.get_mut(op.table) {
+            table.apply(&op);
+            continue;
         }
+        let mut table = match op.kind {
+            OpKind::Put => Table::Map(BTreeMap::new()),
+            OpKind::Append => Table::Log(LogTable::default()),
+            OpKind::Delete => continue,
+        };
+        table.apply(&op);
+        tables.insert(op.table.to_string(), table);
     }
-    ops
 }
 
 /// Store configuration.
@@ -144,13 +216,11 @@ pub struct Store {
     /// Size of the last snapshot frame (0 before the first snapshot).
     last_snapshot_bytes: u64,
     stats: StoreStats,
-    // Scratch arenas for the commit hot path: the encoded-ops payload,
-    // the framed WAL record, and the previous transaction's (emptied)
-    // staging Vec. Reused so a steady-state single-put commit performs
-    // no buffer allocations beyond the row's own owned bytes.
-    payload_buf: Vec<u8>,
+    /// The open transaction's operations in WAL op encoding; `begin`
+    /// empties it, so steady-state staging allocates nothing.
+    staged: Vec<u8>,
+    /// Scratch for the frame being written (a commit or a snapshot).
     frame_buf: Vec<u8>,
-    ops_pool: Vec<Op>,
     /// Group-commit state: while `Some`, committed transactions apply to
     /// the tables immediately (reads see them) but their WAL framing and
     /// fsync are deferred into this accumulating batch; `group_flush`
@@ -163,10 +233,10 @@ pub struct Store {
 /// Accumulator for an open group-commit batch.
 #[derive(Debug, Default)]
 struct GroupState {
-    /// `u32 len | ops` per deferred transaction, in commit order.
-    buf: Vec<u8>,
-    /// LSN of the first transaction in the open batch.
-    first_lsn: u64,
+    /// The batch frame under construction: opened at the first deferred
+    /// commit (whose LSN is the frame's), then `u32 len | ops` per
+    /// transaction in commit order; sealed by the flush.
+    frame: Vec<u8>,
     /// Transactions in the open batch.
     count: u64,
 }
@@ -174,62 +244,38 @@ struct GroupState {
 impl Store {
     /// Create an empty store on a fresh device.
     pub fn new(config: StoreConfig) -> Self {
-        Store {
-            disk: SimDisk::new(),
-            tables: BTreeMap::new(),
-            next_lsn: 1,
-            config,
-            commits_since_snapshot: 0,
-            wal_since_snapshot: 0,
-            last_snapshot_bytes: 0,
-            stats: StoreStats::default(),
-            payload_buf: Vec::new(),
-            frame_buf: Vec::new(),
-            ops_pool: Vec::new(),
-            group: None,
-        }
+        Store::recover(SimDisk::new(), config)
     }
 
     /// Recover a store from a (possibly crash-truncated) device image.
-    /// Replays the latest snapshot, then all later committed transactions
-    /// (group-commit batches count one LSN per contained transaction).
-    pub fn recover(disk: SimDisk, config: StoreConfig) -> Self {
-        let (records, _) = decode_all(disk.contents());
-        let mut tables: BTreeMap<String, Table> = BTreeMap::new();
+    /// Every frame is CRC-verified; replay starts at the latest snapshot
+    /// and runs through all later committed transactions (group-commit
+    /// batches count one LSN per contained transaction), feeding each
+    /// payload to the tables as a slice of the image. A torn tail is
+    /// then cut off the device, so the next commit lands directly
+    /// behind the last intact frame.
+    pub fn recover(mut disk: SimDisk, config: StoreConfig) -> Self {
+        let mut scan = wal::frames(disk.contents());
+        let frames: Vec<Frame<'_>> = scan.by_ref().collect();
+        let valid_len = scan.consumed();
+        let mut tables = BTreeMap::new();
         let mut next_lsn = 1;
-        // Start from the last snapshot, if any.
-        let snap_pos = records.iter().rposition(|r| r.kind == RecordKind::Snapshot);
-        let start = match snap_pos {
-            Some(i) => {
-                tables.clear();
-                for op in decode_ops(&records[i].payload) {
-                    apply_op(&mut tables, op);
-                }
-                next_lsn = records[i].lsn + 1;
-                i + 1
-            }
-            None => 0,
-        };
-        for rec in &records[start..] {
-            match rec.kind {
-                RecordKind::Commit => {
-                    for op in decode_ops(&rec.payload) {
-                        apply_op(&mut tables, op);
-                    }
-                    next_lsn = rec.lsn + 1;
-                }
+        let from = frames.iter().rposition(|f| f.kind == RecordKind::Snapshot).unwrap_or(0);
+        for frame in &frames[from..] {
+            let mut txns = 1;
+            match frame.kind {
+                RecordKind::Commit | RecordKind::Snapshot => apply_payload(&mut tables, frame.payload),
                 RecordKind::Batch => {
-                    let txns = decode_batch(&rec.payload);
-                    for txn in &txns {
-                        for op in decode_ops(txn) {
-                            apply_op(&mut tables, op);
-                        }
+                    txns = 0;
+                    for txn in wal::decode_batch(frame.payload) {
+                        apply_payload(&mut tables, txn);
+                        txns += 1;
                     }
-                    next_lsn = rec.lsn + txns.len() as u64;
                 }
-                RecordKind::Snapshot => {}
             }
+            next_lsn = frame.lsn + txns;
         }
+        disk.truncate(valid_len);
         Store {
             disk,
             tables,
@@ -239,67 +285,86 @@ impl Store {
             wal_since_snapshot: 0,
             last_snapshot_bytes: 0,
             stats: StoreStats::default(),
-            payload_buf: Vec::new(),
+            staged: Vec::new(),
             frame_buf: Vec::new(),
-            ops_pool: Vec::new(),
             group: None,
         }
     }
 
-    /// Begin a serializable transaction. The staging `Vec` is recycled
-    /// from the last committed transaction, so back-to-back commits do
-    /// not reallocate it.
+    /// Begin a serializable transaction.
     pub fn begin(&mut self) -> Txn<'_> {
-        let ops = std::mem::take(&mut self.ops_pool);
-        Txn { store: self, ops }
+        self.staged.clear();
+        Txn { store: self, last_append: None }
     }
 
     /// Committed read.
     pub fn get(&self, table: &str, key: &[u8]) -> Option<&[u8]> {
-        self.tables.get(table)?.get(key).map(|v| v.as_slice())
+        match self.tables.get(table)? {
+            Table::Map(rows) => rows.get(key).map(Vec::as_slice),
+            Table::Log(log) => log.get(key),
+        }
     }
 
     /// Iterate a table's committed rows in key order.
-    pub fn scan<'a>(&'a self, table: &str) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + 'a {
-        self.tables
-            .get(table)
-            .into_iter()
-            .flat_map(|t| t.iter().map(|(k, v)| (k.as_slice(), v.as_slice())))
+    pub fn scan<'a>(
+        &'a self,
+        table: &str,
+    ) -> impl DoubleEndedIterator<Item = (&'a [u8], &'a [u8])> + 'a {
+        let (map, log) = match self.tables.get(table) {
+            Some(Table::Map(rows)) => (Some(rows), None),
+            Some(Table::Log(log)) => (None, Some(log)),
+            None => (None, None),
+        };
+        let map = map.into_iter().flatten().map(|(k, v)| (k.as_slice(), v.as_slice()));
+        map.chain(log.into_iter().flat_map(LogTable::rows))
+    }
+
+    /// A table's highest key — O(1) on a log table, where it is the key
+    /// of the latest append.
+    pub fn last_key(&self, table: &str) -> Option<&[u8]> {
+        match self.tables.get(table)? {
+            Table::Map(rows) => rows.last_key_value().map(|(k, _)| k.as_slice()),
+            Table::Log(log) => log.last_key(),
+        }
     }
 
     /// Number of rows in a table.
     pub fn row_count(&self, table: &str) -> usize {
-        self.tables.get(table).map_or(0, |t| t.len())
+        match self.tables.get(table) {
+            Some(Table::Map(rows)) => rows.len(),
+            Some(Table::Log(log)) => log.starts.len(),
+            None => 0,
+        }
     }
 
     /// Force a snapshot checkpoint now, **truncating** the log: the
     /// snapshot frame becomes the entire device image (the
     /// checkpoint + rename a real store performs), so the device — and
-    /// recovery — stay O(live rows) instead of O(history). Rows are
-    /// encoded straight from the committed tables into the record
-    /// payload — no intermediate per-row `Op` clones. Any open
+    /// recovery — stay O(live rows) instead of O(history). The frame is
+    /// built in place: map rows are encoded as puts straight from the
+    /// tables, a log table contributes its arena in one copy. Any open
     /// group-commit batch is flushed first so the checkpoint never
     /// captures state the log has not made durable.
     pub fn snapshot(&mut self) {
         self.flush_group_buffer();
-        self.payload_buf.clear();
-        for (tname, table) in &self.tables {
-            for (k, v) in table {
-                // Byte-identical to `encode_ops_into` of a `Put` per row.
-                self.payload_buf.push(1u8);
-                push_bytes(&mut self.payload_buf, tname.as_bytes());
-                push_bytes(&mut self.payload_buf, k);
-                push_bytes(&mut self.payload_buf, v);
-            }
-        }
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         self.frame_buf.clear();
-        encode_into(RecordKind::Snapshot, lsn, &self.payload_buf, &mut self.frame_buf);
+        let start = wal::begin_frame(RecordKind::Snapshot, lsn, &mut self.frame_buf);
+        for (name, table) in &self.tables {
+            match table {
+                Table::Map(rows) => {
+                    for (k, v) in rows {
+                        wal::push_op(&mut self.frame_buf, OpKind::Put, name, k, v);
+                    }
+                }
+                Table::Log(log) => self.frame_buf.extend_from_slice(&log.image),
+            }
+        }
+        wal::end_frame(&mut self.frame_buf, start);
         self.disk.replace(&self.frame_buf);
         self.stats.wal_bytes += self.frame_buf.len() as u64;
         self.stats.snapshots += 1;
-        self.stats.fsyncs += 1;
         self.commits_since_snapshot = 0;
         self.wal_since_snapshot = 0;
         self.last_snapshot_bytes = self.frame_buf.len() as u64;
@@ -334,26 +399,14 @@ impl Store {
     }
 
     fn flush_group_buffer(&mut self) {
-        let Some(g) = self.group.as_mut() else { return };
-        if g.count == 0 {
-            return;
-        }
-        let first_lsn = g.first_lsn;
-        let buf = std::mem::take(&mut g.buf);
+        let Some(g) = self.group.as_mut().filter(|g| g.count > 0) else { return };
         g.count = 0;
-        self.frame_buf.clear();
-        encode_into(RecordKind::Batch, first_lsn, &buf, &mut self.frame_buf);
-        self.disk.append(&self.frame_buf);
+        wal::end_frame(&mut g.frame, 0);
+        self.disk.append(&g.frame);
         self.disk.fsync();
-        self.stats.wal_bytes += self.frame_buf.len() as u64;
-        self.wal_since_snapshot += self.frame_buf.len() as u64;
+        self.stats.wal_bytes += g.frame.len() as u64;
+        self.wal_since_snapshot += g.frame.len() as u64;
         self.stats.batches += 1;
-        self.stats.fsyncs += 1;
-        // Hand the emptied buffer back for the next batch.
-        if let Some(g) = self.group.as_mut() {
-            g.buf = buf;
-            g.buf.clear();
-        }
     }
 
     /// Simulate a crash, returning the surviving device image. An open
@@ -383,37 +436,32 @@ impl Store {
         StoreStats { fsyncs: self.disk.fsyncs, ..self.stats }
     }
 
-    fn commit_ops(&mut self, mut ops: Vec<Op>) -> u64 {
+    /// Log the staged operations, then apply them by parsing what was
+    /// logged.
+    fn commit_staged(&mut self) -> u64 {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        self.payload_buf.clear();
-        encode_ops_into(&ops, &mut self.payload_buf);
         if let Some(g) = self.group.as_mut() {
             // Group mode: stage the framing in the open batch; durability
             // (and the snapshot-cadence check, which must not checkpoint
             // state ahead of the log) waits for `group_flush`.
             if g.count == 0 {
-                g.first_lsn = lsn;
+                g.frame.clear();
+                wal::begin_frame(RecordKind::Batch, lsn, &mut g.frame);
             }
-            push_batch_txn(&mut g.buf, &self.payload_buf);
+            wal::push_batch_txn(&mut g.frame, &self.staged);
             g.count += 1;
         } else {
             // WAL first, then fsync, then apply: crash before the fsync
             // loses the whole transaction, never half of it.
             self.frame_buf.clear();
-            encode_into(RecordKind::Commit, lsn, &self.payload_buf, &mut self.frame_buf);
+            wal::encode_into(RecordKind::Commit, lsn, &self.staged, &mut self.frame_buf);
             self.disk.append(&self.frame_buf);
             self.disk.fsync();
             self.stats.wal_bytes += self.frame_buf.len() as u64;
             self.wal_since_snapshot += self.frame_buf.len() as u64;
         }
-        // Apply by move: the ops' owned strings and byte vectors become
-        // the table rows instead of being cloned, and the emptied
-        // staging Vec goes back to the pool for the next `begin`.
-        for op in ops.drain(..) {
-            apply_op(&mut self.tables, op);
-        }
-        self.ops_pool = ops;
+        apply_payload(&mut self.tables, &self.staged);
         self.stats.commits += 1;
         self.commits_since_snapshot += 1;
         if self.group.is_none() {
@@ -435,156 +483,75 @@ impl Store {
     }
 }
 
-fn apply_op(tables: &mut BTreeMap<String, Table>, op: Op) {
-    match op {
-        Op::Put { table, key, value } => {
-            // `get_mut` first: the common case (table exists) must not
-            // clone the table name just to probe the `entry` API.
-            match tables.get_mut(&table) {
-                Some(t) => {
-                    t.insert(key, value);
-                }
-                None => {
-                    tables.entry(table).or_default().insert(key, value);
-                }
-            }
-        }
-        Op::Delete { table, key } => {
-            if let Some(t) = tables.get_mut(&table) {
-                t.remove(&key);
-            }
-        }
-    }
-}
-
-/// A serializable read-write transaction. Dropping without
+/// A serializable write transaction. Operations are staged in WAL op
+/// encoding in the store's staging buffer; dropping without
 /// [`Txn::commit`] rolls back (nothing was applied or logged).
 #[derive(Debug)]
 pub struct Txn<'s> {
     store: &'s mut Store,
-    ops: Vec<Op>,
+    /// Where the latest staged append starts in the staging buffer — the
+    /// shortcut that keeps a many-row append transaction's order checks
+    /// O(1) each.
+    last_append: Option<usize>,
 }
 
 impl Txn<'_> {
-    /// Read-your-writes get, cloning the value. Prefer [`Txn::get_ref`]
-    /// on hot paths — allocation probes do not need an owned copy.
-    pub fn get(&self, table: &str, key: &[u8]) -> Option<Vec<u8>> {
-        self.get_ref(table, key).map(<[u8]>::to_vec)
-    }
-
-    /// Read-your-writes get without cloning: the returned slice borrows
-    /// either a staged write or the committed table.
-    pub fn get_ref(&self, table: &str, key: &[u8]) -> Option<&[u8]> {
-        for op in self.ops.iter().rev() {
-            match op {
-                Op::Put { table: t, key: k, value } if t == table && k == key => {
-                    return Some(value)
-                }
-                Op::Delete { table: t, key: k } if t == table && k == key => return None,
-                _ => {}
-            }
-        }
-        self.store.get(table, key)
-    }
-
-    /// Stage a put.
+    /// Stage a put on a map table.
     pub fn put(&mut self, table: &str, key: &[u8], value: &[u8]) {
-        self.ops.push(Op::Put {
-            table: table.to_string(),
-            key: key.to_vec(),
-            value: value.to_vec(),
-        });
+        self.stage(OpKind::Put, table, key, value);
     }
 
-    /// Stage a delete.
+    /// Stage a delete on a map table.
     pub fn delete(&mut self, table: &str, key: &[u8]) {
-        self.ops.push(Op::Delete { table: table.to_string(), key: key.to_vec() });
+        self.stage(OpKind::Delete, table, key, &[]);
     }
 
-    /// Scan a table with staged writes overlaid, in key order. Borrows:
-    /// the committed table is merge-iterated against a sparse overlay of
-    /// this transaction's staged operations, so no row is cloned and no
-    /// full-table copy is materialized.
-    pub fn scan(&self, table: &str) -> OverlayScan<'_> {
-        let mut overlay: BTreeMap<&[u8], Option<&[u8]>> = BTreeMap::new();
-        for op in &self.ops {
-            match op {
-                Op::Put { table: t, key, value } if t == table => {
-                    overlay.insert(key, Some(value));
-                }
-                Op::Delete { table: t, key } if t == table => {
-                    overlay.insert(key, None);
-                }
-                _ => {}
-            }
-        }
-        OverlayScan {
-            base: self
-                .store
-                .tables
-                .get(table)
-                .map(|t| t.iter())
-                .into_iter()
-                .flatten()
-                .peekable(),
-            overlay: overlay.into_iter().peekable(),
-        }
+    /// Stage an append to a log table: `key` must be above every key
+    /// the table holds and every key this transaction already appended.
+    pub fn append(&mut self, table: &str, key: &[u8], value: &[u8]) {
+        self.stage(OpKind::Append, table, key, value);
     }
 
-    /// Number of staged operations.
-    pub fn pending_ops(&self) -> usize {
-        self.ops.len()
+    /// Validate an operation against the table's kind (see the module
+    /// docs) and encode it. Panics on misuse, before anything is logged.
+    fn stage(&mut self, kind: OpKind, table: &str, key: &[u8], value: &[u8]) {
+        let staged = &self.store.staged;
+        let appends = kind == OpKind::Append;
+        // The table's kind: as committed, else as the first operation
+        // this transaction staged on it will make it.
+        let is_log = match self.store.tables.get(table) {
+            Some(committed) => Some(matches!(committed, Table::Log(_))),
+            None => wal::ops(staged)
+                .find(|op| op.table == table && op.kind != OpKind::Delete)
+                .map(|op| op.kind == OpKind::Append),
+        };
+        assert!(
+            is_log.is_none_or(|is_log| is_log == appends),
+            "{kind:?} on the wrong kind of table `{table}`"
+        );
+        if appends {
+            let staged_tail = self.last_append.and_then(|at| {
+                let latest = wal::ops(&staged[at..]).next().expect("staged ops parse");
+                if latest.table == table {
+                    return Some(latest.key);
+                }
+                // Appends to several log tables interleaved: look back.
+                let mine = |op: &Op<'_>| op.kind == OpKind::Append && op.table == table;
+                wal::ops(staged).filter(mine).last().map(|op| op.key)
+            });
+            let tail = staged_tail.or_else(|| self.store.last_key(table));
+            assert!(
+                tail.is_none_or(|tail| tail < key),
+                "append to log table `{table}` at or below its last key"
+            );
+            self.last_append = Some(staged.len());
+        }
+        wal::push_op(&mut self.store.staged, kind, table, key, value);
     }
 
     /// Durably commit: WAL append + fsync + apply. Returns the LSN.
     pub fn commit(self) -> u64 {
-        let Txn { store, ops } = self;
-        store.commit_ops(ops)
-    }
-}
-
-type BaseIter<'a> = std::iter::Peekable<
-    std::iter::Flatten<
-        std::option::IntoIter<std::collections::btree_map::Iter<'a, Vec<u8>, Vec<u8>>>,
-    >,
->;
-type OverlayIter<'a> =
-    std::iter::Peekable<std::collections::btree_map::IntoIter<&'a [u8], Option<&'a [u8]>>>;
-
-/// Borrowing key-ordered merge of a committed table with a transaction's
-/// staged puts/deletes, returned by [`Txn::scan`]. A staged put shadows
-/// the committed row at the same key; a staged delete suppresses it.
-#[derive(Debug)]
-pub struct OverlayScan<'a> {
-    base: BaseIter<'a>,
-    overlay: OverlayIter<'a>,
-}
-
-impl<'a> Iterator for OverlayScan<'a> {
-    type Item = (&'a [u8], &'a [u8]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        use std::cmp::Ordering;
-        loop {
-            let order = match (self.base.peek(), self.overlay.peek()) {
-                (Some((bk, _)), Some((ok, _))) => bk.as_slice().cmp(ok),
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (None, None) => return None,
-            };
-            if order == Ordering::Equal {
-                self.base.next(); // shadowed by the staged op at this key
-            }
-            if order == Ordering::Less {
-                let (k, v) = self.base.next().expect("peeked");
-                return Some((k.as_slice(), v.as_slice()));
-            }
-            // Staged op wins the merge point; deletes yield nothing.
-            let (k, v) = self.overlay.next().expect("peeked");
-            if let Some(v) = v {
-                return Some((k, v));
-            }
-        }
+        self.store.commit_staged()
     }
 }
 
@@ -616,77 +583,6 @@ mod tests {
         }
         assert_eq!(s.get("vnis", b"100"), None);
         assert_eq!(s.stats().commits, 0);
-    }
-
-    #[test]
-    fn read_your_writes_inside_txn() {
-        let mut s = store();
-        let mut t = s.begin();
-        t.put("t", b"k", b"v1");
-        assert_eq!(t.get("t", b"k"), Some(b"v1".to_vec()));
-        t.put("t", b"k", b"v2");
-        assert_eq!(t.get("t", b"k"), Some(b"v2".to_vec()));
-        t.delete("t", b"k");
-        assert_eq!(t.get("t", b"k"), None);
-        t.commit();
-        assert_eq!(s.get("t", b"k"), None);
-    }
-
-    #[test]
-    fn txn_scan_overlays_staged_writes() {
-        let mut s = store();
-        let mut t = s.begin();
-        t.put("t", b"a", b"1");
-        t.put("t", b"b", b"2");
-        t.commit();
-        let mut t = s.begin();
-        t.delete("t", b"a");
-        t.put("t", b"c", b"3");
-        let rows: Vec<(&[u8], &[u8])> = t.scan("t").collect();
-        assert_eq!(rows, vec![(&b"b"[..], &b"2"[..]), (&b"c"[..], &b"3"[..])]);
-    }
-
-    #[test]
-    fn txn_scan_merge_covers_all_interleavings() {
-        // Staged keys before, between, equal-to and after committed keys,
-        // plus a staged delete of a missing key (must yield nothing).
-        let mut s = store();
-        let mut t = s.begin();
-        t.put("t", b"b", b"base-b");
-        t.put("t", b"d", b"base-d");
-        t.commit();
-        let mut t = s.begin();
-        t.put("t", b"a", b"new-a"); // before all committed keys
-        t.put("t", b"b", b"shadow-b"); // shadows a committed row
-        t.put("t", b"c", b"new-c"); // between committed keys
-        t.delete("t", b"d"); // deletes a committed row
-        t.delete("t", b"x"); // delete of a key that never existed
-        t.put("t", b"z", b"new-z"); // after all committed keys
-        let rows: Vec<(&[u8], &[u8])> = t.scan("t").collect();
-        assert_eq!(
-            rows,
-            vec![
-                (&b"a"[..], &b"new-a"[..]),
-                (&b"b"[..], &b"shadow-b"[..]),
-                (&b"c"[..], &b"new-c"[..]),
-                (&b"z"[..], &b"new-z"[..]),
-            ]
-        );
-    }
-
-    #[test]
-    fn txn_get_ref_borrows_without_cloning() {
-        let mut s = store();
-        let mut t = s.begin();
-        t.put("t", b"k", b"committed");
-        t.commit();
-        let mut t = s.begin();
-        assert_eq!(t.get_ref("t", b"k"), Some(&b"committed"[..]));
-        t.put("t", b"k", b"staged");
-        assert_eq!(t.get_ref("t", b"k"), Some(&b"staged"[..]));
-        t.delete("t", b"k");
-        assert_eq!(t.get_ref("t", b"k"), None);
-        assert_eq!(t.get_ref("t", b"missing"), None);
     }
 
     #[test]
@@ -956,11 +852,146 @@ mod tests {
     }
 
     #[test]
+    fn commit_after_torn_recovery_survives_the_next_recovery() {
+        // Regression: recovery used to leave the torn tail on the device,
+        // so the next commit was appended behind garbage and the
+        // following recovery stopped before reaching it.
+        let mut s = store();
+        for i in 0..3u32 {
+            let mut t = s.begin();
+            t.put("t", &i.to_le_bytes(), b"v");
+            t.commit();
+        }
+        let full = s.shutdown();
+        let mut torn = SimDisk::new();
+        torn.append(&full.contents()[..full.len() - 3]);
+        torn.fsync();
+        let mut r = Store::recover(torn, StoreConfig::default());
+        assert_eq!(r.row_count("t"), 2, "the torn third commit is rolled back");
+        let two_frames = full.len() / 3 * 2;
+        assert_eq!(r.device_len(), two_frames, "and its bytes are cut off the device");
+        let mut t = r.begin();
+        t.put("t", b"late", b"row");
+        t.commit();
+        let r2 = Store::recover(r.shutdown(), StoreConfig::default());
+        assert_eq!(r2.get("t", b"late"), Some(b"row".as_slice()));
+        assert_eq!(r2.row_count("t"), 3);
+    }
+
+    fn seq(i: u64) -> [u8; 8] {
+        i.to_be_bytes()
+    }
+
+    #[test]
+    fn log_table_appends_read_back_in_order() {
+        let mut s = store();
+        assert_eq!(s.last_key("log"), None);
+        for i in [1u64, 2, 5, 9] {
+            let mut t = s.begin();
+            t.append("log", &seq(i), format!("entry-{i}").as_bytes());
+            t.put("rows", &seq(i % 2), b"overwritten");
+            t.commit();
+        }
+        assert_eq!(s.row_count("log"), 4);
+        assert_eq!(s.last_key("log"), Some(&seq(9)[..]));
+        assert_eq!(s.last_key("rows"), Some(&seq(1)[..]));
+        assert_eq!(s.get("log", &seq(5)), Some(&b"entry-5"[..]));
+        assert_eq!(s.get("log", &seq(3)), None);
+        assert_eq!(s.get("log", &seq(10)), None);
+        let keys: Vec<&[u8]> = s.scan("log").map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![&seq(1)[..], &seq(2)[..], &seq(5)[..], &seq(9)[..]]);
+        assert_eq!(s.scan("log").next_back().map(|(_, v)| v), Some(&b"entry-9"[..]));
+    }
+
+    #[test]
+    fn one_txn_appends_many_rows_to_several_log_tables() {
+        let mut s = store();
+        let mut t = s.begin();
+        for i in 0..4u64 {
+            t.append("a", &seq(i), b"a-row");
+            t.append("b", &seq(100 + i), b"b-row");
+        }
+        t.commit();
+        assert_eq!((s.row_count("a"), s.row_count("b")), (4, 4));
+        assert_eq!(s.last_key("b"), Some(&seq(103)[..]));
+    }
+
+    #[test]
+    fn log_tables_survive_snapshot_and_replay_with_their_kind() {
+        let mut s = Store::new(StoreConfig { snapshot_every: Some(4), ..Default::default() });
+        s.group_begin();
+        for i in 0..11u64 {
+            let mut t = s.begin();
+            t.append("log", &seq(i), &[i as u8; 3]);
+            t.put("rows", &seq(i % 3), &seq(i));
+            t.commit();
+            if i % 3 == 2 {
+                s.group_flush();
+            }
+        }
+        s.group_end();
+        assert!(s.stats().snapshots >= 1);
+        let want: Vec<(Vec<u8>, Vec<u8>)> =
+            s.scan("log").map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        assert_eq!(want.len(), 11);
+        let mut r = Store::recover(s.shutdown(), StoreConfig::default());
+        let got: Vec<(Vec<u8>, Vec<u8>)> =
+            r.scan("log").map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        assert_eq!(got, want);
+        assert_eq!(r.row_count("rows"), 3);
+        // Still a log table: the next append must ascend.
+        let mut t = r.begin();
+        t.append("log", &seq(11), b"next");
+        t.commit();
+        assert_eq!(r.row_count("log"), 12);
+    }
+
+    #[test]
+    fn misuse_of_a_table_kind_panics_before_anything_is_logged() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut s = store();
+        let mut t = s.begin();
+        t.append("log", &seq(5), b"entry");
+        t.put("rows", b"k", b"v");
+        t.commit();
+        let device = s.device_len();
+        type Misuse = (&'static str, fn(&mut Txn<'_>));
+        let misuses: [Misuse; 7] = [
+            ("append below the last key", |t| t.append("log", &seq(4), b"x")),
+            ("append at the last key", |t| t.append("log", &seq(5), b"x")),
+            ("append below a staged key", |t| {
+                t.append("log", &seq(7), b"x");
+                t.append("log", &seq(6), b"x");
+            }),
+            ("put on a log table", |t| t.put("log", &seq(9), b"x")),
+            ("delete on a log table", |t| t.delete("log", &seq(5))),
+            ("append on a map table", |t| t.append("rows", b"z", b"x")),
+            ("both kinds on a new table", |t| {
+                t.put("fresh", b"k", b"v");
+                t.append("fresh", b"l", b"v");
+            }),
+        ];
+        for (what, misuse) in misuses {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut t = s.begin();
+                misuse(&mut t);
+                t.commit();
+            }));
+            assert!(outcome.is_err(), "{what} must panic");
+            assert_eq!(s.device_len(), device, "{what}: nothing reached the log");
+            assert_eq!((s.row_count("log"), s.row_count("rows")), (1, 1), "{what}");
+        }
+        // The store is unharmed and the correct call still works.
+        let mut t = s.begin();
+        t.append("log", &seq(6), b"entry");
+        t.commit();
+        assert_eq!(s.row_count("log"), 2);
+    }
+
+    #[test]
     fn empty_commit_is_durable_noop() {
         let mut s = store();
-        let t = s.begin();
-        assert_eq!(t.pending_ops(), 0);
-        t.commit();
+        s.begin().commit();
         let r = Store::recover(s.shutdown(), StoreConfig::default());
         assert_eq!(r.row_count("t"), 0);
     }

@@ -3,6 +3,10 @@
 //! committed-transaction prefix — never a partial transaction, never a
 //! lost committed one. This is the guarantee the paper leans on SQLite
 //! for (§III-C2).
+//!
+//! Scripts mix both table kinds: puts and deletes on two map tables,
+//! appends to a log table under an ascending sequence key (the shape of
+//! the VNI database's `vnis` + `audit_log`).
 
 use proptest::prelude::*;
 use shs_des::DetRng;
@@ -14,6 +18,7 @@ use std::collections::BTreeMap;
 enum ScriptOp {
     Put { table: u8, key: u8, value: u16 },
     Delete { table: u8, key: u8 },
+    Append { value: u16 },
     CommitTxn,
     AbortTxn,
     Snapshot,
@@ -21,80 +26,136 @@ enum ScriptOp {
 
 fn op_strategy() -> impl Strategy<Value = ScriptOp> {
     prop_oneof![
-        4 => (0u8..3, 0u8..16, any::<u16>())
+        4 => (0u8..2, 0u8..16, any::<u16>())
             .prop_map(|(table, key, value)| ScriptOp::Put { table, key, value }),
-        2 => (0u8..3, 0u8..16).prop_map(|(table, key)| ScriptOp::Delete { table, key }),
+        2 => (0u8..2, 0u8..16).prop_map(|(table, key)| ScriptOp::Delete { table, key }),
+        3 => any::<u16>().prop_map(|value| ScriptOp::Append { value }),
         3 => Just(ScriptOp::CommitTxn),
         1 => Just(ScriptOp::AbortTxn),
         1 => Just(ScriptOp::Snapshot),
     ]
 }
 
-fn table_name(t: u8) -> &'static str {
-    match t {
-        0 => "vnis",
-        1 => "vni_users",
-        _ => "audit_log",
-    }
-}
+const MAPS: [&str; 2] = ["vnis", "vni_users"];
+const LOG: &str = "audit_log";
 
 type Model = BTreeMap<(String, Vec<u8>), Vec<u8>>;
 
-/// Run the script against both the real store and an in-memory model.
-/// Returns (store, model-after-each-commit) where the model only
-/// reflects *committed* transactions.
-fn run_script(ops: &[ScriptOp], snapshot_every: Option<u64>) -> (Store, Model) {
-    let mut store = Store::new(StoreConfig { snapshot_every, ..Default::default() });
-    let mut committed: Model = BTreeMap::new();
-    let mut staged: Vec<ScriptOp> = Vec::new();
-
-    for op in ops {
-        match op {
-            ScriptOp::Put { .. } | ScriptOp::Delete { .. } => staged.push(op.clone()),
-            ScriptOp::AbortTxn => staged.clear(),
-            ScriptOp::Snapshot => store.snapshot(),
-            ScriptOp::CommitTxn => {
-                let mut txn = store.begin();
-                for s in &staged {
-                    match s {
-                        ScriptOp::Put { table, key, value } => {
-                            txn.put(table_name(*table), &[*key], &value.to_le_bytes());
-                        }
-                        ScriptOp::Delete { table, key } => {
-                            txn.delete(table_name(*table), &[*key]);
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                txn.commit();
-                for s in staged.drain(..) {
-                    match s {
-                        ScriptOp::Put { table, key, value } => {
-                            committed.insert(
-                                (table_name(table).to_string(), vec![key]),
-                                value.to_le_bytes().to_vec(),
-                            );
-                        }
-                        ScriptOp::Delete { table, key } => {
-                            committed.remove(&(table_name(table).to_string(), vec![key]));
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-            }
-        }
-    }
-    (store, committed)
-}
-
 fn dump(store: &Store) -> Model {
     let mut out = BTreeMap::new();
-    for t in ["vnis", "vni_users", "audit_log"] {
+    for t in MAPS.into_iter().chain([LOG]) {
+        assert_eq!(store.scan(t).count(), store.row_count(t));
+        assert_eq!(store.scan(t).last().map(|(k, _)| k), store.last_key(t));
         for (k, v) in store.scan(t) {
+            assert_eq!(store.get(t, k), Some(v), "scan and get agree");
             out.insert((t.to_string(), k.to_vec()), v.to_vec());
         }
     }
     out
+}
+
+/// The store under test next to a model that reflects only *committed*
+/// transactions.
+struct Harness {
+    store: Store,
+    committed: Model,
+    staged: Vec<ScriptOp>,
+    /// Next log key; advances only when an append commits.
+    next_seq: u64,
+}
+
+impl Harness {
+    /// Continue on `store` from whatever it holds (a fresh store, or one
+    /// just recovered).
+    fn on(store: Store) -> Self {
+        let committed = dump(&store);
+        let next_seq = store
+            .last_key(LOG)
+            .map_or(0, |k| u64::from_be_bytes(k.try_into().expect("8-byte key")) + 1);
+        Harness { store, committed, staged: Vec::new(), next_seq }
+    }
+
+    /// Run one script step; true when it committed a transaction.
+    fn step(&mut self, op: &ScriptOp) -> bool {
+        match op {
+            ScriptOp::AbortTxn => self.staged.clear(),
+            ScriptOp::Snapshot => self.store.snapshot(),
+            ScriptOp::CommitTxn => {
+                let mut txn = self.store.begin();
+                for s in self.staged.drain(..) {
+                    match s {
+                        ScriptOp::Put { table, key, value } => {
+                            let table = MAPS[table as usize];
+                            txn.put(table, &[key], &value.to_le_bytes());
+                            self.committed
+                                .insert((table.into(), vec![key]), value.to_le_bytes().to_vec());
+                        }
+                        ScriptOp::Delete { table, key } => {
+                            let table = MAPS[table as usize];
+                            txn.delete(table, &[key]);
+                            self.committed.remove(&(table.to_string(), vec![key]));
+                        }
+                        ScriptOp::Append { value } => {
+                            let key = self.next_seq.to_be_bytes();
+                            self.next_seq += 1;
+                            txn.append(LOG, &key, &value.to_le_bytes());
+                            self.committed
+                                .insert((LOG.into(), key.to_vec()), value.to_le_bytes().to_vec());
+                        }
+                        _ => unreachable!("only row operations are staged"),
+                    }
+                }
+                txn.commit();
+                return true;
+            }
+            row_op => self.staged.push(row_op.clone()),
+        }
+        false
+    }
+}
+
+fn run_script(ops: &[ScriptOp], snapshot_every: Option<u64>) -> (Store, Model) {
+    let mut h = Harness::on(Store::new(StoreConfig { snapshot_every, ..Default::default() }));
+    for op in ops {
+        h.step(op);
+    }
+    (h.store, h.committed)
+}
+
+/// Run `ops` in group-commit mode on `h`, flushing every `batch_every`
+/// commits, and shut down. Returns the device image and every state it
+/// can legally recover to when cut short: the starting state plus the
+/// model at each flush/snapshot boundary.
+fn run_grouped(mut h: Harness, ops: &[ScriptOp], batch_every: u64) -> (SimDisk, Vec<Model>) {
+    h.store.group_begin();
+    let mut boundaries = vec![h.committed.clone()];
+    let mut commits = 0u64;
+    for op in ops {
+        let flushed = if h.step(op) {
+            commits += 1;
+            commits.is_multiple_of(batch_every) && {
+                h.store.group_flush();
+                true
+            }
+        } else {
+            matches!(op, ScriptOp::Snapshot) // flushes the open batch first
+        };
+        if flushed {
+            boundaries.push(h.committed.clone());
+        }
+    }
+    h.store.group_end();
+    boundaries.push(h.committed);
+    (h.store.shutdown(), boundaries)
+}
+
+/// The first `cut_seed % (len + 1)` bytes of `full`, as a synced device.
+fn cut_short(full: &SimDisk, cut_seed: u64) -> SimDisk {
+    let cut = (cut_seed % (full.len() as u64 + 1)) as usize;
+    let mut torn = SimDisk::new();
+    torn.append(&full.contents()[..cut]);
+    torn.fsync();
+    torn
 }
 
 proptest! {
@@ -155,71 +216,41 @@ proptest! {
         batch_every in 2u64..8,
         cut_seed in any::<u64>(),
     ) {
-        let mut store = Store::new(StoreConfig { snapshot_every: None, ..Default::default() });
-        store.group_begin();
-        let mut committed: Model = BTreeMap::new();
-        let mut staged: Vec<ScriptOp> = Vec::new();
-        // Every state the device can legally recover to: the empty store
-        // plus the committed model at each flush/snapshot boundary.
-        let mut boundaries: Vec<Model> = vec![BTreeMap::new()];
-        let mut commits = 0u64;
-        for op in &ops {
-            match op {
-                ScriptOp::Put { .. } | ScriptOp::Delete { .. } => staged.push(op.clone()),
-                ScriptOp::AbortTxn => staged.clear(),
-                ScriptOp::Snapshot => {
-                    store.snapshot(); // flushes the open batch first
-                    boundaries.push(committed.clone());
-                }
-                ScriptOp::CommitTxn => {
-                    let mut txn = store.begin();
-                    for s in &staged {
-                        match s {
-                            ScriptOp::Put { table, key, value } => {
-                                txn.put(table_name(*table), &[*key], &value.to_le_bytes());
-                            }
-                            ScriptOp::Delete { table, key } => {
-                                txn.delete(table_name(*table), &[*key]);
-                            }
-                            _ => unreachable!(),
-                        }
-                    }
-                    txn.commit();
-                    for s in staged.drain(..) {
-                        match s {
-                            ScriptOp::Put { table, key, value } => {
-                                committed.insert(
-                                    (table_name(table).to_string(), vec![key]),
-                                    value.to_le_bytes().to_vec(),
-                                );
-                            }
-                            ScriptOp::Delete { table, key } => {
-                                committed.remove(&(table_name(table).to_string(), vec![key]));
-                            }
-                            _ => unreachable!(),
-                        }
-                    }
-                    commits += 1;
-                    if commits.is_multiple_of(batch_every) {
-                        store.group_flush();
-                        boundaries.push(committed.clone());
-                    }
-                }
-            }
-        }
-        store.group_end();
-        boundaries.push(committed.clone());
-        let full = store.shutdown();
-        let cut = (cut_seed % (full.len() as u64 + 1)) as usize;
-        let mut torn = SimDisk::new();
-        torn.append(&full.contents()[..cut]);
-        torn.fsync();
-        let recovered = Store::recover(torn, StoreConfig::default());
-        let state = dump(&recovered);
+        let fresh = Store::new(StoreConfig { snapshot_every: None, ..Default::default() });
+        let (full, boundaries) = run_grouped(Harness::on(fresh), &ops, batch_every);
+        let torn = cut_short(&full, cut_seed);
+        let cut = torn.len();
+        let state = dump(&Store::recover(torn, StoreConfig::default()));
         prop_assert!(
             boundaries.contains(&state),
             "cut {} of {} bytes recovered a non-boundary state", cut, full.len()
         );
+    }
+
+    /// Life goes on after a torn image: recover from a device cut at any
+    /// byte, commit more transactions on top, shut down, recover again —
+    /// everything committed after the first recovery is still there
+    /// (recovery must not leave the torn tail in front of new frames),
+    /// and a second cut still lands on a boundary.
+    #[test]
+    fn commits_after_a_torn_recovery_are_durable(
+        before in prop::collection::vec(op_strategy(), 1..60),
+        after in prop::collection::vec(op_strategy(), 1..60),
+        batch_every in 2u64..8,
+        cut_seed in any::<u64>(),
+        second_cut_seed in any::<u64>(),
+    ) {
+        let config = StoreConfig { snapshot_every: Some(6), ..Default::default() };
+        let (full, mut boundaries) =
+            run_grouped(Harness::on(Store::new(config)), &before, batch_every);
+        let survivor = Harness::on(Store::recover(cut_short(&full, cut_seed), config));
+        let (full, later) = run_grouped(survivor, &after, batch_every);
+        let state = dump(&Store::recover(full.clone(), config));
+        prop_assert_eq!(Some(&state), later.last(), "a commit after the recovery is missing");
+        // A cut into the old prefix lands on an old boundary.
+        boundaries.extend(later);
+        let state = dump(&Store::recover(cut_short(&full, second_cut_seed), config));
+        prop_assert!(boundaries.contains(&state), "second cut recovered a non-boundary state");
     }
 
     /// A torn tail (arbitrary garbage appended then crash) never corrupts
