@@ -16,10 +16,10 @@
 //! * **the cluster composition** ([`cluster::Cluster`]) that wires hosts,
 //!   NICs, the fabric, container runtimes, CNI chains, kubelets and the
 //!   control plane into one deterministic simulated cluster;
-//! * **cluster-scale parallel sweeps** ([`parsim`]) — named 256–1024-node
+//! * **cluster-scale fabric sweeps** ([`parsim`]) — named 128–1024-node
 //!   dragonfly fabric scenarios running sharded per group under
-//!   `shs_des::ParallelSim`, reported byte-identically at any thread
-//!   count.
+//!   `shs_des::ShardedSim`, their reports pinned byte for byte by
+//!   fixtures.
 //!
 //! ```
 //! use shs_des::{SimDur, SimTime};

@@ -451,8 +451,7 @@ pub fn cross_group_allreduce(seed: u64) -> Scenario {
 /// A 4-rank ring allreduce whose every hop crosses the (0,1) trunk of a
 /// 3-group dragonfly, with that trunk cut mid-run: UGAL routing must
 /// finish the collective by detouring through group 2 (the per-tenant
-/// report shows the reroute count and the 2→3 hop inflation), and the
-/// report must stay byte-identical at any thread count.
+/// report shows the reroute count and the 2→3 hop inflation).
 pub fn trunk_cut_allreduce(seed: u64) -> Scenario {
     // 6 nodes round-robined over 3 groups (node i → switch i % 3): the
     // collective pins nodes 0/1/3/4, so ranks alternate switches 0 and

@@ -9,9 +9,14 @@
 //! every library report at seed 42: the twelve job-only reports were
 //! generated *before* the serving plane existed, so matching them today
 //! proves that merging Services/PLEG changed no byte of any pre-existing
-//! report (no new JSON fields, no counter drift).
+//! report (no new JSON fields, no counter drift). The four fabric-sweep
+//! fixtures were rendered by the threaded engine at 1 and 2 workers
+//! (identical bytes) before it was reduced to one thread.
 
-use slingshot_k8s::{by_name, library, run_scenario, run_vni_stress, VniStressScenario};
+use slingshot_k8s::{
+    by_name, library, parallel_library, run_fabric_scenario, run_scenario, run_vni_stress,
+    VniStressScenario,
+};
 
 /// Full cluster scenarios through the DES engine: only
 /// `ClusterConfig::vni_shards` varies.
@@ -34,19 +39,26 @@ fn scenario_reports_are_byte_identical_across_shard_counts() {
 /// plane, so this is the regression pin that services, the PLEG cache,
 /// and the service Metacontroller are invisible to scenarios that don't
 /// plan them; the three service fixtures freeze the serving-plane
-/// reports themselves.
+/// reports themselves, and the four sweep fixtures freeze the sharded
+/// fabric engine's.
 #[test]
 fn library_reports_match_their_committed_fixtures() {
+    let scenarios = library(42).into_iter().map(|s| {
+        (s.name.clone(), serde_json::to_string_pretty(&run_scenario(&s)).expect("serializes"))
+    });
+    let sweeps = parallel_library(42).into_iter().map(|s| {
+        let report = run_fabric_scenario(&s, 1);
+        (s.name.to_string(), serde_json::to_string_pretty(&report).expect("serializes"))
+    });
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let mut seen = 0;
-    for scenario in library(42) {
-        let expected = std::fs::read_to_string(dir.join(format!("{}.json", scenario.name)))
-            .unwrap_or_else(|e| panic!("fixture for {}: {e}", scenario.name));
-        let got = serde_json::to_string_pretty(&run_scenario(&scenario)).expect("serializes") + "\n";
-        assert_eq!(got, expected, "{} diverged from its committed fixture", scenario.name);
+    for (name, got) in scenarios.chain(sweeps) {
+        let expected = std::fs::read_to_string(dir.join(format!("{name}.json")))
+            .unwrap_or_else(|e| panic!("fixture for {name}: {e}"));
+        assert_eq!(got + "\n", expected, "{name} diverged from its committed fixture");
         seen += 1;
     }
-    assert_eq!(seen, 15, "every library scenario has a fixture");
+    assert_eq!(seen, 15 + 4, "every library scenario and sweep has a fixture");
 }
 
 /// Job-only scenarios must not grow a `services` key (the serde

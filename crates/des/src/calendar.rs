@@ -229,13 +229,14 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Insert an entry. `time` must be at or past every time previously
-    /// returned by [`pop`](Self::pop) or [`next_time`](Self::next_time)
-    /// — both advance the ring window to the head they reveal, and a
-    /// push behind the window would corrupt the slot↔day mapping.
-    /// [`next_time_at_most`](Self::next_time_at_most) never advances
-    /// the window past its deadline, so times after a declined peek
-    /// only need to respect that deadline. The simulator's monotone
-    /// clock guarantees all of this; `seq` must be unique queue-wide.
+    /// returned by [`pop`](Self::pop) or
+    /// [`next_time_at_most`](Self::next_time_at_most) — both advance the
+    /// ring window to the head they reveal, and a push behind the window
+    /// would corrupt the slot↔day mapping. A *declined*
+    /// `next_time_at_most` never advances the window past its deadline,
+    /// so times after it only need to respect that deadline. The
+    /// simulator's monotone clock guarantees all of this; `seq` must be
+    /// unique queue-wide.
     pub fn push(&mut self, time: SimTime, seq: u64, item: T) {
         let d = day_of(time);
         debug_assert!(d >= self.base_day, "push into a drained day: {d} < {}", self.base_day);
@@ -263,21 +264,12 @@ impl<T> CalendarQueue<T> {
         Some(entry)
     }
 
-    /// Due time of the earliest entry without removing it. `&mut`
-    /// because reaching the head may migrate overflow entries into the
-    /// ring (which changes no ordering, only internal placement).
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        let b = self.settle()?;
-        self.buckets[b].min_time()
-    }
-
     /// Due time of the earliest entry, **only if** it is at or before
     /// `deadline`; otherwise `None` *without mutating the queue*. This
-    /// is the peek [`Sim::run_until`](crate::Sim::run_until) needs: a
-    /// plain [`next_time`](Self::next_time) would slide the window up to
-    /// a far-future head even when the caller then abandons it and
-    /// schedules nearer events (which the slid window could no longer
-    /// hold).
+    /// is the peek [`Sim::run_until`](crate::Sim::run_until) needs: an
+    /// unconditional settle would slide the window up to a far-future
+    /// head even when the caller then abandons it and schedules nearer
+    /// events (which the slid window could no longer hold).
     pub fn next_time_at_most(&mut self, deadline: SimTime) -> Option<SimTime> {
         if self.len == 0 {
             return None;
@@ -291,18 +283,18 @@ impl<T> CalendarQueue<T> {
         // The head's day is within the deadline's, so settling advances
         // the window at most to `day_of(deadline)` — safe even if the
         // head's exact time turns out to be past the deadline.
-        self.next_time().filter(|&t| t <= deadline)
+        let b = self.settle()?;
+        self.buckets[b].min_time().filter(|&t| t <= deadline)
     }
 
     /// Due time of the earliest entry without mutating the queue at
     /// all — no window slide, no overflow migration. This is the peek
-    /// the parallel coordinator ([`ParallelSim`](crate::ParallelSim))
-    /// needs between barrier windows: it must take the minimum over
-    /// *every* shard's queue before deciding the next window, and a
-    /// mutating peek ([`next_time`](Self::next_time)) on one shard
-    /// would slide that ring's window up to its local head, after
-    /// which a cross-shard injection below the slid window would
-    /// corrupt the slot↔day mapping.
+    /// the sharded coordinator ([`ShardedSim`](crate::ShardedSim))
+    /// needs between windows: it must take the minimum over *every*
+    /// shard's queue before deciding the next window, and a settling
+    /// peek on one shard would slide that ring's window up to its local
+    /// head, after which a cross-shard injection below the slid window
+    /// would corrupt the slot↔day mapping.
     ///
     /// Costs one bucket peek (`O(1)` for a promoted bucket, a short
     /// scan otherwise) plus one overflow scan (the overflow list is
@@ -485,13 +477,13 @@ mod tests {
     #[test]
     fn next_time_peeks_without_removing() {
         let mut q = CalendarQueue::new();
-        assert_eq!(q.next_time(), None);
+        assert_eq!(q.peek_min_time(), None);
         q.push(SimTime::from_nanos(42), 0, 7u32);
         q.push(SimTime::from_nanos(7), 1, 8u32);
-        assert_eq!(q.next_time(), Some(SimTime::from_nanos(7)));
+        assert_eq!(q.peek_min_time(), Some(SimTime::from_nanos(7)));
         assert_eq!(q.len(), 2, "peek must not remove");
         assert_eq!(q.pop().unwrap().item, 8);
-        assert_eq!(q.next_time(), Some(SimTime::from_nanos(42)));
+        assert_eq!(q.peek_min_time(), Some(SimTime::from_nanos(42)));
     }
 
     #[test]

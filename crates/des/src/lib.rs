@@ -24,11 +24,12 @@
 //! ```
 
 //!
-//! For cluster-scale models the serial [`Sim`] loop has a parallel twin:
-//! [`ShardSim`] shards (one per switch group, each with its own calendar
-//! queue) under the conservative barrier-window coordinator
-//! [`ParallelSim`], whose results are bit-identical at any thread count
-//! — see the [`parallel`] module docs for the synchronisation algebra.
+//! For cluster-scale models the same [`Sim`] also runs as one shard of
+//! a **sharded decomposition**: a [`ShardSim`] is a `Sim` whose world
+//! carries an id, a lookahead and an outbox, and the conservative-window
+//! coordinator [`ShardedSim`] steps one shard per switch group on the
+//! calling thread — see the [`parallel`] module docs for the
+//! synchronisation algebra and what it proves.
 
 pub mod calendar;
 pub mod parallel;
@@ -39,8 +40,8 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::CalendarQueue;
-pub use parallel::ParallelSim;
+pub use parallel::ShardedSim;
 pub use rng::DetRng;
-pub use shard::{Remote, ShardEventFn, ShardId, ShardSim};
+pub use shard::{Shard, ShardId, ShardSim};
 pub use sim::{EventFn, Sim};
 pub use time::{SimDur, SimTime};

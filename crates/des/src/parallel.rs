@@ -1,67 +1,66 @@
-//! Conservative barrier-window coordinator over [`ShardSim`] shards.
+//! Sharded simulation: the conservative-window coordinator over
+//! [`ShardSim`] shards.
 //!
-//! [`ParallelSim`] runs N shards — each a serial simulator with its own
-//! calendar queue and world — under classic conservative (null-message
-//! free) barrier synchronisation:
+//! [`ShardedSim`] runs N shards — each a [`Sim`](crate::Sim) with its
+//! own calendar queue and world — under the window algebra of
+//! conservative (null-message free) parallel DES, **on the calling
+//! thread**: the decomposition is kept for what it proves (per-shard
+//! determinism, lookahead safety), not for speed. Worker threads were
+//! measured six times on two hosts and never paid at 76–285 events per
+//! window; ARCHITECTURE.md § "Sharded simulation" has the curves and
+//! what would have to be true before threads come back.
 //!
-//! 1. **Peek.** Take `T = min` over every shard's
-//!    [`peek_min_time`](ShardSim::peek_min_time) (non-mutating, so no
-//!    ring window slides before injections land).
+//! 1. **Peek.** Take `T = min` over every shard's queue head
+//!    ([`CalendarQueue::peek_min_time`](crate::CalendarQueue::peek_min_time):
+//!    non-mutating, so no ring window slides before injections land).
 //! 2. **Window.** Open the half-open window `[T, T + L)` where `L` is
 //!    the lookahead — the minimum cross-shard latency every
 //!    [`send_to`](ShardSim::send_to) is clamped to.
-//! 3. **Run.** Every shard executes all of its local events due inside
-//!    the window, in `(time, seq)` order, on whichever worker thread
-//!    owns it. No shard touches another shard's state; cross-shard
-//!    events accumulate in per-shard outboxes.
-//! 4. **Exchange.** After the barrier, the coordinator drains outboxes
-//!    in shard-id order and injects each remote event into its
-//!    destination queue. Conservative safety: an event executing at
-//!    `t < T + L` emits remote work due at `t + delay ≥ t + L ≥ T + L`
-//!    — never inside the window just executed, and never below any
-//!    destination clock (clocks are `< T + L` too).
+//! 3. **Run.** Every shard, in id order, executes all of its local
+//!    events due inside the window, in `(time, seq)` order. No shard
+//!    touches another shard's state; cross-shard events accumulate in
+//!    per-shard outboxes.
+//! 4. **Exchange.** The coordinator drains outboxes in shard-id order
+//!    and injects each remote event into its destination queue.
+//!    Conservative safety: an event executing at `t < T + L` emits
+//!    remote work due at `t + delay ≥ t + L ≥ T + L` — never inside the
+//!    window just executed, and never below any destination clock
+//!    (clocks are `< T + L` too).
 //!
-//! # Why reports stay bit-identical at any thread count
+//! # Why the result is a function of the workload alone
 //!
-//! Every source of order is thread-independent: each shard's in-window
-//! execution order is its own `(time, seq)` order; outboxes are filled
-//! in execution order and drained in shard-id order; injection assigns
-//! destination `seq` numbers single-threaded between windows. Worker
-//! threads only decide *when on the wall clock* a shard's window runs,
-//! never *what* it computes — `threads == 1` runs the identical
-//! algorithm inline. The proptests in `tests/parallel_props.rs` and the
-//! scenario suite hold this invariant as a regression gate.
+//! Each shard's in-window execution order is its own `(time, seq)`
+//! order; outboxes are filled in execution order and drained in
+//! shard-id order; injection assigns destination `seq` numbers between
+//! windows. Nothing a shard computes inside a window depends on the
+//! order the shards are visited in. The oracle in
+//! `tests/parallel_props.rs` holds the windowed run against one global
+//! [`Sim`](crate::Sim) as a regression gate.
 //!
 //! # Example
 //!
 //! Two shards ping-ponging across the boundary:
 //!
 //! ```
-//! use shs_des::{ParallelSim, SimDur, SimTime};
+//! use shs_des::{ShardedSim, SimDur, SimTime};
 //!
-//! let mut psim = ParallelSim::new(vec![0u64, 0u64], SimDur::from_nanos(100));
-//! psim.shard_mut(0).at(SimTime::ZERO, |s| {
-//!     s.world += 1;
-//!     s.send_to(1, SimDur::from_nanos(100), |peer| peer.world += 10);
+//! let mut sim = ShardedSim::new(vec![0u64, 0u64], SimDur::from_nanos(100));
+//! sim.shard_mut(0).at(SimTime::ZERO, |s| {
+//!     *s.world += 1;
+//!     s.send_to(1, SimDur::from_nanos(100), |peer| *peer.world += 10);
 //! });
-//! psim.run(2); // two worker threads; any count gives the same worlds
-//! assert_eq!(psim.shard(0).world, 1);
-//! assert_eq!(psim.shard(1).world, 10);
-//! assert!(psim.windows() >= 2);
+//! sim.run();
+//! assert_eq!(*sim.shard(0).world, 1);
+//! assert_eq!(*sim.shard(1).world, 10);
+//! assert!(sim.windows() >= 2);
 //! ```
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use crate::shard::{Remote, ShardSim};
 use crate::time::{SimDur, SimTime};
 
-/// Sentinel `window_end` value telling persistent workers to exit.
-const STOP: u64 = u64::MAX;
-
-/// The coordinator: owns the shards and drives barrier windows. See the
-/// module docs for the algorithm and the determinism argument.
-pub struct ParallelSim<W> {
+/// The coordinator: owns the shards and drives windows. See the module
+/// docs for the algorithm and the determinism argument.
+pub struct ShardedSim<W> {
     shards: Vec<ShardSim<W>>,
     lookahead: SimDur,
     windows: u64,
@@ -72,17 +71,16 @@ pub struct ParallelSim<W> {
     min_inject_slack: Option<i128>,
 }
 
-impl<W: Send> ParallelSim<W> {
+impl<W> ShardedSim<W> {
     /// Build one shard per world, ids `0..worlds.len()`, all sharing the
     /// same positive `lookahead`.
     pub fn new(worlds: Vec<W>, lookahead: SimDur) -> Self {
-        assert!(lookahead > SimDur::ZERO, "conservative sync needs a positive lookahead");
         let shards = worlds
             .into_iter()
             .enumerate()
-            .map(|(id, w)| ShardSim::new(id, w, lookahead))
+            .map(|(id, w)| ShardSim::shard(id, w, lookahead))
             .collect();
-        ParallelSim { shards, lookahead, windows: 0, injected: 0, min_inject_slack: None }
+        ShardedSim { shards, lookahead, windows: 0, injected: 0, min_inject_slack: None }
     }
 
     /// Number of shards.
@@ -91,13 +89,14 @@ impl<W: Send> ParallelSim<W> {
         self.shards.len()
     }
 
-    /// Borrow shard `i` (seed events with [`ShardSim::at`], read worlds).
+    /// Borrow shard `i` (read its world and clock).
     #[inline]
     pub fn shard(&self, i: usize) -> &ShardSim<W> {
         &self.shards[i]
     }
 
-    /// Mutably borrow shard `i`.
+    /// Mutably borrow shard `i` (seed events with
+    /// [`Sim::at`](crate::Sim::at)).
     #[inline]
     pub fn shard_mut(&mut self, i: usize) -> &mut ShardSim<W> {
         &mut self.shards[i]
@@ -108,13 +107,7 @@ impl<W: Send> ParallelSim<W> {
         self.shards.iter()
     }
 
-    /// The configured lookahead.
-    #[inline]
-    pub fn lookahead(&self) -> SimDur {
-        self.lookahead
-    }
-
-    /// Barrier windows executed so far.
+    /// Windows executed so far.
     #[inline]
     pub fn windows(&self) -> u64 {
         self.windows
@@ -140,51 +133,52 @@ impl<W: Send> ParallelSim<W> {
         self.min_inject_slack
     }
 
-    /// Run until every queue and outbox drains, on `threads` workers
-    /// (`0` and `1` both mean inline serial execution of the identical
-    /// algorithm). Final worlds, clocks and event counts are
-    /// bit-identical for any `threads` value.
-    pub fn run(&mut self, threads: usize) {
-        self.drive(None, threads);
+    /// Run until every queue and outbox drains.
+    pub fn run(&mut self) {
+        self.drive(SimTime::MAX);
     }
 
     /// Run until `horizon`, [`Sim::run_until`](crate::Sim::run_until)
     /// style: events due exactly at the horizon still execute, later
     /// ones stay queued, and every shard clock ends at `horizon` or
     /// later.
-    pub fn run_until(&mut self, horizon: SimTime, threads: usize) {
-        self.drive(Some(horizon), threads);
+    pub fn run_until(&mut self, horizon: SimTime) {
+        self.drive(horizon);
         for s in &mut self.shards {
             s.advance_to(horizon);
         }
     }
 
-    /// Next window `[T, end)` under an optional horizon, or `None` when
-    /// the run is over (queues empty, or every remaining event lies
-    /// past the horizon).
-    fn next_window(&self, horizon: Option<SimTime>) -> Option<(SimTime, SimTime)> {
-        let t = self.shards.iter().filter_map(|s| s.peek_min_time()).min()?;
-        if let Some(h) = horizon {
-            if t > h {
-                return None;
+    /// Open windows until the queues are empty or every remaining event
+    /// lies past the (inclusive) horizon.
+    fn drive(&mut self, horizon: SimTime) {
+        let window = self.lookahead - SimDur::from_nanos(1);
+        while let Some(t) = self
+            .shards
+            .iter()
+            .filter_map(|s| s.peek_min_time())
+            .min()
+            .filter(|&t| t <= horizon)
+        {
+            // `[t, t + L)` clipped to the horizon, held as its last
+            // instant: `t + L` saturates at `SimTime::MAX`, and an
+            // exclusive end there would never admit an event due at MAX.
+            let last = (t + window).min(horizon);
+            for s in &mut self.shards {
+                s.run_through(last);
             }
+            self.windows += 1;
+            self.exchange();
         }
-        let mut end = t + self.lookahead;
-        if let Some(h) = horizon {
-            // Half-open window; the horizon itself is inclusive.
-            end = end.min(h + SimDur::from_nanos(1));
-        }
-        Some((t, end))
     }
 
     /// Drain every outbox in shard-id order and inject into the
-    /// destinations. Single-threaded between windows, so destination
-    /// `seq` assignment — the tie-break among same-time remote events —
-    /// is a pure function of shard ids and per-shard execution order.
+    /// destinations, so destination `seq` assignment — the tie-break
+    /// among same-time remote events — is a pure function of shard ids
+    /// and per-shard execution order.
     fn exchange(&mut self) {
         for src in 0..self.shards.len() {
-            let out = self.shards[src].take_outbox();
-            for Remote { dst, time, event } in out {
+            for Remote { dst, time, event } in self.shards[src].take_outbox() {
                 let slack =
                     time.as_nanos() as i128 - self.shards[dst].now().as_nanos() as i128;
                 self.min_inject_slack =
@@ -194,106 +188,36 @@ impl<W: Send> ParallelSim<W> {
             }
         }
     }
-
-    fn drive(&mut self, horizon: Option<SimTime>, threads: usize) {
-        let threads = threads.clamp(1, self.shards.len().max(1));
-        if threads <= 1 {
-            while let Some((_, end)) = self.next_window(horizon) {
-                for s in &mut self.shards {
-                    s.run_window(end);
-                }
-                self.windows += 1;
-                self.exchange();
-            }
-            return;
-        }
-        self.drive_parallel(horizon, threads);
-    }
-
-    /// The threaded driver: persistent scoped workers, two barriers per
-    /// window. Worker `w` owns shards `i` with `i % threads == w`; the
-    /// per-shard mutexes are uncontended (one owner during a window,
-    /// coordinator-only between barriers) and exist to move `&mut`
-    /// access across the scope safely.
-    fn drive_parallel(&mut self, horizon: Option<SimTime>, threads: usize) {
-        let slots: Vec<Mutex<Option<ShardSim<W>>>> =
-            (0..self.shards.len()).map(|_| Mutex::new(None)).collect();
-        // Parking barriers, deliberately: a spin barrier would make the
-        // per-window rendezvous sub-microsecond on a machine with a
-        // core per worker, but waiters that spin starve the very
-        // workers they wait for whenever cores < threads — the common
-        // case in CI containers — and measured an order of magnitude
-        // slower there. Parking costs a futex round trip per window and
-        // degrades gracefully everywhere.
-        let window_end = AtomicU64::new(0);
-        let start = Barrier::new(threads + 1);
-        let done = Barrier::new(threads + 1);
-
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let slots = &slots;
-                let window_end = &window_end;
-                let (start, done) = (&start, &done);
-                scope.spawn(move || loop {
-                    start.wait();
-                    let end = window_end.load(Ordering::Acquire);
-                    if end == STOP {
-                        break;
-                    }
-                    for slot in slots.iter().skip(w).step_by(threads) {
-                        let mut guard = slot.lock().unwrap();
-                        guard.as_mut().unwrap().run_window(SimTime::from_nanos(end));
-                    }
-                    done.wait();
-                });
-            }
-
-            loop {
-                // Between barriers the coordinator is the only thread
-                // touching the shards: peek, hand out, reclaim, exchange.
-                let Some((_, end)) = self.next_window(horizon) else {
-                    window_end.store(STOP, Ordering::Release);
-                    start.wait();
-                    break;
-                };
-                for (slot, shard) in slots.iter().zip(self.shards.drain(..)) {
-                    *slot.lock().unwrap() = Some(shard);
-                }
-                window_end.store(end.as_nanos(), Ordering::Release);
-                start.wait();
-                done.wait();
-                self.shards =
-                    slots.iter().map(|slot| slot.lock().unwrap().take().unwrap()).collect();
-                self.windows += 1;
-                self.exchange();
-            }
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn log_time(label: u64) -> impl FnOnce(&mut ShardSim<Vec<(u64, u64)>>) + Send {
+    type Log = Vec<(u64, u64)>;
+
+    fn log_time(label: u64) -> impl FnOnce(&mut ShardSim<Log>) {
         move |s| {
             let t = s.now().as_nanos();
             s.world.push((t, label));
         }
     }
 
-    fn worlds(n: usize) -> Vec<Vec<(u64, u64)>> {
-        vec![Vec::new(); n]
+    fn sim(shards: usize, lookahead_ns: u64) -> ShardedSim<Log> {
+        ShardedSim::new(vec![Log::new(); shards], SimDur::from_nanos(lookahead_ns))
     }
 
     #[test]
     fn cross_shard_cascade_matches_across_thread_counts() {
+        // Four shards each forward to their right neighbour; shard 0's
+        // message bounces back from shard 1. A second run reproduces
+        // every world, clock and coordinator count.
         let build = || {
-            let mut p = ParallelSim::new(worlds(4), SimDur::from_nanos(50));
+            let mut p = sim(4, 50);
             for g in 0..4usize {
                 p.shard_mut(g).at(SimTime::from_nanos(g as u64 * 7), move |s| {
-                    let id = s.id();
-                    s.world.push((s.now().as_nanos(), id as u64));
+                    let (id, t) = (s.id(), s.now().as_nanos());
+                    s.world.push((t, id as u64));
                     s.send_to((id + 1) % 4, SimDur::from_nanos(50 + id as u64), move |d| {
                         let t = d.now().as_nanos();
                         d.world.push((t, 100 + id as u64));
@@ -303,81 +227,76 @@ mod tests {
                     });
                 });
             }
-            p.run(0);
+            p.run();
             p
         };
-        let serial = build();
-        for threads in [2usize, 3, 4, 8] {
-            let mut p = ParallelSim::new(worlds(4), SimDur::from_nanos(50));
-            for g in 0..4usize {
-                p.shard_mut(g).at(SimTime::from_nanos(g as u64 * 7), move |s| {
-                    let id = s.id();
-                    s.world.push((s.now().as_nanos(), id as u64));
-                    s.send_to((id + 1) % 4, SimDur::from_nanos(50 + id as u64), move |d| {
-                        let t = d.now().as_nanos();
-                        d.world.push((t, 100 + id as u64));
-                        if id == 0 {
-                            d.send_to(0, SimDur::from_nanos(60), log_time(999));
-                        }
-                    });
-                });
-            }
-            p.run(threads);
-            for g in 0..4 {
-                assert_eq!(p.shard(g).world, serial.shard(g).world, "threads={threads} g={g}");
-                assert_eq!(p.shard(g).now(), serial.shard(g).now());
-            }
-            assert_eq!(p.events_executed(), serial.events_executed());
-            assert_eq!(p.windows(), serial.windows());
-            assert_eq!(p.injected(), serial.injected());
+        let (a, b) = (build(), build());
+        assert_eq!(*a.shard(0).world, vec![(0, 0), (74, 103), (110, 999)]);
+        assert_eq!(*a.shard(1).world, vec![(7, 1), (50, 100)]);
+        for g in 0..4 {
+            assert_eq!(*a.shard(g).world, *b.shard(g).world, "g={g}");
+            assert_eq!(a.shard(g).now(), b.shard(g).now());
         }
-        assert!(serial.min_inject_slack().unwrap() >= 0);
+        assert_eq!(a.events_executed(), 9);
+        assert_eq!((a.windows(), a.injected()), (b.windows(), b.injected()));
+        assert_eq!(a.injected(), 5);
+        assert!(a.min_inject_slack().unwrap() >= 0);
     }
 
     #[test]
     fn run_until_honours_the_horizon_inclusively() {
-        let mut p = ParallelSim::new(worlds(2), SimDur::from_nanos(10));
+        let mut p = sim(2, 10);
         p.shard_mut(0).at(SimTime::from_nanos(100), log_time(1));
         p.shard_mut(1).at(SimTime::from_nanos(101), log_time(2));
         p.shard_mut(1).at(SimTime::from_nanos(100), log_time(3));
-        p.run_until(SimTime::from_nanos(100), 2);
-        assert_eq!(p.shard(0).world, vec![(100, 1)]);
-        assert_eq!(p.shard(1).world, vec![(100, 3)], "101 is past the horizon");
+        p.run_until(SimTime::from_nanos(100));
+        assert_eq!(*p.shard(0).world, vec![(100, 1)]);
+        assert_eq!(*p.shard(1).world, vec![(100, 3)], "101 is past the horizon");
         assert_eq!(p.shard(1).pending(), 1);
         assert_eq!(p.shard(0).now(), SimTime::from_nanos(100));
         assert_eq!(p.shard(1).now(), SimTime::from_nanos(100));
     }
 
     #[test]
+    fn an_event_at_simtime_max_runs_and_the_run_terminates() {
+        // `MAX + lookahead` saturates; a window with an exclusive end
+        // would be `[MAX, MAX)`, empty, and reopened forever.
+        let max = SimTime::MAX.as_nanos();
+        let mut p = sim(2, 10);
+        p.shard_mut(0).at(SimTime::MAX, |s| {
+            log_time(1)(s);
+            s.send_to(1, SimDur::from_nanos(10), log_time(2));
+        });
+        p.run();
+        assert_eq!(*p.shard(0).world, vec![(max, 1)]);
+        assert_eq!(*p.shard(1).world, vec![(max, 2)], "the remote event saturates to MAX too");
+        assert_eq!(p.min_inject_slack(), Some(max as i128));
+    }
+
+    #[test]
     fn empty_run_terminates_immediately() {
-        let mut p: ParallelSim<Vec<(u64, u64)>> =
-            ParallelSim::new(worlds(3), SimDur::from_nanos(10));
-        p.run(4);
+        let mut p = sim(3, 10);
+        p.run();
         assert_eq!(p.windows(), 0);
         assert_eq!(p.events_executed(), 0);
-        p.run_until(SimTime::from_nanos(50), 4);
+        p.run_until(SimTime::from_nanos(50));
         assert_eq!(p.shard(2).now(), SimTime::from_nanos(50));
     }
 
     #[test]
     fn injection_order_is_shard_id_then_emission_order() {
         // Two shards emit to shard 2 at the *same* due time; the
-        // destination must apply src-0's events before src-1's,
-        // regardless of thread count.
-        let run = |threads: usize| {
-            let mut p = ParallelSim::new(worlds(3), SimDur::from_nanos(100));
-            for src in [1usize, 0] {
-                p.shard_mut(src).at(SimTime::ZERO, move |s| {
-                    let id = s.id() as u64;
-                    s.send_to(2, SimDur::from_nanos(100), log_time(id));
-                    s.send_to(2, SimDur::from_nanos(100), log_time(10 + id));
-                });
-            }
-            p.run(threads);
-            p.shard(2).world.clone()
-        };
-        let expect = vec![(100, 0), (100, 10), (100, 1), (100, 11)];
-        assert_eq!(run(1), expect);
-        assert_eq!(run(3), expect);
+        // destination must apply src-0's events before src-1's, even
+        // though src 1 was seeded first.
+        let mut p = sim(3, 100);
+        for src in [1usize, 0] {
+            p.shard_mut(src).at(SimTime::ZERO, move |s| {
+                let id = s.id() as u64;
+                s.send_to(2, SimDur::from_nanos(100), log_time(id));
+                s.send_to(2, SimDur::from_nanos(100), log_time(10 + id));
+            });
+        }
+        p.run();
+        assert_eq!(*p.shard(2).world, vec![(100, 0), (100, 10), (100, 1), (100, 11)]);
     }
 }

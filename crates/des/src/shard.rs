@@ -1,14 +1,13 @@
-//! One shard of a conservatively-synchronised parallel simulation.
+//! One shard of a sharded simulation.
 //!
-//! [`ShardSim`] is the per-shard twin of [`Sim`](crate::Sim): the same
-//! calendar queue, the same `(time, seq)` ordering contract, the same
-//! monotone clock — plus two things a parallel partition needs:
-//!
-//! * its event closures are `Send` (they migrate to worker threads),
-//! * cross-shard scheduling goes through an **outbox** instead of the
-//!   local queue: [`ShardSim::send_to`] records a [`Remote`] event that
-//!   the coordinator ([`ParallelSim`](crate::ParallelSim)) injects into
-//!   the destination shard *between* barrier windows, never during one.
+//! A shard is a plain [`Sim`] — the one calendar queue, the one
+//! `(time, seq)` ordering contract, the one `step` — whose world is a
+//! [`Shard<W>`]: the caller's state plus what a partition needs, an id,
+//! a lookahead and an **outbox**. Cross-shard scheduling goes through
+//! the outbox instead of the local queue: [`ShardSim::send_to`] records
+//! a remote event that the coordinator
+//! ([`ShardedSim`](crate::ShardedSim)) injects into the destination
+//! shard *between* windows, never during one.
 //!
 //! The conservative contract is enforced here at the source: a remote
 //! event's delay is clamped to at least the configured **lookahead**, so
@@ -17,129 +16,74 @@
 //! the next window can begin. See [`crate::parallel`] for the window
 //! algebra and the determinism argument.
 
-use crate::calendar::CalendarQueue;
+use std::ops::{Deref, DerefMut};
+
+use crate::sim::{EventFn, Sim};
 use crate::time::{SimDur, SimTime};
 
-/// Identifies a shard within one [`ParallelSim`](crate::ParallelSim).
+/// Identifies a shard within one [`ShardedSim`](crate::ShardedSim).
 pub type ShardId = usize;
 
-/// A scheduled shard event: a boxed, thread-migratable closure.
-pub type ShardEventFn<W> = Box<dyn FnOnce(&mut ShardSim<W>) + Send>;
+/// One shard's simulator: a [`Sim`] over a [`Shard`] world.
+pub type ShardSim<W> = Sim<Shard<W>>;
 
 /// A cross-shard event waiting in a source shard's outbox.
-pub struct Remote<W> {
+pub(crate) struct Remote<W> {
     /// Destination shard.
-    pub dst: ShardId,
+    pub(crate) dst: ShardId,
     /// Absolute due time in the destination shard (already includes the
     /// lookahead-clamped delay).
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// The event to run over the destination shard.
-    pub event: ShardEventFn<W>,
+    pub(crate) event: EventFn<Shard<W>>,
 }
 
-/// One shard: a serial simulator over its own world and calendar queue,
-/// exchanging cross-shard events only through its outbox.
-pub struct ShardSim<W> {
-    /// The shard-owned world. Public for the same reason
-    /// [`Sim::world`](crate::Sim::world) is: event closures and drivers
-    /// reach component state directly.
-    pub world: W,
+/// The world of a [`ShardSim`]: the caller's per-shard state (reached
+/// through `Deref`, so handlers write `s.world.field` as they would on
+/// a plain [`Sim`]) plus the shard's id, lookahead and outbox.
+pub struct Shard<W> {
+    state: W,
     id: ShardId,
-    now: SimTime,
-    seq: u64,
-    queue: CalendarQueue<ShardEventFn<W>>,
-    executed: u64,
     lookahead: SimDur,
     outbox: Vec<Remote<W>>,
 }
 
-impl<W> ShardSim<W> {
-    /// Create shard `id` at time zero. `lookahead` is the minimum
-    /// cross-shard delay this shard will ever emit; the coordinator
-    /// requires it to be positive.
-    pub fn new(id: ShardId, world: W, lookahead: SimDur) -> Self {
+impl<W> Deref for Shard<W> {
+    type Target = W;
+    #[inline]
+    fn deref(&self) -> &W {
+        &self.state
+    }
+}
+
+impl<W> DerefMut for Shard<W> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut W {
+        &mut self.state
+    }
+}
+
+impl<W> Sim<Shard<W>> {
+    /// Create shard `id` at time zero over `state`. `lookahead` is the
+    /// minimum cross-shard delay this shard will ever emit; conservative
+    /// synchronisation requires it to be positive.
+    pub(crate) fn shard(id: ShardId, state: W, lookahead: SimDur) -> Self {
         assert!(lookahead > SimDur::ZERO, "conservative sync needs a positive lookahead");
-        ShardSim {
-            world,
-            id,
-            now: SimTime::ZERO,
-            seq: 0,
-            queue: CalendarQueue::new(),
-            executed: 0,
-            lookahead,
-            outbox: Vec::new(),
-        }
+        Sim::new(Shard { state, id, lookahead, outbox: Vec::new() })
     }
 
     /// This shard's id within the coordinator.
     #[inline]
     pub fn id(&self) -> ShardId {
-        self.id
-    }
-
-    /// Current shard-local simulated time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The configured conservative lookahead.
-    #[inline]
-    pub fn lookahead(&self) -> SimDur {
-        self.lookahead
-    }
-
-    /// Number of events this shard has executed.
-    #[inline]
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of events still queued locally (outbox not included).
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Due time of the earliest queued local event, without mutating the
-    /// queue (no ring-window slide — see
-    /// [`CalendarQueue::peek_min_time`]). The coordinator takes the
-    /// minimum of this across all shards to open the next window.
-    #[inline]
-    pub fn peek_min_time(&self) -> Option<SimTime> {
-        self.queue.peek_min_time()
-    }
-
-    /// Schedule a local event at absolute time `t`. Scheduling in the
-    /// past is a logic error and panics (debug builds) or clamps to
-    /// `now` (release) — same contract as [`Sim::at`](crate::Sim::at).
-    pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut ShardSim<W>) + Send + 'static) {
-        self.at_boxed(t, Box::new(f));
-    }
-
-    /// Schedule a local event after a relative delay.
-    #[inline]
-    pub fn after(&mut self, d: SimDur, f: impl FnOnce(&mut ShardSim<W>) + Send + 'static) {
-        self.at(self.now + d, f);
-    }
-
-    /// [`at`](Self::at) for an already-boxed event — the injection path
-    /// the coordinator uses when draining outboxes, kept public so
-    /// custom drivers can route [`Remote`] events themselves.
-    pub fn at_boxed(&mut self, t: SimTime, f: ShardEventFn<W>) {
-        debug_assert!(t >= self.now, "scheduling into the past: {t} < {}", self.now);
-        let t = t.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(t, seq, f);
+        self.world.id
     }
 
     /// Schedule `f` on shard `dst` after `delay`, clamped up to the
     /// lookahead. The event does not leave this shard until the
-    /// coordinator drains the outbox at the next barrier, which is what
-    /// keeps the exchange conservative: anything emitted inside the
-    /// window `[T, T + L)` is due at `now + delay ≥ T + L`, at or past
-    /// the earliest possible next window start.
+    /// coordinator drains the outbox after the current window, which is
+    /// what keeps the exchange conservative: anything emitted inside
+    /// the window `[T, T + L)` is due at `now + delay ≥ T + L`, at or
+    /// past the earliest possible next window start.
     ///
     /// A `delay` below the lookahead is a modelling error (the caller
     /// promised `lookahead` was the minimum cross-shard latency):
@@ -148,101 +92,63 @@ impl<W> ShardSim<W> {
         &mut self,
         dst: ShardId,
         delay: SimDur,
-        f: impl FnOnce(&mut ShardSim<W>) + Send + 'static,
+        f: impl FnOnce(&mut ShardSim<W>) + 'static,
     ) {
+        let lookahead = self.world.lookahead;
         debug_assert!(
-            delay >= self.lookahead,
-            "cross-shard delay {delay} below the lookahead {}",
-            self.lookahead
+            delay >= lookahead,
+            "cross-shard delay {delay} below the lookahead {lookahead}"
         );
-        let delay = delay.max(self.lookahead);
-        self.outbox.push(Remote { dst, time: self.now + delay, event: Box::new(f) });
+        let time = self.now() + delay.max(lookahead);
+        self.world.outbox.push(Remote { dst, time, event: Box::new(f) });
     }
 
     /// Take the accumulated outbox (coordinator use, between windows).
-    pub fn take_outbox(&mut self) -> Vec<Remote<W>> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Execute every local event strictly before `window_end`, in
-    /// `(time, seq)` order, including follow-ups scheduled into the
-    /// window by the events themselves. Events at or past `window_end`
-    /// are left untouched — the underlying peek declines without
-    /// sliding the ring window, so later cross-shard injections below
-    /// this shard's queued head remain safe.
-    ///
-    /// Returns the number of events executed in this window.
-    pub fn run_window(&mut self, window_end: SimTime) -> u64 {
-        let before = self.executed;
-        if window_end == SimTime::ZERO {
-            return 0;
-        }
-        // `next_time_at_most` is inclusive; the window is half-open.
-        let deadline = SimTime::from_nanos(window_end.as_nanos() - 1);
-        while self.queue.next_time_at_most(deadline).is_some() {
-            self.step();
-        }
-        self.executed - before
-    }
-
-    /// Execute the next local event, if any.
-    pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            Some(ev) => {
-                debug_assert!(ev.time >= self.now);
-                self.now = ev.time;
-                self.executed += 1;
-                (ev.item)(self);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Advance the clock to `t` if it lags behind (used by the
-    /// coordinator to finish a bounded run at its horizon, mirroring
-    /// [`Sim::run_until`](crate::Sim::run_until)).
-    pub fn advance_to(&mut self, t: SimTime) {
-        if self.now < t {
-            self.now = t;
-        }
+    pub(crate) fn take_outbox(&mut self) -> Vec<Remote<W>> {
+        std::mem::take(&mut self.world.outbox)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calendar::CalendarQueue;
+
+    fn shard<W>(state: W, lookahead_ns: u64) -> ShardSim<W> {
+        ShardSim::shard(0, state, SimDur::from_nanos(lookahead_ns))
+    }
 
     #[test]
     fn window_runs_only_events_strictly_before_end() {
-        let mut s: ShardSim<Vec<u64>> = ShardSim::new(0, Vec::new(), SimDur::from_nanos(100));
+        let mut s = shard(Vec::new(), 100);
         for t in [10u64, 50, 99, 100, 150] {
             s.at(SimTime::from_nanos(t), move |sh| sh.world.push(t));
         }
-        assert_eq!(s.run_window(SimTime::from_nanos(100)), 3);
-        assert_eq!(s.world, vec![10, 50, 99]);
+        // The window [0, 100) is "through 99".
+        s.run_through(SimTime::from_nanos(99));
+        assert_eq!(*s.world, vec![10, 50, 99]);
         assert_eq!(s.now(), SimTime::from_nanos(99));
         assert_eq!(s.pending(), 2);
     }
 
     #[test]
     fn followups_inside_the_window_still_run() {
-        let mut s: ShardSim<Vec<u64>> = ShardSim::new(0, Vec::new(), SimDur::from_nanos(10));
+        let mut s = shard(Vec::new(), 10);
         s.at(SimTime::from_nanos(5), |sh| {
             sh.world.push(5);
             sh.after(SimDur::from_nanos(3), |sh2| sh2.world.push(8));
         });
-        s.run_window(SimTime::from_nanos(10));
-        assert_eq!(s.world, vec![5, 8]);
+        s.run_through(SimTime::from_nanos(9));
+        assert_eq!(*s.world, vec![5, 8]);
     }
 
     #[test]
     fn send_to_clamps_to_lookahead_and_stays_in_outbox() {
-        let mut s: ShardSim<Vec<u64>> = ShardSim::new(0, Vec::new(), SimDur::from_nanos(100));
+        let mut s = shard(Vec::<u64>::new(), 100);
         s.at(SimTime::from_nanos(40), |sh| {
             sh.send_to(1, SimDur::from_nanos(250), |d| d.world.push(1));
         });
-        s.run_window(SimTime::from_nanos(100));
+        s.run_through(SimTime::from_nanos(99));
         let out = s.take_outbox();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dst, 1);
@@ -254,11 +160,11 @@ mod tests {
     #[should_panic(expected = "below the lookahead")]
     #[cfg(debug_assertions)]
     fn sub_lookahead_send_panics_in_debug() {
-        let mut s: ShardSim<()> = ShardSim::new(0, (), SimDur::from_nanos(100));
+        let mut s = shard((), 100);
         s.at(SimTime::ZERO, |sh| {
             sh.send_to(1, SimDur::from_nanos(1), |_| {});
         });
-        s.run_window(SimTime::from_nanos(1000));
+        s.run_through(SimTime::from_nanos(999));
     }
 
     #[test]
@@ -268,13 +174,14 @@ mod tests {
         // must decline without sliding its ring window, so a cross-shard
         // injection between the window end and that head still lands.
         let far = CalendarQueue::<()>::BUCKET_NS * 2048;
-        let mut s: ShardSim<Vec<u64>> = ShardSim::new(0, Vec::new(), SimDur::from_nanos(100));
+        let mut s = shard(Vec::new(), 100);
         s.at(SimTime::from_nanos(far), move |sh| sh.world.push(far));
         // Window well before the head: nothing runs, nothing mutates.
-        assert_eq!(s.run_window(SimTime::from_nanos(1_000)), 0);
+        s.run_through(SimTime::from_nanos(999));
+        assert_eq!(s.events_executed(), 0);
         // Coordinator injects below the declined head.
         s.at_boxed(SimTime::from_nanos(2_000), Box::new(|sh| sh.world.push(2_000)));
-        assert_eq!(s.run_window(SimTime::from_nanos(far + 1)), 2);
-        assert_eq!(s.world, vec![2_000, far]);
+        s.run_through(SimTime::from_nanos(far));
+        assert_eq!(*s.world, vec![2_000, far]);
     }
 }

@@ -75,14 +75,30 @@ impl<W> Sim<W> {
         self.queue.len()
     }
 
+    /// Due time of the earliest queued event, without mutating the
+    /// queue (no ring-window slide — see
+    /// [`CalendarQueue::peek_min_time`]). The sharded coordinator takes
+    /// the minimum of this across all shards to open the next window.
+    #[inline]
+    pub(crate) fn peek_min_time(&self) -> Option<SimTime> {
+        self.queue.peek_min_time()
+    }
+
     /// Schedule `f` at absolute time `t`. Scheduling in the past is a
     /// logic error and panics (debug builds) or clamps to `now` (release).
+    #[inline]
     pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut Sim<W>) + 'static) {
+        self.at_boxed(t, Box::new(f));
+    }
+
+    /// [`at`](Self::at) for an already-boxed event — how the sharded
+    /// coordinator injects a cross-shard event into its destination.
+    pub(crate) fn at_boxed(&mut self, t: SimTime, f: EventFn<W>) {
         debug_assert!(t >= self.now, "scheduling into the past: {t} < {}", self.now);
         let t = t.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(t, seq, Box::new(f));
+        self.queue.push(t, seq, f);
     }
 
     /// Schedule `f` after a relative delay.
@@ -115,12 +131,26 @@ impl<W> Sim<W> {
     /// Events scheduled exactly at the deadline still execute; the clock
     /// is advanced to the deadline if the queue empties earlier.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while self.queue.next_time_at_most(deadline).is_some() {
+        self.run_through(deadline);
+        self.advance_to(deadline);
+    }
+
+    /// Execute every event due at or before `last`, in `(time, seq)`
+    /// order, follow-ups included. Unlike [`run_until`](Self::run_until)
+    /// the clock stays at the last event executed, and later events are
+    /// left untouched — the underlying peek declines without sliding
+    /// the ring window, so an event scheduled afterwards below the
+    /// queued head still lands. One shard's share of a coordinator
+    /// window.
+    pub(crate) fn run_through(&mut self, last: SimTime) {
+        while self.queue.next_time_at_most(last).is_some() {
             self.step();
         }
-        if self.now < deadline {
-            self.now = deadline;
-        }
+    }
+
+    /// Advance the clock to `t` if it lags behind.
+    pub(crate) fn advance_to(&mut self, t: SimTime) {
+        self.now = self.now.max(t);
     }
 
     /// Run while `pred` holds and events remain.

@@ -1,7 +1,6 @@
 //! Statistics helpers shared by the evaluation harness: means, percentiles
 //! (linear interpolation, matching NumPy's default used by the paper's
-//! plotting scripts), five-number boxplot summaries, and Welford online
-//! accumulation.
+//! plotting scripts) and five-number boxplot summaries.
 
 /// Arithmetic mean; `NaN` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -94,71 +93,6 @@ impl Boxplot {
     }
 }
 
-/// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        OnlineStats { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Observation count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (n-1).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 /// Relative overhead of `measured` versus `baseline`, in percent —
 /// the quantity plotted in the paper's Figs. 6, 8 and quoted in §IV-B.
 pub fn overhead_pct(baseline: f64, measured: f64) -> f64 {
@@ -235,20 +169,6 @@ mod tests {
         let b = Boxplot::from(&xs).unwrap();
         assert_eq!(b.max, 1000.0);
         assert!(b.whisker_hi <= 20.0, "whisker {0} should exclude outlier", b.whisker_hi);
-    }
-
-    #[test]
-    fn online_stats_matches_batch() {
-        let xs = [1.5, 2.5, 3.5, 10.0, -2.0, 0.0];
-        let mut o = OnlineStats::new();
-        for &x in &xs {
-            o.push(x);
-        }
-        assert_eq!(o.count(), xs.len() as u64);
-        assert!((o.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((o.stddev() - stddev(&xs)).abs() < 1e-12);
-        assert_eq!(o.min(), -2.0);
-        assert_eq!(o.max(), 10.0);
     }
 
     #[test]

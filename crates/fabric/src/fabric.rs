@@ -16,7 +16,7 @@
 //! tenant VNI.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use shs_des::{SimDur, SimTime};
 
@@ -150,7 +150,7 @@ impl Fabric {
         let switch_config = SwitchConfig { ports: spec.edge_ports, ..Default::default() };
         let n = spec.total_switches();
         Fabric {
-            net: TrunkNet::new(Arc::new(Topology::new(spec, policy)), model, None),
+            net: TrunkNet::new(Rc::new(Topology::new(spec, policy)), model, None),
             switches: (0..n).map(|_| Switch::new(switch_config.clone())).collect(),
             links: vec![Vec::new(); n],
             ports_of: Vec::new(),

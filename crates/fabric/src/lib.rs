@@ -26,7 +26,7 @@
 //! selection, the hop walk). [`fabric::Fabric`] is that path owning
 //! every dragonfly group; for cluster-scale sweeps (1000+ nodes) the
 //! [`shardsim`] module runs one instance per group under
-//! `shs_des::ParallelSim` — bit-identical results at any thread count.
+//! `shs_des::ShardedSim`, one shard after another on the calling thread.
 
 pub mod fabric;
 pub mod faults;

@@ -1,6 +1,8 @@
 //! Sharded fabric engine: one [`ShardSim`] per dragonfly group under
-//! the conservative [`ParallelSim`] coordinator, for cluster-scale
-//! sweeps (1000+ nodes) the serial engine cannot reach.
+//! the conservative-window coordinator [`ShardedSim`], for
+//! cluster-scale sweeps (1000+ nodes). The shards run one after another
+//! on the calling thread; the decomposition is what makes each group's
+//! slice of a sweep a function of that group's events alone.
 //!
 //! # Shard ownership
 //!
@@ -33,9 +35,9 @@
 //! routing, queueing and QoS at scale; VNI enforcement stays with the
 //! serial k8s engine, which exercises it end to end per message.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-use shs_des::{ParallelSim, ShardSim, SimDur, SimTime};
+use shs_des::{ShardSim, ShardedSim, SimDur, SimTime};
 
 use crate::faults::{FaultKind, MAX_REPAIR_PATH};
 use crate::packet::CostModel;
@@ -115,7 +117,7 @@ pub struct GroupNet {
 }
 
 impl GroupNet {
-    fn new(topo: Arc<Topology>, model: CostModel, group: usize, nodes_per_switch: usize) -> Self {
+    fn new(topo: Rc<Topology>, model: CostModel, group: usize, nodes_per_switch: usize) -> Self {
         let nodes_per_group = topo.spec().switches_per_group * nodes_per_switch;
         GroupNet {
             net: TrunkNet::new(topo, model, Some(group)),
@@ -318,8 +320,8 @@ pub fn sweep_messages(cfg: &SweepConfig) -> impl Iterator<Item = SweepMsg> + '_ 
 }
 
 /// Aggregated outcome of [`run_sweep`]: the sum of every group's
-/// counters plus the coordinator's accounting. Identical for any
-/// thread count — the scenario layer serialises this into reports.
+/// counters plus the coordinator's accounting — the scenario layer
+/// serialises this into reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepStats {
     /// Total nodes in the topology.
@@ -334,7 +336,7 @@ pub struct SweepStats {
     pub per_group: Vec<GroupCounters>,
     /// Events executed across all shards.
     pub events_executed: u64,
-    /// Barrier windows the coordinator ran.
+    /// Windows the coordinator ran.
     pub windows: u64,
     /// Cross-group events injected.
     pub injected: u64,
@@ -358,17 +360,16 @@ impl SweepStats {
     }
 }
 
-/// Run a sweep on `threads` workers (≤ one per group is useful; 0 and
-/// 1 both mean inline serial execution). The result — every counter,
-/// every clock — is bit-identical for any `threads` value.
-pub fn run_sweep(cfg: &SweepConfig, threads: usize) -> SweepStats {
+/// Run a sweep, one shard per dragonfly group. The result — every
+/// counter, every clock — is a function of `cfg` alone.
+pub fn run_sweep(cfg: &SweepConfig) -> SweepStats {
     assert!(cfg.nodes_per_switch >= 1 && cfg.nodes_per_switch <= cfg.spec.edge_ports);
-    let topo = Arc::new(Topology::new(cfg.spec, cfg.policy));
+    let topo = Rc::new(Topology::new(cfg.spec, cfg.policy));
     let lookahead = trunk_lookahead(&cfg.model);
     let worlds: Vec<GroupNet> = (0..topo.groups())
-        .map(|g| GroupNet::new(Arc::clone(&topo), cfg.model, g, cfg.nodes_per_switch))
+        .map(|g| GroupNet::new(Rc::clone(&topo), cfg.model, g, cfg.nodes_per_switch))
         .collect();
-    let mut psim = ParallelSim::new(worlds, lookahead);
+    let mut psim = ShardedSim::new(worlds, lookahead);
 
     // The fault schedule is globally known at setup: schedule it into
     // every shard before any message, so at equal instants the fault
@@ -388,7 +389,7 @@ pub fn run_sweep(cfg: &SweepConfig, threads: usize) -> SweepStats {
         psim.shard_mut((m.src / nodes_per_group) as usize).at(m.t0, move |s| launch(s, m));
     }
 
-    psim.run(threads);
+    psim.run();
 
     let per_group: Vec<GroupCounters> = psim.shards().map(|s| s.world.counters).collect();
     let mut totals = GroupCounters::default();
@@ -426,14 +427,11 @@ mod tests {
     #[test]
     fn sweep_is_conserved_and_thread_invariant() {
         let cfg = SweepConfig::default();
-        let base = run_sweep(&cfg, 1);
+        let base = run_sweep(&cfg);
         assert!(base.totals.sent > 0);
         assert!(base.conserved(), "{:?}", base.totals);
         assert!(base.totals.delivered > 0);
         assert!(base.min_inject_slack.unwrap() >= 0);
-        for threads in [2usize, 4] {
-            assert_eq!(run_sweep(&cfg, threads), base, "threads={threads}");
-        }
     }
 
     #[test]
@@ -443,7 +441,7 @@ mod tests {
             cross_group_every: 0,
             ..SweepConfig::default()
         };
-        let stats = run_sweep(&cfg, 4);
+        let stats = run_sweep(&cfg);
         assert!(stats.conserved());
         assert_eq!(stats.shards, 1);
         assert_eq!(stats.injected, 0);
@@ -458,14 +456,13 @@ mod tests {
             cross_group_every: 1,
             ..SweepConfig::default()
         };
-        let base = run_sweep(&cfg, 1);
+        let base = run_sweep(&cfg);
         assert!(base.conserved());
         assert!(base.totals.delivered > 0);
         assert!(base.min_inject_slack.unwrap() >= 0);
         // Valiant detours mean more hops per delivered message than the
         // minimal 4-switch bound would allow on average workloads.
         assert!(base.totals.switch_hops >= base.totals.delivered * 2);
-        assert_eq!(run_sweep(&cfg, 3), base);
     }
 
     #[test]
@@ -477,21 +474,17 @@ mod tests {
             interval_ns: 200,
             ..SweepConfig::default()
         };
-        let base = run_sweep(&cfg, 1);
+        let base = run_sweep(&cfg);
         assert!(base.conserved(), "{:?}", base.totals);
         assert!(base.totals.delivered > 0);
         assert!(base.min_inject_slack.unwrap() >= 0);
-        for threads in [2usize, 4] {
-            assert_eq!(run_sweep(&cfg, threads), base, "threads={threads}");
-        }
     }
 
     #[test]
     fn trunk_cut_mid_sweep_conserves_and_stays_thread_invariant() {
         // 3 groups × 1 switch: cut trunk (0, 1) mid-sweep. Adaptive
         // fallback detours via group 2; messages already in flight on
-        // the dead trunk's route are route-dropped, and totals stay
-        // identical at any thread count.
+        // the dead trunk's route are route-dropped.
         let cfg = SweepConfig {
             spec: TopologySpec { groups: 3, switches_per_group: 1, edge_ports: 8 },
             policy: RoutingPolicy::Adaptive,
@@ -505,13 +498,10 @@ mod tests {
             kind: FaultKind::LinkDown(SwitchId(0), SwitchId(1)),
         };
         let cfg = SweepConfig { faults: vec![cut], ..cfg };
-        let base = run_sweep(&cfg, 1);
+        let base = run_sweep(&cfg);
         assert!(base.conserved(), "{:?}", base.totals);
         assert!(base.totals.delivered > 0, "detours keep traffic flowing");
         assert!(base.min_inject_slack.unwrap() >= 0);
-        for threads in [2usize, 3] {
-            assert_eq!(run_sweep(&cfg, threads), base, "threads={threads}");
-        }
     }
 
     #[test]
@@ -527,7 +517,7 @@ mod tests {
             }],
             ..SweepConfig::default()
         };
-        let stats = run_sweep(&cfg, 2);
+        let stats = run_sweep(&cfg);
         assert!(stats.conserved(), "{:?}", stats.totals);
         assert!(stats.totals.route_drops > 0);
         assert_eq!(stats.totals.congestion_drops, 0);
@@ -537,7 +527,6 @@ mod tests {
             stats.totals.route_drops,
             stats.totals.sent - stats.totals.delivered,
         );
-        assert_eq!(run_sweep(&cfg, 1), stats);
     }
 
     #[test]
@@ -547,7 +536,7 @@ mod tests {
             faults: vec![SweepFault { at_ns: 0, kind: FaultKind::SwitchDown(SwitchId(0)) }],
             ..SweepConfig::default()
         };
-        let stats = run_sweep(&cfg, 1);
+        let stats = run_sweep(&cfg);
         assert!(stats.totals.sent > 0);
         assert_eq!(stats.totals.delivered, 0);
         assert_eq!(stats.totals.route_drops, stats.totals.sent);
@@ -567,13 +556,12 @@ mod tests {
             ],
             ..SweepConfig::default()
         };
-        let stats = run_sweep(&cfg, 2);
+        let stats = run_sweep(&cfg);
         assert!(stats.conserved());
         assert!(stats.totals.route_drops > 0, "early cross traffic died");
         // Cross-group deliveries resume after the LinkUp: some message
         // must have crossed (2 hops) post-recovery.
         assert!(stats.totals.switch_hops > stats.totals.delivered);
-        assert_eq!(run_sweep(&cfg, 1), stats);
     }
 
     #[test]
@@ -588,7 +576,7 @@ mod tests {
             interval_ns: 1,
             ..SweepConfig::default()
         };
-        let stats = run_sweep(&cfg, 2);
+        let stats = run_sweep(&cfg);
         assert_eq!(stats.totals.sent, 2);
         assert_eq!(stats.totals.delivered, 2);
         let m = cfg.model;

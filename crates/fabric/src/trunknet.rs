@@ -12,7 +12,7 @@
 //! per-group counters and the cross-shard handoff in `shardsim`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use shs_des::{SimDur, SimTime};
 
@@ -178,7 +178,7 @@ pub(crate) struct Walk {
 /// instance owns.
 #[derive(Debug)]
 pub(crate) struct TrunkNet {
-    pub(crate) topo: Arc<Topology>,
+    pub(crate) topo: Rc<Topology>,
     pub(crate) model: CostModel,
     /// The one owned group, or `None` when every group is owned.
     group: Option<usize>,
@@ -200,7 +200,7 @@ pub(crate) struct TrunkNet {
 impl TrunkNet {
     /// The net owning the trunks sourced in `group`, or every trunk of
     /// the topology for `None`.
-    pub(crate) fn new(topo: Arc<Topology>, model: CostModel, group: Option<usize>) -> Self {
+    pub(crate) fn new(topo: Rc<Topology>, model: CostModel, group: Option<usize>) -> Self {
         let links = match group {
             Some(g) => topo.group_view(g).trunks_out,
             None => topo.trunk_links(),

@@ -3,12 +3,11 @@
 //! sweep workloads, **no shard ever receives a cross-group event with a
 //! timestamp below its local clock** — the conservative-sync invariant
 //! `min_inject_slack ≥ 0` — and every launched message is accounted
-//! for (delivered or congestion-dropped), identically at every thread
-//! count.
+//! for (delivered or congestion-dropped).
 //!
 //! The slack is measured at the injection point by the coordinator
-//! itself (`ParallelSim::min_inject_slack`), so a violation cannot hide
-//! behind the debug-only clamp in `ShardSim::at`.
+//! itself (`ShardedSim::min_inject_slack`), so a violation cannot hide
+//! behind the debug-only clamp in `Sim::at`.
 
 use proptest::prelude::*;
 use shs_fabric::{run_sweep, RoutingPolicy, SweepConfig, TopologySpec};
@@ -48,22 +47,14 @@ proptest! {
 
     #[test]
     fn no_shard_receives_an_event_below_its_clock(cfg in config_strategy()) {
-        let base = run_sweep(&cfg, 1);
+        let base = run_sweep(&cfg);
         // The conservative-sync invariant, measured at injection.
         if let Some(slack) = base.min_inject_slack {
             prop_assert!(slack >= 0, "conservative violation: slack {}ns", slack);
         }
         // Message conservation: launched = delivered + dropped.
         prop_assert!(base.conserved(), "{:?}", base.totals);
-        // Shard count follows the partition, never the thread count.
+        // Shard count follows the partition.
         prop_assert_eq!(base.shards, cfg.spec.groups);
-        // And the whole result is thread-count invariant.
-        for threads in [2usize, 4] {
-            let run = run_sweep(&cfg, threads);
-            if let Some(slack) = run.min_inject_slack {
-                prop_assert!(slack >= 0);
-            }
-            prop_assert_eq!(&run, &base, "threads={}", threads);
-        }
     }
 }

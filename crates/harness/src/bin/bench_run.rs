@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! bench-run [--quick] [--baseline FILE] [--gate] [--label NAME] [--out FILE]
-//!           [--threads LIST] [--shards LIST]
+//!           [--shards LIST]
 //! ```
 //!
 //! Times the control-plane hot paths the paper's VNI Database serializes
@@ -72,12 +72,9 @@
 //! Scenarios (`churn`, `steady-state`) run once under the DES clock;
 //! their event counts are deterministic, their wall-clock is not.
 //!
-//! The **parallel scaling curve**: the 1024-node `dragonfly-1024`
-//! fabric sweep runs once per `--threads` entry (default `1,2,4`) under
-//! the sharded engine, emitting one `dragonfly-1024-t<N>` scenario row
-//! each — the events/sec trajectory across worker counts. The run
-//! asserts the sweep's event count and counters are identical at every
-//! thread count before reporting; a `"parallel"` block records the
+//! The **sharded fabric sweep**: the 1024-node `dragonfly-1024` sweep
+//! runs once under the sharded engine and is emitted as one
+//! `dragonfly-1024` scenario row; a `"parallel"` block records its
 //! deterministic shape (nodes, shards, windows, cross-group events).
 //!
 //! The **control-plane sharding curve**: a bench-scale tenant-churn
@@ -109,8 +106,8 @@ use slingshot_k8s::{
     VniStressReport, VniStressScenario,
 };
 
-/// The parallel scaling-curve subject: the 1024-node library sweep.
-const PARALLEL_SCENARIO: &str = "dragonfly-1024";
+/// The fabric-sweep row: the 1024-node library sweep.
+const SWEEP_SCENARIO: &str = "dragonfly-1024";
 
 /// Row-name prefix of the control-plane sharding curve
 /// (`vni_stress-s<N>` = the bench-scale stress run at N store shards).
@@ -145,9 +142,6 @@ struct Opts {
     gate: bool,
     label: String,
     out: Option<PathBuf>,
-    /// Worker counts for the parallel scaling curve (one scenario row
-    /// per entry).
-    threads: Vec<usize>,
     /// Shard counts for the control-plane sharding curve (one
     /// `vni_stress-s<N>` scenario row per entry).
     shards: Vec<usize>,
@@ -170,7 +164,6 @@ fn parse_args() -> Opts {
         gate: false,
         label: "bench-run".into(),
         out: None,
-        threads: vec![1, 2, 4],
         shards: vec![1, 2, 4],
     };
     let mut args = std::env::args().skip(1);
@@ -178,19 +171,6 @@ fn parse_args() -> Opts {
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--gate" => opts.gate = true,
-            "--threads" => {
-                let v = args.next().unwrap_or_else(|| usage("--threads needs a list, e.g. 1,2,4"));
-                opts.threads = v
-                    .split(',')
-                    .map(|t| match t.trim().parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => usage("--threads entries must be integers >= 1"),
-                    })
-                    .collect();
-                if opts.threads.is_empty() {
-                    usage("--threads needs at least one entry");
-                }
-            }
             "--shards" => {
                 let v = args.next().unwrap_or_else(|| usage("--shards needs a list, e.g. 1,2,4"));
                 opts.shards = v
@@ -228,7 +208,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("bench-run: {msg}");
     eprintln!(
         "usage: bench-run [--quick] [--baseline FILE] [--gate] [--label NAME] [--out FILE] \
-         [--threads LIST] [--shards LIST]"
+         [--shards LIST]"
     );
     std::process::exit(2);
 }
@@ -492,22 +472,15 @@ fn run_scenario_timed(name: &str) -> (u64, f64) {
     (report.events_executed, start.elapsed().as_secs_f64())
 }
 
-/// Run the parallel library sweep on `threads` workers, returning the
-/// (thread-count-independent) report and the wall seconds.
-fn run_parallel_timed(threads: usize) -> (FabricSweepReport, f64) {
-    let sweep = parallel_by_name(PARALLEL_SCENARIO, 42).expect("parallel library scenario");
+/// Run the 1024-node library sweep, returning its report and the wall
+/// seconds.
+fn run_sweep_timed() -> (FabricSweepReport, f64) {
+    let sweep = parallel_by_name(SWEEP_SCENARIO, 42).expect("library sweep");
     let start = Instant::now();
-    let report = run_fabric_scenario(&sweep, threads);
+    let report = run_fabric_scenario(&sweep, 1);
     let wall_s = start.elapsed().as_secs_f64();
     assert!(report.passed, "bench sweep must conserve messages: {report:?}");
     (report, wall_s)
-}
-
-/// `"dragonfly-1024-t<N>"` → `N`: the thread count a scaling-curve
-/// scenario row was measured at (gate re-measurement needs it back).
-fn parallel_row_threads(name: &str) -> Option<usize> {
-    let rest = name.strip_prefix(PARALLEL_SCENARIO)?.strip_prefix("-t")?;
-    rest.parse().ok()
 }
 
 /// `"vni_stress-s<N>"` → `N`: the shard count a sharding-curve scenario
@@ -607,6 +580,10 @@ fn remeasure(name: &str, b: &Budgets) -> Option<(f64, Option<f64>)> {
             let (events, wall_s) = run_scenario_timed(name);
             (events as f64 / wall_s, Some(wall_s * 1e3))
         }
+        SWEEP_SCENARIO => {
+            let (report, wall_s) = run_sweep_timed();
+            (report.events_executed as f64 / wall_s, Some(wall_s * 1e3))
+        }
         _ => {
             if let Some(history) = recover_row_history(name) {
                 let disk = churned_disk(history);
@@ -618,13 +595,10 @@ fn remeasure(name: &str, b: &Budgets) -> Option<(f64, Option<f64>)> {
                     bench_pod_scan_status_read(b.samples, b.churn_iters, pods)
                 };
                 (med, None)
-            } else if let Some(shards) = stress_row_shards(name) {
+            } else {
+                let shards = stress_row_shards(name)?;
                 let (report, wall_s) = run_stress_timed(shards, STRESS_OPS);
                 (report.ops as f64 / wall_s, Some(wall_s * 1e3))
-            } else {
-                let threads = parallel_row_threads(name)?;
-                let (report, wall_s) = run_parallel_timed(threads);
-                (report.events_executed as f64 / wall_s, Some(wall_s * 1e3))
             }
         }
     })
@@ -781,25 +755,14 @@ fn main() {
         }));
     }
 
-    // The parallel scaling curve: the same 1024-node sweep at each
-    // worker count. Bit-identical results are asserted here — only the
-    // wall-clock (and so events/sec) may differ between rows.
-    let mut parallel_shape: Option<FabricSweepReport> = None;
-    for &threads in &opts.threads {
-        eprintln!("bench-run: running scenario {PARALLEL_SCENARIO} (threads={threads}) ...");
-        let (report, wall_s) = run_parallel_timed(threads);
-        if let Some(base) = &parallel_shape {
-            assert_eq!(&report, base, "sweep diverged at threads={threads}");
-        }
-        scenarios.push(json!({
-            "name": format!("{PARALLEL_SCENARIO}-t{threads}"),
-            "threads": threads,
-            "events_executed": report.events_executed,
-            "wall_ms": round1(wall_s * 1e3),
-            "events_per_sec": round1(report.events_executed as f64 / wall_s),
-        }));
-        parallel_shape.get_or_insert(report);
-    }
+    eprintln!("bench-run: running scenario {SWEEP_SCENARIO} ...");
+    let (sweep, wall_s) = run_sweep_timed();
+    scenarios.push(json!({
+        "name": SWEEP_SCENARIO,
+        "events_executed": sweep.events_executed,
+        "wall_ms": round1(wall_s * 1e3),
+        "events_per_sec": round1(sweep.events_executed as f64 / wall_s),
+    }));
 
     // The control-plane sharding curve: the same stress run at each
     // store shard count. The report — allocations, audit, transactions,
@@ -838,18 +801,15 @@ fn main() {
         }
     }
 
-    // The deterministic shape of the parallel sweep — identical at
-    // every thread count (asserted above), so recorded once.
-    let parallel = parallel_shape.as_ref().map(|r| {
-        json!({
-            "scenario": PARALLEL_SCENARIO,
-            "nodes": r.nodes,
-            "shards": r.shards,
-            "lookahead_ns": r.lookahead_ns,
-            "events_executed": r.events_executed,
-            "windows": r.windows,
-            "cross_group_injected": r.cross_group_injected,
-        })
+    // The deterministic shape of the fabric sweep.
+    let parallel = json!({
+        "scenario": SWEEP_SCENARIO,
+        "nodes": sweep.nodes,
+        "shards": sweep.shards,
+        "lookahead_ns": sweep.lookahead_ns,
+        "events_executed": sweep.events_executed,
+        "windows": sweep.windows,
+        "cross_group_injected": sweep.cross_group_injected,
     });
 
     // The deterministic shape of the stress run — identical at every

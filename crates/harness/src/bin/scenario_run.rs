@@ -2,13 +2,13 @@
 //! library and emit a JSON report.
 //!
 //! ```text
-//! scenario-run [all|<scenario-name>] [--seed N] [--threads N] [--shards N] [--out FILE] [--list]
+//! scenario-run [all|<scenario-name>] [--seed N] [--shards N] [--out FILE] [--list]
 //! ```
 //!
 //! Runs each k8s scenario's full job lifecycle (admission → CNI chain →
 //! VNI allocation → CXI service → fabric traffic → teardown) under the
-//! deterministic DES clock, plus the cluster-scale **parallel fabric
-//! sweeps** (256–1024-node dragonfly topologies sharded per group) and
+//! deterministic DES clock, plus the cluster-scale **fabric sweeps**
+//! (128–1024-node dragonfly topologies sharded per group) and
 //! the **control-plane stress runs** (tenant churn straight through the
 //! sharded VNI database under WAL group commit, ending in a
 //! crash-recovery audit), and prints one JSON document: a
@@ -18,11 +18,10 @@
 //! a `"run_metrics"` block (wall-clock, DES events executed,
 //! events/sec, VNI database transactions, host fingerprint). For a
 //! fixed seed the report sections are byte-identical across runs **and
-//! across `--threads` / `--shards` values** — `--threads` only chooses
-//! how many workers drive the sharded sweeps, and `--shards` only
-//! chooses how many store shards back the VNI database (the facade
-//! preserves single-store allocation order and audit semantics);
-//! wall-clock throughput lives only in `"run_metrics"`, after them.
+//! across `--shards` values** — `--shards` only chooses how many store
+//! shards back the VNI database (the facade preserves single-store
+//! allocation order and audit semantics); wall-clock throughput lives
+//! only in `"run_metrics"`, after them.
 //! Exits non-zero if any scenario's assertions fail (isolation for the
 //! k8s library; conservation and conservative-sync for the sweeps;
 //! consistency + crash recovery for the stress runs).
@@ -47,7 +46,6 @@ use slingshot_k8s::{
 struct Opts {
     cmd: String,
     seed: u64,
-    threads: usize,
     shards: usize,
     out: Option<PathBuf>,
     list: bool,
@@ -59,19 +57,12 @@ fn parse_args() -> Opts {
         Some(a) if !a.starts_with("--") => args.next().expect("peeked"),
         _ => "all".to_string(),
     };
-    let mut opts = Opts { cmd, seed: 42, threads: 1, shards: 1, out: None, list: false };
+    let mut opts = Opts { cmd, seed: 42, shards: 1, out: None, list: false };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => {
                 let v = args.next().unwrap_or_else(|| usage("--seed needs a value"));
                 opts.seed = v.parse().unwrap_or_else(|_| usage("--seed must be numeric"));
-            }
-            "--threads" => {
-                let v = args.next().unwrap_or_else(|| usage("--threads needs a value"));
-                opts.threads = v.parse().unwrap_or_else(|_| usage("--threads must be numeric"));
-                if opts.threads == 0 {
-                    usage("--threads must be >= 1");
-                }
             }
             "--shards" => {
                 let v = args.next().unwrap_or_else(|| usage("--shards needs a value"));
@@ -94,8 +85,7 @@ fn parse_args() -> Opts {
 fn usage(msg: &str) -> ! {
     eprintln!("scenario-run: {msg}");
     eprintln!(
-        "usage: scenario-run [all|<scenario-name>] [--seed N] [--threads N] [--shards N] \
-         [--out FILE] [--list]"
+        "usage: scenario-run [all|<scenario-name>] [--seed N] [--shards N] [--out FILE] [--list]"
     );
     std::process::exit(2);
 }
@@ -104,7 +94,7 @@ fn main() {
     let opts = parse_args();
     // Validate the positional scenario name first so a typo exits 2
     // even when combined with --list. A name resolves in the k8s
-    // library, the parallel sweep library, or the stress library.
+    // library, the fabric sweep library, or the stress library.
     #[allow(clippy::type_complexity)]
     let (mut scenarios, sweeps, mut stress): (
         Vec<Scenario>,
@@ -156,8 +146,8 @@ fn main() {
     let parallel: Vec<FabricSweepReport> = sweeps
         .iter()
         .map(|s| {
-            eprintln!("running {} (threads={}) ...", s.name, opts.threads);
-            run_fabric_scenario(s, opts.threads)
+            eprintln!("running {} ...", s.name);
+            run_fabric_scenario(s, 1)
         })
         .collect();
     let control: Vec<VniStressReport> = stress

@@ -10,9 +10,8 @@
 //! the old whole-output comparison.
 //!
 //! The `"parallel_reports"` section holds the cluster-scale fabric
-//! sweeps ([`FabricSweepReport`]) run under the sharded engine; its
-//! bytes are additionally identical across `--threads` values — the
-//! thread count appears nowhere in it.
+//! sweeps ([`FabricSweepReport`]) run under the sharded engine (the key
+//! keeps its name from when that engine had worker threads).
 
 use serde::Serialize;
 use serde_json::Value;
@@ -55,8 +54,8 @@ pub struct RunMetrics {
     /// Total wall-clock across all scenarios, in milliseconds.
     /// **Non-deterministic** — lives outside the checked section.
     pub wall_clock_ms: f64,
-    /// DES events executed across all scenarios — k8s and parallel
-    /// fabric sweeps alike (deterministic).
+    /// DES events executed across all scenarios — k8s and fabric
+    /// sweeps alike (deterministic).
     pub des_events_executed: u64,
     /// Events per wall-clock second (non-deterministic).
     pub events_per_sec: f64,
@@ -74,8 +73,8 @@ impl RunMetrics {
         Self::from_run(reports, &[], &[], wall_clock_secs)
     }
 
-    /// [`RunMetrics::from_reports`], plus the parallel fabric sweeps
-    /// (their shard events count toward the run's event total) and the
+    /// [`RunMetrics::from_reports`], plus the fabric sweeps (their
+    /// shard events count toward the run's event total) and the
     /// control-plane stress runs (their transactions count toward
     /// `vni_txns`).
     pub fn from_run(
@@ -157,7 +156,7 @@ mod tests {
 
     fn tiny_parallel_report() -> FabricSweepReport {
         let sc = parallel_by_name("trunk-contended-128", 5).expect("library sweep");
-        run_fabric_scenario(&sc, 2)
+        run_fabric_scenario(&sc, 1)
     }
 
     fn tiny_stress_report() -> VniStressReport {
