@@ -11,12 +11,38 @@
 //! proves that merging Services/PLEG changed no byte of any pre-existing
 //! report (no new JSON fields, no counter drift). The four fabric-sweep
 //! fixtures were rendered by the threaded engine at 1 and 2 workers
-//! (identical bytes) before it was reduced to one thread.
+//! (identical bytes) before it was reduced to one thread, and
+//! `dragonfly-1024-256B` by the engine that still scheduled every
+//! launch up front, before injection was streamed.
 
+use shs_fabric::{CostModel, RoutingPolicy, SweepConfig, TopologySpec};
 use slingshot_k8s::{
     by_name, library, parallel_library, run_fabric_scenario, run_scenario, run_vni_stress,
-    VniStressScenario,
+    FabricScenario, VniStressScenario,
 };
+
+/// The `fabric-sweep-t1` benchmark shape (`sysbench/src/workloads.rs`)
+/// at one tenth of its length: hundred-deep per-node launch chains at
+/// 256 B, where equal-instant ties are dense. The library sweeps queue
+/// 12–16 messages per node.
+fn dragonfly_1024_256b(seed: u64) -> FabricScenario {
+    FabricScenario {
+        name: "dragonfly-1024-256B",
+        description: "1024-node 4-group dragonfly sweep, 256 B messages, 50% cross-group",
+        config: SweepConfig {
+            spec: TopologySpec { groups: 4, switches_per_group: 8, edge_ports: 32 },
+            policy: RoutingPolicy::Minimal,
+            nodes_per_switch: 32,
+            messages_per_node: 100,
+            payload_bytes: 256,
+            interval_ns: 2_000,
+            cross_group_every: 2,
+            seed,
+            model: CostModel::default(),
+            faults: Vec::new(),
+        },
+    }
+}
 
 /// Full cluster scenarios through the DES engine: only
 /// `ClusterConfig::vni_shards` varies.
@@ -39,14 +65,14 @@ fn scenario_reports_are_byte_identical_across_shard_counts() {
 /// plane, so this is the regression pin that services, the PLEG cache,
 /// and the service Metacontroller are invisible to scenarios that don't
 /// plan them; the three service fixtures freeze the serving-plane
-/// reports themselves, and the four sweep fixtures freeze the sharded
-/// fabric engine's.
+/// reports themselves, and the five sweep fixtures (the library's four
+/// and the benchmark shape) freeze the sharded fabric engine's.
 #[test]
 fn library_reports_match_their_committed_fixtures() {
     let scenarios = library(42).into_iter().map(|s| {
         (s.name.clone(), serde_json::to_string_pretty(&run_scenario(&s)).expect("serializes"))
     });
-    let sweeps = parallel_library(42).into_iter().map(|s| {
+    let sweeps = parallel_library(42).into_iter().chain([dragonfly_1024_256b(42)]).map(|s| {
         let report = run_fabric_scenario(&s, 1);
         (s.name.to_string(), serde_json::to_string_pretty(&report).expect("serializes"))
     });
@@ -58,7 +84,7 @@ fn library_reports_match_their_committed_fixtures() {
         assert_eq!(got + "\n", expected, "{name} diverged from its committed fixture");
         seen += 1;
     }
-    assert_eq!(seen, 15 + 4, "every library scenario and sweep has a fixture");
+    assert_eq!(seen, 15 + 4 + 1, "every library scenario and sweep has a fixture");
 }
 
 /// Job-only scenarios must not grow a `services` key (the serde

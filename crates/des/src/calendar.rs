@@ -10,12 +10,16 @@
 //! rebalancing a queue-wide structure.
 //!
 //! **Ordering contract**: entries pop in strictly ascending `(time,
-//! seq)` order. `seq` is the queue-wide insertion counter, so ties in
-//! time drain FIFO. Because `(time, seq)` is a total order (no two
+//! seq)` order. `seq` is the caller's tie-break — [`Sim`](crate::Sim)
+//! passes its insertion counter, so ties in time drain FIFO, or a
+//! sequence number reserved earlier
+//! ([`Sim::at_slot`](crate::Sim::at_slot)), so pushes need not arrive
+//! in `seq` order. Because `(time, seq)` is a total order (no two
 //! entries share a `seq`), the pop sequence is *bit-identical* to the
 //! old heap's — proven by the oracle test in
 //! `tests/calendar_props.rs`, which drives both structures through
-//! arbitrary schedule/pop interleavings.
+//! arbitrary schedule/pop interleavings under unique, non-monotone
+//! `seq`s.
 //!
 //! # Design notes
 //!
@@ -33,7 +37,9 @@
 //!   in flight, so bucket width barely matters there; the fabric and
 //!   MPI data paths never enqueue here at all — they advance explicit
 //!   per-rank virtual-time cursors; the sharded fabric sweeps do
-//!   enqueue µs-scale bursts, which the per-bucket heaps below absorb).
+//!   enqueue µs-scale bursts — a few hundred entries per shard since
+//!   injection is streamed, one launch per node plus the continuations
+//!   in flight — which the per-bucket heaps below absorb).
 //! * **Ring size** is 256 buckets (≈ 16.8 ms horizon). Events past the
 //!   horizon (kubelet retry backoffs, multi-second job runtimes) wait
 //!   in an unsorted `overflow` list whose minimum *day* (bucket-granular
@@ -48,11 +54,12 @@
 //!   linear min-scan while small — the fastest structure for the
 //!   handful of entries a bucket usually holds — that promotes itself
 //!   to a binary min-heap on `(time, seq)` once a dense burst crosses
-//!   32 entries. The sharded fabric sweeps push thousands of
-//!   sub-bucket-width events into one bucket, where a per-pop scan
-//!   goes quadratic in the burst size; the heap form keeps dense days
-//!   at `O(log k)` per operation, and demotes back to the `Vec` form
-//!   when drained.
+//!   32 entries. The sharded fabric sweeps keep a few hundred
+//!   sub-bucket-width events in one bucket (thousands, before their
+//!   injection was streamed) — still ten times the threshold, where a
+//!   per-pop scan goes quadratic in the burst size; the heap form
+//!   keeps dense days at `O(log k)` per operation, and demotes back to
+//!   the `Vec` form when drained.
 
 use std::collections::BinaryHeap;
 
@@ -68,7 +75,7 @@ const WORDS: usize = NBUCKETS / 64;
 pub struct Entry<T> {
     /// Absolute due time.
     pub time: SimTime,
-    /// Queue-wide insertion counter: the FIFO tie-break within a time.
+    /// Queue-wide unique sequence number: the tie-break within a time.
     pub seq: u64,
     /// The payload (an event closure in [`Sim`](crate::Sim)).
     pub item: T,
@@ -90,9 +97,9 @@ const PROMOTE_AT: usize = 32;
 /// One ring bucket. Starts as an unsorted `Vec` popped by linear
 /// min-scan — the fastest structure for the handful of entries a bucket
 /// usually holds — and promotes itself to a binary min-heap once a
-/// dense burst crosses [`PROMOTE_AT`] (the sharded fabric sweeps push
-/// thousands of sub-bucket-width events into one bucket, where the
-/// per-pop scan went quadratic). Draining a promoted bucket to empty
+/// dense burst crosses [`PROMOTE_AT`] (the sharded fabric sweeps keep a
+/// few hundred sub-bucket-width events in one bucket, where the per-pop
+/// scan goes quadratic). Draining a promoted bucket to empty
 /// demotes it back to the `Vec` form, so a one-off burst does not tax
 /// the slot's later (sparse) days.
 enum Bucket<T> {

@@ -27,6 +27,39 @@
 //! assert_eq!(sim.now(), SimTime::from_nanos(100_000_000));
 //! assert_eq!(sim.pending(), 1, "the next tick stays queued past the horizon");
 //! ```
+//!
+//! # Reserved slots: deferred scheduling that cannot be observed
+//!
+//! A workload known at setup need not sit in the queue from setup on.
+//! [`Sim::reserve`] sets a block of insertion-order positions aside;
+//! [`Sim::at_slot`] later schedules an event under one of them, and it
+//! pops exactly where it would have had it been scheduled when the
+//! block was reserved — ahead of everything scheduled since, at the
+//! same instant. A chain that queues only its *next* link therefore
+//! runs in the order of one that queued every link up front:
+//!
+//! ```
+//! use shs_des::{Sim, SimTime};
+//!
+//! const LINKS: [(u64, &str); 3] = [(5, "a"), (10, "b"), (20, "c")];
+//!
+//! fn link(sim: &mut Sim<Vec<&'static str>>, first: u64, k: usize) {
+//!     if let Some(&(t, _)) = LINKS.get(k + 1) {
+//!         sim.at_slot(SimTime::from_nanos(t), first + k as u64 + 1, move |s| link(s, first, k + 1));
+//!     }
+//!     sim.world.push(LINKS[k].1);
+//! }
+//!
+//! let mut sim = Sim::new(Vec::new());
+//! let first = sim.reserve(LINKS.len() as u64);
+//! sim.at(SimTime::from_nanos(10), |s| s.world.push("after b"));
+//! sim.at(SimTime::from_nanos(20), |s| s.world.push("after c"));
+//! sim.at_slot(SimTime::from_nanos(5), first, move |s| link(s, first, 0));
+//! sim.run();
+//! // "b" and "c" did not exist yet when their bystanders were
+//! // scheduled, but their slots did: they win the ties.
+//! assert_eq!(sim.world, ["a", "b", "after b", "c", "after c"]);
+//! ```
 
 use crate::calendar::CalendarQueue;
 use crate::time::{SimDur, SimTime};
@@ -99,6 +132,35 @@ impl<W> Sim<W> {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(t, seq, f);
+    }
+
+    /// Set the next `n` insertion-order positions aside and return the
+    /// first: slots `first..first + n` are the caller's, to be filled
+    /// by [`at_slot`](Self::at_slot) whenever it suits. Every event
+    /// scheduled after this call ties *behind* every slot of the block,
+    /// however late that slot's event is materialized.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// Schedule `f` at `t` under the reserved `slot`: among events due
+    /// at `t` it runs where it would have run had it been scheduled
+    /// when the slot was reserved, so slots order by index, not by the
+    /// order they are filled in. Filling late is unobservable as long
+    /// as no same-instant event scheduled after the reservation has
+    /// already run — always the case when `t > now`.
+    ///
+    /// The caller's contract: `slot` comes from
+    /// [`reserve`](Self::reserve) and is used at most once — it becomes
+    /// the entry's queue-wide unique `seq` (see
+    /// [`CalendarQueue::push`]). A slot that was never reserved, or a
+    /// `t` in the past, panics in debug builds; reuse is not detected.
+    pub fn at_slot(&mut self, t: SimTime, slot: u64, f: impl FnOnce(&mut Sim<W>) + 'static) {
+        debug_assert!(slot < self.seq, "slot {slot} is not reserved (next free: {})", self.seq);
+        debug_assert!(t >= self.now, "scheduling into the past: {t} < {}", self.now);
+        self.queue.push(t.max(self.now), slot, Box::new(f));
     }
 
     /// Schedule `f` after a relative delay.
@@ -191,6 +253,55 @@ mod tests {
         sim.run();
         let names: Vec<_> = sim.world.log.iter().map(|&(_, n)| n).collect();
         assert_eq!(names, vec!["first", "second", "third"]);
+    }
+
+    #[test]
+    fn a_slot_filled_late_runs_as_if_scheduled_at_reservation() {
+        let mut sim = Sim::new(W::default());
+        sim.at(SimTime::from_nanos(5), |s| s.world.log.push((5, "before the block")));
+        let first = sim.reserve(1);
+        sim.at(SimTime::from_nanos(5), |s| s.world.log.push((5, "after the block")));
+        // Filled from inside a handler, long after both neighbours were
+        // scheduled.
+        sim.at(SimTime::from_nanos(1), move |s| {
+            s.at_slot(SimTime::from_nanos(5), first, |s| s.world.log.push((5, "slot")));
+        });
+        sim.run();
+        let names: Vec<_> = sim.world.log.iter().map(|&(_, n)| n).collect();
+        assert_eq!(names, vec!["before the block", "slot", "after the block"]);
+        assert_eq!(sim.events_executed(), 4);
+    }
+
+    #[test]
+    fn slots_order_by_index_not_by_fill_order() {
+        let mut sim = Sim::new(W::default());
+        let first = sim.reserve(3);
+        for (slot, name) in [(2, "third"), (0, "first"), (1, "second")] {
+            sim.at_slot(SimTime::from_nanos(5), first + slot, move |s| s.world.log.push((5, name)));
+        }
+        assert_eq!(sim.pending(), 3, "a reservation queues nothing by itself");
+        sim.run();
+        let names: Vec<_> = sim.world.log.iter().map(|&(_, n)| n).collect();
+        assert_eq!(names, vec!["first", "second", "third"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not reserved")]
+    #[cfg(debug_assertions)]
+    fn an_unreserved_slot_panics_in_debug() {
+        let mut sim = Sim::new(W::default());
+        let first = sim.reserve(2);
+        sim.at_slot(SimTime::from_nanos(5), first + 2, |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    #[cfg(debug_assertions)]
+    fn a_slot_in_the_past_panics_in_debug() {
+        let mut sim = Sim::new(W::default());
+        let first = sim.reserve(1);
+        sim.at(SimTime::from_nanos(10), move |s| s.at_slot(SimTime::from_nanos(9), first, |_| {}));
+        sim.run();
     }
 
     #[test]

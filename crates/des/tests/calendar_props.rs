@@ -7,6 +7,11 @@
 //! is a total order (the insertion counter is unique), both structures
 //! have exactly one legal pop sequence — so equality here proves the
 //! replacement changes no observable simulation behavior.
+//!
+//! Pushed `seq`s are unique but **not monotone** — a random rank above
+//! the push counter — because `Sim::at_slot` pushes reserved sequence
+//! numbers long after later ones are queued; the contract is `(time,
+//! seq)` order for any unique `seq`, not only for an insertion counter.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -18,11 +23,18 @@ const HORIZON: u64 = CalendarQueue::<u32>::BUCKET_NS * 256;
 
 /// One step of an interleaving: schedule an event `delta` ns after the
 /// current watermark (the largest time popped so far, mirroring the
-/// simulator's monotone clock), or pop one event from both structures.
+/// simulator's monotone clock) under a `seq` of the given random rank,
+/// or pop one event from both structures.
 #[derive(Debug, Clone)]
 enum Op {
-    Push(u64),
+    Push(u64, u8),
     Pop,
+}
+
+fn push(delta: std::ops::Range<u64>) -> impl Strategy<Value = Op> {
+    // Few distinct ranks, so equal-time entries meet in either order of
+    // rank and push counter.
+    (delta, 0u8..4).prop_map(|(delta, rank)| Op::Push(delta, rank))
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -30,12 +42,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         // Near-future: inside one bucket, and exact duplicates (delta 0
         // collides with the watermark; repeated small deltas collide
         // with each other).
-        4 => (0u64..4096).prop_map(Op::Push),
+        4 => push(0u64..4096),
         // Mid-range: a few buckets out.
-        2 => (4096u64..HORIZON).prop_map(Op::Push),
+        2 => push(4096u64..HORIZON),
         // Far-future: past the ring horizon (overflow), including
         // multi-lap distances that force wraparound migration.
-        2 => (HORIZON..20 * HORIZON).prop_map(Op::Push),
+        2 => push(HORIZON..20 * HORIZON),
         3 => Just(Op::Pop),
     ]
 }
@@ -47,15 +59,17 @@ proptest! {
     ) {
         let mut cal = CalendarQueue::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut pushed = 0u64;
         let mut watermark = 0u64; // largest popped time = the sim clock
         for op in ops {
             match op {
-                Op::Push(delta) => {
+                Op::Push(delta, rank) => {
                     let t = watermark + delta;
+                    // Unique by the counter, ordered by the rank first.
+                    let seq = (rank as u64) << 32 | pushed;
                     cal.push(SimTime::from_nanos(t), seq, seq);
                     heap.push(Reverse((t, seq)));
-                    seq += 1;
+                    pushed += 1;
                 }
                 Op::Pop => {
                     let expect = heap.pop();

@@ -2,7 +2,8 @@
 //! event workloads over 2–4 shards must apply events in an order
 //! bit-identical to one global [`Sim`].
 //!
-//! Two properties, because the engines' tie-breaks differ by design:
+//! Two properties against that oracle, because the engines' tie-breaks
+//! differ by design, and a third for reserved slots:
 //!
 //! 1. **Serial oracle** (`parallel_matches_serial_sim_on_unique_times`):
 //!    when no two events share a timestamp, `(time, seq)` order is just
@@ -18,10 +19,19 @@
 //!    must hold is lookahead safety (injection slack ≥ 0) and that the
 //!    trace, window count and injection count are a function of the
 //!    workload alone.
+//! 3. **Deferred scheduling under reserved slots is unobservable**
+//!    (`chains_under_reserved_slots_match_eager_scheduling`): per-shard
+//!    chains of events at strictly increasing instants, dense with
+//!    equal-time ties between chains, bystanders and cross-shard
+//!    arrivals, run identically whether every link is scheduled at
+//!    setup or each link queues only its successor under
+//!    [`Sim::at_slot`].
 //!
 //! Cascades are a pure function of the structural id (a splitmix-style
 //! hash decides fan-out, destination and delays), so both engines
 //! replay the identical workload from the same generated seed events.
+
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use shs_des::{ShardSim, ShardedSim, Sim, SimDur, SimTime};
@@ -162,6 +172,124 @@ fn run_sharded(w: &Workload, unique_times: bool) -> (Vec<Trace>, ShardedSim<Trac
     (traces, psim)
 }
 
+/// Lookahead of the chain workload: a few link gaps wide, so a window
+/// holds several links of several chains.
+const CHAIN_LOOKAHEAD: u64 = 16;
+
+/// One shard-local process: links due at strictly increasing instants,
+/// some of which also send to another shard.
+#[derive(Debug, Clone)]
+struct Chain {
+    shard: usize,
+    /// Per link: its absolute instant, and a cross-shard send as
+    /// (destination, delay).
+    links: Vec<(u64, Option<(usize, u64)>)>,
+}
+
+#[derive(Debug, Clone)]
+struct ChainWorkload {
+    nshards: usize,
+    chains: Vec<Chain>,
+    /// Plain `(shard, instant)` events scheduled before the chains and
+    /// after them.
+    before: Vec<(usize, u64)>,
+    after: Vec<(usize, u64)>,
+}
+
+fn chain_workload_strategy() -> impl Strategy<Value = ChainWorkload> {
+    (2usize..=4)
+        .prop_flat_map(|nshards| {
+            // Gaps of 1–4 ns over a handful of chains: ties everywhere.
+            let send = prop_oneof![
+                2 => Just(None),
+                1 => (1..nshards, 0u64..8).prop_map(Some),
+            ];
+            let chain = (0..nshards, prop::collection::vec((1u64..=4, send), 1..12));
+            let plain = || prop::collection::vec((0..nshards, 0u64..48), 0..6);
+            (Just(nshards), prop::collection::vec(chain, 1..8), plain(), plain())
+        })
+        .prop_map(|(nshards, chains, before, after)| {
+            let chains = chains
+                .into_iter()
+                .map(|(shard, gaps)| {
+                    let mut t = 0;
+                    let links = gaps
+                        .into_iter()
+                        .map(|(gap, send)| {
+                            t += gap;
+                            let send = send
+                                .map(|(hop, extra)| ((shard + hop) % nshards, CHAIN_LOOKAHEAD + extra));
+                            (t, send)
+                        })
+                        .collect();
+                    Chain { shard, links }
+                })
+                .collect();
+            ChainWorkload { nshards, chains, before, after }
+        })
+}
+
+/// Run the chain workload with every link scheduled at setup
+/// (`chained = false`), or with each chain's block of slots reserved at
+/// the same point and every link queuing only its successor.
+fn run_chains(w: &ChainWorkload, chained: bool) -> (Vec<Trace>, u64, u64) {
+    fn log(id: u32) -> impl FnOnce(&mut ShardSim<Trace>) {
+        move |s| {
+            let t = s.now().as_nanos();
+            s.world.push((t, id));
+        }
+    }
+    /// Link `k` of `chain` (numbered `id`); `slots` is the chain's
+    /// first reserved slot when links are chained.
+    fn link(s: &mut ShardSim<Trace>, chain: Rc<Chain>, id: u32, k: usize, slots: Option<u64>) {
+        if let (Some(first), Some(&(t, _))) = (slots, chain.links.get(k + 1)) {
+            let next = Rc::clone(&chain);
+            s.at_slot(SimTime::from_nanos(t), first + k as u64 + 1, move |s| {
+                link(s, next, id, k + 1, slots)
+            });
+        }
+        log(id * 100 + k as u32)(s);
+        if let Some((dst, delay)) = chain.links[k].1 {
+            s.send_to(dst, SimDur::from_nanos(delay), log(10_000 + id * 100 + k as u32));
+        }
+    }
+
+    let mut psim =
+        ShardedSim::new(vec![Trace::new(); w.nshards], SimDur::from_nanos(CHAIN_LOOKAHEAD));
+    for &(shard, t) in &w.before {
+        psim.shard_mut(shard).at(SimTime::from_nanos(t), log(20_000));
+    }
+    let mut next_slot: Vec<u64> = (0..w.nshards)
+        .map(|g| {
+            let links: usize = w.chains.iter().filter(|c| c.shard == g).map(|c| c.links.len()).sum();
+            if chained { psim.shard_mut(g).reserve(links as u64) } else { 0 }
+        })
+        .collect();
+    for (id, chain) in w.chains.iter().enumerate() {
+        let (id, chain) = (id as u32, Rc::new(chain.clone()));
+        let shard = psim.shard_mut(chain.shard);
+        if chained {
+            let first = next_slot[chain.shard];
+            next_slot[chain.shard] += chain.links.len() as u64;
+            let head = Rc::clone(&chain);
+            shard.at_slot(SimTime::from_nanos(chain.links[0].0), first, move |s| {
+                link(s, head, id, 0, Some(first))
+            });
+        } else {
+            for (k, &(t, _)) in chain.links.iter().enumerate() {
+                let chain = Rc::clone(&chain);
+                shard.at(SimTime::from_nanos(t), move |s| link(s, chain, id, k, None));
+            }
+        }
+    }
+    for &(shard, t) in &w.after {
+        psim.shard_mut(shard).at(SimTime::from_nanos(t), log(30_000));
+    }
+    psim.run();
+    let traces = psim.shards().map(|s| s.world.clone()).collect();
+    (traces, psim.windows(), psim.injected())
+}
+
 proptest! {
     /// With globally unique timestamps the windowed apply order must be
     /// bit-identical to the serial `Sim`'s, shard by shard.
@@ -190,5 +318,13 @@ proptest! {
         prop_assert_eq!(&again, &traces);
         prop_assert_eq!(psim2.windows(), psim.windows());
         prop_assert_eq!(psim2.injected(), psim.injected());
+    }
+
+    /// Filling reserved slots one link ahead is indistinguishable from
+    /// scheduling every link up front: same per-shard trace, same
+    /// windows, same injections.
+    #[test]
+    fn chains_under_reserved_slots_match_eager_scheduling(w in chain_workload_strategy()) {
+        prop_assert_eq!(run_chains(&w, true), run_chains(&w, false));
     }
 }

@@ -26,6 +26,22 @@
 //! shard ever receives an event below its local clock (asserted by
 //! `tests/shardsim_props.rs` over arbitrary topologies).
 //!
+//! # Streamed injection
+//!
+//! The workload is a pure function of the config (`sweep_message`, the
+//! generator behind [`sweep_messages`]), so it is never materialized:
+//! every node is a self-rescheduling process whose launch event first
+//! queues the node's *next* generated message, and a shard's queue
+//! holds one launch per node plus the continuations in flight —
+//! O(nodes), not O(messages). Queuing a launch that late is
+//! unobservable because its place in the tie-break order is reserved
+//! at setup ([`shs_des::Sim::reserve`]): the shard's faults first, then
+//! one slot per `(node, k)` in node-major order, then — under plain
+//! insertion order — every continuation. A node's injection instants
+//! strictly increase, so its successor is always in the future when it
+//! is queued, and the earliest pending launch of every node (hence
+//! every coordinator window) is that of the fully scheduled sweep.
+//!
 //! # Per-hop timing
 //!
 //! A shard is the packet path of `trunknet.rs` owning one group —
@@ -99,7 +115,8 @@ pub struct GroupCounters {
     pub route_drops: u64,
 }
 
-/// The per-shard world: one group's slice of the fabric.
+/// The per-shard world: one group's slice of the fabric, and the
+/// generator of the messages its nodes inject.
 pub struct GroupNet {
     /// The trunks sourced in this group, plus this shard's view of
     /// fabric liveness. Every shard schedules the same globally-known
@@ -107,9 +124,15 @@ pub struct GroupNet {
     /// cross-shard fault notification (which would break the lookahead)
     /// is needed.
     net: TrunkNet,
-    nodes_per_switch: usize,
+    /// The sweep being run: what [`sweep_message`] generates this
+    /// group's launches from, one message ahead per node.
+    cfg: Rc<SweepConfig>,
     /// First global node id of this group.
     node_base: u32,
+    /// First of the shard's reserved launch slots: message `k` of local
+    /// node `n` launches under slot
+    /// `slot_base + n · messages_per_node + k`.
+    slot_base: u64,
     /// Edge-link occupancy per local node.
     edge: Vec<LinkState>,
     /// The group's counters.
@@ -117,12 +140,13 @@ pub struct GroupNet {
 }
 
 impl GroupNet {
-    fn new(topo: Rc<Topology>, model: CostModel, group: usize, nodes_per_switch: usize) -> Self {
-        let nodes_per_group = topo.spec().switches_per_group * nodes_per_switch;
+    fn new(topo: Rc<Topology>, cfg: Rc<SweepConfig>, group: usize) -> Self {
+        let nodes_per_group = nodes_per_group(&cfg) as usize;
         GroupNet {
-            net: TrunkNet::new(topo, model, Some(group)),
-            nodes_per_switch,
+            net: TrunkNet::new(topo, cfg.model, Some(group)),
+            cfg,
             node_base: (group * nodes_per_group) as u32,
+            slot_base: 0,
             edge: vec![LinkState::default(); nodes_per_group],
             counters: GroupCounters::default(),
         }
@@ -130,7 +154,7 @@ impl GroupNet {
 
     #[inline]
     fn switch_of(&self, node: u32) -> SwitchId {
-        SwitchId(node as usize / self.nodes_per_switch)
+        SwitchId(node as usize / self.cfg.nodes_per_switch)
     }
 
     #[inline]
@@ -139,10 +163,33 @@ impl GroupNet {
     }
 }
 
-/// The launch event: uplink reservation in the source group, route
-/// selection against the shard's live state, then the route walk (which
-/// may hand off at a group boundary).
+/// Queue the launch of `node`'s first generated message with index
+/// `≥ from_k` (indices that generate `None` are skipped) under its
+/// reserved slot, and return its injection instant.
+fn queue_next_launch(s: &mut ShardSim<GroupNet>, node: u32, from_k: u32) -> Option<SimTime> {
+    let w = &s.world;
+    let per_node = w.cfg.messages_per_node;
+    let (k, m) = (from_k..per_node).find_map(|k| Some((k, sweep_message(&w.cfg, node, k)?)))?;
+    let slot = w.slot_base + (node - w.node_base) as u64 * per_node as u64 + k as u64;
+    s.at_slot(m.t0, slot, move |s| launch(s, m));
+    Some(m.t0)
+}
+
+/// The launch event: queue the node's next message, then inject this
+/// one.
 fn launch(s: &mut ShardSim<GroupNet>, m: SweepMsg) {
+    let next_t0 = queue_next_launch(s, m.src, m.id as u32 + 1);
+    // What makes queuing this late unobservable: a node's injection
+    // instants strictly increase, so nothing due at the successor's
+    // instant can have run yet.
+    debug_assert!(next_t0.is_none_or(|t| t > s.now()), "node {} injects out of order", m.src);
+    inject(s, m);
+}
+
+/// Inject a message at `now`: uplink reservation in the source group,
+/// route selection against the shard's live state, then the route walk
+/// (which may hand off at a group boundary).
+fn inject(s: &mut ShardSim<GroupNet>, m: SweepMsg) {
     let now = s.now();
     let w = &mut s.world;
     w.counters.sent += 1;
@@ -213,7 +260,7 @@ fn walk_from(
 }
 
 /// One scheduled fault in a sweep's globally-known fault schedule.
-/// `run_sweep` schedules it into **every** shard's local event queue
+/// [`run_sweep`] schedules it into **every** shard's local event queue
 /// (before any message of the same instant), so all liveness views
 /// flip identically and the conservative lookahead is untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,42 +328,56 @@ fn mix(seed: u64, node: u32, k: u32, lane: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The messages a sweep injects, node-major: the order [`run_sweep`]
-/// schedules them in, which breaks ties between equal injection
-/// instants inside a shard.
-pub fn sweep_messages(cfg: &SweepConfig) -> impl Iterator<Item = SweepMsg> + '_ {
-    let nodes_per_group = (cfg.spec.switches_per_group * cfg.nodes_per_switch) as u32;
+/// Nodes attached to each dragonfly group.
+fn nodes_per_group(cfg: &SweepConfig) -> u32 {
+    (cfg.spec.switches_per_group * cfg.nodes_per_switch) as u32
+}
+
+/// Message `k` of `node`: the sweep's one workload generator, a pure
+/// function of the config. `None` when the message would be group-local
+/// and the group has no second node to send to. A node's injection
+/// instants strictly increase with `k` (`t0 = k·I + h mod I` for the
+/// interval `I ≥ 1`), which streamed injection relies on.
+fn sweep_message(cfg: &SweepConfig, node: u32, k: u32) -> Option<SweepMsg> {
+    let nodes_per_group = nodes_per_group(cfg);
     let groups = cfg.spec.groups;
     let interval = cfg.interval_ns.max(1);
-    let message = move |node: u32, k: u32| {
-        let g = (node / nodes_per_group) as usize;
-        let cross = groups > 1 && cfg.cross_group_every > 0 && k.is_multiple_of(cfg.cross_group_every);
-        let dst = if cross {
-            let dg = (g + 1 + (mix(cfg.seed, node, k, 1) as usize % (groups - 1))) % groups;
-            dg as u32 * nodes_per_group + mix(cfg.seed, node, k, 2) as u32 % nodes_per_group
+    let g = (node / nodes_per_group) as usize;
+    let cross = groups > 1 && cfg.cross_group_every > 0 && k.is_multiple_of(cfg.cross_group_every);
+    let dst = if cross {
+        let dg = (g + 1 + (mix(cfg.seed, node, k, 1) as usize % (groups - 1))) % groups;
+        dg as u32 * nodes_per_group + mix(cfg.seed, node, k, 2) as u32 % nodes_per_group
+    } else {
+        if nodes_per_group < 2 {
+            return None; // no distinct local peer exists
+        }
+        let base = g as u32 * nodes_per_group;
+        let peer = base + mix(cfg.seed, node, k, 2) as u32 % nodes_per_group;
+        if peer == node {
+            base + (peer - base + 1) % nodes_per_group
         } else {
-            if nodes_per_group < 2 {
-                return None; // no distinct local peer exists
-            }
-            let base = g as u32 * nodes_per_group;
-            let peer = base + mix(cfg.seed, node, k, 2) as u32 % nodes_per_group;
-            if peer == node {
-                base + (peer - base + 1) % nodes_per_group
-            } else {
-                peer
-            }
-        };
-        Some(SweepMsg {
-            src: node,
-            dst,
-            t0: SimTime::from_nanos(k as u64 * interval + mix(cfg.seed, node, k, 3) % interval),
-            len: cfg.payload_bytes,
-            tc: TrafficClass::ALL[(mix(cfg.seed, node, k, 4) % 4) as usize],
-            id: (node as u64) << 32 | k as u64,
-        })
+            peer
+        }
     };
-    (0..nodes_per_group * groups as u32)
-        .flat_map(move |node| (0..cfg.messages_per_node).filter_map(move |k| message(node, k)))
+    Some(SweepMsg {
+        src: node,
+        dst,
+        t0: SimTime::from_nanos(k as u64 * interval + mix(cfg.seed, node, k, 3) % interval),
+        len: cfg.payload_bytes,
+        tc: TrafficClass::ALL[(mix(cfg.seed, node, k, 4) % 4) as usize],
+        id: (node as u64) << 32 | k as u64,
+    })
+}
+
+/// The messages a sweep injects, node-major. [`run_sweep`] never builds
+/// this list — each node generates its next message as the previous one
+/// launches — but reserves one launch slot per `(node, k)` in exactly
+/// this order, which is what breaks ties between equal injection
+/// instants inside a shard.
+pub fn sweep_messages(cfg: &SweepConfig) -> impl Iterator<Item = SweepMsg> + '_ {
+    (0..nodes_per_group(cfg) * cfg.spec.groups as u32).flat_map(move |node| {
+        (0..cfg.messages_per_node).filter_map(move |k| sweep_message(cfg, node, k))
+    })
 }
 
 /// Aggregated outcome of [`run_sweep`]: the sum of every group's
@@ -360,35 +421,45 @@ impl SweepStats {
     }
 }
 
-/// Run a sweep, one shard per dragonfly group. The result — every
-/// counter, every clock — is a function of `cfg` alone.
-pub fn run_sweep(cfg: &SweepConfig) -> SweepStats {
+/// Build a sweep's shards, ready to run: the fault schedule in every
+/// queue, one launch slot reserved per `(node, k)`, and each node's
+/// first message queued under its own.
+fn build_sweep(cfg: &SweepConfig) -> ShardedSim<GroupNet> {
     assert!(cfg.nodes_per_switch >= 1 && cfg.nodes_per_switch <= cfg.spec.edge_ports);
     let topo = Rc::new(Topology::new(cfg.spec, cfg.policy));
-    let lookahead = trunk_lookahead(&cfg.model);
+    let cfg = Rc::new(cfg.clone());
     let worlds: Vec<GroupNet> = (0..topo.groups())
-        .map(|g| GroupNet::new(Rc::clone(&topo), cfg.model, g, cfg.nodes_per_switch))
+        .map(|g| GroupNet::new(Rc::clone(&topo), Rc::clone(&cfg), g))
         .collect();
-    let mut psim = ShardedSim::new(worlds, lookahead);
+    let mut psim = ShardedSim::new(worlds, trunk_lookahead(&cfg.model));
 
-    // The fault schedule is globally known at setup: schedule it into
-    // every shard before any message, so at equal instants the fault
-    // event (lower sequence number) applies first and all shards'
-    // liveness views flip identically — no cross-shard notification,
-    // no lookahead impact.
+    let nodes_per_group = nodes_per_group(&cfg);
     for g in 0..topo.groups() {
+        let shard = psim.shard_mut(g);
+        // The fault schedule is globally known at setup: schedule it
+        // into every shard before any message, so at equal instants the
+        // fault event (lower sequence number) applies first and all
+        // shards' liveness views flip identically — no cross-shard
+        // notification, no lookahead impact.
         for f in &cfg.faults {
             let kind = f.kind;
-            psim.shard_mut(g)
-                .at(SimTime::from_nanos(f.at_ns), move |s| s.world.net.apply_fault(kind));
+            shard.at(SimTime::from_nanos(f.at_ns), move |s| s.world.net.apply_fault(kind));
+        }
+        // Launches tie behind the faults, in node-major order among
+        // themselves, and ahead of every continuation (injected later,
+        // so under later sequence numbers).
+        shard.world.slot_base =
+            shard.reserve(nodes_per_group as u64 * cfg.messages_per_node as u64);
+        let node_base = shard.world.node_base;
+        for node in node_base..node_base + nodes_per_group {
+            queue_next_launch(shard, node, 0);
         }
     }
+    psim
+}
 
-    let nodes_per_group = (cfg.spec.switches_per_group * cfg.nodes_per_switch) as u32;
-    for m in sweep_messages(cfg) {
-        psim.shard_mut((m.src / nodes_per_group) as usize).at(m.t0, move |s| launch(s, m));
-    }
-
+/// Run built shards to completion and fold their counters.
+fn finish_sweep(cfg: &SweepConfig, mut psim: ShardedSim<GroupNet>) -> SweepStats {
     psim.run();
 
     let per_group: Vec<GroupCounters> = psim.shards().map(|s| s.world.counters).collect();
@@ -408,9 +479,9 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepStats {
         }
     }
     SweepStats {
-        nodes: nodes_per_group as u64 * cfg.spec.groups as u64,
+        nodes: nodes_per_group(cfg) as u64 * cfg.spec.groups as u64,
         shards: psim.shard_count(),
-        lookahead_ns: (cfg.model.propagation_ns + cfg.model.hop_latency_ns),
+        lookahead_ns: trunk_lookahead(&cfg.model).as_nanos(),
         totals,
         per_group,
         events_executed: psim.events_executed(),
@@ -420,12 +491,143 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepStats {
     }
 }
 
+/// Run a sweep, one shard per dragonfly group, injection streamed: a
+/// shard's queue never holds more than one launch per node plus the
+/// continuations in flight. The result — every counter, every clock —
+/// is a function of `cfg` alone.
+pub fn run_sweep(cfg: &SweepConfig) -> SweepStats {
+    finish_sweep(cfg, build_sweep(cfg))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference streamed injection is held against: the sweep as
+    /// it ran before, every launch of every node boxed into its shard's
+    /// queue before the first event runs, ties broken by that
+    /// scheduling order alone (faults, launches node-major,
+    /// continuations).
+    fn run_sweep_materialized(cfg: &SweepConfig) -> SweepStats {
+        let topo = Rc::new(Topology::new(cfg.spec, cfg.policy));
+        let shared = Rc::new(cfg.clone());
+        let worlds: Vec<GroupNet> = (0..topo.groups())
+            .map(|g| GroupNet::new(Rc::clone(&topo), Rc::clone(&shared), g))
+            .collect();
+        let mut psim = ShardedSim::new(worlds, trunk_lookahead(&cfg.model));
+        for g in 0..topo.groups() {
+            for f in &cfg.faults {
+                let kind = f.kind;
+                psim.shard_mut(g)
+                    .at(SimTime::from_nanos(f.at_ns), move |s| s.world.net.apply_fault(kind));
+            }
+        }
+        let nodes_per_group = nodes_per_group(cfg);
+        for m in sweep_messages(cfg) {
+            psim.shard_mut((m.src / nodes_per_group) as usize).at(m.t0, move |s| inject(s, m));
+        }
+        finish_sweep(cfg, psim)
+    }
+
+    /// Sweeps sized to tie: few nodes, short intervals (at `0` and `1`
+    /// every node's `k`-th message shares one instant), every policy,
+    /// the one-node-per-group shape whose local messages generate
+    /// `None`, and faults drawn from the launch instants themselves so
+    /// that fault/launch ties actually occur.
+    fn tie_dense_config() -> impl Strategy<Value = SweepConfig> {
+        let policy = prop_oneof![
+            Just(RoutingPolicy::Minimal),
+            Just(RoutingPolicy::Valiant),
+            Just(RoutingPolicy::Adaptive),
+        ];
+        let interval = prop_oneof![Just(0u64), Just(1), Just(200), Just(2_000)];
+        let payload = prop_oneof![Just(64u64), Just(4096), Just(262_144)];
+        // (which launch instant, kind, switch, switch), folded into the
+        // sweep's own timeline and topology below.
+        let fault = (any::<u64>(), 0u8..3, 0usize..64, 0usize..64);
+        (
+            (1usize..=4, 1usize..=3, 1usize..=3), // groups, switches/group, nodes/switch
+            (policy, 0u32..=24, payload),
+            (interval, 0u32..=3, 0u64..=(1 << 48)), // interval ns, cross cadence, seed
+            prop::collection::vec(fault, 0..=4),
+        )
+            .prop_map(|((groups, spg, nps), (policy, mpn, payload), (interval, cross, seed), faults)| {
+                let mut cfg = SweepConfig {
+                    spec: TopologySpec { groups, switches_per_group: spg, edge_ports: nps.max(2) },
+                    policy,
+                    nodes_per_switch: nps,
+                    messages_per_node: mpn,
+                    payload_bytes: payload,
+                    interval_ns: interval,
+                    cross_group_every: cross,
+                    seed,
+                    ..SweepConfig::default()
+                };
+                let instants: Vec<SimTime> = sweep_messages(&cfg).map(|m| m.t0).collect();
+                let n = cfg.spec.total_switches();
+                cfg.faults = faults
+                    .into_iter()
+                    .filter_map(|(pick, kind, a, b)| {
+                        // An empty sweep has no instant to tie with.
+                        let at = instants.get(pick as usize % instants.len().max(1))?;
+                        let (a, b) = (a % n, b % n);
+                        let kind = match kind {
+                            0 if a != b => FaultKind::LinkDown(SwitchId(a), SwitchId(b)),
+                            1 if a != b => FaultKind::LinkUp(SwitchId(a), SwitchId(b)),
+                            _ => FaultKind::SwitchDown(SwitchId(a)),
+                        };
+                        Some(SweepFault { at_ns: at.as_nanos(), kind })
+                    })
+                    .collect();
+                cfg
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Streaming is unobservable: every counter of every group,
+        /// every executed event, window and injection equals the fully
+        /// materialized sweep's.
+        #[test]
+        fn streamed_sweep_equals_the_materialized_sweep(cfg in tie_dense_config()) {
+            prop_assert_eq!(run_sweep(&cfg), run_sweep_materialized(&cfg));
+        }
+    }
 
     #[test]
-    fn sweep_is_conserved_and_thread_invariant() {
+    fn a_shard_queues_one_launch_per_node_however_long_the_sweep() {
+        let cut = SweepFault { at_ns: 5_000, kind: FaultKind::LinkDown(SwitchId(1), SwitchId(2)) };
+        let cfg = SweepConfig { messages_per_node: 1_000, faults: vec![cut], ..SweepConfig::default() };
+        let psim = build_sweep(&cfg);
+        for shard in psim.shards() {
+            assert_eq!(shard.pending(), nodes_per_group(&cfg) as usize + cfg.faults.len());
+        }
+        let stats = finish_sweep(&cfg, psim);
+        assert_eq!(stats.totals.sent, stats.nodes * 1_000);
+        assert!(stats.conserved(), "{:?}", stats.totals);
+    }
+
+    #[test]
+    fn a_lone_node_chains_past_the_messages_it_cannot_send() {
+        // One node per group: a group-local message has no peer and
+        // generates `None`, so with every third message cross-group the
+        // chain must skip from k to k + 3.
+        let cfg = SweepConfig {
+            spec: TopologySpec { groups: 3, switches_per_group: 1, edge_ports: 2 },
+            nodes_per_switch: 1,
+            messages_per_node: 10,
+            cross_group_every: 3,
+            ..SweepConfig::default()
+        };
+        let stats = run_sweep(&cfg);
+        assert_eq!(stats.totals.sent, 3 * 4, "k = 0, 3, 6, 9 of each node");
+        assert_eq!(stats, run_sweep_materialized(&cfg));
+    }
+
+    #[test]
+    fn sweep_is_conserved() {
         let cfg = SweepConfig::default();
         let base = run_sweep(&cfg);
         assert!(base.totals.sent > 0);
@@ -466,7 +668,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_sweep_is_conserved_and_thread_invariant() {
+    fn adaptive_sweep_is_conserved() {
         let cfg = SweepConfig {
             spec: TopologySpec { groups: 4, switches_per_group: 2, edge_ports: 4 },
             policy: RoutingPolicy::Adaptive,
@@ -481,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn trunk_cut_mid_sweep_conserves_and_stays_thread_invariant() {
+    fn trunk_cut_mid_sweep_conserves() {
         // 3 groups × 1 switch: cut trunk (0, 1) mid-sweep. Adaptive
         // fallback detours via group 2; messages already in flight on
         // the dead trunk's route are route-dropped.
