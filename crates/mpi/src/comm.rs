@@ -282,7 +282,9 @@ impl Communicator {
 
     // The five point-to-point calls are `#[inline]`: the OSU loops call
     // them per message from another module (another codegen unit), and
-    // without it the `osu-pair` benchmark workload reads ~5 % slower.
+    // without it the in-process `osu_bw` floor reads ≈ 3 % slower
+    // (105-107 → 108-110 ns per message at every window; re-measured
+    // when the OFI calls beneath them became `#[inline]` too).
 
     /// `MPI_Irecv`: post a tagged receive on `rank` at its cursor.
     #[inline]

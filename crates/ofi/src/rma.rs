@@ -66,7 +66,7 @@ pub fn rma_write(
     match (check, outcome) {
         (Err(e), _) => (post_done, RmaOutcome::Denied(e)),
         (Ok(_), SendOutcome::Sent(t)) => {
-            src.push_completion(Completion {
+            src.cq_push(Completion {
                 kind: CompKind::Send,
                 tag: 0,
                 len,
@@ -118,7 +118,7 @@ pub fn rma_read(
             );
             match back {
                 Ok(SendOutcome::Sent(rt)) => {
-                    src.push_completion(Completion {
+                    src.cq_push(Completion {
                         kind: CompKind::Recv,
                         tag: 0,
                         len,
@@ -135,11 +135,6 @@ pub fn rma_read(
 }
 
 impl OfiEp {
-    /// Inject a completion (used by the RMA layer).
-    pub(crate) fn push_completion(&mut self, c: Completion) {
-        self.cq_push(c);
-    }
-
     /// Round-trip cost helper for tests: RMA read latency lower bound.
     pub fn rma_read_floor(&self) -> SimDur {
         self.params().sw_send * 2
@@ -291,5 +286,31 @@ mod tests {
             key, 0, 64, 1,
         );
         assert_eq!(out, RmaOutcome::Denied(NicError::NoSuchMr));
+    }
+
+    #[test]
+    fn injected_completions_keep_the_queue_in_visibility_order() {
+        let mut r = rig();
+        let (mut a, b) = eps(&mut r);
+        let key = register_mr(&mut r.dev_b, &b, 1 << 20, true, true).unwrap();
+        // A large read completes when its data is back; the small write
+        // issued after it completes locally long before that.
+        let (t, read) = rma_read(
+            SimTime::ZERO, &mut a, &mut r.dev_a, &mut r.dev_b, &mut r.fabric,
+            key, 0, 1 << 20, 1,
+        );
+        assert!(a.cq_is_sorted());
+        let (_, write) = rma_write(
+            t, &mut a, &mut r.dev_a, &mut r.dev_b, &mut r.fabric,
+            key, 0, 8, 2,
+        );
+        assert!(a.cq_is_sorted());
+        let (RmaOutcome::Done(read_at), RmaOutcome::Done(write_at)) = (read, write) else {
+            panic!("{read:?} {write:?}")
+        };
+        assert!(write_at < read_at, "the write must overtake the read");
+        let (t, first) = a.cq_wait(SimTime::ZERO).unwrap();
+        let (_, second) = a.cq_wait(t).unwrap();
+        assert_eq!((first.ctx, second.ctx), (2, 1));
     }
 }
