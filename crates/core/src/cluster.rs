@@ -617,10 +617,13 @@ impl Cluster {
     }
 
     /// A pod's runtime handle: owning node index, workload pid, netns.
+    /// `None` until the workload container runs — an unbound pod, a node
+    /// this cluster does not have, no sandbox yet, or a sandbox holding
+    /// only its pause process. (Reads the node binding straight from the
+    /// stored spec: the scenario engine asks once per rank per round.)
     pub fn pod_handle(&self, namespace: &str, name: &str) -> Option<PodHandle> {
         let pod = self.api.get(kinds::POD, namespace, name)?;
-        let spec: PodSpec = spec_of(pod);
-        let node_name = spec.node_name?;
+        let node_name = pod.spec["node_name"].as_str()?;
         let node_idx = self.nodes.iter().position(|n| n.inner.name == node_name)?;
         let sandbox =
             self.nodes[node_idx].inner.runtime.sandbox(&NodeInner::sandbox_id(pod)).ok()?;
@@ -804,6 +807,104 @@ mod tests {
         let h1 = c.pod_handle("t", "osu-1").expect("pod 1 running");
         assert_ne!(h0.node_idx, h1.node_idx, "topology spread");
         assert_ne!(h0.netns, h1.netns);
+    }
+
+    #[test]
+    fn pod_handle_is_none_until_the_workload_container_runs() {
+        fn sandbox(c: &Cluster) -> Option<&shs_containers::Sandbox> {
+            c.nodes.iter().find_map(|n| n.inner.runtime.sandbox("t_solo-0").ok())
+        }
+        let mut c = Cluster::new(ClusterConfig::default());
+        c.submit_job(SimTime::ZERO, "t", "solo", &[(VNI_ANNOTATION, "true")], 1, &alpine(), None);
+        assert_eq!(c.pod_handle("t", "solo-0"), None, "no pod object yet");
+        // Created but unscheduled.
+        c.job_controller.poll(&mut c.api, SimTime::ZERO);
+        let pod = c.api.get(kinds::POD, "t", "solo-0").expect("job controller created the pod");
+        assert_eq!(spec_of::<PodSpec>(pod).node_name, None);
+        assert_eq!(c.pod_handle("t", "solo-0"), None, "unscheduled");
+        // Scheduled but not yet sandboxed.
+        c.scheduler.poll(&mut c.api, SimTime::ZERO);
+        let pod = c.api.get(kinds::POD, "t", "solo-0").unwrap();
+        assert!(spec_of::<PodSpec>(pod).node_name.is_some());
+        assert!(sandbox(&c).is_none());
+        assert_eq!(c.pod_handle("t", "solo-0"), None, "bound, no sandbox");
+        // Sandboxed with no container started: the pause process alone
+        // is not a workload.
+        let mut tick = 0;
+        while sandbox(&c).is_none() {
+            tick += 1;
+            c.tick(SimTime::from_nanos(tick * 20_000_000));
+        }
+        assert!(sandbox(&c).unwrap().containers.is_empty());
+        assert_eq!(c.pod_handle("t", "solo-0"), None, "pause process only");
+        // Running: the workload container's pid, never the pause pid.
+        run_cluster(&mut c, tick * 20, 4_000);
+        let sb = sandbox(&c).unwrap();
+        let h = c.pod_handle("t", "solo-0").expect("running");
+        assert_eq!(h.pid, sb.containers.last().unwrap().pid);
+        assert_ne!(h.pid, sb.pause_pid);
+        assert_eq!(h.netns, sb.netns);
+        assert_eq!(c.nodes[h.node_idx].inner.host.credentials(h.pid).unwrap().netns, sb.netns);
+        // Bound to a node this cluster does not have.
+        let bind = |c: &mut Cluster, node: &str| {
+            c.api
+                .mutate(kinds::POD, "t", "solo-0", |o| {
+                    o.spec["node_name"] = serde_json::json!(node)
+                })
+                .unwrap();
+        };
+        bind(&mut c, "ghost");
+        assert_eq!(c.pod_handle("t", "solo-0"), None, "unknown node");
+        bind(&mut c, &format!("node{}", h.node_idx));
+        assert_eq!(c.pod_handle("t", "solo-0"), Some(h));
+        // Deleted and torn down.
+        c.delete_job("t", "solo");
+        run_cluster(&mut c, 4_000, 8_000);
+        assert!(sandbox(&c).is_none());
+        assert_eq!(c.pod_handle("t", "solo-0"), None, "sandbox gone");
+        // A name no pod ever had.
+        assert_eq!(c.pod_handle("t", "nobody"), None);
+    }
+
+    /// The handle of every pod of two small jobs — one that runs 600 ms
+    /// and is reaped by its TTL, one submitted later and deleted by hand
+    /// — at each 20 ms tick of their lives, pinned as the ticks where an
+    /// answer changes.
+    #[test]
+    fn pod_handle_over_a_whole_job_life_is_pinned() {
+        let mut c = Cluster::new(ClusterConfig::default());
+        let vni = [(VNI_ANNOTATION, "true")];
+        c.submit_job(SimTime::ZERO, "t", "life", &vni, 3, &alpine(), Some(600));
+        let mut life: Vec<(u64, [Option<PodHandle>; 4])> = vec![(0, [None; 4])];
+        for tick in 1..=300 {
+            let now = SimTime::from_nanos(tick * 20_000_000);
+            match tick {
+                25 => c.submit_job(now, "t", "late", &[], 1, &alpine(), None),
+                100 => c.delete_job("t", "late"),
+                _ => {}
+            }
+            c.tick(now);
+            let handles = ["life-0", "life-1", "life-2", "late-0"].map(|p| c.pod_handle("t", p));
+            if life.last().unwrap().1 != handles {
+                life.push((tick, handles));
+            }
+        }
+        let h = |node_idx, pid, netns| {
+            Some(PodHandle { node_idx, pid: Pid(pid), netns: NetNsId(netns) })
+        };
+        let (l0, l1, l2) = (h(0, 4, 66241631842), h(1, 3, 61756531842), h(0, 5, 66241631843));
+        let late = h(1, 5, 61756531843);
+        assert_eq!(
+            life,
+            vec![
+                (0, [None, None, None, None]),
+                (20, [l0, l1, l2, None]),
+                (43, [l0, l1, l2, late]),
+                // `life` exited at 1 s; its sandboxes go 950 ms later.
+                (90, [None, None, None, late]),
+                (102, [None, None, None, None]),
+            ]
+        );
     }
 
     #[test]

@@ -7,13 +7,24 @@
 //! service's PLEG-ready replicas) and a *round shape* (what they send:
 //! [`TrafficPattern::round_ops`], or round-robin request/response pairs);
 //! everything tenant-facing below that is written once, on [`World`]:
-//! the VNI lookup ([`resolve_vni`]), the CXI member check
-//! ([`World::authed`]), the fabric send ([`World::transfer`]) and the
-//! adversarial probe ([`World::foreign_vni`] + [`probe_cross`]). A new
-//! workload kind adds a membership rule and a round shape — never a
-//! second send path.
+//! the VNI lookup ([`resolve_vni`]), the membership resolution that
+//! opens a round ([`World::admit`]: pod handle + the CXI member check,
+//! [`World::authed`], once per participant), the fabric send
+//! ([`World::transfer`]) and the adversarial probe
+//! ([`World::foreign_vni`] + [`probe_cross`]). A new workload kind adds
+//! a membership rule and a round shape — never a second send path.
+//!
+//! A round or a fire is one DES event, and nothing mutates a host, a
+//! driver or the API inside one. So everything that is constant for the
+//! event — who takes part, on which VNI, and whether the node's driver
+//! admits each of them — is established once at the top of it, the way
+//! an RDMA application authenticates when it opens its endpoint; a send
+//! is then a message id, `Fabric::transfer` and two bookings. None of
+//! it is carried to the next event: a CNI DEL, a service destroy or a
+//! rolling update between two rounds is seen by the very next one.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use shs_des::{Sim, SimDur, SimTime};
 use shs_fabric::{FaultKind, SwitchId, TrafficClass, TransferOutcome, Vni};
@@ -23,8 +34,17 @@ use super::report::{self, ScenarioReport};
 use super::spec::{Fault, JobPlan, Scenario, ServicePlan, TrafficPlan, VniMode};
 use crate::cluster::{alpine, Cluster, PodHandle};
 
+/// One round as `(src rank, dst rank, bytes, answered)` sends.
+type RoundOps = [(usize, usize, u64, bool)];
+
 pub(super) struct JobTrack {
     pub(super) plan: JobPlan,
+    /// The rank pods' names, `<job>-<rank>`: a plan constant.
+    pods: Vec<String>,
+    /// What one round sends ([`TrafficPattern::round_ops`] of the plan's
+    /// ranks and size): a plan constant, shared so a round can walk it
+    /// while it books into the world.
+    ops: Rc<RoundOps>,
     pub(super) started_at: Option<SimTime>,
     rounds_done: u32,
     /// The VNI the job's ranks authenticated with, captured at the
@@ -116,6 +136,15 @@ pub(super) struct Raw {
     pub(super) per_job: Vec<ClassAgg>,
 }
 
+/// One participant of a round, as established at the top of its event:
+/// where the pod runs and whether its node's CXI driver admits it to
+/// the round's VNI. Never kept past the event.
+#[derive(Clone, Copy)]
+struct Member {
+    pod: PodHandle,
+    admitted: bool,
+}
+
 pub(super) struct World {
     pub(super) cluster: Cluster,
     horizon: SimTime,
@@ -139,6 +168,11 @@ impl World {
                 .iter()
                 .map(|p| JobTrack {
                     plan: p.clone(),
+                    pods: (0..p.ranks).map(|r| format!("{}-{r}", p.name)).collect(),
+                    ops: p
+                        .traffic
+                        .map_or_else(Vec::new, |tp| tp.pattern.round_ops(p.ranks as usize, tp.size))
+                        .into(),
                     started_at: None,
                     rounds_done: 0,
                     vni_seen: None,
@@ -181,11 +215,21 @@ impl World {
         self.msg_id
     }
 
-    /// The member check every RDMA application passes once at startup:
-    /// does the node's CXI driver admit `pod`'s netns to `vni`?
+    /// The member check an RDMA application passes when it opens its
+    /// endpoint: does the node's CXI driver admit `pod`'s netns to
+    /// `vni`, on the live host and driver state? The engine asks once
+    /// per participant per round — the longest a verdict can be trusted
+    /// without a cluster-wide change signal, since any other event may
+    /// run a CNI DEL or destroy a service.
     fn authed(&self, pod: PodHandle, vni: Vni) -> bool {
         let node = &self.cluster.nodes[pod.node_idx].inner;
         node.device.driver.find_service(&node.host, pod.pid, vni).is_ok()
+    }
+
+    /// This event's members: each of `pods` with its driver's verdict
+    /// on `vni`, asked where the pod's endpoint would be opened.
+    fn admit(&self, pods: impl Iterator<Item = PodHandle>, vni: Vni) -> Vec<Member> {
+        pods.map(|pod| Member { pod, admitted: self.authed(pod, vni) }).collect()
     }
 
     /// Push one message between two nodes' NICs through the fabric;
@@ -270,8 +314,9 @@ fn tick_ev(sim: &mut Sim<World>) {
     }
 }
 
-/// Authenticate `src` against `vni` and push one message through the
-/// fabric, booking the outcome under the message's class and job.
+/// Push one message from `src` through the fabric — or count it as
+/// refused, if the driver did not admit `src` to `vni` when the round
+/// opened — booking the outcome under the message's class and job.
 /// Returns the delivery instant so an answered send can chain its reply
 /// off the arrival.
 #[allow(clippy::too_many_arguments)]
@@ -279,18 +324,19 @@ fn send_authorized(
     w: &mut World,
     now: SimTime,
     ji: usize,
-    src: PodHandle,
-    dst: PodHandle,
+    src: Member,
+    dst: Member,
     vni: Vni,
     size: u64,
     tc: TrafficClass,
 ) -> Option<SimTime> {
     let id = w.next_id();
-    if !w.authed(src, vni) {
+    debug_assert_eq!(src.admitted, w.authed(src.pod, vni), "verdict went stale inside one event");
+    if !src.admitted {
         w.m.auth_failures += 1;
         return None;
     }
-    let arrival = w.transfer(now, src.node_idx, dst.node_idx, vni, tc, size, id);
+    let arrival = w.transfer(now, src.pod.node_idx, dst.pod.node_idx, vni, tc, size, id);
     let latency_ns = arrival.map(|at| (at - now).as_nanos());
     w.m.class[tc.index()].book(size, latency_ns);
     w.m.per_job[ji].book(size, latency_ns);
@@ -333,19 +379,20 @@ fn traffic_round(sim: &mut Sim<World>, ji: usize) {
 /// planned rank is running (the job's membership rule) and the job is
 /// decorated with its VNI. Returns whether the planned rounds are done.
 fn job_round(w: &mut World, now: SimTime, ji: usize, tp: TrafficPlan) -> bool {
-    let p = &w.jobs[ji].plan;
-    let handles: Vec<PodHandle> = (0..p.ranks)
-        .map_while(|r| w.cluster.pod_handle(&p.tenant, &format!("{}-{r}", p.name)))
-        .collect();
+    let t = &w.jobs[ji];
+    let p = &t.plan;
+    let running = t.pods.iter().map_while(|pod| w.cluster.pod_handle(&p.tenant, pod));
     let vni = resolve_vni(&w.cluster, &p.vni, &p.tenant, &p.name);
-    let (true, Some(vni)) = (handles.len() == p.ranks as usize, vni) else {
+    let ranks = vni.map_or_else(Vec::new, |vni| w.admit(running, vni));
+    let (true, Some(vni)) = (ranks.len() == t.pods.len(), vni) else {
         w.m.skipped_rounds += 1;
         return false;
     };
+    let ops = Rc::clone(&t.ops);
     w.m.rounds += 1;
     w.jobs[ji].vni_seen = Some(vni);
-    for (src, dst, bytes, answered) in tp.pattern.round_ops(handles.len(), tp.size) {
-        let (src, dst) = (handles[src], handles[dst]);
+    for &(src, dst, bytes, answered) in ops.iter() {
+        let (src, dst) = (ranks[src], ranks[dst]);
         for _ in 0..tp.burst.max(1) {
             let arrival = send_authorized(w, now, ji, src, dst, vni, bytes, tp.tc);
             // The response leg departs when the request arrives, like
@@ -356,7 +403,7 @@ fn job_round(w: &mut World, now: SimTime, ji: usize, tp: TrafficPlan) -> bool {
         }
     }
     if let Some(foreign) = w.foreign_vni(vni) {
-        probe_cross(w, now, handles[0], foreign, tp.tc);
+        probe_cross(w, now, ranks[0].pod, foreign, tp.tc);
     }
     w.jobs[ji].rounds_done += 1;
     w.jobs[ji].rounds_done >= tp.rounds
@@ -385,31 +432,30 @@ fn drain_ev(sim: &mut Sim<World>, node_idx: usize) {
     w.drained.push((node_idx, now));
 }
 
-/// One TSoR-style round trip: authenticate both replicas against the
+/// One TSoR-style round trip: it needs both replicas admitted to the
 /// service VNI (both ends hold an RDMA endpoint: the client to send the
-/// request, the server to send the response), push the request leg,
+/// request, the server to send the response); then the request leg,
 /// then the response leg dispatched at the request's arrival instant;
 /// the latency sample is the full round trip in virtual time.
-fn service_request(
-    w: &mut World,
-    now: SimTime,
-    si: usize,
-    src: PodHandle,
-    dst: PodHandle,
-    vni: Vni,
-) {
+fn service_request(w: &mut World, now: SimTime, si: usize, src: Member, dst: Member, vni: Vni) {
     let (req_id, resp_id) = (w.next_id(), w.next_id());
     let t = &mut w.services[si];
     let (tc, req, resp) = (t.plan.tc, t.plan.request_bytes, t.plan.response_bytes);
     t.requests += 1;
-    if !(w.authed(src, vni) && w.authed(dst, vni)) {
+    let admitted = src.admitted && dst.admitted;
+    debug_assert_eq!(
+        admitted,
+        w.authed(src.pod, vni) && w.authed(dst.pod, vni),
+        "verdict went stale inside one event"
+    );
+    if !admitted {
         w.services[si].auth_failures += 1;
         return;
     }
-    let done =
-        w.transfer(now, src.node_idx, dst.node_idx, vni, tc, req, req_id).and_then(|arrival| {
-            w.transfer(arrival, dst.node_idx, src.node_idx, vni, tc, resp, resp_id)
-        });
+    let (src, dst) = (src.pod.node_idx, dst.pod.node_idx);
+    let done = w
+        .transfer(now, src, dst, vni, tc, req, req_id)
+        .and_then(|arrival| w.transfer(arrival, dst, src, vni, tc, resp, resp_id));
     let t = &mut w.services[si];
     match done {
         Some(done) => {
@@ -440,27 +486,27 @@ fn service_fire(w: &mut World, now: SimTime, si: usize) {
             w.cluster.scale_service(&plan.tenant, &plan.name, desired);
         }
     }
-    let vni = resolve_vni(&w.cluster, &plan.vni, &plan.tenant, &plan.name);
     // Membership rule: whichever replicas are ready, at least two.
     let ready = w.cluster.service_ready(&plan.tenant, &plan.name);
-    let handles: Vec<PodHandle> =
-        ready.iter().filter_map(|p| w.cluster.pod_handle(&plan.tenant, p)).collect();
-    let (Some(vni), true) = (vni, handles.len() >= 2) else {
+    let running = ready.iter().filter_map(|p| w.cluster.pod_handle(&plan.tenant, p));
+    let vni = resolve_vni(&w.cluster, &plan.vni, &plan.tenant, &plan.name);
+    let replicas = vni.map_or_else(Vec::new, |vni| w.admit(running, vni));
+    let (Some(vni), true) = (vni, replicas.len() >= 2) else {
         w.services[si].skipped_fires += 1;
         return;
     };
     w.services[si].fires += 1;
     w.services[si].vni_seen = Some(vni);
-    let n = handles.len();
+    let n = replicas.len();
     let mut rr = w.services[si].rr;
     for _ in 0..demand {
-        let (src, dst) = (handles[rr % n], handles[(rr + 1) % n]);
+        let (src, dst) = (replicas[rr % n], replicas[(rr + 1) % n]);
         rr += 1;
         service_request(w, now, si, src, dst, vni);
     }
     w.services[si].rr = rr % n;
     if let Some(foreign) = w.foreign_vni(vni) {
-        probe_cross(w, now, handles[0], foreign, plan.tc);
+        probe_cross(w, now, replicas[0].pod, foreign, plan.tc);
     }
 }
 
@@ -570,4 +616,259 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioReport {
     let events_executed = sim.events_executed();
     let isolation = report::audit_isolation(&sim.world, scenario.horizon);
     report::build(scenario, &mut sim.world, events_executed, isolation)
+}
+
+#[cfg(test)]
+mod tests {
+    use shs_cxi::{CxiDevice, CxiServiceDesc, SvcMember};
+    use shs_fabric::RoutingPolicy;
+    use shs_oslinux::Pid;
+
+    use super::super::library::{dragonfly, job, ms, scenario, service, traffic};
+    use super::super::spec::TrafficPattern;
+    use super::*;
+
+    const BURST: u32 = 2;
+    const SIZE: u64 = 4096;
+    /// The rank (and the replica index) whose CXI service gets revoked.
+    const VICTIM: usize = 2;
+    const TC: TrafficClass = TrafficClass::Dedicated;
+
+    /// A 4-rank job and a 3-replica service, each on its own VNI, driven
+    /// to running on a two-group dragonfly. Their own traffic events are
+    /// planned past the 5 s bring-up, so every round and fire below is
+    /// issued by hand and counted exactly.
+    fn running(pattern: TrafficPattern) -> Sim<World> {
+        let never = 600_000;
+        let mpi = job("hpc", "mpi", 4, 500, VniMode::Dedicated).sending(traffic(
+            u32::MAX,
+            never,
+            SIZE,
+            TC,
+            BURST,
+            pattern,
+        ));
+        let web = ServicePlan {
+            requests_per_fire: 6,
+            ..service("web", "front", 3, never, 512, 1024, 500)
+        };
+        let sc = Scenario {
+            services: vec![web],
+            ..scenario(
+                "refusal",
+                "one job and one service with a pod revoked behind the API's back",
+                dragonfly(5, 4, 2, RoutingPolicy::Minimal),
+                vec![mpi],
+                never,
+            )
+        };
+        let mut sim = Sim::new(World::new(&sc));
+        schedule(&mut sim, &sc);
+        sim.run_until(ms(5_000));
+        let w = &sim.world;
+        assert!((0..4).all(|r| w.cluster.pod_handle("hpc", &format!("mpi-{r}")).is_some()));
+        assert_eq!(w.cluster.service_ready("web", "front").len(), 3);
+        assert_eq!((w.m.rounds, w.services[0].fires), (0, 0), "nothing sent during bring-up");
+        sim
+    }
+
+    /// Destroy `pod`'s CXI service straight on its node's driver, as
+    /// root — not through the API, so the pod still resolves and the
+    /// engine still sees a full rank set. Returns what it takes to put
+    /// the service back.
+    fn revoke(w: &mut World, pod: PodHandle) -> CxiServiceDesc {
+        let node = &mut w.cluster.nodes[pod.node_idx].inner;
+        let root = node.host.credentials(Pid(1)).unwrap();
+        let member = SvcMember::NetNs(pod.netns);
+        let CxiDevice { driver, nic } = &mut node.device;
+        let svc = driver.services().iter().find(|s| s.members.contains(&member)).unwrap();
+        let desc = CxiServiceDesc {
+            members: svc.members.clone(),
+            vnis: svc.vnis.clone(),
+            limits: svc.limits,
+            label: svc.label.clone(),
+        };
+        let gone =
+            driver.svc_destroy_matching(&root, nic, |s| s.members.contains(&member)).unwrap();
+        assert_eq!(gone.len(), 1, "one netns-member service per pod");
+        desc
+    }
+
+    fn restore(w: &mut World, pod: PodHandle, desc: CxiServiceDesc) {
+        let node = &mut w.cluster.nodes[pod.node_idx].inner;
+        let root = node.host.credentials(Pid(1)).unwrap();
+        node.device.alloc_svc(&root, desc).unwrap();
+    }
+
+    fn rank(w: &World, r: usize) -> PodHandle {
+        w.cluster.pod_handle("hpc", &format!("mpi-{r}")).unwrap()
+    }
+
+    fn replica(w: &World, i: usize) -> PodHandle {
+        let ready = w.cluster.service_ready("web", "front");
+        w.cluster.pod_handle("web", &ready[i]).unwrap()
+    }
+
+    /// Everything a round or a fire may move, as one comparable value.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Books {
+        msg_id: u64,
+        rounds: u64,
+        job_refused: u64,
+        /// (sends, delivered, dropped, bytes) of job 0 and of [`TC`].
+        job: (u64, u64, u64, u64),
+        class: (u64, u64, u64, u64),
+        other_class_sends: u64,
+        /// (attempts, denied, deliveries) of the cross-tenant probe.
+        cross: (u64, u64, u64),
+        svc: SvcBooks,
+    }
+
+    /// Service 0's counters.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct SvcBooks {
+        fires: u64,
+        requests: u64,
+        completed: u64,
+        dropped: u64,
+        refused: u64,
+        payload_bytes: u64,
+        latency_samples: usize,
+    }
+
+    fn books(w: &World) -> Books {
+        let agg = |a: &ClassAgg| (a.sends, a.delivered, a.dropped, a.bytes);
+        let s = &w.services[0];
+        Books {
+            msg_id: w.msg_id,
+            rounds: w.m.rounds,
+            job_refused: w.m.auth_failures,
+            job: agg(&w.m.per_job[0]),
+            class: agg(&w.m.class[TC.index()]),
+            other_class_sends: w.m.class.iter().map(|c| c.sends).sum::<u64>()
+                - w.m.class[TC.index()].sends,
+            cross: (w.m.cross_attempts, w.m.cross_denied, w.m.cross_deliveries),
+            svc: SvcBooks {
+                fires: s.fires,
+                requests: s.requests,
+                completed: s.completed,
+                dropped: s.dropped,
+                refused: s.auth_failures,
+                payload_bytes: s.payload_bytes,
+                latency_samples: s.latencies.len(),
+            },
+        }
+    }
+
+    /// One hand-issued round of job 0; returns the books after it.
+    fn round(w: &mut World, now: SimTime) -> Books {
+        let tp = w.jobs[0].plan.traffic.unwrap();
+        assert!(!job_round(w, now, 0, tp), "u32::MAX rounds are never done");
+        books(w)
+    }
+
+    /// `before` moved by one round of `attempted` legs, `refused` of
+    /// them refused at the driver and the rest delivered with `bytes`
+    /// each, plus the round's one (denied) cross-tenant probe.
+    fn after_round(before: Books, attempted: u64, refused: u64, bytes: u64) -> Books {
+        let sent = attempted - refused;
+        let add = |(s, d, x, b): (u64, u64, u64, u64)| (s + sent, d + sent, x, b + sent * bytes);
+        Books {
+            msg_id: before.msg_id + attempted + 1,
+            rounds: before.rounds + 1,
+            job_refused: before.job_refused + refused,
+            job: add(before.job),
+            class: add(before.class),
+            cross: (before.cross.0 + 1, before.cross.1 + 1, before.cross.2),
+            ..before
+        }
+    }
+
+    #[test]
+    fn a_revoked_rank_is_refused_leg_by_leg_and_nobody_else_is() {
+        // (pattern, legs attempted, legs refused, bytes per leg) of one
+        // round at burst 2 with rank 2 of 4 revoked.
+        for (pattern, attempted, refused, bytes) in [
+            // 4 ring sends x 2; rank 2's own two are refused.
+            (TrafficPattern::Ring, 8, 2, SIZE),
+            // Ranks 1..=3 into rank 0, x 2.
+            (TrafficPattern::Incast, 6, 2, SIZE),
+            // 2 (n - 1) n = 24 chunk sends x 2, six per rank.
+            (TrafficPattern::Allreduce, 48, 12, SIZE / 4),
+            // 8 requests; rank 2's two are refused and so never
+            // answered, the other six are, and rank 2 owes two of those
+            // responses (to rank 1): 14 legs, 4 refused.
+            (TrafficPattern::RequestResponse, 14, 4, SIZE),
+        ] {
+            let mut sim = running(pattern);
+            let (now, w) = (sim.now(), &mut sim.world);
+            let victim = rank(w, VICTIM);
+            revoke(w, victim);
+            let before = books(w);
+            let after = round(w, now);
+            assert_eq!(after, after_round(before, attempted, refused, bytes), "{pattern:?}");
+            assert_eq!(after.cross.2, 0, "{pattern:?}: no probe delivered");
+            assert!(rank(w, VICTIM) == victim, "the pod itself is untouched");
+        }
+    }
+
+    #[test]
+    fn a_revoked_replica_fails_every_request_it_is_either_end_of() {
+        let mut sim = running(TrafficPattern::Ring);
+        let (now, w) = (sim.now(), &mut sim.world);
+        let victim = replica(w, 1);
+        revoke(w, victim);
+        let before = books(w);
+        // Six requests round-robin over the pairs (0,1) (1,2) (2,0)
+        // twice: replica 1 is the server of the first and the client of
+        // the second, so four are refused and two complete. Every
+        // request draws its two message ids before it is judged.
+        service_fire(w, now, 0);
+        let after = books(w);
+        let expect = Books {
+            msg_id: before.msg_id + 12 + 1,
+            cross: (before.cross.0 + 1, before.cross.1 + 1, 0),
+            svc: SvcBooks {
+                fires: 1,
+                requests: 6,
+                completed: 2,
+                dropped: 0,
+                refused: 4,
+                payload_bytes: 2 * (512 + 1024),
+                latency_samples: 2,
+            },
+            ..before
+        };
+        assert_eq!(after, expect);
+        // One request per fire walks the same pairs one at a time: the
+        // victim as server, the victim as client, then a pair without it.
+        w.services[0].plan.requests_per_fire = 1;
+        for (fire, refused, completed) in [(2, 5, 2), (3, 6, 2), (4, 6, 3)] {
+            service_fire(w, now, 0);
+            let s = books(w).svc;
+            assert_eq!((s.fires, s.refused, s.completed), (fire, refused, completed));
+        }
+        assert_eq!(books(w).job_refused, before.job_refused, "service refusals are the service's");
+    }
+
+    /// The rule the engine's data path rests on: a verdict is good for
+    /// the event that computed it and not a moment longer. Driver state
+    /// changed between two rounds of one job is seen by the very next
+    /// round, in both directions.
+    #[test]
+    fn a_verdict_never_outlives_the_round_that_computed_it() {
+        let mut sim = running(TrafficPattern::Ring);
+        let (now, w) = (sim.now(), &mut sim.world);
+        let step = SimDur::from_millis(10);
+        let rest = books(w);
+        let clean = round(w, now);
+        assert_eq!(clean, after_round(rest, 8, 0, SIZE), "round k - 1: delivered");
+        let victim = rank(w, VICTIM);
+        let desc = revoke(w, victim);
+        let refused = round(w, now + step);
+        assert_eq!(refused, after_round(clean, 8, 2, SIZE), "round k: refused");
+        restore(w, victim, desc);
+        let healed = round(w, now + step + step);
+        assert_eq!(healed, after_round(refused, 8, 0, SIZE), "round k + 1: delivered");
+    }
 }

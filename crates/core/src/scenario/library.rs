@@ -135,7 +135,7 @@ pub(super) fn service(
 /// all-to-all group graph where every trunk has an alternate (Valiant)
 /// path, so a single link cut degrades routes instead of partitioning
 /// the fabric.
-fn dragonfly(seed: u64, nodes: usize, groups: usize, routing: RoutingPolicy) -> ClusterConfig {
+pub(super) fn dragonfly(seed: u64, nodes: usize, groups: usize, routing: RoutingPolicy) -> ClusterConfig {
     ClusterConfig {
         seed,
         nodes,

@@ -10,9 +10,10 @@
 //!
 //! * pod admission goes through the real scheduler, kubelet, CNI chain
 //!   and VNI Service (admission latency is measured per job);
-//! * rank-to-rank traffic authenticates against the node's CXI driver
-//!   (netns member check) before it touches the fabric, exactly like an
-//!   RDMA application opening an endpoint;
+//! * every rank authenticates against its node's CXI driver (netns
+//!   member check) when a traffic round opens, before any of its
+//!   messages touches the fabric — exactly like an RDMA application
+//!   opening an endpoint — and the verdict is good for that round only;
 //! * every traffic round also mounts an **adversarial cross-tenant
 //!   probe**: a pod tries to authenticate against another tenant's VNI,
 //!   and — should the driver ever admit it — the fabric's per-port VNI

@@ -118,11 +118,6 @@ impl CxiDriver {
         &self.params
     }
 
-    /// Whether the netns extension is loaded.
-    pub fn has_netns_extension(&self) -> bool {
-        self.netns_extension
-    }
-
     /// The configured authentication mode.
     pub fn auth_mode(&self) -> AuthMode {
         self.auth_mode

@@ -372,11 +372,6 @@ impl Host {
         }
         self.net_namespaces.remove(&id).map(|_| ()).ok_or(OsError::Inval)
     }
-
-    /// Access a user namespace.
-    pub fn user_namespace(&self, id: UserNsId) -> Option<&UserNamespace> {
-        self.user_namespaces.get(&id)
-    }
 }
 
 #[cfg(test)]
