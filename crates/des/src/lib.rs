@@ -31,7 +31,6 @@
 //! calling thread — see the [`parallel`] module docs for the
 //! synchronisation algebra and what it proves.
 
-pub mod calendar;
 pub mod parallel;
 pub mod rng;
 pub mod shard;
@@ -39,7 +38,6 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarQueue;
 pub use parallel::ShardedSim;
 pub use rng::DetRng;
 pub use shard::{Shard, ShardId, ShardSim};

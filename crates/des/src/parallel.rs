@@ -2,7 +2,7 @@
 //! [`ShardSim`] shards.
 //!
 //! [`ShardedSim`] runs N shards — each a [`Sim`](crate::Sim) with its
-//! own calendar queue and world — under the window algebra of
+//! own event queue and world — under the window algebra of
 //! conservative (null-message free) parallel DES, **on the calling
 //! thread**: the decomposition is kept for what it proves (per-shard
 //! determinism, lookahead safety), not for speed. Worker threads were
@@ -10,9 +10,7 @@
 //! window; ARCHITECTURE.md § "Sharded simulation" has the curves and
 //! what would have to be true before threads come back.
 //!
-//! 1. **Peek.** Take `T = min` over every shard's queue head
-//!    ([`CalendarQueue::peek_min_time`](crate::CalendarQueue::peek_min_time):
-//!    non-mutating, so no ring window slides before injections land).
+//! 1. **Peek.** Take `T = min` over every shard's queue head.
 //! 2. **Window.** Open the half-open window `[T, T + L)` where `L` is
 //!    the lookahead — the minimum cross-shard latency every
 //!    [`send_to`](ShardSim::send_to) is clamped to.
@@ -156,7 +154,7 @@ impl<W> ShardedSim<W> {
         while let Some(t) = self
             .shards
             .iter()
-            .filter_map(|s| s.peek_min_time())
+            .filter_map(|s| s.next_time())
             .min()
             .filter(|&t| t <= horizon)
         {
@@ -208,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_cascade_matches_across_thread_counts() {
+    fn cross_shard_cascade_matches_across_shard_counts() {
         // Four shards each forward to their right neighbour; shard 0's
         // message bounces back from shard 1. A second run reproduces
         // every world, clock and coordinator count.

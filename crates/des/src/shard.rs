@@ -1,6 +1,6 @@
 //! One shard of a sharded simulation.
 //!
-//! A shard is a plain [`Sim`] — the one calendar queue, the one
+//! A shard is a plain [`Sim`] — the one event queue, the one
 //! `(time, seq)` ordering contract, the one `step` — whose world is a
 //! [`Shard<W>`]: the caller's state plus what a partition needs, an id,
 //! a lookahead and an **outbox**. Cross-shard scheduling goes through
@@ -112,7 +112,6 @@ impl<W> Sim<Shard<W>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calendar::CalendarQueue;
 
     fn shard<W>(state: W, lookahead_ns: u64) -> ShardSim<W> {
         ShardSim::shard(0, state, SimDur::from_nanos(lookahead_ns))
@@ -169,11 +168,10 @@ mod tests {
 
     #[test]
     fn declined_window_peek_allows_later_injection_below_the_head() {
-        // The shard-local face of the `next_time_at_most` hazard pinned
-        // in calendar.rs: a shard whose head lies past the window end
-        // must decline without sliding its ring window, so a cross-shard
-        // injection between the window end and that head still lands.
-        let far = CalendarQueue::<()>::BUCKET_NS * 2048;
+        // A shard whose head lies past the window end declines the
+        // window, and a cross-shard injection between the window end
+        // and that head still runs before it.
+        let far = 134_217_728; // ≈ 134 ms
         let mut s = shard(Vec::new(), 100);
         s.at(SimTime::from_nanos(far), move |sh| sh.world.push(far));
         // Window well before the head: nothing runs, nothing mutates.

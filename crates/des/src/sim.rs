@@ -1,11 +1,14 @@
 //! The event-driven simulation kernel.
 //!
-//! [`Sim`] owns a user-supplied world `W` plus a calendar queue of timed
-//! events; an event is any `FnOnce(&mut Sim<W>)`, so handlers can freely
-//! inspect the world, mutate it, and schedule follow-up events (see
-//! [`crate::calendar`] for the queue itself). Ties in
-//! time are broken by insertion order, which keeps execution fully
-//! deterministic.
+//! [`Sim`] owns a user-supplied world `W` plus a queue of timed events;
+//! an event is any `FnOnce(&mut Sim<W>)`, so handlers can freely
+//! inspect the world, mutate it, and schedule follow-up events. The
+//! queue is one [`BinaryHeap`] that pops in ascending `(time, seq)`
+//! order, where `seq` is the insertion counter: ties in time run in
+//! insertion order, no two entries share a `seq`, and so the order is
+//! total and execution fully deterministic. Nothing else is asked of a
+//! caller — any time at or after `now` may be scheduled at any point,
+//! whatever has been peeked or popped before.
 //!
 //! # Example
 //!
@@ -61,11 +64,46 @@
 //! assert_eq!(sim.world, ["a", "b", "after b", "c", "after c"]);
 //! ```
 
-use crate::calendar::CalendarQueue;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use crate::time::{SimDur, SimTime};
 
 /// A scheduled event: a boxed closure over the simulation.
 pub type EventFn<W> = Box<dyn FnOnce(&mut Sim<W>)>;
+
+/// One queued event under its schedule key. Compared on `(time, seq)`
+/// alone — `seq` is unique queue-wide, so that is a total order — and
+/// *inverted*, so that [`BinaryHeap`], a max-heap, pops the earliest
+/// entry first.
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Ord for Entry<E> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+impl<E> PartialOrd for Entry<E> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for Entry<E> {}
 
 /// Discrete-event simulator over a world `W`.
 pub struct Sim<W> {
@@ -74,7 +112,7 @@ pub struct Sim<W> {
     pub world: W,
     now: SimTime,
     seq: u64,
-    queue: CalendarQueue<EventFn<W>>,
+    queue: BinaryHeap<Entry<EventFn<W>>>,
     executed: u64,
 }
 
@@ -85,7 +123,7 @@ impl<W> Sim<W> {
             world,
             now: SimTime::ZERO,
             seq: 0,
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             executed: 0,
         }
     }
@@ -108,13 +146,13 @@ impl<W> Sim<W> {
         self.queue.len()
     }
 
-    /// Due time of the earliest queued event, without mutating the
-    /// queue (no ring-window slide — see
-    /// [`CalendarQueue::peek_min_time`]). The sharded coordinator takes
-    /// the minimum of this across all shards to open the next window.
+    /// Due time of the earliest queued event. The one peek:
+    /// [`run_until`](Self::run_until) and a shard's window stop on it,
+    /// and the sharded coordinator takes its minimum across all shards
+    /// to open the next window.
     #[inline]
-    pub(crate) fn peek_min_time(&self) -> Option<SimTime> {
-        self.queue.peek_min_time()
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
+        self.queue.peek().map(|e| e.time)
     }
 
     /// Schedule `f` at absolute time `t`. Scheduling in the past is a
@@ -128,10 +166,9 @@ impl<W> Sim<W> {
     /// coordinator injects a cross-shard event into its destination.
     pub(crate) fn at_boxed(&mut self, t: SimTime, f: EventFn<W>) {
         debug_assert!(t >= self.now, "scheduling into the past: {t} < {}", self.now);
-        let t = t.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(t, seq, f);
+        self.queue.push(Entry { time: t.max(self.now), seq, event: f });
     }
 
     /// Set the next `n` insertion-order positions aside and return the
@@ -154,13 +191,13 @@ impl<W> Sim<W> {
     ///
     /// The caller's contract: `slot` comes from
     /// [`reserve`](Self::reserve) and is used at most once — it becomes
-    /// the entry's queue-wide unique `seq` (see
-    /// [`CalendarQueue::push`]). A slot that was never reserved, or a
-    /// `t` in the past, panics in debug builds; reuse is not detected.
+    /// the entry's queue-wide unique `seq`, the tie-break that makes
+    /// `(time, seq)` a total order. A slot that was never reserved, or
+    /// a `t` in the past, panics in debug builds; reuse is not detected.
     pub fn at_slot(&mut self, t: SimTime, slot: u64, f: impl FnOnce(&mut Sim<W>) + 'static) {
         debug_assert!(slot < self.seq, "slot {slot} is not reserved (next free: {})", self.seq);
         debug_assert!(t >= self.now, "scheduling into the past: {t} < {}", self.now);
-        self.queue.push(t.max(self.now), slot, Box::new(f));
+        self.queue.push(Entry { time: t.max(self.now), seq: slot, event: Box::new(f) });
     }
 
     /// Schedule `f` after a relative delay.
@@ -177,7 +214,7 @@ impl<W> Sim<W> {
                 debug_assert!(ev.time >= self.now);
                 self.now = ev.time;
                 self.executed += 1;
-                (ev.item)(self);
+                (ev.event)(self);
                 true
             }
             None => false,
@@ -200,12 +237,11 @@ impl<W> Sim<W> {
     /// Execute every event due at or before `last`, in `(time, seq)`
     /// order, follow-ups included. Unlike [`run_until`](Self::run_until)
     /// the clock stays at the last event executed, and later events are
-    /// left untouched — the underlying peek declines without sliding
-    /// the ring window, so an event scheduled afterwards below the
-    /// queued head still lands. One shard's share of a coordinator
+    /// left untouched: an event scheduled afterwards below the queued
+    /// head still runs first. One shard's share of a coordinator
     /// window.
     pub(crate) fn run_through(&mut self, last: SimTime) {
-        while self.queue.next_time_at_most(last).is_some() {
+        while self.next_time().is_some_and(|t| t <= last) {
             self.step();
         }
     }
@@ -373,5 +409,190 @@ mod tests {
         }
         sim.run();
         assert_eq!(*out.borrow(), vec![1, 2, 3]);
+    }
+
+    // Ordering facts of the queue itself, on bare `(time, seq)` keys.
+    // `FAR` (≈ 16.8 ms) is longer than any control-plane latency in the
+    // tree: near and far times must interleave with no special casing.
+    const FAR: u64 = 65_536 * 256;
+
+    fn push(q: &mut BinaryHeap<Entry<()>>, time: u64, seq: u64) {
+        q.push(Entry { time: SimTime::from_nanos(time), seq, event: () });
+    }
+
+    fn pop(q: &mut BinaryHeap<Entry<()>>) -> Option<(u64, u64)> {
+        q.pop().map(|e| (e.time.as_nanos(), e.seq))
+    }
+
+    fn drain(q: &mut BinaryHeap<Entry<()>>) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| pop(q)).collect()
+    }
+
+    #[test]
+    fn pops_in_time_then_seq_order() {
+        let mut q = BinaryHeap::new();
+        push(&mut q, 30, 0);
+        push(&mut q, 10, 1);
+        push(&mut q, 20, 2);
+        assert_eq!(drain(&mut q), vec![(10, 1), (20, 2), (30, 0)]);
+    }
+
+    #[test]
+    fn duplicate_timestamps_drain_fifo() {
+        let mut q = BinaryHeap::new();
+        for seq in 0..64u64 {
+            push(&mut q, 4096, seq);
+        }
+        assert_eq!(drain(&mut q), (0..64).map(|s| (4096, s)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn scrambled_pushes_sort_by_time_then_seq() {
+        let mut q = BinaryHeap::new();
+        for (seq, t) in [(0u64, 300u64), (1, 100), (2, 200), (3, 100)] {
+            push(&mut q, t, seq);
+        }
+        assert_eq!(drain(&mut q), vec![(100, 1), (100, 3), (200, 2), (300, 0)]);
+    }
+
+    #[test]
+    fn near_and_far_times_interleave_in_one_order() {
+        let times = [0, FAR - 1, FAR, FAR + 1, 3 * FAR + 17, 10 * FAR + 4096, 10 * FAR + 4095];
+        let mut q = BinaryHeap::new();
+        for (seq, &t) in times.iter().enumerate() {
+            push(&mut q, t, seq as u64);
+        }
+        let mut expect: Vec<(u64, u64)> =
+            times.iter().enumerate().map(|(s, &t)| (t, s as u64)).collect();
+        expect.sort();
+        assert_eq!(drain(&mut q), expect);
+    }
+
+    #[test]
+    fn pushes_after_a_far_pop_land_in_order() {
+        let mut q = BinaryHeap::new();
+        push(&mut q, 5 * FAR, 0);
+        assert_eq!(pop(&mut q), Some((5 * FAR, 0)));
+        push(&mut q, 5 * FAR + 10, 1);
+        push(&mut q, 9 * FAR, 2);
+        push(&mut q, 5 * FAR + 10, 3);
+        assert_eq!(drain(&mut q), vec![(5 * FAR + 10, 1), (5 * FAR + 10, 3), (9 * FAR, 2)]);
+    }
+
+    #[test]
+    fn a_push_below_a_peeked_head_or_a_popped_time_pops_first() {
+        // The queue keeps no memory of what was peeked or popped: a
+        // push below either is ordered like any other.
+        let mut q = BinaryHeap::new();
+        push(&mut q, 9 * FAR, 0);
+        assert_eq!(q.peek().map(|e| e.time.as_nanos()), Some(9 * FAR));
+        push(&mut q, 7, 1);
+        assert_eq!(pop(&mut q), Some((7, 1)));
+        assert_eq!(pop(&mut q), Some((9 * FAR, 0)));
+        push(&mut q, 3, 2);
+        push(&mut q, 12 * FAR, 3);
+        assert_eq!(drain(&mut q), vec![(3, 2), (12 * FAR, 3)]);
+    }
+
+    #[test]
+    fn a_dense_burst_drains_in_order_and_the_queue_is_reusable() {
+        let mut q = BinaryHeap::new();
+        let mut expect = Vec::new();
+        for seq in 0..96u64 {
+            let t = 1 + (seq * 37) % 4000; // scrambled, within 4 µs
+            push(&mut q, t, seq);
+            expect.push((t, seq));
+        }
+        expect.sort();
+        assert_eq!(drain(&mut q), expect);
+        push(&mut q, 4100, 1000);
+        push(&mut q, 4050, 1001);
+        assert_eq!(drain(&mut q), vec![(4050, 1001), (4100, 1000)]);
+    }
+
+    #[test]
+    fn interleaved_push_pop_keeps_global_order() {
+        // Pops interleaved with pushes at monotone times — the simulator's
+        // actual usage pattern (handlers schedule follow-ups at `now + d`).
+        let mut q = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut popped = Vec::new();
+        push(&mut q, 0, seq);
+        seq += 1;
+        let mut now = 0u64;
+        for round in 0..2000u64 {
+            let (t, s) = pop(&mut q).unwrap();
+            assert!(t >= now, "time went backwards");
+            now = t;
+            popped.push((t, s));
+            // Reschedule with a mix of near, far, and duplicate delays.
+            for d in [1u64, 4096, 300_000 + round] {
+                push(&mut q, now + d, seq);
+                seq += 1;
+            }
+            if round % 3 == 0 {
+                // Drain one extra to vary the queue depth.
+                let (t, s) = pop(&mut q).unwrap();
+                assert!(t >= now);
+                now = t;
+                popped.push((t, s));
+            }
+        }
+        let mut sorted = popped.clone();
+        sorted.sort();
+        assert_eq!(popped, sorted, "pop sequence must be (time, seq)-sorted");
+    }
+
+    // The one peek, through `Sim`.
+
+    fn log(name: &'static str) -> impl FnOnce(&mut Sim<W>) {
+        move |s| s.world.log.push((s.now().as_nanos(), name))
+    }
+
+    #[test]
+    fn next_time_peeks_without_removing() {
+        let mut sim = Sim::new(W::default());
+        assert_eq!(sim.next_time(), None);
+        sim.at(SimTime::from_nanos(42), log("late"));
+        sim.at(SimTime::from_nanos(7), log("early"));
+        assert_eq!(sim.next_time(), Some(SimTime::from_nanos(7)));
+        assert_eq!(sim.pending(), 2, "peek must not remove");
+        assert!(sim.step());
+        assert_eq!(sim.world.log, vec![(7, "early")]);
+        assert_eq!(sim.next_time(), Some(SimTime::from_nanos(42)));
+    }
+
+    #[test]
+    fn next_time_is_exact_and_later_nearer_events_still_run_first() {
+        let mut sim = Sim::new(W::default());
+        sim.at(SimTime::from_nanos(7 * FAR + 9), log("far"));
+        assert_eq!(sim.next_time(), Some(SimTime::from_nanos(7 * FAR + 9)));
+        sim.at(SimTime::from_nanos(4096), log("c"));
+        sim.at(SimTime::from_nanos(12), log("a"));
+        assert_eq!(sim.next_time(), Some(SimTime::from_nanos(12)));
+        // Scheduled after three peeks, below two of the heads they saw.
+        sim.at(SimTime::from_nanos(100), log("b"));
+        sim.run();
+        assert_eq!(sim.world.log, vec![(12, "a"), (100, "b"), (4096, "c"), (7 * FAR + 9, "far")]);
+    }
+
+    #[test]
+    fn a_declined_deadline_leaves_nearer_events_runnable_first() {
+        // What a sharded run leans on: a shard declines a window that
+        // ends before its head, and another shard then injects an event
+        // between that window's end and the declined head.
+        let mut sim = Sim::new(W::default());
+        sim.at(SimTime::from_nanos(2 * FAR), log("start"));
+        sim.run();
+        sim.at(SimTime::from_nanos(9 * FAR + 123), log("far"));
+        sim.run_until(SimTime::from_nanos(2 * FAR + 500));
+        assert_eq!((sim.events_executed(), sim.pending()), (1, 1), "the far head is declined");
+        sim.at(SimTime::from_nanos(2 * FAR + 700), log("near"));
+        sim.at(SimTime::from_nanos(3 * FAR), log("mid"));
+        sim.run();
+        assert_eq!(
+            sim.world.log,
+            vec![(2 * FAR, "start"), (2 * FAR + 700, "near"), (3 * FAR, "mid"), (9 * FAR + 123, "far")]
+        );
     }
 }
