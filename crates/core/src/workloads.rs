@@ -1,10 +1,9 @@
-//! Canonical benchmark workloads (VNI database and fabric), shared by
-//! the Criterion `micro` bench targets (`shs-bench`) and the
-//! `bench-run` trajectory binary (`shs-harness`). One definition of
-//! each workload means the two harnesses always time **the same
-//! thing** — tune a prefill count or clock step here and both pick it
-//! up, keeping cross-PR comparisons in `results/BENCH_pr<N>.json`
-//! like-for-like.
+//! Canonical benchmark workloads (VNI database and fabric), timed by
+//! the `bench-run` trajectory binary (`shs-harness`) and probed by
+//! `sysbench`. One definition of each workload means both always time
+//! **the same thing** — tune a prefill count or clock step here and
+//! both pick it up, keeping cross-PR comparisons in
+//! `results/BENCH_pr<N>.json` like-for-like.
 //!
 //! The two VNI-database workloads run at the default range width
 //! (3072, §III-C1's VNI space minus the reserved global VNI); the
@@ -348,7 +347,7 @@ impl Default for ServiceMeshHotWorkload {
 /// lookup plus one group's ready count, O(1) in the pod count) or by
 /// the pre-PLEG full pod scan ([`scan_read`] — O(pods)). Benchmarked at
 /// 100 and 10,000 pods, the cached median must stay flat while the scan
-/// median grows linearly — the PR's O(1) acceptance criterion.
+/// median grows linearly — the serving plane's O(1) acceptance record.
 ///
 /// [`cached_read`]: PlegStatusReadWorkload::cached_read
 /// [`scan_read`]: PlegStatusReadWorkload::scan_read

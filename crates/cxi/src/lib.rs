@@ -11,16 +11,11 @@
 //! 3. **Extended driver** ([`CxiDriver::extended`]): adds the **netns
 //!    member type**, authenticating by the kernel-assigned network
 //!    namespace inode read via procfs. This is the paper's contribution.
-//!
-//! Also here: the [`drc::DrcBroker`] modelling HPE's pre-existing Dynamic
-//! RDMA Credential path (§II-C), used as a management-plane baseline.
 
-pub mod drc;
 pub mod driver;
 pub mod libcxi;
 pub mod svc;
 
-pub use drc::{DrcBroker, DrcCredential, DrcError, DrcId};
 pub use driver::{CxiDriver, CxiDriverParams, CxiError};
 pub use libcxi::CxiDevice;
 pub use svc::{AuthMode, CxiService, CxiServiceDesc, SvcMember};

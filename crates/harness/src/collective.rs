@@ -10,8 +10,7 @@
 //!   ([`pod_communicator`] is the same for an explicit rank list);
 //! * [`OsuAllreduceWorkload`] — the canonical `osu_allreduce` benchmark
 //!   workload (8 ranks round-robined across a 2-group dragonfly, 64 KiB
-//!   ring allreduce), shared by the Criterion `micro` target and the
-//!   `bench-run` trajectory binary so both time the same thing.
+//!   ring allreduce), timed by the `bench-run` trajectory binary.
 //!
 //! Together with [`CollectiveRig::open`] on bare metal these are the
 //! only places ranks are opened. See `COLLECTIVES.md` at the repository
@@ -74,9 +73,8 @@ pub fn pod_communicator<'a>(
     Ok((comm, devs))
 }
 
-/// The canonical `osu_allreduce` benchmark workload, shared by the
-/// Criterion `micro` target and `bench-run` so both harnesses time the
-/// same thing: [`Self::RANKS`] ranks round-robined across a 2-group
+/// The canonical `osu_allreduce` benchmark workload `bench-run` times:
+/// [`Self::RANKS`] ranks round-robined across a 2-group
 /// dragonfly (every ring hop crosses the group trunk), one
 /// [`Self::SIZE`]-byte ring allreduce per step.
 pub struct OsuAllreduceWorkload {
