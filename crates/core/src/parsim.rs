@@ -311,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn trunkcut_scenario_reroutes_and_stays_thread_invariant() {
+    fn trunkcut_scenario_reroutes_and_conserves() {
         let sc = parallel_by_name("dragonfly-256-trunkcut", 42).expect("fault scenario");
         let base = run_fabric_scenario(&sc, 1);
         assert!(base.passed, "{base:?}");

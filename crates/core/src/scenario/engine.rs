@@ -14,6 +14,10 @@
 //! ([`World::foreign_vni`] + [`probe_cross`]). A new workload kind adds
 //! a membership rule and a round shape — never a second send path.
 //!
+//! What the run schedules is data: [`Ev`], one `Copy` variant per kind
+//! of happening, each naming its plan entry by position, and
+//! [`schedule`] turns a plan into its initial events in plan order.
+//!
 //! A round or a fire is one DES event, and nothing mutates a host, a
 //! driver or the API inside one. So everything that is constant for the
 //! event — who takes part, on which VNI, and whether the node's driver
@@ -26,12 +30,12 @@
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use shs_des::{Sim, SimDur, SimTime};
+use shs_des::{Event, Sim, SimDur, SimTime};
 use shs_fabric::{FaultKind, SwitchId, TrafficClass, TransferOutcome, Vni};
 use shs_k8s::{kinds, spec_of, PodSpec};
 
 use super::report::{self, ScenarioReport};
-use super::spec::{Fault, JobPlan, Scenario, ServicePlan, TrafficPlan, VniMode};
+use super::spec::{ClaimPlan, Fault, JobPlan, Scenario, ServicePlan, TrafficPlan, VniMode};
 use crate::cluster::{alpine, Cluster, PodHandle};
 
 /// One round as `(src rank, dst rank, bytes, answered)` sends.
@@ -149,6 +153,9 @@ pub(super) struct World {
     pub(super) cluster: Cluster,
     horizon: SimTime,
     tick: SimDur,
+    /// The plan's claims, which [`Ev::ClaimCreate`] and
+    /// [`Call::DeleteClaim`] name by position.
+    claims: Vec<ClaimPlan>,
     pub(super) jobs: Vec<JobTrack>,
     pub(super) services: Vec<ServiceTrack>,
     pub(super) m: Raw,
@@ -163,6 +170,7 @@ impl World {
             cluster: Cluster::new(scenario.config.clone()),
             horizon: scenario.horizon,
             tick: scenario.tick,
+            claims: scenario.claims.clone(),
             jobs: scenario
                 .jobs
                 .iter()
@@ -283,7 +291,109 @@ fn resolve_vni(cluster: &Cluster, mode: &VniMode, tenant: &str, name: &str) -> O
     }
 }
 
-fn tick_ev(sim: &mut Sim<World>) {
+/// Everything a scenario run schedules, as plain data. A variant names
+/// its plan entry (claim, job, service, node) by position in the plan,
+/// so an event holds no strings and is `Copy`.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// The control-plane tick, every `scenario.tick` through the horizon.
+    Tick,
+    /// Create claim `i`.
+    ClaimCreate(usize),
+    /// Submit job `i`, then start its traffic rounds.
+    JobArrival(usize),
+    /// Submit service `i`, then start its request generator.
+    ServiceArrival(usize),
+    /// One traffic round of job `i` ([`traffic_round`]).
+    TrafficRound(usize),
+    /// One generator fire of service `i` ([`service_round`]).
+    ServiceRound(usize),
+    /// A by-name cluster call on plan entry `i`.
+    Call(Call, usize),
+    /// Drain node `i`.
+    Drain(usize),
+    /// A fabric fault.
+    Fabric(FaultKind),
+}
+
+/// A by-name cluster call a plan schedules on one of its entries.
+#[derive(Clone, Copy)]
+enum Call {
+    DeleteClaim,
+    DeleteJob,
+    RollService,
+    DeleteService,
+}
+
+impl Call {
+    /// Make the call on plan entry `i` — a claim, a job or a service,
+    /// as the call's kind says.
+    fn run(self, w: &mut World, i: usize) {
+        let (tenant, name, call): (_, _, fn(&mut Cluster, &str, &str)) = match self {
+            Call::DeleteClaim => (&w.claims[i].tenant, &w.claims[i].name, Cluster::delete_claim),
+            Call::DeleteJob => (&w.jobs[i].plan.tenant, &w.jobs[i].plan.name, Cluster::delete_job),
+            Call::RollService => {
+                (&w.services[i].plan.tenant, &w.services[i].plan.name, Cluster::roll_service)
+            }
+            Call::DeleteService => {
+                (&w.services[i].plan.tenant, &w.services[i].plan.name, Cluster::delete_service)
+            }
+        };
+        call(&mut w.cluster, tenant, name);
+    }
+}
+
+impl Event<World> for Ev {
+    fn fire(self, sim: &mut Sim<World, Ev>) {
+        let now = sim.now();
+        match self {
+            Ev::Tick => tick_ev(sim),
+            Ev::ClaimCreate(ci) => {
+                let w = &mut sim.world;
+                w.cluster.create_claim(now, &w.claims[ci].tenant, &w.claims[ci].name);
+            }
+            Ev::JobArrival(ji) => {
+                let w = &mut sim.world;
+                let p = &w.jobs[ji].plan;
+                w.cluster.submit_job_placed(
+                    now,
+                    &p.tenant,
+                    &p.name,
+                    &annotations(&p.vni),
+                    p.ranks,
+                    &alpine(),
+                    p.run_ms,
+                    p.pin_nodes.as_deref(),
+                );
+                if let Some(tp) = p.traffic {
+                    sim.schedule_after(tp.interval, Ev::TrafficRound(ji));
+                }
+            }
+            Ev::ServiceArrival(si) => {
+                let w = &mut sim.world;
+                let p = &w.services[si].plan;
+                w.cluster.submit_service(
+                    now,
+                    &p.tenant,
+                    &p.name,
+                    &annotations(&p.vni),
+                    p.replicas,
+                    &alpine(),
+                    p.pin_nodes.as_deref(),
+                );
+                let interval = p.request_interval;
+                sim.schedule_after(interval, Ev::ServiceRound(si));
+            }
+            Ev::TrafficRound(ji) => traffic_round(sim, ji),
+            Ev::ServiceRound(si) => service_round(sim, si),
+            Ev::Call(call, i) => call.run(&mut sim.world, i),
+            Ev::Drain(node) => drain_ev(sim, node),
+            Ev::Fabric(kind) => sim.world.cluster.fabric.apply_fault(kind),
+        }
+    }
+}
+
+fn tick_ev(sim: &mut Sim<World, Ev>) {
     let now = sim.now();
     sim.world.cluster.tick(now);
     // Admission tracking: record the first pod-start instant per job.
@@ -310,7 +420,7 @@ fn tick_ev(sim: &mut Sim<World>) {
     }
     let (tick, horizon) = (w.tick, w.horizon);
     if now < horizon {
-        sim.after(tick, tick_ev);
+        sim.schedule_after(tick, Ev::Tick);
     }
 }
 
@@ -361,7 +471,7 @@ fn probe_cross(w: &mut World, now: SimTime, attacker: PodHandle, foreign: Vni, t
 /// The self-rescheduling event behind a job's [`TrafficPlan`]: one
 /// round per interval until the planned rounds are done, the job is
 /// deleted, or the horizon passes.
-fn traffic_round(sim: &mut Sim<World>, ji: usize) {
+fn traffic_round(sim: &mut Sim<World, Ev>, ji: usize) {
     let now = sim.now();
     let w = &mut sim.world;
     let p = &w.jobs[ji].plan;
@@ -371,7 +481,7 @@ fn traffic_round(sim: &mut Sim<World>, ji: usize) {
     }
     let complete = job_round(w, now, ji, tp);
     if !complete && now + tp.interval <= w.horizon {
-        sim.after(tp.interval, move |s| traffic_round(s, ji));
+        sim.schedule_after(tp.interval, Ev::TrafficRound(ji));
     }
 }
 
@@ -409,7 +519,7 @@ fn job_round(w: &mut World, now: SimTime, ji: usize, tp: TrafficPlan) -> bool {
     w.jobs[ji].rounds_done >= tp.rounds
 }
 
-fn drain_ev(sim: &mut Sim<World>, node_idx: usize) {
+fn drain_ev(sim: &mut Sim<World, Ev>, node_idx: usize) {
     let now = sim.now();
     let w = &mut sim.world;
     let name = w.cluster.nodes[node_idx].inner.name.clone();
@@ -513,7 +623,7 @@ fn service_fire(w: &mut World, now: SimTime, si: usize) {
 /// The self-rescheduling generator event behind [`ServicePlan`]'s
 /// open-loop arrivals: one fire per interval until the service is
 /// deleted or the horizon passes.
-fn service_round(sim: &mut Sim<World>, si: usize) {
+fn service_round(sim: &mut Sim<World, Ev>, si: usize) {
     let now = sim.now();
     let w = &mut sim.world;
     let p = &w.services[si].plan;
@@ -523,94 +633,56 @@ fn service_round(sim: &mut Sim<World>, si: usize) {
     }
     service_fire(w, now, si);
     if now + interval <= w.horizon {
-        sim.after(interval, move |s| service_round(s, si));
+        sim.schedule_after(interval, Ev::ServiceRound(si));
     }
 }
 
-/// Schedule a by-name cluster call (`delete_job`, `roll_service`, …) at
-/// `at`, if the plan asks for one.
-fn at_named(
-    sim: &mut Sim<World>,
-    at: Option<SimTime>,
-    tenant: &str,
-    name: &str,
-    call: fn(&mut Cluster, &str, &str),
-) {
+/// Schedule `call` on plan entry `i` at `at`, if the plan asks for one.
+fn at_call(sim: &mut Sim<World, Ev>, at: Option<SimTime>, call: Call, i: usize) {
     if let Some(at) = at {
-        let (ns, name) = (tenant.to_string(), name.to_string());
-        sim.at(at, move |s| call(&mut s.world.cluster, &ns, &name));
+        sim.schedule(at, Ev::Call(call, i));
     }
 }
 
 /// Turn the plan into its initial events: the control-plane tick, then
 /// claims, jobs, services and faults in plan order (same-instant events
 /// fire in the order scheduled here).
-fn schedule(sim: &mut Sim<World>, scenario: &Scenario) {
-    sim.at(SimTime::ZERO, tick_ev);
-    for claim in &scenario.claims {
-        let (ns, name) = (claim.tenant.clone(), claim.name.clone());
-        sim.at(claim.create_at, move |s| {
-            let now = s.now();
-            s.world.cluster.create_claim(now, &ns, &name);
-        });
-        at_named(sim, claim.delete_at, &claim.tenant, &claim.name, Cluster::delete_claim);
+fn schedule(sim: &mut Sim<World, Ev>, scenario: &Scenario) {
+    sim.schedule(SimTime::ZERO, Ev::Tick);
+    for (ci, claim) in scenario.claims.iter().enumerate() {
+        sim.schedule(claim.create_at, Ev::ClaimCreate(ci));
+        at_call(sim, claim.delete_at, Call::DeleteClaim, ci);
     }
     for (ji, plan) in scenario.jobs.iter().enumerate() {
-        let p = plan.clone();
-        sim.at(plan.arrival, move |s| {
-            let now = s.now();
-            s.world.cluster.submit_job_placed(
-                now,
-                &p.tenant,
-                &p.name,
-                &annotations(&p.vni),
-                p.ranks,
-                &alpine(),
-                p.run_ms,
-                p.pin_nodes.as_deref(),
-            );
-            if let Some(tp) = &p.traffic {
-                s.after(tp.interval, move |s2| traffic_round(s2, ji));
-            }
-        });
-        at_named(sim, plan.delete_at, &plan.tenant, &plan.name, Cluster::delete_job);
+        sim.schedule(plan.arrival, Ev::JobArrival(ji));
+        at_call(sim, plan.delete_at, Call::DeleteJob, ji);
     }
     for (si, plan) in scenario.services.iter().enumerate() {
-        let p = plan.clone();
-        sim.at(plan.arrival, move |s| {
-            let now = s.now();
-            s.world.cluster.submit_service(
-                now,
-                &p.tenant,
-                &p.name,
-                &annotations(&p.vni),
-                p.replicas,
-                &alpine(),
-                p.pin_nodes.as_deref(),
-            );
-            s.after(p.request_interval, move |s2| service_round(s2, si));
-        });
-        at_named(sim, plan.update_at, &plan.tenant, &plan.name, Cluster::roll_service);
-        at_named(sim, plan.delete_at, &plan.tenant, &plan.name, Cluster::delete_service);
+        sim.schedule(plan.arrival, Ev::ServiceArrival(si));
+        at_call(sim, plan.update_at, Call::RollService, si);
+        at_call(sim, plan.delete_at, Call::DeleteService, si);
     }
     for fault in &scenario.faults {
-        let (at, kind) = match *fault {
-            Fault::DrainNode { node, at } => {
-                sim.at(at, move |s| drain_ev(s, node));
-                continue;
+        let (at, ev) = match *fault {
+            Fault::DrainNode { node, at } => (at, Ev::Drain(node)),
+            Fault::LinkDown { at, a, b } => {
+                (at, Ev::Fabric(FaultKind::LinkDown(SwitchId(a), SwitchId(b))))
             }
-            Fault::LinkDown { at, a, b } => (at, FaultKind::LinkDown(SwitchId(a), SwitchId(b))),
-            Fault::LinkUp { at, a, b } => (at, FaultKind::LinkUp(SwitchId(a), SwitchId(b))),
-            Fault::SwitchDown { at, switch } => (at, FaultKind::SwitchDown(SwitchId(switch))),
+            Fault::LinkUp { at, a, b } => {
+                (at, Ev::Fabric(FaultKind::LinkUp(SwitchId(a), SwitchId(b))))
+            }
+            Fault::SwitchDown { at, switch } => {
+                (at, Ev::Fabric(FaultKind::SwitchDown(SwitchId(switch))))
+            }
         };
-        sim.at(at, move |s| s.world.cluster.fabric.apply_fault(kind));
+        sim.schedule(at, ev);
     }
 }
 
 /// Execute a scenario end to end; never panics on isolation failures —
 /// they are reported in the returned [`ScenarioReport`].
 pub fn run_scenario(scenario: &Scenario) -> ScenarioReport {
-    let mut sim = Sim::new(World::new(scenario));
+    let mut sim: Sim<World, Ev> = Sim::typed(World::new(scenario));
     schedule(&mut sim, scenario);
     sim.run_until(scenario.horizon);
     let events_executed = sim.events_executed();
@@ -638,7 +710,7 @@ mod tests {
     /// to running on a two-group dragonfly. Their own traffic events are
     /// planned past the 5 s bring-up, so every round and fire below is
     /// issued by hand and counted exactly.
-    fn running(pattern: TrafficPattern) -> Sim<World> {
+    fn running(pattern: TrafficPattern) -> Sim<World, Ev> {
         let never = 600_000;
         let mpi = job("hpc", "mpi", 4, 500, VniMode::Dedicated).sending(traffic(
             u32::MAX,
@@ -662,7 +734,7 @@ mod tests {
                 never,
             )
         };
-        let mut sim = Sim::new(World::new(&sc));
+        let mut sim: Sim<World, Ev> = Sim::typed(World::new(&sc));
         schedule(&mut sim, &sc);
         sim.run_until(ms(5_000));
         let w = &sim.world;

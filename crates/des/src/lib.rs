@@ -1,14 +1,16 @@
 //! # shs-des — deterministic discrete-event simulation kernel
 //!
 //! Foundation of the Slingshot-K8s reproduction: a virtual nanosecond
-//! clock, an event queue of boxed closures with deterministic tie-breaks,
-//! seeded RNG streams ([`DetRng`]) and the statistics toolkit used by the
-//! evaluation harness.
+//! clock, an event queue with deterministic tie-breaks whose event type
+//! each world chooses — an enum of plain-data [`Event`]s, or the default
+//! boxed closure [`EventFn`] — seeded RNG streams ([`DetRng`]) and the
+//! statistics toolkit used by the evaluation harness.
 //!
 //! Everything above this crate (fabric, NIC, driver, Kubernetes control
 //! plane) is written sans-IO: components are pure state machines and only
-//! the composition layer (`slingshot-k8s`) turns their effects into
-//! scheduled events here.
+//! the composition layers (`shs_fabric::shardsim`, `slingshot-k8s`'s
+//! scenario engine) turn their effects into scheduled events here, each
+//! as its own event enum.
 //!
 //! ```
 //! use shs_des::{Sim, SimDur, SimTime};
@@ -28,18 +30,18 @@
 //! a **sharded decomposition**: a [`ShardSim`] is a `Sim` whose world
 //! carries an id, a lookahead and an outbox, and the conservative-window
 //! coordinator [`ShardedSim`] steps one shard per switch group on the
-//! calling thread — see the [`parallel`] module docs for the
+//! calling thread — see the [`sharded`] module docs for the
 //! synchronisation algebra and what it proves.
 
-pub mod parallel;
 pub mod rng;
 pub mod shard;
+pub mod sharded;
 pub mod sim;
 pub mod stats;
 pub mod time;
 
-pub use parallel::ShardedSim;
 pub use rng::DetRng;
 pub use shard::{Shard, ShardId, ShardSim};
-pub use sim::{EventFn, Sim};
+pub use sharded::ShardedSim;
+pub use sim::{Event, EventFn, Sim};
 pub use time::{SimDur, SimTime};

@@ -37,29 +37,45 @@
 //!
 //! # Example
 //!
-//! Two shards ping-ponging across the boundary:
+//! Two shards, one event type: shard 0 counts a ping and sends it
+//! across the boundary, where shard 1 counts it too.
 //!
 //! ```
-//! use shs_des::{ShardedSim, SimDur, SimTime};
+//! use shs_des::{Event, Shard, ShardSim, ShardedSim, SimDur, SimTime};
+//!
+//! enum Ping {
+//!     Serve,
+//!     Receive,
+//! }
+//!
+//! impl Event<Shard<u64, Ping>> for Ping {
+//!     fn fire(self, s: &mut ShardSim<u64, Ping>) {
+//!         match self {
+//!             Ping::Serve => {
+//!                 *s.world += 1;
+//!                 s.send_to(1, SimDur::from_nanos(100), Ping::Receive);
+//!             }
+//!             Ping::Receive => *s.world += 10,
+//!         }
+//!     }
+//! }
 //!
 //! let mut sim = ShardedSim::new(vec![0u64, 0u64], SimDur::from_nanos(100));
-//! sim.shard_mut(0).at(SimTime::ZERO, |s| {
-//!     *s.world += 1;
-//!     s.send_to(1, SimDur::from_nanos(100), |peer| *peer.world += 10);
-//! });
+//! sim.shard_mut(0).schedule(SimTime::ZERO, Ping::Serve);
 //! sim.run();
 //! assert_eq!(*sim.shard(0).world, 1);
 //! assert_eq!(*sim.shard(1).world, 10);
 //! assert!(sim.windows() >= 2);
 //! ```
 
-use crate::shard::{Remote, ShardSim};
+use crate::shard::{Remote, Shard, ShardSim};
+use crate::sim::Event;
 use crate::time::{SimDur, SimTime};
 
 /// The coordinator: owns the shards and drives windows. See the module
 /// docs for the algorithm and the determinism argument.
-pub struct ShardedSim<W> {
-    shards: Vec<ShardSim<W>>,
+pub struct ShardedSim<W, E> {
+    shards: Vec<ShardSim<W, E>>,
     lookahead: SimDur,
     windows: u64,
     injected: u64,
@@ -69,7 +85,7 @@ pub struct ShardedSim<W> {
     min_inject_slack: Option<i128>,
 }
 
-impl<W> ShardedSim<W> {
+impl<W, E> ShardedSim<W, E> {
     /// Build one shard per world, ids `0..worlds.len()`, all sharing the
     /// same positive `lookahead`.
     pub fn new(worlds: Vec<W>, lookahead: SimDur) -> Self {
@@ -89,19 +105,19 @@ impl<W> ShardedSim<W> {
 
     /// Borrow shard `i` (read its world and clock).
     #[inline]
-    pub fn shard(&self, i: usize) -> &ShardSim<W> {
+    pub fn shard(&self, i: usize) -> &ShardSim<W, E> {
         &self.shards[i]
     }
 
     /// Mutably borrow shard `i` (seed events with
-    /// [`Sim::at`](crate::Sim::at)).
+    /// [`Sim::schedule`](crate::Sim::schedule)).
     #[inline]
-    pub fn shard_mut(&mut self, i: usize) -> &mut ShardSim<W> {
+    pub fn shard_mut(&mut self, i: usize) -> &mut ShardSim<W, E> {
         &mut self.shards[i]
     }
 
     /// Iterate the shards in id order.
-    pub fn shards(&self) -> impl Iterator<Item = &ShardSim<W>> {
+    pub fn shards(&self) -> impl Iterator<Item = &ShardSim<W, E>> {
         self.shards.iter()
     }
 
@@ -131,6 +147,28 @@ impl<W> ShardedSim<W> {
         self.min_inject_slack
     }
 
+    /// Drain every outbox in shard-id order and inject into the
+    /// destinations, so destination `seq` assignment — the tie-break
+    /// among same-time remote events — is a pure function of shard ids
+    /// and per-shard execution order. Each outbox is drained in place
+    /// and handed back, so its buffer outlives the window.
+    fn exchange(&mut self) {
+        for src in 0..self.shards.len() {
+            let mut outbox = std::mem::take(&mut self.shards[src].world.outbox);
+            for Remote { dst, time, event } in outbox.drain(..) {
+                let slack =
+                    time.as_nanos() as i128 - self.shards[dst].now().as_nanos() as i128;
+                self.min_inject_slack =
+                    Some(self.min_inject_slack.map_or(slack, |m| m.min(slack)));
+                self.injected += 1;
+                self.shards[dst].schedule(time, event);
+            }
+            self.shards[src].world.outbox = outbox;
+        }
+    }
+}
+
+impl<W, E: Event<Shard<W, E>>> ShardedSim<W, E> {
     /// Run until every queue and outbox drains.
     pub fn run(&mut self) {
         self.drive(SimTime::MAX);
@@ -169,66 +207,80 @@ impl<W> ShardedSim<W> {
             self.exchange();
         }
     }
-
-    /// Drain every outbox in shard-id order and inject into the
-    /// destinations, so destination `seq` assignment — the tie-break
-    /// among same-time remote events — is a pure function of shard ids
-    /// and per-shard execution order.
-    fn exchange(&mut self) {
-        for src in 0..self.shards.len() {
-            for Remote { dst, time, event } in self.shards[src].take_outbox() {
-                let slack =
-                    time.as_nanos() as i128 - self.shards[dst].now().as_nanos() as i128;
-                self.min_inject_slack =
-                    Some(self.min_inject_slack.map_or(slack, |m| m.min(slack)));
-                self.injected += 1;
-                self.shards[dst].at_boxed(time, event);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardId;
 
     type Log = Vec<(u64, u64)>;
 
-    fn log_time(label: u64) -> impl FnOnce(&mut ShardSim<Log>) {
-        move |s| {
-            let t = s.now().as_nanos();
-            s.world.push((t, label));
+    /// The test shards' events.
+    #[derive(Clone, Copy)]
+    enum Ev {
+        /// Log `(now, label)`.
+        Log(u64),
+        /// Log `label`, then send `Log(remote)` to `dst` after `delay` ns.
+        LogSend { label: u64, dst: ShardId, delay: u64, remote: u64 },
+        /// Log `(now, id)` and hand `Arrive(id)` to the right neighbour
+        /// of a four-shard ring, `50 + id` ns later.
+        Start,
+        /// Log `(now, 100 + from)`; a hand-off from shard 0 bounces a
+        /// `Log(999)` back to it.
+        Arrive(u64),
+        /// Send `Log(id)`, then `Log(10 + id)`, to shard 2 at 100 ns.
+        SendPair,
+    }
+
+    impl Event<Shard<Log, Ev>> for Ev {
+        fn fire(self, s: &mut ShardSim<Log, Ev>) {
+            let (id, t) = (s.id(), s.now().as_nanos());
+            let nanos = SimDur::from_nanos;
+            match self {
+                Ev::Log(label) => s.world.push((t, label)),
+                Ev::LogSend { label, dst, delay, remote } => {
+                    s.world.push((t, label));
+                    s.send_to(dst, nanos(delay), Ev::Log(remote));
+                }
+                Ev::Start => {
+                    s.world.push((t, id as u64));
+                    s.send_to((id + 1) % 4, nanos(50 + id as u64), Ev::Arrive(id as u64));
+                }
+                Ev::Arrive(from) => {
+                    s.world.push((t, 100 + from));
+                    if from == 0 {
+                        s.send_to(0, nanos(60), Ev::Log(999));
+                    }
+                }
+                Ev::SendPair => {
+                    s.send_to(2, nanos(100), Ev::Log(id as u64));
+                    s.send_to(2, nanos(100), Ev::Log(10 + id as u64));
+                }
+            }
         }
     }
 
-    fn sim(shards: usize, lookahead_ns: u64) -> ShardedSim<Log> {
+    fn sim(shards: usize, lookahead_ns: u64) -> ShardedSim<Log, Ev> {
         ShardedSim::new(vec![Log::new(); shards], SimDur::from_nanos(lookahead_ns))
+    }
+
+    /// Four shards each forward to their right neighbour; shard 0's
+    /// message bounces back from shard 1.
+    fn cascade() -> ShardedSim<Log, Ev> {
+        let mut p = sim(4, 50);
+        for g in 0..4usize {
+            p.shard_mut(g).schedule(SimTime::from_nanos(g as u64 * 7), Ev::Start);
+        }
+        p.run();
+        p
     }
 
     #[test]
     fn cross_shard_cascade_matches_across_shard_counts() {
-        // Four shards each forward to their right neighbour; shard 0's
-        // message bounces back from shard 1. A second run reproduces
-        // every world, clock and coordinator count.
-        let build = || {
-            let mut p = sim(4, 50);
-            for g in 0..4usize {
-                p.shard_mut(g).at(SimTime::from_nanos(g as u64 * 7), move |s| {
-                    let (id, t) = (s.id(), s.now().as_nanos());
-                    s.world.push((t, id as u64));
-                    s.send_to((id + 1) % 4, SimDur::from_nanos(50 + id as u64), move |d| {
-                        let t = d.now().as_nanos();
-                        d.world.push((t, 100 + id as u64));
-                        if id == 0 {
-                            d.send_to(0, SimDur::from_nanos(60), log_time(999));
-                        }
-                    });
-                });
-            }
-            p.run();
-            p
-        };
-        let (a, b) = (build(), build());
+        // A second run reproduces every world, clock and coordinator
+        // count.
+        let (a, b) = (cascade(), cascade());
         assert_eq!(*a.shard(0).world, vec![(0, 0), (74, 103), (110, 999)]);
         assert_eq!(*a.shard(1).world, vec![(7, 1), (50, 100)]);
         for g in 0..4 {
@@ -242,11 +294,20 @@ mod tests {
     }
 
     #[test]
+    fn an_exchange_drains_each_outbox_in_place() {
+        let p = cascade();
+        for s in p.shards() {
+            assert!(s.world.outbox.is_empty());
+            assert!(s.world.outbox.capacity() >= 1, "shard {}: the buffer was dropped", s.id());
+        }
+    }
+
+    #[test]
     fn run_until_honours_the_horizon_inclusively() {
         let mut p = sim(2, 10);
-        p.shard_mut(0).at(SimTime::from_nanos(100), log_time(1));
-        p.shard_mut(1).at(SimTime::from_nanos(101), log_time(2));
-        p.shard_mut(1).at(SimTime::from_nanos(100), log_time(3));
+        p.shard_mut(0).schedule(SimTime::from_nanos(100), Ev::Log(1));
+        p.shard_mut(1).schedule(SimTime::from_nanos(101), Ev::Log(2));
+        p.shard_mut(1).schedule(SimTime::from_nanos(100), Ev::Log(3));
         p.run_until(SimTime::from_nanos(100));
         assert_eq!(*p.shard(0).world, vec![(100, 1)]);
         assert_eq!(*p.shard(1).world, vec![(100, 3)], "101 is past the horizon");
@@ -261,10 +322,8 @@ mod tests {
         // would be `[MAX, MAX)`, empty, and reopened forever.
         let max = SimTime::MAX.as_nanos();
         let mut p = sim(2, 10);
-        p.shard_mut(0).at(SimTime::MAX, |s| {
-            log_time(1)(s);
-            s.send_to(1, SimDur::from_nanos(10), log_time(2));
-        });
+        let ev = Ev::LogSend { label: 1, dst: 1, delay: 10, remote: 2 };
+        p.shard_mut(0).schedule(SimTime::MAX, ev);
         p.run();
         assert_eq!(*p.shard(0).world, vec![(max, 1)]);
         assert_eq!(*p.shard(1).world, vec![(max, 2)], "the remote event saturates to MAX too");
@@ -288,11 +347,7 @@ mod tests {
         // though src 1 was seeded first.
         let mut p = sim(3, 100);
         for src in [1usize, 0] {
-            p.shard_mut(src).at(SimTime::ZERO, move |s| {
-                let id = s.id() as u64;
-                s.send_to(2, SimDur::from_nanos(100), log_time(id));
-                s.send_to(2, SimDur::from_nanos(100), log_time(10 + id));
-            });
+            p.shard_mut(src).schedule(SimTime::ZERO, Ev::SendPair);
         }
         p.run();
         assert_eq!(*p.shard(2).world, vec![(100, 0), (100, 10), (100, 1), (100, 11)]);

@@ -1,34 +1,69 @@
 //! The event-driven simulation kernel.
 //!
-//! [`Sim`] owns a user-supplied world `W` plus a queue of timed events;
-//! an event is any `FnOnce(&mut Sim<W>)`, so handlers can freely
-//! inspect the world, mutate it, and schedule follow-up events. The
-//! queue is one [`BinaryHeap`] that pops in ascending `(time, seq)`
+//! [`Sim<W, E>`](Sim) owns a user-supplied world `W` plus a queue of
+//! timed events of type `E`. An event is a value that knows how to run
+//! itself ([`Event::fire`]), so handlers can freely inspect the world,
+//! mutate it, and schedule follow-up events. What an event *is* is the
+//! world's choice:
+//!
+//! * **plain data** — a world with a fixed set of happenings names them
+//!   in an enum and implements [`Event`] for it, once: the queue then
+//!   holds data it can print, compare, and clone (a `Sim` is `Clone`
+//!   when its world and its events are, so a run can be forked at any
+//!   instant), and scheduling boxes nothing. Build one with
+//!   [`Sim::typed`] and schedule with [`schedule`](Sim::schedule),
+//!   [`schedule_after`](Sim::schedule_after) and
+//!   [`schedule_slot`](Sim::schedule_slot);
+//! * **a closure** — the default `E`, [`EventFn`], boxes any
+//!   `FnOnce(&mut Sim<W>)`. [`Sim::new`], [`at`](Sim::at),
+//!   [`after`](Sim::after) and [`at_slot`](Sim::at_slot) are that
+//!   instantiation, for tests, doctests and one-off probes.
+//!
+//! The queue is one [`BinaryHeap`] that pops in ascending `(time, seq)`
 //! order, where `seq` is the insertion counter: ties in time run in
 //! insertion order, no two entries share a `seq`, and so the order is
 //! total and execution fully deterministic. Nothing else is asked of a
 //! caller — any time at or after `now` may be scheduled at any point,
-//! whatever has been peeked or popped before.
+//! whatever has been peeked or popped before. A heap entry is the
+//! 24-byte key `(time, seq, payload index)`, compared as one packed
+//! `u128`; the payloads sit beside the heap in a free-listed slab, so a
+//! sift moves keys, never events.
 //!
 //! # Example
 //!
 //! A self-rescheduling "process" bounded by a predicate — the pattern
-//! the scenario engine uses for its control-plane tick:
+//! the scenario engine uses for its control-plane tick — as plain data:
 //!
 //! ```
-//! use shs_des::{Sim, SimDur, SimTime};
+//! use shs_des::{Event, Sim, SimDur, SimTime};
 //!
-//! fn tick(sim: &mut Sim<u32>) {
-//!     sim.world += 1;
-//!     sim.after(SimDur::from_millis(20), tick);
+//! #[derive(Clone, Copy)]
+//! enum Ev {
+//!     Tick,
 //! }
 //!
-//! let mut sim = Sim::new(0u32);
-//! sim.at(SimTime::ZERO, tick);
+//! impl Event<u32> for Ev {
+//!     fn fire(self, sim: &mut Sim<u32, Ev>) {
+//!         match self {
+//!             Ev::Tick => {
+//!                 sim.world += 1;
+//!                 sim.schedule_after(SimDur::from_millis(20), Ev::Tick);
+//!             }
+//!         }
+//!     }
+//! }
+//!
+//! let mut sim: Sim<u32, Ev> = Sim::typed(0);
+//! sim.schedule(SimTime::ZERO, Ev::Tick);
 //! sim.run_until(SimTime::from_nanos(100_000_000)); // 100 ms horizon
 //! assert_eq!(sim.world, 6, "ticks at 0, 20, 40, 60, 80, 100 ms");
 //! assert_eq!(sim.now(), SimTime::from_nanos(100_000_000));
 //! assert_eq!(sim.pending(), 1, "the next tick stays queued past the horizon");
+//!
+//! // Forked at 100 ms: the copy runs on without touching the original.
+//! let mut fork = sim.clone();
+//! fork.run_until(SimTime::from_nanos(200_000_000));
+//! assert_eq!((sim.world, fork.world), (6, 11));
 //! ```
 //!
 //! # Reserved slots: deferred scheduling that cannot be observed
@@ -69,61 +104,150 @@ use std::collections::BinaryHeap;
 
 use crate::time::{SimDur, SimTime};
 
-/// A scheduled event: a boxed closure over the simulation.
-pub type EventFn<W> = Box<dyn FnOnce(&mut Sim<W>)>;
-
-/// One queued event under its schedule key. Compared on `(time, seq)`
-/// alone — `seq` is unique queue-wide, so that is a total order — and
-/// *inverted*, so that [`BinaryHeap`], a max-heap, pops the earliest
-/// entry first.
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
+/// An event of a world `W`: plain data (or a closure, [`EventFn`]) that
+/// runs itself over the simulation when its instant comes. `fire` may
+/// read and mutate `sim.world` and schedule follow-ups of the same type.
+pub trait Event<W>: Sized {
+    /// Run the event; `sim.now()` is its due instant.
+    fn fire(self, sim: &mut Sim<W, Self>);
 }
 
-impl<E> Ord for Entry<E> {
+/// The default event type: a boxed closure over the simulation. A
+/// newtype rather than an alias, because `Sim<W>` names it.
+#[allow(clippy::type_complexity)]
+pub struct EventFn<W>(Box<dyn FnOnce(&mut Sim<W>)>);
+
+impl<W> Event<W> for EventFn<W> {
     #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+    fn fire(self, sim: &mut Sim<W>) {
+        (self.0)(sim)
     }
 }
 
-impl<E> PartialOrd for Entry<E> {
+/// One queued event's schedule key and the slab index of its payload.
+/// Compared on `(time, seq)` alone, packed into one `u128` — `seq` is
+/// unique queue-wide, so that is a total order — and *inverted*, so
+/// that [`BinaryHeap`], a max-heap, pops the earliest entry first.
+#[derive(Clone, Copy)]
+struct Entry {
+    time: SimTime,
+    seq: u64,
+    payload: u32,
+}
+
+impl Entry {
+    #[inline]
+    fn key(&self) -> u128 {
+        (self.time.as_nanos() as u128) << 64 | self.seq as u128
+    }
+}
+
+impl Ord for Entry {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+impl PartialOrd for Entry {
     #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Entry {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.key() == other.key()
     }
 }
 
-impl<E> Eq for Entry<E> {}
+impl Eq for Entry {}
 
-/// Discrete-event simulator over a world `W`.
-pub struct Sim<W> {
-    /// The simulated world. Public so event closures and drivers can reach
-    /// all component state directly.
+/// The queued events' payloads, indexed by [`Entry::payload`]; a slot
+/// freed by a pop is the next one filled.
+#[derive(Clone)]
+struct Slab<E> {
+    slots: Vec<Option<E>>,
+    free: Vec<u32>,
+}
+
+impl<E> Slab<E> {
+    #[inline]
+    fn insert(&mut self, e: E) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(e);
+                i
+            }
+            None => {
+                let i = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
+                self.slots.push(Some(e));
+                i
+            }
+        }
+    }
+
+    #[inline]
+    fn remove(&mut self, i: u32) -> E {
+        self.free.push(i);
+        self.slots[i as usize].take().expect("a queued entry's payload is live")
+    }
+}
+
+/// Discrete-event simulator over a world `W`, with events of type `E`
+/// (boxed closures unless the world names its own, see the module
+/// docs). `Clone` when `W` and `E` are: a clone is an independent fork
+/// of the run at its current instant.
+#[derive(Clone)]
+pub struct Sim<W, E = EventFn<W>> {
+    /// The simulated world. Public so events and drivers can reach all
+    /// component state directly.
     pub world: W,
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Entry<EventFn<W>>>,
+    queue: BinaryHeap<Entry>,
+    payloads: Slab<E>,
     executed: u64,
 }
 
 impl<W> Sim<W> {
-    /// Create a simulator at time zero.
+    /// Create a closure-event simulator at time zero.
     pub fn new(world: W) -> Self {
+        Sim::typed(world)
+    }
+
+    /// Schedule `f` at absolute time `t`. Scheduling in the past is a
+    /// logic error and panics (debug builds) or clamps to `now` (release).
+    #[inline]
+    pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut Sim<W>) + 'static) {
+        self.schedule(t, EventFn(Box::new(f)));
+    }
+
+    /// Schedule `f` at `t` under the reserved `slot`; see
+    /// [`schedule_slot`](Self::schedule_slot).
+    pub fn at_slot(&mut self, t: SimTime, slot: u64, f: impl FnOnce(&mut Sim<W>) + 'static) {
+        self.schedule_slot(t, slot, EventFn(Box::new(f)));
+    }
+
+    /// Schedule `f` after a relative delay.
+    #[inline]
+    pub fn after(&mut self, d: SimDur, f: impl FnOnce(&mut Sim<W>) + 'static) {
+        self.schedule_after(d, EventFn(Box::new(f)));
+    }
+}
+
+impl<W, E> Sim<W, E> {
+    /// Create a simulator at time zero whose events are `E`s — the
+    /// constructor for a world that names its own event type.
+    pub fn typed(world: W) -> Self {
         Sim {
             world,
             now: SimTime::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
+            payloads: Slab { slots: Vec::new(), free: Vec::new() },
             executed: 0,
         }
     }
@@ -155,34 +279,41 @@ impl<W> Sim<W> {
         self.queue.peek().map(|e| e.time)
     }
 
-    /// Schedule `f` at absolute time `t`. Scheduling in the past is a
-    /// logic error and panics (debug builds) or clamps to `now` (release).
+    /// Queue `e` at `time` under the schedule key `seq`.
     #[inline]
-    pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut Sim<W>) + 'static) {
-        self.at_boxed(t, Box::new(f));
+    fn push(&mut self, time: SimTime, seq: u64, e: E) {
+        let payload = self.payloads.insert(e);
+        self.queue.push(Entry { time, seq, payload });
     }
 
-    /// [`at`](Self::at) for an already-boxed event — how the sharded
-    /// coordinator injects a cross-shard event into its destination.
-    pub(crate) fn at_boxed(&mut self, t: SimTime, f: EventFn<W>) {
+    /// Schedule `e` at absolute time `t`. Scheduling in the past is a
+    /// logic error and panics (debug builds) or clamps to `now` (release).
+    #[inline]
+    pub fn schedule(&mut self, t: SimTime, e: E) {
         debug_assert!(t >= self.now, "scheduling into the past: {t} < {}", self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Entry { time: t.max(self.now), seq, event: f });
+        self.push(t.max(self.now), seq, e);
+    }
+
+    /// Schedule `e` after a relative delay.
+    #[inline]
+    pub fn schedule_after(&mut self, d: SimDur, e: E) {
+        self.schedule(self.now + d, e);
     }
 
     /// Set the next `n` insertion-order positions aside and return the
     /// first: slots `first..first + n` are the caller's, to be filled
-    /// by [`at_slot`](Self::at_slot) whenever it suits. Every event
-    /// scheduled after this call ties *behind* every slot of the block,
-    /// however late that slot's event is materialized.
+    /// by [`schedule_slot`](Self::schedule_slot) whenever it suits.
+    /// Every event scheduled after this call ties *behind* every slot of
+    /// the block, however late that slot's event is materialized.
     pub fn reserve(&mut self, n: u64) -> u64 {
         let first = self.seq;
         self.seq += n;
         first
     }
 
-    /// Schedule `f` at `t` under the reserved `slot`: among events due
+    /// Schedule `e` at `t` under the reserved `slot`: among events due
     /// at `t` it runs where it would have run had it been scheduled
     /// when the slot was reserved, so slots order by index, not by the
     /// order they are filled in. Filling late is unobservable as long
@@ -194,31 +325,32 @@ impl<W> Sim<W> {
     /// the entry's queue-wide unique `seq`, the tie-break that makes
     /// `(time, seq)` a total order. A slot that was never reserved, or
     /// a `t` in the past, panics in debug builds; reuse is not detected.
-    pub fn at_slot(&mut self, t: SimTime, slot: u64, f: impl FnOnce(&mut Sim<W>) + 'static) {
+    #[inline]
+    pub fn schedule_slot(&mut self, t: SimTime, slot: u64, e: E) {
         debug_assert!(slot < self.seq, "slot {slot} is not reserved (next free: {})", self.seq);
         debug_assert!(t >= self.now, "scheduling into the past: {t} < {}", self.now);
-        self.queue.push(Entry { time: t.max(self.now), seq: slot, event: Box::new(f) });
+        self.push(t.max(self.now), slot, e);
     }
 
-    /// Schedule `f` after a relative delay.
-    #[inline]
-    pub fn after(&mut self, d: SimDur, f: impl FnOnce(&mut Sim<W>) + 'static) {
-        self.at(self.now + d, f);
+    /// Advance the clock to `t` if it lags behind.
+    pub(crate) fn advance_to(&mut self, t: SimTime) {
+        self.now = self.now.max(t);
     }
+}
 
+impl<W, E: Event<W>> Sim<W, E> {
     /// Execute the next event, if any. Returns `false` when the queue is
     /// empty.
+    #[inline]
     pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            Some(ev) => {
-                debug_assert!(ev.time >= self.now);
-                self.now = ev.time;
-                self.executed += 1;
-                (ev.event)(self);
-                true
-            }
-            None => false,
-        }
+        let Some(Entry { time, payload, .. }) = self.queue.pop() else {
+            return false;
+        };
+        debug_assert!(time >= self.now);
+        self.now = time;
+        self.executed += 1;
+        self.payloads.remove(payload).fire(self);
+        true
     }
 
     /// Run until the event queue drains.
@@ -246,13 +378,8 @@ impl<W> Sim<W> {
         }
     }
 
-    /// Advance the clock to `t` if it lags behind.
-    pub(crate) fn advance_to(&mut self, t: SimTime) {
-        self.now = self.now.max(t);
-    }
-
     /// Run while `pred` holds and events remain.
-    pub fn run_while(&mut self, mut pred: impl FnMut(&Sim<W>) -> bool) {
+    pub fn run_while(&mut self, mut pred: impl FnMut(&Sim<W, E>) -> bool) {
         while pred(self) && self.step() {}
     }
 }
@@ -263,7 +390,7 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    #[derive(Default)]
+    #[derive(Default, Clone)]
     struct W {
         log: Vec<(u64, &'static str)>,
         count: u32,
@@ -416,15 +543,15 @@ mod tests {
     // tree: near and far times must interleave with no special casing.
     const FAR: u64 = 65_536 * 256;
 
-    fn push(q: &mut BinaryHeap<Entry<()>>, time: u64, seq: u64) {
-        q.push(Entry { time: SimTime::from_nanos(time), seq, event: () });
+    fn push(q: &mut BinaryHeap<Entry>, time: u64, seq: u64) {
+        q.push(Entry { time: SimTime::from_nanos(time), seq, payload: 0 });
     }
 
-    fn pop(q: &mut BinaryHeap<Entry<()>>) -> Option<(u64, u64)> {
+    fn pop(q: &mut BinaryHeap<Entry>) -> Option<(u64, u64)> {
         q.pop().map(|e| (e.time.as_nanos(), e.seq))
     }
 
-    fn drain(q: &mut BinaryHeap<Entry<()>>) -> Vec<(u64, u64)> {
+    fn drain(q: &mut BinaryHeap<Entry>) -> Vec<(u64, u64)> {
         std::iter::from_fn(|| pop(q)).collect()
     }
 
@@ -594,5 +721,77 @@ mod tests {
             sim.world.log,
             vec![(2 * FAR, "start"), (2 * FAR + 700, "near"), (3 * FAR, "mid"), (9 * FAR + 123, "far")]
         );
+    }
+
+    // Events as data.
+
+    #[derive(Debug, Clone)]
+    enum Ev {
+        Log(&'static str),
+        /// Log, then schedule `Log(then)` `d` ns later.
+        Chain(&'static str, u64, &'static str),
+        /// Count down: reschedule itself 1 ns later until zero.
+        Tick(u32),
+    }
+
+    impl Event<W> for Ev {
+        fn fire(self, s: &mut Sim<W, Ev>) {
+            let now = s.now().as_nanos();
+            match self {
+                Ev::Log(name) => s.world.log.push((now, name)),
+                Ev::Chain(name, d, then) => {
+                    s.world.log.push((now, name));
+                    s.schedule_after(SimDur::from_nanos(d), Ev::Log(then));
+                }
+                Ev::Tick(0) => {}
+                Ev::Tick(n) => {
+                    s.world.count += 1;
+                    s.schedule_after(SimDur::from_nanos(1), Ev::Tick(n - 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_heap_entry_is_a_24_byte_key_whatever_the_payload() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+    }
+
+    #[test]
+    fn typed_events_run_in_time_then_seq_order() {
+        let mut sim: Sim<W, Ev> = Sim::typed(W::default());
+        sim.schedule(SimTime::from_nanos(10), Ev::Log("b"));
+        let slot = sim.reserve(1);
+        sim.schedule(SimTime::from_nanos(5), Ev::Chain("a", 5, "c"));
+        sim.schedule_slot(SimTime::from_nanos(10), slot, Ev::Log("slot"));
+        sim.run();
+        assert_eq!(sim.world.log, vec![(5, "a"), (10, "b"), (10, "slot"), (10, "c")]);
+        assert_eq!(sim.events_executed(), 4);
+    }
+
+    #[test]
+    fn a_payload_slot_is_refilled_once_its_event_has_run() {
+        let mut sim: Sim<W, Ev> = Sim::typed(W::default());
+        for _ in 0..3 {
+            sim.schedule(SimTime::ZERO, Ev::Tick(100));
+        }
+        sim.run();
+        assert_eq!(sim.world.count, 300);
+        assert_eq!(sim.payloads.slots.len(), 3, "the slab grows to the peak depth, no further");
+    }
+
+    #[test]
+    fn a_clone_is_an_independent_fork_of_the_run() {
+        let mut sim: Sim<W, Ev> = Sim::typed(W::default());
+        sim.schedule(SimTime::from_nanos(1), Ev::Chain("a", 9, "b"));
+        sim.schedule(SimTime::from_nanos(20), Ev::Log("c"));
+        sim.run_until(SimTime::from_nanos(5));
+        let mut fork = sim.clone();
+        fork.schedule(SimTime::from_nanos(7), Ev::Log("fork only"));
+        fork.run();
+        sim.run();
+        assert_eq!(sim.world.log, vec![(1, "a"), (10, "b"), (20, "c")]);
+        assert_eq!(fork.world.log, vec![(1, "a"), (7, "fork only"), (10, "b"), (20, "c")]);
+        assert_eq!((sim.events_executed(), fork.events_executed()), (3, 4));
     }
 }

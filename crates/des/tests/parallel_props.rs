@@ -1,6 +1,8 @@
 //! Property oracle for the sharded coordinator: arbitrary cascading
 //! event workloads over 2–4 shards must apply events in an order
-//! bit-identical to one global [`Sim`].
+//! bit-identical to one global [`Sim`]. The shards run typed events
+//! (`Exec`, `ChainEv`: plain data, as every sharded world's are); the
+//! serial oracle runs closures.
 //!
 //! Two properties against that oracle, because the engines' tie-breaks
 //! differ by design, and a third for reserved slots:
@@ -25,7 +27,7 @@
 //!    equal-time ties between chains, bystanders and cross-shard
 //!    arrivals, run identically whether every link is scheduled at
 //!    setup or each link queues only its successor under
-//!    [`Sim::at_slot`].
+//!    [`Sim::schedule_slot`].
 //!
 //! Cascades are a pure function of the structural id (a splitmix-style
 //! hash decides fan-out, destination and delays), so both engines
@@ -34,7 +36,7 @@
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use shs_des::{ShardSim, ShardedSim, Sim, SimDur, SimTime};
+use shs_des::{Event, Shard, ShardSim, ShardedSim, Sim, SimDur, SimTime};
 
 /// Low-bits width reserved for the structural id ⇒ the uniqueness tag.
 const ID_BITS: u32 = 13;
@@ -143,29 +145,40 @@ fn run_serial(w: &Workload, unique_times: bool) -> Vec<Trace> {
     sim.world
 }
 
-/// The system under test: one shard per group, cascades routed through
-/// `send_to` whenever they cross shards.
-fn run_sharded(w: &Workload, unique_times: bool) -> (Vec<Trace>, ShardedSim<Trace>) {
-    fn exec(s: &mut ShardSim<Trace>, id: u32, fuel: u8, nshards: usize, uniq: bool) {
+/// The sharded cascade's one event: apply structural id `id`, holding
+/// `fuel`, in an `nshards`-wide world.
+#[derive(Clone, Copy)]
+struct Exec {
+    id: u32,
+    fuel: u8,
+    nshards: usize,
+    uniq: bool,
+}
+
+impl Event<Shard<Trace, Exec>> for Exec {
+    fn fire(self, s: &mut ShardSim<Trace, Exec>) {
         let now = s.now().as_nanos();
-        s.world.push((now, id));
+        s.world.push((now, self.id));
         let here = s.id();
-        for c in children(id, here, now, fuel, nshards, uniq) {
+        for c in children(self.id, here, now, self.fuel, self.nshards, self.uniq) {
+            let child = Exec { id: c.id, fuel: c.fuel, ..self };
             if c.remote {
-                let delay = SimDur::from_nanos(c.time - now);
-                s.send_to(c.shard, delay, move |d| exec(d, c.id, c.fuel, nshards, uniq));
+                s.send_to(c.shard, SimDur::from_nanos(c.time - now), child);
             } else {
-                s.at(SimTime::from_nanos(c.time), move |d| exec(d, c.id, c.fuel, nshards, uniq));
+                s.schedule(SimTime::from_nanos(c.time), child);
             }
         }
     }
+}
+
+/// The system under test: one shard per group, cascades routed through
+/// `send_to` whenever they cross shards.
+fn run_sharded(w: &Workload, unique_times: bool) -> (Vec<Trace>, ShardedSim<Trace, Exec>) {
     let mut psim = ShardedSim::new(vec![Trace::new(); w.nshards], SimDur::from_nanos(LOOKAHEAD));
-    let nshards = w.nshards;
     for (i, s) in w.seeds.iter().enumerate() {
         let t = if unique_times { s.raw_t << ID_BITS | i as u64 } else { s.raw_t };
-        let (id, fuel) = (i as u32, s.fuel);
-        psim.shard_mut(s.shard)
-            .at(SimTime::from_nanos(t), move |sh| exec(sh, id, fuel, nshards, unique_times));
+        let ev = Exec { id: i as u32, fuel: s.fuel, nshards: w.nshards, uniq: unique_times };
+        psim.shard_mut(s.shard).schedule(SimTime::from_nanos(t), ev);
     }
     psim.run();
     let traces = psim.shards().map(|s| s.world.clone()).collect();
@@ -229,35 +242,45 @@ fn chain_workload_strategy() -> impl Strategy<Value = ChainWorkload> {
         })
 }
 
+/// The chain workload's events.
+enum ChainEv {
+    /// Log `(now, id)`.
+    Log(u32),
+    /// Link `k` of `chain` (numbered `id`); `slots` is the chain's first
+    /// reserved slot when links are chained.
+    Link { chain: Rc<Chain>, id: u32, k: usize, slots: Option<u64> },
+}
+
+impl Event<Shard<Trace, ChainEv>> for ChainEv {
+    fn fire(self, s: &mut ShardSim<Trace, ChainEv>) {
+        match self {
+            ChainEv::Log(id) => {
+                let t = s.now().as_nanos();
+                s.world.push((t, id));
+            }
+            ChainEv::Link { chain, id, k, slots } => {
+                if let (Some(first), Some(&(t, _))) = (slots, chain.links.get(k + 1)) {
+                    let next = ChainEv::Link { chain: Rc::clone(&chain), id, k: k + 1, slots };
+                    s.schedule_slot(SimTime::from_nanos(t), first + k as u64 + 1, next);
+                }
+                let label = id * 100 + k as u32;
+                ChainEv::Log(label).fire(s);
+                if let Some((dst, delay)) = chain.links[k].1 {
+                    s.send_to(dst, SimDur::from_nanos(delay), ChainEv::Log(10_000 + label));
+                }
+            }
+        }
+    }
+}
+
 /// Run the chain workload with every link scheduled at setup
 /// (`chained = false`), or with each chain's block of slots reserved at
 /// the same point and every link queuing only its successor.
 fn run_chains(w: &ChainWorkload, chained: bool) -> (Vec<Trace>, u64, u64) {
-    fn log(id: u32) -> impl FnOnce(&mut ShardSim<Trace>) {
-        move |s| {
-            let t = s.now().as_nanos();
-            s.world.push((t, id));
-        }
-    }
-    /// Link `k` of `chain` (numbered `id`); `slots` is the chain's
-    /// first reserved slot when links are chained.
-    fn link(s: &mut ShardSim<Trace>, chain: Rc<Chain>, id: u32, k: usize, slots: Option<u64>) {
-        if let (Some(first), Some(&(t, _))) = (slots, chain.links.get(k + 1)) {
-            let next = Rc::clone(&chain);
-            s.at_slot(SimTime::from_nanos(t), first + k as u64 + 1, move |s| {
-                link(s, next, id, k + 1, slots)
-            });
-        }
-        log(id * 100 + k as u32)(s);
-        if let Some((dst, delay)) = chain.links[k].1 {
-            s.send_to(dst, SimDur::from_nanos(delay), log(10_000 + id * 100 + k as u32));
-        }
-    }
-
     let mut psim =
         ShardedSim::new(vec![Trace::new(); w.nshards], SimDur::from_nanos(CHAIN_LOOKAHEAD));
     for &(shard, t) in &w.before {
-        psim.shard_mut(shard).at(SimTime::from_nanos(t), log(20_000));
+        psim.shard_mut(shard).schedule(SimTime::from_nanos(t), ChainEv::Log(20_000));
     }
     let mut next_slot: Vec<u64> = (0..w.nshards)
         .map(|g| {
@@ -271,19 +294,17 @@ fn run_chains(w: &ChainWorkload, chained: bool) -> (Vec<Trace>, u64, u64) {
         if chained {
             let first = next_slot[chain.shard];
             next_slot[chain.shard] += chain.links.len() as u64;
-            let head = Rc::clone(&chain);
-            shard.at_slot(SimTime::from_nanos(chain.links[0].0), first, move |s| {
-                link(s, head, id, 0, Some(first))
-            });
+            let t = SimTime::from_nanos(chain.links[0].0);
+            shard.schedule_slot(t, first, ChainEv::Link { chain, id, k: 0, slots: Some(first) });
         } else {
             for (k, &(t, _)) in chain.links.iter().enumerate() {
-                let chain = Rc::clone(&chain);
-                shard.at(SimTime::from_nanos(t), move |s| link(s, chain, id, k, None));
+                let link = ChainEv::Link { chain: Rc::clone(&chain), id, k, slots: None };
+                shard.schedule(SimTime::from_nanos(t), link);
             }
         }
     }
     for &(shard, t) in &w.after {
-        psim.shard_mut(shard).at(SimTime::from_nanos(t), log(30_000));
+        psim.shard_mut(shard).schedule(SimTime::from_nanos(t), ChainEv::Log(30_000));
     }
     psim.run();
     let traces = psim.shards().map(|s| s.world.clone()).collect();

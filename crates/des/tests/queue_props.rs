@@ -13,9 +13,14 @@
 //! `run_until`, `pending`), never through the queue's own type, so the
 //! oracle cannot end up comparing an implementation with itself.
 //!
-//! One script interpreter ([`apply`], [`spawn`], [`fire`]) drives both
-//! sides through the [`Kernel`] trait; only the scheduling primitives
-//! differ. What the scripts cover:
+//! One script interpreter ([`apply`], [`spawn`], [`fire`]) drives every
+//! side through the [`Kernel`] trait; only the scheduling primitives
+//! differ. The real side comes in both payload kinds — a closure `Sim`
+//! (`at`, `after`, `at_slot`) and a typed `Sim<State, Ev>` whose events
+//! are the script's own [`Ev`] values (`schedule`, `schedule_after`,
+//! `schedule_slot`) — and the typed one is also **forked**: cloned
+//! after a random script prefix, after which the original and the copy
+//! must each run exactly as the model would. What the scripts cover:
 //!
 //! * duplicate timestamps (tiny deltas, and delta 0 — a handler
 //!   scheduling at `now`);
@@ -28,7 +33,7 @@
 //!   schedules nearer events that must run first.
 
 use proptest::prelude::*;
-use shs_des::{Sim, SimDur, SimTime};
+use shs_des::{Event, Sim, SimDur, SimTime};
 
 /// ≈ 16.8 ms (`2^16 ns × 256`): longer than any control-plane latency
 /// in the tree. Delays are drawn below, up to and far past it, so a
@@ -48,7 +53,7 @@ struct Ev {
 
 /// What handlers can reach: the execution log, the next event id and
 /// the reserved slots not yet filled.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct State {
     log: Vec<(u64, u32)>,
     next_id: u32,
@@ -65,6 +70,8 @@ trait Kernel {
     fn at_slot(&mut self, delay: u64, slot: u64, ev: Ev);
     fn step(&mut self) -> bool;
     fn run_until(&mut self, deadline: u64);
+    fn pending(&self) -> usize;
+    fn executed(&self) -> usize;
 }
 
 /// What every event does when it runs.
@@ -122,11 +129,60 @@ impl Kernel for Sim<State> {
     fn run_until(&mut self, deadline: u64) {
         Sim::run_until(self, SimTime::from_nanos(deadline));
     }
+    fn pending(&self) -> usize {
+        Sim::pending(self)
+    }
+    fn executed(&self) -> usize {
+        self.events_executed() as usize
+    }
+}
+
+/// The script's events as the typed kernel's payload.
+impl Event<State> for Ev {
+    fn fire(self, sim: &mut Sim<State, Ev>) {
+        fire(sim, self);
+    }
+}
+
+impl Kernel for Sim<State, Ev> {
+    fn now(&self) -> u64 {
+        Sim::now(self).as_nanos()
+    }
+    fn state(&mut self) -> &mut State {
+        &mut self.world
+    }
+    fn reserve(&mut self, n: u64) -> u64 {
+        Sim::reserve(self, n)
+    }
+    fn after(&mut self, delay: u64, ev: Ev) {
+        if ev.id & 1 == 0 {
+            let t = Sim::now(self) + SimDur::from_nanos(delay);
+            self.schedule(t, ev);
+        } else {
+            self.schedule_after(SimDur::from_nanos(delay), ev);
+        }
+    }
+    fn at_slot(&mut self, delay: u64, slot: u64, ev: Ev) {
+        let t = Sim::now(self) + SimDur::from_nanos(delay);
+        self.schedule_slot(t, slot, ev);
+    }
+    fn step(&mut self) -> bool {
+        Sim::step(self)
+    }
+    fn run_until(&mut self, deadline: u64) {
+        Sim::run_until(self, SimTime::from_nanos(deadline));
+    }
+    fn pending(&self) -> usize {
+        Sim::pending(self)
+    }
+    fn executed(&self) -> usize {
+        self.events_executed() as usize
+    }
 }
 
 /// The reference: pending events in a `Vec`, stably sorted by `(time,
 /// seq)` after every push; the next event is the front.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Model {
     now: u64,
     seq: u64,
@@ -174,6 +230,12 @@ impl Kernel for Model {
             self.step();
         }
         self.now = self.now.max(deadline);
+    }
+    fn pending(&self) -> usize {
+        self.queue.len()
+    }
+    fn executed(&self) -> usize {
+        self.state.log.len()
     }
 }
 
@@ -236,6 +298,34 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Apply `ops` to `k` and `model` in lockstep: after every op the newly
+/// executed events, the clock and the queue depth must agree.
+fn follows_model<K: Kernel>(k: &mut K, model: &mut Model, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut checked = model.state.log.len();
+    for op in ops {
+        apply(k, op);
+        apply(model, op);
+        prop_assert_eq!(&k.state().log[checked..], &model.state.log[checked..], "after {:?}", op);
+        checked = model.state.log.len();
+        prop_assert_eq!(k.now(), model.now, "clock after {:?}", op);
+        prop_assert_eq!(k.pending(), model.queue.len(), "pending after {:?}", op);
+    }
+    Ok(())
+}
+
+/// Drain both completely: the tail — far-future events, slots filled
+/// late — must agree too.
+fn drains_like_model<K: Kernel>(k: &mut K, model: &mut Model) -> Result<(), TestCaseError> {
+    let checked = model.state.log.len();
+    while k.step() {}
+    while model.step() {}
+    prop_assert_eq!(&k.state().log[checked..], &model.state.log[checked..]);
+    prop_assert_eq!(k.executed(), model.state.log.len());
+    prop_assert_eq!(k.pending(), 0);
+    prop_assert_eq!(k.now(), model.now);
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn sim_executes_in_sorted_time_seq_order(
@@ -243,22 +333,30 @@ proptest! {
     ) {
         let mut sim = Sim::new(State::default());
         let mut model = Model::default();
-        let mut checked = 0;
-        for op in &ops {
-            apply(&mut sim, op);
-            apply(&mut model, op);
-            prop_assert_eq!(&sim.world.log[checked..], &model.state.log[checked..], "after {:?}", op);
-            checked = model.state.log.len();
-            prop_assert_eq!(sim.now().as_nanos(), model.now, "clock after {:?}", op);
-            prop_assert_eq!(sim.pending(), model.queue.len(), "pending after {:?}", op);
-        }
-        // Drain both completely: the tail — far-future events, slots
-        // filled late — must agree too.
-        sim.run();
-        while model.step() {}
-        prop_assert_eq!(&sim.world.log[checked..], &model.state.log[checked..]);
-        prop_assert_eq!(sim.events_executed() as usize, model.state.log.len());
-        prop_assert_eq!(sim.pending(), 0);
-        prop_assert_eq!(sim.now().as_nanos(), model.now);
+        follows_model(&mut sim, &mut model, &ops)?;
+        drains_like_model(&mut sim, &mut model)?;
+
+        let mut typed: Sim<State, Ev> = Sim::typed(State::default());
+        let mut model = Model::default();
+        follows_model(&mut typed, &mut model, &ops)?;
+        drains_like_model(&mut typed, &mut model)?;
+    }
+
+    /// A typed sim cloned mid-script is a fork: the copy drains exactly
+    /// as the model would from that point, and the original, running
+    /// the rest of the script first, still does too.
+    #[test]
+    fn a_typed_sim_forked_mid_script_runs_like_the_model_on_both_sides(
+        ops in prop::collection::vec(op_strategy(), 1..400),
+        cut in any::<usize>(),
+    ) {
+        let (prefix, suffix) = ops.split_at(cut % (ops.len() + 1));
+        let mut sim: Sim<State, Ev> = Sim::typed(State::default());
+        let mut model = Model::default();
+        follows_model(&mut sim, &mut model, prefix)?;
+        let (mut fork, mut fork_model) = (sim.clone(), model.clone());
+        drains_like_model(&mut fork, &mut fork_model)?;
+        follows_model(&mut sim, &mut model, suffix)?;
+        drains_like_model(&mut sim, &mut model)?;
     }
 }

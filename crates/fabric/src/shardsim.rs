@@ -53,7 +53,7 @@
 
 use std::rc::Rc;
 
-use shs_des::{ShardSim, ShardedSim, SimDur, SimTime};
+use shs_des::{Event, Shard, ShardSim, ShardedSim, SimDur, SimTime};
 
 use crate::faults::{FaultKind, MAX_REPAIR_PATH};
 use crate::packet::CostModel;
@@ -86,6 +86,42 @@ pub struct SweepMsg {
     pub tc: TrafficClass,
     /// Message id (the route salt).
     pub id: u64,
+}
+
+/// A sweep shard's events, as plain data: the whole of what a sweep
+/// ever schedules.
+#[derive(Clone, Copy)]
+enum SweepEv {
+    /// A scheduled fault of the globally-known schedule.
+    Fault(FaultKind),
+    /// A node's launch: queue its next message, then inject this one.
+    Launch(SweepMsg),
+    /// A message handed across a group boundary, resuming its walk at
+    /// hop `pos` of its carried route; its head arrives now.
+    Continue { m: SweepMsg, route: RouteBuf, hops: usize, pos: usize, tail_t: SimTime },
+    /// An injection with no successor to queue: the launches of the
+    /// test oracle `run_sweep_materialized`, every one queued up front.
+    #[cfg(test)]
+    Inject(SweepMsg),
+}
+
+/// One shard of a sweep.
+type GroupSim = ShardSim<GroupNet, SweepEv>;
+
+impl Event<Shard<GroupNet, SweepEv>> for SweepEv {
+    #[inline]
+    fn fire(self, s: &mut GroupSim) {
+        match self {
+            SweepEv::Fault(kind) => s.world.net.apply_fault(kind),
+            SweepEv::Launch(m) => launch(s, m),
+            SweepEv::Continue { m, route, hops, pos, tail_t } => {
+                let head = s.now();
+                walk_from(s, m, route, hops, pos, head, tail_t);
+            }
+            #[cfg(test)]
+            SweepEv::Inject(m) => inject(s, m),
+        }
+    }
 }
 
 /// Counters one shard owns outright (its group's slice of the sweep).
@@ -166,18 +202,18 @@ impl GroupNet {
 /// Queue the launch of `node`'s first generated message with index
 /// `≥ from_k` (indices that generate `None` are skipped) under its
 /// reserved slot, and return its injection instant.
-fn queue_next_launch(s: &mut ShardSim<GroupNet>, node: u32, from_k: u32) -> Option<SimTime> {
+fn queue_next_launch(s: &mut GroupSim, node: u32, from_k: u32) -> Option<SimTime> {
     let w = &s.world;
     let per_node = w.cfg.messages_per_node;
     let (k, m) = (from_k..per_node).find_map(|k| Some((k, sweep_message(&w.cfg, node, k)?)))?;
     let slot = w.slot_base + (node - w.node_base) as u64 * per_node as u64 + k as u64;
-    s.at_slot(m.t0, slot, move |s| launch(s, m));
+    s.schedule_slot(m.t0, slot, SweepEv::Launch(m));
     Some(m.t0)
 }
 
 /// The launch event: queue the node's next message, then inject this
 /// one.
-fn launch(s: &mut ShardSim<GroupNet>, m: SweepMsg) {
+fn launch(s: &mut GroupSim, m: SweepMsg) {
     let next_t0 = queue_next_launch(s, m.src, m.id as u32 + 1);
     // What makes queuing this late unobservable: a node's injection
     // instants strictly increase, so nothing due at the successor's
@@ -189,7 +225,7 @@ fn launch(s: &mut ShardSim<GroupNet>, m: SweepMsg) {
 /// Inject a message at `now`: uplink reservation in the source group,
 /// route selection against the shard's live state, then the route walk
 /// (which may hand off at a group boundary).
-fn inject(s: &mut ShardSim<GroupNet>, m: SweepMsg) {
+fn inject(s: &mut GroupSim, m: SweepMsg) {
     let now = s.now();
     let w = &mut s.world;
     w.counters.sent += 1;
@@ -209,7 +245,7 @@ fn inject(s: &mut ShardSim<GroupNet>, m: SweepMsg) {
 /// hop index `pos` (an owned switch): hand off to the next group's
 /// shard at a boundary, or deliver onto the destination downlink.
 fn walk_from(
-    s: &mut ShardSim<GroupNet>,
+    s: &mut GroupSim,
     m: SweepMsg,
     route: RouteBuf,
     hops: usize,
@@ -235,10 +271,8 @@ fn walk_from(
             // the conservative lookahead.
             let group = w.net.topo.group_of(route[walk.pos]);
             let delay = walk.head_t - s.now();
-            s.send_to(group, delay, move |d| {
-                let head = d.now();
-                walk_from(d, m, route, hops, walk.pos, head, walk.tail_t);
-            });
+            let (pos, tail_t) = (walk.pos, walk.tail_t);
+            s.send_to(group, delay, SweepEv::Continue { m, route, hops, pos, tail_t });
         }
         WalkEnd::Arrived => {
             let arrival = w.edge_mut(m.dst).reserve_down(
@@ -424,7 +458,7 @@ impl SweepStats {
 /// Build a sweep's shards, ready to run: the fault schedule in every
 /// queue, one launch slot reserved per `(node, k)`, and each node's
 /// first message queued under its own.
-fn build_sweep(cfg: &SweepConfig) -> ShardedSim<GroupNet> {
+fn build_sweep(cfg: &SweepConfig) -> ShardedSim<GroupNet, SweepEv> {
     assert!(cfg.nodes_per_switch >= 1 && cfg.nodes_per_switch <= cfg.spec.edge_ports);
     let topo = Rc::new(Topology::new(cfg.spec, cfg.policy));
     let cfg = Rc::new(cfg.clone());
@@ -442,8 +476,7 @@ fn build_sweep(cfg: &SweepConfig) -> ShardedSim<GroupNet> {
         // shards' liveness views flip identically — no cross-shard
         // notification, no lookahead impact.
         for f in &cfg.faults {
-            let kind = f.kind;
-            shard.at(SimTime::from_nanos(f.at_ns), move |s| s.world.net.apply_fault(kind));
+            shard.schedule(SimTime::from_nanos(f.at_ns), SweepEv::Fault(f.kind));
         }
         // Launches tie behind the faults, in node-major order among
         // themselves, and ahead of every continuation (injected later,
@@ -459,7 +492,7 @@ fn build_sweep(cfg: &SweepConfig) -> ShardedSim<GroupNet> {
 }
 
 /// Run built shards to completion and fold their counters.
-fn finish_sweep(cfg: &SweepConfig, mut psim: ShardedSim<GroupNet>) -> SweepStats {
+fn finish_sweep(cfg: &SweepConfig, mut psim: ShardedSim<GroupNet, SweepEv>) -> SweepStats {
     psim.run();
 
     let per_group: Vec<GroupCounters> = psim.shards().map(|s| s.world.counters).collect();
@@ -505,7 +538,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// The reference streamed injection is held against: the sweep as
-    /// it ran before, every launch of every node boxed into its shard's
+    /// it ran before, every launch of every node queued into its shard's
     /// queue before the first event runs, ties broken by that
     /// scheduling order alone (faults, launches node-major,
     /// continuations).
@@ -518,14 +551,12 @@ mod tests {
         let mut psim = ShardedSim::new(worlds, trunk_lookahead(&cfg.model));
         for g in 0..topo.groups() {
             for f in &cfg.faults {
-                let kind = f.kind;
-                psim.shard_mut(g)
-                    .at(SimTime::from_nanos(f.at_ns), move |s| s.world.net.apply_fault(kind));
+                psim.shard_mut(g).schedule(SimTime::from_nanos(f.at_ns), SweepEv::Fault(f.kind));
             }
         }
         let nodes_per_group = nodes_per_group(cfg);
         for m in sweep_messages(cfg) {
-            psim.shard_mut((m.src / nodes_per_group) as usize).at(m.t0, move |s| inject(s, m));
+            psim.shard_mut((m.src / nodes_per_group) as usize).schedule(m.t0, SweepEv::Inject(m));
         }
         finish_sweep(cfg, psim)
     }

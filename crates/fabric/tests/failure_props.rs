@@ -134,7 +134,7 @@ proptest! {
     /// no message is ever lost unaccounted and no cross-group handoff
     /// lands below a destination clock.
     #[test]
-    fn random_fault_schedules_conserve_and_stay_thread_invariant(
+    fn random_fault_schedules_conserve_and_stay_lookahead_safe(
         cfg in config_strategy(),
         raw in faults_strategy(),
     ) {

@@ -768,13 +768,13 @@ mod tests {
     use super::*;
 
     /// The file CI gates against.
-    const BASELINE: &str = include_str!("../../../../results/BENCH_pr24.json");
+    const BASELINE: &str = include_str!("../../../../results/BENCH_pr26.json");
 
     /// The first pass and the gate retry both time a [`Row`] through
     /// [`time_row`], so no row can be reachable by one and not the
     /// other; what can drift is the table. At the default `--shards`
     /// it must name exactly the baseline's rows, in order, so
-    /// `--gate --baseline results/BENCH_pr24.json` compares every one.
+    /// `--gate --baseline results/BENCH_pr26.json` compares every one.
     #[test]
     fn the_default_table_is_the_baselines_rows() {
         let doc: Value = serde_json::from_str(BASELINE).expect("baseline parses");
