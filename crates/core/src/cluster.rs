@@ -18,9 +18,9 @@ use shs_cxi::{CxiDevice, CxiDriver, CxiServiceDesc};
 use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::{CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySpec, Vni};
 use shs_k8s::{
-    kinds, make_node, spec_of, ApiObject, ApiServer, CniAddOutcome, DecoratorConfig,
-    JobController, JobSpec, Kubelet, KubeletParams, Metacontroller, NodeBackend, Pleg, PodPhase,
-    PodSpec, PodTemplate, Scheduler, ServiceController, ServiceSpec, VNI_ANNOTATION,
+    kinds, make_node, ApiObject, ApiServer, CniAddOutcome, DecoratorConfig, JobController,
+    JobSpec, Kubelet, KubeletParams, Metacontroller, NodeBackend, Pleg, PodPhase, PodTemplate,
+    Scheduler, ServiceController, ServiceSpec, VNI_ANNOTATION,
 };
 use shs_oslinux::{Creds, Host, NetNsId, Pid};
 
@@ -167,8 +167,7 @@ struct Backend<'a> {
 
 impl NodeBackend for Backend<'_> {
     fn create_sandbox(&mut self, pod: &ApiObject) -> Result<(NetNsId, SimDur), String> {
-        let spec: PodSpec = spec_of(pod);
-        let mode = match spec.userns_base {
+        let mode = match pod.pod_spec().userns_base {
             Some(base) => UserNsMode::Mapped { base },
             None => UserNsMode::Host,
         };
@@ -206,7 +205,7 @@ impl NodeBackend for Backend<'_> {
     }
 
     fn start_workload(&mut self, pod: &ApiObject) -> Result<(SimDur, Option<SimDur>), String> {
-        let spec: PodSpec = spec_of(pod);
+        let spec = pod.pod_spec();
         let image = Image {
             reference: spec.image.clone(),
             size_bytes: 0, // size only matters for publish; ensure() uses the registry's copy
@@ -452,6 +451,26 @@ impl Cluster {
         self.pleg.sync(&self.api);
     }
 
+    /// The oldest resource version one of the cluster's own watchers —
+    /// the job, service and three decorator controllers, the scheduler,
+    /// every kubelet and the PLEG — has not yet consumed the watch log
+    /// past. A run loop that owns every other reader of `api` compacts
+    /// through the minimum of this and their cursors; [`Cluster::tick`]
+    /// never compacts, since a caller may read the log after it.
+    pub fn watch_floor(&self) -> u64 {
+        let controllers = [
+            self.job_controller.cursor(),
+            self.service_controller.cursor(),
+            self.vni_claims.cursor(),
+            self.vni_jobs.cursor(),
+            self.vni_services.cursor(),
+            self.scheduler.cursor(),
+            self.pleg.cursor(),
+        ];
+        let kubelets = self.nodes.iter().map(|n| n.kubelet.cursor());
+        controllers.into_iter().chain(kubelets).min().expect("seven controllers")
+    }
+
     /// Drive ticks from `from` (exclusive) to `to` (inclusive) on a fixed
     /// cadence.
     pub fn run_until(&mut self, from: SimTime, to: SimTime, tick: SimDur) -> SimTime {
@@ -619,11 +638,12 @@ impl Cluster {
     /// A pod's runtime handle: owning node index, workload pid, netns.
     /// `None` until the workload container runs — an unbound pod, a node
     /// this cluster does not have, no sandbox yet, or a sandbox holding
-    /// only its pause process. (Reads the node binding straight from the
-    /// stored spec: the scenario engine asks once per rank per round.)
+    /// only its pause process. (Reads the node binding from the stored
+    /// snapshot's decoded view: the scenario engine asks once per rank
+    /// per round.)
     pub fn pod_handle(&self, namespace: &str, name: &str) -> Option<PodHandle> {
         let pod = self.api.get(kinds::POD, namespace, name)?;
-        let node_name = pod.spec["node_name"].as_str()?;
+        let node_name = pod.pod_spec().node_name.as_deref()?;
         let node_idx = self.nodes.iter().position(|n| n.inner.name == node_name)?;
         let sandbox =
             self.nodes[node_idx].inner.runtime.sandbox(&NodeInner::sandbox_id(pod)).ok()?;
@@ -820,12 +840,12 @@ mod tests {
         // Created but unscheduled.
         c.job_controller.poll(&mut c.api, SimTime::ZERO);
         let pod = c.api.get(kinds::POD, "t", "solo-0").expect("job controller created the pod");
-        assert_eq!(spec_of::<PodSpec>(pod).node_name, None);
+        assert_eq!(pod.pod_spec().node_name, None);
         assert_eq!(c.pod_handle("t", "solo-0"), None, "unscheduled");
         // Scheduled but not yet sandboxed.
         c.scheduler.poll(&mut c.api, SimTime::ZERO);
         let pod = c.api.get(kinds::POD, "t", "solo-0").unwrap();
-        assert!(spec_of::<PodSpec>(pod).node_name.is_some());
+        assert!(pod.pod_spec().node_name.is_some());
         assert!(sandbox(&c).is_none());
         assert_eq!(c.pod_handle("t", "solo-0"), None, "bound, no sandbox");
         // Sandboxed with no container started: the pause process alone
@@ -979,6 +999,25 @@ mod tests {
             let scanned = serde_json::to_string(&Pleg::scan(&c.api)).unwrap();
             assert_eq!(cached, scanned, "at {ms}ms");
         }
+    }
+
+    #[test]
+    fn ticks_never_compact_and_the_watch_floor_trails_every_watcher() {
+        let mut c = Cluster::new(ClusterConfig::default());
+        c.submit_job(SimTime::ZERO, "t", "j", &[(VNI_ANNOTATION, "true")], 2, &alpine(), Some(500));
+        run_cluster(&mut c, 0, 3_000);
+        // A reader the cluster does not know about still sees everything.
+        let (history, latest) = c.api.events_since(0);
+        assert_eq!(history.first().map(|e| e.rv), Some(1));
+        assert_eq!(latest, c.api.latest_rv());
+        // Compacting behind the cluster's own watchers loses none of
+        // their events: the job still runs to completion and unwinds.
+        let floor = c.watch_floor();
+        assert!(floor > 0 && floor <= latest);
+        c.api.compact(floor);
+        run_cluster(&mut c, 3_000, 8_000);
+        assert!(!c.job_exists("t", "j"));
+        assert_eq!(c.endpoint.borrow().db.allocated_count(), 0, "VNI released");
     }
 
     #[test]

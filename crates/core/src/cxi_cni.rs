@@ -14,7 +14,7 @@ use shs_cni::{CniArgs, CniError, CniResult};
 use shs_cxi::{CxiServiceDesc, SvcMember};
 use shs_des::SimDur;
 use shs_fabric::Vni;
-use shs_k8s::{kinds, spec_of, PodSpec, VNI_ANNOTATION};
+use shs_k8s::{kinds, VNI_ANNOTATION};
 
 use crate::chain::{NodeCniCtx, NodeCniPlugin};
 use crate::endpoint::{VniCrdSpec, VniEndpoint};
@@ -101,7 +101,7 @@ impl NodeCniPlugin for CxiCniPlugin {
             return Ok((prev, cost));
         };
         // (2) Enforce the termination grace period bound (§III-C1).
-        let spec: PodSpec = spec_of(pod);
+        let spec = pod.pod_spec();
         if spec.termination_grace_period_secs > MAX_GRACE_SECS {
             return Err((
                 CniError::plugin(

@@ -260,7 +260,12 @@ pub struct EndpointHandle {
 }
 
 impl DecoratorHooks for EndpointHandle {
-    fn sync(&mut self, parent: &ApiObject, _children: &[ApiObject], now: SimTime) -> SyncResponse {
+    fn sync(
+        &mut self,
+        parent: &ApiObject,
+        _children: &[Rc<ApiObject>],
+        now: SimTime,
+    ) -> SyncResponse {
         let mut ep = self.endpoint.borrow_mut();
         match self.role {
             EndpointRole::Jobs => ep.sync_job(parent, now),
@@ -271,7 +276,7 @@ impl DecoratorHooks for EndpointHandle {
     fn finalize(
         &mut self,
         parent: &ApiObject,
-        _children: &[ApiObject],
+        _children: &[Rc<ApiObject>],
         now: SimTime,
     ) -> FinalizeResponse {
         let mut ep = self.endpoint.borrow_mut();

@@ -32,7 +32,7 @@ use std::rc::Rc;
 
 use shs_des::{Event, Sim, SimDur, SimTime};
 use shs_fabric::{FaultKind, SwitchId, TrafficClass, TransferOutcome, Vni};
-use shs_k8s::{kinds, spec_of, PodSpec};
+use shs_k8s::kinds;
 
 use super::report::{self, ScenarioReport};
 use super::spec::{ClaimPlan, Fault, JobPlan, Scenario, ServicePlan, TrafficPlan, VniMode};
@@ -396,6 +396,9 @@ impl Event<World> for Ev {
 fn tick_ev(sim: &mut Sim<World, Ev>) {
     let now = sim.now();
     sim.world.cluster.tick(now);
+    // The cluster's own watchers are the only readers of its log.
+    let floor = sim.world.cluster.watch_floor();
+    sim.world.cluster.api.compact(floor);
     // Admission tracking: record the first pod-start instant per job.
     // (This runs every 20 ms tick — borrow jobs and cluster as disjoint
     // fields rather than cloning job keys.)
@@ -529,10 +532,10 @@ fn drain_ev(sim: &mut Sim<World, Ev>, node_idx: usize) {
     // Evict: delete every job with a pod bound to the drained node.
     let mut doomed: BTreeSet<(String, String)> = BTreeSet::new();
     for pod in w.cluster.api.list(kinds::POD) {
-        let spec: PodSpec = spec_of(pod);
+        let spec = pod.pod_spec();
         if spec.node_name.as_deref() == Some(name.as_str()) {
-            if let Some(job) = spec.job_name {
-                doomed.insert((pod.meta.namespace.clone(), job));
+            if let Some(job) = &spec.job_name {
+                doomed.insert((pod.meta.namespace.clone(), job.clone()));
             }
         }
     }

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use serde::Serialize;
 use shs_des::SimTime;
 use shs_fabric::{TrafficClass, Vni};
-use shs_k8s::{kinds, spec_of, status_of, PodSpec, PodStatus};
+use shs_k8s::kinds;
 
 use super::engine::{ClassAgg, ServiceTrack, World};
 use super::spec::{Scenario, TrafficPattern};
@@ -453,11 +453,10 @@ fn placement_violations(w: &World) -> u64 {
     for &(node_idx, at) in &w.drained {
         let name = &w.cluster.nodes[node_idx].inner.name;
         for pod in w.cluster.api.list(kinds::POD) {
-            let spec: PodSpec = spec_of(pod);
-            if spec.node_name.as_deref() != Some(name.as_str()) {
+            if pod.pod_spec().node_name.as_deref() != Some(name.as_str()) {
                 continue;
             }
-            let started = status_of::<PodStatus>(pod).and_then(|s| s.started_at_ns);
+            let started = pod.pod_status().and_then(|s| s.started_at_ns);
             if started.is_some_and(|s| s > at.as_nanos()) {
                 violations += 1;
             }

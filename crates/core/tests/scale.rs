@@ -5,7 +5,7 @@
 
 use shs_des::{SimDur, SimTime};
 use shs_fabric::Vni;
-use shs_k8s::{kinds, spec_of, PodSpec};
+use shs_k8s::kinds;
 use slingshot_k8s::{alpine, osu_image, Cluster, ClusterConfig};
 
 #[test]
@@ -34,8 +34,7 @@ fn four_node_cluster_spreads_and_isolates() {
         let mut nodes_used = std::collections::BTreeSet::new();
         for i in 0..4 {
             let pod = c.api.get(kinds::POD, &ns, &format!("app-{i}")).expect("pod");
-            let spec: PodSpec = spec_of(pod);
-            nodes_used.insert(spec.node_name.expect("bound"));
+            nodes_used.insert(pod.pod_spec().node_name.clone().expect("bound"));
         }
         assert_eq!(nodes_used.len(), 4, "{ns} spread over all nodes");
     }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use shs_des::stats;
 use shs_des::{SimDur, SimTime};
-use shs_k8s::{kinds, spec_of, status_of, ApiServer, PodSpec, PodStatus, WatchType};
+use shs_k8s::{kinds, ApiServer, WatchType};
 use slingshot_k8s::{alpine, Cluster, ClusterConfig};
 
 /// Per-job lifecycle record.
@@ -53,6 +53,11 @@ impl JobTracker {
         );
     }
 
+    /// The rv this tracker has consumed the watch log through.
+    pub fn cursor(&self) -> u64 {
+        self.last_rv
+    }
+
     /// Consume new watch events.
     pub fn observe(&mut self, api: &ApiServer, now: SimTime) {
         let (events, rv) = api.events_since(self.last_rv);
@@ -60,11 +65,10 @@ impl JobTracker {
         for ev in &events {
             match (ev.object.kind.as_str(), ev.kind) {
                 (k, WatchType::Modified) if k == kinds::POD => {
-                    let Some(status) = status_of::<PodStatus>(&ev.object) else { continue };
-                    let Some(started_ns) = status.started_at_ns else { continue };
-                    let spec: PodSpec = spec_of(&ev.object);
-                    let Some(job) = spec.job_name else { continue };
-                    if let Some(rec) = self.jobs.get_mut(&job) {
+                    let status = ev.object.pod_status();
+                    let Some(started_ns) = status.and_then(|s| s.started_at_ns) else { continue };
+                    let Some(job) = &ev.object.pod_spec().job_name else { continue };
+                    if let Some(rec) = self.jobs.get_mut(job) {
                         let t = SimTime::from_nanos(started_ns);
                         if rec.started.is_none_or(|cur| t < cur) {
                             rec.started = Some(t);
@@ -72,9 +76,8 @@ impl JobTracker {
                     }
                 }
                 (k, WatchType::Deleted) if k == kinds::POD => {
-                    let spec: PodSpec = spec_of(&ev.object);
-                    if let Some(job) = spec.job_name {
-                        if let Some(rec) = self.jobs.get_mut(&job) {
+                    if let Some(job) = &ev.object.pod_spec().job_name {
+                        if let Some(rec) = self.jobs.get_mut(job) {
                             rec.deleted = Some(now);
                         }
                     }
@@ -157,10 +160,12 @@ pub fn run_admission(pattern: Pattern, vni: bool, seed: u64, time_cap_s: u64) ->
             }
             next_plan += 1;
         }
-        // Advance one second of cluster time.
+        // Advance one second of cluster time, then drop the watch events
+        // every reader — the cluster's own and the tracker — has seen.
         let sec_end = SimTime::from_nanos((sec + 1) * 1_000_000_000);
         t = cluster.run_until(t.max(sec_start), sec_end, tick);
         tracker.observe(&cluster.api, t);
+        cluster.api.compact(cluster.watch_floor().min(tracker.cursor()));
         samples.push((sec + 1, tracker.running()));
         if next_plan >= plan.len() && submitted_total > 0 && tracker.all_deleted() {
             break;

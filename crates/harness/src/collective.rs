@@ -19,7 +19,7 @@
 use shs_cxi::CxiDevice;
 use shs_des::SimTime;
 use shs_fabric::{Fabric, TopologySpec, TrafficClass, Vni};
-use shs_k8s::{kinds, spec_of, JobSpec};
+use shs_k8s::kinds;
 use shs_mpi::{CommDevices, Communicator, RankSite};
 use shs_ofi::OfiError;
 use slingshot_k8s::{Cluster, PodHandle};
@@ -39,8 +39,9 @@ pub fn job_communicator<'a>(
     tc: TrafficClass,
     start: SimTime,
 ) -> Result<(Communicator, CommDevices<'a>), OfiError> {
-    let spec: JobSpec = spec_of(cluster.api.get(kinds::JOB, namespace, job).expect("job exists"));
-    let ranks: Vec<PodHandle> = (0..spec.parallelism)
+    let parallelism =
+        cluster.api.get(kinds::JOB, namespace, job).expect("job exists").job_spec().parallelism;
+    let ranks: Vec<PodHandle> = (0..parallelism)
         .map(|r| {
             let pod = format!("{job}-{r}");
             let handle = cluster.pod_handle(namespace, &pod);

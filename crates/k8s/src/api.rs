@@ -4,61 +4,57 @@
 //!
 //! Objects are dynamic (`kind` + JSON spec/status), which makes Custom
 //! Resource Definitions (the VNI and VniClaim CRDs of §III-C1) ordinary
-//! objects rather than special cases.
+//! objects rather than special cases. Pods and jobs also carry a typed
+//! view of their JSON, decoded once per snapshot (see
+//! [`ApiObject::pod_spec`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
 use shs_des::{SimDur, SimTime};
 
+use crate::objects::ViewCell;
+
 /// Object metadata (the `metadata:` block).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObjectMeta {
     /// Object name, unique within (kind, namespace).
     pub name: String,
     /// Namespace (`""` for cluster-scoped objects).
-    #[serde(default)]
     pub namespace: String,
     /// Cluster-unique uid, assigned at creation.
-    #[serde(default)]
     pub uid: u64,
     /// Monotone resource version, bumped on every mutation.
-    #[serde(default)]
     pub resource_version: u64,
     /// Annotations (the paper's `vni:` key lives here).
-    #[serde(default)]
     pub annotations: BTreeMap<String, String>,
     /// Labels.
-    #[serde(default)]
     pub labels: BTreeMap<String, String>,
     /// Owner uids (cascade deletion).
-    #[serde(default)]
     pub owner_uids: Vec<u64>,
     /// Finalizers blocking physical deletion.
-    #[serde(default)]
     pub finalizers: Vec<String>,
     /// Set when deletion has been requested.
-    #[serde(default)]
     pub deletion_requested: bool,
     /// Creation instant (simulated).
-    #[serde(default)]
     pub created_at_ns: u64,
 }
 
 /// A stored API object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApiObject {
     /// Kind, e.g. `"Job"`, `"Pod"`, `"Vni"`, `"VniClaim"`.
     pub kind: String,
     /// Metadata.
     pub meta: ObjectMeta,
     /// Desired state.
-    #[serde(default)]
     pub spec: serde_json::Value,
     /// Observed state.
-    #[serde(default)]
     pub status: serde_json::Value,
+    /// The typed pod/job view of `spec` + `status`, decoded on first
+    /// read. Every write path of [`ApiServer`] empties it; a field
+    /// edited by hand after a read leaves it stale.
+    pub(crate) view: ViewCell,
 }
 
 impl ApiObject {
@@ -73,6 +69,7 @@ impl ApiObject {
             },
             spec,
             status: serde_json::Value::Null,
+            view: ViewCell::default(),
         }
     }
 
@@ -172,7 +169,10 @@ pub struct ApiServer {
     /// `owner_uids`. A reaped owner's entry lives on until its last
     /// (terminating) child is reaped too; uids are never reused.
     owned: BTreeMap<u64, BTreeSet<Key>>,
+    /// The watch log from `compacted_through` on, in rv order.
     events: Vec<WatchEvent>,
+    /// Every event with `rv <= compacted_through` has been dropped.
+    compacted_through: u64,
     next_rv: u64,
     next_uid: u64,
     /// Cumulative request count (diagnostics).
@@ -193,6 +193,7 @@ impl ApiServer {
             objects: BTreeMap::new(),
             owned: BTreeMap::new(),
             events: Vec::new(),
+            compacted_through: 0,
             next_rv: 1,
             next_uid: 1,
             requests: 0,
@@ -249,6 +250,7 @@ impl ApiServer {
         obj.meta.resource_version = self.bump();
         obj.meta.created_at_ns = now.as_nanos();
         obj.meta.deletion_requested = false;
+        obj.view.clear();
         let obj = Rc::new(obj);
         self.reindex(&key, &[], &obj.meta.owner_uids);
         self.objects.insert(key, Rc::clone(&obj));
@@ -259,6 +261,12 @@ impl ApiServer {
     /// Get an object.
     pub fn get(&self, kind: &str, namespace: &str, name: &str) -> Option<&ApiObject> {
         self.objects.get(&Self::key(kind, namespace, name)).map(|o| &**o)
+    }
+
+    /// Get the stored snapshot itself: a handle a controller can hold
+    /// across its own writes without copying the object.
+    pub fn get_rc(&self, kind: &str, namespace: &str, name: &str) -> Option<Rc<ApiObject>> {
+        self.objects.get(&Self::key(kind, namespace, name)).cloned()
     }
 
     /// List all objects of a kind (all namespaces), in deterministic
@@ -282,12 +290,13 @@ impl ApiServer {
 
     /// Stored objects of `kind` naming `uid` among their owners, in
     /// (namespace, name) order — an owner-index read proportional to the
-    /// owner's children, never to the store.
-    pub fn owned_by(&self, uid: u64, kind: &str) -> Vec<&ApiObject> {
+    /// owner's children, never to the store. The handles are the stored
+    /// snapshots, so a reconcile can write while it holds them.
+    pub fn owned_by_rc(&self, uid: u64, kind: &str) -> Vec<Rc<ApiObject>> {
         let Some(keys) = self.owned.get(&uid) else { return Vec::new() };
         keys.range(Self::key(kind, "", "")..)
             .take_while(|(k, _, _)| k == kind)
-            .map(|key| &*self.objects[key])
+            .map(|key| Rc::clone(&self.objects[key]))
             .collect()
     }
 
@@ -304,6 +313,7 @@ impl ApiServer {
         obj.meta.created_at_ns = current.meta.created_at_ns;
         obj.meta.deletion_requested = current.meta.deletion_requested;
         obj.meta.resource_version = self.bump();
+        obj.view.clear();
         let obj = Rc::new(obj);
         let old = self.objects.insert(key.clone(), Rc::clone(&obj)).expect("checked above");
         self.reindex(&key, &old.meta.owner_uids, &obj.meta.owner_uids);
@@ -314,12 +324,14 @@ impl ApiServer {
 
     /// Apply `f` to the stored object under a fresh resource version,
     /// emit the Modified event, and reap if that cleared the way. The
-    /// previous snapshot stays with the events that carry it.
+    /// previous snapshot, decoded view and all, stays with the events
+    /// that carry it.
     fn write(&mut self, key: &Key, f: impl FnOnce(&mut ApiObject)) -> Result<Rc<ApiObject>, ApiError> {
         let slot = self.objects.get_mut(key).ok_or(ApiError::NotFound)?;
         let before = Rc::clone(slot);
         let obj = Rc::make_mut(slot);
         f(obj);
+        obj.view.clear();
         obj.meta.resource_version = self.next_rv;
         self.next_rv += 1;
         let snapshot = Rc::clone(slot);
@@ -385,15 +397,38 @@ impl ApiServer {
         }
     }
 
-    /// Watch events with rv strictly greater than `since`. Returns the
-    /// events and the latest rv to resume from. The event log is sorted
-    /// by rv, so resumption is a binary search plus a (usually tiny) tail
-    /// of shared snapshot handles.
+    /// Watch events with rv strictly greater than `since`, and the latest
+    /// rv to resume from. The log holds only what [`compact`] has not
+    /// dropped: a reader whose cursor is at or past the compacted rv
+    /// sees every event after it, in order; a cursor below it panics —
+    /// Kubernetes answers "resourceVersion too old" — because the reader
+    /// would silently miss events. The log is sorted by rv, so resumption
+    /// is a binary search plus a (usually tiny) tail of shared snapshot
+    /// handles.
+    ///
+    /// [`compact`]: Self::compact
     pub fn events_since(&self, since: u64) -> (Vec<WatchEvent>, u64) {
+        assert!(
+            since >= self.compacted_through,
+            "resourceVersion {since} too old: the watch log is compacted through {}",
+            self.compacted_through
+        );
         let start = self.events.partition_point(|e| e.rv <= since);
         let evs: Vec<WatchEvent> = self.events[start..].to_vec();
         let latest = evs.last().map_or(since, |e| e.rv);
         (evs, latest)
+    }
+
+    /// Drop every watch event with `rv <= through_rv`. Only a run loop
+    /// that owns every reader of this server may call it, with the
+    /// minimum of their cursors: each reader has consumed what is
+    /// dropped, and a reader it missed fails loudly on its next
+    /// [`events_since`](Self::events_since) instead of skipping events.
+    pub fn compact(&mut self, through_rv: u64) {
+        assert!(through_rv <= self.latest_rv(), "compact past the latest rv {}", self.latest_rv());
+        let n = self.events.partition_point(|e| e.rv <= through_rv);
+        self.events.drain(..n);
+        self.compacted_through = self.compacted_through.max(through_rv);
     }
 
     /// Current highest resource version.

@@ -7,9 +7,7 @@ use std::collections::BTreeSet;
 use shs_des::SimTime;
 
 use crate::api::{ApiObject, ApiServer, WatchType};
-use crate::objects::{
-    kinds, pod_phase, spec_of, status_of, JobSpec, JobStatus, PodPhase, PodSpec,
-};
+use crate::objects::{kinds, PodPhase, PodSpec};
 
 /// Finalizer owned by the kubelet on every pod it must tear down.
 pub const KUBELET_FINALIZER: &str = "kubelet.simk8s/teardown";
@@ -28,6 +26,11 @@ impl JobController {
         JobController::default()
     }
 
+    /// The rv this controller has consumed the watch log through.
+    pub fn cursor(&self) -> u64 {
+        self.last_rv
+    }
+
     /// One reconcile pass.
     pub fn poll(&mut self, api: &mut ApiServer, now: SimTime) {
         let (events, rv) = api.events_since(self.last_rv);
@@ -42,9 +45,8 @@ impl JobController {
                 }
                 k if k == kinds::POD
                     && !matches!(ev.kind, WatchType::Deleted) => {
-                        let spec: PodSpec = spec_of(&ev.object);
-                        if let Some(job) = spec.job_name {
-                            dirty.insert((ev.object.meta.namespace.clone(), job));
+                        if let Some(job) = &ev.object.pod_spec().job_name {
+                            dirty.insert((ev.object.meta.namespace.clone(), job.clone()));
                         }
                     }
                 _ => {}
@@ -57,24 +59,24 @@ impl JobController {
     }
 
     fn reconcile_job(&mut self, api: &mut ApiServer, ns: &str, job_name: &str, now: SimTime) {
-        let Some(job) = api.get(kinds::JOB, ns, job_name).cloned() else { return };
+        let Some(job) = api.get_rc(kinds::JOB, ns, job_name) else { return };
         if job.meta.deletion_requested {
             return; // finalizers (VNI controller) and GC handle the rest
         }
-        let spec: JobSpec = spec_of(&job);
-        let mut status: JobStatus = status_of(&job).unwrap_or_default();
+        let spec = job.job_spec();
+        let mut status = job.job_status().cloned().unwrap_or_default();
 
         // Existing pods of this job, from the owner index.
-        let pods = api.owned_by(job.meta.uid, kinds::POD);
-        let existing: BTreeSet<String> = pods.iter().map(|p| p.meta.name.clone()).collect();
+        let pods = api.owned_by_rc(job.meta.uid, kinds::POD);
+        let existing: BTreeSet<&str> = pods.iter().map(|p| p.meta.name.as_str()).collect();
         let succeeded =
-            pods.iter().filter(|p| pod_phase(p) == PodPhase::Succeeded).count() as u32;
-        let failed = pods.iter().any(|p| pod_phase(p) == PodPhase::Failed);
+            pods.iter().filter(|p| p.pod_phase() == PodPhase::Succeeded).count() as u32;
+        let failed = pods.iter().any(|p| p.pod_phase() == PodPhase::Failed);
 
         // Create missing pods.
         for i in 0..spec.parallelism {
             let pod_name = format!("{job_name}-{i}");
-            if existing.contains(&pod_name) {
+            if existing.contains(pod_name.as_str()) {
                 continue;
             }
             let pod_spec = PodSpec {
@@ -130,7 +132,7 @@ impl JobController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objects::{make_job, PodTemplate};
+    use crate::objects::{make_job, JobSpec, PodTemplate};
     use serde_json::json;
 
     fn job_spec(parallelism: u32) -> JobSpec {
@@ -167,8 +169,7 @@ mod tests {
             assert!(p.meta.owner_uids.contains(&job.meta.uid));
             assert!(p.meta.finalizers.contains(&KUBELET_FINALIZER.to_string()));
             assert_eq!(p.annotation("vni"), Some("true"));
-            let spec: PodSpec = spec_of(p);
-            assert_eq!(spec.spread_key.as_deref(), Some("ns/j"));
+            assert_eq!(p.pod_spec().spread_key.as_deref(), Some("ns/j"));
         }
         assert_eq!(jc.pods_created, 2);
     }
@@ -212,8 +213,7 @@ mod tests {
         set_pod_phase(&mut api, "ns", "j-1", PodPhase::Failed);
         jc.poll(&mut api, SimTime::from_nanos(5));
         let job = api.get(kinds::JOB, "ns", "j").expect("not deleted");
-        let st: JobStatus = status_of(job).unwrap();
-        assert!(!st.complete);
+        assert!(!job.job_status().unwrap().complete);
     }
 
     #[test]
@@ -224,7 +224,7 @@ mod tests {
         jc.poll(&mut api, SimTime::ZERO);
         set_pod_phase(&mut api, "ns", "j-0", PodPhase::Succeeded);
         jc.poll(&mut api, SimTime::from_nanos(5));
-        let st: JobStatus = status_of(api.get(kinds::JOB, "ns", "j").unwrap()).unwrap();
+        let st = api.get(kinds::JOB, "ns", "j").unwrap().job_status().unwrap();
         assert_eq!((st.succeeded, st.complete), (1, false));
         set_pod_phase(&mut api, "ns", "j-1", PodPhase::Succeeded);
         jc.poll(&mut api, SimTime::from_nanos(6));

@@ -19,7 +19,7 @@ use shs_oslinux::NetNsId;
 
 use crate::api::{ApiObject, ApiServer, WatchType};
 use crate::job::KUBELET_FINALIZER;
-use crate::objects::{kinds, spec_of, PodPhase, PodSpec, PodStatus};
+use crate::objects::{kinds, PodPhase, PodStatus};
 
 /// Outcome of a CNI ADD attempt, as seen by the kubelet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,6 +199,11 @@ impl Kubelet {
         }
     }
 
+    /// The rv this kubelet has consumed the watch log through.
+    pub fn cursor(&self) -> u64 {
+        self.last_rv
+    }
+
     /// Pods currently tracked.
     pub fn tracked(&self) -> usize {
         self.work.len()
@@ -226,8 +231,7 @@ impl Kubelet {
             if ev.object.kind != kinds::POD {
                 continue;
             }
-            let spec: PodSpec = spec_of(&ev.object);
-            if spec.node_name.as_deref() != Some(self.node.as_str()) {
+            if ev.object.pod_spec().node_name.as_deref() != Some(self.node.as_str()) {
                 continue;
             }
             let key = (ev.object.meta.namespace.clone(), ev.object.meta.name.clone());
@@ -537,28 +541,27 @@ impl Kubelet {
         started_at_ns: Option<u64>,
         message: Option<String>,
     ) {
-        let _ = api.mutate(kinds::POD, &key.0, &key.1, |o| {
-            let mut st: PodStatus = crate::objects::status_of(o).unwrap_or(PodStatus {
-                phase: PodPhase::Pending,
-                started_at_ns: None,
-                message: None,
-            });
-            st.phase = phase;
-            if started_at_ns.is_some() {
-                st.started_at_ns = started_at_ns;
-            }
-            if message.is_some() {
-                st.message = message;
-            }
-            o.status = serde_json::to_value(st).expect("PodStatus serializes");
-        });
+        // The status comes from the stored snapshot's decoded view. A pod
+        // already gone still gets the (refused) write: `requests` counts it.
+        let mut st = api
+            .get(kinds::POD, &key.0, &key.1)
+            .and_then(|o| o.pod_status().cloned())
+            .unwrap_or(PodStatus { phase: PodPhase::Pending, started_at_ns: None, message: None });
+        st.phase = phase;
+        if started_at_ns.is_some() {
+            st.started_at_ns = started_at_ns;
+        }
+        if message.is_some() {
+            st.message = message;
+        }
+        let st = serde_json::to_value(st).expect("PodStatus serializes");
+        let _ = api.mutate(kinds::POD, &key.0, &key.1, |o| o.status = st);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objects::pod_phase;
     use serde_json::json;
 
     /// Scripted backend with fixed costs.
@@ -590,8 +593,7 @@ mod tests {
             CniAddOutcome::Ok(SimDur::from_millis(50))
         }
         fn start_workload(&mut self, pod: &ApiObject) -> Result<(SimDur, Option<SimDur>), String> {
-            let spec: PodSpec = spec_of(pod);
-            Ok((SimDur::from_millis(150), spec.run_ms.map(SimDur::from_millis)))
+            Ok((SimDur::from_millis(150), pod.pod_spec().run_ms.map(SimDur::from_millis)))
         }
         fn cni_del(&mut self, _pod: &ApiObject, _netns: NetNsId) -> SimDur {
             SimDur::from_millis(20)
@@ -634,11 +636,10 @@ mod tests {
         api.create(bound_pod("p", Some(30)), SimTime::ZERO).unwrap();
         run(&mut kubelet, &mut api, &mut backend, 1000);
         let pod = api.get(kinds::POD, "ns", "p").unwrap();
-        assert_eq!(pod_phase(pod), PodPhase::Succeeded);
+        assert_eq!(pod.pod_phase(), PodPhase::Succeeded);
         assert_eq!(kubelet.counters.pods_started, 1);
-        let st: PodStatus = crate::objects::status_of(pod).unwrap();
         // sandbox 200 + sync 40 + cni 50 + start 150 ≈ 440ms (tick-quantized).
-        let started = st.started_at_ns.unwrap();
+        let started = pod.pod_status().unwrap().started_at_ns.unwrap();
         assert!((430_000_000..=500_000_000).contains(&started), "{started}");
     }
 
@@ -652,7 +653,7 @@ mod tests {
         api.create(pod, SimTime::ZERO).unwrap();
         run(&mut kubelet, &mut api, &mut backend, 500);
         assert_eq!(kubelet.tracked(), 0);
-        assert_eq!(pod_phase(api.get(kinds::POD, "ns", "p").unwrap()), PodPhase::Pending);
+        assert_eq!(api.get(kinds::POD, "ns", "p").unwrap().pod_phase(), PodPhase::Pending);
     }
 
     #[test]
@@ -670,14 +671,14 @@ mod tests {
         let running = api
             .list(kinds::POD)
             .iter()
-            .filter(|p| pod_phase(p) == PodPhase::Running)
+            .filter(|p| p.pod_phase() == PodPhase::Running)
             .count();
         assert_eq!(running, 2, "setup capacity is workers - 1");
         run(&mut kubelet, &mut api, &mut backend, 2000);
         let running = api
             .list(kinds::POD)
             .iter()
-            .filter(|p| pod_phase(p) == PodPhase::Running)
+            .filter(|p| p.pod_phase() == PodPhase::Running)
             .count();
         assert_eq!(running, 6, "eventually all started");
     }
@@ -694,7 +695,7 @@ mod tests {
         api.create(bound_pod("p", Some(10)), SimTime::ZERO).unwrap();
         run(&mut kubelet, &mut api, &mut backend, 3000);
         assert_eq!(kubelet.counters.cni_retries, 2);
-        assert_eq!(pod_phase(api.get(kinds::POD, "ns", "p").unwrap()), PodPhase::Succeeded);
+        assert_eq!(api.get(kinds::POD, "ns", "p").unwrap().pod_phase(), PodPhase::Succeeded);
     }
 
     #[test]
@@ -705,9 +706,8 @@ mod tests {
         api.create(bound_pod("p", Some(10)), SimTime::ZERO).unwrap();
         run(&mut kubelet, &mut api, &mut backend, 1000);
         let pod = api.get(kinds::POD, "ns", "p").unwrap();
-        assert_eq!(pod_phase(pod), PodPhase::Failed);
-        let st: PodStatus = crate::objects::status_of(pod).unwrap();
-        assert_eq!(st.message.as_deref(), Some("no claim"));
+        assert_eq!(pod.pod_phase(), PodPhase::Failed);
+        assert_eq!(pod.pod_status().unwrap().message.as_deref(), Some("no claim"));
         assert_eq!(kubelet.counters.pods_failed, 1);
     }
 
@@ -723,7 +723,7 @@ mod tests {
         let mut backend = MockBackend { cni_fail_times: 99, ..Default::default() };
         api.create(bound_pod("p", Some(10)), SimTime::ZERO).unwrap();
         run(&mut kubelet, &mut api, &mut backend, 5000);
-        assert_eq!(pod_phase(api.get(kinds::POD, "ns", "p").unwrap()), PodPhase::Failed);
+        assert_eq!(api.get(kinds::POD, "ns", "p").unwrap().pod_phase(), PodPhase::Failed);
         assert_eq!(kubelet.counters.cni_retries, 3);
     }
 
@@ -734,7 +734,7 @@ mod tests {
         let mut backend = MockBackend::default();
         api.create(bound_pod("p", None), SimTime::ZERO).unwrap(); // runs forever
         run(&mut kubelet, &mut api, &mut backend, 600);
-        assert_eq!(pod_phase(api.get(kinds::POD, "ns", "p").unwrap()), PodPhase::Running);
+        assert_eq!(api.get(kinds::POD, "ns", "p").unwrap().pod_phase(), PodPhase::Running);
         api.delete(kinds::POD, "ns", "p").unwrap();
         run(&mut kubelet, &mut api, &mut backend, 1500);
         assert!(api.get(kinds::POD, "ns", "p").is_none(), "finalizer released, reaped");
@@ -768,7 +768,7 @@ mod tests {
         // The parked deadlines still fire when their time comes.
         kubelet.poll(&mut api, &mut backend, SimTime::from_nanos(3_700_000 * 1_000_000));
         assert_eq!(kubelet.stage_visits, visits + 50);
-        let done = api.list(kinds::POD).iter().filter(|p| pod_phase(p) == PodPhase::Succeeded).count();
+        let done = api.list(kinds::POD).iter().filter(|p| p.pod_phase() == PodPhase::Succeeded).count();
         assert_eq!(done, 50);
     }
 
@@ -785,6 +785,6 @@ mod tests {
         api.delete(kinds::POD, "ns", "b").unwrap();
         run(&mut kubelet, &mut api, &mut backend, 800);
         assert!(api.get(kinds::POD, "ns", "b").is_none(), "no sandbox existed");
-        assert_eq!(pod_phase(api.get(kinds::POD, "ns", "a").unwrap()), PodPhase::Running);
+        assert_eq!(api.get(kinds::POD, "ns", "a").unwrap().pod_phase(), PodPhase::Running);
     }
 }

@@ -34,7 +34,7 @@ pub use metacontroller::{
     SyncResponse,
 };
 pub use objects::{
-    kinds, make_job, make_node, pod_phase, spec_of, status_of, JobSpec, JobStatus, PodPhase,
+    kinds, make_job, make_node, spec_of, status_of, JobSpec, JobStatus, PodPhase,
     PodSpec, PodStatus, PodTemplate, VNI_ANNOTATION,
 };
 pub use scheduler::{bound_node, Scheduler};

@@ -13,6 +13,7 @@
 //! their (small) extra admission delay in Figs. 9-12.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 
 use shs_des::{SimDur, SimTime};
 
@@ -39,15 +40,20 @@ pub struct FinalizeResponse {
 
 /// The webhook implementation (the paper's VNI Endpoint).
 pub trait DecoratorHooks {
-    /// `/sync`: observe a live parent + its children, return desired
-    /// children. Must be idempotent.
-    fn sync(&mut self, parent: &ApiObject, children: &[ApiObject], now: SimTime) -> SyncResponse;
+    /// `/sync`: observe a live parent + its children (the stored
+    /// snapshots), return desired children. Must be idempotent.
+    fn sync(
+        &mut self,
+        parent: &ApiObject,
+        children: &[Rc<ApiObject>],
+        now: SimTime,
+    ) -> SyncResponse;
 
     /// `/finalize`: parent is being deleted.
     fn finalize(
         &mut self,
         parent: &ApiObject,
-        children: &[ApiObject],
+        children: &[Rc<ApiObject>],
         now: SimTime,
     ) -> FinalizeResponse;
 }
@@ -120,6 +126,11 @@ impl<H: DecoratorHooks> Metacontroller<H> {
     /// The finalizer this controller owns on its parents.
     pub fn finalizer(&self) -> String {
         format!("metacontroller.io/decorator-{}", self.config.name)
+    }
+
+    /// The rv this controller has consumed the watch log through.
+    pub fn cursor(&self) -> u64 {
+        self.last_rv
     }
 
     /// Parents waiting for a webhook slot (diagnostics).
@@ -199,7 +210,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
     }
 
     fn reconcile(&mut self, api: &mut ApiServer, key: &(String, String), now: SimTime) {
-        let Some(parent) = api.get(&self.config.parent_kind, &key.0, &key.1).cloned() else {
+        let Some(parent) = api.get_rc(&self.config.parent_kind, &key.0, &key.1) else {
             return;
         };
         if !self.in_scope(&parent) {
@@ -215,11 +226,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         }
 
         // Observed children owned by this parent.
-        let children: Vec<ApiObject> = api
-            .owned_by(parent.meta.uid, &self.config.child_kind)
-            .into_iter()
-            .cloned()
-            .collect();
+        let children = api.owned_by_rc(parent.meta.uid, &self.config.child_kind);
 
         // Call the webhook (the serial latency was charged by `poll`).
         let (desired, finalized) = if parent.meta.deletion_requested {
@@ -245,10 +252,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
             child.kind = self.config.child_kind.clone();
             child.meta.namespace = key.0.clone();
             child.meta.owner_uids = vec![parent.meta.uid];
-            let existing = api
-                .get(&self.config.child_kind, &key.0, &child.meta.name)
-                .cloned();
-            match existing {
+            match api.get_rc(&self.config.child_kind, &key.0, &child.meta.name) {
                 None => {
                     if api.create(child, now).is_ok() {
                         self.counters.children_created += 1;
@@ -283,7 +287,7 @@ mod tests {
     }
 
     impl DecoratorHooks for OneChild {
-        fn sync(&mut self, parent: &ApiObject, _ch: &[ApiObject], _now: SimTime) -> SyncResponse {
+        fn sync(&mut self, parent: &ApiObject, _ch: &[Rc<ApiObject>], _now: SimTime) -> SyncResponse {
             SyncResponse {
                 desired_children: vec![ApiObject::new(
                     "Vni",
@@ -296,7 +300,7 @@ mod tests {
         fn finalize(
             &mut self,
             _parent: &ApiObject,
-            _ch: &[ApiObject],
+            _ch: &[Rc<ApiObject>],
             _now: SimTime,
         ) -> FinalizeResponse {
             self.finalize_seen += 1;
@@ -408,13 +412,13 @@ mod tests {
     fn undesired_children_are_deleted() {
         struct NoChildren;
         impl DecoratorHooks for NoChildren {
-            fn sync(&mut self, _p: &ApiObject, _c: &[ApiObject], _n: SimTime) -> SyncResponse {
+            fn sync(&mut self, _p: &ApiObject, _c: &[Rc<ApiObject>], _n: SimTime) -> SyncResponse {
                 SyncResponse::default()
             }
             fn finalize(
                 &mut self,
                 _p: &ApiObject,
-                _c: &[ApiObject],
+                _c: &[Rc<ApiObject>],
                 _n: SimTime,
             ) -> FinalizeResponse {
                 FinalizeResponse { desired_children: vec![], finalized: true }

@@ -1,5 +1,8 @@
 //! Typed views over the dynamic API objects: Jobs, Pods, Nodes.
 
+use std::cell::OnceCell;
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 use crate::api::ApiObject;
@@ -163,9 +166,96 @@ pub fn status_of<T: serde::de::DeserializeOwned>(obj: &ApiObject) -> Option<T> {
     }
 }
 
-/// Pod phase accessor (Pending when unset).
-pub fn pod_phase(pod: &ApiObject) -> PodPhase {
-    status_of::<PodStatus>(pod).map_or(PodPhase::Pending, |s| s.phase)
+/// The typed view of one pod or job snapshot: what every watcher used
+/// to decode from the same JSON on its own.
+#[derive(Debug)]
+enum View {
+    Pod { spec: PodSpec, status: Option<PodStatus> },
+    Job { spec: JobSpec, status: Option<JobStatus> },
+}
+
+/// The lazily decoded [`View`] of an [`ApiObject`]. It is a function of
+/// the object's JSON, so it takes no part in equality or `Debug`, and a
+/// clone starts empty: a copy is usually about to be edited.
+#[derive(Default)]
+pub(crate) struct ViewCell(OnceCell<View>);
+
+impl ViewCell {
+    /// Forget the decoded view (the JSON it came from has changed).
+    pub(crate) fn clear(&mut self) {
+        self.0.take();
+    }
+}
+
+impl Clone for ViewCell {
+    fn clone(&self) -> Self {
+        ViewCell::default()
+    }
+}
+
+impl PartialEq for ViewCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for ViewCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ViewCell")
+    }
+}
+
+/// Typed reads of pods and jobs. The first read of a snapshot decodes
+/// its spec and status ([`spec_of`] / [`status_of`]); every later read
+/// of it, by any watcher, is a borrow. Each panics on an object of
+/// another kind.
+impl ApiObject {
+    fn view(&self) -> &View {
+        self.view.0.get_or_init(|| match self.kind.as_str() {
+            kinds::POD => View::Pod { spec: spec_of(self), status: status_of(self) },
+            kinds::JOB => View::Job { spec: spec_of(self), status: status_of(self) },
+            other => panic!("{other} {} has no typed view", self.full_name()),
+        })
+    }
+
+    fn pod_view(&self) -> (&PodSpec, Option<&PodStatus>) {
+        match self.view() {
+            View::Pod { spec, status } => (spec, status.as_ref()),
+            View::Job { .. } => panic!("job {} read as a pod", self.full_name()),
+        }
+    }
+
+    fn job_view(&self) -> (&JobSpec, Option<&JobStatus>) {
+        match self.view() {
+            View::Job { spec, status } => (spec, status.as_ref()),
+            View::Pod { .. } => panic!("pod {} read as a job", self.full_name()),
+        }
+    }
+
+    /// A pod's spec.
+    pub fn pod_spec(&self) -> &PodSpec {
+        self.pod_view().0
+    }
+
+    /// A pod's status; `None` while null (or not a `PodStatus`).
+    pub fn pod_status(&self) -> Option<&PodStatus> {
+        self.pod_view().1
+    }
+
+    /// A pod's phase (Pending when unset).
+    pub fn pod_phase(&self) -> PodPhase {
+        self.pod_status().map_or(PodPhase::Pending, |s| s.phase)
+    }
+
+    /// A job's spec.
+    pub fn job_spec(&self) -> &JobSpec {
+        self.job_view().0
+    }
+
+    /// A job's status; `None` while null (or not a `JobStatus`).
+    pub fn job_status(&self) -> Option<&JobStatus> {
+        self.job_view().1
+    }
 }
 
 #[cfg(test)]
@@ -188,13 +278,14 @@ mod tests {
         let obj = make_job("tenant-a", "bench", &spec);
         let back: JobSpec = spec_of(&obj);
         assert_eq!(back, spec);
+        assert_eq!(obj.job_spec(), &spec);
         assert_eq!(obj.kind, kinds::JOB);
     }
 
     #[test]
     fn pod_phase_defaults_to_pending() {
         let pod = ApiObject::new(kinds::POD, "ns", "p", serde_json::json!({"image": "x"}));
-        assert_eq!(pod_phase(&pod), PodPhase::Pending);
+        assert_eq!(pod.pod_phase(), PodPhase::Pending);
     }
 
     #[test]
@@ -227,9 +318,8 @@ mod tests {
         })
         .unwrap();
         let pod = api.get(kinds::POD, "ns", "p").unwrap();
-        assert_eq!(pod_phase(pod), PodPhase::Running);
-        let st: PodStatus = status_of(pod).unwrap();
-        assert_eq!(st.started_at_ns, Some(123));
+        assert_eq!(pod.pod_phase(), PodPhase::Running);
+        assert_eq!(pod.pod_status().unwrap().started_at_ns, Some(123));
     }
 
     #[test]

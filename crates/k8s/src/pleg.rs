@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::Serialize;
 
 use crate::api::{ApiObject, ApiServer, WatchType};
-use crate::objects::{kinds, pod_phase, spec_of, status_of, PodPhase, PodSpec, PodStatus};
+use crate::objects::{kinds, PodPhase};
 
 /// Cached state of one live pod (what the watch stream last showed).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,6 +88,11 @@ impl Pleg {
     /// Fresh, empty cache.
     pub fn new() -> Self {
         Pleg::default()
+    }
+
+    /// The rv this cache has consumed the watch log through.
+    pub fn cursor(&self) -> u64 {
+        self.last_rv
     }
 
     /// Ingest every watch event since the last sync.
@@ -230,12 +235,10 @@ impl Pleg {
 }
 
 fn record_of(pod: &ApiObject) -> PodRecord {
-    let spec: PodSpec = spec_of(pod);
-    let status: Option<PodStatus> = status_of(pod);
     PodRecord {
-        phase: pod_phase(pod),
-        group: spec.job_name,
-        started_at_ns: status.and_then(|s| s.started_at_ns),
+        phase: pod.pod_phase(),
+        group: pod.pod_spec().job_name.clone(),
+        started_at_ns: pod.pod_status().and_then(|s| s.started_at_ns),
         deletion_requested: pod.meta.deletion_requested,
     }
 }

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use shs_des::SimTime;
 
 use crate::api::{ApiServer, WatchType};
-use crate::objects::{kinds, pod_phase, spec_of, PodPhase, PodSpec};
+use crate::objects::{kinds, PodPhase};
 
 type PodKey = (String, String); // namespace, name
 
@@ -38,6 +38,11 @@ impl Scheduler {
     /// Fresh scheduler.
     pub fn new() -> Self {
         Scheduler::default()
+    }
+
+    /// The rv this scheduler has consumed the watch log through.
+    pub fn cursor(&self) -> u64 {
+        self.last_rv
     }
 
     /// Pods awaiting a binding.
@@ -90,14 +95,18 @@ impl Scheduler {
                     self.place(&key, None);
                 }
                 _ => {
-                    let spec: PodSpec = spec_of(&ev.object);
+                    let spec = ev.object.pod_spec();
                     if spec.node_name.is_none() && !ev.object.meta.deletion_requested {
                         self.pending.insert(key.clone());
                     } else {
                         self.pending.remove(&key);
                     }
-                    let counted = pod_phase(&ev.object) != PodPhase::Failed;
-                    let placement = spec.node_name.filter(|_| counted).map(|n| (n, spec.spread_key));
+                    let counted = ev.object.pod_phase() != PodPhase::Failed;
+                    let placement = spec
+                        .node_name
+                        .as_ref()
+                        .filter(|_| counted)
+                        .map(|n| (n.clone(), spec.spread_key.clone()));
                     self.place(&key, placement);
                 }
             }
@@ -121,7 +130,7 @@ impl Scheduler {
 
         let work: Vec<PodKey> = self.pending.iter().cloned().collect();
         for key in work {
-            let Some(pod) = api.get(kinds::POD, &key.0, &key.1) else {
+            let Some(pod) = api.get_rc(kinds::POD, &key.0, &key.1) else {
                 self.pending.remove(&key);
                 continue;
             };
@@ -129,7 +138,7 @@ impl Scheduler {
                 self.pending.remove(&key);
                 continue;
             }
-            let spec: PodSpec = spec_of(pod);
+            let spec = pod.pod_spec();
             // Candidates with capacity, ranked by (spread count, total
             // pods, name) for deterministic, spread-first placement. A
             // node selector (topology-aware rank placement) restricts
@@ -157,13 +166,11 @@ impl Scheduler {
             }
             let Some((_, _, chosen)) = best else { continue }; // no capacity: stays pending
             let chosen = chosen.to_string();
-            api.mutate(kinds::POD, &key.0, &key.1, |o| {
-                let mut s: PodSpec = spec_of(o);
-                s.node_name = Some(chosen.clone());
-                o.spec = serde_json::to_value(s).expect("PodSpec serializes");
-            })
-            .expect("pod exists");
-            self.place(&key, Some((chosen, spec.spread_key)));
+            let mut bound = spec.clone();
+            bound.node_name = Some(chosen.clone());
+            let bound = serde_json::to_value(bound).expect("PodSpec serializes");
+            api.mutate(kinds::POD, &key.0, &key.1, |o| o.spec = bound).expect("pod exists");
+            self.place(&key, Some((chosen, spec.spread_key.clone())));
             self.bindings += 1;
             self.pending.remove(&key);
         }
@@ -184,9 +191,7 @@ fn tally<K: Ord>(counts: &mut BTreeMap<K, u32>, key: K, up: bool) {
 
 /// Convenience: the node a pod is bound to.
 pub fn bound_node(api: &ApiServer, namespace: &str, name: &str) -> Option<String> {
-    let pod = api.get(kinds::POD, namespace, name)?;
-    let spec: PodSpec = spec_of(pod);
-    spec.node_name
+    api.get(kinds::POD, namespace, name)?.pod_spec().node_name.clone()
 }
 
 #[cfg(test)]
@@ -325,14 +330,14 @@ mod tests {
         let mut pods_on = BTreeMap::new();
         let mut group_on = BTreeMap::new();
         for pod in api.list(kinds::POD) {
-            if pod_phase(pod) == PodPhase::Failed {
+            if pod.pod_phase() == PodPhase::Failed {
                 continue;
             }
-            let spec: PodSpec = spec_of(pod);
-            if let Some(node) = spec.node_name {
+            let spec = pod.pod_spec();
+            if let Some(node) = &spec.node_name {
                 *pods_on.entry(node.clone()).or_insert(0) += 1;
-                if let Some(g) = spec.spread_key {
-                    *group_on.entry((g, node)).or_insert(0) += 1;
+                if let Some(g) = &spec.spread_key {
+                    *group_on.entry((g.clone(), node.clone())).or_insert(0) += 1;
                 }
             }
         }

@@ -22,7 +22,7 @@ use shs_des::SimTime;
 
 use crate::api::{ApiObject, ApiServer};
 use crate::job::KUBELET_FINALIZER;
-use crate::objects::{kinds, pod_phase, spec_of, status_of, PodPhase, PodSpec, PodTemplate};
+use crate::objects::{kinds, spec_of, status_of, PodPhase, PodSpec, PodTemplate};
 
 /// Annotation recording which template revision a service pod was
 /// created from; pods whose recorded revision differs from the service
@@ -81,7 +81,7 @@ pub fn pod_revision(pod: &ApiObject) -> u64 {
 
 /// Whether a pod counts as ready: Running and not terminating.
 pub fn pod_ready(pod: &ApiObject) -> bool {
-    pod_phase(pod) == PodPhase::Running && !pod.meta.deletion_requested
+    pod.pod_phase() == PodPhase::Running && !pod.meta.deletion_requested
 }
 
 /// Tracked view of one service pod during a reconcile pass.
@@ -114,6 +114,11 @@ impl ServiceController {
         ServiceController::default()
     }
 
+    /// The rv this controller has consumed the watch log through.
+    pub fn cursor(&self) -> u64 {
+        self.last_rv
+    }
+
     /// One reconcile pass over everything dirtied since the last poll.
     pub fn poll(&mut self, api: &mut ApiServer, now: SimTime) {
         let (events, rv) = api.events_since(self.last_rv);
@@ -130,9 +135,8 @@ impl ServiceController {
                 // count. Pods name their manager through `job_name`;
                 // keys that turn out to be jobs are skipped below.
                 k if k == kinds::POD => {
-                    let spec: PodSpec = spec_of(&ev.object);
-                    if let Some(owner) = spec.job_name {
-                        dirty.insert((ev.object.meta.namespace.clone(), owner));
+                    if let Some(owner) = &ev.object.pod_spec().job_name {
+                        dirty.insert((ev.object.meta.namespace.clone(), owner.clone()));
                     }
                 }
                 _ => {}
@@ -147,7 +151,7 @@ impl ServiceController {
     /// lexicographic name order and every decision depends only on API
     /// state.
     pub fn reconcile_service(&mut self, api: &mut ApiServer, ns: &str, name: &str, now: SimTime) {
-        let Some(svc) = api.get(kinds::SERVICE, ns, name).cloned() else { return };
+        let Some(svc) = api.get_rc(kinds::SERVICE, ns, name) else { return };
         if svc.meta.deletion_requested {
             return; // cascade + kubelet finalizers tear the pods down
         }
@@ -161,14 +165,14 @@ impl ServiceController {
         let ceiling = (spec.replicas + max_surge) as usize;
 
         let mut pods: Vec<PodView> = api
-            .owned_by(svc.meta.uid, kinds::POD)
+            .owned_by_rc(svc.meta.uid, kinds::POD)
             .into_iter()
             .map(|p| PodView {
                 name: p.meta.name.clone(),
-                current: pod_revision(p) == spec.version,
-                ready: pod_ready(p),
+                current: pod_revision(&p) == spec.version,
+                ready: pod_ready(&p),
                 alive: !p.meta.deletion_requested,
-                phase: pod_phase(p),
+                phase: p.pod_phase(),
             })
             .collect();
 
@@ -316,7 +320,7 @@ mod tests {
         let pods: Vec<(String, bool, PodPhase)> = api
             .list_namespaced(kinds::POD, ns)
             .into_iter()
-            .map(|p| (p.meta.name.clone(), p.meta.deletion_requested, pod_phase(p)))
+            .map(|p| (p.meta.name.clone(), p.meta.deletion_requested, p.pod_phase()))
             .collect();
         for (name, terminating, phase) in pods {
             if terminating {
@@ -342,9 +346,8 @@ mod tests {
             assert!(p.meta.finalizers.contains(&KUBELET_FINALIZER.to_string()));
             assert_eq!(p.annotation("vni"), Some("true"));
             assert_eq!(pod_revision(p), 7);
-            let spec: PodSpec = spec_of(p);
-            assert_eq!(spec.job_name.as_deref(), Some("web"));
-            assert!(spec.run_ms.is_none(), "service pods run until killed");
+            assert_eq!(p.pod_spec().job_name.as_deref(), Some("web"));
+            assert!(p.pod_spec().run_ms.is_none(), "service pods run until killed");
         }
         assert_eq!(sc.pods_created, 3);
     }

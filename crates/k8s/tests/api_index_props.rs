@@ -1,14 +1,24 @@
 //! Equivalence oracle for the indexed API store: after every step of a
-//! random create / mutate / re-own / update / delete / finalizer
-//! sequence, the range lists, the owner index (which is also the cascade
-//! set) and the whole watch log equal those of [`NaiveApi`] — the store
-//! as it was before the indexes, which answers everything by scanning
-//! every object.
+//! random create / mutate / re-own / update / delete / finalizer /
+//! compact sequence, the range lists, the owner index (which is also the
+//! cascade set) and the watch log equal those of [`NaiveApi`] — the
+//! store as it was before the indexes, which answers everything by
+//! scanning every object.
+//!
+//! The same run checks the decoded pod/job views: every stored object,
+//! and every watch snapshot as it is first read, shows exactly what a
+//! fresh `spec_of` / `status_of` of its own JSON gives, and a snapshot
+//! held past later writes still reads its own, older view.
 
 use proptest::prelude::*;
+use serde_json::{json, Value};
 use shs_des::SimTime;
-use shs_k8s::{ApiObject, ApiServer, WatchType};
+use shs_k8s::{
+    spec_of, status_of, ApiObject, ApiServer, JobSpec, JobStatus, PodPhase, PodSpec, PodStatus,
+    PodTemplate, WatchType,
+};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 type Key = (String, String, String);
 
@@ -113,17 +123,21 @@ type Addr = (usize, usize, u8);
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Create `at`, owned by whatever currently lives at `owner` (if
-    /// anything does).
-    Create { at: Addr, owner: Addr },
-    Touch { at: Addr },
+    /// Create `at` with spec variant `v`, owned by whatever currently
+    /// lives at `owner` (if anything does).
+    Create { at: Addr, owner: Addr, v: u8 },
+    /// Write status variant `v` through `mutate`.
+    Touch { at: Addr, v: u8 },
     /// Rewrite `at`'s owner list through `mutate`.
     Reown { at: Addr, owner: Option<Addr> },
-    /// Full replace of `at` through `update`, dropping its owners.
-    Replace { at: Addr },
+    /// Full replace of `at` with spec variant `v` through `update`,
+    /// dropping its owners.
+    Replace { at: Addr, v: u8 },
     Delete { at: Addr },
     AddFinalizer { at: Addr },
     RemoveFinalizer { at: Addr },
+    /// Drop the watch log through the test's (only) reader cursor.
+    Compact,
 }
 
 fn addr() -> impl Strategy<Value = Addr> {
@@ -132,15 +146,96 @@ fn addr() -> impl Strategy<Value = Addr> {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => (addr(), addr()).prop_map(|(at, owner)| Op::Create { at, owner }),
-        2 => addr().prop_map(|at| Op::Touch { at }),
+        5 => (addr(), addr(), any::<u8>()).prop_map(|(at, owner, v)| Op::Create { at, owner, v }),
+        2 => (addr(), any::<u8>()).prop_map(|(at, v)| Op::Touch { at, v }),
         1 => (addr(), addr()).prop_map(|(at, owner)| Op::Reown { at, owner: Some(owner) }),
         1 => addr().prop_map(|at| Op::Reown { at, owner: None }),
-        1 => addr().prop_map(|at| Op::Replace { at }),
+        1 => (addr(), any::<u8>()).prop_map(|(at, v)| Op::Replace { at, v }),
         3 => addr().prop_map(|at| Op::Delete { at }),
         2 => addr().prop_map(|at| Op::AddFinalizer { at }),
         3 => addr().prop_map(|at| Op::RemoveFinalizer { at }),
+        1 => Just(Op::Compact),
     ]
+}
+
+/// Spec variant `v` of `kind`: a valid `PodSpec` / `JobSpec`, or free
+/// JSON for a kind without a typed view.
+fn spec_for(kind: &str, v: u8) -> Value {
+    let image = format!("img{v}");
+    match kind {
+        "Pod" => serde_json::to_value(PodSpec {
+            job_name: v.is_multiple_of(2).then(|| format!("j{}", v % 4)),
+            image,
+            run_ms: Some(v.into()),
+            userns_base: None,
+            node_name: v.is_multiple_of(3).then(|| "n0".to_string()),
+            spread_key: None,
+            node_selector: None,
+            termination_grace_period_secs: 30,
+        }),
+        "Job" => serde_json::to_value(JobSpec {
+            parallelism: v.into(),
+            template: PodTemplate { image, run_ms: None, userns_base: None, node_selector: None },
+            ttl_seconds_after_finished: v.is_multiple_of(2).then_some(0),
+        }),
+        _ => Ok(json!({ "vni": v })),
+    }
+    .expect("serializes")
+}
+
+/// Status variant `v` of `kind`; every fifth one is not a typed status
+/// at all, which a typed read must see as `None`.
+fn status_for(kind: &str, v: u8) -> Value {
+    const PHASES: [PodPhase; 4] =
+        [PodPhase::Pending, PodPhase::Running, PodPhase::Succeeded, PodPhase::Failed];
+    match kind {
+        _ if v % 5 == 4 => Ok(json!({ "touched": v })),
+        "Pod" => serde_json::to_value(PodStatus {
+            phase: PHASES[usize::from(v) % 4],
+            started_at_ns: Some(v.into()),
+            message: v.is_multiple_of(3).then(|| "m".to_string()),
+        }),
+        "Job" => serde_json::to_value(JobStatus {
+            succeeded: v.into(),
+            complete: v.is_multiple_of(2),
+            completed_at_ns: None,
+        }),
+        _ => Ok(json!({ "touched": v })),
+    }
+    .expect("serializes")
+}
+
+/// What a typed read of an object shows.
+#[derive(Debug, Clone, PartialEq)]
+enum Typed {
+    Pod(PodSpec, Option<PodStatus>),
+    Job(JobSpec, Option<JobStatus>),
+    Untyped,
+}
+
+/// A fresh decode of `o`'s JSON — the oracle.
+fn decoded(o: &ApiObject) -> Typed {
+    match o.kind.as_str() {
+        "Pod" => Typed::Pod(spec_of(o), status_of(o)),
+        "Job" => Typed::Job(spec_of(o), status_of(o)),
+        _ => Typed::Untyped,
+    }
+}
+
+/// `o` read through its decoded view.
+fn viewed(o: &ApiObject) -> Typed {
+    match o.kind.as_str() {
+        "Pod" => Typed::Pod(o.pod_spec().clone(), o.pod_status().cloned()),
+        "Job" => Typed::Job(o.job_spec().clone(), o.job_status().cloned()),
+        _ => Typed::Untyped,
+    }
+}
+
+/// Fill `obj`'s view, then give it spec variant `v`: the store must not
+/// keep a view the caller decoded before editing.
+fn respec_after_read(obj: &mut ApiObject, v: u8) {
+    viewed(obj);
+    obj.spec = spec_for(&obj.kind, v);
 }
 
 fn key_of((k, ns, n): Addr) -> Key {
@@ -154,16 +249,18 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op) {
         api.get(&k, &ns, &n).map(|o| o.meta.uid)
     };
     match *op {
-        Op::Create { at, owner } => {
+        Op::Create { at, owner, v } => {
             let (k, ns, n) = key_of(at);
-            let mut obj = ApiObject::new(&k, &ns, &n, serde_json::json!({}));
+            let mut obj = ApiObject::new(&k, &ns, &n, spec_for(&k, v.wrapping_add(1)));
+            respec_after_read(&mut obj, v);
             obj.meta.owner_uids.extend(uid_at(api, owner));
             naive.create(obj.clone());
             let _ = api.create(obj, SimTime::ZERO);
         }
-        Op::Touch { at } => {
+        Op::Touch { at, v } => {
             let key = key_of(at);
-            let touch = |o: &mut ApiObject| o.status = serde_json::json!({"touched": true});
+            let status = status_for(&key.0, v);
+            let touch = |o: &mut ApiObject| o.status = status.clone();
             naive.mutate(&key, touch);
             let _ = api.mutate(&key.0, &key.1, &key.2, touch);
         }
@@ -173,10 +270,10 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op) {
             naive.mutate(&key, |o| o.meta.owner_uids = owners.clone());
             let _ = api.mutate(&key.0, &key.1, &key.2, |o| o.meta.owner_uids = owners.clone());
         }
-        Op::Replace { at } => {
+        Op::Replace { at, v } => {
             let key = key_of(at);
             let Some(mut obj) = api.get(&key.0, &key.1, &key.2).cloned() else { return };
-            obj.spec = serde_json::json!({"replaced": true});
+            respec_after_read(&mut obj, v);
             obj.meta.owner_uids.clear();
             naive.update(obj.clone());
             let _ = api.update(obj);
@@ -201,6 +298,7 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op) {
             naive.mutate(&key, |o| o.meta.finalizers.clear());
             let _ = api.remove_finalizer(&key.0, &key.1, &key.2, "t");
         }
+        Op::Compact => {}
     }
 }
 
@@ -213,8 +311,33 @@ proptest! {
     ) {
         let mut api = ApiServer::default();
         let mut naive = NaiveApi::default();
+        // The one watch reader: its cursor, the naive events it has
+        // matched, and every other snapshot it saw, with that snapshot's
+        // decode at the time.
+        let (mut cursor, mut seen) = (0u64, 0usize);
+        let mut held: Vec<(Rc<ApiObject>, Typed)> = Vec::new();
         for (step, op) in ops.iter().enumerate() {
             apply(&mut api, &mut naive, op);
+            if let Op::Compact = op {
+                api.compact(cursor);
+            }
+            // The watch log — order of every Added / Modified / Deleted,
+            // cascades included — is the pre-index one, and each snapshot
+            // reads as its own JSON decodes.
+            let (events, rv) = api.events_since(cursor);
+            cursor = rv;
+            prop_assert_eq!(events.len(), naive.events.len() - seen, "events @{}", step);
+            for (i, (ev, (rv, kind, object))) in events.iter().zip(&naive.events[seen..]).enumerate() {
+                prop_assert_eq!(ev.rv, *rv);
+                prop_assert_eq!(ev.kind, *kind);
+                prop_assert_eq!(&*ev.object, object);
+                let typed = decoded(object);
+                prop_assert_eq!(viewed(&ev.object), typed.clone(), "event view @{}", step);
+                if (seen + i) % 2 == 0 {
+                    held.push((Rc::clone(&ev.object), typed));
+                }
+            }
+            seen = naive.events.len();
             prop_assert_eq!(api.object_count(), naive.objects.len(), "step {}", step);
             for kind in KINDS {
                 prop_assert_eq!(api.list(kind), naive.list(kind), "list {} @{}", kind, step);
@@ -228,22 +351,21 @@ proptest! {
                 // Live owners, reaped owners with terminating children,
                 // and one uid never assigned.
                 for uid in 1..=naive.uid + 1 {
+                    let owned = api.owned_by_rc(uid, kind);
                     prop_assert_eq!(
-                        api.owned_by(uid, kind),
+                        owned.iter().map(|o| &**o).collect::<Vec<_>>(),
                         naive.owned_by(uid, kind),
                         "owned_by {} {} @{}", uid, kind, step
                     );
                 }
+                for o in api.list(kind) {
+                    prop_assert_eq!(viewed(o), decoded(o), "stored view {} @{}", o.full_name(), step);
+                }
             }
         }
-        // The watch log — order of every Added / Modified / Deleted,
-        // cascades included — is the pre-index one.
-        let (events, _) = api.events_since(0);
-        prop_assert_eq!(events.len(), naive.events.len());
-        for (ev, (rv, kind, object)) in events.iter().zip(&naive.events) {
-            prop_assert_eq!(ev.rv, *rv);
-            prop_assert_eq!(ev.kind, *kind);
-            prop_assert_eq!(&*ev.object, object);
+        // Snapshots held across later writes kept their own views.
+        for (snapshot, typed) in &held {
+            prop_assert_eq!(&viewed(snapshot), typed, "held {}", snapshot.full_name());
         }
     }
 }

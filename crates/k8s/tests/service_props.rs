@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 use shs_des::SimTime;
 use shs_k8s::{
-    kinds, make_service, pod_phase, pod_ready, spec_of, ApiServer, Pleg, PodPhase, PodSpec,
-    PodTemplate, ServiceController, ServiceSpec, KUBELET_FINALIZER,
+    kinds, make_service, pod_ready, spec_of, ApiServer, Pleg, PodPhase, PodTemplate,
+    ServiceController, ServiceSpec, KUBELET_FINALIZER,
 };
 
 const NS: &str = "ns";
@@ -70,7 +70,7 @@ fn settle(api: &mut ApiServer) {
     let pods: Vec<(String, bool, PodPhase)> = api
         .list_namespaced(kinds::POD, NS)
         .into_iter()
-        .map(|p| (p.meta.name.clone(), p.meta.deletion_requested, pod_phase(p)))
+        .map(|p| (p.meta.name.clone(), p.meta.deletion_requested, p.pod_phase()))
         .collect();
     for (name, terminating, phase) in pods {
         if terminating {
@@ -227,8 +227,7 @@ proptest! {
         let pods = api.list_namespaced(kinds::POD, NS);
         prop_assert_eq!(pods.len(), replicas as usize);
         for p in pods {
-            let spec: PodSpec = spec_of(p);
-            prop_assert_eq!(spec.job_name.as_deref(), Some(SVC));
+            prop_assert_eq!(p.pod_spec().job_name.as_deref(), Some(SVC));
             prop_assert_eq!(
                 p.annotation("service.simk8s/revision"), Some("1"), "pod not rolled"
             );
