@@ -20,9 +20,10 @@
 //! count — and every downstream report (`JobTraffic.vni`, the audit
 //! log) would differ between `--shards 1` and `--shards 4`. Instead the
 //! facade asks every shard for the VNI its `acquire` *would* hand out
-//! (`VniDb::peek_min_allocatable`, an O(log n) index peek) and routes
-//! the acquire to the shard owning the global minimum — the same VNI a
-//! single store over the whole range would pick. Scenario reports are
+//! (`VniDb::peek_min_allocatable`, an O(log n) index peek) and has the
+//! shard owning the global minimum allocate exactly that VNI
+//! (`VniDb::allocate`, without probing again) — the same VNI a single
+//! store over the whole range would pick. Scenario reports are
 //! therefore **byte-identical at any shard count** (integration-tested
 //! and property-tested against a single-store oracle in
 //! `tests/vni_sharded_oracle.rs`).
@@ -240,13 +241,25 @@ impl ShardedVniDb {
                 }
             }
         }
-        let Some((_, si)) = best else {
+        let Some((vni, si)) = best else {
             self.exhaustions += 1;
             return Err(VniDbError::Exhausted);
         };
+        // The winner allocates what it was probed for: the owner lookup,
+        // the promotion and the min probe above are not run twice.
+        self.on_shard(si, |shard| Ok(shard.allocate(owner, vni, now)))
+    }
+
+    /// Run one mutating operation on shard `si` under the global audit
+    /// cursor, counting it as a logical transaction if it succeeds.
+    fn on_shard<T>(
+        &mut self,
+        si: usize,
+        op: impl FnOnce(&mut VniDb) -> Result<T, VniDbError>,
+    ) -> Result<T, VniDbError> {
         let shard = &mut self.shards[si];
         shard.set_audit_seq(self.next_audit_seq);
-        let out = shard.acquire(owner, now);
+        let out = op(shard);
         self.next_audit_seq = shard.audit_seq();
         if out.is_ok() {
             self.logical_txns += 1;
@@ -254,17 +267,16 @@ impl ShardedVniDb {
         out
     }
 
-    /// Release a VNI into quarantine on its owning shard.
+    /// Release a VNI into quarantine on its owning shard: the directory
+    /// shard's own lookup decides, and the other shards are probed only
+    /// when it holds no row for `vni` at all.
     pub fn release(&mut self, vni: Vni, now: SimTime) -> Result<(), VniDbError> {
-        let Some(si) = self.shard_holding(vni.raw()) else {
-            return Err(VniDbError::NotFound);
-        };
-        let shard = &mut self.shards[si];
-        shard.set_audit_seq(self.next_audit_seq);
-        let out = shard.release(vni, now);
-        self.next_audit_seq = shard.audit_seq();
-        if out.is_ok() {
-            self.logical_txns += 1;
+        let dir = self.shard_of(vni.raw());
+        let out = self.on_shard(dir, |shard| shard.release(vni, now));
+        if out.is_err() {
+            if let Some(si) = self.shard_holding(vni.raw()).filter(|&si| si != dir) {
+                return self.on_shard(si, |shard| shard.release(vni, now));
+            }
         }
         out
     }
@@ -274,14 +286,7 @@ impl ShardedVniDb {
         let Some(si) = self.shard_holding(vni.raw()) else {
             return Err(VniDbError::NotFound);
         };
-        let shard = &mut self.shards[si];
-        shard.set_audit_seq(self.next_audit_seq);
-        let out = shard.add_user(vni, user, now);
-        self.next_audit_seq = shard.audit_seq();
-        if out.is_ok() {
-            self.logical_txns += 1;
-        }
-        out
+        self.on_shard(si, |shard| shard.add_user(vni, user, now))
     }
 
     /// Remove a user; returns how many remain.
@@ -294,14 +299,7 @@ impl ShardedVniDb {
         let Some(si) = self.shard_holding(vni.raw()) else {
             return Err(VniDbError::NotFound);
         };
-        let shard = &mut self.shards[si];
-        shard.set_audit_seq(self.next_audit_seq);
-        let out = shard.remove_user(vni, user, now);
-        self.next_audit_seq = shard.audit_seq();
-        if out.is_ok() {
-            self.logical_txns += 1;
-        }
-        out
+        self.on_shard(si, |shard| shard.remove_user(vni, user, now))
     }
 
     /// Release a claim-owned VNI, refusing while users remain.
@@ -494,6 +492,7 @@ impl ShardedVniDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vni_db::VniState;
 
     fn cfg(range: Range<u16>) -> VniDbConfig {
         VniDbConfig { range, quarantine: SimDur::from_secs(30) }
@@ -637,6 +636,33 @@ mod tests {
         // The resumed cursor continues the global sequence without gaps.
         db2.acquire(job("ns/after"), t(2)).unwrap();
         db2.check_index_consistency().unwrap();
+    }
+
+    #[test]
+    fn release_finds_a_row_outside_its_directory_shard() {
+        // Allocate 1024..=1028 over two 4-wide shards (1028 lands on
+        // shard 1), then recover over a wider range: the directory now
+        // maps 1028 to shard 0, but its row is still on shard 1.
+        let mut db = ShardedVniDb::new(cfg(1024..1032), 2);
+        for i in 0..5 {
+            db.acquire(job(&format!("ns/j{i}")), t(0)).unwrap();
+        }
+        let mut db = ShardedVniDb::recover(db.into_disks(), cfg(1024..1040));
+        assert_eq!(db.shard_of(1028), 0);
+        assert_eq!(db.shard_holding(1028), Some(1));
+        db.release(Vni(1028), t(1)).unwrap();
+        let released = VniState::Quarantined { released_at_ns: t(1).as_nanos() };
+        assert_eq!(db.row(Vni(1028)).unwrap().state, released);
+        // Quarantined on shard 1 now: a second release is refused there,
+        // and a VNI no shard holds is refused outright.
+        assert_eq!(db.release(Vni(1028), t(2)).unwrap_err(), VniDbError::NotFound);
+        assert_eq!(db.release(Vni(1039), t(2)).unwrap_err(), VniDbError::NotFound);
+        // A quarantined row on the directory shard is refused without
+        // consulting the others.
+        db.release(Vni(1024), t(3)).unwrap();
+        assert_eq!(db.release(Vni(1024), t(3)).unwrap_err(), VniDbError::NotFound);
+        assert_eq!(db.txn_count(), 2, "only the two successful releases count");
+        db.check_index_consistency().unwrap();
     }
 
     #[test]

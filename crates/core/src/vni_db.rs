@@ -460,15 +460,16 @@ impl VniDb {
     }
 
     /// Whether a row (allocated or quarantined) exists for `vni` — the
-    /// facade's directory probe, which needs presence, not the row.
+    /// facade's probe for rows outside the directory, which needs
+    /// presence, not the row.
     pub(crate) fn has_row(&self, vni: u16) -> bool {
         self.store.get(T_VNIS, &Self::key(vni)).is_some()
     }
 
     /// The VNI `acquire` would hand out at `now`, without allocating —
-    /// the facade probes every shard with this and routes the acquire
-    /// to the shard holding the global minimum, so sharded allocation
-    /// order is identical to a single store's.
+    /// the facade probes every shard with this and has the shard holding
+    /// the global minimum [`allocate`](VniDb::allocate) it, so sharded
+    /// allocation order is identical to a single store's.
     pub(crate) fn peek_min_allocatable(&mut self, now: SimTime) -> Option<u16> {
         self.promote_expired(now);
         match (self.idx.free.first(), self.idx.expired.first()) {
@@ -611,22 +612,22 @@ impl VniDb {
     /// one transaction.
     pub fn acquire(&mut self, owner: VniOwner, now: SimTime) -> Result<Vni, VniDbError> {
         // Idempotency: an owner re-acquiring gets its existing VNI.
-        {
-            let (slot, key) = owner_slot(&owner);
-            if let Some(&vni) = self.idx.owners[slot].get(key) {
-                return Ok(Vni(vni));
-            }
+        if let Some(vni) = self.owner_vni(&owner) {
+            return Ok(Vni(vni));
         }
-        self.promote_expired(now);
-        let vni = match (self.idx.free.first(), self.idx.expired.first()) {
-            (Some(&f), Some(&e)) => f.min(e),
-            (Some(&f), None) => f,
-            (None, Some(&e)) => e,
-            (None, None) => {
-                self.counters.exhaustions += 1;
-                return Err(VniDbError::Exhausted);
-            }
+        let Some(vni) = self.peek_min_allocatable(now) else {
+            self.counters.exhaustions += 1;
+            return Err(VniDbError::Exhausted);
         };
+        Ok(self.allocate(owner, vni, now))
+    }
+
+    /// Commit `vni` to `owner` — `acquire` after its probes. `vni` must
+    /// be what [`VniDb::peek_min_allocatable`] returned at `now`, with
+    /// nothing changed since, for an owner holding no VNI: the sharded
+    /// facade runs those probes across its shards and then calls this
+    /// on the winner, so the winner does not run them again.
+    pub(crate) fn allocate(&mut self, owner: VniOwner, vni: u16, now: SimTime) -> Vni {
         let row = VniRow { vni, state: VniState::Allocated, owner, users: Vec::new() };
         self.commit_row(&row, now, "acquire", "");
         // Committed: fold the allocation into the indexes.
@@ -634,7 +635,8 @@ impl VniDb {
             self.counters.fresh_allocs += 1;
         } else {
             // Reused an expired quarantine row (overwritten by the put).
-            self.idx.expired.remove(&vni);
+            let was_expired = self.idx.expired.remove(&vni);
+            debug_assert!(was_expired, "allocated VNI {vni} was neither free nor expired");
             self.idx.quarantined.remove(&vni);
             self.counters.reuse_allocs += 1;
         }
@@ -644,7 +646,7 @@ impl VniDb {
         };
         self.idx.owners[slot].insert(key, vni);
         self.counters.acquires += 1;
-        Ok(Vni(vni))
+        Vni(vni)
     }
 
     /// The transaction every single-row operation is: write `row` and

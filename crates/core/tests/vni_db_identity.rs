@@ -2,17 +2,22 @@
 //! history (acquire / add_user / remove_user / release / sweep /
 //! release_claim, solo commits then group commit, store snapshots
 //! mid-way, a crash that drops an open batch, recovery, more commits)
-//! with the `export_diagnostics()` JSON and the device image length
-//! pinned at three points. The pins were captured on the commit
-//! *before* transactions were staged in WAL format and the audit log
-//! became an append-only table (PR 16), so matching them proves that
-//! rewrite changed no persisted row, no audit entry, no counter and no
-//! byte count — for `VniDb` and for `ShardedVniDb` at 1, 2 and 4 shards.
+//! with the `export_diagnostics()` JSON pinned at three points and each
+//! device image pinned at the end. The JSON pins and the image lengths
+//! were captured on the commit *before* transactions were staged in WAL
+//! format and the audit log became an append-only table, so
+//! matching them proves that rewrite changed no persisted row, no audit
+//! entry, no counter and no byte count — for `VniDb` and for
+//! `ShardedVniDb` at 1, 2 and 4 shards. The FNV-1a hash of each image's
+//! bytes was captured on the commit before snapshots were encoded
+//! straight into the device and the CRC gained its folded kernel, so
+//! matching it proves no persisted byte moved either.
 //!
 //! A deliberate format change updates the pins here, in the same commit.
 
 use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::Vni;
+use shs_vnistore::SimDisk;
 use slingshot_k8s::{ShardedVniDb, VniDb, VniDbConfig, VniDbError, VniOwner};
 
 fn config() -> VniDbConfig {
@@ -23,8 +28,10 @@ fn t(secs: u64) -> SimTime {
     SimTime::from_nanos(secs * 1_000_000_000)
 }
 
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 /// The claim lifecycle, then `rounds` of tenant churn starting at
@@ -64,12 +71,17 @@ macro_rules! churn {
 }
 
 fn digest(diag: &serde_json::Value) -> u64 {
-    fnv1a(&serde_json::to_string_pretty(diag).expect("serializes"))
+    fnv1a(serde_json::to_string_pretty(diag).expect("serializes").as_bytes())
+}
+
+/// A shut-down device image: its length and the FNV-1a hash of its bytes.
+fn image(disk: &SimDisk) -> (usize, u64) {
+    (disk.len(), fnv1a(disk.contents()))
 }
 
 /// `(digest before the crash, digest right after recovery, digest at
-/// the end, device bytes per shard at the end)`.
-type Pins = (u64, u64, u64, Vec<usize>);
+/// the end, device image per shard at the end)`.
+type Pins = (u64, u64, u64, Vec<(usize, u64)>);
 
 fn single_store_history() -> Pins {
     let mut db = VniDb::new(config());
@@ -90,7 +102,7 @@ fn single_store_history() -> Pins {
     let end = digest(&db.export_diagnostics());
     let store = db.into_store();
     assert!(store.stats().snapshots >= 1, "and another one after recovery");
-    (before, after, end, vec![store.shutdown().len()])
+    (before, after, end, vec![image(&store.shutdown())])
 }
 
 fn sharded_history(shards: usize) -> Pins {
@@ -107,14 +119,19 @@ fn sharded_history(shards: usize) -> Pins {
     churn!(db, "post", 400, 120, |_: &mut ShardedVniDb, _| ());
     db.check_index_consistency().expect("indexes agree with the stores");
     let end = digest(&db.export_diagnostics());
-    (before, after, end, db.into_disks().iter().map(|d| d.len()).collect())
+    (before, after, end, db.into_disks().iter().map(image).collect())
 }
 
 #[test]
 fn single_store_history_matches_its_pins() {
     assert_eq!(
         single_store_history(),
-        (0x354333a90c22f1dd, 0xe258af22e1ec3d38, 0xef48e9c0607e179c, vec![77073])
+        (
+            0x354333a90c22f1dd,
+            0xe258af22e1ec3d38,
+            0xef48e9c0607e179c,
+            vec![(77073, 0x65c91c8a55dbee61)]
+        )
     );
 }
 
@@ -122,14 +139,34 @@ fn single_store_history_matches_its_pins() {
 fn sharded_histories_match_their_pins() {
     assert_eq!(
         sharded_history(1),
-        (0x54d02cbe948371e7, 0x53b650db86e29a1c, 0xd1329a802ed09538, vec![77073])
+        (
+            0x54d02cbe948371e7,
+            0x53b650db86e29a1c,
+            0xd1329a802ed09538,
+            vec![(77073, 0x65c91c8a55dbee61)]
+        )
     );
     assert_eq!(
         sharded_history(2),
-        (0x4c5d07be8fc994ce, 0x39efd9db78582359, 0xb76c238020461e75, vec![58981, 17306])
+        (
+            0x4c5d07be8fc994ce,
+            0x39efd9db78582359,
+            0xb76c238020461e75,
+            vec![(58981, 0xf814d9faf74716bf), (17306, 0x94b7670049b34bc3)]
+        )
     );
     assert_eq!(
         sharded_history(4),
-        (0x3b17b1be860531b4, 0x6ddacbdb95bbf92f, 0xa5d4cd80163bb133, vec![70468, 19631, 17306, 0])
+        (
+            0x3b17b1be860531b4,
+            0x6ddacbdb95bbf92f,
+            0xa5d4cd80163bb133,
+            vec![
+                (70468, 0x59b64880ea94ec57),
+                (19631, 0xee69c400c54f41ac),
+                (17306, 0x94b7670049b34bc3),
+                (0, 0xcbf29ce484222325)
+            ]
+        )
     );
 }

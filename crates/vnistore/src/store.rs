@@ -66,6 +66,7 @@
 //! ```
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::ops::Range;
 
 use shs_des::DetRng;
 
@@ -79,6 +80,9 @@ use crate::wal::{self, Frame, Op, OpKind, RecordKind};
 struct LogTable {
     image: Vec<u8>,
     starts: Vec<usize>,
+    /// Where the last row's key sits in `image`: every append checks
+    /// its key against it, so it is kept rather than re-parsed.
+    last_key: Range<usize>,
 }
 
 impl LogTable {
@@ -92,7 +96,7 @@ impl LogTable {
     }
 
     fn last_key(&self) -> Option<&[u8]> {
-        self.starts.last().map(|&s| self.row_at(s).0)
+        (!self.starts.is_empty()).then(|| &self.image[self.last_key.clone()])
     }
 
     fn get(&self, key: &[u8]) -> Option<&[u8]> {
@@ -108,7 +112,12 @@ impl LogTable {
             "append to log table `{}` at or below its last key",
             op.table
         );
-        self.starts.push(self.image.len());
+        let start = self.image.len();
+        // `op.key` is a slice of `op.raw`: its offset there is its offset
+        // in the row as copied.
+        let key_at = start + (op.key.as_ptr().addr() - op.raw.as_ptr().addr());
+        self.last_key = key_at..key_at + op.key.len();
+        self.starts.push(start);
         self.image.extend_from_slice(op.raw);
     }
 }
@@ -219,7 +228,9 @@ pub struct Store {
     /// The open transaction's operations in WAL op encoding; `begin`
     /// empties it, so steady-state staging allocates nothing.
     staged: Vec<u8>,
-    /// Scratch for the frame being written (a commit or a snapshot).
+    /// Scratch for a single commit's frame, appended to the device whole.
+    /// (A snapshot is encoded straight into the device instead; a group
+    /// batch keeps its own buffer, `GroupState::frame`.)
     frame_buf: Vec<u8>,
     /// Group-commit state: while `Some`, committed transactions apply to
     /// the tables immediately (reads see them) but their WAL framing and
@@ -235,7 +246,11 @@ pub struct Store {
 struct GroupState {
     /// The batch frame under construction: opened at the first deferred
     /// commit (whose LSN is the frame's), then `u32 len | ops` per
-    /// transaction in commit order; sealed by the flush.
+    /// transaction in commit order; sealed by the flush. It is built
+    /// here, not in the device's tail: a frame opened there but not yet
+    /// sealed has length 0 and CRC 0 — which is the CRC of an empty
+    /// payload — so a crash would leave a frame recovery accepts as a
+    /// valid empty batch.
     frame: Vec<u8>,
     /// Transactions in the open batch.
     count: u64,
@@ -341,7 +356,8 @@ impl Store {
     /// snapshot frame becomes the entire device image (the
     /// checkpoint + rename a real store performs), so the device — and
     /// recovery — stay O(live rows) instead of O(history). The frame is
-    /// built in place: map rows are encoded as puts straight from the
+    /// encoded straight into the device ([`SimDisk::rewrite`]), with no
+    /// scratch copy: map rows are encoded as puts straight from the
     /// tables, a log table contributes its arena in one copy. Any open
     /// group-commit batch is flushed first so the checkpoint never
     /// captures state the log has not made durable.
@@ -349,25 +365,27 @@ impl Store {
         self.flush_group_buffer();
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        self.frame_buf.clear();
-        let start = wal::begin_frame(RecordKind::Snapshot, lsn, &mut self.frame_buf);
-        for (name, table) in &self.tables {
-            match table {
-                Table::Map(rows) => {
-                    for (k, v) in rows {
-                        wal::push_op(&mut self.frame_buf, OpKind::Put, name, k, v);
+        let tables = &self.tables;
+        self.disk.rewrite(|image| {
+            wal::begin_frame(RecordKind::Snapshot, lsn, image);
+            for (name, table) in tables {
+                match table {
+                    Table::Map(rows) => {
+                        for (k, v) in rows {
+                            wal::push_op(image, OpKind::Put, name, k, v);
+                        }
                     }
+                    Table::Log(log) => image.extend_from_slice(&log.image),
                 }
-                Table::Log(log) => self.frame_buf.extend_from_slice(&log.image),
             }
-        }
-        wal::end_frame(&mut self.frame_buf, start);
-        self.disk.replace(&self.frame_buf);
-        self.stats.wal_bytes += self.frame_buf.len() as u64;
+            wal::end_frame(image, 0);
+        });
+        let frame_len = self.disk.len() as u64;
+        self.stats.wal_bytes += frame_len;
         self.stats.snapshots += 1;
         self.commits_since_snapshot = 0;
         self.wal_since_snapshot = 0;
-        self.last_snapshot_bytes = self.frame_buf.len() as u64;
+        self.last_snapshot_bytes = frame_len;
     }
 
     /// Enter group-commit mode: subsequent commits apply immediately but
@@ -517,9 +535,10 @@ impl Txn<'_> {
     fn stage(&mut self, kind: OpKind, table: &str, key: &[u8], value: &[u8]) {
         let staged = &self.store.staged;
         let appends = kind == OpKind::Append;
+        let committed = self.store.tables.get(table);
         // The table's kind: as committed, else as the first operation
         // this transaction staged on it will make it.
-        let is_log = match self.store.tables.get(table) {
+        let is_log = match committed {
             Some(committed) => Some(matches!(committed, Table::Log(_))),
             None => wal::ops(staged)
                 .find(|op| op.table == table && op.kind != OpKind::Delete)
@@ -539,7 +558,10 @@ impl Txn<'_> {
                 let mine = |op: &Op<'_>| op.kind == OpKind::Append && op.table == table;
                 wal::ops(staged).filter(mine).last().map(|op| op.key)
             });
-            let tail = staged_tail.or_else(|| self.store.last_key(table));
+            let tail = staged_tail.or_else(|| match committed {
+                Some(Table::Log(log)) => log.last_key(),
+                _ => None,
+            });
             assert!(
                 tail.is_none_or(|tail| tail < key),
                 "append to log table `{table}` at or below its last key"

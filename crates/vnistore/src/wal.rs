@@ -124,11 +124,31 @@ const CRC_SLICES: [[u32; 256]; 8] = {
     t
 };
 
-/// CRC-32 (IEEE), slicing-by-8: snapshots and recovery CRC the whole
-/// audit log, so this runs at eight bytes per step (the
-/// `crc32_known_vector` test pins it to the standard polynomial, a
-/// proptest to the byte-at-a-time recurrence).
+/// CRC-32 (IEEE, reflected polynomial `0xEDB88320`) — the one checksum
+/// every frame carries. Snapshots and recovery CRC the whole audit log,
+/// so the long inputs take the fastest path the CPU offers:
+///
+/// * on `x86_64`, when the CPU reports `pclmulqdq` and `sse4.1` and the
+///   input is at least 128 bytes, a carry-less-multiply fold over four
+///   16-byte lanes and a Barrett reduction, at 64 bytes per step;
+/// * everywhere else — other architectures, CPUs without those
+///   features, short single-commit frames — slicing-by-8, at eight bytes
+///   per step.
+///
+/// Both compute the same function. The `crc32_known_vector` test pins it
+/// to the standard polynomial; a proptest holds it, across the fold's
+/// length cut and on multi-KiB buffers, to the byte-at-a-time
+/// recurrence, which slicing-by-8 also matches.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = clmul::crc32(bytes) {
+        return crc;
+    }
+    crc32_sliced(bytes)
+}
+
+/// Slicing-by-8: the portable [`crc32`].
+fn crc32_sliced(bytes: &[u8]) -> u32 {
     let t = &CRC_SLICES;
     let mut crc: u32 = 0xFFFF_FFFF;
     let mut chunks = bytes.chunks_exact(8);
@@ -144,10 +164,123 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             ^ t[1][((hi >> 16) & 0xFF) as usize]
             ^ t[0][(hi >> 24) as usize];
     }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    !bytewise(crc, chunks.remainder())
+}
+
+/// Feed `bytes` into a running (un-inverted) CRC state one table lookup
+/// at a time.
+fn bytewise(crc: u32, bytes: &[u8]) -> u32 {
+    bytes.iter().fold(crc, |crc, &b| (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize])
+}
+
+/// The folded CRC-32 kernel: the workspace's only `unsafe`, confined to
+/// this module.
+///
+/// The input is 128-bit polynomials folded four lanes at a time with
+/// `PCLMULQDQ`, then into one lane, then reduced 128 → 64 → 32 bits
+/// (the last step a Barrett reduction), following Intel's "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction" in
+/// its bit-reflected form. Constants are `x^k mod P(x)` for the IEEE
+/// polynomial, bit-reflected and shifted left by one, as that paper
+/// derives them; `P_X` is `P(x)` itself and `U_PRIME` is
+/// `floor(x^64 / P(x))`, both reflected.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Fold distance 4 × 128 bits: `x^(4·128+32)` and `x^(4·128-32)`.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// Fold distance 128 bits: `x^(128+32)` and `x^(128-32)`.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// The 64 → 32-bit step: `x^64`.
+    const K5: i64 = 0x1_63cd_6124;
+    const P_X: i64 = 0x1_db71_0641;
+    const U_PRIME: i64 = 0x1_f701_1641;
+
+    /// Shortest input the fold takes: two rounds of four lanes. Shorter
+    /// ones — a single small commit's frame — stay on slicing-by-8.
+    const MIN_LEN: usize = 128;
+
+    /// The CRC of `bytes` through the fold, or `None` when the input is
+    /// short or this CPU lacks the instructions — the caller then runs
+    /// the portable code.
+    pub(super) fn crc32(bytes: &[u8]) -> Option<u32> {
+        if bytes.len() < MIN_LEN
+            || !is_x86_feature_detected!("pclmulqdq")
+            || !is_x86_feature_detected!("sse4.1")
+        {
+            return None;
+        }
+        // SAFETY: `fold` is compiled for `pclmulqdq` and `sse4.1`, and
+        // `is_x86_feature_detected!` has just reported both on this CPU.
+        Some(unsafe { fold(bytes) })
     }
-    !crc
+
+    /// CRC-32 of `bytes`, which must be at least one 64-byte round long.
+    // SAFETY: only callable where `pclmulqdq` and `sse4.1` are present;
+    // `crc32` above checks both with `is_x86_feature_detected!` before
+    // its one call.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(bytes: &[u8]) -> u32 {
+        // One 16-byte lane, little-endian. (Closures share the function's
+        // target features; a helper `fn` would need them, and `unsafe`
+        // to call, of its own.)
+        let lane = |bytes: &[u8]| {
+            let lo = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+            let hi = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+            _mm_set_epi64x(hi as i64, lo as i64)
+        };
+        // `a` carried forward by the distance the key pair encodes, and
+        // folded into `b`.
+        let fold_into = |a: __m128i, b: __m128i, keys: __m128i| {
+            let lo = _mm_clmulepi64_si128::<0x00>(a, keys);
+            let hi = _mm_clmulepi64_si128::<0x11>(a, keys);
+            _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+        };
+        let mut blocks = bytes.chunks_exact(64);
+        let first = blocks.next().expect("at least 64 bytes");
+        // The initial all-ones CRC state enters as an XOR into the first
+        // 32 bits of input.
+        let init = _mm_cvtsi32_si128(!0);
+        let mut x = [
+            _mm_xor_si128(lane(&first[..16]), init),
+            lane(&first[16..32]),
+            lane(&first[32..48]),
+            lane(&first[48..]),
+        ];
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for block in &mut blocks {
+            for (i, acc) in x.iter_mut().enumerate() {
+                *acc = fold_into(*acc, lane(&block[16 * i..16 * i + 16]), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold_into(fold_into(fold_into(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
+        let mut lanes = blocks.remainder().chunks_exact(16);
+        for l in &mut lanes {
+            acc = fold_into(acc, lane(l), k3k4);
+        }
+        // 128 → 64 bits, then 64 → 32 (the low half times x^64).
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let acc = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(acc, k3k4), _mm_srli_si128::<8>(acc));
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(acc),
+        );
+        // Barrett reduction, reflected: T1 = (R mod x^32)·µ,
+        // T2 = (T1 mod x^32)·P, and the state is the high half of R ^ T2.
+        let pu = _mm_set_epi64x(U_PRIME, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32), pu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
+        let state = _mm_extract_epi32::<1>(_mm_xor_si128(acc, t2)) as u32;
+        !super::bytewise(state, lanes.remainder())
+    }
 }
 
 /// Open a frame at the end of `out`: the header with its length and CRC
@@ -330,9 +463,7 @@ mod tests {
 
     /// The recurrence `crc32` replaced: one table lookup per byte.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        !bytes.iter().fold(0xFFFF_FFFF, |crc: u32, &b| {
-            (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize]
-        })
+        !bytewise(0xFFFF_FFFF, bytes)
     }
 
     #[test]
@@ -343,18 +474,29 @@ mod tests {
     }
 
     proptest! {
-        /// Slicing-by-8 equals the byte-at-a-time reference for every
-        /// length 0..=64 at every offset of a larger buffer (so every
-        /// alignment and every remainder length is covered).
+        /// `crc32` — the fold where the CPU has it, slicing-by-8 below its
+        /// 128-byte cut — and slicing-by-8 on its own both equal the
+        /// byte-at-a-time reference for every length 0..=300 at each of
+        /// 16 offsets of a larger buffer (every alignment, every lane and
+        /// tail remainder on both sides of the cut), and on a few long
+        /// buffers of 4–64 KiB.
         #[test]
         fn crc32_matches_the_bytewise_reference(
-            buf in prop::collection::vec(any::<u8>(), 80..=96),
+            buf in prop::collection::vec(any::<u8>(), 316..=340),
+            long in prop::collection::vec((4096usize..=65536, any::<u64>()), 1..=3),
         ) {
             for start in 0..16 {
-                for len in 0..=64 {
+                for len in 0..=300 {
                     let window = &buf[start..start + len];
-                    prop_assert_eq!(crc32(window), crc32_bytewise(window), "start {} len {}", start, len);
+                    let want = crc32_bytewise(window);
+                    prop_assert_eq!(crc32(window), want, "start {} len {}", start, len);
+                    prop_assert_eq!(crc32_sliced(window), want, "start {} len {}", start, len);
                 }
+            }
+            for (len, seed) in long {
+                let mut rng = shs_des::DetRng::new(seed);
+                let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {} seed {}", len, seed);
             }
         }
     }

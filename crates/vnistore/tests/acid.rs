@@ -209,14 +209,17 @@ proptest! {
     /// Group-commit batches are all-or-nothing: truncating the device at
     /// ANY byte offset (a torn write mid-group-commit) recovers exactly
     /// the state at some batch boundary — never part of a batch, never a
-    /// lost flushed one.
+    /// lost flushed one. With a snapshot cadence, flushes also rewrite
+    /// the device as a snapshot between batches, so the cut may land in
+    /// the snapshot frame or in a batch behind it.
     #[test]
     fn torn_group_commit_recovers_whole_batches_only(
         ops in prop::collection::vec(op_strategy(), 1..80),
         batch_every in 2u64..8,
+        snapshot_every in prop_oneof![Just(None), Just(Some(3u64)), Just(Some(7u64))],
         cut_seed in any::<u64>(),
     ) {
-        let fresh = Store::new(StoreConfig { snapshot_every: None, ..Default::default() });
+        let fresh = Store::new(StoreConfig { snapshot_every, ..Default::default() });
         let (full, boundaries) = run_grouped(Harness::on(fresh), &ops, batch_every);
         let torn = cut_short(&full, cut_seed);
         let cut = torn.len();
