@@ -195,9 +195,11 @@ pub struct CassiniNic {
     pub addr: NicAddr,
     params: CassiniParams,
     services: BTreeMap<SvcId, ServiceEntry>,
-    endpoints: BTreeMap<EpIdx, Endpoint>,
+    /// Endpoint `EpIdx(i)` lives in slot `i` until it is freed. Indices
+    /// are never reused, so the next one is the table's length and a
+    /// freed slot stays `None`: every data-path lookup is one index.
+    endpoints: Vec<Option<Endpoint>>,
     mrs: BTreeMap<MrKey, MemoryRegion>,
-    next_ep: u32,
     next_mr: u64,
     next_msg: u64,
     tx_engine_busy: SimTime,
@@ -219,9 +221,8 @@ impl CassiniNic {
             addr,
             params,
             services: BTreeMap::new(),
-            endpoints: BTreeMap::new(),
+            endpoints: Vec::new(),
             mrs: BTreeMap::new(),
-            next_ep: 0,
             next_mr: 1,
             next_msg: 1,
             tx_engine_busy: SimTime::ZERO,
@@ -253,13 +254,17 @@ impl CassiniNic {
     /// endpoints were torn down.
     pub fn remove_service(&mut self, id: SvcId) -> usize {
         self.services.remove(&id);
-        let before = self.endpoints.len();
-        self.endpoints.retain(|_, e| e.svc != id);
-        let doomed = before - self.endpoints.len();
+        let mut doomed = 0;
+        for slot in &mut self.endpoints {
+            if slot.as_ref().is_some_and(|e| e.svc == id) {
+                *slot = None;
+                doomed += 1;
+            }
+        }
         if doomed > 0 {
             // Every surviving MR's endpoint is still in the table.
             let live = &self.endpoints;
-            self.mrs.retain(|_, mr| live.contains_key(&mr.ep));
+            self.mrs.retain(|_, mr| live.get(mr.ep.0 as usize).is_some_and(Option::is_some));
         }
         doomed
     }
@@ -271,7 +276,17 @@ impl CassiniNic {
 
     /// Number of live endpoints owned by a service.
     pub fn endpoints_of(&self, id: SvcId) -> usize {
-        self.endpoints.values().filter(|e| e.svc == id).count()
+        self.endpoints.iter().flatten().filter(|e| e.svc == id).count()
+    }
+
+    #[inline]
+    fn ep(&self, idx: EpIdx) -> Option<&Endpoint> {
+        self.endpoints.get(idx.0 as usize)?.as_ref()
+    }
+
+    #[inline]
+    fn ep_mut(&mut self, idx: EpIdx) -> Option<&mut Endpoint> {
+        self.endpoints.get_mut(idx.0 as usize)?.as_mut()
     }
 
     // ---- endpoints -------------------------------------------------------
@@ -298,25 +313,22 @@ impl CassiniNic {
                 return Err(NicError::EndpointLimit);
             }
         }
-        let idx = EpIdx(self.next_ep);
-        self.next_ep += 1;
-        self.endpoints.insert(
-            idx,
-            Endpoint { idx, svc, vni, tc, rx_queue: VecDeque::new() },
-        );
+        let idx = EpIdx(u32::try_from(self.endpoints.len()).expect("fewer than 2^32 endpoints"));
+        self.endpoints.push(Some(Endpoint { idx, svc, vni, tc, rx_queue: VecDeque::new() }));
         Ok(idx)
     }
 
     /// Free an endpoint and its memory regions.
     pub fn free_endpoint(&mut self, idx: EpIdx) -> Result<(), NicError> {
-        self.endpoints.remove(&idx).ok_or(NicError::NoSuchEndpoint)?;
+        let slot = self.endpoints.get_mut(idx.0 as usize).ok_or(NicError::NoSuchEndpoint)?;
+        slot.take().ok_or(NicError::NoSuchEndpoint)?;
         self.mrs.retain(|_, mr| mr.ep != idx);
         Ok(())
     }
 
     /// Access an endpoint.
     pub fn endpoint(&self, idx: EpIdx) -> Result<&Endpoint, NicError> {
-        self.endpoints.get(&idx).ok_or(NicError::NoSuchEndpoint)
+        self.ep(idx).ok_or(NicError::NoSuchEndpoint)
     }
 
     // ---- memory regions --------------------------------------------------
@@ -329,7 +341,7 @@ impl CassiniNic {
         remote_read: bool,
         remote_write: bool,
     ) -> Result<MrKey, NicError> {
-        let endpoint = self.endpoints.get(&ep).ok_or(NicError::NoSuchEndpoint)?;
+        let endpoint = self.ep(ep).ok_or(NicError::NoSuchEndpoint)?;
         let svc = self.services.get(&endpoint.svc).ok_or(NicError::NoSuchService)?;
         if let Some(max) = svc.limits.max_mrs {
             let owned = self.mrs.values().filter(|m| m.ep == ep).count();
@@ -385,7 +397,7 @@ impl CassiniNic {
         len: u64,
     ) -> Result<SendOutcome, NicError> {
         let (vni, tc) = {
-            let ep = self.endpoints.get(&ep_idx).ok_or(NicError::NoSuchEndpoint)?;
+            let ep = self.ep(ep_idx).ok_or(NicError::NoSuchEndpoint)?;
             (ep.vni, ep.tc)
         };
         let msg_id = self.next_msg;
@@ -446,7 +458,7 @@ impl CassiniNic {
     /// Pop the next received message on an endpoint, if any.
     #[inline]
     pub fn poll_rx(&mut self, ep: EpIdx) -> Result<Option<RxMessage>, NicError> {
-        Ok(self.endpoints.get_mut(&ep).ok_or(NicError::NoSuchEndpoint)?.rx_queue.pop_front())
+        Ok(self.ep_mut(ep).ok_or(NicError::NoSuchEndpoint)?.rx_queue.pop_front())
     }
 
     /// The hand-off to the libfabric matching engine, *defined as*
@@ -477,7 +489,9 @@ impl CassiniNic {
     /// the message only when it is accepted.
     #[inline]
     fn accept(&mut self, dst_ep: EpIdx, vni: Vni, len: u64) -> Result<&mut Endpoint, NicError> {
-        let ep = self.endpoints.get_mut(&dst_ep).ok_or(NicError::NoSuchEndpoint)?;
+        // The table, not `ep_mut`: the counters below are a disjoint field.
+        let slot = self.endpoints.get_mut(dst_ep.0 as usize).and_then(Option::as_mut);
+        let ep = slot.ok_or(NicError::NoSuchEndpoint)?;
         if ep.vni != vni {
             return Err(NicError::VniNotAllowed);
         }

@@ -40,10 +40,10 @@ impl Default for RuntimeParams {
 /// Runtime errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// Sandbox id already exists.
+    /// The pod (`<namespace>_<pod>`) already has a sandbox.
     SandboxExists(String),
-    /// Sandbox id unknown.
-    NoSuchSandbox(String),
+    /// No sandbox for the (namespace, pod) named.
+    NoSuchSandbox,
     /// Image reference unknown to the registry.
     UnknownImage(String),
     /// Kernel-level failure.
@@ -60,7 +60,7 @@ impl core::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             RuntimeError::SandboxExists(id) => write!(f, "sandbox {id} already exists"),
-            RuntimeError::NoSuchSandbox(id) => write!(f, "no such sandbox {id}"),
+            RuntimeError::NoSuchSandbox => f.write_str("no such sandbox"),
             RuntimeError::UnknownImage(r) => write!(f, "unknown image {r}"),
             RuntimeError::Os(e) => write!(f, "os: {e}"),
         }
@@ -97,11 +97,9 @@ pub struct Container {
     pub run_duration: Option<SimDur>,
 }
 
-/// A pod sandbox.
+/// A pod sandbox, named by its pod's (namespace, name).
 #[derive(Debug)]
 pub struct Sandbox {
-    /// Sandbox id (CRI id; also the CNI `container_id`).
-    pub id: String,
     /// The pause process anchoring the namespaces.
     pub pause_pid: Pid,
     /// The sandbox's network namespace — the identity the paper's
@@ -117,7 +115,9 @@ pub struct ContainerRuntime {
     params: RuntimeParams,
     /// The node-local image store.
     pub images: ImageStore,
-    sandboxes: BTreeMap<String, Sandbox>,
+    /// namespace → pod → sandbox: a borrowed `(namespace, pod)` finds
+    /// its sandbox without building an id.
+    sandboxes: BTreeMap<String, BTreeMap<String, Sandbox>>,
 }
 
 impl Default for ContainerRuntime {
@@ -137,61 +137,65 @@ impl ContainerRuntime {
         &self.params
     }
 
-    /// Create a sandbox: spawn the pause process, give it a fresh network
-    /// namespace (and optionally a user namespace). Returns the sandbox
-    /// id's netns and the setup cost.
+    /// Create the sandbox of pod `namespace/pod`: spawn the pause
+    /// process, give it a fresh network namespace (and optionally a user
+    /// namespace). Returns the sandbox's netns and the setup cost.
     pub fn create_sandbox(
         &mut self,
         host: &mut Host,
-        id: &str,
+        namespace: &str,
+        pod: &str,
         userns: UserNsMode,
     ) -> Result<(NetNsId, SimDur), RuntimeError> {
-        if self.sandboxes.contains_key(id) {
-            return Err(RuntimeError::SandboxExists(id.to_string()));
+        if self.sandbox(namespace, pod).is_some() {
+            return Err(RuntimeError::SandboxExists(format!("{namespace}_{pod}")));
         }
-        let pause_pid = host.spawn_detached(&format!("pause-{id}"), Uid::ROOT, Gid::ROOT);
+        let pause = format!("pause-{namespace}_{pod}");
+        let pause_pid = host.spawn_detached(&pause, Uid::ROOT, Gid::ROOT);
         if let UserNsMode::Mapped { base } = userns {
             let map = vec![IdMapEntry { inside_start: 0, outside_start: base, count: 65_536 }];
             host.unshare_user_ns(pause_pid, map.clone(), map, Uid::ROOT, Gid::ROOT)?;
         }
         let netns = host.unshare_net_ns(pause_pid)?;
-        self.sandboxes.insert(
-            id.to_string(),
-            Sandbox { id: id.to_string(), pause_pid, netns, containers: Vec::new() },
-        );
+        self.sandboxes
+            .entry(namespace.to_owned())
+            .or_default()
+            .insert(pod.to_owned(), Sandbox { pause_pid, netns, containers: Vec::new() });
         Ok((netns, self.params.sandbox_create))
     }
 
-    /// Look up a sandbox.
-    pub fn sandbox(&self, id: &str) -> Result<&Sandbox, RuntimeError> {
-        self.sandboxes.get(id).ok_or_else(|| RuntimeError::NoSuchSandbox(id.to_string()))
+    /// The sandbox of pod `namespace/pod`, if it has one.
+    pub fn sandbox(&self, namespace: &str, pod: &str) -> Option<&Sandbox> {
+        self.sandboxes.get(namespace)?.get(pod)
     }
 
     /// Number of live sandboxes.
     pub fn sandbox_count(&self) -> usize {
-        self.sandboxes.len()
+        self.sandboxes.values().map(BTreeMap::len).sum()
     }
 
-    /// Start a container in a sandbox: ensure the image, fork from the
-    /// pause process (inheriting all namespaces), run the workload.
-    /// Returns the main pid and the total setup cost (pull + create +
-    /// start).
+    /// Start a container in the sandbox of pod `namespace/pod`: ensure
+    /// the image, fork from the pause process (inheriting all
+    /// namespaces), run the workload. Returns the main pid and the total
+    /// setup cost (pull + create + start).
     pub fn start_container(
         &mut self,
         host: &mut Host,
-        sandbox_id: &str,
+        namespace: &str,
+        pod: &str,
         name: &str,
         image: &Image,
         run_duration: Option<SimDur>,
     ) -> Result<(Pid, SimDur), RuntimeError> {
-        if !self.sandboxes.contains_key(sandbox_id) {
-            return Err(RuntimeError::NoSuchSandbox(sandbox_id.to_string()));
+        if self.sandbox(namespace, pod).is_none() {
+            return Err(RuntimeError::NoSuchSandbox);
         }
         let pull = self
             .images
             .ensure(&image.reference)
             .ok_or_else(|| RuntimeError::UnknownImage(image.reference.clone()))?;
-        let sandbox = self.sandboxes.get_mut(sandbox_id).expect("checked above");
+        let sandbox = self.sandboxes.get_mut(namespace).and_then(|pods| pods.get_mut(pod));
+        let sandbox = sandbox.expect("checked above");
         let pid = host.fork(sandbox.pause_pid, name)?;
         sandbox.containers.push(Container {
             name: name.to_string(),
@@ -203,17 +207,20 @@ impl ContainerRuntime {
         Ok((pid, cost))
     }
 
-    /// Tear down a sandbox: kill all container processes and the pause
-    /// process, delete the network namespace. Returns the teardown cost.
+    /// Tear down the sandbox of pod `namespace/pod`: kill all container
+    /// processes and the pause process, delete the network namespace.
+    /// Returns the teardown cost.
     pub fn remove_sandbox(
         &mut self,
         host: &mut Host,
-        id: &str,
+        namespace: &str,
+        pod: &str,
     ) -> Result<SimDur, RuntimeError> {
-        let sandbox = self
-            .sandboxes
-            .remove(id)
-            .ok_or_else(|| RuntimeError::NoSuchSandbox(id.to_string()))?;
+        let pods = self.sandboxes.get_mut(namespace).ok_or(RuntimeError::NoSuchSandbox)?;
+        let sandbox = pods.remove(pod).ok_or(RuntimeError::NoSuchSandbox)?;
+        if pods.is_empty() {
+            self.sandboxes.remove(namespace);
+        }
         for c in &sandbox.containers {
             let _ = host.exit(c.pid); // may have exited already
         }
@@ -237,8 +244,8 @@ mod tests {
     fn sandbox_gets_fresh_netns() {
         let mut host = Host::new("n0");
         let mut rt = runtime_with_alpine();
-        let (ns1, cost) = rt.create_sandbox(&mut host, "sb1", UserNsMode::Host).unwrap();
-        let (ns2, _) = rt.create_sandbox(&mut host, "sb2", UserNsMode::Host).unwrap();
+        let (ns1, cost) = rt.create_sandbox(&mut host, "t", "sb1", UserNsMode::Host).unwrap();
+        let (ns2, _) = rt.create_sandbox(&mut host, "t", "sb2", UserNsMode::Host).unwrap();
         assert_ne!(ns1, ns2);
         assert_ne!(ns1, host.host_netns());
         assert!(cost > SimDur::ZERO);
@@ -249,10 +256,10 @@ mod tests {
     fn duplicate_sandbox_rejected() {
         let mut host = Host::new("n0");
         let mut rt = runtime_with_alpine();
-        rt.create_sandbox(&mut host, "sb1", UserNsMode::Host).unwrap();
+        rt.create_sandbox(&mut host, "t", "sb1", UserNsMode::Host).unwrap();
         assert_eq!(
-            rt.create_sandbox(&mut host, "sb1", UserNsMode::Host).unwrap_err(),
-            RuntimeError::SandboxExists("sb1".into())
+            rt.create_sandbox(&mut host, "t", "sb1", UserNsMode::Host).unwrap_err(),
+            RuntimeError::SandboxExists("t_sb1".into())
         );
     }
 
@@ -260,8 +267,8 @@ mod tests {
     fn mapped_userns_sandboxes_have_sandboxed_identity() {
         let mut host = Host::new("n0");
         let mut rt = runtime_with_alpine();
-        rt.create_sandbox(&mut host, "sb1", UserNsMode::Mapped { base: 100_000 }).unwrap();
-        let sb = rt.sandbox("sb1").unwrap();
+        rt.create_sandbox(&mut host, "t", "sb1", UserNsMode::Mapped { base: 100_000 }).unwrap();
+        let sb = rt.sandbox("t", "sb1").unwrap();
         // Pause process is root inside, mapped outside.
         assert_eq!(host.process(sb.pause_pid).unwrap().uid, Uid::ROOT);
         assert_eq!(host.host_uid(sb.pause_pid).unwrap(), Uid(100_000));
@@ -271,11 +278,11 @@ mod tests {
     fn containers_inherit_sandbox_namespaces() {
         let mut host = Host::new("n0");
         let mut rt = runtime_with_alpine();
-        rt.create_sandbox(&mut host, "sb1", UserNsMode::Host).unwrap();
+        rt.create_sandbox(&mut host, "t", "sb1", UserNsMode::Host).unwrap();
         let (pid, cost) = rt
-            .start_container(&mut host, "sb1", "main", &Image::alpine(), None)
+            .start_container(&mut host, "t", "sb1", "main", &Image::alpine(), None)
             .unwrap();
-        let sb_ns = rt.sandbox("sb1").unwrap().netns;
+        let sb_ns = rt.sandbox("t", "sb1").unwrap().netns;
         assert_eq!(host.proc_netns_inode(pid).unwrap(), sb_ns);
         assert!(cost >= SimDur::from_millis(200), "pull + create + start");
     }
@@ -284,13 +291,13 @@ mod tests {
     fn second_container_start_is_faster_warm_cache() {
         let mut host = Host::new("n0");
         let mut rt = runtime_with_alpine();
-        rt.create_sandbox(&mut host, "sb1", UserNsMode::Host).unwrap();
-        rt.create_sandbox(&mut host, "sb2", UserNsMode::Host).unwrap();
+        rt.create_sandbox(&mut host, "t", "sb1", UserNsMode::Host).unwrap();
+        rt.create_sandbox(&mut host, "t", "sb2", UserNsMode::Host).unwrap();
         let (_, c1) = rt
-            .start_container(&mut host, "sb1", "a", &Image::alpine(), None)
+            .start_container(&mut host, "t", "sb1", "a", &Image::alpine(), None)
             .unwrap();
         let (_, c2) = rt
-            .start_container(&mut host, "sb2", "b", &Image::alpine(), None)
+            .start_container(&mut host, "t", "sb2", "b", &Image::alpine(), None)
             .unwrap();
         assert!(c2 < c1, "warm cache should be cheaper: {c2} vs {c1}");
     }
@@ -299,10 +306,10 @@ mod tests {
     fn unknown_image_fails_start() {
         let mut host = Host::new("n0");
         let mut rt = ContainerRuntime::default();
-        rt.create_sandbox(&mut host, "sb1", UserNsMode::Host).unwrap();
+        rt.create_sandbox(&mut host, "t", "sb1", UserNsMode::Host).unwrap();
         let img = Image { reference: "ghost:latest".into(), size_bytes: 1 };
         assert_eq!(
-            rt.start_container(&mut host, "sb1", "a", &img, None).unwrap_err(),
+            rt.start_container(&mut host, "t", "sb1", "a", &img, None).unwrap_err(),
             RuntimeError::UnknownImage("ghost:latest".into())
         );
     }
@@ -311,17 +318,42 @@ mod tests {
     fn remove_sandbox_kills_processes_and_netns() {
         let mut host = Host::new("n0");
         let mut rt = runtime_with_alpine();
-        let (netns, _) = rt.create_sandbox(&mut host, "sb1", UserNsMode::Host).unwrap();
+        let (netns, _) = rt.create_sandbox(&mut host, "t", "sb1", UserNsMode::Host).unwrap();
         let (pid, _) = rt
-            .start_container(&mut host, "sb1", "a", &Image::alpine(), None)
+            .start_container(&mut host, "t", "sb1", "a", &Image::alpine(), None)
             .unwrap();
-        rt.remove_sandbox(&mut host, "sb1").unwrap();
+        rt.remove_sandbox(&mut host, "t", "sb1").unwrap();
         assert!(host.process(pid).is_err());
         assert!(host.net_namespace(netns).is_none());
         assert_eq!(rt.sandbox_count(), 0);
         assert!(matches!(
-            rt.remove_sandbox(&mut host, "sb1").unwrap_err(),
-            RuntimeError::NoSuchSandbox(_)
+            rt.remove_sandbox(&mut host, "t", "sb1").unwrap_err(),
+            RuntimeError::NoSuchSandbox
         ));
+    }
+
+    #[test]
+    fn sandboxes_are_named_by_namespace_and_pod() {
+        let mut host = Host::new("n0");
+        let mut rt = runtime_with_alpine();
+        // One pod name in two namespaces, and a namespace that is a
+        // prefix of another.
+        let (a, _) = rt.create_sandbox(&mut host, "t", "p", UserNsMode::Host).unwrap();
+        let (b, _) = rt.create_sandbox(&mut host, "t2", "p", UserNsMode::Host).unwrap();
+        assert_eq!(rt.sandbox("t", "p").map(|s| s.netns), Some(a));
+        assert_eq!(rt.sandbox("t2", "p").map(|s| s.netns), Some(b));
+        assert!(rt.sandbox("t", "p2").is_none() && rt.sandbox("u", "p").is_none());
+        assert_eq!(
+            rt.start_container(&mut host, "u", "p", "a", &Image::alpine(), None).unwrap_err(),
+            RuntimeError::NoSuchSandbox
+        );
+        // Emptying a namespace and refilling it.
+        rt.remove_sandbox(&mut host, "t", "p").unwrap();
+        assert!(rt.sandbox("t", "p").is_none());
+        assert_eq!(rt.sandbox_count(), 1);
+        let (c, _) = rt.create_sandbox(&mut host, "t", "p", UserNsMode::Host).unwrap();
+        assert_ne!(c, a);
+        assert_eq!(rt.sandbox("t", "p").map(|s| s.netns), Some(c));
+        assert_eq!(rt.sandbox_count(), 2);
     }
 }

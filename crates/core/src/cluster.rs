@@ -9,11 +9,12 @@
 //! (the harness uses 20 ms) and all controllers and kubelets advance.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use shs_cassini::{CassiniNic, CassiniParams};
 use shs_cni::{bridge, BridgePlugin, CniArgs, PodRef};
-use shs_containers::{ContainerRuntime, Image, ImageStore, RuntimeError, RuntimeParams, UserNsMode};
+use shs_containers::{ContainerRuntime, Image, ImageStore, RuntimeParams, UserNsMode};
 use shs_cxi::{CxiDevice, CxiDriver, CxiServiceDesc};
 use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::{CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySpec, Vni};
@@ -141,8 +142,10 @@ pub struct NodeInner {
 }
 
 impl NodeInner {
-    /// Sandbox id for a pod (CRI uses a generated id; we use the stable
-    /// full name, which is unique among live pods).
+    /// The CRI sandbox id a CNI call carries as its `container_id` (CRI
+    /// uses a generated id; we use the stable full name, which is unique
+    /// among live pods). The runtime itself names a sandbox by the pod's
+    /// (namespace, name), so only the CNI calls format this.
     pub fn sandbox_id(pod: &ApiObject) -> String {
         format!("{}_{}", pod.meta.namespace, pod.meta.name)
     }
@@ -173,7 +176,7 @@ impl NodeBackend for Backend<'_> {
         };
         self.inner
             .runtime
-            .create_sandbox(&mut self.inner.host, &NodeInner::sandbox_id(pod), mode)
+            .create_sandbox(&mut self.inner.host, &pod.meta.namespace, &pod.meta.name, mode)
             .map_err(|e| e.to_string())
     }
 
@@ -215,7 +218,8 @@ impl NodeBackend for Backend<'_> {
             .runtime
             .start_container(
                 &mut self.inner.host,
-                &NodeInner::sandbox_id(pod),
+                &pod.meta.namespace,
+                &pod.meta.name,
                 "main",
                 &image,
                 run,
@@ -250,15 +254,10 @@ impl NodeBackend for Backend<'_> {
     }
 
     fn remove_sandbox(&mut self, pod: &ApiObject) -> SimDur {
-        match self
-            .inner
+        self.inner
             .runtime
-            .remove_sandbox(&mut self.inner.host, &NodeInner::sandbox_id(pod))
-        {
-            Ok(cost) => cost,
-            Err(RuntimeError::NoSuchSandbox(_)) => SimDur::from_millis(1),
-            Err(_) => SimDur::from_millis(1),
-        }
+            .remove_sandbox(&mut self.inner.host, &pod.meta.namespace, &pod.meta.name)
+            .unwrap_or(SimDur::from_millis(1))
     }
 }
 
@@ -276,6 +275,8 @@ pub struct Cluster {
     pub fabric: Fabric,
     /// Worker nodes.
     pub nodes: Vec<Node>,
+    /// Node name → index into `nodes`, built once by [`Cluster::new`].
+    node_index: BTreeMap<String, usize>,
     /// Pod scheduler.
     pub scheduler: Scheduler,
     /// Job controller.
@@ -417,10 +418,12 @@ impl Cluster {
             EndpointHandle { endpoint: Rc::clone(&endpoint), role: EndpointRole::Claims },
         );
 
+        let node_index = nodes.iter().enumerate().map(|(i, n)| (n.inner.name.clone(), i)).collect();
         Cluster {
             api,
             fabric,
             nodes,
+            node_index,
             scheduler: Scheduler::new(),
             job_controller: JobController::new(),
             service_controller: ServiceController::new(),
@@ -638,15 +641,14 @@ impl Cluster {
     /// A pod's runtime handle: owning node index, workload pid, netns.
     /// `None` until the workload container runs — an unbound pod, a node
     /// this cluster does not have, no sandbox yet, or a sandbox holding
-    /// only its pause process. (Reads the node binding from the stored
-    /// snapshot's decoded view: the scenario engine asks once per rank
-    /// per round.)
+    /// only its pause process. (The scenario engine asks once per rank
+    /// per round, so every step is a lookup by borrowed name: the pod in
+    /// the API store, its node binding in the snapshot's decoded view,
+    /// the node in the name index, the sandbox in the node's runtime.)
     pub fn pod_handle(&self, namespace: &str, name: &str) -> Option<PodHandle> {
         let pod = self.api.get(kinds::POD, namespace, name)?;
-        let node_name = pod.pod_spec().node_name.as_deref()?;
-        let node_idx = self.nodes.iter().position(|n| n.inner.name == node_name)?;
-        let sandbox =
-            self.nodes[node_idx].inner.runtime.sandbox(&NodeInner::sandbox_id(pod)).ok()?;
+        let node_idx = *self.node_index.get(pod.pod_spec().node_name.as_deref()?)?;
+        let sandbox = self.nodes[node_idx].inner.runtime.sandbox(namespace, name)?;
         let pid = sandbox.containers.last().map(|c| c.pid)?;
         Some(PodHandle { node_idx, pid, netns: sandbox.netns })
     }
@@ -654,7 +656,14 @@ impl Cluster {
     /// The VNI the pods of job (or service) `namespace/job` authenticate
     /// with, once the VNI Service has decorated it with its CRD.
     pub fn job_vni(&self, namespace: &str, job: &str) -> Option<Vni> {
-        let crd = self.api.get(kinds::VNI, namespace, &VniEndpoint::child_name_for_job(job))?;
+        self.crd_vni(namespace, &VniEndpoint::child_name_for_job(job))
+    }
+
+    /// The VNI recorded in the VNI CRD `namespace/crd`, if it exists — the
+    /// lookup behind [`Cluster::job_vni`] for a caller that keeps the CRD
+    /// name ([`VniEndpoint::child_name_for_job`]) instead of rebuilding it.
+    pub(crate) fn crd_vni(&self, namespace: &str, crd: &str) -> Option<Vni> {
+        let crd = self.api.get(kinds::VNI, namespace, crd)?;
         crd.spec["vni"].as_u64().map(|v| Vni(v as u16))
     }
 }
@@ -832,7 +841,7 @@ mod tests {
     #[test]
     fn pod_handle_is_none_until_the_workload_container_runs() {
         fn sandbox(c: &Cluster) -> Option<&shs_containers::Sandbox> {
-            c.nodes.iter().find_map(|n| n.inner.runtime.sandbox("t_solo-0").ok())
+            c.nodes.iter().find_map(|n| n.inner.runtime.sandbox("t", "solo-0"))
         }
         let mut c = Cluster::new(ClusterConfig::default());
         c.submit_job(SimTime::ZERO, "t", "solo", &[(VNI_ANNOTATION, "true")], 1, &alpine(), None);

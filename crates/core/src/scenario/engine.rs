@@ -8,9 +8,10 @@
 //! [`TrafficPattern::round_ops`], or round-robin request/response pairs);
 //! everything tenant-facing below that is written once, on [`World`]:
 //! the VNI lookup ([`resolve_vni`]), the membership resolution that
-//! opens a round ([`World::admit`]: pod handle + the CXI member check,
-//! [`World::authed`], once per participant), the fabric send
-//! ([`World::transfer`]) and the adversarial probe
+//! opens a round ([`World::admit`]: pod handle, the CXI member check
+//! [`World::authed`] and the NIC's fabric attachment, once per
+//! participant), the fabric send ([`World::transfer`]) and the
+//! adversarial probe
 //! ([`World::foreign_vni`] + [`probe_cross`]). A new workload kind adds
 //! a membership rule and a round shape — never a second send path.
 //!
@@ -20,23 +21,26 @@
 //!
 //! A round or a fire is one DES event, and nothing mutates a host, a
 //! driver or the API inside one. So everything that is constant for the
-//! event — who takes part, on which VNI, and whether the node's driver
-//! admits each of them — is established once at the top of it, the way
-//! an RDMA application authenticates when it opens its endpoint; a send
-//! is then a message id, `Fabric::transfer` and two bookings. None of
-//! it is carried to the next event: a CNI DEL, a service destroy or a
-//! rolling update between two rounds is seen by the very next one.
+//! event — who takes part, on which VNI, whether the node's driver
+//! admits each of them and where their NICs meet the fabric — is
+//! established once at the top of it, the way an RDMA application
+//! authenticates when it opens its endpoint; a send is then a message
+//! id, `Fabric::transfer_between` and two bookings. None of it is
+//! carried to the next event: a CNI DEL, a service destroy, a switch
+//! grant revoked or a rolling update between two rounds is seen by the
+//! very next one.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use shs_des::{Event, Sim, SimDur, SimTime};
-use shs_fabric::{FaultKind, SwitchId, TrafficClass, TransferOutcome, Vni};
+use shs_fabric::{Attachment, FaultKind, SwitchId, TrafficClass, TransferOutcome, Vni};
 use shs_k8s::kinds;
 
 use super::report::{self, ScenarioReport};
 use super::spec::{ClaimPlan, Fault, JobPlan, Scenario, ServicePlan, TrafficPlan, VniMode};
 use crate::cluster::{alpine, Cluster, PodHandle};
+use crate::endpoint::VniEndpoint;
 
 /// One round as `(src rank, dst rank, bytes, answered)` sends.
 type RoundOps = [(usize, usize, u64, bool)];
@@ -45,6 +49,8 @@ pub(super) struct JobTrack {
     pub(super) plan: JobPlan,
     /// The rank pods' names, `<job>-<rank>`: a plan constant.
     pods: Vec<String>,
+    /// The job's VNI CRD name, `vni-<job>`: a plan constant.
+    vni_crd: String,
     /// What one round sends ([`TrafficPattern::round_ops`] of the plan's
     /// ranks and size): a plan constant, shared so a round can walk it
     /// while it books into the world.
@@ -59,6 +65,8 @@ pub(super) struct JobTrack {
 
 pub(super) struct ServiceTrack {
     pub(super) plan: ServicePlan,
+    /// The service's VNI CRD name, `vni-<service>`: a plan constant.
+    vni_crd: String,
     pub(super) vni_seen: Option<Vni>,
     /// Round-trip latency samples (ns), sorted once at report time.
     pub(super) latencies: Vec<u64>,
@@ -141,12 +149,14 @@ pub(super) struct Raw {
 }
 
 /// One participant of a round, as established at the top of its event:
-/// where the pod runs and whether its node's CXI driver admits it to
-/// the round's VNI. Never kept past the event.
+/// where the pod runs, whether its node's CXI driver admits it to the
+/// round's VNI, and where its node's NIC meets the fabric. Never kept
+/// past the event.
 #[derive(Clone, Copy)]
 struct Member {
     pod: PodHandle,
     admitted: bool,
+    nic: Attachment,
 }
 
 pub(super) struct World {
@@ -177,6 +187,7 @@ impl World {
                 .map(|p| JobTrack {
                     plan: p.clone(),
                     pods: (0..p.ranks).map(|r| format!("{}-{r}", p.name)).collect(),
+                    vni_crd: VniEndpoint::child_name_for_job(&p.name),
                     ops: p
                         .traffic
                         .map_or_else(Vec::new, |tp| tp.pattern.round_ops(p.ranks as usize, tp.size))
@@ -191,6 +202,7 @@ impl World {
                 .iter()
                 .map(|p| ServiceTrack {
                     plan: p.clone(),
+                    vni_crd: VniEndpoint::child_name_for_job(&p.name),
                     vni_seen: None,
                     latencies: Vec::new(),
                     fires: 0,
@@ -234,28 +246,37 @@ impl World {
         node.device.driver.find_service(&node.host, pod.pid, vni).is_ok()
     }
 
-    /// This event's members: each of `pods` with its driver's verdict
-    /// on `vni`, asked where the pod's endpoint would be opened.
-    fn admit(&self, pods: impl Iterator<Item = PodHandle>, vni: Vni) -> Vec<Member> {
-        pods.map(|pod| Member { pod, admitted: self.authed(pod, vni) }).collect()
+    /// Where node `node_idx`'s NIC meets the fabric, now.
+    fn attachment(&self, node_idx: usize) -> Attachment {
+        self.cluster.fabric.resolve(self.cluster.nodes[node_idx].inner.nic)
     }
 
-    /// Push one message between two nodes' NICs through the fabric;
-    /// the delivery instant, or `None` if the fabric dropped it.
+    /// This event's members: each of `pods` with its driver's verdict
+    /// on `vni`, asked where the pod's endpoint would be opened, and its
+    /// node's fabric attachment.
+    fn admit(&self, pods: impl Iterator<Item = PodHandle>, vni: Vni) -> Vec<Member> {
+        pods.map(|pod| Member {
+            pod,
+            admitted: self.authed(pod, vni),
+            nic: self.attachment(pod.node_idx),
+        })
+        .collect()
+    }
+
+    /// Push one message between two NICs through the fabric; the
+    /// delivery instant, or `None` if the fabric dropped it.
     #[allow(clippy::too_many_arguments)]
     fn transfer(
         &mut self,
         now: SimTime,
-        src_node: usize,
-        dst_node: usize,
+        src: Attachment,
+        dst: Attachment,
         vni: Vni,
         tc: TrafficClass,
         size: u64,
         id: u64,
     ) -> Option<SimTime> {
-        let Cluster { nodes, fabric, .. } = &mut self.cluster;
-        let (src_nic, dst_nic) = (nodes[src_node].inner.nic, nodes[dst_node].inner.nic);
-        match fabric.transfer(now, src_nic, dst_nic, vni, tc, size, id) {
+        match self.cluster.fabric.transfer_between(now, src, dst, vni, tc, size, id) {
             TransferOutcome::Delivered { arrival, .. } => Some(arrival),
             TransferOutcome::Dropped(_) => None,
         }
@@ -265,10 +286,10 @@ impl World {
     /// then services, so the two planes probe each other — currently
     /// decorated with a non-global VNI other than `own`.
     fn foreign_vni(&self, own: Vni) -> Option<Vni> {
-        let jobs = self.jobs.iter().map(|t| (&t.plan.vni, &t.plan.tenant, &t.plan.name));
-        let services = self.services.iter().map(|t| (&t.plan.vni, &t.plan.tenant, &t.plan.name));
-        jobs.chain(services).find_map(|(mode, tenant, name)| {
-            let v = resolve_vni(&self.cluster, mode, tenant, name)?;
+        let jobs = self.jobs.iter().map(|t| (&t.plan.vni, &t.plan.tenant, &t.vni_crd));
+        let services = self.services.iter().map(|t| (&t.plan.vni, &t.plan.tenant, &t.vni_crd));
+        jobs.chain(services).find_map(|(mode, tenant, crd)| {
+            let v = resolve_vni(&self.cluster, mode, tenant, crd)?;
             (v != own && v != Vni::GLOBAL).then_some(v)
         })
     }
@@ -282,12 +303,12 @@ fn annotations(mode: &VniMode) -> Vec<(&str, &str)> {
     }
 }
 
-/// The VNI the pods of job or service `tenant/name` would authenticate
-/// with, if decorated yet.
-fn resolve_vni(cluster: &Cluster, mode: &VniMode, tenant: &str, name: &str) -> Option<Vni> {
+/// The VNI the pods of a job or service in `tenant` would authenticate
+/// with, if decorated yet; `crd` is its VNI CRD's name.
+fn resolve_vni(cluster: &Cluster, mode: &VniMode, tenant: &str, crd: &str) -> Option<Vni> {
     match mode {
         VniMode::Global => Some(Vni::GLOBAL),
-        _ => cluster.job_vni(tenant, name),
+        _ => cluster.crd_vni(tenant, crd),
     }
 }
 
@@ -449,21 +470,21 @@ fn send_authorized(
         w.m.auth_failures += 1;
         return None;
     }
-    let arrival = w.transfer(now, src.pod.node_idx, dst.pod.node_idx, vni, tc, size, id);
+    let arrival = w.transfer(now, src.nic, dst.nic, vni, tc, size, id);
     let latency_ns = arrival.map(|at| (at - now).as_nanos());
     w.m.class[tc.index()].book(size, latency_ns);
     w.m.per_job[ji].book(size, latency_ns);
     arrival
 }
 
-fn probe_cross(w: &mut World, now: SimTime, attacker: PodHandle, foreign: Vni, tc: TrafficClass) {
+fn probe_cross(w: &mut World, now: SimTime, attacker: Member, foreign: Vni, tc: TrafficClass) {
     w.m.cross_attempts += 1;
     let id = w.next_id();
     // Hop 1: the CXI driver must refuse the endpoint (netns member).
     // Hop 2: even an admitted endpoint must die at the switch port.
-    let victim_node = (attacker.node_idx + 1) % w.cluster.nodes.len();
-    let delivered = w.authed(attacker, foreign)
-        && w.transfer(now, attacker.node_idx, victim_node, foreign, tc, 64, id).is_some();
+    let victim = w.attachment((attacker.pod.node_idx + 1) % w.cluster.nodes.len());
+    let delivered = w.authed(attacker.pod, foreign)
+        && w.transfer(now, attacker.nic, victim, foreign, tc, 64, id).is_some();
     if delivered {
         w.m.cross_deliveries += 1;
     } else {
@@ -495,7 +516,7 @@ fn job_round(w: &mut World, now: SimTime, ji: usize, tp: TrafficPlan) -> bool {
     let t = &w.jobs[ji];
     let p = &t.plan;
     let running = t.pods.iter().map_while(|pod| w.cluster.pod_handle(&p.tenant, pod));
-    let vni = resolve_vni(&w.cluster, &p.vni, &p.tenant, &p.name);
+    let vni = resolve_vni(&w.cluster, &p.vni, &p.tenant, &t.vni_crd);
     let ranks = vni.map_or_else(Vec::new, |vni| w.admit(running, vni));
     let (true, Some(vni)) = (ranks.len() == t.pods.len(), vni) else {
         w.m.skipped_rounds += 1;
@@ -516,7 +537,7 @@ fn job_round(w: &mut World, now: SimTime, ji: usize, tp: TrafficPlan) -> bool {
         }
     }
     if let Some(foreign) = w.foreign_vni(vni) {
-        probe_cross(w, now, ranks[0].pod, foreign, tp.tc);
+        probe_cross(w, now, ranks[0], foreign, tp.tc);
     }
     w.jobs[ji].rounds_done += 1;
     w.jobs[ji].rounds_done >= tp.rounds
@@ -565,7 +586,7 @@ fn service_request(w: &mut World, now: SimTime, si: usize, src: Member, dst: Mem
         w.services[si].auth_failures += 1;
         return;
     }
-    let (src, dst) = (src.pod.node_idx, dst.pod.node_idx);
+    let (src, dst) = (src.nic, dst.nic);
     let done = w
         .transfer(now, src, dst, vni, tc, req, req_id)
         .and_then(|arrival| w.transfer(arrival, dst, src, vni, tc, resp, resp_id));
@@ -602,7 +623,7 @@ fn service_fire(w: &mut World, now: SimTime, si: usize) {
     // Membership rule: whichever replicas are ready, at least two.
     let ready = w.cluster.service_ready(&plan.tenant, &plan.name);
     let running = ready.iter().filter_map(|p| w.cluster.pod_handle(&plan.tenant, p));
-    let vni = resolve_vni(&w.cluster, &plan.vni, &plan.tenant, &plan.name);
+    let vni = resolve_vni(&w.cluster, &plan.vni, &plan.tenant, &w.services[si].vni_crd);
     let replicas = vni.map_or_else(Vec::new, |vni| w.admit(running, vni));
     let (Some(vni), true) = (vni, replicas.len() >= 2) else {
         w.services[si].skipped_fires += 1;
@@ -619,7 +640,7 @@ fn service_fire(w: &mut World, now: SimTime, si: usize) {
     }
     w.services[si].rr = rr % n;
     if let Some(foreign) = w.foreign_vni(vni) {
-        probe_cross(w, now, replicas[0].pod, foreign, plan.tc);
+        probe_cross(w, now, replicas[0], foreign, plan.tc);
     }
 }
 
@@ -696,7 +717,7 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioReport {
 #[cfg(test)]
 mod tests {
     use shs_cxi::{CxiDevice, CxiServiceDesc, SvcMember};
-    use shs_fabric::RoutingPolicy;
+    use shs_fabric::{DropReason, RoutingPolicy};
     use shs_oslinux::Pid;
 
     use super::super::library::{dragonfly, job, ms, scenario, service, traffic};
@@ -842,12 +863,16 @@ mod tests {
         books(w)
     }
 
-    /// `before` moved by one round of `attempted` legs, `refused` of
-    /// them refused at the driver and the rest delivered with `bytes`
-    /// each, plus the round's one (denied) cross-tenant probe.
-    fn after_round(before: Books, attempted: u64, refused: u64, bytes: u64) -> Books {
+    /// `before` moved by one round of `attempted` legs — `refused` of
+    /// them refused at the driver, `dropped` of the rest dropped by the
+    /// fabric, the others delivered with `bytes` each — plus the round's
+    /// one (denied) cross-tenant probe.
+    fn after_round(before: Books, attempted: u64, refused: u64, dropped: u64, bytes: u64) -> Books {
         let sent = attempted - refused;
-        let add = |(s, d, x, b): (u64, u64, u64, u64)| (s + sent, d + sent, x, b + sent * bytes);
+        let delivered = sent - dropped;
+        let add = |(s, d, x, b): (u64, u64, u64, u64)| {
+            (s + sent, d + delivered, x + dropped, b + delivered * bytes)
+        };
         Books {
             msg_id: before.msg_id + attempted + 1,
             rounds: before.rounds + 1,
@@ -881,7 +906,7 @@ mod tests {
             revoke(w, victim);
             let before = books(w);
             let after = round(w, now);
-            assert_eq!(after, after_round(before, attempted, refused, bytes), "{pattern:?}");
+            assert_eq!(after, after_round(before, attempted, refused, 0, bytes), "{pattern:?}");
             assert_eq!(after.cross.2, 0, "{pattern:?}: no probe delivered");
             assert!(rank(w, VICTIM) == victim, "the pod itself is untouched");
         }
@@ -926,24 +951,67 @@ mod tests {
         assert_eq!(books(w).job_refused, before.job_refused, "service refusals are the service's");
     }
 
-    /// The rule the engine's data path rests on: a verdict is good for
-    /// the event that computed it and not a moment longer. Driver state
-    /// changed between two rounds of one job is seen by the very next
-    /// round, in both directions.
+    /// The rule the engine's data path rests on: a verdict — and a
+    /// fabric attachment — is good for the event that computed it and
+    /// not a moment longer. Driver and switch state changed between two
+    /// rounds of one job is seen by the very next round, in both
+    /// directions.
     #[test]
     fn a_verdict_never_outlives_the_round_that_computed_it() {
         let mut sim = running(TrafficPattern::Ring);
-        let (now, w) = (sim.now(), &mut sim.world);
+        let (mut now, w) = (sim.now(), &mut sim.world);
         let step = SimDur::from_millis(10);
+        let nodes: BTreeSet<usize> = (0..4).map(|r| rank(w, r).node_idx).collect();
+        assert_eq!(nodes.len(), 4, "one rank per node, so a node's port carries one rank");
         let rest = books(w);
         let clean = round(w, now);
-        assert_eq!(clean, after_round(rest, 8, 0, SIZE), "round k - 1: delivered");
+        assert_eq!(clean, after_round(rest, 8, 0, 0, SIZE), "round k - 1: delivered");
         let victim = rank(w, VICTIM);
         let desc = revoke(w, victim);
-        let refused = round(w, now + step);
-        assert_eq!(refused, after_round(clean, 8, 2, SIZE), "round k: refused");
+        now += step;
+        let refused = round(w, now);
+        assert_eq!(refused, after_round(clean, 8, 2, 0, SIZE), "round k: refused");
         restore(w, victim, desc);
-        let healed = round(w, now + step + step);
-        assert_eq!(healed, after_round(refused, 8, 0, SIZE), "round k + 1: delivered");
+        now += step;
+        let healed = round(w, now);
+        assert_eq!(healed, after_round(refused, 8, 0, 0, SIZE), "round k + 1: delivered");
+
+        // One layer down: the victim's switch-port grant, revoked behind
+        // the API's back. The driver still admits every rank, and the
+        // port drops the victim's two ring legs out (ingress) and the two
+        // into it (egress).
+        let vni = w.jobs[0].vni_seen.expect("the job has sent");
+        let nic = w.cluster.nodes[victim.node_idx].inner.nic;
+        let (sw, port) = w.cluster.fabric.attachment(nic).expect("node NICs stay attached");
+        let drops = |w: &World| {
+            let counters = &w.cluster.fabric.switch_at(sw).counters;
+            [DropReason::VniDeniedIngress, DropReason::VniDeniedEgress]
+                .map(|r| counters.drops.get(&r).copied().unwrap_or(0))
+        };
+        let denied = drops(w);
+        assert!(w.cluster.fabric.revoke_vni(nic, vni));
+        now += step;
+        let cut = round(w, now);
+        assert_eq!(cut, after_round(healed, 8, 0, 4, SIZE), "round k + 2: dropped at the switch");
+        assert_eq!(drops(w), [denied[0] + 2, denied[1] + 2]);
+        w.cluster.fabric.grant_vni(nic, vni).unwrap();
+        now += step;
+        let regranted = round(w, now);
+        assert_eq!(regranted, after_round(cut, 8, 0, 0, SIZE), "round k + 3: delivered");
+
+        // The attachment itself: the victim's NIC moves, grants and all,
+        // to a port on the other switch. A round still holding the old
+        // attachment would be dropped at the vacated port; the next one
+        // resolves the new port and delivers.
+        let fabric = &mut w.cluster.fabric;
+        let grants: Vec<Vni> = fabric.switch_at(sw).vnis_on(port).collect();
+        assert!(fabric.detach(nic));
+        fabric.attach_to(nic, SwitchId(1 - sw.0));
+        for v in grants {
+            fabric.grant_vni(nic, v).unwrap();
+        }
+        now += step;
+        let moved = round(w, now);
+        assert_eq!(moved, after_round(regranted, 8, 0, 0, SIZE), "round k + 4: delivered");
     }
 }

@@ -43,6 +43,17 @@ pub enum TransferOutcome {
     Dropped(DropReason),
 }
 
+/// Where one NIC meets the fabric — its (switch, edge port), or nowhere
+/// — as [`Fabric::resolve`] read it, so a batch of
+/// [`Fabric::transfer_between`] calls looks it up once instead of once
+/// per message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attachment {
+    nic: NicAddr,
+    /// (switch index, edge port); `None` for a NIC not attached.
+    at: Option<(usize, PortId)>,
+}
+
 /// Fabric-level traffic accounting, keyed by VNI (the granularity the
 /// fabric manager exposes to monitoring). Per-hop congestion and drop
 /// counters roll up here per tenant.
@@ -360,12 +371,19 @@ impl Fabric {
         out
     }
 
-    /// Message-level transfer: enforcement at the source and destination
-    /// edge switches, one route selection and one trunk walk over the
-    /// topology, and the arrival time of the last byte (cut-through
-    /// pipelining: end-to-end time ≈ one serialization of the message
-    /// plus per-hop constants, plus any queueing).
+    /// Where `nic` meets the fabric right now, for a batch of
+    /// [`Fabric::transfer_between`] calls.
+    #[inline]
+    pub fn resolve(&self, nic: NicAddr) -> Attachment {
+        Attachment { nic, at: self.lookup_nic(nic) }
+    }
+
+    /// Message-level transfer between two NICs named by address:
+    /// [`Fabric::resolve`] both, then [`Fabric::transfer_between`].
+    /// `#[inline]`, so a caller in another crate that sends one message
+    /// at a time pays the two lookups and still one call.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn transfer(
         &mut self,
         now: SimTime,
@@ -376,15 +394,43 @@ impl Fabric {
         len: u64,
         msg_id: u64,
     ) -> TransferOutcome {
-        let Some((ssw, sport)) = self.lookup_nic(src) else {
+        let (src, dst) = (self.resolve(src), self.resolve(dst));
+        self.transfer_between(now, src, dst, vni, tc, len, msg_id)
+    }
+
+    /// Message-level transfer between two resolved attachments:
+    /// enforcement at the source and destination edge switches, one route
+    /// selection and one trunk walk over the topology, and the arrival
+    /// time of the last byte (cut-through pipelining: end-to-end time ≈
+    /// one serialization of the message plus per-hop constants, plus any
+    /// queueing).
+    ///
+    /// The switches check every message — the source port's binding, the
+    /// ingress and egress grants, and that the destination is still
+    /// routed to its port — so only the *lookup* of an attachment is
+    /// saved by resolving it once per batch. An attachment resolved
+    /// before a detach or re-attach is dropped by those checks, never
+    /// delivered to whichever NIC holds its port now.
+    #[allow(clippy::too_many_arguments)]
+    pub fn transfer_between(
+        &mut self,
+        now: SimTime,
+        src: Attachment,
+        dst: Attachment,
+        vni: Vni,
+        tc: TrafficClass,
+        len: u64,
+        msg_id: u64,
+    ) -> TransferOutcome {
+        let Some((ssw, sport)) = src.at else {
             return TransferOutcome::Dropped(DropReason::NoRoute);
         };
         let model = &self.net.model;
         let pkts = model.packets_for(len);
         // Representative head packet carries the routing/enforcement fields.
         let head = Packet {
-            src,
-            dst,
+            src: src.nic,
+            dst: dst.nic,
             vni,
             tc,
             payload_len: len.min(model.mtu as u64) as u32,
@@ -396,13 +442,13 @@ impl Fabric {
         if let Some(reason) = self.switches[ssw].admit(sport, &head) {
             return TransferOutcome::Dropped(reason);
         }
-        let Some((dsw, dport)) = self.lookup_nic(dst) else {
+        let Some((dsw, dport)) = dst.at else {
             return TransferOutcome::Dropped(self.switches[ssw].note_drop(DropReason::NoRoute));
         };
         // The destination switch's routing table stays authoritative: a
         // NIC unbound there (node removal via `Switch::unbind`) must drop
         // NoRoute.
-        if self.switches[dsw].route_to(dst) != Some(dport) {
+        if self.switches[dsw].route_to(dst.nic) != Some(dport) {
             return TransferOutcome::Dropped(self.switches[dsw].note_drop(DropReason::NoRoute));
         }
         // Egress enforcement at the destination edge switch.
@@ -472,7 +518,7 @@ impl Fabric {
         t.reroutes += rerouted as u64;
         t.ecn_marks += ecn_marks;
         if ecn_marks > 0 {
-            *self.ecn_feedback.entry(src).or_insert(0) += ecn_marks;
+            *self.ecn_feedback.entry(src.nic).or_insert(0) += ecn_marks;
         }
         TransferOutcome::Delivered { arrival, src_done }
     }
@@ -698,6 +744,42 @@ mod tests {
             TransferOutcome::Dropped(DropReason::NoRoute)
         );
         assert_eq!(f.attachment(b), None);
+    }
+
+    /// Why the switch checks stay on every message: an attachment held
+    /// past a detach is dropped, and the NIC that took over its port
+    /// neither receives for it nor is impersonated by it.
+    #[test]
+    fn a_stale_attachment_is_dropped_never_redirected() {
+        let (mut f, a, b) = fabric2();
+        granted(&mut f, a, b, Vni(4));
+        let (old_a, old_b) = (f.resolve(a), f.resolve(b));
+        let dc = TrafficClass::Dedicated;
+        // b leaves and c takes its port, granted the same VNI.
+        let b_port = f.attachment(b);
+        assert!(f.detach(b));
+        let c = NicAddr(3);
+        f.attach(c);
+        f.grant_vni(c, Vni(4)).unwrap();
+        assert_eq!(f.attachment(c), b_port, "c holds b's old port");
+        assert_eq!(
+            f.transfer_between(SimTime::ZERO, old_a, old_b, Vni(4), dc, 8, 1),
+            TransferOutcome::Dropped(DropReason::NoRoute),
+            "b is not routed at its old port any more"
+        );
+        // a leaves and d takes its port: a stale source is a spoof.
+        assert!(f.detach(a));
+        let d = NicAddr(4);
+        f.attach(d);
+        f.grant_vni(d, Vni(4)).unwrap();
+        assert_eq!(
+            f.transfer_between(SimTime::ZERO, old_a, f.resolve(c), Vni(4), dc, 8, 2),
+            TransferOutcome::Dropped(DropReason::SourceSpoofed)
+        );
+        assert_eq!(f.traffic(Vni(4)).messages, 0);
+        // Fresh attachments of the new tenants deliver.
+        let out = f.transfer_between(SimTime::ZERO, f.resolve(d), f.resolve(c), Vni(4), dc, 8, 3);
+        assert!(matches!(out, TransferOutcome::Delivered { .. }));
     }
 
     #[test]

@@ -38,7 +38,9 @@ pub mod topology;
 mod trunknet;
 pub mod types;
 
-pub use fabric::{Fabric, FabricAuditEvent, FabricError, TransferOutcome, VniTraffic};
+pub use fabric::{
+    Attachment, Fabric, FabricAuditEvent, FabricError, TransferOutcome, VniTraffic,
+};
 pub use faults::{fallback_route, repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
 pub use packet::{segment, CostModel, Packet};
 pub use ring::{ring_allreduce_schedule, ring_step_into};

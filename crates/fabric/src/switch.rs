@@ -1,7 +1,7 @@
 //! The Rosetta-like switch: routing, per-port VNI enforcement, drop
 //! accounting, and a weighted egress arbiter for traffic classes.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::packet::Packet;
 use crate::types::{NicAddr, PortId, TrafficClass, Vni};
@@ -74,9 +74,10 @@ impl Default for SwitchConfig {
 #[derive(Debug)]
 pub struct Switch {
     config: SwitchConfig,
-    /// VNIs granted per port, indexed by port number (the per-packet
-    /// enforcement lookup is one array index + a small-set probe).
-    vni_table: Vec<BTreeSet<Vni>>,
+    /// VNIs granted per port, indexed by port number, each list sorted
+    /// (the per-packet enforcement lookup is one array index + a binary
+    /// search of a few entries).
+    vni_table: Vec<Vec<Vni>>,
     /// Destination NIC -> egress port, sorted by NIC (binary search;
     /// never iterated on the hot path).
     routes: Vec<(NicAddr, PortId)>,
@@ -92,7 +93,7 @@ impl Switch {
         let ports = config.ports;
         Switch {
             config,
-            vni_table: vec![BTreeSet::new(); ports],
+            vni_table: vec![Vec::new(); ports],
             routes: Vec::new(),
             bindings: vec![None; ports],
             counters: SwitchCounters::default(),
@@ -131,12 +132,16 @@ impl Switch {
     /// Grant a VNI on a port (management-plane operation performed by the
     /// fabric manager when the VNI Service allocates a virtual network).
     pub fn grant_vni(&mut self, port: PortId, vni: Vni) {
-        self.vni_table[port.0].insert(vni);
+        let grants = &mut self.vni_table[port.0];
+        if let Err(i) = grants.binary_search(&vni) {
+            grants.insert(i, vni);
+        }
     }
 
     /// Revoke a VNI from a port.
     pub fn revoke_vni(&mut self, port: PortId, vni: Vni) -> bool {
-        self.vni_table.get_mut(port.0).is_some_and(|s| s.remove(&vni))
+        let Some(grants) = self.vni_table.get_mut(port.0) else { return false };
+        grants.binary_search(&vni).map(|i| grants.remove(i)).is_ok()
     }
 
     /// Egress port a NIC is currently bound to on this switch (`None`
@@ -150,10 +155,10 @@ impl Switch {
 
     /// Whether a port holds a VNI grant.
     pub fn has_vni(&self, port: PortId, vni: Vni) -> bool {
-        self.vni_table.get(port.0).is_some_and(|s| s.contains(&vni))
+        self.vni_table.get(port.0).is_some_and(|s| s.binary_search(&vni).is_ok())
     }
 
-    /// All VNIs granted on a port.
+    /// All VNIs granted on a port, in VNI order.
     pub fn vnis_on(&self, port: PortId) -> impl Iterator<Item = Vni> + '_ {
         self.vni_table.get(port.0).into_iter().flatten().copied()
     }
@@ -412,7 +417,7 @@ mod tests {
         sw.grant_vni(PortId(0), Vni(9));
         sw.grant_vni(PortId(0), Vni(3));
         let vnis: Vec<Vni> = sw.vnis_on(PortId(0)).collect();
-        assert_eq!(vnis, vec![Vni(3), Vni(9)], "BTreeSet keeps order deterministic");
+        assert_eq!(vnis, vec![Vni(3), Vni(9)], "grants list in VNI order");
     }
 
     #[test]

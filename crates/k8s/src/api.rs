@@ -8,7 +8,7 @@
 //! view of their JSON, decoded once per snapshot (see
 //! [`ApiObject::pod_spec`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use shs_des::{SimDur, SimTime};
@@ -157,18 +157,105 @@ impl Default for ApiParams {
     }
 }
 
-type Key = (String, String, String); // kind, namespace, name
+/// `(kind, namespace, name)` of a stored object.
+type Key = (String, String, String);
+
+/// One sorted level of [`Objects`].
+type Level<T> = BTreeMap<String, T>;
+
+/// The stored objects, nested kind → namespace → name, one sorted map
+/// per level: a borrowed `(&str, &str, &str)` walks down it without
+/// building a key (`String: Borrow<str>`), and a kind's objects iterate
+/// in (namespace, name) order — the order of the tuple key it replaced.
+/// Only an insert allocates: the object's name, and the name of any
+/// level it creates. A remove prunes the levels it empties.
+#[derive(Debug, Default)]
+struct Objects {
+    kinds: Level<Level<Level<Rc<ApiObject>>>>,
+    len: usize,
+}
+
+/// `map[key]`, inserted empty first if absent.
+fn level<'m, T: Default>(map: &'m mut Level<T>, key: &str) -> &'m mut T {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), T::default());
+    }
+    map.get_mut(key).expect("just inserted")
+}
+
+impl Objects {
+    fn get(&self, kind: &str, namespace: &str, name: &str) -> Option<&Rc<ApiObject>> {
+        self.kinds.get(kind)?.get(namespace)?.get(name)
+    }
+
+    fn get_mut(&mut self, kind: &str, namespace: &str, name: &str) -> Option<&mut Rc<ApiObject>> {
+        self.kinds.get_mut(kind)?.get_mut(namespace)?.get_mut(name)
+    }
+
+    /// Store `obj`, which must be new, under its own key.
+    fn insert(&mut self, obj: Rc<ApiObject>) {
+        let namespaces = level(&mut self.kinds, &obj.kind);
+        let names = level(namespaces, &obj.meta.namespace);
+        let old = names.insert(obj.meta.name.clone(), obj);
+        assert!(old.is_none(), "insert over a stored object");
+        self.len += 1;
+    }
+
+    fn remove(&mut self, kind: &str, namespace: &str, name: &str) -> Option<Rc<ApiObject>> {
+        let namespaces = self.kinds.get_mut(kind)?;
+        let names = namespaces.get_mut(namespace)?;
+        let obj = names.remove(name)?;
+        if names.is_empty() {
+            namespaces.remove(namespace);
+            if namespaces.is_empty() {
+                self.kinds.remove(kind);
+            }
+        }
+        self.len -= 1;
+        Some(obj)
+    }
+
+    /// Every object of `kind`, in (namespace, name) order.
+    fn of_kind<'a>(&'a self, kind: &str) -> impl Iterator<Item = &'a Rc<ApiObject>> {
+        self.kinds
+            .get(kind)
+            .into_iter()
+            .flat_map(|namespaces| namespaces.values().flat_map(|names| names.values()))
+    }
+
+    /// Every object of `kind` in `namespace`, in name order.
+    fn in_namespace<'a>(
+        &'a self,
+        kind: &str,
+        namespace: &str,
+    ) -> impl Iterator<Item = &'a Rc<ApiObject>> {
+        self.kinds
+            .get(kind)
+            .and_then(|namespaces| namespaces.get(namespace))
+            .into_iter()
+            .flat_map(|names| names.values())
+    }
+}
+
+/// Where `kind/namespace/name` is, or would go, in an owner's sorted
+/// child list — compared as borrowed strings, so no key is built.
+fn child_slot(children: &[Key], kind: &str, namespace: &str, name: &str) -> Result<usize, usize> {
+    children.binary_search_by(|(k, ns, n)| {
+        (k.as_str(), ns.as_str(), n.as_str()).cmp(&(kind, namespace, name))
+    })
+}
 
 /// The API server.
 #[derive(Debug)]
 pub struct ApiServer {
     params: ApiParams,
     /// Each stored object is the snapshot its latest watch event carries.
-    objects: BTreeMap<Key, Rc<ApiObject>>,
+    objects: Objects,
     /// Owner index: uid → keys of the stored objects naming it in
-    /// `owner_uids`. A reaped owner's entry lives on until its last
-    /// (terminating) child is reaped too; uids are never reused.
-    owned: BTreeMap<u64, BTreeSet<Key>>,
+    /// `owner_uids`, sorted (an owner has a handful of children). A
+    /// reaped owner's entry lives on until its last (terminating) child
+    /// is reaped too; uids are never reused.
+    owned: BTreeMap<u64, Vec<Key>>,
     /// The watch log from `compacted_through` on, in rv order.
     events: Vec<WatchEvent>,
     /// Every event with `rv <= compacted_through` has been dropped.
@@ -190,7 +277,7 @@ impl ApiServer {
     pub fn new(params: ApiParams) -> Self {
         ApiServer {
             params,
-            objects: BTreeMap::new(),
+            objects: Objects::default(),
             owned: BTreeMap::new(),
             events: Vec::new(),
             compacted_through: 0,
@@ -205,10 +292,6 @@ impl ApiServer {
         &self.params
     }
 
-    fn key(kind: &str, namespace: &str, name: &str) -> Key {
-        (kind.to_string(), namespace.to_string(), name.to_string())
-    }
-
     fn bump(&mut self) -> u64 {
         let rv = self.next_rv;
         self.next_rv += 1;
@@ -220,29 +303,34 @@ impl ApiServer {
         self.events.push(WatchEvent { rv, kind, object });
     }
 
-    /// Move `key` in the owner index from the `old` owner list to `new`.
-    fn reindex(&mut self, key: &Key, old: &[u64], new: &[u64]) {
+    /// Move object `kind/namespace/name` in the owner index from the
+    /// `old` owner list to `new`.
+    fn reindex(&mut self, kind: &str, namespace: &str, name: &str, old: &[u64], new: &[u64]) {
         if old == new {
             return;
         }
         for uid in old {
-            if let Some(set) = self.owned.get_mut(uid) {
-                set.remove(key);
-                if set.is_empty() {
+            if let Some(children) = self.owned.get_mut(uid) {
+                if let Ok(i) = child_slot(children, kind, namespace, name) {
+                    children.remove(i);
+                }
+                if children.is_empty() {
                     self.owned.remove(uid);
                 }
             }
         }
         for &uid in new {
-            self.owned.entry(uid).or_default().insert(key.clone());
+            let children = self.owned.entry(uid).or_default();
+            if let Err(i) = child_slot(children, kind, namespace, name) {
+                children.insert(i, (kind.to_owned(), namespace.to_owned(), name.to_owned()));
+            }
         }
     }
 
     /// Create an object; assigns uid and resource version.
     pub fn create(&mut self, mut obj: ApiObject, now: SimTime) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        let key = Self::key(&obj.kind, &obj.meta.namespace, &obj.meta.name);
-        if self.objects.contains_key(&key) {
+        if self.objects.get(&obj.kind, &obj.meta.namespace, &obj.meta.name).is_some() {
             return Err(ApiError::AlreadyExists);
         }
         obj.meta.uid = self.next_uid;
@@ -252,40 +340,32 @@ impl ApiServer {
         obj.meta.deletion_requested = false;
         obj.view.clear();
         let obj = Rc::new(obj);
-        self.reindex(&key, &[], &obj.meta.owner_uids);
-        self.objects.insert(key, Rc::clone(&obj));
+        self.reindex(&obj.kind, &obj.meta.namespace, &obj.meta.name, &[], &obj.meta.owner_uids);
+        self.objects.insert(Rc::clone(&obj));
         self.emit(WatchType::Added, Rc::clone(&obj));
         Ok(obj)
     }
 
     /// Get an object.
     pub fn get(&self, kind: &str, namespace: &str, name: &str) -> Option<&ApiObject> {
-        self.objects.get(&Self::key(kind, namespace, name)).map(|o| &**o)
+        self.objects.get(kind, namespace, name).map(|o| &**o)
     }
 
     /// Get the stored snapshot itself: a handle a controller can hold
     /// across its own writes without copying the object.
     pub fn get_rc(&self, kind: &str, namespace: &str, name: &str) -> Option<Rc<ApiObject>> {
-        self.objects.get(&Self::key(kind, namespace, name)).cloned()
+        self.objects.get(kind, namespace, name).cloned()
     }
 
     /// List all objects of a kind (all namespaces), in deterministic
-    /// (namespace, name) order: a range over the sorted key, not a scan.
+    /// (namespace, name) order: a walk of the kind's own map, not a scan.
     pub fn list(&self, kind: &str) -> Vec<&ApiObject> {
-        self.objects
-            .range(Self::key(kind, "", "")..)
-            .take_while(|((k, _, _), _)| k == kind)
-            .map(|(_, v)| &**v)
-            .collect()
+        self.objects.of_kind(kind).map(|o| &**o).collect()
     }
 
     /// List objects of a kind in one namespace, in name order.
     pub fn list_namespaced(&self, kind: &str, namespace: &str) -> Vec<&ApiObject> {
-        self.objects
-            .range(Self::key(kind, namespace, "")..)
-            .take_while(|((k, ns, _), _)| k == kind && ns == namespace)
-            .map(|(_, v)| &**v)
-            .collect()
+        self.objects.in_namespace(kind, namespace).map(|o| &**o).collect()
     }
 
     /// Stored objects of `kind` naming `uid` among their owners, in
@@ -293,10 +373,14 @@ impl ApiServer {
     /// owner's children, never to the store. The handles are the stored
     /// snapshots, so a reconcile can write while it holds them.
     pub fn owned_by_rc(&self, uid: u64, kind: &str) -> Vec<Rc<ApiObject>> {
-        let Some(keys) = self.owned.get(&uid) else { return Vec::new() };
-        keys.range(Self::key(kind, "", "")..)
+        let Some(children) = self.owned.get(&uid) else { return Vec::new() };
+        let first = children.partition_point(|(k, _, _)| k.as_str() < kind);
+        children[first..]
+            .iter()
             .take_while(|(k, _, _)| k == kind)
-            .map(|key| Rc::clone(&self.objects[key]))
+            .map(|(_, ns, n)| {
+                Rc::clone(self.objects.get(kind, ns, n).expect("indexed objects are stored"))
+            })
             .collect()
     }
 
@@ -304,8 +388,10 @@ impl ApiServer {
     /// the supplied object must carry the current resource version.
     pub fn update(&mut self, mut obj: ApiObject) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        let key = Self::key(&obj.kind, &obj.meta.namespace, &obj.meta.name);
-        let current = self.objects.get(&key).ok_or(ApiError::NotFound)?;
+        let current = self
+            .objects
+            .get(&obj.kind, &obj.meta.namespace, &obj.meta.name)
+            .ok_or(ApiError::NotFound)?;
         if current.meta.resource_version != obj.meta.resource_version {
             return Err(ApiError::Conflict);
         }
@@ -315,10 +401,12 @@ impl ApiServer {
         obj.meta.resource_version = self.bump();
         obj.view.clear();
         let obj = Rc::new(obj);
-        let old = self.objects.insert(key.clone(), Rc::clone(&obj)).expect("checked above");
-        self.reindex(&key, &old.meta.owner_uids, &obj.meta.owner_uids);
+        let (kind, namespace, name) = (&obj.kind, &obj.meta.namespace, &obj.meta.name);
+        let slot = self.objects.get_mut(kind, namespace, name).expect("checked above");
+        let old = std::mem::replace(slot, Rc::clone(&obj));
+        self.reindex(kind, namespace, name, &old.meta.owner_uids, &obj.meta.owner_uids);
         self.emit(WatchType::Modified, Rc::clone(&obj));
-        self.maybe_reap(&key);
+        self.maybe_reap(kind, namespace, name);
         Ok(obj)
     }
 
@@ -326,8 +414,14 @@ impl ApiServer {
     /// emit the Modified event, and reap if that cleared the way. The
     /// previous snapshot, decoded view and all, stays with the events
     /// that carry it.
-    fn write(&mut self, key: &Key, f: impl FnOnce(&mut ApiObject)) -> Result<Rc<ApiObject>, ApiError> {
-        let slot = self.objects.get_mut(key).ok_or(ApiError::NotFound)?;
+    fn write(
+        &mut self,
+        kind: &str,
+        namespace: &str,
+        name: &str,
+        f: impl FnOnce(&mut ApiObject),
+    ) -> Result<Rc<ApiObject>, ApiError> {
+        let slot = self.objects.get_mut(kind, namespace, name).ok_or(ApiError::NotFound)?;
         let before = Rc::clone(slot);
         let obj = Rc::make_mut(slot);
         f(obj);
@@ -335,9 +429,9 @@ impl ApiServer {
         obj.meta.resource_version = self.next_rv;
         self.next_rv += 1;
         let snapshot = Rc::clone(slot);
-        self.reindex(key, &before.meta.owner_uids, &snapshot.meta.owner_uids);
+        self.reindex(kind, namespace, name, &before.meta.owner_uids, &snapshot.meta.owner_uids);
         self.emit(WatchType::Modified, Rc::clone(&snapshot));
-        self.maybe_reap(key);
+        self.maybe_reap(kind, namespace, name);
         Ok(snapshot)
     }
 
@@ -351,7 +445,7 @@ impl ApiServer {
         f: impl FnOnce(&mut ApiObject),
     ) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        self.write(&Self::key(kind, namespace, name), f)
+        self.write(kind, namespace, name, f)
     }
 
     /// Request deletion. With finalizers present the object enters the
@@ -359,10 +453,9 @@ impl ApiServer {
     /// Modified event; once the last finalizer is removed it is reaped.
     pub fn delete(&mut self, kind: &str, namespace: &str, name: &str) -> Result<(), ApiError> {
         self.requests += 1;
-        let key = Self::key(kind, namespace, name);
-        let terminating = self.objects.get(&key).ok_or(ApiError::NotFound)?.meta.deletion_requested;
-        if !terminating {
-            self.write(&key, |o| o.meta.deletion_requested = true)?;
+        let obj = self.objects.get(kind, namespace, name).ok_or(ApiError::NotFound)?;
+        if !obj.meta.deletion_requested {
+            self.write(kind, namespace, name, |o| o.meta.deletion_requested = true)?;
         }
         Ok(()) // idempotent while terminating
     }
@@ -382,14 +475,13 @@ impl ApiServer {
         .map(|_| ())
     }
 
-    fn maybe_reap(&mut self, key: &Key) {
-        let Some(obj) = self.objects.get(key) else { return };
+    fn maybe_reap(&mut self, kind: &str, namespace: &str, name: &str) {
+        let Some(obj) = self.objects.get(kind, namespace, name) else { return };
         if obj.meta.deletion_requested && obj.meta.finalizers.is_empty() {
-            let obj = self.objects.remove(key).expect("present");
-            self.reindex(key, &obj.meta.owner_uids, &[]);
+            let obj = self.objects.remove(kind, namespace, name).expect("present");
+            self.reindex(kind, namespace, name, &obj.meta.owner_uids, &[]);
             // Cascade: delete children owned by this uid, in key order.
-            let children: Vec<Key> =
-                self.owned.get(&obj.meta.uid).map_or_else(Vec::new, |c| c.iter().cloned().collect());
+            let children = self.owned.get(&obj.meta.uid).cloned().unwrap_or_default();
             self.emit(WatchType::Deleted, obj);
             for (k, ns, n) in children {
                 let _ = self.delete(&k, &ns, &n);
@@ -438,7 +530,7 @@ impl ApiServer {
 
     /// Total stored objects.
     pub fn object_count(&self) -> usize {
-        self.objects.len()
+        self.objects.len
     }
 }
 

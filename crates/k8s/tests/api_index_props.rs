@@ -113,13 +113,22 @@ impl NaiveApi {
     fn owned_by(&self, uid: u64, kind: &str) -> Vec<&ApiObject> {
         self.list(kind).into_iter().filter(|o| o.meta.owner_uids.contains(&uid)).collect()
     }
+
+    fn get(&self, key: &Key) -> Option<&ApiObject> {
+        self.objects.get(key)
+    }
 }
 
 const KINDS: [&str; 3] = ["Job", "Pod", "Vni"];
-const NAMESPACES: [&str; 2] = ["a", "b"];
+/// The cluster-scoped `""` namespace, and one namespace that is a
+/// prefix of another.
+const NAMESPACES: [&str; 3] = ["", "a", "ab"];
+/// Names that are prefixes of each other; every name recurs in every
+/// kind and namespace.
+const NAMES: [&str; 4] = ["o", "o1", "o10", "p"];
 
 /// An object address: (kind, namespace, name) indices.
-type Addr = (usize, usize, u8);
+type Addr = (usize, usize, usize);
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -136,12 +145,15 @@ enum Op {
     Delete { at: Addr },
     AddFinalizer { at: Addr },
     RemoveFinalizer { at: Addr },
+    /// Empty namespace `ns`: clear the finalizers of, then delete, every
+    /// object in it, of every kind. Later creates refill it.
+    Drain { ns: usize },
     /// Drop the watch log through the test's (only) reader cursor.
     Compact,
 }
 
 fn addr() -> impl Strategy<Value = Addr> {
-    (0usize..KINDS.len(), 0usize..NAMESPACES.len(), 0u8..4)
+    (0..KINDS.len(), 0..NAMESPACES.len(), 0..NAMES.len())
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -154,6 +166,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => addr().prop_map(|at| Op::Delete { at }),
         2 => addr().prop_map(|at| Op::AddFinalizer { at }),
         3 => addr().prop_map(|at| Op::RemoveFinalizer { at }),
+        1 => (0..NAMESPACES.len()).prop_map(|ns| Op::Drain { ns }),
         1 => Just(Op::Compact),
     ]
 }
@@ -239,7 +252,14 @@ fn respec_after_read(obj: &mut ApiObject, v: u8) {
 }
 
 fn key_of((k, ns, n): Addr) -> Key {
-    (KINDS[k].to_string(), NAMESPACES[ns].to_string(), format!("o{n}"))
+    (KINDS[k].to_string(), NAMESPACES[ns].to_string(), NAMES[n].to_string())
+}
+
+/// Every address the generator can name.
+fn every_key() -> impl Iterator<Item = Key> {
+    (0..KINDS.len()).flat_map(|k| {
+        (0..NAMESPACES.len()).flat_map(move |ns| (0..NAMES.len()).map(move |n| key_of((k, ns, n))))
+    })
 }
 
 /// Apply one op to both stores.
@@ -298,6 +318,20 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op) {
             naive.mutate(&key, |o| o.meta.finalizers.clear());
             let _ = api.remove_finalizer(&key.0, &key.1, &key.2, "t");
         }
+        Op::Drain { ns } => {
+            let doomed: Vec<Key> =
+                naive.objects.keys().filter(|(_, n, _)| n == NAMESPACES[ns]).cloned().collect();
+            for key in &doomed {
+                let clear = |o: &mut ApiObject| o.meta.finalizers.clear();
+                naive.mutate(key, clear);
+                let _ = api.mutate(&key.0, &key.1, &key.2, clear);
+                naive.delete(key);
+                let _ = api.delete(&key.0, &key.1, &key.2);
+            }
+            for kind in KINDS {
+                assert!(api.list_namespaced(kind, NAMESPACES[ns]).is_empty(), "drained {kind}");
+            }
+        }
         Op::Compact => {}
     }
 }
@@ -339,6 +373,17 @@ proptest! {
             }
             seen = naive.events.len();
             prop_assert_eq!(api.object_count(), naive.objects.len(), "step {}", step);
+            // Point reads at every address, live or not: `get` is the
+            // stored object and `get_rc` hands out that same snapshot.
+            for key in every_key() {
+                let (k, ns, n) = (&key.0, &key.1, &key.2);
+                prop_assert_eq!(api.get(k, ns, n), naive.get(&key), "get {:?} @{}", key, step);
+                let rc = api.get_rc(k, ns, n);
+                prop_assert_eq!(rc.as_deref(), naive.get(&key), "get_rc {:?} @{}", key, step);
+                let same = rc.as_deref().map(std::ptr::from_ref)
+                    == api.get(k, ns, n).map(std::ptr::from_ref);
+                prop_assert!(same, "get_rc {:?} is the stored snapshot @{}", key, step);
+            }
             for kind in KINDS {
                 prop_assert_eq!(api.list(kind), naive.list(kind), "list {} @{}", kind, step);
                 for ns in NAMESPACES {

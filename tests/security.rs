@@ -44,10 +44,10 @@ fn uid_spoofing_through_the_container_runtime() {
         // Attacker pod: user-namespaced sandbox via the *real* runtime.
         let mut rt = ContainerRuntime::default();
         rt.images.publish(Image::alpine());
-        rt.create_sandbox(&mut host, "attacker", UserNsMode::Mapped { base: 100_000 })
+        rt.create_sandbox(&mut host, "t", "attacker", UserNsMode::Mapped { base: 100_000 })
             .unwrap();
         let (pid, _) = rt
-            .start_container(&mut host, "attacker", "sh", &Image::alpine(), None)
+            .start_container(&mut host, "t", "attacker", "sh", &Image::alpine(), None)
             .unwrap();
         // Container root may setuid inside its namespace.
         host.setuid(pid, Uid(4242)).unwrap();
@@ -70,10 +70,11 @@ fn netns_member_is_container_granular() {
     let root = host.credentials(Pid(1)).unwrap();
     let mut rt = ContainerRuntime::default();
     rt.images.publish(Image::alpine());
-    let (ns_a, _) = rt.create_sandbox(&mut host, "pod-a", UserNsMode::Host).unwrap();
-    let (_ns_b, _) = rt.create_sandbox(&mut host, "pod-b", UserNsMode::Host).unwrap();
-    let (pid_a, _) = rt.start_container(&mut host, "pod-a", "m", &Image::alpine(), None).unwrap();
-    let (pid_b, _) = rt.start_container(&mut host, "pod-b", "m", &Image::alpine(), None).unwrap();
+    let (ns_a, _) = rt.create_sandbox(&mut host, "t", "pod-a", UserNsMode::Host).unwrap();
+    let (_ns_b, _) = rt.create_sandbox(&mut host, "t", "pod-b", UserNsMode::Host).unwrap();
+    let alpine = Image::alpine();
+    let (pid_a, _) = rt.start_container(&mut host, "t", "pod-a", "m", &alpine, None).unwrap();
+    let (pid_b, _) = rt.start_container(&mut host, "t", "pod-b", "m", &alpine, None).unwrap();
 
     let svc = dev
         .alloc_svc(
