@@ -186,8 +186,8 @@ impl NodeBackend for Backend<'_> {
             netns,
             ifname: "eth0".into(),
             pod: Some(PodRef {
-                namespace: pod.meta.namespace.clone(),
-                name: pod.meta.name.clone(),
+                namespace: pod.meta.namespace.to_string(),
+                name: pod.meta.name.to_string(),
                 uid: pod.meta.uid.to_string(),
             }),
         };
@@ -234,8 +234,8 @@ impl NodeBackend for Backend<'_> {
             netns,
             ifname: "eth0".into(),
             pod: Some(PodRef {
-                namespace: pod.meta.namespace.clone(),
-                name: pod.meta.name.clone(),
+                namespace: pod.meta.namespace.to_string(),
+                name: pod.meta.name.to_string(),
                 uid: pod.meta.uid.to_string(),
             }),
         };
@@ -379,9 +379,9 @@ impl Cluster {
         let vni_jobs = Metacontroller::new(
             DecoratorConfig {
                 name: "vni-jobs".into(),
-                parent_kind: kinds::JOB.into(),
+                parent_kind: kinds::JOB,
                 annotation_filter: Some(VNI_ANNOTATION.into()),
-                child_kind: kinds::VNI.into(),
+                child_kind: kinds::VNI,
                 webhook_latency: config.webhook_latency,
                 resync_period: config.vni_resync,
             },
@@ -390,9 +390,9 @@ impl Cluster {
         let vni_services = Metacontroller::new(
             DecoratorConfig {
                 name: "vni-services".into(),
-                parent_kind: kinds::SERVICE.into(),
+                parent_kind: kinds::SERVICE,
                 annotation_filter: Some(VNI_ANNOTATION.into()),
-                child_kind: kinds::VNI.into(),
+                child_kind: kinds::VNI,
                 webhook_latency: config.webhook_latency,
                 resync_period: config.vni_resync,
             },
@@ -406,9 +406,9 @@ impl Cluster {
         let vni_claims = Metacontroller::new(
             DecoratorConfig {
                 name: "vni-claims".into(),
-                parent_kind: kinds::VNI_CLAIM.into(),
+                parent_kind: kinds::VNI_CLAIM,
                 annotation_filter: None,
-                child_kind: kinds::VNI.into(),
+                child_kind: kinds::VNI,
                 webhook_latency: config.webhook_latency,
                 // Claim finalization depends on the off-cluster user list
                 // in the VNI DB; poll it periodically (§III-C2: deletion
@@ -576,15 +576,16 @@ impl Cluster {
     /// Change a service's replica count (the autoscaler's lever).
     pub fn scale_service(&mut self, namespace: &str, name: &str, replicas: u32) {
         let _ = self.api.mutate(kinds::SERVICE, namespace, name, |o| {
-            o.spec["replicas"] = serde_json::json!(replicas);
+            Rc::make_mut(&mut o.spec)["replicas"] = serde_json::json!(replicas);
         });
     }
 
     /// Bump a service's template revision, starting a rolling update.
     pub fn roll_service(&mut self, namespace: &str, name: &str) {
         let _ = self.api.mutate(kinds::SERVICE, namespace, name, |o| {
-            let v = o.spec["version"].as_u64().unwrap_or(0);
-            o.spec["version"] = serde_json::json!(v + 1);
+            let spec = Rc::make_mut(&mut o.spec);
+            let v = spec["version"].as_u64().unwrap_or(0);
+            spec["version"] = serde_json::json!(v + 1);
         });
     }
 
@@ -878,7 +879,7 @@ mod tests {
         let bind = |c: &mut Cluster, node: &str| {
             c.api
                 .mutate(kinds::POD, "t", "solo-0", |o| {
-                    o.spec["node_name"] = serde_json::json!(node)
+                    Rc::make_mut(&mut o.spec)["node_name"] = serde_json::json!(node)
                 })
                 .unwrap();
         };

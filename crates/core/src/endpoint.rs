@@ -190,7 +190,7 @@ impl VniEndpoint {
                         VniCrdSpec {
                             vni: vni.raw(),
                             r#virtual: false,
-                            claim: Some(parent.meta.name.clone()),
+                            claim: Some(parent.meta.name.to_string()),
                         },
                     )],
                 }
@@ -221,7 +221,7 @@ impl VniEndpoint {
                         VniCrdSpec {
                             vni: row.vni,
                             r#virtual: false,
-                            claim: Some(parent.meta.name.clone()),
+                            claim: Some(parent.meta.name.to_string()),
                         },
                     )
                 });
@@ -313,14 +313,14 @@ mod tests {
         let resp = ep.sync_job(&job("t", "j1", "true"), SimTime::ZERO);
         assert_eq!(resp.desired_children.len(), 1);
         let child = &resp.desired_children[0];
-        assert_eq!(child.meta.name, "vni-j1");
-        let spec: VniCrdSpec = serde_json::from_value(child.spec.clone()).unwrap();
+        assert_eq!(&*child.meta.name, "vni-j1");
+        let spec: VniCrdSpec = serde_json::from_value_ref(&child.spec).unwrap();
         assert!(!spec.r#virtual);
         assert_eq!(ep.counters.acquisitions, 1);
         // Re-sync is idempotent (same VNI).
         let resp2 = ep.sync_job(&job("t", "j1", "true"), SimTime::ZERO);
         let spec2: VniCrdSpec =
-            serde_json::from_value(resp2.desired_children[0].spec.clone()).unwrap();
+            serde_json::from_value_ref(&resp2.desired_children[0].spec).unwrap();
         assert_eq!(spec.vni, spec2.vni);
         assert_eq!(ep.db.allocated_count(), 1);
     }
@@ -330,8 +330,8 @@ mod tests {
         let mut ep = endpoint();
         let r1 = ep.sync_job(&job("t", "j1", "true"), SimTime::ZERO);
         let r2 = ep.sync_job(&job("t", "j2", "true"), SimTime::ZERO);
-        let s1: VniCrdSpec = serde_json::from_value(r1.desired_children[0].spec.clone()).unwrap();
-        let s2: VniCrdSpec = serde_json::from_value(r2.desired_children[0].spec.clone()).unwrap();
+        let s1: VniCrdSpec = serde_json::from_value_ref(&r1.desired_children[0].spec).unwrap();
+        let s2: VniCrdSpec = serde_json::from_value_ref(&r2.desired_children[0].spec).unwrap();
         assert_ne!(s1.vni, s2.vni, "per-tenant isolation");
     }
 
@@ -351,12 +351,12 @@ mod tests {
     fn claim_sync_then_job_redemption() {
         let mut ep = endpoint();
         let cr = ep.sync_claim(&claim("t", "shared"), SimTime::ZERO);
-        let cs: VniCrdSpec = serde_json::from_value(cr.desired_children[0].spec.clone()).unwrap();
+        let cs: VniCrdSpec = serde_json::from_value_ref(&cr.desired_children[0].spec).unwrap();
         // Two jobs redeem the claim by name.
         let r1 = ep.sync_job(&job("t", "j1", "shared"), SimTime::ZERO);
         let r2 = ep.sync_job(&job("t", "j2", "shared"), SimTime::ZERO);
-        let s1: VniCrdSpec = serde_json::from_value(r1.desired_children[0].spec.clone()).unwrap();
-        let s2: VniCrdSpec = serde_json::from_value(r2.desired_children[0].spec.clone()).unwrap();
+        let s1: VniCrdSpec = serde_json::from_value_ref(&r1.desired_children[0].spec).unwrap();
+        let s2: VniCrdSpec = serde_json::from_value_ref(&r2.desired_children[0].spec).unwrap();
         assert_eq!(s1.vni, cs.vni, "redeemers share the claim's VNI");
         assert_eq!(s2.vni, cs.vni);
         assert!(s1.r#virtual && s2.r#virtual, "virtual non-owning instances");
@@ -413,9 +413,9 @@ mod tests {
         let mut jobs = EndpointHandle { endpoint: Rc::clone(&ep), role: EndpointRole::Jobs };
         let mut claims = EndpointHandle { endpoint: Rc::clone(&ep), role: EndpointRole::Claims };
         let c = claims.sync(&claim("t", "x"), &[], SimTime::ZERO);
-        assert_eq!(c.desired_children[0].meta.name, "vni-claim-x");
+        assert_eq!(&*c.desired_children[0].meta.name, "vni-claim-x");
         let j = jobs.sync(&job("t", "j", "x"), &[], SimTime::ZERO);
-        assert_eq!(j.desired_children[0].meta.name, "vni-j");
+        assert_eq!(&*j.desired_children[0].meta.name, "vni-j");
         assert_eq!(ep.borrow().db.allocated_count(), 1);
     }
 }

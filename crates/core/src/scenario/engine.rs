@@ -556,7 +556,7 @@ fn drain_ev(sim: &mut Sim<World, Ev>, node_idx: usize) {
         let spec = pod.pod_spec();
         if spec.node_name.as_deref() == Some(name.as_str()) {
             if let Some(job) = &spec.job_name {
-                doomed.insert((pod.meta.namespace.clone(), job.clone()));
+                doomed.insert((pod.meta.namespace.to_string(), job.clone()));
             }
         }
     }

@@ -62,9 +62,9 @@ impl JobTracker {
     pub fn observe(&mut self, api: &ApiServer, now: SimTime) {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
-        for ev in &events {
-            match (ev.object.kind.as_str(), ev.kind) {
-                (k, WatchType::Modified) if k == kinds::POD => {
+        for ev in events {
+            match (ev.object.kind, ev.kind) {
+                (kinds::POD, WatchType::Modified) => {
                     let status = ev.object.pod_status();
                     let Some(started_ns) = status.and_then(|s| s.started_at_ns) else { continue };
                     let Some(job) = &ev.object.pod_spec().job_name else { continue };
@@ -75,7 +75,7 @@ impl JobTracker {
                         }
                     }
                 }
-                (k, WatchType::Deleted) if k == kinds::POD => {
+                (kinds::POD, WatchType::Deleted) => {
                     if let Some(job) = &ev.object.pod_spec().job_name {
                         if let Some(rec) = self.jobs.get_mut(job) {
                             rec.deleted = Some(now);

@@ -7,6 +7,11 @@
 //! objects rather than special cases. Pods and jobs also carry a typed
 //! view of their JSON, decoded once per snapshot (see
 //! [`ApiObject::pod_spec`]).
+//!
+//! A write copies only what it changes and a watcher copies nothing:
+//! names, namespaces, finalizers and specs are shared handles, so a new
+//! snapshot of an object — and every controller key naming it — costs
+//! refcount bumps, not string copies.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -15,13 +20,20 @@ use shs_des::{SimDur, SimTime};
 
 use crate::objects::ViewCell;
 
+/// `(namespace, name)` of an object whose kind the holder knows: the key
+/// every controller indexes its state by. Cloning it is two refcount
+/// bumps, and it orders by content, so a map keyed by it iterates in
+/// (namespace, name) order.
+pub type ObjKey = (Rc<str>, Rc<str>);
+
 /// Object metadata (the `metadata:` block).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObjectMeta {
-    /// Object name, unique within (kind, namespace).
-    pub name: String,
-    /// Namespace (`""` for cluster-scoped objects).
-    pub namespace: String,
+    /// Object name, unique within (kind, namespace); every snapshot of
+    /// the object and every key naming it share this one string.
+    pub name: Rc<str>,
+    /// Namespace (`""` for cluster-scoped objects), shared like `name`.
+    pub namespace: Rc<str>,
     /// Cluster-unique uid, assigned at creation.
     pub uid: u64,
     /// Monotone resource version, bumped on every mutation.
@@ -32,8 +44,9 @@ pub struct ObjectMeta {
     pub labels: BTreeMap<String, String>,
     /// Owner uids (cascade deletion).
     pub owner_uids: Vec<u64>,
-    /// Finalizers blocking physical deletion.
-    pub finalizers: Vec<String>,
+    /// Finalizers blocking physical deletion. A controller pushes the
+    /// one handle it built for its finalizer.
+    pub finalizers: Vec<Rc<str>>,
     /// Set when deletion has been requested.
     pub deletion_requested: bool,
     /// Creation instant (simulated).
@@ -43,12 +56,13 @@ pub struct ObjectMeta {
 /// A stored API object.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApiObject {
-    /// Kind, e.g. `"Job"`, `"Pod"`, `"Vni"`, `"VniClaim"`.
-    pub kind: String,
+    /// Kind: one of the closed [`kinds`](crate::objects::kinds) set.
+    pub kind: &'static str,
     /// Metadata.
     pub meta: ObjectMeta,
-    /// Desired state.
-    pub spec: serde_json::Value,
+    /// Desired state, shared by every snapshot until a write replaces
+    /// it; edit a field through `Rc::make_mut`.
+    pub spec: Rc<serde_json::Value>,
     /// Observed state.
     pub status: serde_json::Value,
     /// The typed pod/job view of `spec` + `status`, decoded on first
@@ -59,18 +73,41 @@ pub struct ApiObject {
 
 impl ApiObject {
     /// Convenience constructor.
-    pub fn new(kind: &str, namespace: &str, name: &str, spec: serde_json::Value) -> Self {
+    pub fn new(kind: &'static str, namespace: &str, name: &str, spec: serde_json::Value) -> Self {
+        ApiObject::with_key(kind, namespace.into(), name.into(), spec)
+    }
+
+    /// [`ApiObject::new`] under names the caller already holds.
+    pub(crate) fn with_key(
+        kind: &'static str,
+        namespace: Rc<str>,
+        name: Rc<str>,
+        spec: serde_json::Value,
+    ) -> Self {
+        let meta = ObjectMeta {
+            name,
+            namespace,
+            uid: 0,
+            resource_version: 0,
+            annotations: BTreeMap::new(),
+            labels: BTreeMap::new(),
+            owner_uids: Vec::new(),
+            finalizers: Vec::new(),
+            deletion_requested: false,
+            created_at_ns: 0,
+        };
         ApiObject {
-            kind: kind.to_string(),
-            meta: ObjectMeta {
-                name: name.to_string(),
-                namespace: namespace.to_string(),
-                ..Default::default()
-            },
-            spec,
+            kind,
+            meta,
+            spec: Rc::new(spec),
             status: serde_json::Value::Null,
             view: ViewCell::default(),
         }
+    }
+
+    /// This object's `(namespace, name)` key: two refcount bumps.
+    pub fn key(&self) -> ObjKey {
+        (Rc::clone(&self.meta.namespace), Rc::clone(&self.meta.name))
     }
 
     /// Annotation lookup.
@@ -81,7 +118,7 @@ impl ApiObject {
     /// `namespace/name` display key.
     pub fn full_name(&self) -> String {
         if self.meta.namespace.is_empty() {
-            self.meta.name.clone()
+            self.meta.name.to_string()
         } else {
             format!("{}/{}", self.meta.namespace, self.meta.name)
         }
@@ -158,29 +195,21 @@ impl Default for ApiParams {
 }
 
 /// `(kind, namespace, name)` of a stored object.
-type Key = (String, String, String);
+type Key = (&'static str, Rc<str>, Rc<str>);
 
 /// One sorted level of [`Objects`].
-type Level<T> = BTreeMap<String, T>;
+type Level<T> = BTreeMap<Rc<str>, T>;
 
 /// The stored objects, nested kind → namespace → name, one sorted map
 /// per level: a borrowed `(&str, &str, &str)` walks down it without
-/// building a key (`String: Borrow<str>`), and a kind's objects iterate
+/// building a key (`Rc<str>: Borrow<str>`), and a kind's objects iterate
 /// in (namespace, name) order — the order of the tuple key it replaced.
-/// Only an insert allocates: the object's name, and the name of any
-/// level it creates. A remove prunes the levels it empties.
+/// The levels are keyed by the object's own name handles, so an insert
+/// copies no string. A remove prunes the levels it empties.
 #[derive(Debug, Default)]
 struct Objects {
-    kinds: Level<Level<Level<Rc<ApiObject>>>>,
+    kinds: BTreeMap<&'static str, Level<Level<Rc<ApiObject>>>>,
     len: usize,
-}
-
-/// `map[key]`, inserted empty first if absent.
-fn level<'m, T: Default>(map: &'m mut Level<T>, key: &str) -> &'m mut T {
-    if !map.contains_key(key) {
-        map.insert(key.to_owned(), T::default());
-    }
-    map.get_mut(key).expect("just inserted")
 }
 
 impl Objects {
@@ -194,9 +223,13 @@ impl Objects {
 
     /// Store `obj`, which must be new, under its own key.
     fn insert(&mut self, obj: Rc<ApiObject>) {
-        let namespaces = level(&mut self.kinds, &obj.kind);
-        let names = level(namespaces, &obj.meta.namespace);
-        let old = names.insert(obj.meta.name.clone(), obj);
+        let names = self
+            .kinds
+            .entry(obj.kind)
+            .or_default()
+            .entry(Rc::clone(&obj.meta.namespace))
+            .or_default();
+        let old = names.insert(Rc::clone(&obj.meta.name), obj);
         assert!(old.is_none(), "insert over a stored object");
         self.len += 1;
     }
@@ -240,9 +273,7 @@ impl Objects {
 /// Where `kind/namespace/name` is, or would go, in an owner's sorted
 /// child list — compared as borrowed strings, so no key is built.
 fn child_slot(children: &[Key], kind: &str, namespace: &str, name: &str) -> Result<usize, usize> {
-    children.binary_search_by(|(k, ns, n)| {
-        (k.as_str(), ns.as_str(), n.as_str()).cmp(&(kind, namespace, name))
-    })
+    children.binary_search_by(|(k, ns, n)| (*k, &**ns, &**n).cmp(&(kind, namespace, name)))
 }
 
 /// The API server.
@@ -303,12 +334,12 @@ impl ApiServer {
         self.events.push(WatchEvent { rv, kind, object });
     }
 
-    /// Move object `kind/namespace/name` in the owner index from the
-    /// `old` owner list to `new`.
-    fn reindex(&mut self, kind: &str, namespace: &str, name: &str, old: &[u64], new: &[u64]) {
+    /// Move `obj` in the owner index from the `old` owner list to `new`.
+    fn reindex(&mut self, obj: &ApiObject, old: &[u64], new: &[u64]) {
         if old == new {
             return;
         }
+        let (kind, namespace, name) = (obj.kind, &*obj.meta.namespace, &*obj.meta.name);
         for uid in old {
             if let Some(children) = self.owned.get_mut(uid) {
                 if let Ok(i) = child_slot(children, kind, namespace, name) {
@@ -322,7 +353,8 @@ impl ApiServer {
         for &uid in new {
             let children = self.owned.entry(uid).or_default();
             if let Err(i) = child_slot(children, kind, namespace, name) {
-                children.insert(i, (kind.to_owned(), namespace.to_owned(), name.to_owned()));
+                let (ns, n) = obj.key();
+                children.insert(i, (kind, ns, n));
             }
         }
     }
@@ -330,7 +362,7 @@ impl ApiServer {
     /// Create an object; assigns uid and resource version.
     pub fn create(&mut self, mut obj: ApiObject, now: SimTime) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        if self.objects.get(&obj.kind, &obj.meta.namespace, &obj.meta.name).is_some() {
+        if self.objects.get(obj.kind, &obj.meta.namespace, &obj.meta.name).is_some() {
             return Err(ApiError::AlreadyExists);
         }
         obj.meta.uid = self.next_uid;
@@ -340,7 +372,7 @@ impl ApiServer {
         obj.meta.deletion_requested = false;
         obj.view.clear();
         let obj = Rc::new(obj);
-        self.reindex(&obj.kind, &obj.meta.namespace, &obj.meta.name, &[], &obj.meta.owner_uids);
+        self.reindex(&obj, &[], &obj.meta.owner_uids);
         self.objects.insert(Rc::clone(&obj));
         self.emit(WatchType::Added, Rc::clone(&obj));
         Ok(obj)
@@ -374,10 +406,10 @@ impl ApiServer {
     /// snapshots, so a reconcile can write while it holds them.
     pub fn owned_by_rc(&self, uid: u64, kind: &str) -> Vec<Rc<ApiObject>> {
         let Some(children) = self.owned.get(&uid) else { return Vec::new() };
-        let first = children.partition_point(|(k, _, _)| k.as_str() < kind);
+        let first = children.partition_point(|(k, _, _)| *k < kind);
         children[first..]
             .iter()
-            .take_while(|(k, _, _)| k == kind)
+            .take_while(|(k, _, _)| *k == kind)
             .map(|(_, ns, n)| {
                 Rc::clone(self.objects.get(kind, ns, n).expect("indexed objects are stored"))
             })
@@ -390,7 +422,7 @@ impl ApiServer {
         self.requests += 1;
         let current = self
             .objects
-            .get(&obj.kind, &obj.meta.namespace, &obj.meta.name)
+            .get(obj.kind, &obj.meta.namespace, &obj.meta.name)
             .ok_or(ApiError::NotFound)?;
         if current.meta.resource_version != obj.meta.resource_version {
             return Err(ApiError::Conflict);
@@ -401,35 +433,34 @@ impl ApiServer {
         obj.meta.resource_version = self.bump();
         obj.view.clear();
         let obj = Rc::new(obj);
-        let (kind, namespace, name) = (&obj.kind, &obj.meta.namespace, &obj.meta.name);
+        let (kind, namespace, name) = (obj.kind, &*obj.meta.namespace, &*obj.meta.name);
         let slot = self.objects.get_mut(kind, namespace, name).expect("checked above");
         let old = std::mem::replace(slot, Rc::clone(&obj));
-        self.reindex(kind, namespace, name, &old.meta.owner_uids, &obj.meta.owner_uids);
+        self.reindex(&obj, &old.meta.owner_uids, &obj.meta.owner_uids);
         self.emit(WatchType::Modified, Rc::clone(&obj));
         self.maybe_reap(kind, namespace, name);
         Ok(obj)
     }
 
-    /// Apply `f` to the stored object under a fresh resource version,
-    /// emit the Modified event, and reap if that cleared the way. The
-    /// previous snapshot, decoded view and all, stays with the events
-    /// that carry it.
+    /// Store `next(stored)` under a fresh resource version, emit the
+    /// Modified event, and reap if that cleared the way. The previous
+    /// snapshot, decoded view and all, stays with the events that carry
+    /// it; the new one shares every handle `next` did not replace.
     fn write(
         &mut self,
         kind: &str,
         namespace: &str,
         name: &str,
-        f: impl FnOnce(&mut ApiObject),
+        next: impl FnOnce(&ApiObject) -> ApiObject,
     ) -> Result<Rc<ApiObject>, ApiError> {
         let slot = self.objects.get_mut(kind, namespace, name).ok_or(ApiError::NotFound)?;
-        let before = Rc::clone(slot);
-        let obj = Rc::make_mut(slot);
-        f(obj);
+        let mut obj = next(slot);
         obj.view.clear();
         obj.meta.resource_version = self.next_rv;
         self.next_rv += 1;
-        let snapshot = Rc::clone(slot);
-        self.reindex(kind, namespace, name, &before.meta.owner_uids, &snapshot.meta.owner_uids);
+        let snapshot = Rc::new(obj);
+        let before = std::mem::replace(slot, Rc::clone(&snapshot));
+        self.reindex(&snapshot, &before.meta.owner_uids, &snapshot.meta.owner_uids);
         self.emit(WatchType::Modified, Rc::clone(&snapshot));
         self.maybe_reap(kind, namespace, name);
         Ok(snapshot)
@@ -445,7 +476,32 @@ impl ApiServer {
         f: impl FnOnce(&mut ApiObject),
     ) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        self.write(kind, namespace, name, f)
+        self.write(kind, namespace, name, |o| {
+            let mut o = o.clone();
+            f(&mut o);
+            o
+        })
+    }
+
+    /// Replace an object's status: Kubernetes' `/status` subresource.
+    /// Request, resource version, event and reaping are exactly those of
+    /// `mutate(|o| o.status = status)`, but the old status is not copied
+    /// and the new snapshot shares the stored spec.
+    pub fn set_status(
+        &mut self,
+        kind: &str,
+        namespace: &str,
+        name: &str,
+        status: serde_json::Value,
+    ) -> Result<Rc<ApiObject>, ApiError> {
+        self.requests += 1;
+        self.write(kind, namespace, name, |o| ApiObject {
+            kind: o.kind,
+            meta: o.meta.clone(),
+            spec: Rc::clone(&o.spec),
+            status,
+            view: ViewCell::default(),
+        })
     }
 
     /// Request deletion. With finalizers present the object enters the
@@ -455,7 +511,11 @@ impl ApiServer {
         self.requests += 1;
         let obj = self.objects.get(kind, namespace, name).ok_or(ApiError::NotFound)?;
         if !obj.meta.deletion_requested {
-            self.write(kind, namespace, name, |o| o.meta.deletion_requested = true)?;
+            self.write(kind, namespace, name, |o| {
+                let mut o = o.clone();
+                o.meta.deletion_requested = true;
+                o
+            })?;
         }
         Ok(()) // idempotent while terminating
     }
@@ -470,7 +530,7 @@ impl ApiServer {
         finalizer: &str,
     ) -> Result<(), ApiError> {
         self.mutate(kind, namespace, name, |o| {
-            o.meta.finalizers.retain(|f| f != finalizer);
+            o.meta.finalizers.retain(|f| &**f != finalizer);
         })
         .map(|_| ())
     }
@@ -479,12 +539,12 @@ impl ApiServer {
         let Some(obj) = self.objects.get(kind, namespace, name) else { return };
         if obj.meta.deletion_requested && obj.meta.finalizers.is_empty() {
             let obj = self.objects.remove(kind, namespace, name).expect("present");
-            self.reindex(kind, namespace, name, &obj.meta.owner_uids, &[]);
+            self.reindex(&obj, &obj.meta.owner_uids, &[]);
             // Cascade: delete children owned by this uid, in key order.
             let children = self.owned.get(&obj.meta.uid).cloned().unwrap_or_default();
             self.emit(WatchType::Deleted, obj);
             for (k, ns, n) in children {
-                let _ = self.delete(&k, &ns, &n);
+                let _ = self.delete(k, &ns, &n);
             }
         }
     }
@@ -495,18 +555,19 @@ impl ApiServer {
     /// sees every event after it, in order; a cursor below it panics —
     /// Kubernetes answers "resourceVersion too old" — because the reader
     /// would silently miss events. The log is sorted by rv, so resumption
-    /// is a binary search plus a (usually tiny) tail of shared snapshot
-    /// handles.
+    /// is a binary search, and the events are a borrowed tail of the log
+    /// itself: a reader copies nothing, and one that writes before it is
+    /// done with them must first keep what it needs.
     ///
     /// [`compact`]: Self::compact
-    pub fn events_since(&self, since: u64) -> (Vec<WatchEvent>, u64) {
+    pub fn events_since(&self, since: u64) -> (&[WatchEvent], u64) {
         assert!(
             since >= self.compacted_through,
             "resourceVersion {since} too old: the watch log is compacted through {}",
             self.compacted_through
         );
         let start = self.events.partition_point(|e| e.rv <= since);
-        let evs: Vec<WatchEvent> = self.events[start..].to_vec();
+        let evs = &self.events[start..];
         let latest = evs.last().map_or(since, |e| e.rv);
         (evs, latest)
     }
@@ -563,11 +624,11 @@ mod tests {
         let obj = api.create(ApiObject::new("Job", "ns", "a", json!({})), SimTime::ZERO).unwrap();
         let mut stale = (*obj).clone();
         let mut fresh = stale.clone();
-        fresh.spec = json!({"v": 1});
+        fresh.spec = Rc::new(json!({"v": 1}));
         let fresh = api.update(fresh).unwrap();
-        stale.spec = json!({"v": 2});
+        stale.spec = Rc::new(json!({"v": 2}));
         assert_eq!(api.update(stale).unwrap_err(), ApiError::Conflict);
-        assert_eq!(api.get("Job", "ns", "a").unwrap().spec, json!({"v": 1}));
+        assert_eq!(*api.get("Job", "ns", "a").unwrap().spec, json!({"v": 1}));
         assert!(fresh.meta.resource_version > 1);
     }
 
@@ -625,7 +686,7 @@ mod tests {
         api.create(ApiObject::new("Pod", "ns", "b", json!({})), SimTime::ZERO).unwrap();
         let (evs2, rv2) = api.events_since(rv1);
         assert_eq!(evs2.len(), 1);
-        assert_eq!(evs2[0].object.meta.name, "b");
+        assert_eq!(&*evs2[0].object.meta.name, "b");
         assert!(rv2 > rv1);
         let (evs3, _) = api.events_since(rv2);
         assert!(evs3.is_empty());

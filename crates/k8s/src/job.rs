@@ -3,21 +3,30 @@
 //! admission experiments delete jobs "immediately after completion").
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use shs_des::SimTime;
 
-use crate::api::{ApiObject, ApiServer, WatchType};
+use crate::api::{ApiObject, ApiServer, ObjKey, WatchType};
 use crate::objects::{kinds, PodPhase, PodSpec};
 
 /// Finalizer owned by the kubelet on every pod it must tear down.
 pub const KUBELET_FINALIZER: &str = "kubelet.simk8s/teardown";
 
 /// The job controller.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct JobController {
     last_rv: u64,
+    /// [`KUBELET_FINALIZER`], built once and shared by every pod.
+    finalizer: Rc<str>,
     /// Jobs seen → pods created (diagnostics).
     pub pods_created: u64,
+}
+
+impl Default for JobController {
+    fn default() -> Self {
+        JobController { last_rv: 0, finalizer: KUBELET_FINALIZER.into(), pods_created: 0 }
+    }
 }
 
 impl JobController {
@@ -36,19 +45,22 @@ impl JobController {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
 
-        // Collect job keys that need reconciling.
-        let mut dirty: BTreeSet<(String, String)> = BTreeSet::new();
-        for ev in &events {
-            match ev.object.kind.as_str() {
-                k if k == kinds::JOB => {
-                    dirty.insert((ev.object.meta.namespace.clone(), ev.object.meta.name.clone()));
+        // Collect job keys that need reconciling. A pod names its job
+        // by a decoded string; the stored job lends its key, and a pod
+        // of no stored job (a service's) has nothing to reconcile.
+        let mut dirty: BTreeSet<ObjKey> = BTreeSet::new();
+        for ev in events {
+            match ev.object.kind {
+                kinds::JOB => {
+                    dirty.insert(ev.object.key());
                 }
-                k if k == kinds::POD
-                    && !matches!(ev.kind, WatchType::Deleted) => {
-                        if let Some(job) = &ev.object.pod_spec().job_name {
-                            dirty.insert((ev.object.meta.namespace.clone(), job.clone()));
-                        }
+                kinds::POD if ev.kind != WatchType::Deleted => {
+                    let ns = &ev.object.meta.namespace;
+                    let Some(job) = &ev.object.pod_spec().job_name else { continue };
+                    if let Some(job) = api.get(kinds::JOB, ns, job) {
+                        dirty.insert(job.key());
                     }
+                }
                 _ => {}
             }
         }
@@ -68,7 +80,6 @@ impl JobController {
 
         // Existing pods of this job, from the owner index.
         let pods = api.owned_by_rc(job.meta.uid, kinds::POD);
-        let existing: BTreeSet<&str> = pods.iter().map(|p| p.meta.name.as_str()).collect();
         let succeeded =
             pods.iter().filter(|p| p.pod_phase() == PodPhase::Succeeded).count() as u32;
         let failed = pods.iter().any(|p| p.pod_phase() == PodPhase::Failed);
@@ -76,7 +87,7 @@ impl JobController {
         // Create missing pods.
         for i in 0..spec.parallelism {
             let pod_name = format!("{job_name}-{i}");
-            if existing.contains(pod_name.as_str()) {
+            if pods.iter().any(|p| *p.meta.name == *pod_name) {
                 continue;
             }
             let pod_spec = PodSpec {
@@ -89,14 +100,14 @@ impl JobController {
                 node_selector: spec.template.node_selector.clone(),
                 termination_grace_period_secs: 30,
             };
-            let mut pod = ApiObject::new(
+            let mut pod = ApiObject::with_key(
                 kinds::POD,
-                ns,
-                &pod_name,
+                Rc::clone(&job.meta.namespace),
+                pod_name.into(),
                 serde_json::to_value(pod_spec).expect("PodSpec serializes"),
             );
             pod.meta.owner_uids.push(job.meta.uid);
-            pod.meta.finalizers.push(KUBELET_FINALIZER.to_string());
+            pod.meta.finalizers.push(Rc::clone(&self.finalizer));
             // Pods inherit the job's annotations — the CXI CNI plugin
             // reads the `vni` annotation from the pod's metadata (§III-B).
             pod.meta.annotations = job.meta.annotations.clone();
@@ -114,7 +125,7 @@ impl JobController {
                 status.completed_at_ns = Some(now.as_nanos());
             }
             let st = serde_json::to_value(&status).expect("JobStatus serializes");
-            let _ = api.mutate(kinds::JOB, ns, job_name, |o| o.status = st);
+            let _ = api.set_status(kinds::JOB, ns, job_name, st);
         }
 
         // TTL-after-finished: delete completed jobs.
@@ -167,7 +178,7 @@ mod tests {
         assert_eq!(pods.len(), 2);
         for p in pods {
             assert!(p.meta.owner_uids.contains(&job.meta.uid));
-            assert!(p.meta.finalizers.contains(&KUBELET_FINALIZER.to_string()));
+            assert!(p.meta.finalizers.iter().any(|f| &**f == KUBELET_FINALIZER));
             assert_eq!(p.annotation("vni"), Some("true"));
             assert_eq!(p.pod_spec().spread_key.as_deref(), Some("ns/j"));
         }

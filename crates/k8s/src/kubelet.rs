@@ -17,7 +17,7 @@ use std::rc::Rc;
 use shs_des::{SimDur, SimTime};
 use shs_oslinux::NetNsId;
 
-use crate::api::{ApiObject, ApiServer, WatchType};
+use crate::api::{ApiObject, ApiServer, ObjKey, WatchType};
 use crate::job::KUBELET_FINALIZER;
 use crate::objects::{kinds, PodPhase, PodStatus};
 
@@ -80,8 +80,6 @@ impl Default for KubeletParams {
         }
     }
 }
-
-type PodKey = (String, String); // namespace, name
 
 #[derive(Debug, Clone, PartialEq)]
 enum Stage {
@@ -149,9 +147,9 @@ pub struct Kubelet {
     pub node: String,
     params: KubeletParams,
     last_rv: u64,
-    work: BTreeMap<(String, String), PodWork>,
-    setup_q: VecDeque<(String, String)>,
-    teardown_q: VecDeque<(String, String)>,
+    work: BTreeMap<ObjKey, PodWork>,
+    setup_q: VecDeque<ObjKey>,
+    teardown_q: VecDeque<ObjKey>,
     /// Exact instants at which idle setup-pool slots became free. Slots
     /// are released at exact stage-completion times (not tick
     /// boundaries), so back-to-back pipelines chain without quantization
@@ -164,7 +162,7 @@ pub struct Kubelet {
     /// pods [`Self::advance_stages`] looks at are those with an entry
     /// that has come due. Entries whose pod has since moved on or gone
     /// are dropped when they surface.
-    deadlines: BinaryHeap<Reverse<(SimTime, PodKey)>>,
+    deadlines: BinaryHeap<Reverse<(SimTime, ObjKey)>>,
     /// Pods `advance_stages` looked at (diagnostics): grows with due
     /// deadlines, not with tracked pods.
     pub stage_visits: u64,
@@ -227,6 +225,10 @@ impl Kubelet {
     fn ingest_events(&mut self, api: &mut ApiServer, now: SimTime) {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
+        // Finalizers of pods that never started here, released once the
+        // borrowed events are done with: nothing else ingest does writes,
+        // so the writes land in the order they were decided.
+        let mut release: Vec<ObjKey> = Vec::new();
         for ev in events {
             if ev.object.kind != kinds::POD {
                 continue;
@@ -234,7 +236,7 @@ impl Kubelet {
             if ev.object.pod_spec().node_name.as_deref() != Some(self.node.as_str()) {
                 continue;
             }
-            let key = (ev.object.meta.namespace.clone(), ev.object.meta.name.clone());
+            let key = ev.object.key();
             match ev.kind {
                 WatchType::Added | WatchType::Modified => {
                     let terminating = ev.object.meta.deletion_requested;
@@ -242,12 +244,7 @@ impl Kubelet {
                         None => {
                             if terminating {
                                 // Never started here: just release our finalizer.
-                                let _ = api.remove_finalizer(
-                                    kinds::POD,
-                                    &key.0,
-                                    &key.1,
-                                    KUBELET_FINALIZER,
-                                );
+                                release.push(key);
                                 continue;
                             }
                             self.work.insert(
@@ -301,6 +298,9 @@ impl Kubelet {
                 }
             }
         }
+        for (ns, name) in release {
+            let _ = api.remove_finalizer(kinds::POD, &ns, &name, KUBELET_FINALIZER);
+        }
     }
 
     fn advance_stages<B: NodeBackend>(
@@ -310,7 +310,7 @@ impl Kubelet {
         now: SimTime,
     ) -> bool {
         let mut progressed = false;
-        let mut due: Vec<PodKey> = Vec::new();
+        let mut due: Vec<ObjKey> = Vec::new();
         while self.deadlines.peek().is_some_and(|Reverse((t, _))| *t <= now) {
             let Reverse((_, key)) = self.deadlines.pop().expect("peeked");
             due.push(key);
@@ -536,7 +536,7 @@ impl Kubelet {
 
     fn write_phase(
         api: &mut ApiServer,
-        key: &(String, String),
+        key: &ObjKey,
         phase: PodPhase,
         started_at_ns: Option<u64>,
         message: Option<String>,
@@ -555,7 +555,7 @@ impl Kubelet {
             st.message = message;
         }
         let st = serde_json::to_value(st).expect("PodStatus serializes");
-        let _ = api.mutate(kinds::POD, &key.0, &key.1, |o| o.status = st);
+        let _ = api.set_status(kinds::POD, &key.0, &key.1, st);
     }
 }
 
@@ -610,7 +610,7 @@ mod tests {
             name,
             json!({"image": "alpine", "run_ms": run_ms, "node_name": "n0"}),
         );
-        pod.meta.finalizers.push(KUBELET_FINALIZER.to_string());
+        pod.meta.finalizers.push(KUBELET_FINALIZER.into());
         pod
     }
 
@@ -649,7 +649,7 @@ mod tests {
         let mut kubelet = Kubelet::new("n0", KubeletParams::default());
         let mut backend = MockBackend::default();
         let mut pod = bound_pod("p", Some(1));
-        pod.spec["node_name"] = json!("other-node");
+        Rc::make_mut(&mut pod.spec)["node_name"] = json!("other-node");
         api.create(pod, SimTime::ZERO).unwrap();
         run(&mut kubelet, &mut api, &mut backend, 500);
         assert_eq!(kubelet.tracked(), 0);

@@ -25,7 +25,9 @@ pub mod pleg;
 pub mod scheduler;
 pub mod service;
 
-pub use api::{ApiError, ApiObject, ApiParams, ApiServer, ObjectMeta, WatchEvent, WatchType};
+pub use api::{
+    ApiError, ApiObject, ApiParams, ApiServer, ObjKey, ObjectMeta, WatchEvent, WatchType,
+};
 pub use job::{JobController, KUBELET_FINALIZER};
 pub use pleg::{GroupSnapshot, Pleg, PlegSnapshot};
 pub use kubelet::{CniAddOutcome, Kubelet, KubeletCounters, KubeletParams, NodeBackend};

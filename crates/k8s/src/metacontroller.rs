@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use shs_des::{SimDur, SimTime};
 
-use crate::api::{ApiObject, ApiServer, WatchType};
+use crate::api::{ApiObject, ApiServer, ObjKey, WatchType};
 
 /// Response of the `/sync` hook: the full desired set of children for
 /// this parent (apply semantics — missing ones are created, undesired
@@ -64,11 +64,11 @@ pub struct DecoratorConfig {
     /// Controller name (used in the finalizer).
     pub name: String,
     /// Parent kind to watch (e.g. `Job`).
-    pub parent_kind: String,
+    pub parent_kind: &'static str,
     /// Only parents carrying this annotation key are in scope.
     pub annotation_filter: Option<String>,
     /// Kind of the managed children (e.g. `Vni`).
-    pub child_kind: String,
+    pub child_kind: &'static str,
     /// Per-webhook-call latency (HTTP round trip + handler).
     pub webhook_latency: SimDur,
     /// Re-enqueue every known parent on this period (`None` = event-driven
@@ -94,13 +94,15 @@ pub struct DecoratorCounters {
 #[derive(Debug)]
 pub struct Metacontroller<H: DecoratorHooks> {
     config: DecoratorConfig,
+    /// The finalizer this controller owns on its parents, built once.
+    finalizer: Rc<str>,
     /// The webhook backend.
     pub hooks: H,
     last_rv: u64,
-    queue: VecDeque<((String, String), SimTime)>,
-    queued: BTreeSet<(String, String)>,
+    queue: VecDeque<(ObjKey, SimTime)>,
+    queued: BTreeSet<ObjKey>,
     /// uid -> parent key index for routing child events.
-    parent_by_uid: BTreeMap<u64, (String, String)>,
+    parent_by_uid: BTreeMap<u64, ObjKey>,
     busy_until: SimTime,
     last_resync: SimTime,
     /// Counters.
@@ -110,8 +112,10 @@ pub struct Metacontroller<H: DecoratorHooks> {
 impl<H: DecoratorHooks> Metacontroller<H> {
     /// Build a controller.
     pub fn new(config: DecoratorConfig, hooks: H) -> Self {
+        let finalizer = format!("metacontroller.io/decorator-{}", config.name).into();
         Metacontroller {
             config,
+            finalizer,
             hooks,
             last_rv: 0,
             queue: VecDeque::new(),
@@ -124,8 +128,8 @@ impl<H: DecoratorHooks> Metacontroller<H> {
     }
 
     /// The finalizer this controller owns on its parents.
-    pub fn finalizer(&self) -> String {
-        format!("metacontroller.io/decorator-{}", self.config.name)
+    pub fn finalizer(&self) -> &Rc<str> {
+        &self.finalizer
     }
 
     /// The rv this controller has consumed the watch log through.
@@ -147,7 +151,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
                 .is_none_or(|key| obj.meta.annotations.contains_key(key))
     }
 
-    fn enqueue(&mut self, key: (String, String), at: SimTime) {
+    fn enqueue(&mut self, key: ObjKey, at: SimTime) {
         if self.queued.insert(key.clone()) {
             self.queue.push_back((key, at));
         }
@@ -162,9 +166,9 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         // Ingest events.
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
-        for ev in &events {
+        for ev in events {
             if self.in_scope(&ev.object) {
-                let key = (ev.object.meta.namespace.clone(), ev.object.meta.name.clone());
+                let key = ev.object.key();
                 match ev.kind {
                     WatchType::Deleted => {
                         self.parent_by_uid.remove(&ev.object.meta.uid);
@@ -189,7 +193,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         if let Some(period) = self.config.resync_period {
             if now >= self.last_resync + period {
                 self.last_resync = now;
-                let keys: Vec<(String, String)> = self.parent_by_uid.values().cloned().collect();
+                let keys: Vec<ObjKey> = self.parent_by_uid.values().cloned().collect();
                 for key in keys {
                     self.enqueue(key, now);
                 }
@@ -209,24 +213,23 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         }
     }
 
-    fn reconcile(&mut self, api: &mut ApiServer, key: &(String, String), now: SimTime) {
-        let Some(parent) = api.get_rc(&self.config.parent_kind, &key.0, &key.1) else {
+    fn reconcile(&mut self, api: &mut ApiServer, key: &ObjKey, now: SimTime) {
+        let Some(parent) = api.get_rc(self.config.parent_kind, &key.0, &key.1) else {
             return;
         };
         if !self.in_scope(&parent) {
             return;
         }
-        let finalizer = self.finalizer();
 
         // Ensure our finalizer on live parents.
-        if !parent.meta.deletion_requested && !parent.meta.finalizers.contains(&finalizer) {
-            let _ = api.mutate(&parent.kind, &key.0, &key.1, |o| {
-                o.meta.finalizers.push(finalizer.clone());
+        if !parent.meta.deletion_requested && !parent.meta.finalizers.contains(&self.finalizer) {
+            let _ = api.mutate(parent.kind, &key.0, &key.1, |o| {
+                o.meta.finalizers.push(Rc::clone(&self.finalizer));
             });
         }
 
         // Observed children owned by this parent.
-        let children = api.owned_by_rc(parent.meta.uid, &self.config.child_kind);
+        let children = api.owned_by_rc(parent.meta.uid, self.config.child_kind);
 
         // Call the webhook (the serial latency was charged by `poll`).
         let (desired, finalized) = if parent.meta.deletion_requested {
@@ -240,19 +243,17 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         };
 
         // Apply semantics.
-        let desired_names: BTreeSet<String> =
-            desired.iter().map(|c| c.meta.name.clone()).collect();
         for child in &children {
-            if !desired_names.contains(&child.meta.name) {
-                let _ = api.delete(&self.config.child_kind, &key.0, &child.meta.name);
+            if !desired.iter().any(|c| c.meta.name == child.meta.name) {
+                let _ = api.delete(self.config.child_kind, &key.0, &child.meta.name);
                 self.counters.children_deleted += 1;
             }
         }
         for mut child in desired {
-            child.kind = self.config.child_kind.clone();
-            child.meta.namespace = key.0.clone();
+            child.kind = self.config.child_kind;
+            child.meta.namespace = Rc::clone(&key.0);
             child.meta.owner_uids = vec![parent.meta.uid];
-            match api.get_rc(&self.config.child_kind, &key.0, &child.meta.name) {
+            match api.get_rc(self.config.child_kind, &key.0, &child.meta.name) {
                 None => {
                     if api.create(child, now).is_ok() {
                         self.counters.children_created += 1;
@@ -260,8 +261,8 @@ impl<H: DecoratorHooks> Metacontroller<H> {
                 }
                 Some(cur) => {
                     if cur.spec != child.spec {
-                        let _ = api.mutate(&self.config.child_kind, &key.0, &cur.meta.name, |o| {
-                            o.spec = child.spec.clone();
+                        let _ = api.mutate(self.config.child_kind, &key.0, &cur.meta.name, |o| {
+                            o.spec = Rc::clone(&child.spec);
                         });
                     }
                 }
@@ -269,7 +270,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         }
 
         if finalized == Some(true) {
-            let _ = api.remove_finalizer(&parent.kind, &key.0, &key.1, &finalizer);
+            let _ = api.remove_finalizer(parent.kind, &key.0, &key.1, &self.finalizer);
         }
     }
 }
@@ -314,9 +315,9 @@ mod tests {
     fn config() -> DecoratorConfig {
         DecoratorConfig {
             name: "vni".into(),
-            parent_kind: "Job".into(),
+            parent_kind: "Job",
             annotation_filter: Some("vni".into()),
-            child_kind: "Vni".into(),
+            child_kind: "Vni",
             webhook_latency: SimDur::from_millis(10),
             resync_period: None,
         }
@@ -340,7 +341,7 @@ mod tests {
         assert!(api.get("Vni", "ns", "vni-j1").is_some());
         assert!(api.get("Vni", "ns", "vni-plain").is_none(), "filter by annotation");
         let job = api.get("Job", "ns", "j1").unwrap();
-        assert!(job.meta.finalizers.contains(&mc.finalizer()));
+        assert!(job.meta.finalizers.contains(mc.finalizer()));
         assert_eq!(mc.counters.sync_calls, 1);
         // Child carries owner reference.
         let child = api.get("Vni", "ns", "vni-j1").unwrap();

@@ -211,7 +211,7 @@ impl fmt::Debug for ViewCell {
 /// another kind.
 impl ApiObject {
     fn view(&self) -> &View {
-        self.view.0.get_or_init(|| match self.kind.as_str() {
+        self.view.0.get_or_init(|| match self.kind {
             kinds::POD => View::Pod { spec: spec_of(self), status: status_of(self) },
             kinds::JOB => View::Job { spec: spec_of(self), status: status_of(self) },
             other => panic!("{other} {} has no typed view", self.full_name()),

@@ -16,18 +16,20 @@
 //! is byte-identical to a full pod scan ([`Pleg::scan`]).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use serde::Serialize;
 
-use crate::api::{ApiObject, ApiServer, WatchType};
+use crate::api::{ApiObject, ApiServer, ObjKey, WatchType};
 use crate::objects::{kinds, PodPhase};
 
 /// Cached state of one live pod (what the watch stream last showed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PodRecord {
     phase: PodPhase,
-    /// The pod's manager (`spec.job_name`), shared by jobs and services.
-    group: Option<String>,
+    /// The pod's manager (`spec.job_name`), shared by jobs and services;
+    /// one handle for every record of the pod that names the same group.
+    group: Option<Rc<str>>,
     started_at_ns: Option<u64>,
     deletion_requested: bool,
 }
@@ -36,11 +38,11 @@ struct PodRecord {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct GroupState {
     /// Live member pod names (any phase, including terminating).
-    members: BTreeSet<String>,
+    members: BTreeSet<Rc<str>>,
     /// Ready member names: Running and not terminating.
-    ready: BTreeSet<String>,
+    ready: BTreeSet<Rc<str>>,
     /// Start instants of members that have started.
-    started: BTreeMap<String, u64>,
+    started: BTreeMap<Rc<str>, u64>,
 }
 
 /// A serializable summary of everything the cache answers; the proptest
@@ -77,9 +79,11 @@ fn phase_idx(phase: PodPhase) -> usize {
 #[derive(Debug, Default)]
 pub struct Pleg {
     last_rv: u64,
-    pods: BTreeMap<(String, String), PodRecord>,
+    pods: BTreeMap<ObjKey, PodRecord>,
     phase_counts: [u64; 4],
-    groups: BTreeMap<(String, String), GroupState>,
+    /// Groups by namespace, then group name: a read looks a borrowed
+    /// `(namespace, group)` up without building a key.
+    groups: BTreeMap<Rc<str>, BTreeMap<Rc<str>, GroupState>>,
     /// Watch events consumed (diagnostics).
     pub events_observed: u64,
 }
@@ -104,10 +108,10 @@ impl Pleg {
                 continue;
             }
             self.events_observed += 1;
-            let key = (ev.object.meta.namespace.clone(), ev.object.meta.name.clone());
+            let key = ev.object.key();
             match ev.kind {
                 WatchType::Added | WatchType::Modified => {
-                    let record = record_of(&ev.object);
+                    let record = record_of(&ev.object, self.pods.get(&key));
                     let old = self.pods.insert(key.clone(), record.clone());
                     self.apply(&key, old.as_ref(), Some(&record));
                 }
@@ -120,17 +124,21 @@ impl Pleg {
     }
 
     /// Retire `old`'s contribution and add `new`'s.
-    fn apply(&mut self, key: &(String, String), old: Option<&PodRecord>, new: Option<&PodRecord>) {
+    fn apply(&mut self, (ns, name): &ObjKey, old: Option<&PodRecord>, new: Option<&PodRecord>) {
         if let Some(old) = old {
             self.phase_counts[phase_idx(old.phase)] -= 1;
             if let Some(group) = &old.group {
-                let gkey = (key.0.clone(), group.clone());
-                if let Some(g) = self.groups.get_mut(&gkey) {
-                    g.members.remove(&key.1);
-                    g.ready.remove(&key.1);
-                    g.started.remove(&key.1);
-                    if g.members.is_empty() {
-                        self.groups.remove(&gkey);
+                if let Some(groups) = self.groups.get_mut(ns) {
+                    if let Some(g) = groups.get_mut(group) {
+                        g.members.remove(name);
+                        g.ready.remove(name);
+                        g.started.remove(name);
+                        if g.members.is_empty() {
+                            groups.remove(group);
+                        }
+                    }
+                    if groups.is_empty() {
+                        self.groups.remove(ns);
                     }
                 }
             }
@@ -138,17 +146,25 @@ impl Pleg {
         if let Some(new) = new {
             self.phase_counts[phase_idx(new.phase)] += 1;
             if let Some(group) = &new.group {
-                let gkey = (key.0.clone(), group.clone());
-                let g = self.groups.entry(gkey).or_default();
-                g.members.insert(key.1.clone());
+                let g = self
+                    .groups
+                    .entry(Rc::clone(ns))
+                    .or_default()
+                    .entry(Rc::clone(group))
+                    .or_default();
+                g.members.insert(Rc::clone(name));
                 if new.phase == PodPhase::Running && !new.deletion_requested {
-                    g.ready.insert(key.1.clone());
+                    g.ready.insert(Rc::clone(name));
                 }
                 if let Some(t) = new.started_at_ns {
-                    g.started.insert(key.1.clone(), t);
+                    g.started.insert(Rc::clone(name), t);
                 }
             }
         }
+    }
+
+    fn group(&self, namespace: &str, group: &str) -> Option<&GroupState> {
+        self.groups.get(namespace)?.get(group)
     }
 
     /// Pods currently in `phase` — O(1), independent of pod count.
@@ -164,39 +180,30 @@ impl Pleg {
     /// Ready pod names of a group (Running, not terminating), sorted.
     /// Empty when the group has no ready pods.
     pub fn ready(&self, namespace: &str, group: &str) -> Vec<String> {
-        self.groups
-            .get(&(namespace.to_string(), group.to_string()))
-            .map(|g| g.ready.iter().cloned().collect())
+        self.group(namespace, group)
+            .map(|g| g.ready.iter().map(|n| n.to_string()).collect())
             .unwrap_or_default()
     }
 
     /// Number of ready pods in a group.
     pub fn ready_count(&self, namespace: &str, group: &str) -> usize {
-        self.groups
-            .get(&(namespace.to_string(), group.to_string()))
-            .map_or(0, |g| g.ready.len())
+        self.group(namespace, group).map_or(0, |g| g.ready.len())
     }
 
     /// Earliest start instant over a group's live pods (the job-plane
     /// `job_started_at` read) — proportional to the group, not the
     /// cluster.
     pub fn group_started_at(&self, namespace: &str, group: &str) -> Option<u64> {
-        self.groups
-            .get(&(namespace.to_string(), group.to_string()))
-            .and_then(|g| g.started.values().min().copied())
+        self.group(namespace, group).and_then(|g| g.started.values().min().copied())
     }
 
     /// Serializable summary of the whole cache (test oracle; O(pods)).
     pub fn snapshot(&self) -> PlegSnapshot {
         let mut snap = PlegSnapshot { phase_counts: self.phase_counts, ..Default::default() };
-        for ((ns, group), g) in &self.groups {
-            snap.groups.insert(
-                format!("{ns}/{group}"),
-                GroupSnapshot {
-                    ready: g.ready.iter().cloned().collect(),
-                    started_at_ns: g.started.values().min().copied(),
-                },
-            );
+        for (ns, groups) in &self.groups {
+            for (group, g) in groups {
+                snap.groups.insert(format!("{ns}/{group}"), g.snapshot());
+            }
         }
         snap
     }
@@ -208,36 +215,47 @@ impl Pleg {
         let mut snap = PlegSnapshot::default();
         let mut groups: BTreeMap<String, GroupState> = BTreeMap::new();
         for pod in api.list(kinds::POD) {
-            let record = record_of(pod);
+            let record = record_of(pod, None);
             snap.phase_counts[phase_idx(record.phase)] += 1;
             if let Some(group) = &record.group {
                 let g = groups.entry(format!("{}/{group}", pod.meta.namespace)).or_default();
-                g.members.insert(pod.meta.name.clone());
+                g.members.insert(Rc::clone(&pod.meta.name));
                 if record.phase == PodPhase::Running && !record.deletion_requested {
-                    g.ready.insert(pod.meta.name.clone());
+                    g.ready.insert(Rc::clone(&pod.meta.name));
                 }
                 if let Some(t) = record.started_at_ns {
-                    g.started.insert(pod.meta.name.clone(), t);
+                    g.started.insert(Rc::clone(&pod.meta.name), t);
                 }
             }
         }
         for (key, g) in groups {
-            snap.groups.insert(
-                key,
-                GroupSnapshot {
-                    ready: g.ready.iter().cloned().collect(),
-                    started_at_ns: g.started.values().min().copied(),
-                },
-            );
+            snap.groups.insert(key, g.snapshot());
         }
         snap
     }
 }
 
-fn record_of(pod: &ApiObject) -> PodRecord {
+impl GroupState {
+    fn snapshot(&self) -> GroupSnapshot {
+        GroupSnapshot {
+            ready: self.ready.iter().map(|n| n.to_string()).collect(),
+            started_at_ns: self.started.values().min().copied(),
+        }
+    }
+}
+
+/// What the cache keeps of `pod`, reusing the group handle of the pod's
+/// previous record when it names the same group.
+fn record_of(pod: &ApiObject, prev: Option<&PodRecord>) -> PodRecord {
+    let group = pod.pod_spec().job_name.as_deref().map(|g| {
+        match prev.and_then(|p| p.group.as_ref()).filter(|old| ***old == *g) {
+            Some(old) => Rc::clone(old),
+            None => Rc::from(g),
+        }
+    });
     PodRecord {
         phase: pod.pod_phase(),
-        group: pod.pod_spec().job_name.clone(),
+        group,
         started_at_ns: pod.pod_status().and_then(|s| s.started_at_ns),
         deletion_requested: pod.meta.deletion_requested,
     }

@@ -8,28 +8,28 @@
 //! other poll costs O(events + pending).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use shs_des::SimTime;
 
-use crate::api::{ApiServer, WatchType};
+use crate::api::{ApiServer, ObjKey, WatchType};
 use crate::objects::{kinds, PodPhase};
 
-type PodKey = (String, String); // namespace, name
-
 /// Where a counted pod sits: its node and topology-spread group.
-type Placement = (String, Option<String>);
+type Placement = (Rc<str>, Option<Rc<str>>);
 
 /// Scheduler state (a controller; poll-driven).
 #[derive(Debug, Default)]
 pub struct Scheduler {
     last_rv: u64,
-    pending: BTreeSet<PodKey>,
+    pending: BTreeSet<ObjKey>,
     /// Every stored pod that is bound and not Failed, as last seen on
     /// the watch stream (or bound here), with the two occupancy tallies
-    /// derived from it.
-    placed: BTreeMap<PodKey, Placement>,
-    pods_on: BTreeMap<String, u32>,
-    group_on: BTreeMap<(String, String), u32>,
+    /// derived from it: pods per node, and pods per (spread group, node),
+    /// the group level first so a pod's candidates share one lookup.
+    placed: BTreeMap<ObjKey, Placement>,
+    pods_on: BTreeMap<Rc<str>, u32>,
+    group_on: BTreeMap<Rc<str>, BTreeMap<Rc<str>, u32>>,
     /// Pods bound over this scheduler's lifetime (diagnostics).
     pub bindings: u64,
 }
@@ -50,25 +50,36 @@ impl Scheduler {
         self.pending.len()
     }
 
-    /// Record where `key` now counts (`None`: nowhere), keeping the
-    /// per-node and per-(group, node) tallies in step.
-    fn place(&mut self, key: &PodKey, new: Option<Placement>) {
-        if self.placed.get(key) == new.as_ref() {
+    /// Record where `key` now counts — `Some((node, spread group))`, or
+    /// `None` for nowhere — keeping the per-node and per-(group, node)
+    /// tallies in step. An unchanged placement costs a comparison; a
+    /// changed one reuses the name handles the tallies already hold.
+    fn place(&mut self, key: &ObjKey, new: Option<(&str, Option<&str>)>) {
+        if self.placed.get(key).map(|(n, g)| (&**n, g.as_deref())) == new {
             return;
         }
         if let Some(old) = self.placed.remove(key) {
             self.count(&old, false);
         }
-        if let Some(new) = new {
+        if let Some((node, group)) = new {
+            let node = handle(&self.pods_on, node);
+            let new = (node, group.map(|g| handle(&self.group_on, g)));
             self.count(&new, true);
             self.placed.insert(key.clone(), new);
         }
     }
 
     fn count(&mut self, (node, group): &Placement, up: bool) {
-        tally(&mut self.pods_on, node.clone(), up);
+        tally(&mut self.pods_on, node, up);
         if let Some(g) = group {
-            tally(&mut self.group_on, (g.clone(), node.clone()), up);
+            if up {
+                tally(self.group_on.entry(Rc::clone(g)).or_default(), node, true);
+            } else if let Some(nodes) = self.group_on.get_mut(g) {
+                tally(nodes, node, false);
+                if nodes.is_empty() {
+                    self.group_on.remove(g);
+                }
+            }
         }
     }
 
@@ -84,11 +95,11 @@ impl Scheduler {
             return;
         }
         self.last_rv = rv;
-        for ev in &events {
+        for ev in events {
             if ev.object.kind != kinds::POD {
                 continue;
             }
-            let key = (ev.object.meta.namespace.clone(), ev.object.meta.name.clone());
+            let key = ev.object.key();
             match ev.kind {
                 WatchType::Deleted => {
                     self.pending.remove(&key);
@@ -104,9 +115,9 @@ impl Scheduler {
                     let counted = ev.object.pod_phase() != PodPhase::Failed;
                     let placement = spec
                         .node_name
-                        .as_ref()
+                        .as_deref()
                         .filter(|_| counted)
-                        .map(|n| (n.clone(), spec.spread_key.clone()));
+                        .map(|n| (n, spec.spread_key.as_deref()));
                     self.place(&key, placement);
                 }
             }
@@ -115,20 +126,20 @@ impl Scheduler {
             return;
         }
 
-        let nodes: Vec<(String, u32)> = api
+        let nodes: Vec<(Rc<str>, u32)> = api
             .list(kinds::NODE)
             .iter()
             .filter(|n| n.status["ready"] == serde_json::json!(true))
             .map(|n| {
                 let max = n.spec["maxPods"].as_u64().unwrap_or(110) as u32;
-                (n.meta.name.clone(), max)
+                (Rc::clone(&n.meta.name), max)
             })
             .collect();
         if nodes.is_empty() {
             return;
         }
 
-        let work: Vec<PodKey> = self.pending.iter().cloned().collect();
+        let work: Vec<ObjKey> = self.pending.iter().cloned().collect();
         for key in work {
             let Some(pod) = api.get_rc(kinds::POD, &key.0, &key.1) else {
                 self.pending.remove(&key);
@@ -143,10 +154,11 @@ impl Scheduler {
             // pods, name) for deterministic, spread-first placement. A
             // node selector (topology-aware rank placement) restricts
             // the candidate set before ranking.
+            let spread = spec.spread_key.as_deref().and_then(|g| self.group_on.get(g));
             let mut best: Option<(u32, u32, &str)> = None;
             for (node, max) in &nodes {
                 if let Some(sel) = &spec.node_selector {
-                    if !sel.contains(node) {
+                    if !sel.iter().any(|s| **s == **node) {
                         continue;
                     }
                 }
@@ -154,23 +166,18 @@ impl Scheduler {
                 if total >= *max {
                     continue;
                 }
-                let group = spec
-                    .spread_key
-                    .as_ref()
-                    .map(|g| self.group_on.get(&(g.clone(), node.clone())).copied().unwrap_or(0))
-                    .unwrap_or(0);
-                let cand = (group, total, node.as_str());
+                let group = spread.and_then(|on| on.get(node)).copied().unwrap_or(0);
+                let cand = (group, total, &**node);
                 if best.is_none_or(|b| cand < b) {
                     best = Some(cand);
                 }
             }
             let Some((_, _, chosen)) = best else { continue }; // no capacity: stays pending
-            let chosen = chosen.to_string();
             let mut bound = spec.clone();
-            bound.node_name = Some(chosen.clone());
-            let bound = serde_json::to_value(bound).expect("PodSpec serializes");
+            bound.node_name = Some(chosen.to_string());
+            let bound = Rc::new(serde_json::to_value(bound).expect("PodSpec serializes"));
             api.mutate(kinds::POD, &key.0, &key.1, |o| o.spec = bound).expect("pod exists");
-            self.place(&key, Some((chosen, spec.spread_key.clone())));
+            self.place(&key, Some((chosen, spec.spread_key.as_deref())));
             self.bindings += 1;
             self.pending.remove(&key);
         }
@@ -178,15 +185,20 @@ impl Scheduler {
 }
 
 /// Count one pod on (`up`) or off a tally, dropping entries at zero.
-fn tally<K: Ord>(counts: &mut BTreeMap<K, u32>, key: K, up: bool) {
+fn tally(counts: &mut BTreeMap<Rc<str>, u32>, key: &Rc<str>, up: bool) {
     if up {
-        *counts.entry(key).or_insert(0) += 1;
-    } else if let Some(n) = counts.get_mut(&key) {
+        *counts.entry(Rc::clone(key)).or_insert(0) += 1;
+    } else if let Some(n) = counts.get_mut(key) {
         *n -= 1;
         if *n == 0 {
-            counts.remove(&key);
+            counts.remove(key);
         }
     }
+}
+
+/// `name` as a handle: the key `map` already holds for it, if any.
+fn handle<T>(map: &BTreeMap<Rc<str>, T>, name: &str) -> Rc<str> {
+    map.get_key_value(name).map_or_else(|| Rc::from(name), |(k, _)| Rc::clone(k))
 }
 
 /// Convenience: the node a pod is bound to.
@@ -285,14 +297,14 @@ mod tests {
         cluster(&mut api, &[("n0", 10), ("n1", 10), ("n2", 10)]);
         // n0 is least loaded overall, but the selector excludes it.
         let mut p = pod("ns", "pinned", None);
-        p.spec["node_selector"] = json!(["n1", "n2"]);
+        Rc::make_mut(&mut p.spec)["node_selector"] = json!(["n1", "n2"]);
         api.create(p, SimTime::ZERO).unwrap();
         let mut s = Scheduler::new();
         s.poll(&mut api, SimTime::ZERO);
         assert_eq!(bound_node(&api, "ns", "pinned").as_deref(), Some("n1"));
         // A selector naming no schedulable node leaves the pod pending.
         let mut q = pod("ns", "stuck", None);
-        q.spec["node_selector"] = json!(["n9"]);
+        Rc::make_mut(&mut q.spec)["node_selector"] = json!(["n9"]);
         api.create(q, SimTime::ZERO).unwrap();
         s.poll(&mut api, SimTime::ZERO);
         assert!(bound_node(&api, "ns", "stuck").is_none());
@@ -350,7 +362,13 @@ mod tests {
         cluster(&mut api, &[("n0", 6), ("n1", 6), ("n2", 4)]);
         let mut s = Scheduler::new();
         let check = |s: &Scheduler, api: &ApiServer, at: &str| {
-            assert_eq!((s.pods_on.clone(), s.group_on.clone()), scan_occupancy(api), "{at}");
+            let pods_on = s.pods_on.iter().map(|(n, c)| (n.to_string(), *c)).collect();
+            let group_on = s
+                .group_on
+                .iter()
+                .flat_map(|(g, on)| on.iter().map(move |(n, c)| ((g.to_string(), n.to_string()), *c)))
+                .collect();
+            assert_eq!((pods_on, group_on), scan_occupancy(api), "{at}");
         };
         for round in 0..40u32 {
             let group = format!("g{}", round % 5);

@@ -16,11 +16,12 @@
 //! annotated jobs.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use shs_des::SimTime;
 
-use crate::api::{ApiObject, ApiServer};
+use crate::api::{ApiObject, ApiServer, ObjKey};
 use crate::job::KUBELET_FINALIZER;
 use crate::objects::{kinds, spec_of, status_of, PodPhase, PodSpec, PodTemplate};
 
@@ -87,7 +88,7 @@ pub fn pod_ready(pod: &ApiObject) -> bool {
 /// Tracked view of one service pod during a reconcile pass.
 #[derive(Debug, Clone)]
 struct PodView {
-    name: String,
+    name: Rc<str>,
     /// Created from the spec's current revision.
     current: bool,
     /// Running and not terminating.
@@ -99,13 +100,26 @@ struct PodView {
 
 /// The service controller: watches Services and their pods, reconciles
 /// replica counts, replaces failures, and drives rolling updates.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ServiceController {
     last_rv: u64,
+    /// [`KUBELET_FINALIZER`], built once and shared by every pod.
+    finalizer: Rc<str>,
     /// Pods created (diagnostics).
     pub pods_created: u64,
     /// Pod deletions requested (diagnostics).
     pub pods_deleted: u64,
+}
+
+impl Default for ServiceController {
+    fn default() -> Self {
+        ServiceController {
+            last_rv: 0,
+            finalizer: KUBELET_FINALIZER.into(),
+            pods_created: 0,
+            pods_deleted: 0,
+        }
+    }
 }
 
 impl ServiceController {
@@ -124,19 +138,22 @@ impl ServiceController {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
 
-        let mut dirty: BTreeSet<(String, String)> = BTreeSet::new();
-        for ev in &events {
-            match ev.object.kind.as_str() {
-                k if k == kinds::SERVICE => {
-                    dirty.insert((ev.object.meta.namespace.clone(), ev.object.meta.name.clone()));
+        let mut dirty: BTreeSet<ObjKey> = BTreeSet::new();
+        for ev in events {
+            match ev.object.kind {
+                kinds::SERVICE => {
+                    dirty.insert(ev.object.key());
                 }
                 // Unlike the job controller, pod *deletions* matter:
                 // a reaped pod must be replaced to hold the replica
                 // count. Pods name their manager through `job_name`;
-                // keys that turn out to be jobs are skipped below.
-                k if k == kinds::POD => {
-                    if let Some(owner) = &ev.object.pod_spec().job_name {
-                        dirty.insert((ev.object.meta.namespace.clone(), owner.clone()));
+                // the stored service lends its key, and a job's pod
+                // (no service of that name) is skipped.
+                kinds::POD => {
+                    let ns = &ev.object.meta.namespace;
+                    let Some(owner) = &ev.object.pod_spec().job_name else { continue };
+                    if let Some(svc) = api.get(kinds::SERVICE, ns, owner) {
+                        dirty.insert(svc.key());
                     }
                 }
                 _ => {}
@@ -168,7 +185,7 @@ impl ServiceController {
             .owned_by_rc(svc.meta.uid, kinds::POD)
             .into_iter()
             .map(|p| PodView {
-                name: p.meta.name.clone(),
+                name: Rc::clone(&p.meta.name),
                 current: pod_revision(&p) == spec.version,
                 ready: pod_ready(&p),
                 alive: !p.meta.deletion_requested,
@@ -225,12 +242,12 @@ impl ServiceController {
         //    (terminating pods still hold their names but not a slot).
         let mut current_alive = pods.iter().filter(|p| p.alive && p.current).count();
         let mut total_alive = pods.iter().filter(|p| p.alive).count();
-        let taken: BTreeSet<String> = pods.iter().map(|p| p.name.clone()).collect();
+        let taken: BTreeSet<&str> = pods.iter().map(|p| &*p.name).collect();
         let mut idx = 0u32;
         while current_alive < spec.replicas as usize && total_alive < ceiling {
             let pod_name = format!("{name}-v{}-{idx}", spec.version);
             idx += 1;
-            if taken.contains(&pod_name) {
+            if taken.contains(pod_name.as_str()) {
                 continue;
             }
             let pod_spec = PodSpec {
@@ -243,14 +260,14 @@ impl ServiceController {
                 node_selector: spec.template.node_selector.clone(),
                 termination_grace_period_secs: 30,
             };
-            let mut pod = ApiObject::new(
+            let mut pod = ApiObject::with_key(
                 kinds::POD,
-                ns,
-                &pod_name,
+                Rc::clone(&svc.meta.namespace),
+                pod_name.into(),
                 serde_json::to_value(pod_spec).expect("PodSpec serializes"),
             );
             pod.meta.owner_uids.push(svc.meta.uid);
-            pod.meta.finalizers.push(KUBELET_FINALIZER.to_string());
+            pod.meta.finalizers.push(Rc::clone(&self.finalizer));
             // Pods inherit the service's annotations (the CXI CNI reads
             // `vni` from pod metadata), plus the revision stamp.
             pod.meta.annotations = svc.meta.annotations.clone();
@@ -274,7 +291,7 @@ impl ServiceController {
         let old: ServiceStatus = status_of(&svc).unwrap_or_default();
         if status != old {
             let st = serde_json::to_value(&status).expect("ServiceStatus serializes");
-            let _ = api.mutate(kinds::SERVICE, ns, name, |o| o.status = st);
+            let _ = api.set_status(kinds::SERVICE, ns, name, st);
         }
     }
 }
@@ -310,7 +327,7 @@ mod tests {
         api.list_namespaced(kinds::POD, ns)
             .into_iter()
             .filter(|p| pod_ready(p))
-            .map(|p| p.meta.name.clone())
+            .map(|p| p.meta.name.to_string())
             .collect()
     }
 
@@ -320,7 +337,7 @@ mod tests {
         let pods: Vec<(String, bool, PodPhase)> = api
             .list_namespaced(kinds::POD, ns)
             .into_iter()
-            .map(|p| (p.meta.name.clone(), p.meta.deletion_requested, p.pod_phase()))
+            .map(|p| (p.meta.name.to_string(), p.meta.deletion_requested, p.pod_phase()))
             .collect();
         for (name, terminating, phase) in pods {
             if terminating {
@@ -343,7 +360,7 @@ mod tests {
         assert_eq!(pods.len(), 3);
         for p in pods {
             assert!(p.meta.owner_uids.contains(&svc.meta.uid));
-            assert!(p.meta.finalizers.contains(&KUBELET_FINALIZER.to_string()));
+            assert!(p.meta.finalizers.iter().any(|f| &**f == KUBELET_FINALIZER));
             assert_eq!(p.annotation("vni"), Some("true"));
             assert_eq!(pod_revision(p), 7);
             assert_eq!(p.pod_spec().job_name.as_deref(), Some("web"));
@@ -390,7 +407,7 @@ mod tests {
         sc.poll(&mut api, SimTime::ZERO);
         settle(&mut api, "ns");
         api.mutate(kinds::SERVICE, "ns", "web", |o| {
-            o.spec["replicas"] = json!(2);
+            Rc::make_mut(&mut o.spec)["replicas"] = json!(2);
         })
         .unwrap();
         sc.poll(&mut api, SimTime::from_nanos(1));
@@ -398,7 +415,7 @@ mod tests {
             .list_namespaced(kinds::POD, "ns")
             .into_iter()
             .filter(|p| !p.meta.deletion_requested)
-            .map(|p| p.meta.name.clone())
+            .map(|p| p.meta.name.to_string())
             .collect();
         assert_eq!(live, vec!["web-v0-0", "web-v0-1"]);
     }
@@ -414,7 +431,7 @@ mod tests {
         assert_eq!(ready_pods(&api, "ns").len(), 4);
         // Bump the template revision to start the roll.
         api.mutate(kinds::SERVICE, "ns", "web", |o| {
-            o.spec["version"] = json!(1);
+            Rc::make_mut(&mut o.spec)["version"] = json!(1);
         })
         .unwrap();
         let floor = 3; // replicas 4, max_unavailable 1
@@ -440,7 +457,7 @@ mod tests {
         sc.poll(&mut api, SimTime::ZERO);
         settle(&mut api, "ns");
         api.mutate(kinds::SERVICE, "ns", "web", |o| {
-            o.spec["version"] = json!(1);
+            Rc::make_mut(&mut o.spec)["version"] = json!(1);
         })
         .unwrap();
         for step in 0..20u64 {
@@ -467,7 +484,7 @@ mod tests {
         sc.poll(&mut api, SimTime::ZERO);
         settle(&mut api, "ns");
         api.mutate(kinds::SERVICE, "ns", "web", |o| {
-            o.spec["version"] = json!(1);
+            Rc::make_mut(&mut o.spec)["version"] = json!(1);
         })
         .unwrap();
         for step in 0..20u64 {

@@ -9,6 +9,13 @@
 //! and every watch snapshot as it is first read, shows exactly what a
 //! fresh `spec_of` / `status_of` of its own JSON gives, and a snapshot
 //! held past later writes still reads its own, older view.
+//!
+//! And it pins what a write shares: consecutive snapshots of one object
+//! hold the very same name, namespace and (unless a full replace gave
+//! it a new one) spec handles; and status writes through the `/status`
+//! subresource leave a server indistinguishable — events, resource
+//! versions, request count, reaping — from a twin that writes them
+//! through `mutate`.
 
 use proptest::prelude::*;
 use serde_json::{json, Value};
@@ -33,7 +40,7 @@ struct NaiveApi {
 
 impl NaiveApi {
     fn key(o: &ApiObject) -> Key {
-        (o.kind.clone(), o.meta.namespace.clone(), o.meta.name.clone())
+        (o.kind.to_string(), o.meta.namespace.to_string(), o.meta.name.to_string())
     }
 
     fn create(&mut self, mut obj: ApiObject) {
@@ -228,7 +235,7 @@ enum Typed {
 
 /// A fresh decode of `o`'s JSON — the oracle.
 fn decoded(o: &ApiObject) -> Typed {
-    match o.kind.as_str() {
+    match o.kind {
         "Pod" => Typed::Pod(spec_of(o), status_of(o)),
         "Job" => Typed::Job(spec_of(o), status_of(o)),
         _ => Typed::Untyped,
@@ -237,7 +244,7 @@ fn decoded(o: &ApiObject) -> Typed {
 
 /// `o` read through its decoded view.
 fn viewed(o: &ApiObject) -> Typed {
-    match o.kind.as_str() {
+    match o.kind {
         "Pod" => Typed::Pod(o.pod_spec().clone(), o.pod_status().cloned()),
         "Job" => Typed::Job(o.job_spec().clone(), o.job_status().cloned()),
         _ => Typed::Untyped,
@@ -248,7 +255,7 @@ fn viewed(o: &ApiObject) -> Typed {
 /// keep a view the caller decoded before editing.
 fn respec_after_read(obj: &mut ApiObject, v: u8) {
     viewed(obj);
-    obj.spec = spec_for(&obj.kind, v);
+    obj.spec = Rc::new(spec_for(obj.kind, v));
 }
 
 fn key_of((k, ns, n): Addr) -> Key {
@@ -262,16 +269,18 @@ fn every_key() -> impl Iterator<Item = Key> {
     })
 }
 
-/// Apply one op to both stores.
-fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op) {
+/// Apply one op to both stores; a status write goes through the
+/// `/status` subresource when `subresource` is set, else `mutate`.
+fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op, subresource: bool) {
     let uid_at = |api: &ApiServer, a: Addr| {
         let (k, ns, n) = key_of(a);
         api.get(&k, &ns, &n).map(|o| o.meta.uid)
     };
     match *op {
         Op::Create { at, owner, v } => {
-            let (k, ns, n) = key_of(at);
-            let mut obj = ApiObject::new(&k, &ns, &n, spec_for(&k, v.wrapping_add(1)));
+            let (_, ns, n) = key_of(at);
+            let kind = KINDS[at.0];
+            let mut obj = ApiObject::new(kind, &ns, &n, spec_for(kind, v.wrapping_add(1)));
             respec_after_read(&mut obj, v);
             obj.meta.owner_uids.extend(uid_at(api, owner));
             naive.create(obj.clone());
@@ -280,9 +289,12 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op) {
         Op::Touch { at, v } => {
             let key = key_of(at);
             let status = status_for(&key.0, v);
-            let touch = |o: &mut ApiObject| o.status = status.clone();
-            naive.mutate(&key, touch);
-            let _ = api.mutate(&key.0, &key.1, &key.2, touch);
+            naive.mutate(&key, |o| o.status = status.clone());
+            let _ = if subresource {
+                api.set_status(&key.0, &key.1, &key.2, status)
+            } else {
+                api.mutate(&key.0, &key.1, &key.2, |o| o.status = status)
+            };
         }
         Op::Reown { at, owner } => {
             let key = key_of(at);
@@ -345,21 +357,53 @@ proptest! {
     ) {
         let mut api = ApiServer::default();
         let mut naive = NaiveApi::default();
+        // The twin writes statuses through `mutate`.
+        let (mut twin, mut twin_naive) = (ApiServer::default(), NaiveApi::default());
         // The one watch reader: its cursor, the naive events it has
         // matched, and every other snapshot it saw, with that snapshot's
         // decode at the time.
         let (mut cursor, mut seen) = (0u64, 0usize);
         let mut held: Vec<(Rc<ApiObject>, Typed)> = Vec::new();
+        // The latest snapshot of each object (by uid) the reader saw.
+        let mut latest: BTreeMap<u64, Rc<ApiObject>> = BTreeMap::new();
         for (step, op) in ops.iter().enumerate() {
-            apply(&mut api, &mut naive, op);
+            apply(&mut api, &mut naive, op, true);
+            apply(&mut twin, &mut twin_naive, op, false);
             if let Op::Compact = op {
                 api.compact(cursor);
             }
+            prop_assert_eq!(api.requests, twin.requests, "requests @{}", step);
+            prop_assert_eq!(api.latest_rv(), twin.latest_rv(), "rv @{}", step);
+            prop_assert_eq!(api.object_count(), twin.object_count(), "reaping @{}", step);
+            let (twin_events, _) = twin.events_since(cursor);
             // The watch log — order of every Added / Modified / Deleted,
             // cascades included — is the pre-index one, and each snapshot
             // reads as its own JSON decodes.
             let (events, rv) = api.events_since(cursor);
             cursor = rv;
+            prop_assert_eq!(events.len(), twin_events.len(), "twin events @{}", step);
+            for (ev, twin_ev) in events.iter().zip(twin_events) {
+                prop_assert_eq!((ev.rv, ev.kind), (twin_ev.rv, twin_ev.kind));
+                prop_assert_eq!(&*ev.object, &*twin_ev.object, "twin snapshot @{}", step);
+            }
+            // Only a full replace hands an object a spec of its own.
+            let respecced = match *op {
+                Op::Replace { at, .. } => naive.get(&key_of(at)).map(|o| o.meta.uid),
+                _ => None,
+            };
+            for ev in events {
+                let uid = ev.object.meta.uid;
+                if let Some(prev) = latest.get(&uid) {
+                    let (o, p) = (&ev.object, prev);
+                    prop_assert!(Rc::ptr_eq(&o.meta.name, &p.meta.name), "name @{}", step);
+                    prop_assert!(Rc::ptr_eq(&o.meta.namespace, &p.meta.namespace), "ns @{}", step);
+                    prop_assert!(
+                        respecced == Some(uid) || Rc::ptr_eq(&o.spec, &p.spec),
+                        "{:?} {} copied its spec @{}", ev.kind, o.full_name(), step
+                    );
+                }
+                latest.insert(uid, Rc::clone(&ev.object));
+            }
             prop_assert_eq!(events.len(), naive.events.len() - seen, "events @{}", step);
             for (i, (ev, (rv, kind, object))) in events.iter().zip(&naive.events[seen..]).enumerate() {
                 prop_assert_eq!(ev.rv, *rv);

@@ -44,7 +44,7 @@ fn run_ops(api: &mut ApiServer, ops: &[Op]) {
             }
             Op::AddFinalizer { name } => {
                 let _ = api.mutate("Pod", "ns", &format!("p{name}"), |o| {
-                    if !o.meta.finalizers.iter().any(|f| f == "t") {
+                    if !o.meta.finalizers.iter().any(|f| &**f == "t") {
                         o.meta.finalizers.push("t".into());
                     }
                 });
@@ -132,22 +132,22 @@ proptest! {
         let (events, _) = api.events_since(0);
         let mut last_rv = 0;
         let mut replica: BTreeMap<String, ApiObject> = BTreeMap::new();
-        for ev in &events {
+        for ev in events {
             prop_assert!(ev.rv >= last_rv, "rv regressed");
             last_rv = ev.rv;
             match ev.kind {
                 WatchType::Added | WatchType::Modified => {
-                    replica.insert(ev.object.meta.name.clone(), (*ev.object).clone());
+                    replica.insert(ev.object.meta.name.to_string(), (*ev.object).clone());
                 }
                 WatchType::Deleted => {
-                    replica.remove(&ev.object.meta.name);
+                    replica.remove(&*ev.object.meta.name);
                 }
             }
         }
         let live: BTreeMap<String, ApiObject> = api
             .list("Pod")
             .into_iter()
-            .map(|o| (o.meta.name.clone(), o.clone()))
+            .map(|o| (o.meta.name.to_string(), o.clone()))
             .collect();
         prop_assert_eq!(replica, live, "replay diverged from store");
     }
@@ -162,10 +162,11 @@ proptest! {
         let mut api = ApiServer::default();
         run_ops(&mut api, &ops1);
         let (first, rv) = api.events_since(0);
+        let first = first.len();
         run_ops(&mut api, &ops2);
         let (second, _) = api.events_since(rv);
         let (whole, _) = api.events_since(0);
-        prop_assert_eq!(first.len() + second.len(), whole.len());
+        prop_assert_eq!(first + second.len(), whole.len());
     }
 
     /// Finalizer safety: an object with finalizers survives deletion
@@ -176,7 +177,7 @@ proptest! {
         let mut api = ApiServer::default();
         let mut obj = ApiObject::new("Job", "ns", "j", serde_json::json!({}));
         for i in 0..n_finalizers {
-            obj.meta.finalizers.push(format!("f{i}"));
+            obj.meta.finalizers.push(format!("f{i}").into());
         }
         api.create(obj, SimTime::ZERO).unwrap();
         api.delete("Job", "ns", "j").unwrap();

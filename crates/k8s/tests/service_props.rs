@@ -70,7 +70,7 @@ fn settle(api: &mut ApiServer) {
     let pods: Vec<(String, bool, PodPhase)> = api
         .list_namespaced(kinds::POD, NS)
         .into_iter()
-        .map(|p| (p.meta.name.clone(), p.meta.deletion_requested, p.pod_phase()))
+        .map(|p| (p.meta.name.to_string(), p.meta.deletion_requested, p.pod_phase()))
         .collect();
     for (name, terminating, phase) in pods {
         if terminating {
@@ -88,7 +88,7 @@ fn crash(api: &mut ApiServer, idx: u8) {
         .list_namespaced(kinds::POD, NS)
         .into_iter()
         .filter(|p| !p.meta.deletion_requested)
-        .map(|p| p.meta.name.clone())
+        .map(|p| p.meta.name.to_string())
         .collect();
     if live.is_empty() {
         return;
@@ -110,13 +110,14 @@ fn apply(
         Op::Scale { replicas } => {
             let r = *replicas;
             let _ = api.mutate(kinds::SERVICE, NS, SVC, |o| {
-                o.spec["replicas"] = serde_json::json!(r);
+                std::rc::Rc::make_mut(&mut o.spec)["replicas"] = serde_json::json!(r);
             });
         }
         Op::Roll => {
             let _ = api.mutate(kinds::SERVICE, NS, SVC, |o| {
-                let v = o.spec["version"].as_u64().unwrap_or(0);
-                o.spec["version"] = serde_json::json!(v + 1);
+                let spec = std::rc::Rc::make_mut(&mut o.spec);
+                let v = spec["version"].as_u64().unwrap_or(0);
+                spec["version"] = serde_json::json!(v + 1);
             });
         }
         Op::Crash { idx } => crash(api, *idx),
@@ -202,7 +203,7 @@ proptest! {
         prop_assert_eq!(ready_count(&api), replicas as usize);
 
         api.mutate(kinds::SERVICE, NS, SVC, |o| {
-            o.spec["version"] = serde_json::json!(1);
+            std::rc::Rc::make_mut(&mut o.spec)["version"] = serde_json::json!(1);
         }).unwrap();
         let floor = replicas.saturating_sub(1) as usize;
         let ceiling = (replicas + 1) as usize;

@@ -52,8 +52,6 @@ pub struct Process {
     /// namespace*. Container "root" (inside-uid 0) holds it — the lever the
     /// paper's spoofing scenario pulls.
     pub cap_setid: bool,
-    /// Whether the process is alive.
-    pub alive: bool,
 }
 
 /// Credentials as observed by a kernel component on behalf of a calling
@@ -82,6 +80,9 @@ pub struct Creds {
 pub struct Host {
     /// Host name (diagnostics, fabric addressing).
     pub hostname: String,
+    /// Live processes only: an exited pid leaves the table, so scans
+    /// (netns occupancy, the live count) cost what is running, not every
+    /// process the node ever ran.
     processes: HashMap<Pid, Process>,
     user_namespaces: HashMap<UserNsId, UserNamespace>,
     net_namespaces: HashMap<NetNsId, NetNamespace>,
@@ -154,7 +155,6 @@ impl Host {
                 userns: self.init_userns,
                 netns: self.host_netns,
                 cap_setid: uid == Uid::ROOT,
-                alive: true,
             },
         );
         pid
@@ -165,35 +165,27 @@ impl Host {
         let p = self.process(parent)?.clone();
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
-        self.processes.insert(
-            pid,
-            Process { pid, comm: comm.to_string(), alive: true, ..p },
-        );
+        self.processes.insert(pid, Process { pid, comm: comm.to_string(), ..p });
         Ok(pid)
     }
 
-    /// Terminate a process.
+    /// Terminate a process: its pid leaves the process table.
     pub fn exit(&mut self, pid: Pid) -> Result<(), OsError> {
-        let p = self.processes.get_mut(&pid).ok_or(OsError::Srch)?;
-        if !p.alive {
-            return Err(OsError::Srch);
-        }
-        p.alive = false;
-        Ok(())
+        self.processes.remove(&pid).map(|_| ()).ok_or(OsError::Srch)
     }
 
     /// Look up a live process.
     pub fn process(&self, pid: Pid) -> Result<&Process, OsError> {
-        self.processes.get(&pid).filter(|p| p.alive).ok_or(OsError::Srch)
+        self.processes.get(&pid).ok_or(OsError::Srch)
     }
 
     fn process_mut(&mut self, pid: Pid) -> Result<&mut Process, OsError> {
-        self.processes.get_mut(&pid).filter(|p| p.alive).ok_or(OsError::Srch)
+        self.processes.get_mut(&pid).ok_or(OsError::Srch)
     }
 
     /// Number of live processes.
     pub fn live_processes(&self) -> usize {
-        self.processes.values().filter(|p| p.alive).count()
+        self.processes.len()
     }
 
     /// `unshare(CLONE_NEWUSER)` + map writes: move `pid` into a fresh user
@@ -367,7 +359,7 @@ impl Host {
         if id == self.host_netns {
             return Err(OsError::Perm);
         }
-        if self.processes.values().any(|p| p.alive && p.netns == id) {
+        if self.processes.values().any(|p| p.netns == id) {
             return Err(OsError::Perm);
         }
         self.net_namespaces.remove(&id).map(|_| ()).ok_or(OsError::Inval)
@@ -519,6 +511,44 @@ mod tests {
         h.exit(p).unwrap();
         h.delete_net_ns(ns).unwrap();
         assert_eq!(h.delete_net_ns(ns).unwrap_err(), OsError::Inval, "gone");
+    }
+
+    #[test]
+    fn exiting_an_exited_pid_is_srch() {
+        let mut h = Host::new("n0");
+        let pid = h.spawn_detached("x", Uid(1), Gid(1));
+        h.exit(pid).unwrap();
+        assert_eq!(h.exit(pid).unwrap_err(), OsError::Srch);
+        assert_eq!(h.exit(Pid(999)).unwrap_err(), OsError::Srch, "never spawned");
+    }
+
+    #[test]
+    fn netns_with_a_live_member_refuses_deletion() {
+        let mut h = Host::new("n0");
+        let pause = h.spawn_detached("pause", Uid(0), Gid(0));
+        let ns = h.unshare_net_ns(pause).unwrap();
+        let app = h.fork(pause, "app").unwrap();
+        h.exit(pause).unwrap();
+        assert_eq!(h.delete_net_ns(ns).unwrap_err(), OsError::Perm, "app still inside");
+        h.exit(app).unwrap();
+        h.delete_net_ns(ns).unwrap();
+    }
+
+    #[test]
+    fn sandbox_cycles_leave_only_live_processes_in_the_table() {
+        let mut h = Host::new("n0");
+        let daemon = h.spawn_detached("kubelet", Uid::ROOT, Gid::ROOT);
+        for _ in 0..50 {
+            let pause = h.spawn_detached("pause", Uid(0), Gid(0));
+            let ns = h.unshare_net_ns(pause).unwrap();
+            let app = h.fork(pause, "app").unwrap();
+            h.exit(app).unwrap();
+            h.exit(pause).unwrap();
+            h.delete_net_ns(ns).unwrap();
+        }
+        assert_eq!(h.live_processes(), 2, "init and the daemon");
+        assert_eq!(h.processes.len(), 2, "no exited pid lingers");
+        assert!(h.process(daemon).is_ok());
     }
 
     #[test]
