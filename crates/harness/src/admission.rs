@@ -13,6 +13,8 @@ use shs_des::{SimDur, SimTime};
 use shs_k8s::{kinds, ApiServer, WatchType};
 use slingshot_k8s::{alpine, Cluster, ClusterConfig};
 
+use crate::par;
+
 /// Per-job lifecycle record.
 #[derive(Debug, Clone, Copy)]
 pub struct JobRecord {
@@ -232,8 +234,36 @@ impl AdmissionSeries {
     }
 }
 
-/// Run a full two-configuration comparison.
+/// Run a full two-configuration comparison. Its `2 × runs` repetitions
+/// are independent and run side by side; every run is the one a serial
+/// loop measures.
 pub fn run_pattern(pattern: Pattern, runs: u32, seed: u64, time_cap_s: u64) -> (AdmissionSeries, AdmissionSeries) {
+    // Unit 2r is run r with the integration, unit 2r + 1 run r without.
+    let mut units = par::par_units(2 * runs as usize, |unit| {
+        let (run, vni) = ((unit / 2) as u64, unit % 2 == 0);
+        let seed = seed.wrapping_add(if vni { 1000 } else { 2000 } + run);
+        run_admission(pattern, vni, seed, time_cap_s)
+    })
+    .into_iter();
+    let (mut with, mut without) = (Vec::new(), Vec::new());
+    while let (Some(w), Some(wo)) = (units.next(), units.next()) {
+        with.push(w);
+        without.push(wo);
+    }
+    (
+        AdmissionSeries { name: "vni:true", runs: with },
+        AdmissionSeries { name: "vni:false", runs: without },
+    )
+}
+
+/// The serial loop [`run_pattern`] replaced.
+#[cfg(test)]
+fn run_pattern_serial(
+    pattern: Pattern,
+    runs: u32,
+    seed: u64,
+    time_cap_s: u64,
+) -> (AdmissionSeries, AdmissionSeries) {
     let mut with = Vec::new();
     let mut without = Vec::new();
     for r in 0..runs {
@@ -265,6 +295,15 @@ mod tests {
         assert!(b[10..20].iter().all(|&n| n == 10));
         assert_eq!(b[20..], [9, 8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(b.iter().sum::<usize>(), 200, "200 jobs total");
+    }
+
+    #[test]
+    fn side_by_side_repetitions_equal_the_serial_loop() {
+        let spike = Pattern::Spike { jobs: 20 };
+        assert_eq!(
+            format!("{:?}", run_pattern(spike, 3, 11, 120)),
+            format!("{:?}", run_pattern_serial(spike, 3, 11, 120)),
+        );
     }
 
     #[test]

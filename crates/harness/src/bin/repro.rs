@@ -106,29 +106,40 @@ fn main() {
         ran_any = true;
         println!("{}", table1::render());
     }
+    // Figs. 5 and 6 render one bandwidth comparison; Figs. 7 and 8 one
+    // latency comparison unless Fig. 8 takes more runs. Each distinct
+    // comparison runs once.
+    let bw = (want("fig5") || want("fig6"))
+        .then(|| run_comm(Metric::Bandwidth, &comm_config(Metric::Bandwidth, &opts)));
+    let lat_cfg = comm_config(Metric::Latency, &opts);
+    let mut fig8_cfg = lat_cfg.clone();
+    if opts.runs.is_none() {
+        fig8_cfg.runs = if opts.paper_scale { 25 } else { 10 }; // Fig. 8 uses 25 runs
+    }
+    let fig8_own = fig8_cfg.runs != lat_cfg.runs;
+    let lat = (want("fig7") || (want("fig8") && !fig8_own))
+        .then(|| run_comm(Metric::Latency, &lat_cfg));
+    let fig8_lat = (want("fig8") && fig8_own).then(|| run_comm(Metric::Latency, &fig8_cfg));
+
     if want("fig5") {
         ran_any = true;
-        let res = run_comm(Metric::Bandwidth, &comm_config(Metric::Bandwidth, &opts));
-        println!("{}", report::report_comm_absolute("Fig 5", &res, &sink));
+        let res = bw.as_ref().expect("computed");
+        println!("{}", report::report_comm_absolute("Fig 5", res, &sink));
     }
     if want("fig6") {
         ran_any = true;
-        let res = run_comm(Metric::Bandwidth, &comm_config(Metric::Bandwidth, &opts));
-        println!("{}", report::report_comm_overhead("Fig 6", &res, &sink));
+        let res = bw.as_ref().expect("computed");
+        println!("{}", report::report_comm_overhead("Fig 6", res, &sink));
     }
     if want("fig7") {
         ran_any = true;
-        let res = run_comm(Metric::Latency, &comm_config(Metric::Latency, &opts));
-        println!("{}", report::report_comm_absolute("Fig 7", &res, &sink));
+        let res = lat.as_ref().expect("computed");
+        println!("{}", report::report_comm_absolute("Fig 7", res, &sink));
     }
     if want("fig8") {
         ran_any = true;
-        let mut cfg = comm_config(Metric::Latency, &opts);
-        if opts.runs.is_none() {
-            cfg.runs = if opts.paper_scale { 25 } else { 10 }; // Fig. 8 uses 25 runs
-        }
-        let res = run_comm(Metric::Latency, &cfg);
-        println!("{}", report::report_comm_overhead("Fig 8", &res, &sink));
+        let res = fig8_lat.as_ref().or(lat.as_ref()).expect("computed");
+        println!("{}", report::report_comm_overhead("Fig 8", res, &sink));
     }
 
     let need_ramp = want("fig9") || want("fig10") || want("fig12");

@@ -21,6 +21,7 @@ pub mod collective;
 pub mod comm;
 pub mod gate;
 pub mod output;
+mod par;
 pub mod report;
 pub mod runmeta;
 pub mod table1;
