@@ -98,7 +98,7 @@ impl VniEndpoint {
             // Per-Resource model: the job owns a fresh VNI. Re-syncs of
             // an already-decorated job are idempotent and not counted.
             let owner = VniOwner::Job { key: job_key };
-            let fresh = self.db.find_by_owner(&owner).is_none();
+            let fresh = self.db.owner_vni(&owner).is_none();
             match self.db.acquire(owner, now) {
                 Ok(vni) => {
                     if fresh {
@@ -159,8 +159,8 @@ impl VniEndpoint {
         let ann = parent.annotation(VNI_ANNOTATION).unwrap_or_default().to_string();
         let job_key = Self::job_key(parent);
         if ann == "true" {
-            if let Some(row) = self.db.find_by_owner(&VniOwner::Job { key: job_key }) {
-                if self.db.release(Vni(row.vni), now).is_ok() {
+            if let Some(vni) = self.db.owner_vni(&VniOwner::Job { key: job_key }) {
+                if self.db.release(vni, now).is_ok() {
                     self.counters.releases += 1;
                 }
             }
@@ -177,7 +177,7 @@ impl VniEndpoint {
     fn sync_claim(&mut self, parent: &ApiObject, now: SimTime) -> SyncResponse {
         let claim_key = Self::job_key(parent); // same ns/name shape
         let owner = VniOwner::Claim { key: claim_key };
-        let fresh = self.db.find_by_owner(&owner).is_none();
+        let fresh = self.db.owner_vni(&owner).is_none();
         match self.db.acquire(owner, now) {
             Ok(vni) => {
                 if fresh {

@@ -10,8 +10,8 @@
 //! when a shard's sub-range exhausts, allocation simply overflows to the
 //! next shard holding the global minimum (see below). Tenants also get
 //! a *home shard* by key hash; that only steers lookup probe order
-//! (`find_by_owner`/`find_by_claim` try the home shard first), never
-//! placement, so it cannot perturb determinism.
+//! (`find_by_claim` tries the home shard first), never placement, so it
+//! cannot perturb determinism.
 //!
 //! # Why allocation is global-min, not hash-local
 //!
@@ -227,8 +227,8 @@ impl ShardedVniDb {
     pub fn acquire(&mut self, owner: VniOwner, now: SimTime) -> Result<Vni, VniDbError> {
         // Idempotency first, like the single store: a re-acquiring owner
         // gets its VNI back without touching promotion watermarks.
-        if let Some(vni) = self.shards.iter().find_map(|s| s.owner_vni(&owner)) {
-            return Ok(Vni(vni));
+        if let Some(vni) = self.owner_vni(&owner) {
+            return Ok(vni);
         }
         // Probe every shard (promoting expired quarantines at `now`,
         // exactly as one store would across the whole range) and route
@@ -347,20 +347,10 @@ impl ShardedVniDb {
         rows
     }
 
-    /// Find the VNI owned by `owner`, probing the owner's home shard
-    /// first (hash-by-tenant locality), then the rest in id order.
-    pub fn find_by_owner(&self, owner: &VniOwner) -> Option<VniRow> {
-        let key = match owner {
-            VniOwner::Job { key } | VniOwner::Claim { key } => key.as_str(),
-        };
-        let home = self.home_shard(key);
-        self.shards[home].find_by_owner(owner).or_else(|| {
-            self.shards
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != home)
-                .find_map(|(_, s)| s.find_by_owner(owner))
-        })
+    /// The VNI `owner` holds, from the shards' owner indexes alone — a
+    /// presence probe that reads no row.
+    pub(crate) fn owner_vni(&self, owner: &VniOwner) -> Option<Vni> {
+        self.shards.iter().find_map(|s| s.owner_vni(owner)).map(Vni)
     }
 
     /// Find the VNI allocated to a claim by claim key (`ns/name`).

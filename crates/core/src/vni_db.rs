@@ -32,10 +32,10 @@
 //!
 //! * a **free set** of range VNIs with no row — `acquire` takes the
 //!   minimum in O(log n) instead of scanning the range;
-//! * **owner maps** (job/claim key → VNI) — `find_by_owner` and the
-//!   idempotent re-acquire probe are lookups, not table scans;
-//! * a **quarantine map** (VNI → release instant) mirroring every
-//!   quarantined row;
+//! * **owner maps** (job/claim key → VNI), hashed — `find_by_claim` and
+//!   the idempotent re-acquire probe are O(1) lookups, not table scans;
+//! * a **quarantine map** (VNI → release instant), hashed, mirroring
+//!   every quarantined row;
 //! * an **expiry min-heap** ordered by release-instant + window —
 //!   [`VniDb::sweep_expired`] pops only actually-expired entries
 //!   instead of decoding the whole table.
@@ -43,6 +43,9 @@
 //! Rows and audit entries are stored in a compact length-prefixed
 //! binary codec (`shs_vnistore::codec`); JSON stays available through
 //! [`VniDb::export_diagnostics`] for humans and deterministic reports.
+//! An update (`release`, `add_user`, `remove_user`) reads its row in
+//! place and encodes the new one from the stored bytes, so the steady
+//! state builds no owned key, owner or user list.
 //!
 //! # Example
 //!
@@ -67,7 +70,8 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use serde::{Deserialize, Serialize};
 use shs_des::{SimDur, SimTime};
@@ -181,49 +185,112 @@ const T_AUDIT: &str = "audit_log";
 
 const CODEC_V1: u8 = 1;
 
-fn encode_row_into(out: &mut Vec<u8>, row: &VniRow) {
+/// Encode a row from its parts — the owner as its slot and key, the
+/// users as byte strings — and return how many users it holds. Updates
+/// pass slices of the stored row they replace, so re-encoding it copies
+/// bytes instead of building `String`s.
+fn encode_row_into<'u>(
+    out: &mut Vec<u8>,
+    vni: u16,
+    state: &VniState,
+    (slot, key): (usize, &str),
+    users: impl IntoIterator<Item = &'u [u8]>,
+) -> usize {
     out.push(CODEC_V1);
-    push_u16(out, row.vni);
-    match row.state {
+    push_u16(out, vni);
+    match *state {
         VniState::Allocated => out.push(0),
         VniState::Quarantined { released_at_ns } => {
             out.push(1);
             push_u64(out, released_at_ns);
         }
     }
-    let (tag, key) = owner_slot(&row.owner);
-    out.push(tag as u8);
+    out.push(slot as u8);
     push_bytes(out, key.as_bytes());
-    push_u32(out, row.users.len() as u32);
-    for user in &row.users {
-        push_bytes(out, user.as_bytes());
+    // The count goes in front of the users; it is known once they are.
+    let count_at = out.len();
+    push_u32(out, 0);
+    let mut count = 0usize;
+    for user in users {
+        push_bytes(out, user);
+        count += 1;
+    }
+    out[count_at..count_at + 4].copy_from_slice(&(count as u32).to_le_bytes());
+    count
+}
+
+/// A `vnis` row read in place: its fixed fields, and its owner key and
+/// users borrowed from the stored bytes.
+struct RowRef<'a> {
+    vni: u16,
+    state: VniState,
+    /// The owner's slot ([`SLOT_JOB`] or [`SLOT_CLAIM`]).
+    slot: usize,
+    key: &'a str,
+    /// The encoded users, each a length-prefixed byte string.
+    users: &'a [u8],
+}
+
+impl<'a> RowRef<'a> {
+    /// Parse a whole row: `None` if it is malformed, truncated, or has
+    /// bytes left over.
+    fn parse(bytes: &'a [u8]) -> Option<Self> {
+        let mut off = 0usize;
+        if read_u8(bytes, &mut off)? != CODEC_V1 {
+            return None;
+        }
+        let vni = read_u16(bytes, &mut off)?;
+        let state = match read_u8(bytes, &mut off)? {
+            0 => VniState::Allocated,
+            1 => VniState::Quarantined { released_at_ns: read_u64(bytes, &mut off)? },
+            _ => return None,
+        };
+        let slot = match read_u8(bytes, &mut off)? {
+            0 => SLOT_JOB,
+            1 => SLOT_CLAIM,
+            _ => return None,
+        };
+        let key = std::str::from_utf8(read_slice(bytes, &mut off)?).ok()?;
+        let n_users = read_u32(bytes, &mut off)?;
+        let users = &bytes[off..];
+        for _ in 0..n_users {
+            read_slice(bytes, &mut off)?;
+        }
+        (off == bytes.len()).then_some(RowRef { vni, state, slot, key, users })
+    }
+
+    /// The stored row for `vni`, which an update may only change while it
+    /// is allocated.
+    fn allocated(store: &'a Store, vni: u16) -> Result<Self, VniDbError> {
+        let bytes = store.get(T_VNIS, &VniDb::key(vni)).ok_or(VniDbError::NotFound)?;
+        let row = RowRef::parse(bytes).expect("vnis rows decode");
+        if row.state != VniState::Allocated {
+            return Err(VniDbError::NotFound);
+        }
+        Ok(row)
+    }
+
+    fn users(&self) -> impl Iterator<Item = &'a [u8]> {
+        let users = self.users;
+        let mut off = 0;
+        std::iter::from_fn(move || read_slice(users, &mut off))
+    }
+
+    fn owner(&self) -> (usize, &'a str) {
+        (self.slot, self.key)
     }
 }
 
 fn try_decode_row(bytes: &[u8]) -> Option<VniRow> {
-    let mut off = 0usize;
-    if read_u8(bytes, &mut off)? != CODEC_V1 {
-        return None;
-    }
-    let vni = read_u16(bytes, &mut off)?;
-    let state = match read_u8(bytes, &mut off)? {
-        0 => VniState::Allocated,
-        1 => VniState::Quarantined { released_at_ns: read_u64(bytes, &mut off)? },
-        _ => return None,
+    let row = RowRef::parse(bytes)?;
+    let key = row.key.to_string();
+    let owner = match row.slot {
+        SLOT_JOB => VniOwner::Job { key },
+        _ => VniOwner::Claim { key },
     };
-    let owner_tag = read_u8(bytes, &mut off)?;
-    let key = String::from_utf8(read_slice(bytes, &mut off)?.to_vec()).ok()?;
-    let owner = match owner_tag {
-        0 => VniOwner::Job { key },
-        1 => VniOwner::Claim { key },
-        _ => return None,
-    };
-    let n_users = read_u32(bytes, &mut off)? as usize;
-    let mut users = Vec::with_capacity(n_users.min(64));
-    for _ in 0..n_users {
-        users.push(String::from_utf8(read_slice(bytes, &mut off)?.to_vec()).ok()?);
-    }
-    (off == bytes.len()).then_some(VniRow { vni, state, owner, users })
+    let users =
+        row.users().map(|u| String::from_utf8(u.to_vec()).ok()).collect::<Option<Vec<String>>>()?;
+    Some(VniRow { vni: row.vni, state: row.state, owner, users })
 }
 
 /// Encode an [`AuditEntry`] whose event string is `event` followed by
@@ -291,6 +358,16 @@ pub struct VniDbCounters {
     pub expiry_promotions: u64,
 }
 
+/// The hashing of the owner and quarantine indexes. Both are hashed
+/// because nothing reads them in order — every use is a point probe,
+/// insert or remove, and the consistency check compares whole maps. The
+/// hasher's keys are fixed, so even a map's `Debug` output is the same
+/// from run to run.
+type FixedHash = BuildHasherDefault<DefaultHasher>;
+
+/// An owner index: owner key → VNI.
+type OwnerMap = HashMap<String, u16, FixedHash>;
+
 /// The write-through in-memory indexes. Invariants (checked by
 /// [`VniDb::check_index_consistency`]):
 ///
@@ -309,9 +386,9 @@ struct Indexes {
     /// recovery with a narrower range): swept, but never re-allocated —
     /// matching the scan allocator, which only probed in-range VNIs.
     expired_out: BTreeSet<u16>,
-    quarantined: BTreeMap<u16, u64>,
+    quarantined: HashMap<u16, u64, FixedHash>,
     expiry: BinaryHeap<Reverse<(u64, u16)>>,
-    owners: [BTreeMap<String, u16>; 2],
+    owners: [OwnerMap; 2],
     /// Highest `now` promotions have been evaluated at. The expired
     /// sets are only valid relative to this instant; a call with an
     /// earlier `now` (the public API takes arbitrary `SimTime`s)
@@ -362,12 +439,11 @@ impl VniDb {
         let mut idx = Indexes { free: config.range.clone().collect(), ..Default::default() };
         let q_ns = config.quarantine.as_nanos();
         for (_, bytes) in store.scan(T_VNIS) {
-            let row = Self::decode_row(bytes);
+            let row = RowRef::parse(bytes).expect("vnis rows decode");
             idx.free.remove(&row.vni);
             match row.state {
                 VniState::Allocated => {
-                    let (slot, key) = owner_slot(&row.owner);
-                    idx.owners[slot].insert(key.to_string(), row.vni);
+                    idx.owners[row.slot].insert(row.key.to_string(), row.vni);
                 }
                 VniState::Quarantined { released_at_ns } => {
                     idx.quarantined.insert(row.vni, released_at_ns);
@@ -552,14 +628,6 @@ impl VniDb {
         })
     }
 
-    /// Find the VNI owned by `owner`, if any (idempotent re-sync path).
-    /// An owner-index lookup plus one row fetch — no table scan.
-    pub fn find_by_owner(&self, owner: &VniOwner) -> Option<VniRow> {
-        let (slot, key) = owner_slot(owner);
-        let vni = *self.idx.owners[slot].get(key)?;
-        self.row(Vni(vni))
-    }
-
     /// Bring the expired sets in line with `now`: every heap entry whose
     /// quarantine window has passed moves into the allocatable/sweepable
     /// sets, and — should `now` lie **before** an earlier promotion
@@ -628,8 +696,9 @@ impl VniDb {
     /// facade runs those probes across its shards and then calls this
     /// on the winner, so the winner does not run them again.
     pub(crate) fn allocate(&mut self, owner: VniOwner, vni: u16, now: SimTime) -> Vni {
-        let row = VniRow { vni, state: VniState::Allocated, owner, users: Vec::new() };
-        self.commit_row(&row, now, "acquire", "");
+        self.scratch.clear();
+        encode_row_into(&mut self.scratch, vni, &VniState::Allocated, owner_slot(&owner), []);
+        self.commit_row(vni, now, "acquire", "");
         // Committed: fold the allocation into the indexes.
         if self.idx.free.remove(&vni) {
             self.counters.fresh_allocs += 1;
@@ -640,7 +709,7 @@ impl VniDb {
             self.idx.quarantined.remove(&vni);
             self.counters.reuse_allocs += 1;
         }
-        let (slot, key) = match row.owner {
+        let (slot, key) = match owner {
             VniOwner::Job { key } => (SLOT_JOB, key),
             VniOwner::Claim { key } => (SLOT_CLAIM, key),
         };
@@ -649,34 +718,35 @@ impl VniDb {
         Vni(vni)
     }
 
-    /// The transaction every single-row operation is: write `row` and
-    /// append its audit entry (`event` + `detail`) under the next
-    /// sequence key.
-    fn commit_row(&mut self, row: &VniRow, now: SimTime, event: &str, detail: &str) {
-        self.scratch.clear();
-        encode_row_into(&mut self.scratch, row);
+    /// The transaction every single-row operation is: write the row
+    /// encoded in `scratch` and append its audit entry (`event` +
+    /// `detail`) under the next sequence key. Returns the row's length:
+    /// it stays at the front of `scratch`, for the index updates that
+    /// follow the commit to read.
+    fn commit_row(&mut self, vni: u16, now: SimTime, event: &str, detail: &str) -> usize {
         let audit_at = self.scratch.len();
-        encode_audit_into(&mut self.scratch, now.as_nanos(), row.vni, event, detail);
+        encode_audit_into(&mut self.scratch, now.as_nanos(), vni, event, detail);
         let (row_bytes, audit_bytes) = self.scratch.split_at(audit_at);
         let mut txn = self.store.begin();
-        txn.put(T_VNIS, &Self::key(row.vni), row_bytes);
+        txn.put(T_VNIS, &Self::key(vni), row_bytes);
         txn.append(T_AUDIT, &self.next_audit_seq.to_be_bytes(), audit_bytes);
         txn.commit();
         self.next_audit_seq += 1;
+        audit_at
     }
 
-    /// Atomically release a VNI into quarantine.
+    /// Atomically release a VNI into quarantine. The row is read in
+    /// place and re-encoded from its parts: its owner key is copied as
+    /// bytes, never decoded into a `String`.
     pub fn release(&mut self, vni: Vni, now: SimTime) -> Result<(), VniDbError> {
-        let bytes = self.store.get(T_VNIS, &Self::key(vni.raw())).ok_or(VniDbError::NotFound)?;
-        let mut row = Self::decode_row(bytes);
-        if row.state != VniState::Allocated {
-            return Err(VniDbError::NotFound);
-        }
-        row.state = VniState::Quarantined { released_at_ns: now.as_nanos() };
-        row.users.clear();
-        self.commit_row(&row, now, "release", "");
-        let (slot, key) = owner_slot(&row.owner);
-        self.idx.owners[slot].remove(key);
+        let row = RowRef::allocated(&self.store, vni.raw())?;
+        let released = VniState::Quarantined { released_at_ns: now.as_nanos() };
+        self.scratch.clear();
+        encode_row_into(&mut self.scratch, vni.raw(), &released, row.owner(), []);
+        let row_len = self.commit_row(vni.raw(), now, "release", "");
+        // Committed: the owner key leaves the index as the new row spells it.
+        let row = RowRef::parse(&self.scratch[..row_len]).expect("an encoded row parses");
+        self.idx.owners[row.slot].remove(row.key);
         self.idx.quarantined.insert(vni.raw(), now.as_nanos());
         self.idx
             .expiry
@@ -693,15 +763,12 @@ impl VniDb {
 
     /// Atomically add a user (a job key) to a claim-owned VNI.
     pub fn add_user(&mut self, vni: Vni, user: &str, now: SimTime) -> Result<(), VniDbError> {
-        let bytes = self.store.get(T_VNIS, &Self::key(vni.raw())).ok_or(VniDbError::NotFound)?;
-        let mut row = Self::decode_row(bytes);
-        if row.state != VniState::Allocated {
-            return Err(VniDbError::NotFound);
-        }
-        if !row.users.iter().any(|u| u == user) {
-            row.users.push(user.to_string());
-        }
-        self.commit_row(&row, now, "add_user:", user);
+        let row = RowRef::allocated(&self.store, vni.raw())?;
+        let new = !row.users().any(|u| u == user.as_bytes());
+        let users = row.users().chain(new.then_some(user.as_bytes()));
+        self.scratch.clear();
+        encode_row_into(&mut self.scratch, vni.raw(), &VniState::Allocated, row.owner(), users);
+        self.commit_row(vni.raw(), now, "add_user:", user);
         self.counters.user_adds += 1;
         Ok(())
     }
@@ -713,14 +780,12 @@ impl VniDb {
         user: &str,
         now: SimTime,
     ) -> Result<usize, VniDbError> {
-        let bytes = self.store.get(T_VNIS, &Self::key(vni.raw())).ok_or(VniDbError::NotFound)?;
-        let mut row = Self::decode_row(bytes);
-        if row.state != VniState::Allocated {
-            return Err(VniDbError::NotFound);
-        }
-        row.users.retain(|u| u != user);
-        let remaining = row.users.len();
-        self.commit_row(&row, now, "remove_user:", user);
+        let row = RowRef::allocated(&self.store, vni.raw())?;
+        let users = row.users().filter(|&u| u != user.as_bytes());
+        self.scratch.clear();
+        let remaining =
+            encode_row_into(&mut self.scratch, vni.raw(), &VniState::Allocated, row.owner(), users);
+        self.commit_row(vni.raw(), now, "remove_user:", user);
         self.counters.user_removes += 1;
         Ok(remaining)
     }
@@ -729,13 +794,11 @@ impl VniDb {
     /// "the deletion request is only granted once all users of the VNI
     /// claim have been removed").
     pub fn release_claim(&mut self, claim_key: &str, now: SimTime) -> Result<(), VniDbError> {
-        let Some(row) = self.find_by_claim(claim_key) else {
-            return Err(VniDbError::NotFound);
-        };
-        if !row.users.is_empty() {
+        let vni = *self.idx.owners[SLOT_CLAIM].get(claim_key).ok_or(VniDbError::NotFound)?;
+        if RowRef::allocated(&self.store, vni)?.users().next().is_some() {
             return Err(VniDbError::ClaimInUse);
         }
-        self.release(Vni(row.vni), now)
+        self.release(Vni(vni), now)
     }
 
     /// Count of currently allocated VNIs — an index size, not a scan.
@@ -809,17 +872,16 @@ impl VniDb {
     /// Diagnostics/tests only — the regression and oracle suites call
     /// this after every operation, including failed ones.
     pub fn check_index_consistency(&self) -> Result<(), String> {
-        let mut want_owners: [BTreeMap<String, u16>; 2] = Default::default();
-        let mut want_quar: BTreeMap<u16, u64> = BTreeMap::new();
+        let mut want_owners: [OwnerMap; 2] = Default::default();
+        let mut want_quar: HashMap<u16, u64, FixedHash> = HashMap::default();
         let mut present: BTreeSet<u16> = BTreeSet::new();
         for (_, bytes) in self.store.scan(T_VNIS) {
-            let row = try_decode_row(bytes)
+            let row = RowRef::parse(bytes)
                 .ok_or_else(|| "undecodable row in vnis table".to_string())?;
             present.insert(row.vni);
             match row.state {
                 VniState::Allocated => {
-                    let (slot, key) = owner_slot(&row.owner);
-                    want_owners[slot].insert(key.to_string(), row.vni);
+                    want_owners[row.slot].insert(row.key.to_string(), row.vni);
                 }
                 VniState::Quarantined { released_at_ns } => {
                     want_quar.insert(row.vni, released_at_ns);
@@ -911,7 +973,8 @@ mod tests {
 
     fn encode_row(row: &VniRow) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_row_into(&mut out, row);
+        let users = row.users.iter().map(|u| u.as_bytes());
+        encode_row_into(&mut out, row.vni, &row.state, owner_slot(&row.owner), users);
         out
     }
 

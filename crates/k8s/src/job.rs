@@ -2,7 +2,8 @@
 //! jobs complete, and applies `ttlSecondsAfterFinished` (the paper's
 //! admission experiments delete jobs "immediately after completion").
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::rc::Rc;
 
 use shs_des::SimTime;
@@ -19,13 +20,25 @@ pub struct JobController {
     last_rv: u64,
     /// [`KUBELET_FINALIZER`], built once and shared by every pod.
     finalizer: Rc<str>,
+    /// Finished jobs whose `ttlSecondsAfterFinished` has not yet run
+    /// out, as `(deadline ns, job)`, soonest first. A finished job sees
+    /// no more events, so [`JobController::poll`] reaps it by the clock.
+    /// A job may sit here more than once (each reconcile before its
+    /// deadline pushes it) or be gone by its deadline; reaping
+    /// reconciles it again, which decides from the stored job alone.
+    ttl_due: BinaryHeap<Reverse<(u64, ObjKey)>>,
     /// Jobs seen → pods created (diagnostics).
     pub pods_created: u64,
 }
 
 impl Default for JobController {
     fn default() -> Self {
-        JobController { last_rv: 0, finalizer: KUBELET_FINALIZER.into(), pods_created: 0 }
+        JobController {
+            last_rv: 0,
+            finalizer: KUBELET_FINALIZER.into(),
+            ttl_due: BinaryHeap::new(),
+            pods_created: 0,
+        }
     }
 }
 
@@ -66,6 +79,11 @@ impl JobController {
         }
 
         for (ns, job_name) in dirty {
+            self.reconcile_job(api, &ns, &job_name, now);
+        }
+
+        while self.ttl_due.peek().is_some_and(|Reverse((due, _))| *due <= now.as_nanos()) {
+            let Reverse((_, (ns, job_name))) = self.ttl_due.pop().expect("peeked");
             self.reconcile_job(api, &ns, &job_name, now);
         }
     }
@@ -128,12 +146,15 @@ impl JobController {
             let _ = api.set_status(kinds::JOB, ns, job_name, st);
         }
 
-        // TTL-after-finished: delete completed jobs.
+        // TTL-after-finished: delete completed jobs, now or at the first
+        // poll at or after the deadline.
         if status.complete {
             if let Some(ttl) = spec.ttl_seconds_after_finished {
-                let done_at = status.completed_at_ns.unwrap_or(0);
-                if now.as_nanos() >= done_at + ttl * 1_000_000_000 {
+                let due = status.completed_at_ns.unwrap_or(0) + ttl * 1_000_000_000;
+                if now.as_nanos() >= due {
                     let _ = api.delete(kinds::JOB, ns, job_name);
+                } else {
+                    self.ttl_due.push(Reverse((due, job.key())));
                 }
             }
         }
@@ -212,6 +233,29 @@ mod tests {
         // Kubelet finishes teardown:
         api.remove_finalizer(kinds::POD, "ns", "j-0", KUBELET_FINALIZER).unwrap();
         assert!(api.get(kinds::POD, "ns", "j-0").is_none());
+    }
+
+    #[test]
+    fn a_finished_job_is_reaped_when_its_ttl_runs_out_with_no_other_event() {
+        let secs = |s: f64| SimTime::from_nanos((s * 1e9) as u64);
+        let mut api = ApiServer::default();
+        let spec = JobSpec { ttl_seconds_after_finished: Some(5), ..job_spec(1) };
+        api.create(make_job("ns", "j", &spec), SimTime::ZERO).unwrap();
+        let mut jc = JobController::new();
+        jc.poll(&mut api, SimTime::ZERO);
+        set_pod_phase(&mut api, "ns", "j-0", PodPhase::Succeeded);
+        jc.poll(&mut api, secs(1.0));
+        let st = api.get(kinds::JOB, "ns", "j").expect("kept").job_status().unwrap().clone();
+        assert_eq!((st.complete, st.completed_at_ns), (true, Some(1_000_000_000)));
+        // Nothing happens to the job from here on: only the clock moves.
+        for t in [1.5, 2.0, 4.0, 5.999] {
+            jc.poll(&mut api, secs(t));
+            assert!(api.get(kinds::JOB, "ns", "j").is_some(), "present at {t} s, before its TTL");
+        }
+        jc.poll(&mut api, secs(6.0));
+        assert!(api.get(kinds::JOB, "ns", "j").is_none(), "reaped 5 s after completing");
+        jc.poll(&mut api, secs(7.0));
+        assert!(api.get(kinds::JOB, "ns", "j").is_none());
     }
 
     #[test]

@@ -22,7 +22,12 @@
 //! A table is one of two kinds, fixed by the first operation on it:
 //!
 //! * a **map** table ([`Txn::put`] / [`Txn::delete`]) is an ordered map
-//!   of owned rows — any key, overwritten and removed freely;
+//!   of owned rows, overwritten and removed freely. Its keys are at most
+//!   [`MAX_MAP_KEY`] (15) bytes: each is packed inline into one 16-byte
+//!   word — the bytes zero-padded, the length in the last byte — whose
+//!   big-endian `u128` order is exactly the byte-string order (`ab` <
+//!   `ab\0` < `ab\x01` < `abc`), so a lookup compares machine words
+//!   instead of following a pointer to a heap key per comparison;
 //! * a **log** table ([`Txn::append`]) only grows, and every appended
 //!   key must be above the last. Its rows sit back to back in one byte
 //!   arena, in the WAL op encoding, next to an index of their offsets:
@@ -32,9 +37,9 @@
 //!   many rows it holds. An audit log is this shape.
 //!
 //! Mixing the kinds — `put` or `delete` on a log table, `append` on a
-//! map table, an append at or below the table's last key — is a bug in
-//! the caller and panics when the operation is staged, before anything
-//! reaches the log.
+//! map table, an append at or below the table's last key — or a map key
+//! longer than [`MAX_MAP_KEY`] is a bug in the caller and panics when the
+//! operation is staged, before anything reaches the log.
 //!
 //! # Example
 //!
@@ -70,6 +75,7 @@ use std::ops::Range;
 
 use shs_des::DetRng;
 
+use crate::codec::read_slice;
 use crate::disk::SimDisk;
 use crate::wal::{self, Frame, Op, OpKind, RecordKind};
 
@@ -83,12 +89,18 @@ struct LogTable {
     /// Where the last row's key sits in `image`: every append checks
     /// its key against it, so it is kept rather than re-parsed.
     last_key: Range<usize>,
+    /// How far into a row its key's length prefix sits. Every row names
+    /// the same table, so this is one offset for all of them, and a read
+    /// skips straight to the key instead of parsing the tag and name.
+    key_field: usize,
 }
 
 impl LogTable {
     fn row_at(&self, start: usize) -> (&[u8], &[u8]) {
-        let op = wal::ops(&self.image[start..]).next().expect("log rows are whole ops");
-        (op.key, op.value)
+        let mut off = start + self.key_field;
+        let key = read_slice(&self.image, &mut off).expect("log rows are whole ops");
+        let value = read_slice(&self.image, &mut off).expect("log rows are whole ops");
+        (key, value)
     }
 
     fn rows(&self) -> impl DoubleEndedIterator<Item = (&[u8], &[u8])> {
@@ -115,17 +127,68 @@ impl LogTable {
         let start = self.image.len();
         // `op.key` is a slice of `op.raw`: its offset there is its offset
         // in the row as copied.
-        let key_at = start + (op.key.as_ptr().addr() - op.raw.as_ptr().addr());
+        let key_in_row = op.key.as_ptr().addr() - op.raw.as_ptr().addr();
+        self.key_field = key_in_row - size_of::<u32>();
+        let key_at = start + key_in_row;
         self.last_key = key_at..key_at + op.key.len();
         self.starts.push(start);
         self.image.extend_from_slice(op.raw);
     }
 }
 
+/// The longest key a map table accepts (see the module docs).
+pub const MAX_MAP_KEY: usize = 15;
+
+/// A map-table key packed inline: up to [`MAX_MAP_KEY`] bytes,
+/// zero-padded, with the length in the last byte. Ordered as one
+/// big-endian `u128`, which is the byte-string order of the keys it
+/// packs: the padding sorts a key before every longer key it prefixes,
+/// and the length byte separates `ab` from `ab\0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MapKey([u8; 16]);
+
+impl MapKey {
+    /// Pack `key`, or `None` when it is too long to be a map key.
+    fn pack(key: &[u8]) -> Option<MapKey> {
+        if key.len() > MAX_MAP_KEY {
+            return None;
+        }
+        let mut word = [0u8; 16];
+        word[..key.len()].copy_from_slice(key);
+        word[MAX_MAP_KEY] = key.len() as u8;
+        Some(MapKey(word))
+    }
+
+    /// The key's bytes, borrowed from the word.
+    fn bytes(&self) -> &[u8] {
+        &self.0[..self.0[MAX_MAP_KEY] as usize]
+    }
+}
+
+impl Ord for MapKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        u128::from_be_bytes(self.0).cmp(&u128::from_be_bytes(other.0))
+    }
+}
+
+impl PartialOrd for MapKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 #[derive(Debug)]
 enum Table {
-    Map(BTreeMap<Vec<u8>, Vec<u8>>),
+    Map(BTreeMap<MapKey, Vec<u8>>),
     Log(LogTable),
+}
+
+/// Pack a key staged or replayed on a map table; a longer one is a bug in
+/// the caller (see the module docs).
+fn map_key(table: &str, key: &[u8]) -> MapKey {
+    MapKey::pack(key).unwrap_or_else(|| {
+        panic!("{}-byte key on map table `{table}` (at most {MAX_MAP_KEY})", key.len())
+    })
 }
 
 impl Table {
@@ -133,7 +196,7 @@ impl Table {
         match (self, op.kind) {
             // One descent either way; an overwrite keeps the row's value
             // allocation.
-            (Table::Map(rows), OpKind::Put) => match rows.entry(op.key.to_vec()) {
+            (Table::Map(rows), OpKind::Put) => match rows.entry(map_key(op.table, op.key)) {
                 Entry::Occupied(mut row) => {
                     row.get_mut().clear();
                     row.get_mut().extend_from_slice(op.value);
@@ -143,7 +206,7 @@ impl Table {
                 }
             },
             (Table::Map(rows), OpKind::Delete) => {
-                rows.remove(op.key);
+                rows.remove(&map_key(op.table, op.key));
             }
             (Table::Log(log), OpKind::Append) => log.push(op),
             (_, kind) => panic!("{kind:?} on the wrong kind of table `{}`", op.table),
@@ -151,9 +214,33 @@ impl Table {
     }
 }
 
+/// The store's tables by name, in name order (the order a snapshot
+/// writes them in). A store holds a handful of tables and every
+/// operation names one, so finding it is a short scan in which a wrong
+/// name is usually refused by its length alone — where a tree would
+/// follow a pointer to a heap name and compare bytes at every step.
+#[derive(Debug, Default)]
+struct Tables(Vec<(String, Table)>);
+
+impl Tables {
+    fn get(&self, name: &str) -> Option<&Table> {
+        self.0.iter().find(|(n, _)| n == name).map(|(_, t)| t)
+    }
+
+    fn get_mut(&mut self, name: &str) -> Option<&mut Table> {
+        self.0.iter_mut().find(|(n, _)| n == name).map(|(_, t)| t)
+    }
+
+    /// Add a table that is not there yet, keeping name order.
+    fn insert(&mut self, name: &str, table: Table) {
+        let at = self.0.partition_point(|(n, _)| n.as_str() < name);
+        self.0.insert(at, (name.to_string(), table));
+    }
+}
+
 /// Apply one commit or snapshot payload to the tables — the one routine
 /// behind both a live commit and recovery's replay.
-fn apply_payload(tables: &mut BTreeMap<String, Table>, payload: &[u8]) {
+fn apply_payload(tables: &mut Tables, payload: &[u8]) {
     for op in wal::ops(payload) {
         // Probe first: the common case (the table exists) must not
         // allocate the table name just to use the `entry` API.
@@ -167,7 +254,7 @@ fn apply_payload(tables: &mut BTreeMap<String, Table>, payload: &[u8]) {
             OpKind::Delete => continue,
         };
         table.apply(&op);
-        tables.insert(op.table.to_string(), table);
+        tables.insert(op.table, table);
     }
 }
 
@@ -216,7 +303,7 @@ pub struct StoreStats {
 #[derive(Debug)]
 pub struct Store {
     disk: SimDisk,
-    tables: BTreeMap<String, Table>,
+    tables: Tables,
     next_lsn: u64,
     config: StoreConfig,
     commits_since_snapshot: u64,
@@ -273,7 +360,7 @@ impl Store {
         let mut scan = wal::frames(disk.contents());
         let frames: Vec<Frame<'_>> = scan.by_ref().collect();
         let valid_len = scan.consumed();
-        let mut tables = BTreeMap::new();
+        let mut tables = Tables::default();
         let mut next_lsn = 1;
         let from = frames.iter().rposition(|f| f.kind == RecordKind::Snapshot).unwrap_or(0);
         for frame in &frames[from..] {
@@ -315,7 +402,7 @@ impl Store {
     /// Committed read.
     pub fn get(&self, table: &str, key: &[u8]) -> Option<&[u8]> {
         match self.tables.get(table)? {
-            Table::Map(rows) => rows.get(key).map(Vec::as_slice),
+            Table::Map(rows) => rows.get(&MapKey::pack(key)?).map(Vec::as_slice),
             Table::Log(log) => log.get(key),
         }
     }
@@ -330,7 +417,7 @@ impl Store {
             Some(Table::Log(log)) => (None, Some(log)),
             None => (None, None),
         };
-        let map = map.into_iter().flatten().map(|(k, v)| (k.as_slice(), v.as_slice()));
+        let map = map.into_iter().flatten().map(|(k, v)| (k.bytes(), v.as_slice()));
         map.chain(log.into_iter().flat_map(LogTable::rows))
     }
 
@@ -338,7 +425,7 @@ impl Store {
     /// of the latest append.
     pub fn last_key(&self, table: &str) -> Option<&[u8]> {
         match self.tables.get(table)? {
-            Table::Map(rows) => rows.last_key_value().map(|(k, _)| k.as_slice()),
+            Table::Map(rows) => rows.last_key_value().map(|(k, _)| k.bytes()),
             Table::Log(log) => log.last_key(),
         }
     }
@@ -368,11 +455,11 @@ impl Store {
         let tables = &self.tables;
         self.disk.rewrite(|image| {
             wal::begin_frame(RecordKind::Snapshot, lsn, image);
-            for (name, table) in tables {
+            for (name, table) in &tables.0 {
                 match table {
                     Table::Map(rows) => {
                         for (k, v) in rows {
-                            wal::push_op(image, OpKind::Put, name, k, v);
+                            wal::push_op(image, OpKind::Put, name, k.bytes(), v);
                         }
                     }
                     Table::Log(log) => image.extend_from_slice(&log.image),
@@ -530,11 +617,15 @@ impl Txn<'_> {
         self.stage(OpKind::Append, table, key, value);
     }
 
-    /// Validate an operation against the table's kind (see the module
-    /// docs) and encode it. Panics on misuse, before anything is logged.
+    /// Validate an operation against the table's kind and key rules (see
+    /// the module docs) and encode it. Panics on misuse, before anything
+    /// is logged.
     fn stage(&mut self, kind: OpKind, table: &str, key: &[u8], value: &[u8]) {
         let staged = &self.store.staged;
         let appends = kind == OpKind::Append;
+        if !appends {
+            map_key(table, key);
+        }
         let committed = self.store.tables.get(table);
         // The table's kind: as committed, else as the first operation
         // this transaction staged on it will make it.
@@ -978,7 +1069,7 @@ mod tests {
         t.commit();
         let device = s.device_len();
         type Misuse = (&'static str, fn(&mut Txn<'_>));
-        let misuses: [Misuse; 7] = [
+        let misuses: [Misuse; 9] = [
             ("append below the last key", |t| t.append("log", &seq(4), b"x")),
             ("append at the last key", |t| t.append("log", &seq(5), b"x")),
             ("append below a staged key", |t| {
@@ -992,6 +1083,8 @@ mod tests {
                 t.put("fresh", b"k", b"v");
                 t.append("fresh", b"l", b"v");
             }),
+            ("put with a 16-byte key", |t| t.put("rows", &[7; 16], b"x")),
+            ("delete with a 16-byte key", |t| t.delete("rows", &[7; 16])),
         ];
         for (what, misuse) in misuses {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1008,6 +1101,24 @@ mod tests {
         t.append("log", &seq(6), b"entry");
         t.commit();
         assert_eq!(s.row_count("log"), 2);
+    }
+
+    #[test]
+    fn packed_keys_sort_as_byte_strings() {
+        let keys: [&[u8]; 9] =
+            [b"", b"\0", b"\0\0", b"a", b"ab", b"ab\0", b"ab\x01", b"abc", &[0xff; 15]];
+        for pair in keys.windows(2) {
+            let (a, b) = (MapKey::pack(pair[0]).unwrap(), MapKey::pack(pair[1]).unwrap());
+            assert!(a < b, "{a:?} < {b:?}");
+            assert_eq!((a.bytes(), b.bytes()), (pair[0], pair[1]));
+        }
+        assert!(MapKey::pack(&[0; 16]).is_none());
+        // A key too long to store is simply absent on a read.
+        let mut s = store();
+        let mut t = s.begin();
+        t.put("rows", b"k", b"v");
+        t.commit();
+        assert_eq!(s.get("rows", &[0; 16]), None);
     }
 
     #[test]

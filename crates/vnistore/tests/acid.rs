@@ -6,7 +6,11 @@
 //!
 //! Scripts mix both table kinds: puts and deletes on two map tables,
 //! appends to a log table under an ascending sequence key (the shape of
-//! the VNI database's `vnis` + `audit_log`).
+//! the VNI database's `vnis` + `audit_log`). Map keys run from empty to
+//! the 15-byte limit over a four-letter alphabet with `0x00` in it, so
+//! scripts are full of keys that prefix each other or differ only by
+//! trailing zeros — the cases the store's packed key order must get
+//! right.
 
 use proptest::prelude::*;
 use shs_des::DetRng;
@@ -16,19 +20,29 @@ use std::collections::BTreeMap;
 /// A scripted operation for the model-based test.
 #[derive(Debug, Clone)]
 enum ScriptOp {
-    Put { table: u8, key: u8, value: u16 },
-    Delete { table: u8, key: u8 },
+    Put { table: u8, key: Vec<u8>, value: u16 },
+    Delete { table: u8, key: Vec<u8> },
     Append { value: u16 },
     CommitTxn,
     AbortTxn,
     Snapshot,
 }
 
+/// A map key: mostly short, so puts and deletes keep landing on the same
+/// keys and on each other's prefixes, sometimes up to the 15-byte limit.
+fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
+    let byte = || (0usize..4).prop_map(|i| [0x00u8, 0x01, b'a', 0xff][i]);
+    prop_oneof![
+        3 => prop::collection::vec(byte(), 0..3),
+        1 => prop::collection::vec(byte(), 0..=15),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = ScriptOp> {
     prop_oneof![
-        4 => (0u8..2, 0u8..16, any::<u16>())
+        4 => (0u8..2, key_strategy(), any::<u16>())
             .prop_map(|(table, key, value)| ScriptOp::Put { table, key, value }),
-        2 => (0u8..2, 0u8..16).prop_map(|(table, key)| ScriptOp::Delete { table, key }),
+        2 => (0u8..2, key_strategy()).prop_map(|(table, key)| ScriptOp::Delete { table, key }),
         3 => any::<u16>().prop_map(|value| ScriptOp::Append { value }),
         3 => Just(ScriptOp::CommitTxn),
         1 => Just(ScriptOp::AbortTxn),
@@ -46,6 +60,8 @@ fn dump(store: &Store) -> Model {
     for t in MAPS.into_iter().chain([LOG]) {
         assert_eq!(store.scan(t).count(), store.row_count(t));
         assert_eq!(store.scan(t).last().map(|(k, _)| k), store.last_key(t));
+        let keys: Vec<&[u8]> = store.scan(t).map(|(k, _)| k).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "`{t}` scans in byte-string order");
         for (k, v) in store.scan(t) {
             assert_eq!(store.get(t, k), Some(v), "scan and get agree");
             out.insert((t.to_string(), k.to_vec()), v.to_vec());
@@ -82,18 +98,21 @@ impl Harness {
             ScriptOp::Snapshot => self.store.snapshot(),
             ScriptOp::CommitTxn => {
                 let mut txn = self.store.begin();
+                let mut touched = Vec::new();
                 for s in self.staged.drain(..) {
                     match s {
                         ScriptOp::Put { table, key, value } => {
                             let table = MAPS[table as usize];
-                            txn.put(table, &[key], &value.to_le_bytes());
+                            txn.put(table, &key, &value.to_le_bytes());
                             self.committed
-                                .insert((table.into(), vec![key]), value.to_le_bytes().to_vec());
+                                .insert((table.into(), key.clone()), value.to_le_bytes().to_vec());
+                            touched.push((table, key));
                         }
                         ScriptOp::Delete { table, key } => {
                             let table = MAPS[table as usize];
-                            txn.delete(table, &[key]);
-                            self.committed.remove(&(table.to_string(), vec![key]));
+                            txn.delete(table, &key);
+                            self.committed.remove(&(table.to_string(), key.clone()));
+                            touched.push((table, key));
                         }
                         ScriptOp::Append { value } => {
                             let key = self.next_seq.to_be_bytes();
@@ -106,6 +125,11 @@ impl Harness {
                     }
                 }
                 txn.commit();
+                // Point reads agree with the model, a deleted key included.
+                for (table, key) in touched {
+                    let want = self.committed.get(&(table.to_string(), key.clone()));
+                    assert_eq!(self.store.get(table, &key), want.map(Vec::as_slice));
+                }
                 return true;
             }
             row_op => self.staged.push(row_op.clone()),
