@@ -10,11 +10,11 @@
 //! Timing constants ([`CassiniParams`]) are calibrated to 200 Gb/s
 //! Slingshot magnitudes; see EXPERIMENTS.md.
 
-pub mod nic;
-pub mod params;
+pub(crate) mod nic;
+pub(crate) mod params;
 
 pub use nic::{
-    CassiniNic, Endpoint, EpIdx, MemoryRegion, MrKey, NicCounters, NicError, RxMessage,
-    SendOutcome, SendTiming, ServiceEntry, SvcId, SvcLimits,
+    CassiniNic, Endpoint, EpIdx, NicCounters, NicError, RxMessage, SendOutcome, SendTiming,
+    ServiceEntry, SvcId, SvcLimits,
 };
 pub use params::CassiniParams;

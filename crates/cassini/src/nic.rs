@@ -1,5 +1,5 @@
-//! The Cassini (CXI) NIC model: realized services, RDMA endpoints,
-//! memory regions, and the timed send/deliver data path.
+//! The Cassini (CXI) NIC model: realized services, RDMA endpoints and
+//! the timed send/deliver data path.
 //!
 //! Authorization *decisions* live in the driver (`shs-cxi`); the NIC only
 //! holds the *realized* service table the driver programmed into it and
@@ -21,10 +21,6 @@ pub struct SvcId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EpIdx(pub u32);
 
-/// Remote-access key for a registered memory region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MrKey(pub u64);
-
 /// Errors surfaced by NIC operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NicError {
@@ -38,10 +34,6 @@ pub enum NicError {
     EndpointLimit,
     /// Endpoint index not allocated.
     NoSuchEndpoint,
-    /// Memory-region key unknown at the target.
-    NoSuchMr,
-    /// Memory-region access violation (bounds or permission).
-    MrAccess,
 }
 
 impl core::fmt::Display for NicError {
@@ -52,8 +44,6 @@ impl core::fmt::Display for NicError {
             NicError::VniNotAllowed => "VNI not allowed by CXI service",
             NicError::EndpointLimit => "service endpoint limit reached",
             NicError::NoSuchEndpoint => "no such endpoint",
-            NicError::NoSuchMr => "no such memory region",
-            NicError::MrAccess => "memory region access violation",
         };
         f.write_str(s)
     }
@@ -62,16 +52,14 @@ impl core::fmt::Display for NicError {
 impl std::error::Error for NicError {}
 
 /// Resource limits a CXI service may impose (§II-C: services "can be
-/// configured to limit the use of communication resources").
+/// configured to limit the use of communication resources"). The model
+/// limits one resource, the endpoint count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[derive(Default)]
 pub struct SvcLimits {
     /// Maximum concurrently allocated endpoints (None = unlimited).
     pub max_endpoints: Option<u32>,
-    /// Maximum registered memory regions (None = unlimited).
-    pub max_mrs: Option<u32>,
 }
-
 
 /// A service entry as programmed into the NIC by the driver.
 #[derive(Debug, Clone)]
@@ -119,21 +107,6 @@ pub struct Endpoint {
     /// [`CassiniNic::deliver_poll`] hand-off bypasses it whenever it is
     /// empty, so on that path it stays empty.
     pub rx_queue: VecDeque<RxMessage>,
-}
-
-/// A registered memory region (simplified: a length + RW permissions).
-#[derive(Debug, Clone, Copy)]
-pub struct MemoryRegion {
-    /// Remote key.
-    pub key: MrKey,
-    /// Owning endpoint.
-    pub ep: EpIdx,
-    /// Region length in bytes.
-    pub len: u64,
-    /// Remote reads permitted.
-    pub remote_read: bool,
-    /// Remote writes permitted.
-    pub remote_write: bool,
 }
 
 /// Timing of a successfully issued message.
@@ -184,8 +157,6 @@ pub struct NicCounters {
     pub rx_bytes: u64,
     /// Messages the fabric refused to route.
     pub fabric_drops: u64,
-    /// RMA operations rejected at the target MR check.
-    pub mr_violations: u64,
 }
 
 /// The Cassini NIC.
@@ -199,8 +170,6 @@ pub struct CassiniNic {
     /// are never reused, so the next one is the table's length and a
     /// freed slot stays `None`: every data-path lookup is one index.
     endpoints: Vec<Option<Endpoint>>,
-    mrs: BTreeMap<MrKey, MemoryRegion>,
-    next_mr: u64,
     next_msg: u64,
     tx_engine_busy: SimTime,
     rng: DetRng,
@@ -222,8 +191,6 @@ impl CassiniNic {
             params,
             services: BTreeMap::new(),
             endpoints: Vec::new(),
-            mrs: BTreeMap::new(),
-            next_mr: 1,
             next_msg: 1,
             tx_engine_busy: SimTime::ZERO,
             rng,
@@ -260,11 +227,6 @@ impl CassiniNic {
                 *slot = None;
                 doomed += 1;
             }
-        }
-        if doomed > 0 {
-            // Every surviving MR's endpoint is still in the table.
-            let live = &self.endpoints;
-            self.mrs.retain(|_, mr| live.get(mr.ep.0 as usize).is_some_and(Option::is_some));
         }
         doomed
     }
@@ -318,61 +280,16 @@ impl CassiniNic {
         Ok(idx)
     }
 
-    /// Free an endpoint and its memory regions.
+    /// Free an endpoint.
     pub fn free_endpoint(&mut self, idx: EpIdx) -> Result<(), NicError> {
         let slot = self.endpoints.get_mut(idx.0 as usize).ok_or(NicError::NoSuchEndpoint)?;
         slot.take().ok_or(NicError::NoSuchEndpoint)?;
-        self.mrs.retain(|_, mr| mr.ep != idx);
         Ok(())
     }
 
     /// Access an endpoint.
     pub fn endpoint(&self, idx: EpIdx) -> Result<&Endpoint, NicError> {
         self.ep(idx).ok_or(NicError::NoSuchEndpoint)
-    }
-
-    // ---- memory regions --------------------------------------------------
-
-    /// Register a memory region for remote access.
-    pub fn register_mr(
-        &mut self,
-        ep: EpIdx,
-        len: u64,
-        remote_read: bool,
-        remote_write: bool,
-    ) -> Result<MrKey, NicError> {
-        let endpoint = self.ep(ep).ok_or(NicError::NoSuchEndpoint)?;
-        let svc = self.services.get(&endpoint.svc).ok_or(NicError::NoSuchService)?;
-        if let Some(max) = svc.limits.max_mrs {
-            let owned = self.mrs.values().filter(|m| m.ep == ep).count();
-            if owned as u32 >= max {
-                return Err(NicError::MrAccess);
-            }
-        }
-        let key = MrKey(self.next_mr);
-        self.next_mr += 1;
-        self.mrs.insert(key, MemoryRegion { key, ep, len, remote_read, remote_write });
-        Ok(key)
-    }
-
-    /// Deregister a memory region.
-    pub fn deregister_mr(&mut self, key: MrKey) -> Result<(), NicError> {
-        self.mrs.remove(&key).map(|_| ()).ok_or(NicError::NoSuchMr)
-    }
-
-    /// Validate a remote access against a registered MR.
-    pub fn check_rma(&mut self, key: MrKey, offset: u64, len: u64, write: bool) -> Result<EpIdx, NicError> {
-        let Some(mr) = self.mrs.get(&key) else {
-            self.counters.mr_violations += 1;
-            return Err(NicError::NoSuchMr);
-        };
-        let perm_ok = if write { mr.remote_write } else { mr.remote_read };
-        let bounds_ok = offset.checked_add(len).is_some_and(|end| end <= mr.len);
-        if !perm_ok || !bounds_ok {
-            self.counters.mr_violations += 1;
-            return Err(NicError::MrAccess);
-        }
-        Ok(mr.ep)
     }
 
     // ---- data path ---------------------------------------------------------
@@ -576,10 +493,8 @@ mod tests {
         let (_, mut a, _) = rig();
         a.configure_service(svc(1, &[5]));
         let ep = a.alloc_endpoint(SvcId(1), Vni(5), TrafficClass::Dedicated).unwrap();
-        a.register_mr(ep, 4096, true, true).unwrap();
         assert_eq!(a.remove_service(SvcId(1)), 1);
         assert_eq!(a.endpoint(ep).unwrap_err(), NicError::NoSuchEndpoint);
-        assert_eq!(a.check_rma(MrKey(1), 0, 8, false).unwrap_err(), NicError::NoSuchMr);
     }
 
     #[test]
@@ -680,21 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn rma_checks_bounds_and_permissions() {
-        let (_, mut a, _) = rig();
-        a.configure_service(svc(1, &[5]));
-        let ep = a.alloc_endpoint(SvcId(1), Vni(5), TrafficClass::Dedicated).unwrap();
-        let key = a.register_mr(ep, 4096, true, false).unwrap();
-        assert_eq!(a.check_rma(key, 0, 4096, false).unwrap(), ep);
-        assert_eq!(a.check_rma(key, 4096, 1, false).unwrap_err(), NicError::MrAccess);
-        assert_eq!(a.check_rma(key, 0, 1, true).unwrap_err(), NicError::MrAccess);
-        assert_eq!(a.check_rma(MrKey(999), 0, 1, false).unwrap_err(), NicError::NoSuchMr);
-        assert_eq!(a.counters.mr_violations, 3);
-        a.deregister_mr(key).unwrap();
-        assert_eq!(a.check_rma(key, 0, 1, false).unwrap_err(), NicError::NoSuchMr);
-    }
-
-    #[test]
     fn per_run_jitter_changes_timing_slightly() {
         let (mut f, mut a, mut b) = rig();
         a.configure_service(svc(1, &[5]));
@@ -792,31 +692,22 @@ mod tests {
     }
 
     #[test]
-    fn remove_service_frees_only_its_own_endpoints_and_their_mrs() {
+    fn remove_service_frees_only_its_own_endpoints() {
         let (_, mut a, _) = rig();
         a.configure_service(svc(1, &[5]));
         a.configure_service(svc(2, &[5]));
-        // Interleave the two services' endpoints; two MRs on each.
+        // Interleave the two services' endpoints.
         let eps = [1, 2, 1, 2].map(|svc| alloc(&mut a, svc).unwrap());
-        let keys: Vec<MrKey> = eps
-            .iter()
-            .flat_map(|&ep| [ep, ep])
-            .map(|ep| a.register_mr(ep, 4096, true, true).unwrap())
-            .collect();
         assert_eq!(a.remove_service(SvcId(1)), 2);
         assert!(a.service(SvcId(1)).is_none());
         for (i, &ep) in eps.iter().enumerate() {
-            let survives = i % 2 == 1;
-            assert_eq!(a.endpoint(ep).is_ok(), survives, "endpoint {ep:?}");
-            for &key in &keys[2 * i..2 * i + 2] {
-                assert_eq!(a.check_rma(key, 0, 8, false).is_ok(), survives, "{key:?} of {ep:?}");
-            }
+            assert_eq!(a.endpoint(ep).is_ok(), i % 2 == 1, "endpoint {ep:?}");
         }
         assert_eq!(a.endpoints_of(SvcId(2)), 2);
         // Nothing left to free the second time; the survivors stay.
         assert_eq!(a.remove_service(SvcId(1)), 0);
         assert_eq!(a.endpoints_of(SvcId(2)), 2);
-        assert!(a.check_rma(keys[2], 0, 8, true).is_ok());
+        assert!(a.endpoint(eps[1]).is_ok() && a.endpoint(eps[3]).is_ok());
     }
 
     #[test]

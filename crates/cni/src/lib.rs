@@ -1,7 +1,7 @@
 //! # shs-cni — the Container Network Interface framework
 //!
-//! CNI spec types (JSON network configuration lists, ADD/DEL/CHECK,
-//! structured results, numbered errors), the plugin trait a chain
+//! CNI spec types (ADD/DEL/CHECK, invocation arguments, structured
+//! results, numbered errors), the plugin trait a chain
 //! executes, and a reference `bridge` plugin that stands in for the
 //! primary overlay plugin (Flannel/Cilium) the paper's CXI plugin chains
 //! after (§III-B).
@@ -12,12 +12,9 @@
 //! `slingshot-k8s` core crate; this crate is deliberately generic.
 
 pub mod bridge;
-pub mod chain;
-pub mod spec;
+pub(crate) mod chain;
+pub(crate) mod spec;
 
 pub use bridge::{BridgePlugin, HasHost};
 pub use chain::CniPlugin;
-pub use spec::{
-    CniArgs, CniCommand, CniError, CniResult, Interface, IpConfig, NetworkConfList,
-    PluginConf, PodRef, SUPPORTED_VERSIONS,
-};
+pub use spec::{CniArgs, CniCommand, CniError, CniResult, Interface, IpConfig, PodRef};

@@ -1,17 +1,15 @@
 //! Container Network Interface (CNI) specification types.
 //!
 //! Follows the CNI spec the paper's plugin implements against
-//! (reference \[6\] in the paper): network configuration lists in JSON,
-//! the
-//! ADD/DEL/CHECK verbs, structured results, and numbered error codes.
+//! (reference \[6\] in the paper): the ADD/DEL/CHECK verbs, invocation
+//! arguments, structured results, and numbered error codes. The chain
+//! itself is built in Rust (`slingshot_k8s::NodeChain`), so no network
+//! configuration list is parsed.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use shs_oslinux::NetNsId;
-
-/// Supported CNI spec versions.
-pub const SUPPORTED_VERSIONS: [&str; 3] = ["0.4.0", "1.0.0", "1.1.0"];
 
 /// CNI operations ("commands").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,46 +20,6 @@ pub enum CniCommand {
     Del,
     /// Verify the container's networking is as expected.
     Check,
-}
-
-/// One plugin's network configuration (an entry in a conflist).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct PluginConf {
-    /// Plugin binary/type name (e.g. `"bridge"`, `"cxi"`).
-    #[serde(rename = "type")]
-    pub plugin_type: String,
-    /// Plugin-specific keys, kept verbatim.
-    #[serde(flatten)]
-    pub extra: BTreeMap<String, serde_json::Value>,
-}
-
-/// A network configuration list (`*.conflist`), the unit the container
-/// runtime hands to libcni. The paper's CXI plugin is deployed as a
-/// *chained* entry after the primary plugin (§III-B).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct NetworkConfList {
-    /// Spec version.
-    #[serde(rename = "cniVersion")]
-    pub cni_version: String,
-    /// Network name.
-    pub name: String,
-    /// Ordered plugin chain.
-    pub plugins: Vec<PluginConf>,
-}
-
-impl NetworkConfList {
-    /// Parse and validate a conflist JSON document.
-    pub fn parse(json: &str) -> Result<NetworkConfList, CniError> {
-        let conf: NetworkConfList = serde_json::from_str(json)
-            .map_err(|e| CniError::decoding(format!("invalid conflist: {e}")))?;
-        if !SUPPORTED_VERSIONS.contains(&conf.cni_version.as_str()) {
-            return Err(CniError::incompatible_version(&conf.cni_version));
-        }
-        if conf.plugins.is_empty() {
-            return Err(CniError::invalid_config("empty plugin list"));
-        }
-        Ok(conf)
-    }
 }
 
 /// Pod identity passed by Kubernetes runtimes via CNI args
@@ -131,10 +89,6 @@ pub struct CniError {
 }
 
 impl CniError {
-    /// Code 1: incompatible CNI version.
-    pub fn incompatible_version(v: &str) -> Self {
-        CniError { code: 1, msg: format!("incompatible CNI version {v}") }
-    }
     /// Code 4: invalid network config.
     pub fn invalid_config(msg: impl Into<String>) -> Self {
         CniError { code: 4, msg: msg.into() }
@@ -170,50 +124,6 @@ impl std::error::Error for CniError {}
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = r#"{
-        "cniVersion": "1.0.0",
-        "name": "cluster-net",
-        "plugins": [
-            { "type": "bridge", "bridge": "cni0", "subnet": "10.42.0.0/24" },
-            { "type": "cxi", "vniEndpoint": "http://vni-endpoint.kube-system" }
-        ]
-    }"#;
-
-    #[test]
-    fn parses_chained_conflist() {
-        let conf = NetworkConfList::parse(SAMPLE).unwrap();
-        assert_eq!(conf.name, "cluster-net");
-        assert_eq!(conf.plugins.len(), 2);
-        assert_eq!(conf.plugins[0].plugin_type, "bridge");
-        assert_eq!(conf.plugins[1].plugin_type, "cxi");
-        assert_eq!(
-            conf.plugins[1].extra["vniEndpoint"],
-            serde_json::json!("http://vni-endpoint.kube-system")
-        );
-    }
-
-    #[test]
-    fn rejects_unknown_version() {
-        let json = SAMPLE.replace("1.0.0", "9.9.9");
-        let err = NetworkConfList::parse(&json).unwrap_err();
-        assert_eq!(err.code, 1);
-    }
-
-    #[test]
-    fn rejects_empty_chain() {
-        let err = NetworkConfList::parse(
-            r#"{"cniVersion":"1.0.0","name":"x","plugins":[]}"#,
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 4);
-    }
-
-    #[test]
-    fn rejects_malformed_json() {
-        let err = NetworkConfList::parse("{nope").unwrap_err();
-        assert_eq!(err.code, 6);
-    }
-
     #[test]
     fn result_roundtrips_through_json() {
         let mut r = CniResult::default();
@@ -227,7 +137,6 @@ mod tests {
 
     #[test]
     fn error_codes_follow_spec_ranges() {
-        assert_eq!(CniError::incompatible_version("x").code, 1);
         assert_eq!(CniError::invalid_config("x").code, 4);
         assert_eq!(CniError::decoding("x").code, 6);
         assert_eq!(CniError::invalid_environment("x").code, 7);

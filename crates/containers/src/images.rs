@@ -73,7 +73,7 @@ impl ImageStore {
 
     /// Ensure an image is locally available; returns the time the pull
     /// (or cache check) takes, or `None` if the reference is unknown.
-    pub fn ensure(&mut self, reference: &str) -> Option<SimDur> {
+    pub(crate) fn ensure(&mut self, reference: &str) -> Option<SimDur> {
         let img = self.known.get(reference)?;
         if self.cached.contains(reference) {
             return Some(self.params.cache_check);
@@ -84,10 +84,6 @@ impl ImageStore {
         Some(cost)
     }
 
-    /// Whether an image is in the local cache.
-    pub fn is_cached(&self, reference: &str) -> bool {
-        self.cached.contains(reference)
-    }
 }
 
 #[cfg(test)]
@@ -99,9 +95,9 @@ mod tests {
         let mut store = ImageStore::default();
         store.publish(Image::alpine());
         let alpine = Image::alpine().reference;
-        assert!(!store.is_cached(&alpine));
+        assert!(!store.cached.contains(&alpine));
         let cold = store.ensure(&alpine).unwrap();
-        assert!(store.is_cached(&alpine));
+        assert!(store.cached.contains(&alpine));
         let warm = store.ensure(&alpine).unwrap();
         assert!(cold > warm, "cold {cold} vs warm {warm}");
         assert_eq!(warm, SimDur::from_millis(30));

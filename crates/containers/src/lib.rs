@@ -9,8 +9,8 @@
 //! driven by the kubelet in `shs-k8s`, where the paper's CXI plugin
 //! hooks in (§III-B).
 
-pub mod images;
-pub mod runtime;
+pub(crate) mod images;
+pub(crate) mod runtime;
 
 pub use images::{Image, ImageStore, ImageStoreParams};
 pub use runtime::{

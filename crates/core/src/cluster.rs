@@ -146,7 +146,7 @@ impl NodeInner {
     /// uses a generated id; we use the stable full name, which is unique
     /// among live pods). The runtime itself names a sandbox by the pod's
     /// (namespace, name), so only the CNI calls format this.
-    pub fn sandbox_id(pod: &ApiObject) -> String {
+    pub(crate) fn sandbox_id(pod: &ApiObject) -> String {
         format!("{}_{}", pod.meta.namespace, pod.meta.name)
     }
 
@@ -506,7 +506,7 @@ impl Cluster {
     /// group, or deliberately skew them across groups. `None` leaves
     /// placement to the spread-first scheduler.
     #[allow(clippy::too_many_arguments)]
-    pub fn submit_job_placed(
+    pub(crate) fn submit_job_placed(
         &mut self,
         now: SimTime,
         namespace: &str,
@@ -541,7 +541,7 @@ impl Cluster {
     /// deleted. `annotations` may carry the `vni` key; `pin_nodes`
     /// restricts placement like [`Cluster::submit_job_placed`].
     #[allow(clippy::too_many_arguments)]
-    pub fn submit_service(
+    pub(crate) fn submit_service(
         &mut self,
         now: SimTime,
         namespace: &str,
@@ -574,14 +574,14 @@ impl Cluster {
     }
 
     /// Change a service's replica count (the autoscaler's lever).
-    pub fn scale_service(&mut self, namespace: &str, name: &str, replicas: u32) {
+    pub(crate) fn scale_service(&mut self, namespace: &str, name: &str, replicas: u32) {
         let _ = self.api.mutate(kinds::SERVICE, namespace, name, |o| {
             Rc::make_mut(&mut o.spec)["replicas"] = serde_json::json!(replicas);
         });
     }
 
     /// Bump a service's template revision, starting a rolling update.
-    pub fn roll_service(&mut self, namespace: &str, name: &str) {
+    pub(crate) fn roll_service(&mut self, namespace: &str, name: &str) {
         let _ = self.api.mutate(kinds::SERVICE, namespace, name, |o| {
             let spec = Rc::make_mut(&mut o.spec);
             let v = spec["version"].as_u64().unwrap_or(0);
@@ -590,13 +590,13 @@ impl Cluster {
     }
 
     /// Request deletion of a service (pods cascade).
-    pub fn delete_service(&mut self, namespace: &str, name: &str) {
+    pub(crate) fn delete_service(&mut self, namespace: &str, name: &str) {
         let _ = self.api.delete(kinds::SERVICE, namespace, name);
     }
 
     /// Ready pod names of a service (Running, not terminating) — a PLEG
     /// cache read, no pod scan.
-    pub fn service_ready(&self, namespace: &str, name: &str) -> Vec<String> {
+    pub(crate) fn service_ready(&self, namespace: &str, name: &str) -> Vec<String> {
         self.pleg.ready(namespace, name)
     }
 
@@ -635,7 +635,7 @@ impl Cluster {
     /// Pods currently in a given phase — an O(1) PLEG cache read,
     /// independent of cluster pod count (the pre-PLEG scan is kept as
     /// [`Pleg::scan`] for the equivalence oracle and benchmark).
-    pub fn pods_in_phase(&self, phase: PodPhase) -> usize {
+    pub(crate) fn pods_in_phase(&self, phase: PodPhase) -> usize {
         self.pleg.count(phase) as usize
     }
 

@@ -22,7 +22,7 @@ use crate::endpoint::{VniCrdSpec, VniEndpoint};
 /// Maximum termination grace period the plugin accepts for VNI pods
 /// (§III-C1: the 30 s quarantine bound is only safe if no pod outlives
 /// its job by more than 30 s).
-pub const MAX_GRACE_SECS: u64 = 30;
+pub(crate) const MAX_GRACE_SECS: u64 = 30;
 
 /// CXI CNI plugin timing.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -76,12 +76,12 @@ impl VniEndpoint {
     }
 
     /// Child object name for a job's VNI CRD instance.
-    pub fn child_name_for_job(job: &str) -> String {
+    pub(crate) fn child_name_for_job(job: &str) -> String {
         format!("vni-{job}")
     }
 
     /// Child object name for a claim's VNI CRD instance.
-    pub fn child_name_for_claim(claim: &str) -> String {
+    pub(crate) fn child_name_for_claim(claim: &str) -> String {
         format!("vni-claim-{claim}")
     }
 

@@ -16,7 +16,7 @@
 //! * **the cluster composition** ([`cluster::Cluster`]) that wires hosts,
 //!   NICs, the fabric, container runtimes, CNI chains, kubelets and the
 //!   control plane into one deterministic simulated cluster;
-//! * **cluster-scale fabric sweeps** ([`parsim`]) — named 128–1024-node
+//! * **cluster-scale fabric sweeps** (`parsim`) — named 128–1024-node
 //!   dragonfly fabric scenarios running sharded per group under
 //!   `shs_des::ShardedSim`, their reports pinned byte for byte by
 //!   fixtures.
@@ -34,12 +34,12 @@
 //! ```
 
 mod chain;
-pub mod cluster;
-pub mod cxi_cni;
-pub mod endpoint;
-pub mod parsim;
+pub(crate) mod cluster;
+pub(crate) mod cxi_cni;
+pub(crate) mod endpoint;
+pub(crate) mod parsim;
 pub mod scenario;
-pub mod sharded_db;
+pub(crate) mod sharded_db;
 pub mod vni_db;
 pub mod workloads;
 
@@ -47,7 +47,7 @@ pub use cluster::{
     alpine, osu_image, Cluster, ClusterConfig, Node, NodeInner, NodePlacement, PodHandle,
 };
 pub use chain::{NodeChain, NodeCniCtx, NodeCniPlugin};
-pub use cxi_cni::{CxiCniParams, CxiCniPlugin, MAX_GRACE_SECS};
+pub use cxi_cni::{CxiCniParams, CxiCniPlugin};
 pub use endpoint::{EndpointCounters, EndpointHandle, EndpointRole, VniCrdSpec, VniEndpoint};
 pub use parsim::{
     parallel_by_name, parallel_library, run_fabric_scenario, FabricClassReport, FabricGroupReport,

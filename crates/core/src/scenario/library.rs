@@ -217,7 +217,7 @@ fn trunk_allreduce(tenant: &str, name: &str, tc: TrafficClass) -> JobPlan {
 
 /// Three tenants with dedicated VNIs, a shared claim, and a baseline
 /// global-VNI job, all exchanging traffic concurrently, then torn down.
-pub fn steady_state(seed: u64) -> Scenario {
+pub(crate) fn steady_state(seed: u64) -> Scenario {
     let mut jobs: Vec<JobPlan> =
         [("tenant-a", "alpha"), ("tenant-b", "beta"), ("tenant-c", "gamma")]
             .iter()
@@ -280,7 +280,7 @@ pub fn churn(seed: u64) -> Scenario {
 
 /// Nine jobs over a three-VNI range: progress is gated by quarantine
 /// expiry, and reuse must respect the full 30 s window.
-pub fn quarantine_pressure(seed: u64) -> Scenario {
+pub(crate) fn quarantine_pressure(seed: u64) -> Scenario {
     let jobs = (0..9u64)
         .map(|i| job("qp", &format!("q{i}"), 1, 200 * i, VniMode::Dedicated).run_for(300))
         .collect();
@@ -295,7 +295,7 @@ pub fn quarantine_pressure(seed: u64) -> Scenario {
 
 /// Drain a node mid-run: its jobs are evicted, replacements may only
 /// land on the surviving nodes, and the drained node must end clean.
-pub fn node_drain(seed: u64) -> Scenario {
+pub(crate) fn node_drain(seed: u64) -> Scenario {
     let wave = |prefix: &'static str, count: u64, first_arrival: u64| {
         (0..count).map(move |i| {
             job("dr", &format!("{prefix}{i}"), 2, first_arrival + 500 * i, VniMode::Dedicated)
@@ -341,7 +341,7 @@ pub fn oversubscribed(seed: u64) -> Scenario {
 /// scheduling must keep the victim's slowdown bounded while the noisy
 /// neighbour's burst drains (and may be clipped by congestion
 /// management).
-pub fn noisy_neighbor(seed: u64) -> Scenario {
+pub(crate) fn noisy_neighbor(seed: u64) -> Scenario {
     // 4 ranks, one per node: the ring has two bulk flows per trunk
     // direction, so the group link actually backlogs (one sender alone
     // is already serialized by its own uplink).
@@ -390,7 +390,7 @@ pub fn incast(seed: u64) -> Scenario {
 /// scheduling must keep the collective's slowdown bounded and
 /// congestion management must clip only the bulk class, with zero
 /// cross-tenant leakage under the standing adversarial probes.
-pub fn collective_noisy_neighbor(seed: u64) -> Scenario {
+pub(crate) fn collective_noisy_neighbor(seed: u64) -> Scenario {
     // 10 nodes round-robined over 2 groups: the collective's 8 ranks
     // pin to nodes 0-7 (alternating groups, so every ring hop crosses
     // the trunk), the bulk pair to the two leftover nodes 8/9 (one per
@@ -423,7 +423,7 @@ pub fn collective_noisy_neighbor(seed: u64) -> Scenario {
 /// other's pack into one group (pure intra-switch). The per-tenant
 /// report must show the hop inflation (2 hops/message vs 1) and the
 /// congestion drops only the skewed tenant takes.
-pub fn cross_group_allreduce(seed: u64) -> Scenario {
+pub(crate) fn cross_group_allreduce(seed: u64) -> Scenario {
     let allreduce =
         traffic(8, 1_000, 4 << 20, TrafficClass::Dedicated, 1, TrafficPattern::Allreduce);
     // 12 nodes round-robined over 2 groups: even nodes in group 0, odd
@@ -452,7 +452,7 @@ pub fn cross_group_allreduce(seed: u64) -> Scenario {
 /// 3-group dragonfly, with that trunk cut mid-run: UGAL routing must
 /// finish the collective by detouring through group 2 (the per-tenant
 /// report shows the reroute count and the 2→3 hop inflation).
-pub fn trunk_cut_allreduce(seed: u64) -> Scenario {
+pub(crate) fn trunk_cut_allreduce(seed: u64) -> Scenario {
     // 6 nodes round-robined over 3 groups (node i → switch i % 3): the
     // collective pins nodes 0/1/3/4, so ranks alternate switches 0 and
     // 1 and every ring hop rides the (0,1) trunk. The cut at 5 s lands
@@ -481,7 +481,7 @@ pub fn trunk_cut_allreduce(seed: u64) -> Scenario {
 /// down/up twice: bulk traffic must keep flowing through the detour
 /// during the down windows and the low-latency probe sharing the trunk
 /// must see zero drops throughout.
-pub fn flapping_link_incast(seed: u64) -> Scenario {
+pub(crate) fn flapping_link_incast(seed: u64) -> Scenario {
     Scenario {
         // The (0,1) link — the trunk the pinned incast and its probe
         // both cross — flaps down at 3 s and 9 s and recovers at 6 s
@@ -510,7 +510,7 @@ pub fn flapping_link_incast(seed: u64) -> Scenario {
 /// spare group must lower the worst bulk-class trunk queue depth while
 /// the low-latency probe keeps zero drops (asserted by the scenario
 /// suite, which runs both sides).
-pub fn adaptive_incast(seed: u64) -> Scenario {
+pub(crate) fn adaptive_incast(seed: u64) -> Scenario {
     scenario(
         "adaptive-incast",
         "3→1 bulk incast on a 3-group fabric under UGAL adaptive routing; \
@@ -536,7 +536,7 @@ pub fn adaptive_incast(seed: u64) -> Scenario {
 /// ride the low-latency WRR class while the collective saturates the
 /// dedicated class, and the service's p99 must stay under its SLO with
 /// isolation asserted adversarially in both directions.
-pub fn service_mesh_allreduce(seed: u64) -> Scenario {
+pub(crate) fn service_mesh_allreduce(seed: u64) -> Scenario {
     // 10 nodes round-robined over 2 groups: the collective's 8 ranks pin
     // to nodes 0-7 (every ring hop crosses the trunk), the mesh's 4
     // replicas to the leftover nodes 8/9 — one per group, so about half
@@ -564,7 +564,7 @@ pub fn service_mesh_allreduce(seed: u64) -> Scenario {
 /// of new pods through the full scheduler/kubelet/CNI/VNI chain), then
 /// shrink back to baseline — all while the p99 SLO and the availability
 /// floor hold.
-pub fn autoscale_burst(seed: u64) -> Scenario {
+pub(crate) fn autoscale_burst(seed: u64) -> Scenario {
     // A quiet second tenant holding its own VNI, so the service's
     // per-fire adversarial probe has a foreign VNI to attack.
     let bg = job("batch", "bg", 1, 1_000, VniMode::Dedicated).until(42_000);
@@ -595,7 +595,7 @@ pub fn autoscale_burst(seed: u64) -> Scenario {
 /// ready count never dips below the floor), the service p99 must stay
 /// under SLO while replicas are replaced, and the collective must
 /// complete with zero drops.
-pub fn rolling_update_allreduce(seed: u64) -> Scenario {
+pub(crate) fn rolling_update_allreduce(seed: u64) -> Scenario {
     let web = ServicePlan {
         // The template revision bumps at 10s, squarely inside the
         // collective's traffic window: replicas roll one at a time

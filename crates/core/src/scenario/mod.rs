@@ -56,12 +56,7 @@ mod spec;
 mod stress;
 
 pub use engine::run_scenario;
-pub use library::{
-    adaptive_incast, autoscale_burst, by_name, churn, collective_noisy_neighbor,
-    cross_group_allreduce, flapping_link_incast, incast, library, node_drain, noisy_neighbor,
-    oversubscribed, quarantine_pressure, rolling_update_allreduce, service_mesh_allreduce,
-    steady_state, trunk_cut_allreduce,
-};
+pub use library::{by_name, churn, incast, library, oversubscribed};
 pub use report::{
     ClassTraffic, IsolationReport, JobOutcome, JobTraffic, JobsReport, KubeletReport,
     ScenarioReport, ServiceReport, TrafficReport, VniReport,

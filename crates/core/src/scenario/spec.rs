@@ -112,10 +112,8 @@ pub struct JobPlan {
     /// Traffic the ranks exchange.
     pub traffic: Option<TrafficPlan>,
     /// Topology-aware rank placement: restrict this job's pods to these
-    /// node indices (see [`Cluster::submit_job_placed`]). `None` leaves
+    /// node indices (see `Cluster::submit_job_placed`). `None` leaves
     /// placement to the spread-first scheduler.
-    ///
-    /// [`Cluster::submit_job_placed`]: crate::cluster::Cluster::submit_job_placed
     pub pin_nodes: Option<Vec<usize>>,
 }
 

@@ -375,7 +375,7 @@ impl ShardedVniDb {
     }
 
     /// Consistent audit read at `now` (sweeps first).
-    pub fn audit_at(&mut self, now: SimTime) -> Vec<AuditEntry> {
+    pub(crate) fn audit_at(&mut self, now: SimTime) -> Vec<AuditEntry> {
         self.sweep_expired(now);
         self.audit()
     }
@@ -430,13 +430,6 @@ impl ShardedVniDb {
     /// reports byte-identical across shard counts.
     pub fn txn_count(&self) -> u64 {
         self.logical_txns
-    }
-
-    /// Physical store commits summed across shards (diagnostics; ≥
-    /// [`ShardedVniDb::txn_count`] because one logical sweep may commit
-    /// on several shards).
-    pub fn physical_txn_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.txn_count()).sum()
     }
 
     /// JSON view of the merged state (rows, audit log, counters).
@@ -599,7 +592,7 @@ mod tests {
             if shards == 1 {
                 assert_eq!(
                     db.txn_count(),
-                    db.physical_txn_count(),
+                    db.shards.iter().map(|s| s.txn_count()).sum::<u64>(),
                     "logical == physical at one shard"
                 );
             }

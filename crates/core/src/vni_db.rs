@@ -597,23 +597,14 @@ impl VniDb {
         self.store.row_count(T_AUDIT)
     }
 
-    /// Audit entries in order, as currently persisted. Prefer
-    /// [`VniDb::audit_at`] when a simulation clock is in hand: this raw
-    /// read does not sweep expired quarantines, so it may lag the state
-    /// `acquire` would act on.
+    /// Audit entries in order, as currently persisted. This raw read
+    /// does not sweep expired quarantines, so it may lag the state
+    /// `acquire` would act on until [`VniDb::sweep_expired`] runs.
     pub fn audit(&self) -> Vec<AuditEntry> {
         self.store
             .scan(T_AUDIT)
             .map(|(_, v)| try_decode_audit(v).expect("audit rows decode"))
             .collect()
-    }
-
-    /// Consistent audit read at `now`: sweeps expired quarantines first,
-    /// so the returned log contains a `quarantine_expire` entry for
-    /// every VNI that `acquire` would already treat as free.
-    pub fn audit_at(&mut self, now: SimTime) -> Vec<AuditEntry> {
-        self.sweep_expired(now);
-        self.audit()
     }
 
     /// JSON view of the full database state (rows, audit log, allocator
@@ -1080,10 +1071,8 @@ mod tests {
         // acquire() would have handed it out.
         let s = db.stats(SimTime::from_nanos(35_000_000_000));
         assert_eq!((s.allocated, s.quarantined, s.free), (1, 0, 5));
-        // audit_at is the consistent audit read; here it sweeps nothing
-        // further but returns the expire entry stats() just recorded.
-        let events: Vec<String> =
-            db.audit_at(SimTime::from_nanos(35_000_000_000)).into_iter().map(|e| e.event).collect();
+        // The audit log carries the expire entry stats() just recorded.
+        let events: Vec<String> = db.audit().into_iter().map(|e| e.event).collect();
         assert_eq!(
             events,
             vec!["acquire", "acquire", "release", "quarantine_expire"],

@@ -73,7 +73,7 @@ impl Default for AcquireReleaseWorkload {
     }
 }
 
-/// The high-occupancy hot path: [`ChurnHotWorkload::STANDING`] of the
+/// The high-occupancy hot path: `ChurnHotWorkload::STANDING` of the
 /// 3072 default-range VNIs are held by standing tenants while one job
 /// churns through the remainder, the clock stepping past the 30 s
 /// quarantine each cycle — every acquire must get past the standing
@@ -87,7 +87,7 @@ pub struct ChurnHotWorkload {
 
 impl ChurnHotWorkload {
     /// VNIs held by standing tenants for the whole workload.
-    pub const STANDING: u64 = 3000;
+    pub(crate) const STANDING: u64 = 3000;
 
     /// Database prefilled with the standing allocations.
     pub fn new() -> Self {
@@ -255,7 +255,7 @@ impl Default for FabricAdaptiveHotWorkload {
 
 /// The serving-plane data path behind the `service_mesh_hot` bench row:
 /// TSoR-style request/response round trips between
-/// [`ServiceMeshHotWorkload::REPLICAS`] replica NICs spread over the
+/// `ServiceMeshHotWorkload::REPLICAS` replica NICs spread over the
 /// same 3-group dragonfly as [`FabricTransferHotWorkload`]. Each step
 /// is the two-leg RPC the scenario engine's
 /// [`TrafficPattern::RequestResponse`] issues: the request transfers at
@@ -275,13 +275,13 @@ pub struct ServiceMeshHotWorkload {
 
 impl ServiceMeshHotWorkload {
     /// Replica NICs attached round-robin across the six switches.
-    pub const REPLICAS: u32 = 8;
+    pub(crate) const REPLICAS: u32 = 8;
 
     /// Request payload bytes (one MTU).
-    pub const REQUEST: u64 = 2048;
+    pub(crate) const REQUEST: u64 = 2048;
 
     /// Response payload bytes (two MTUs).
-    pub const RESPONSE: u64 = 4096;
+    pub(crate) const RESPONSE: u64 = 4096;
 
     /// Fresh fabric with every replica granted the service VNI.
     pub fn new() -> Self {
@@ -342,7 +342,7 @@ impl Default for ServiceMeshHotWorkload {
 
 /// The status-read pair behind the `pleg_status_read_*` /
 /// `pod_scan_status_read_*` bench rows: a cluster of `pods` Running
-/// pods spread over [`PlegStatusReadWorkload::GROUPS`] services, read
+/// pods spread over `PlegStatusReadWorkload::GROUPS` services, read
 /// either through the PLEG cache ([`cached_read`] — a per-phase counter
 /// lookup plus one group's ready count, O(1) in the pod count) or by
 /// the pre-PLEG full pod scan ([`scan_read`] — O(pods)). Benchmarked at
@@ -361,7 +361,7 @@ pub struct PlegStatusReadWorkload {
 
 impl PlegStatusReadWorkload {
     /// Service groups the pods are spread over.
-    pub const GROUPS: u64 = 8;
+    pub(crate) const GROUPS: u64 = 8;
 
     /// A settled cluster of `pods` Running pods, PLEG synced once.
     pub fn new(pods: u64) -> Self {
@@ -597,7 +597,7 @@ impl VniStressWorkload {
 
     /// Like [`VniStressWorkload::new`] with an explicit database config
     /// (tests use narrow ranges to reach quarantine pressure quickly).
-    pub fn with_config(shards: usize, tenants: u64, config: VniDbConfig) -> Self {
+    pub(crate) fn with_config(shards: usize, tenants: u64, config: VniDbConfig) -> Self {
         let tenants = tenants.max(1);
         // Capping the live population at the tenant count keeps every
         // cycled id released before its identity comes around again, so

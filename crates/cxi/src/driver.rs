@@ -118,11 +118,6 @@ impl CxiDriver {
         &self.params
     }
 
-    /// The configured authentication mode.
-    pub fn auth_mode(&self) -> AuthMode {
-        self.auth_mode
-    }
-
     /// Registered services (diagnostics; `cxi_service list` equivalent).
     pub fn services(&self) -> &[CxiService] {
         &self.services
@@ -139,7 +134,7 @@ impl CxiDriver {
 
     /// Create a CXI service (privileged: root on the host, like the real
     /// driver's `CXI_OP_SVC_ALLOC`). Programs the NIC service table.
-    pub fn svc_alloc(
+    pub(crate) fn svc_alloc(
         &mut self,
         caller: &Creds,
         desc: CxiServiceDesc,

@@ -12,9 +12,9 @@
 //!    member type**, authenticating by the kernel-assigned network
 //!    namespace inode read via procfs. This is the paper's contribution.
 
-pub mod driver;
-pub mod libcxi;
-pub mod svc;
+pub(crate) mod driver;
+pub(crate) mod libcxi;
+pub(crate) mod svc;
 
 pub use driver::{CxiDriver, CxiDriverParams, CxiError};
 pub use libcxi::CxiDevice;

@@ -29,7 +29,7 @@ pub enum SvcMember {
 
 impl SvcMember {
     /// Whether this member kind requires the netns driver extension.
-    pub fn needs_netns_extension(&self) -> bool {
+    pub(crate) fn needs_netns_extension(&self) -> bool {
         matches!(self, SvcMember::NetNs(_))
     }
 }

@@ -30,15 +30,15 @@
 //! a **sharded decomposition**: a [`ShardSim`] is a `Sim` whose world
 //! carries an id, a lookahead and an outbox, and the conservative-window
 //! coordinator [`ShardedSim`] steps one shard per switch group on the
-//! calling thread — see the [`sharded`] module docs for the
+//! calling thread — see the `sharded` module docs for the
 //! synchronisation algebra and what it proves.
 
-pub mod rng;
-pub mod shard;
-pub mod sharded;
-pub mod sim;
+pub(crate) mod rng;
+pub(crate) mod shard;
+pub(crate) mod sharded;
+pub(crate) mod sim;
 pub mod stats;
-pub mod time;
+pub(crate) mod time;
 
 pub use rng::DetRng;
 pub use shard::{Shard, ShardId, ShardSim};

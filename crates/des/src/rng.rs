@@ -101,20 +101,8 @@ impl DetRng {
         lo + self.below(hi - lo + 1)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    #[inline]
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
-    }
-
-    /// `true` with probability `p`.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.f64() < p
-    }
-
     /// Standard normal draw (Box-Muller with spare caching).
-    pub fn gauss(&mut self) -> f64 {
+    pub(crate) fn gauss(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
             return z;
         }
@@ -144,23 +132,6 @@ impl DetRng {
         (self.gauss() * sigma).exp()
     }
 
-    /// Exponential draw with the given mean.
-    #[inline]
-    pub fn exp(&mut self, mean: f64) -> f64 {
-        let mut u = self.f64();
-        while u <= f64::EPSILON {
-            u = self.f64();
-        }
-        -mean * u.ln()
-    }
-
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -255,14 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_mean_is_plausible() {
-        let mut r = DetRng::new(8);
-        let n = 50_000;
-        let mean = (0..n).map(|_| r.exp(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
     fn jitter_is_positive_and_centred() {
         let mut r = DetRng::new(11);
         let n = 20_000;
@@ -274,25 +237,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 1.0).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = DetRng::new(12);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "100 elements should not shuffle to identity");
-    }
-
-    #[test]
-    fn chance_probability_is_plausible() {
-        let mut r = DetRng::new(13);
-        let n = 50_000;
-        let hits = (0..n).filter(|_| r.chance(0.25)).count();
-        let p = hits as f64 / n as f64;
-        assert!((p - 0.25).abs() < 0.02, "p {p}");
     }
 }

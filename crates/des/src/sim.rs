@@ -378,10 +378,6 @@ impl<W, E: Event<W>> Sim<W, E> {
         }
     }
 
-    /// Run while `pred` holds and events remain.
-    pub fn run_while(&mut self, mut pred: impl FnMut(&Sim<W, E>) -> bool) {
-        while pred(self) && self.step() {}
-    }
 }
 
 #[cfg(test)]
@@ -503,25 +499,16 @@ mod tests {
     }
 
     #[test]
-    fn run_while_stops_on_predicate() {
-        let mut sim = Sim::new(W::default());
-        for i in 0..10u64 {
-            sim.at(SimTime::from_nanos(i), |s| s.world.count += 1);
-        }
-        sim.run_while(|s| s.world.count < 4);
-        assert_eq!(sim.world.count, 4);
-    }
-
-    #[test]
     fn recursive_self_rescheduling_terminates_by_predicate() {
-        // A "process" that re-arms itself forever; run_while bounds it.
+        // A "process" that re-arms itself forever; the predicate
+        // bounds it.
         fn tick(s: &mut Sim<W>) {
             s.world.count += 1;
             s.after(SimDur::from_micros(1), tick);
         }
         let mut sim = Sim::new(W::default());
         sim.at(SimTime::ZERO, tick);
-        sim.run_while(|s| s.world.count < 100);
+        while sim.world.count < 100 && sim.step() {}
         assert_eq!(sim.world.count, 100);
         assert_eq!(sim.now().as_nanos(), 99_000);
     }

@@ -10,16 +10,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (n-1 denominator); 0 for fewer than 2 points.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let ss: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
-    (ss / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Percentile in `[0, 100]` with linear interpolation between order
 /// statistics. `NaN` for an empty slice.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
@@ -32,7 +22,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 }
 
 /// Percentile over already-sorted data.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
@@ -107,18 +97,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev_basic() {
+    fn mean_basic() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        // Sample (n-1) stddev of this classic dataset.
-        assert!((stddev(&xs) - 2.13808993529939).abs() < 1e-9);
     }
 
     #[test]
     fn empty_inputs_are_nan_or_zero() {
         assert!(mean(&[]).is_nan());
         assert!(percentile(&[], 50.0).is_nan());
-        assert_eq!(stddev(&[1.0]), 0.0);
         assert!(Boxplot::from(&[]).is_none());
     }
 

@@ -32,18 +32,6 @@ impl SimTime {
         self.0
     }
 
-    /// Time as fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    /// Time as fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Time as fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -86,18 +74,6 @@ impl SimDur {
         SimDur(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds (negative values clamp to zero).
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDur((s.max(0.0) * 1e9).round() as u64)
-    }
-
-    /// Construct from fractional microseconds (negative values clamp to zero).
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDur((us.max(0.0) * 1e3).round() as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -106,13 +82,13 @@ impl SimDur {
 
     /// Duration as fractional microseconds.
     #[inline]
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// Duration as fractional milliseconds.
     #[inline]
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
@@ -120,12 +96,6 @@ impl SimDur {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Scale by a non-negative factor (used for jitter multipliers).
-    #[inline]
-    pub fn mul_f64(self, k: f64) -> Self {
-        SimDur((self.0 as f64 * k.max(0.0)).round() as u64)
     }
 }
 
@@ -239,8 +209,6 @@ mod tests {
         assert_eq!(SimDur::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDur::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDur::from_micros(1).as_nanos(), 1_000);
-        assert_eq!(SimDur::from_secs_f64(0.25).as_nanos(), 250_000_000);
-        assert_eq!(SimDur::from_micros_f64(1.5).as_nanos(), 1_500);
     }
 
     #[test]
@@ -248,15 +216,6 @@ mod tests {
         let d = SimDur::from_nanos(2_500_000_000);
         assert!((d.as_secs_f64() - 2.5).abs() < 1e-12);
         assert!((d.as_millis_f64() - 2500.0).abs() < 1e-9);
-        let t = SimTime::from_nanos(1_000);
-        assert!((t.as_micros_f64() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mul_f64_scales_and_clamps() {
-        let d = SimDur::from_nanos(1000);
-        assert_eq!(d.mul_f64(1.5).as_nanos(), 1500);
-        assert_eq!(d.mul_f64(-3.0).as_nanos(), 0);
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl LivenessMask {
 
     /// Whether a switch is up.
     #[inline]
-    pub fn switch_live(&self, s: SwitchId) -> bool {
+    pub(crate) fn switch_live(&self, s: SwitchId) -> bool {
         self.dead_switches.is_empty() || !self.dead_switches.contains(&(s.0 as u32))
     }
 
@@ -111,7 +111,7 @@ impl LivenessMask {
 /// rejecting dead switches and trunks. Returns the path (endpoints
 /// included, ≤ [`MAX_REPAIR_PATH`] switches) or `None` when the pair is
 /// partitioned (or only pathologically-long paths remain).
-pub fn repair_route(
+pub(crate) fn repair_route(
     topo: &Topology,
     mask: &LivenessMask,
     from: SwitchId,
@@ -168,7 +168,7 @@ pub fn repair_route(
 /// route is dead: the minimal route, then every Valiant salt class
 /// starting from the message's own and wrapping (skipped below 3
 /// groups, where every class degrades to the minimal route just
-/// rejected), then [`repair_route`]. Depends on `salt` only through
+/// rejected), then `repair_route`. Depends on `salt` only through
 /// `salt % topo.salt_classes()`. `None` means the pair is partitioned.
 pub fn fallback_route(
     topo: &Topology,

@@ -28,25 +28,25 @@
 //! [`shardsim`] module runs one instance per group under
 //! `shs_des::ShardedSim`, one shard after another on the calling thread.
 
-pub mod fabric;
-pub mod faults;
-pub mod packet;
+pub(crate) mod fabric;
+pub(crate) mod faults;
+pub(crate) mod packet;
 mod ring;
 pub mod shardsim;
-pub mod switch;
-pub mod topology;
+pub(crate) mod switch;
+pub(crate) mod topology;
 mod trunknet;
-pub mod types;
+pub(crate) mod types;
 
 pub use fabric::{
     Attachment, Fabric, FabricAuditEvent, FabricError, TransferOutcome, VniTraffic,
 };
-pub use faults::{fallback_route, repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
+pub use faults::{fallback_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
 pub use packet::{segment, CostModel, Packet};
 pub use ring::{ring_allreduce_schedule, ring_step_into};
 pub use switch::{DropReason, Switch, SwitchConfig, SwitchCounters, Verdict, WrrArbiter};
 pub use shardsim::{
-    run_sweep, sweep_messages, trunk_lookahead, GroupCounters, GroupNet, SweepConfig, SweepFault,
+    run_sweep, sweep_messages, GroupCounters, GroupNet, SweepConfig, SweepFault,
     SweepMsg, SweepStats,
 };
 pub use topology::{GroupView, RoutingPolicy, Topology, TopologySpec};

@@ -81,14 +81,10 @@ impl CostModel {
     }
 
     /// Serialization time of `bytes` on the link, in nanoseconds.
-    pub fn serialize_ns(&self, bytes: u64) -> u64 {
+    pub(crate) fn serialize_ns(&self, bytes: u64) -> u64 {
         (bytes as f64 / self.bw_bytes_per_ns).ceil() as u64
     }
 
-    /// Goodput upper bound in bytes/ns once header overhead is paid.
-    pub fn peak_goodput_bytes_per_ns(&self) -> f64 {
-        self.bw_bytes_per_ns * self.mtu as f64 / (self.mtu + self.header_bytes) as f64
-    }
 }
 
 /// One fabric packet, as emitted by a Cassini NIC.
@@ -187,14 +183,6 @@ mod tests {
         let m = m();
         assert_eq!(m.serialize_ns(25), 1);
         assert_eq!(m.serialize_ns(2500), 100);
-    }
-
-    #[test]
-    fn peak_goodput_near_line_rate() {
-        let g = m().peak_goodput_bytes_per_ns();
-        // 25 * 2048/2112 ≈ 24.24 B/ns ≈ 24.24 GB/s, the paper's Fig. 5
-        // plateau magnitude.
-        assert!(g > 24.0 && g < 24.5, "goodput {g}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! # Shard ownership
 //!
-//! The partition follows [`Topology::group_view`]: a shard owns its
+//! The partition follows `Topology::group_view`: a shard owns its
 //! group's switches, the edge links of the nodes attached there, and
 //! every directed trunk *sourced* in the group. A message's walk only
 //! ever reserves state the executing shard owns; when the route crosses
@@ -18,7 +18,7 @@
 //! # The lookahead rule
 //!
 //! Every cross-group handoff is due at least one trunk step —
-//! propagation + hop latency, [`trunk_lookahead`] — after the emitting
+//! propagation + hop latency, `trunk_lookahead` — after the emitting
 //! event's time: a launch event hands off no earlier than uplink + the
 //! boundary trunk step (2 steps), and a continuation entering group
 //! *g* hands off to a third group no earlier than one further trunk
@@ -64,7 +64,7 @@ use crate::types::{SwitchId, TrafficClass};
 /// The conservative lookahead of the sharded engine: one trunk step.
 /// Any event an in-flight message triggers in *another* group is at
 /// least one boundary-trunk traversal away.
-pub fn trunk_lookahead(model: &CostModel) -> SimDur {
+pub(crate) fn trunk_lookahead(model: &CostModel) -> SimDur {
     SimDur::from_nanos(model.propagation_ns + model.hop_latency_ns)
 }
 

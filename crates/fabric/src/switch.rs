@@ -120,7 +120,7 @@ impl Switch {
     }
 
     /// Remove a NIC binding (node removal).
-    pub fn unbind(&mut self, port: PortId) {
+    pub(crate) fn unbind(&mut self, port: PortId) {
         if let Some(nic) = self.bindings[port.0].take() {
             if let Ok(i) = self.routes.binary_search_by_key(&nic, |&(n, _)| n) {
                 self.routes.remove(i);
@@ -146,7 +146,7 @@ impl Switch {
 
     /// Egress port a NIC is currently bound to on this switch (`None`
     /// after [`Switch::unbind`]).
-    pub fn route_to(&self, nic: NicAddr) -> Option<PortId> {
+    pub(crate) fn route_to(&self, nic: NicAddr) -> Option<PortId> {
         self.routes
             .binary_search_by_key(&nic, |&(n, _)| n)
             .ok()
@@ -154,7 +154,7 @@ impl Switch {
     }
 
     /// Whether a port holds a VNI grant.
-    pub fn has_vni(&self, port: PortId, vni: Vni) -> bool {
+    pub(crate) fn has_vni(&self, port: PortId, vni: Vni) -> bool {
         self.vni_table.get(port.0).is_some_and(|s| s.binary_search(&vni).is_ok())
     }
 
@@ -170,7 +170,7 @@ impl Switch {
     /// and receiver NIC have been granted access to that VNI". The
     /// multi-switch fabric engine composes the same checks across the
     /// source and destination edge switches via [`Switch::admit`] and
-    /// [`Switch::egress_check`].
+    /// `Switch::egress_check`.
     ///
     /// ```
     /// use shs_fabric::{NicAddr, Packet, PortId, Switch, SwitchConfig, TrafficClass, Verdict, Vni};
@@ -218,7 +218,7 @@ impl Switch {
 
     /// Egress-side VNI enforcement for a packet leaving via `egress`,
     /// with drops counted. `None` means the grant is in place.
-    pub fn egress_check(&mut self, egress: PortId, pkt: &Packet) -> Option<DropReason> {
+    pub(crate) fn egress_check(&mut self, egress: PortId, pkt: &Packet) -> Option<DropReason> {
         if self.config.enforce_vnis && !self.has_vni(egress, pkt.vni) {
             return Some(self.note_drop(DropReason::VniDeniedEgress));
         }
@@ -227,14 +227,14 @@ impl Switch {
 
     /// Count a drop decided by the fabric engine (e.g. trunk congestion)
     /// against this switch, returning the reason for convenience.
-    pub fn note_drop(&mut self, reason: DropReason) -> DropReason {
+    pub(crate) fn note_drop(&mut self, reason: DropReason) -> DropReason {
         *self.counters.drops.entry(reason).or_insert(0) += 1;
         reason
     }
 
     /// Account `pkts` forwarded packets carrying `payload` bytes (used
     /// by the fabric engine for transit switches on multi-hop routes).
-    pub fn note_forwarded(&mut self, pkts: u64, payload: u64) {
+    pub(crate) fn note_forwarded(&mut self, pkts: u64, payload: u64) {
         self.counters.forwarded += pkts;
         self.counters.forwarded_payload_bytes += payload;
     }

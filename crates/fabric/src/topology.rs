@@ -199,7 +199,7 @@ impl Topology {
     /// Distinct values `salt % (groups - 2)` can take, i.e. how many
     /// Valiant routes exist per (src, dst) pair. The adaptive engines
     /// iterate these classes when repairing a route around a failure.
-    pub fn salt_classes(&self) -> usize {
+    pub(crate) fn salt_classes(&self) -> usize {
         self.spec.groups.saturating_sub(2).max(1)
     }
 
@@ -224,7 +224,7 @@ impl Topology {
     }
 
     /// Flat switch id of local switch `idx` in `group`.
-    pub fn switch_in_group(&self, group: usize, idx: usize) -> SwitchId {
+    pub(crate) fn switch_in_group(&self, group: usize, idx: usize) -> SwitchId {
         SwitchId(group * self.spec.switches_per_group + idx % self.spec.switches_per_group)
     }
 
@@ -274,7 +274,7 @@ impl Topology {
     /// shard reserves only links it owns, and a cross-group message is
     /// handed to the destination group exactly when it has cleared the
     /// boundary trunk (whose source side the sending shard owns).
-    pub fn group_view(&self, group: usize) -> GroupView {
+    pub(crate) fn group_view(&self, group: usize) -> GroupView {
         assert!(group < self.spec.groups, "group {group} out of range");
         let a = self.spec.switches_per_group;
         let switches: Vec<SwitchId> = (0..a).map(|i| SwitchId(group * a + i)).collect();
@@ -392,7 +392,7 @@ impl Topology {
 
 /// One group's slice of the topology, as owned by a simulation shard:
 /// the group's switches plus every directed trunk sourced there. See
-/// [`Topology::group_view`] for the ownership rule.
+/// `Topology::group_view` for the ownership rule.
 #[derive(Debug, Clone)]
 pub struct GroupView {
     /// The group index.

@@ -32,7 +32,7 @@ pub struct JobRecord {
 
 impl JobRecord {
     /// Admission delay in seconds, if admitted.
-    pub fn admission_delay_s(&self) -> Option<f64> {
+    pub(crate) fn admission_delay_s(&self) -> Option<f64> {
         self.started.map(|s| (s - self.submitted).as_secs_f64())
     }
 }

@@ -75,7 +75,7 @@ pub fn pod_communicator<'a>(
 }
 
 /// The canonical `osu_allreduce` benchmark workload `bench-run` times:
-/// [`Self::RANKS`] ranks round-robined across a 2-group
+/// `Self::RANKS` ranks round-robined across a 2-group
 /// dragonfly (every ring hop crosses the group trunk), one
 /// [`Self::SIZE`]-byte ring allreduce per step.
 pub struct OsuAllreduceWorkload {
@@ -86,7 +86,7 @@ pub struct OsuAllreduceWorkload {
 
 impl OsuAllreduceWorkload {
     /// Ranks in the communicator (one per node).
-    pub const RANKS: usize = 8;
+    pub(crate) const RANKS: usize = 8;
 
     /// Allreduce payload per step (bytes).
     pub const SIZE: u64 = 1 << 16;

@@ -23,7 +23,7 @@ impl OutputSink {
     }
 
     /// Write one CSV file (header + rows).
-    pub fn csv(&self, name: &str, header: &str, rows: &[String]) {
+    pub(crate) fn csv(&self, name: &str, header: &str, rows: &[String]) {
         let Some(dir) = &self.dir else { return };
         let mut body = String::with_capacity(rows.len() * 32 + header.len() + 1);
         body.push_str(header);
@@ -40,7 +40,7 @@ impl OutputSink {
 }
 
 /// Human-readable byte size (matches OSU's x-axis labels).
-pub fn fmt_size(bytes: u64) -> String {
+pub(crate) fn fmt_size(bytes: u64) -> String {
     if bytes >= 1 << 20 {
         format!("{} MB", bytes >> 20)
     } else if bytes >= 1 << 10 {
@@ -61,7 +61,7 @@ pub struct Series {
 
 /// Render series as an ASCII scatter/line chart. `log_x`/`log_y` apply
 /// log10 scaling (sizes and throughputs span decades, as in Figs. 5/7).
-pub fn ascii_plot(
+pub(crate) fn ascii_plot(
     title: &str,
     series: &[Series],
     log_x: bool,
@@ -129,7 +129,7 @@ pub fn ascii_plot(
 }
 
 /// Render a horizontal ASCII boxplot row (as in Fig. 12).
-pub fn ascii_boxplot(label: &str, b: &shs_des::stats::Boxplot, scale_max: f64, width: usize) -> String {
+pub(crate) fn ascii_boxplot(label: &str, b: &shs_des::stats::Boxplot, scale_max: f64, width: usize) -> String {
     let pos = |v: f64| ((v / scale_max).clamp(0.0, 1.0) * (width - 1) as f64).round() as usize;
     let mut row = vec![' '; width];
     let (wl, q1, md, q3, wh) =

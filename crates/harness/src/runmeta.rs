@@ -67,16 +67,10 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Fold per-scenario reports and a measured wall-clock into the
-    /// run-level metrics block.
-    pub fn from_reports(reports: &[ScenarioReport], wall_clock_secs: f64) -> Self {
-        Self::from_run(reports, &[], &[], wall_clock_secs)
-    }
-
-    /// [`RunMetrics::from_reports`], plus the fabric sweeps (their
-    /// shard events count toward the run's event total) and the
-    /// control-plane stress runs (their transactions count toward
-    /// `vni_txns`).
+    /// Fold per-scenario reports, the fabric sweeps (their shard events
+    /// count toward the run's event total), the control-plane stress
+    /// runs (their transactions count toward `vni_txns`) and a measured
+    /// wall-clock into the run-level metrics block.
     pub fn from_run(
         reports: &[ScenarioReport],
         parallel: &[FabricSweepReport],
@@ -173,7 +167,7 @@ mod tests {
     #[test]
     fn metrics_fold_deterministic_fields_from_reports() {
         let r = tiny_report();
-        let m = RunMetrics::from_reports(std::slice::from_ref(&r), 0.5);
+        let m = RunMetrics::from_run(std::slice::from_ref(&r), &[], &[], 0.5);
         assert_eq!(m.des_events_executed, r.events_executed);
         assert_eq!(m.vni_txns, r.vni.txn_count);
         assert!(m.vni_txns > 0, "the job's acquire/release committed transactions");

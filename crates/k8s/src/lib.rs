@@ -2,27 +2,27 @@
 //!
 //! The Kubernetes subset the paper's integration plugs into: an API
 //! server with typed-by-kind dynamic objects, resource versions, watches,
-//! finalizers and cascading owner deletion ([`api`]); Jobs/Pods/Nodes
-//! ([`objects`]); a job controller ([`job`]); a service controller with
+//! finalizers and cascading owner deletion (`api`); Jobs/Pods/Nodes
+//! (`objects`); a job controller (`job`); a service controller with
 //! rolling updates ([`service`]); a PLEG-style pod-lifecycle cache that
-//! keeps status reads O(1) ([`pleg`]); a topology-spread-aware
-//! scheduler ([`scheduler`]); a kubelet pod pipeline with bounded worker
-//! pools ([`kubelet`]); and a Metacontroller-style DecoratorController
+//! keeps status reads O(1) (`pleg`); a topology-spread-aware
+//! scheduler (`scheduler`); a kubelet pod pipeline with bounded worker
+//! pools (`kubelet`); and a Metacontroller-style DecoratorController
 //! with `/sync` + `/finalize` webhook apply semantics
-//! ([`metacontroller`]) — the mechanism the paper's VNI Controller is
+//! (`metacontroller`) — the mechanism the paper's VNI Controller is
 //! built on (§III-C).
 //!
 //! Everything is poll-driven (controllers are pure state machines driven
 //! by a periodic control-plane tick), which keeps the whole cluster
 //! deterministic under simulation.
 
-pub mod api;
-pub mod job;
-pub mod kubelet;
-pub mod metacontroller;
-pub mod objects;
-pub mod pleg;
-pub mod scheduler;
+pub(crate) mod api;
+pub(crate) mod job;
+pub(crate) mod kubelet;
+pub(crate) mod metacontroller;
+pub(crate) mod objects;
+pub(crate) mod pleg;
+pub(crate) mod scheduler;
 pub mod service;
 
 pub use api::{
@@ -39,8 +39,5 @@ pub use objects::{
     kinds, make_job, make_node, spec_of, status_of, JobSpec, JobStatus, PodPhase,
     PodSpec, PodStatus, PodTemplate, VNI_ANNOTATION,
 };
-pub use scheduler::{bound_node, Scheduler};
-pub use service::{
-    make_service, pod_ready, pod_revision, ServiceController, ServiceSpec, ServiceStatus,
-    REVISION_ANNOTATION,
-};
+pub use scheduler::Scheduler;
+pub use service::{make_service, pod_ready, ServiceController, ServiceSpec, ServiceStatus};

@@ -201,17 +201,17 @@ fn handle<T>(map: &BTreeMap<Rc<str>, T>, name: &str) -> Rc<str> {
     map.get_key_value(name).map_or_else(|| Rc::from(name), |(k, _)| Rc::clone(k))
 }
 
-/// Convenience: the node a pod is bound to.
-pub fn bound_node(api: &ApiServer, namespace: &str, name: &str) -> Option<String> {
-    api.get(kinds::POD, namespace, name)?.pod_spec().node_name.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::ApiObject;
     use crate::objects::make_node;
     use serde_json::json;
+
+    /// The node a pod is bound to.
+    fn bound_node(api: &ApiServer, namespace: &str, name: &str) -> Option<String> {
+        api.get(kinds::POD, namespace, name)?.pod_spec().node_name.clone()
+    }
 
     fn pod(ns: &str, name: &str, spread: Option<&str>) -> ApiObject {
         ApiObject::new(

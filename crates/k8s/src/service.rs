@@ -28,7 +28,7 @@ use crate::objects::{kinds, spec_of, status_of, PodPhase, PodSpec, PodTemplate};
 /// Annotation recording which template revision a service pod was
 /// created from; pods whose recorded revision differs from the service
 /// spec's `version` are "old" and get rolled.
-pub const REVISION_ANNOTATION: &str = "service.simk8s/revision";
+pub(crate) const REVISION_ANNOTATION: &str = "service.simk8s/revision";
 
 /// Service spec.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,7 +76,7 @@ pub fn make_service(namespace: &str, name: &str, spec: &ServiceSpec) -> ApiObjec
 }
 
 /// The template revision a pod was created from (0 when unannotated).
-pub fn pod_revision(pod: &ApiObject) -> u64 {
+pub(crate) fn pod_revision(pod: &ApiObject) -> u64 {
     pod.annotation(REVISION_ANNOTATION).and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
@@ -167,7 +167,7 @@ impl ServiceController {
     /// Reconcile one service. Deterministic: pods are processed in
     /// lexicographic name order and every decision depends only on API
     /// state.
-    pub fn reconcile_service(&mut self, api: &mut ApiServer, ns: &str, name: &str, now: SimTime) {
+    pub(crate) fn reconcile_service(&mut self, api: &mut ApiServer, ns: &str, name: &str, now: SimTime) {
         let Some(svc) = api.get_rc(kinds::SERVICE, ns, name) else { return };
         if svc.meta.deletion_requested {
             return; // cascade + kubelet finalizers tear the pods down

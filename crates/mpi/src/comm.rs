@@ -47,9 +47,8 @@
 //! All clock state is **value-local**: a communicator owns its per-rank
 //! cursors — there are no statics, thread-locals, or other
 //! process-global clocks anywhere in this crate, so `cargo test` may
-//! run any number of worlds concurrently without interleaving timelines
-//! (resetting one with [`Communicator::reset_clocks`] touches no
-//! other). Within one collective round every rank posts its receive,
+//! run any number of worlds concurrently without interleaving
+//! timelines. Within one collective round every rank posts its receive,
 //! then posts its send at its own cursor, then blocks for all its
 //! completions. A message the fabric drops (VNI enforcement or trunk
 //! congestion) never completes at the receiver — RDMA semantics —
@@ -138,7 +137,7 @@ pub struct RankIo {
 type P2pOp = (usize, usize, u64);
 
 /// An N-rank communicator: one authenticated OFI endpoint and one
-/// virtual-time cursor per rank. See the [module docs](self) for the
+/// virtual-time cursor per rank. See the `comm` module docs for the
 /// collective algorithms and the virtual-time accounting model.
 pub struct Communicator {
     eps: Vec<OfiEp>,
@@ -160,7 +159,7 @@ impl Communicator {
     /// recursive-doubling path on power-of-two rank counts; larger
     /// messages (or non-power-of-two communicators) use ring
     /// reduce-scatter + allgather.
-    pub const RECURSIVE_DOUBLING_MAX: u64 = 2048;
+    pub(crate) const RECURSIVE_DOUBLING_MAX: u64 = 2048;
 
     /// Open one endpoint per rank through the full authenticated path
     /// (MPI_Init plus libfabric domain/endpoint bring-up, the only
@@ -247,16 +246,9 @@ impl Communicator {
 
     /// Synchronize every cursor to the latest one (the effect of an
     /// external barrier; OSU loops use it between timed phases).
-    pub fn sync_clocks(&mut self) {
+    pub(crate) fn sync_clocks(&mut self) {
         let m = self.max_clock();
         self.clocks.iter_mut().for_each(|c| *c = m);
-    }
-
-    /// Reset every cursor to `at` (a fresh measurement run). Clock
-    /// state is value-local — see the [module docs](self) — so this
-    /// never affects any other communicator.
-    pub fn reset_clocks(&mut self, at: SimTime) {
-        self.clocks.iter_mut().for_each(|c| *c = at);
     }
 
     /// Per-rank cumulative data-path totals, in rank order.
@@ -278,7 +270,7 @@ impl Communicator {
     /// First tag of the collective tag space: point-to-point callers
     /// use tags below it, collective rounds at or above it (see the
     /// [module docs](self#tag-spaces)).
-    pub const COLLECTIVE_TAGS: u64 = 1 << 63;
+    pub(crate) const COLLECTIVE_TAGS: u64 = 1 << 63;
 
     // The five point-to-point calls are `#[inline]`: the OSU loops call
     // them per message from another module (another codegen unit), and
@@ -288,7 +280,7 @@ impl Communicator {
 
     /// `MPI_Irecv`: post a tagged receive on `rank` at its cursor.
     #[inline]
-    pub fn irecv(&mut self, rank: usize, tag: u64) {
+    pub(crate) fn irecv(&mut self, rank: usize, tag: u64) {
         self.clocks[rank] = self.eps[rank].trecv(self.clocks[rank], tag, 0, tag);
     }
 
@@ -297,7 +289,7 @@ impl Communicator {
     /// destination NIC's matching engine. The send completion always
     /// fires (RDMA drops are silent at the sender).
     #[inline]
-    pub fn isend(
+    pub(crate) fn isend(
         &mut self,
         devs: &mut CommDevices<'_>,
         src: usize,
@@ -760,10 +752,10 @@ mod tests {
 
     #[test]
     fn concurrent_worlds_never_interleave_clocks() {
-        // The audited invariant behind `reset_clocks` (see the module
-        // docs): every clock lives inside its communicator, so worlds
-        // running on parallel test threads must reproduce the serial
-        // result bit for bit — there is no global state to interleave.
+        // The audited invariant of the module docs: every clock lives
+        // inside its communicator, so worlds running on parallel test
+        // threads must reproduce the serial result bit for bit — there
+        // is no global state to interleave.
         fn sweep() -> SimTime {
             let mut rig = single(6, 77);
             let (mut comm, mut devs) = open_comm(&mut rig, SimTime::ZERO);
@@ -771,7 +763,6 @@ mod tests {
                 comm.allreduce(&mut devs, 16_384);
                 comm.barrier(&mut devs);
             }
-            comm.reset_clocks(SimTime::ZERO);
             comm.allreduce(&mut devs, 16_384);
             let t = comm.max_clock();
             comm.close(&mut devs);

@@ -13,7 +13,7 @@
 use crate::comm::{CommDevices, Communicator};
 
 /// The size sweep used in Figs. 5-8 (1 B to 1 MiB in powers of two).
-pub fn paper_sizes() -> Vec<u64> {
+pub(crate) fn paper_sizes() -> Vec<u64> {
     (0..=20).map(|i| 1u64 << i).collect()
 }
 

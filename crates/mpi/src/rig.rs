@@ -79,7 +79,7 @@ impl CollectiveRig {
     /// Open a communicator over every rank of the rig on `vni` — which
     /// some service on every node must carry, or the open is refused
     /// (and rolled back).
-    pub fn open_on(
+    pub(crate) fn open_on(
         &mut self,
         vni: Vni,
         tc: TrafficClass,

@@ -323,8 +323,7 @@ impl OfiEp {
     /// order. Completions are produced in almost-rising `at` (the walk
     /// back from the tail is 0-1 steps; a send's local completion
     /// landing between two earlier receives is the out-of-order case).
-    /// Crate-internal: the RMA layer injects through it too.
-    pub(crate) fn cq_push(&mut self, c: Completion) {
+    fn cq_push(&mut self, c: Completion) {
         let mut i = self.cq.len();
         while i > 0 && self.cq[i - 1].at > c.at {
             i -= 1;

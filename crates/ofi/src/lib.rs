@@ -2,19 +2,16 @@
 //!
 //! "libfabric ... is the de-facto interface for Slingshot" (§III-A). This
 //! crate models the slice of libfabric the paper's stack exercises:
-//! provider discovery ([`info::fi_getinfo`]), endpoint creation through
-//! the authenticated CXI path (the one place the paper's netns patch
-//! matters), tagged send/receive with ignore-mask matching, and
-//! completion queues with virtual-time visibility.
+//! endpoint creation through the authenticated CXI path (the one place
+//! the paper's netns patch matters), tagged send/receive with
+//! ignore-mask matching, and completion queues with virtual-time
+//! visibility. Every message is two-sided: the paper's data-path
+//! figures (5-8) are OSU tagged sends, so there is no one-sided RMA.
 //!
 //! Data-path operations use explicit time cursors instead of the event
 //! queue (LogP-style), which keeps full OSU parameter sweeps cheap while
 //! preserving NIC and link queueing behaviour.
 
-pub mod ep;
-pub mod info;
-pub mod rma;
+pub(crate) mod ep;
 
 pub use ep::{open_many, CompKind, Completion, OfiEp, OfiError, OfiParams, PeerAddr, WireMessage};
-pub use info::{fi_getinfo, FiInfo};
-pub use rma::{register_mr, rma_read, rma_write, RmaOutcome};

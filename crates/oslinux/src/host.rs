@@ -130,11 +130,6 @@ impl Host {
         host
     }
 
-    /// The initial user namespace id.
-    pub fn init_userns(&self) -> UserNsId {
-        self.init_userns
-    }
-
     /// The host network namespace id.
     pub fn host_netns(&self) -> NetNsId {
         self.host_netns
@@ -183,11 +178,6 @@ impl Host {
         self.processes.get_mut(&pid).ok_or(OsError::Srch)
     }
 
-    /// Number of live processes.
-    pub fn live_processes(&self) -> usize {
-        self.processes.len()
-    }
-
     /// `unshare(CLONE_NEWUSER)` + map writes: move `pid` into a fresh user
     /// namespace with the given maps; the process becomes `inside_uid`
     /// (typically 0 — container root) and gains CAP_SETID inside.
@@ -228,15 +218,6 @@ impl Host {
         Ok(id)
     }
 
-    /// `setns`: join an existing network namespace.
-    pub fn setns_net(&mut self, pid: Pid, ns: NetNsId) -> Result<(), OsError> {
-        if !self.net_namespaces.contains_key(&ns) {
-            return Err(OsError::Inval);
-        }
-        self.process_mut(pid)?.netns = ns;
-        Ok(())
-    }
-
     /// `setuid`: allowed with CAP_SETUID in the caller's user namespace,
     /// and only to uids that are mapped there (Linux semantics). Note that
     /// inside a wide-mapped container namespace this lets "container root"
@@ -254,23 +235,6 @@ impl Host {
             return Err(OsError::Inval);
         }
         self.process_mut(pid)?.uid = uid;
-        Ok(())
-    }
-
-    /// `setgid`, with the same rules as [`Host::setuid`].
-    pub fn setgid(&mut self, pid: Pid, gid: Gid) -> Result<(), OsError> {
-        let (userns, cap) = {
-            let p = self.process(pid)?;
-            (p.userns, p.cap_setid)
-        };
-        if !cap {
-            return Err(OsError::Perm);
-        }
-        let ns = self.user_namespaces.get(&userns).ok_or(OsError::Inval)?;
-        if ns.gid_to_parent(gid).is_none() {
-            return Err(OsError::Inval);
-        }
-        self.process_mut(pid)?.gid = gid;
         Ok(())
     }
 
@@ -377,7 +341,7 @@ mod tests {
     #[test]
     fn boot_creates_init() {
         let h = Host::new("n0");
-        assert_eq!(h.live_processes(), 1);
+        assert_eq!(h.processes.len(), 1);
         let init = h.process(Pid(1)).unwrap();
         assert_eq!(init.uid, Uid::ROOT);
         assert_eq!(init.netns, h.host_netns());
@@ -415,17 +379,6 @@ mod tests {
         assert_ne!(ns_a, h.host_netns());
         assert_eq!(h.proc_netns_inode(a).unwrap(), ns_a);
         assert_eq!(h.proc_netns_inode(b).unwrap(), ns_b);
-    }
-
-    #[test]
-    fn setns_joins_existing_namespace() {
-        let mut h = Host::new("n0");
-        let a = h.spawn_detached("a", Uid(1000), Gid(1000));
-        let b = h.spawn_detached("b", Uid(1000), Gid(1000));
-        let ns = h.unshare_net_ns(a).unwrap();
-        h.setns_net(b, ns).unwrap();
-        assert_eq!(h.proc_netns_inode(b).unwrap(), ns);
-        assert_eq!(h.setns_net(b, NetNsId(999)).unwrap_err(), OsError::Inval);
     }
 
     #[test]
@@ -477,10 +430,8 @@ mod tests {
         .unwrap();
         // uid 0 maps; anything else overflows when resolved.
         assert_eq!(h.host_uid(p).unwrap(), Uid(100_000));
-        // Force an unmapped inside uid by writing a map that excludes it,
-        // then resolving a fork whose uid we keep at 0 but whose gid is 5.
+        // A fork keeps the mapped gid 0.
         let q = h.fork(p, "child").unwrap();
-        h.setgid(q, Gid(0)).unwrap();
         assert_eq!(h.host_gid(q).unwrap(), Gid(100_000));
     }
 
@@ -546,8 +497,7 @@ mod tests {
             h.exit(pause).unwrap();
             h.delete_net_ns(ns).unwrap();
         }
-        assert_eq!(h.live_processes(), 2, "init and the daemon");
-        assert_eq!(h.processes.len(), 2, "no exited pid lingers");
+        assert_eq!(h.processes.len(), 2, "init and the daemon: no exited pid lingers");
         assert!(h.process(daemon).is_ok());
     }
 

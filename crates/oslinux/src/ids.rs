@@ -54,20 +54,20 @@ impl Uid {
     /// The superuser.
     pub const ROOT: Uid = Uid(0);
     /// The kernel's overflow uid for unmapped identities ("nobody").
-    pub const OVERFLOW: Uid = Uid(65_534);
+    pub(crate) const OVERFLOW: Uid = Uid(65_534);
 }
 
 impl Gid {
     /// The superuser group.
     pub const ROOT: Gid = Gid(0);
     /// Overflow gid for unmapped identities.
-    pub const OVERFLOW: Gid = Gid(65_534);
+    pub(crate) const OVERFLOW: Gid = Gid(65_534);
 }
 
 /// First inode number handed out for namespaces. Mirrors the magic base
 /// used by Linux (`PROC_DYNAMIC_FIRST`-adjacent values around 4026531840)
 /// so traces look familiar.
-pub const NS_INODE_BASE: u64 = 4_026_531_840;
+pub(crate) const NS_INODE_BASE: u64 = 4_026_531_840;
 
 #[cfg(test)]
 mod tests {

@@ -10,9 +10,9 @@
 //! One [`Host`] instance models one node's kernel; a cluster is a
 //! collection of hosts wired to the fabric by `slingshot-k8s`.
 
-pub mod host;
-pub mod ids;
-pub mod ns;
+pub(crate) mod host;
+pub(crate) mod ids;
+pub(crate) mod ns;
 
 pub use host::{Creds, Host, OsError, Process};
 pub use ids::{Gid, NetNsId, Pid, Uid, UserNsId};

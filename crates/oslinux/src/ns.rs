@@ -19,12 +19,12 @@ pub struct IdMapEntry {
 
 impl IdMapEntry {
     /// The identity mapping over the full id space (the initial namespace).
-    pub const IDENTITY: IdMapEntry =
+    pub(crate) const IDENTITY: IdMapEntry =
         IdMapEntry { inside_start: 0, outside_start: 0, count: u32::MAX };
 
     /// Map an inside id to the parent namespace, if covered.
     #[inline]
-    pub fn map_up(&self, inside: u32) -> Option<u32> {
+    pub(crate) fn map_up(&self, inside: u32) -> Option<u32> {
         let off = inside.wrapping_sub(self.inside_start);
         (inside >= self.inside_start && off < self.count)
             .then(|| self.outside_start.wrapping_add(off))
@@ -32,7 +32,7 @@ impl IdMapEntry {
 }
 
 /// Translate through a map table (first matching entry wins, as in Linux).
-pub fn map_up(table: &[IdMapEntry], inside: u32) -> Option<u32> {
+pub(crate) fn map_up(table: &[IdMapEntry], inside: u32) -> Option<u32> {
     table.iter().find_map(|e| e.map_up(inside))
 }
 
@@ -61,12 +61,12 @@ impl UserNamespace {
     }
 
     /// Translate a namespace-local uid one level up.
-    pub fn uid_to_parent(&self, uid: Uid) -> Option<Uid> {
+    pub(crate) fn uid_to_parent(&self, uid: Uid) -> Option<Uid> {
         map_up(&self.uid_map, uid.raw()).map(Uid)
     }
 
     /// Translate a namespace-local gid one level up.
-    pub fn gid_to_parent(&self, gid: Gid) -> Option<Gid> {
+    pub(crate) fn gid_to_parent(&self, gid: Gid) -> Option<Gid> {
         map_up(&self.gid_map, gid.raw()).map(Gid)
     }
 }

@@ -74,11 +74,6 @@ pub fn read_u32(buf: &[u8], off: &mut usize) -> Option<u32> {
     Some(v)
 }
 
-/// Append a single byte (tag fields).
-pub fn push_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
 /// Read a single byte.
 pub fn read_u8(buf: &[u8], off: &mut usize) -> Option<u8> {
     let b = *buf.get(*off)?;
@@ -108,7 +103,7 @@ mod tests {
     #[test]
     fn scalar_roundtrip() {
         let mut buf = Vec::new();
-        push_u8(&mut buf, 0x7F);
+        buf.push(0x7F);
         push_u16(&mut buf, 0xBEEF);
         push_u32(&mut buf, 0xDEAD_BEEF);
         push_u64(&mut buf, u64::MAX);

@@ -39,11 +39,6 @@ impl SimDisk {
         &self.buf
     }
 
-    /// Length of the durable prefix.
-    pub fn synced_len(&self) -> usize {
-        self.synced_len
-    }
-
     /// Total length including unsynced tail.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -134,7 +129,7 @@ mod tests {
         d.append(b"b");
         d.fsync();
         assert_eq!(d.fsyncs, 2);
-        assert_eq!(d.synced_len(), 2);
+        assert_eq!(d.synced_len, 2);
     }
 
     #[test]
@@ -149,7 +144,7 @@ mod tests {
             buf.extend_from_slice(b"shot");
         });
         assert_eq!(d.contents(), b"snapshot", "old bytes and unsynced tail are gone");
-        assert_eq!(d.synced_len(), 8, "the new image is immediately durable");
+        assert_eq!(d.synced_len, 8, "the new image is immediately durable");
         assert_eq!(d.fsyncs, 2, "the rename costs one barrier");
         // Any crash after the rewrite keeps the full new image.
         for seed in 0..16 {
@@ -169,7 +164,7 @@ mod tests {
         d.fsync();
         d.truncate(7);
         assert_eq!(d.contents(), b"intact|");
-        assert_eq!(d.synced_len(), 7);
+        assert_eq!(d.synced_len, 7);
         d.truncate(100); // never extends
         assert_eq!(d.len(), 7);
     }

@@ -24,8 +24,8 @@
 //! `tests/acid.rs`.
 
 pub mod codec;
-pub mod disk;
-pub mod store;
+pub(crate) mod disk;
+pub(crate) mod store;
 pub mod wal;
 
 pub use disk::SimDisk;

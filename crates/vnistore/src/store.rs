@@ -137,7 +137,7 @@ impl LogTable {
 }
 
 /// The longest key a map table accepts (see the module docs).
-pub const MAX_MAP_KEY: usize = 15;
+pub(crate) const MAX_MAP_KEY: usize = 15;
 
 /// A map-table key packed inline: up to [`MAX_MAP_KEY`] bytes,
 /// zero-padded, with the length in the last byte. Ordered as one
@@ -499,7 +499,8 @@ impl Store {
     }
 
     /// Commits sitting in the open batch, not yet durable.
-    pub fn group_pending(&self) -> u64 {
+    #[cfg(test)]
+    fn group_pending(&self) -> u64 {
         self.group.as_ref().map_or(0, |g| g.count)
     }
 
@@ -532,7 +533,8 @@ impl Store {
     /// Bytes currently on the device — what a recovery scan must read.
     /// Truncating snapshots keep this O(live rows) rather than
     /// O(history).
-    pub fn device_len(&self) -> usize {
+    #[cfg(test)]
+    fn device_len(&self) -> usize {
         self.disk.len()
     }
 

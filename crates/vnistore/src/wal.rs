@@ -15,8 +15,8 @@
 //!
 //! A [`RecordKind::Commit`] or [`RecordKind::Snapshot`] payload is a run
 //! of operations ([`push_op`] / [`ops`]), a [`RecordKind::Batch`] payload
-//! a run of length-prefixed commit payloads ([`push_batch_txn`] /
-//! [`decode_batch`]). One operation is
+//! a run of length-prefixed commit payloads (`push_batch_txn` /
+//! `decode_batch`). One operation is
 //!
 //! ```text
 //! | tag u8 | table_len u32 | table | key_len u32 | key | value_len u32 | value |
@@ -55,7 +55,7 @@
 use crate::codec::{push_bytes, read_slice, read_u8};
 
 /// Frame magic.
-pub const MAGIC: u16 = 0x5A1C; // "SLIC"-ish
+pub(crate) const MAGIC: u16 = 0x5A1C; // "SLIC"-ish
 
 /// Record kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +65,7 @@ pub enum RecordKind {
     /// A full-state snapshot (checkpoint); earlier records are obsolete.
     Snapshot = 2,
     /// A group commit: several transactions' op payloads framed as ONE
-    /// record (see [`push_batch_txn`]/[`decode_batch`]). `lsn` is the
+    /// record (see `push_batch_txn`/`decode_batch`). `lsn` is the
     /// first transaction's; recovery advances by the txn count. The
     /// whole-frame CRC makes the batch all-or-nothing: a crash mid-write
     /// tears the frame and every transaction in it is rolled back
@@ -288,7 +288,7 @@ mod clmul {
 /// [`end_frame`] with the returned offset seals it. Building a frame in
 /// place spares the store a payload buffer and a copy per snapshot and
 /// per group batch.
-pub fn begin_frame(kind: RecordKind, lsn: u64, out: &mut Vec<u8>) -> usize {
+pub(crate) fn begin_frame(kind: RecordKind, lsn: u64, out: &mut Vec<u8>) -> usize {
     let start = out.len();
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(kind as u8);
@@ -299,7 +299,7 @@ pub fn begin_frame(kind: RecordKind, lsn: u64, out: &mut Vec<u8>) -> usize {
 
 /// Seal the frame opened at `start`: everything after its header is the
 /// payload, whose length and CRC go into the header.
-pub fn end_frame(out: &mut [u8], start: usize) {
+pub(crate) fn end_frame(out: &mut [u8], start: usize) {
     let (header, payload) = out[start..].split_at_mut(HEADER_LEN);
     let len = u32::try_from(payload.len()).expect("a frame payload stays under 4 GiB");
     header[11..15].copy_from_slice(&len.to_le_bytes());
@@ -432,14 +432,14 @@ fn parse_op<'a>(payload: &'a [u8], off: &mut usize) -> Option<Op<'a>> {
 /// [`RecordKind::Batch`] payload: `u32 len | ops bytes` per transaction
 /// (a zero-op commit contributes a zero-length entry and still counts
 /// toward the batch's LSN span).
-pub fn push_batch_txn(group: &mut Vec<u8>, ops_payload: &[u8]) {
+pub(crate) fn push_batch_txn(group: &mut Vec<u8>, ops_payload: &[u8]) {
     push_bytes(group, ops_payload);
 }
 
 /// Split a [`RecordKind::Batch`] payload back into per-transaction op
 /// payloads. As with [`ops`], a malformed inner length ends the scan
 /// defensively.
-pub fn decode_batch(payload: &[u8]) -> impl Iterator<Item = &[u8]> {
+pub(crate) fn decode_batch(payload: &[u8]) -> impl Iterator<Item = &[u8]> {
     let mut off = 0usize;
     std::iter::from_fn(move || {
         let txn = read_slice(payload, &mut off);
