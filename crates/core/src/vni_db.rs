@@ -9,9 +9,10 @@
 //!   user add/remove, as the paper requires ("we keep a log for all VNI
 //!   allocation and release requests, as well as VNI user addition and
 //!   removal requests"). It is a store *log table*: entries are appended
-//!   under a strictly ascending sequence key, so writing one is a copy
-//!   onto the end of one arena, and the last key and the length are O(1)
-//!   however long the history grows.
+//!   under a strictly ascending sequence key to the device's log segment,
+//!   where each one is written once, and the database keeps only where
+//!   each entry starts — the last key and the length are O(1), and the
+//!   history costs the process 8 bytes an entry however long it grows.
 //!
 //! Every public operation is a single serializable transaction, so the
 //! check-then-allocate races the paper worries about (§III-C2 TOCTOU)
@@ -411,10 +412,12 @@ pub struct VniDb {
 }
 
 impl VniDb {
-    /// Store tuning for the allocator: the audit log is append-only, so
-    /// fixed-cadence snapshots re-encode an ever-growing table. Require
-    /// the WAL to grow by a full snapshot's worth of bytes between
-    /// checkpoints so snapshot cost stays amortized O(1) per commit.
+    /// Store tuning for the allocator: a snapshot re-encodes every live
+    /// `vnis` row (the audit log stays in the log segment, where it was
+    /// written), while a commit adds one small frame. Require the WAL to
+    /// grow by a full snapshot's worth of bytes between checkpoints so
+    /// snapshot cost stays amortized O(1) per commit however many VNIs
+    /// are live, and the WAL stays O(live rows).
     fn store_config() -> StoreConfig {
         StoreConfig { snapshot_wal_factor: 1, ..Default::default() }
     }

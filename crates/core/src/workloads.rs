@@ -14,12 +14,13 @@
 
 use std::collections::VecDeque;
 
-use shs_des::{SimDur, SimTime};
+use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::{
     CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySpec, TrafficClass,
     TransferOutcome, Vni,
 };
 use shs_k8s::{kinds, make_node, ApiObject, ApiServer, Pleg, PodPhase, Scheduler};
+use shs_vnistore::SimDisk;
 
 use crate::cluster::{alpine, Cluster, ClusterConfig};
 use crate::sharded_db::ShardedVniDb;
@@ -597,7 +598,7 @@ impl VniStressWorkload {
 
     /// Like [`VniStressWorkload::new`] with an explicit database config
     /// (tests use narrow ranges to reach quarantine pressure quickly).
-    pub(crate) fn with_config(shards: usize, tenants: u64, config: VniDbConfig) -> Self {
+    pub fn with_config(shards: usize, tenants: u64, config: VniDbConfig) -> Self {
         let tenants = tenants.max(1);
         // Capping the live population at the tenant count keeps every
         // cycled id released before its identity comes around again, so
@@ -660,6 +661,19 @@ impl VniStressWorkload {
     /// The database under measurement (counter inspection).
     pub fn db(&self) -> &ShardedVniDb {
         &self.db
+    }
+
+    /// The simulated clock: 100 ms per step taken.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Crash every shard where the run stands, returning the surviving
+    /// device images for [`ShardedVniDb::recover`]. The open batch is not
+    /// flushed: the steps since the last window boundary were never
+    /// durable.
+    pub fn crash(self, rng: &mut DetRng) -> Vec<SimDisk> {
+        self.db.crash(rng)
     }
 }
 

@@ -3,15 +3,15 @@
 //! release_claim, solo commits then group commit, store snapshots
 //! mid-way, a crash that drops an open batch, recovery, more commits)
 //! with the `export_diagnostics()` JSON pinned at three points and each
-//! device image pinned at the end. The JSON pins and the image lengths
-//! were captured on the commit *before* transactions were staged in WAL
-//! format and the audit log became an append-only table, so
-//! matching them proves that rewrite changed no persisted row, no audit
-//! entry, no counter and no byte count — for `VniDb` and for
-//! `ShardedVniDb` at 1, 2 and 4 shards. The FNV-1a hash of each image's
-//! bytes was captured on the commit before snapshots were encoded
-//! straight into the device and the CRC gained its folded kernel, so
-//! matching it proves no persisted byte moved either.
+//! device image pinned at the end. The JSON pins were captured on the
+//! commit *before* transactions were staged in WAL format and the audit
+//! log became an append-only table, so matching them proves no later
+//! storage rewrite changed a persisted row, an audit entry or a counter
+//! — for `VniDb` and for `ShardedVniDb` at 1, 2 and 4 shards. Each
+//! image's length (both files) and the FNV-1a hash of its bytes (the
+//! WAL's, then the log segment's) were captured when the device split
+//! into a WAL and a log segment, so matching them proves no persisted
+//! byte moved since.
 //!
 //! A deliberate format change updates the pins here, in the same commit.
 
@@ -74,9 +74,10 @@ fn digest(diag: &serde_json::Value) -> u64 {
     fnv1a(serde_json::to_string_pretty(diag).expect("serializes").as_bytes())
 }
 
-/// A shut-down device image: its length and the FNV-1a hash of its bytes.
+/// A shut-down device image: its length over both files and the FNV-1a
+/// hash of its bytes, the WAL's then the log segment's.
 fn image(disk: &SimDisk) -> (usize, u64) {
-    (disk.len(), fnv1a(disk.contents()))
+    (disk.len(), fnv1a(&[disk.wal(), disk.segment()].concat()))
 }
 
 /// `(digest before the crash, digest right after recovery, digest at
@@ -130,7 +131,7 @@ fn single_store_history_matches_its_pins() {
             0x354333a90c22f1dd,
             0xe258af22e1ec3d38,
             0xef48e9c0607e179c,
-            vec![(77073, 0x65c91c8a55dbee61)]
+            vec![(79377, 0x1ecc91f0455231a4)]
         )
     );
 }
@@ -143,7 +144,7 @@ fn sharded_histories_match_their_pins() {
             0x54d02cbe948371e7,
             0x53b650db86e29a1c,
             0xd1329a802ed09538,
-            vec![(77073, 0x65c91c8a55dbee61)]
+            vec![(79377, 0x1ecc91f0455231a4)]
         )
     );
     assert_eq!(
@@ -152,7 +153,7 @@ fn sharded_histories_match_their_pins() {
             0x4c5d07be8fc994ce,
             0x39efd9db78582359,
             0xb76c238020461e75,
-            vec![(58981, 0xf814d9faf74716bf), (17306, 0x94b7670049b34bc3)]
+            vec![(59593, 0xfba28b959452f50e), (18998, 0xbd573c7b440b7299)]
         )
     );
     assert_eq!(
@@ -162,9 +163,9 @@ fn sharded_histories_match_their_pins() {
             0x6ddacbdb95bbf92f,
             0xa5d4cd80163bb133,
             vec![
-                (70468, 0x59b64880ea94ec57),
-                (19631, 0xee69c400c54f41ac),
-                (17306, 0x94b7670049b34bc3),
+                (73372, 0x2b9df6a5a0e793d4),
+                (20555, 0xc78391ad69cd6072),
+                (18998, 0xbd573c7b440b7299),
                 (0, 0xcbf29ce484222325)
             ]
         )

@@ -13,11 +13,16 @@
 //! * single-writer **serializable transactions** ([`Txn`]), staged
 //!   directly in the log's wire format so that a commit applies exactly
 //!   the bytes it logged,
-//! * durability via a CRC-framed **write-ahead log** ([`wal`]) on a
-//!   simulated device with explicit fsync/crash semantics ([`SimDisk`]),
-//! * snapshot checkpoints and **crash recovery** that borrows every
-//!   payload from the device image, replays from the last snapshot, and
-//!   cuts a torn tail off the device.
+//! * durability on a simulated two-file device with explicit
+//!   fsync/crash semantics ([`SimDisk`]): log-table rows go once to an
+//!   append-only **log segment**, and a CRC-framed **write-ahead log**
+//!   ([`wal`]) of map-table operations marks, in every frame, the
+//!   segment prefix it covers and that prefix's CRC,
+//! * snapshot checkpoints of the map tables and the mark only, and
+//!   **crash recovery** that borrows every payload from the device
+//!   image, accepts a frame only while the segment holds its marked rows
+//!   intact, replays from the last snapshot, and cuts both files back to
+//!   what it accepted.
 //!
 //! The crash-consistency property (no committed VNI allocation is ever
 //! lost, no partial transaction is ever visible) is property-tested in

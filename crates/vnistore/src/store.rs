@@ -1,6 +1,6 @@
 //! The transactional store: serializable transactions over named tables,
-//! durable through a WAL on the simulated device, with snapshot
-//! checkpoints and crash recovery.
+//! durable through a WAL and a log segment on the simulated device, with
+//! snapshot checkpoints and crash recovery.
 //!
 //! Concurrency model: single-writer serializable — every transaction
 //! holds `&mut Store` for its lifetime, so transactions are totally
@@ -11,9 +11,9 @@
 //! # Commit applies what it logs
 //!
 //! A [`Txn`] stages its operations directly in the WAL op encoding
-//! ([`crate::wal`]), in one buffer the store recycles. [`Txn::commit`]
-//! frames that buffer as it is and then updates the tables by *parsing
-//! it* — the same routine recovery runs over every replayed payload.
+//! ([`crate::wal`]), in buffers the store recycles. [`Txn::commit`]
+//! writes those bytes as they are and then updates the tables by
+//! *parsing them* — the same routines recovery runs over the device.
 //! There is no second, in-memory representation of an operation, so the
 //! live tables cannot disagree with what a recovery would rebuild.
 //!
@@ -29,17 +29,42 @@
 //!   `ab\0` < `ab\x01` < `abc`), so a lookup compares machine words
 //!   instead of following a pointer to a heap key per comparison;
 //! * a **log** table ([`Txn::append`]) only grows, and every appended
-//!   key must be above the last. Its rows sit back to back in one byte
-//!   arena, in the WAL op encoding, next to an index of their offsets:
-//!   an append is a copy onto the end, the last key and the row count
-//!   are O(1), a lookup is a binary search, a snapshot copies the arena
-//!   in one piece, and dropping the table frees two allocations however
-//!   many rows it holds. An audit log is this shape.
+//!   key must be above the last. Its rows live on the device, in the
+//!   log segment, and the table keeps nothing in memory but where each
+//!   one starts: an append is a write to the segment and one offset, the
+//!   last key and the row count are O(1), a lookup is a binary search
+//!   reading the segment, and the history costs the process 8 bytes a
+//!   row however long its rows are. An audit log is this shape.
 //!
 //! Mixing the kinds — `put` or `delete` on a log table, `append` on a
 //! map table, an append at or below the table's last key — or a map key
 //! longer than [`MAX_MAP_KEY`] is a bug in the caller and panics when the
-//! operation is staged, before anything reaches the log.
+//! operation is staged, before anything reaches the device.
+//!
+//! # The device: a WAL and a log segment
+//!
+//! The [`SimDisk`] holds two append-only files. The **log segment** is
+//! every log table's rows back to back, in the order they committed,
+//! each written once. The **WAL** holds frames of map-table operations;
+//! every frame also carries a [`SegmentMark`] — the segment length its
+//! state includes and the CRC of that whole prefix.
+//!
+//! * A commit (or a group flush) appends its log rows to the segment,
+//!   then its frame to the WAL, then issues one fsync barrier for both.
+//!   The mark makes the order of the two writes immaterial: a frame
+//!   whose rows did not all reach the segment fails its mark at
+//!   recovery and is refused.
+//! * Recovery accepts WAL frames in order while each one is intact
+//!   *and* the segment holds its marked prefix with the marked CRC. It
+//!   cuts both files back to the last accepted frame and its mark — rows
+//!   that ran ahead of the WAL, a torn row, a torn frame — replays map
+//!   operations from the latest accepted snapshot on, and rebuilds each
+//!   log table by walking the segment's row lengths. No log row is
+//!   copied.
+//! * A snapshot writes the map tables and the current mark as a new WAL
+//!   ([`SimDisk`]'s crash-atomic rewrite) and leaves the segment alone,
+//!   so checkpoint work and the WAL stay O(live rows) and the history
+//!   is written once.
 //!
 //! # Example
 //!
@@ -71,24 +96,18 @@
 //! ```
 
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::ops::Range;
 
 use shs_des::DetRng;
 
 use crate::codec::read_slice;
 use crate::disk::SimDisk;
-use crate::wal::{self, Frame, Op, OpKind, RecordKind};
+use crate::wal::{self, Op, OpKind, RecordKind, SegmentMark};
 
-/// An append-only table (see the module docs): the rows' WAL op
-/// encodings back to back — which is also the table's snapshot image —
-/// and where each one starts. Keys strictly ascend.
+/// An append-only table (see the module docs): where each of its rows
+/// starts in the log segment. Keys strictly ascend.
 #[derive(Debug, Default)]
 struct LogTable {
-    image: Vec<u8>,
-    starts: Vec<usize>,
-    /// Where the last row's key sits in `image`: every append checks
-    /// its key against it, so it is kept rather than re-parsed.
-    last_key: Range<usize>,
+    starts: Vec<u64>,
     /// How far into a row its key's length prefix sits. Every row names
     /// the same table, so this is one offset for all of them, and a read
     /// skips straight to the key instead of parsing the tag and name.
@@ -96,43 +115,43 @@ struct LogTable {
 }
 
 impl LogTable {
-    fn row_at(&self, start: usize) -> (&[u8], &[u8]) {
-        let mut off = start + self.key_field;
-        let key = read_slice(&self.image, &mut off).expect("log rows are whole ops");
-        let value = read_slice(&self.image, &mut off).expect("log rows are whole ops");
+    fn row_at<'a>(&self, segment: &'a [u8], start: u64) -> (&'a [u8], &'a [u8]) {
+        let mut off = start as usize + self.key_field;
+        let key = read_slice(segment, &mut off).expect("log rows are whole ops");
+        let value = read_slice(segment, &mut off).expect("log rows are whole ops");
         (key, value)
     }
 
-    fn rows(&self) -> impl DoubleEndedIterator<Item = (&[u8], &[u8])> {
-        self.starts.iter().map(|&s| self.row_at(s))
+    fn rows<'a>(
+        &'a self,
+        segment: &'a [u8],
+    ) -> impl DoubleEndedIterator<Item = (&'a [u8], &'a [u8])> + 'a {
+        self.starts.iter().map(move |&s| self.row_at(segment, s))
     }
 
-    fn last_key(&self) -> Option<&[u8]> {
-        (!self.starts.is_empty()).then(|| &self.image[self.last_key.clone()])
+    fn last_key<'a>(&self, segment: &'a [u8]) -> Option<&'a [u8]> {
+        self.starts.last().map(|&s| self.row_at(segment, s).0)
     }
 
-    fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        let i = self.starts.binary_search_by(|&s| self.row_at(s).0.cmp(key)).ok()?;
-        Some(self.row_at(self.starts[i]).1)
+    fn get<'a>(&self, segment: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
+        let i = self.starts.binary_search_by(|&s| self.row_at(segment, s).0.cmp(key)).ok()?;
+        Some(self.row_at(segment, self.starts[i]).1)
     }
 
-    fn push(&mut self, op: &Op<'_>) {
+    /// Index `op`, a row that sits at `start` in `segment`.
+    fn push(&mut self, segment: &[u8], start: u64, op: &Op<'_>) {
         // Staging already refused this for a live transaction; a
-        // replayed image gets the same check, because `get` depends on it.
+        // recovered segment gets the same check, because `get` depends
+        // on it.
         assert!(
-            self.last_key().is_none_or(|last| last < op.key),
+            self.last_key(segment).is_none_or(|last| last < op.key),
             "append to log table `{}` at or below its last key",
             op.table
         );
-        let start = self.image.len();
-        // `op.key` is a slice of `op.raw`: its offset there is its offset
-        // in the row as copied.
-        let key_in_row = op.key.as_ptr().addr() - op.raw.as_ptr().addr();
-        self.key_field = key_in_row - size_of::<u32>();
-        let key_at = start + key_in_row;
-        self.last_key = key_at..key_at + op.key.len();
+        // `op.key` is a slice of `op.raw`: its offset there is its
+        // offset in the row.
+        self.key_field = op.key.as_ptr().addr() - op.raw.as_ptr().addr() - size_of::<u32>();
         self.starts.push(start);
-        self.image.extend_from_slice(op.raw);
     }
 }
 
@@ -208,7 +227,6 @@ impl Table {
             (Table::Map(rows), OpKind::Delete) => {
                 rows.remove(&map_key(op.table, op.key));
             }
-            (Table::Log(log), OpKind::Append) => log.push(op),
             (_, kind) => panic!("{kind:?} on the wrong kind of table `{}`", op.table),
         }
     }
@@ -227,35 +245,55 @@ impl Tables {
         self.0.iter().find(|(n, _)| n == name).map(|(_, t)| t)
     }
 
-    fn get_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.0.iter_mut().find(|(n, _)| n == name).map(|(_, t)| t)
-    }
-
-    /// Add a table that is not there yet, keeping name order.
-    fn insert(&mut self, name: &str, table: Table) {
-        let at = self.0.partition_point(|(n, _)| n.as_str() < name);
-        self.0.insert(at, (name.to_string(), table));
+    /// The table `name`, created as `new` makes it when it is not there
+    /// yet (keeping name order).
+    fn get_or_insert(&mut self, name: &str, new: impl FnOnce() -> Table) -> &mut Table {
+        // Probe first: the common case (the table exists) must not
+        // allocate the table name.
+        let at = match self.0.iter().position(|(n, _)| n == name) {
+            Some(at) => at,
+            None => {
+                let at = self.0.partition_point(|(n, _)| n.as_str() < name);
+                self.0.insert(at, (name.to_string(), new()));
+                at
+            }
+        };
+        &mut self.0[at].1
     }
 }
 
-/// Apply one commit or snapshot payload to the tables — the one routine
-/// behind both a live commit and recovery's replay.
+/// Apply a commit or snapshot payload of map-table operations to the
+/// tables — the one routine behind both a live commit and recovery's
+/// replay.
 fn apply_payload(tables: &mut Tables, payload: &[u8]) {
     for op in wal::ops(payload) {
-        // Probe first: the common case (the table exists) must not
-        // allocate the table name just to use the `entry` API.
-        if let Some(table) = tables.get_mut(op.table) {
-            table.apply(&op);
+        if op.kind == OpKind::Delete && tables.get(op.table).is_none() {
             continue;
         }
-        let mut table = match op.kind {
-            OpKind::Put => Table::Map(BTreeMap::new()),
-            OpKind::Append => Table::Log(LogTable::default()),
-            OpKind::Delete => continue,
-        };
-        table.apply(&op);
-        tables.insert(op.table, table);
+        tables.get_or_insert(op.table, || Table::Map(BTreeMap::new())).apply(&op);
     }
+}
+
+/// Index the log rows in `segment` from byte `from` to its end — the one
+/// routine behind both a live commit (its own rows) and recovery (every
+/// accepted row).
+fn index_rows(tables: &mut Tables, segment: &[u8], from: usize) {
+    let rows = &segment[from..];
+    for op in wal::ops(rows) {
+        let start = (from + (op.raw.as_ptr().addr() - rows.as_ptr().addr())) as u64;
+        match tables.get_or_insert(op.table, || Table::Log(LogTable::default())) {
+            Table::Log(log) if op.kind == OpKind::Append => log.push(segment, start, &op),
+            _ => panic!("{:?} on the wrong kind of table `{}`", op.kind, op.table),
+        }
+    }
+}
+
+/// Extend `framed` over the rows `segment` gained since it was taken:
+/// the mark of the frame about to be written.
+fn mark_segment(framed: &mut SegmentMark, segment: &[u8]) -> SegmentMark {
+    let new_rows = &segment[framed.end as usize..];
+    *framed = SegmentMark { end: segment.len() as u64, crc: wal::crc32_extend(framed.crc, new_rows) };
+    *framed
 }
 
 /// Store configuration.
@@ -267,13 +305,13 @@ pub struct StoreConfig {
     /// multiple of the previous snapshot's size before snapshotting
     /// again (0 = no requirement, the legacy fixed cadence).
     ///
-    /// A fixed cadence re-encodes every row each `snapshot_every`
+    /// A fixed cadence re-encodes every map row each `snapshot_every`
     /// commits, which is O(table size) work on a schedule that does not
-    /// scale with it — total snapshot cost grows quadratically with
-    /// history. A factor of 1 makes each snapshot "pay for itself" in
-    /// WAL growth, bounding amortized snapshot work per commit by a
+    /// scale with it. A factor of 1 makes each snapshot "pay for itself"
+    /// in WAL growth, bounding amortized snapshot work per commit by a
     /// constant while recovery still replays at most one
-    /// snapshot-equivalent of tail records.
+    /// snapshot-equivalent of tail records. Log rows never count: they
+    /// go to the log segment, which a snapshot does not rewrite.
     pub snapshot_wal_factor: u64,
 }
 
@@ -293,7 +331,8 @@ pub struct StoreStats {
     /// Group-commit batch records written (each covers ≥ 1 commit with
     /// a single fsync).
     pub batches: u64,
-    /// Bytes appended to the WAL over the store's lifetime.
+    /// Bytes appended to the WAL over the store's lifetime (log rows go
+    /// to the log segment and are not counted).
     pub wal_bytes: u64,
     /// fsync barriers issued.
     pub fsyncs: u64,
@@ -312,19 +351,26 @@ pub struct Store {
     /// Size of the last snapshot frame (0 before the first snapshot).
     last_snapshot_bytes: u64,
     stats: StoreStats,
-    /// The open transaction's operations in WAL op encoding; `begin`
-    /// empties it, so steady-state staging allocates nothing.
+    /// The open transaction's map-table operations in WAL op encoding;
+    /// `begin` empties it, so steady-state staging allocates nothing.
     staged: Vec<u8>,
+    /// The open transaction's log rows, in the same encoding: what its
+    /// commit appends to the log segment.
+    staged_rows: Vec<u8>,
     /// Scratch for a single commit's frame, appended to the device whole.
     /// (A snapshot is encoded straight into the device instead; a group
     /// batch keeps its own buffer, `GroupState::frame`.)
     frame_buf: Vec<u8>,
+    /// The segment prefix the latest frame covers: the mark the next
+    /// frame extends by the rows appended since.
+    framed: SegmentMark,
     /// Group-commit state: while `Some`, committed transactions apply to
     /// the tables immediately (reads see them) but their WAL framing and
     /// fsync are deferred into this accumulating batch; `group_flush`
     /// writes the whole batch as ONE `Batch` record with one fsync. A
     /// crash before the flush loses the entire open batch — never part
-    /// of it (the batch frame's CRC is all-or-nothing).
+    /// of it (the batch frame's CRC is all-or-nothing, and its rows in
+    /// the segment count only once a frame marks them).
     group: Option<GroupState>,
 }
 
@@ -350,16 +396,32 @@ impl Store {
     }
 
     /// Recover a store from a (possibly crash-truncated) device image.
-    /// Every frame is CRC-verified; replay starts at the latest snapshot
-    /// and runs through all later committed transactions (group-commit
-    /// batches count one LSN per contained transaction), feeding each
-    /// payload to the tables as a slice of the image. A torn tail is
-    /// then cut off the device, so the next commit lands directly
-    /// behind the last intact frame.
+    /// Every frame is CRC-verified, and accepted only while the log
+    /// segment holds the prefix its mark covers, with the marked CRC.
+    /// Replay starts at the latest accepted snapshot and runs through
+    /// all later committed transactions (group-commit batches count one
+    /// LSN per contained transaction), feeding each payload to the
+    /// tables as a slice of the image; the log tables are rebuilt by one
+    /// walk over the accepted segment prefix. Both files are then cut
+    /// back to what was accepted, so the next commit lands directly
+    /// behind it.
     pub fn recover(mut disk: SimDisk, config: StoreConfig) -> Self {
-        let mut scan = wal::frames(disk.contents());
-        let frames: Vec<Frame<'_>> = scan.by_ref().collect();
-        let valid_len = scan.consumed();
+        let segment = disk.segment();
+        let mut scan = wal::frames(disk.wal());
+        let mut frames = Vec::new();
+        let (mut framed, mut wal_len) = (SegmentMark::default(), 0);
+        while let Some(frame) = scan.next() {
+            let mark = frame.segment;
+            // Rows since the previous frame: absent when the segment is
+            // shorter than the mark (or the mark runs backwards).
+            let Some(rows) = segment.get(framed.end as usize..mark.end as usize) else { break };
+            if wal::crc32_extend(framed.crc, rows) != mark.crc {
+                break;
+            }
+            framed = mark;
+            wal_len = scan.consumed();
+            frames.push(frame);
+        }
         let mut tables = Tables::default();
         let mut next_lsn = 1;
         let from = frames.iter().rposition(|f| f.kind == RecordKind::Snapshot).unwrap_or(0);
@@ -377,7 +439,9 @@ impl Store {
             }
             next_lsn = frame.lsn + txns;
         }
-        disk.truncate(valid_len);
+        let segment_len = framed.end as usize;
+        index_rows(&mut tables, &segment[..segment_len], 0);
+        disk.truncate(wal_len, segment_len);
         Store {
             disk,
             tables,
@@ -388,7 +452,9 @@ impl Store {
             last_snapshot_bytes: 0,
             stats: StoreStats::default(),
             staged: Vec::new(),
+            staged_rows: Vec::new(),
             frame_buf: Vec::new(),
+            framed,
             group: None,
         }
     }
@@ -396,6 +462,7 @@ impl Store {
     /// Begin a serializable transaction.
     pub fn begin(&mut self) -> Txn<'_> {
         self.staged.clear();
+        self.staged_rows.clear();
         Txn { store: self, last_append: None }
     }
 
@@ -403,7 +470,7 @@ impl Store {
     pub fn get(&self, table: &str, key: &[u8]) -> Option<&[u8]> {
         match self.tables.get(table)? {
             Table::Map(rows) => rows.get(&MapKey::pack(key)?).map(Vec::as_slice),
-            Table::Log(log) => log.get(key),
+            Table::Log(log) => log.get(self.disk.segment(), key),
         }
     }
 
@@ -418,7 +485,8 @@ impl Store {
             None => (None, None),
         };
         let map = map.into_iter().flatten().map(|(k, v)| (k.bytes(), v.as_slice()));
-        map.chain(log.into_iter().flat_map(LogTable::rows))
+        let segment = self.disk.segment();
+        map.chain(log.into_iter().flat_map(move |log| log.rows(segment)))
     }
 
     /// A table's highest key — O(1) on a log table, where it is the key
@@ -426,7 +494,7 @@ impl Store {
     pub fn last_key(&self, table: &str) -> Option<&[u8]> {
         match self.tables.get(table)? {
             Table::Map(rows) => rows.last_key_value().map(|(k, _)| k.bytes()),
-            Table::Log(log) => log.last_key(),
+            Table::Log(log) => log.last_key(self.disk.segment()),
         }
     }
 
@@ -439,35 +507,34 @@ impl Store {
         }
     }
 
-    /// Force a snapshot checkpoint now, **truncating** the log: the
-    /// snapshot frame becomes the entire device image (the
-    /// checkpoint + rename a real store performs), so the device — and
-    /// recovery — stay O(live rows) instead of O(history). The frame is
-    /// encoded straight into the device ([`SimDisk::rewrite`]), with no
-    /// scratch copy: map rows are encoded as puts straight from the
-    /// tables, a log table contributes its arena in one copy. Any open
-    /// group-commit batch is flushed first so the checkpoint never
-    /// captures state the log has not made durable.
+    /// Force a snapshot checkpoint now, **truncating** the WAL: a frame
+    /// holding every map row as a put, marked with the log segment's
+    /// current end, becomes the entire WAL (the checkpoint + rename a
+    /// real store performs), so the WAL — and recovery's replay — stay
+    /// O(live rows) instead of O(history). Log rows are not copied: the
+    /// mark names the segment prefix that already holds them. The frame
+    /// is encoded straight into the device ([`SimDisk`]'s WAL rewrite),
+    /// with no scratch copy. Any open group-commit batch is flushed first
+    /// so the checkpoint never captures state the log has not made
+    /// durable.
     pub fn snapshot(&mut self) {
         self.flush_group_buffer();
         let lsn = self.next_lsn;
         self.next_lsn += 1;
+        let mark = mark_segment(&mut self.framed, self.disk.segment());
         let tables = &self.tables;
-        self.disk.rewrite(|image| {
+        self.disk.rewrite_wal(|image| {
             wal::begin_frame(RecordKind::Snapshot, lsn, image);
             for (name, table) in &tables.0 {
-                match table {
-                    Table::Map(rows) => {
-                        for (k, v) in rows {
-                            wal::push_op(image, OpKind::Put, name, k.bytes(), v);
-                        }
+                if let Table::Map(rows) = table {
+                    for (k, v) in rows {
+                        wal::push_op(image, OpKind::Put, name, k.bytes(), v);
                     }
-                    Table::Log(log) => image.extend_from_slice(&log.image),
                 }
             }
-            wal::end_frame(image, 0);
+            wal::end_frame(image, 0, mark);
         });
-        let frame_len = self.disk.len() as u64;
+        let frame_len = self.disk.wal().len() as u64;
         self.stats.wal_bytes += frame_len;
         self.stats.snapshots += 1;
         self.commits_since_snapshot = 0;
@@ -507,8 +574,9 @@ impl Store {
     fn flush_group_buffer(&mut self) {
         let Some(g) = self.group.as_mut().filter(|g| g.count > 0) else { return };
         g.count = 0;
-        wal::end_frame(&mut g.frame, 0);
-        self.disk.append(&g.frame);
+        let mark = mark_segment(&mut self.framed, self.disk.segment());
+        wal::end_frame(&mut g.frame, 0, mark);
+        self.disk.append_wal(&g.frame);
         self.disk.fsync();
         self.stats.wal_bytes += g.frame.len() as u64;
         self.wal_since_snapshot += g.frame.len() as u64;
@@ -530,12 +598,11 @@ impl Store {
         self.disk
     }
 
-    /// Bytes currently on the device — what a recovery scan must read.
-    /// Truncating snapshots keep this O(live rows) rather than
-    /// O(history).
-    #[cfg(test)]
-    fn device_len(&self) -> usize {
-        self.disk.len()
+    /// The device as it stands, unsynced tails included: the WAL stays
+    /// O(live rows) under truncating snapshots, and the log segment
+    /// holds the history once.
+    pub fn disk(&self) -> &SimDisk {
+        &self.disk
     }
 
     /// Statistics for this store instance (not carried across recovery).
@@ -548,6 +615,10 @@ impl Store {
     fn commit_staged(&mut self) -> u64 {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
+        // Rows first: a frame's mark can only cover bytes already in the
+        // segment.
+        let rows_at = self.disk.segment().len();
+        self.disk.append_segment(&self.staged_rows);
         if let Some(g) = self.group.as_mut() {
             // Group mode: stage the framing in the open batch; durability
             // (and the snapshot-cadence check, which must not checkpoint
@@ -559,16 +630,18 @@ impl Store {
             wal::push_batch_txn(&mut g.frame, &self.staged);
             g.count += 1;
         } else {
-            // WAL first, then fsync, then apply: crash before the fsync
-            // loses the whole transaction, never half of it.
+            // Rows, frame, one barrier: a crash before the barrier loses
+            // the whole transaction, never half of it.
+            let mark = mark_segment(&mut self.framed, self.disk.segment());
             self.frame_buf.clear();
-            wal::encode_into(RecordKind::Commit, lsn, &self.staged, &mut self.frame_buf);
-            self.disk.append(&self.frame_buf);
+            wal::encode_into(RecordKind::Commit, lsn, mark, &self.staged, &mut self.frame_buf);
+            self.disk.append_wal(&self.frame_buf);
             self.disk.fsync();
             self.stats.wal_bytes += self.frame_buf.len() as u64;
             self.wal_since_snapshot += self.frame_buf.len() as u64;
         }
         apply_payload(&mut self.tables, &self.staged);
+        index_rows(&mut self.tables, self.disk.segment(), rows_at);
         self.stats.commits += 1;
         self.commits_since_snapshot += 1;
         if self.group.is_none() {
@@ -591,12 +664,12 @@ impl Store {
 }
 
 /// A serializable write transaction. Operations are staged in WAL op
-/// encoding in the store's staging buffer; dropping without
+/// encoding in the store's staging buffers; dropping without
 /// [`Txn::commit`] rolls back (nothing was applied or logged).
 #[derive(Debug)]
 pub struct Txn<'s> {
     store: &'s mut Store,
-    /// Where the latest staged append starts in the staging buffer — the
+    /// Where the latest staged append starts among the staged rows — the
     /// shortcut that keeps a many-row append transaction's order checks
     /// O(1) each.
     last_append: Option<usize>,
@@ -623,48 +696,52 @@ impl Txn<'_> {
     /// the module docs) and encode it. Panics on misuse, before anything
     /// is logged.
     fn stage(&mut self, kind: OpKind, table: &str, key: &[u8], value: &[u8]) {
-        let staged = &self.store.staged;
+        let store = &*self.store;
         let appends = kind == OpKind::Append;
         if !appends {
             map_key(table, key);
         }
-        let committed = self.store.tables.get(table);
-        // The table's kind: as committed, else as the first operation
-        // this transaction staged on it will make it.
+        let committed = store.tables.get(table);
+        // The table's kind: as committed, else as the operations this
+        // transaction staged on it make it.
         let is_log = match committed {
             Some(committed) => Some(matches!(committed, Table::Log(_))),
-            None => wal::ops(staged)
-                .find(|op| op.table == table && op.kind != OpKind::Delete)
-                .map(|op| op.kind == OpKind::Append),
+            None if wal::ops(&store.staged_rows).any(|op| op.table == table) => Some(true),
+            None => wal::ops(&store.staged)
+                .any(|op| op.table == table && op.kind == OpKind::Put)
+                .then_some(false),
         };
         assert!(
             is_log.is_none_or(|is_log| is_log == appends),
             "{kind:?} on the wrong kind of table `{table}`"
         );
-        if appends {
-            let staged_tail = self.last_append.and_then(|at| {
-                let latest = wal::ops(&staged[at..]).next().expect("staged ops parse");
-                if latest.table == table {
-                    return Some(latest.key);
-                }
-                // Appends to several log tables interleaved: look back.
-                let mine = |op: &Op<'_>| op.kind == OpKind::Append && op.table == table;
-                wal::ops(staged).filter(mine).last().map(|op| op.key)
-            });
-            let tail = staged_tail.or_else(|| match committed {
-                Some(Table::Log(log)) => log.last_key(),
-                _ => None,
-            });
-            assert!(
-                tail.is_none_or(|tail| tail < key),
-                "append to log table `{table}` at or below its last key"
-            );
-            self.last_append = Some(staged.len());
+        if !appends {
+            wal::push_op(&mut self.store.staged, kind, table, key, value);
+            return;
         }
-        wal::push_op(&mut self.store.staged, kind, table, key, value);
+        let rows = &store.staged_rows;
+        let staged_tail = self.last_append.and_then(|at| {
+            let latest = wal::ops(&rows[at..]).next().expect("staged ops parse");
+            if latest.table == table {
+                return Some(latest.key);
+            }
+            // Appends to several log tables interleaved: look back.
+            wal::ops(rows).filter(|op| op.table == table).last().map(|op| op.key)
+        });
+        let tail = staged_tail.or_else(|| match committed {
+            Some(Table::Log(log)) => log.last_key(store.disk.segment()),
+            _ => None,
+        });
+        assert!(
+            tail.is_none_or(|tail| tail < key),
+            "append to log table `{table}` at or below its last key"
+        );
+        self.last_append = Some(rows.len());
+        wal::push_op(&mut self.store.staged_rows, kind, table, key, value);
     }
 
-    /// Durably commit: WAL append + fsync + apply. Returns the LSN.
+    /// Durably commit: log rows + WAL frame + fsync + apply. Returns the
+    /// LSN.
     pub fn commit(self) -> u64 {
         self.store.commit_staged()
     }
@@ -872,7 +949,7 @@ mod tests {
         assert_eq!(s.row_count("t"), 9, "batched writes are visible before the crash");
         for seed in 0..16 {
             let mut rng = DetRng::new(seed);
-            let r = Store::recover(s.disk_clone().crash(&mut rng), StoreConfig::default());
+            let r = Store::recover(s.disk().clone().crash(&mut rng), StoreConfig::default());
             assert_eq!(
                 r.row_count("t"),
                 1,
@@ -895,10 +972,8 @@ mod tests {
         }
         s.group_flush();
         let full = s.shutdown();
-        for cut in 0..full.len() {
-            let mut torn = SimDisk::new();
-            torn.append(&full.contents()[..cut]);
-            torn.fsync();
+        for cut in 0..full.wal().len() {
+            let torn = SimDisk::from_images(&full.wal()[..cut], full.segment());
             let r = Store::recover(torn, StoreConfig::default());
             let n = r.row_count("t");
             assert!(n == 0 || n == 8, "cut {cut}: partial batch visible ({n} rows)");
@@ -917,7 +992,7 @@ mod tests {
         s.group_flush();
         for seed in 0..8 {
             let mut rng = DetRng::new(seed);
-            let r = Store::recover(s.disk_clone().crash(&mut rng), StoreConfig::default());
+            let r = Store::recover(s.disk().clone().crash(&mut rng), StoreConfig::default());
             assert_eq!(r.row_count("t"), 8, "seed {seed}");
         }
     }
@@ -933,7 +1008,7 @@ mod tests {
             t.put("hot", b"k", &i.to_le_bytes());
             t.commit();
             if s.stats().snapshots == 1 && peak_after_snapshot == 0 {
-                peak_after_snapshot = s.device_len();
+                peak_after_snapshot = s.disk().len();
             }
         }
         assert!(s.stats().snapshots > 10);
@@ -941,9 +1016,9 @@ mod tests {
         // up, so the device never exceeds snapshot + cadence worth of
         // frames — independent of the 4096-commit history.
         assert!(
-            s.device_len() < peak_after_snapshot + 64 * 64,
+            s.disk().len() < peak_after_snapshot + 64 * 64,
             "device_len {} should be bounded by live rows + cadence, not history",
-            s.device_len()
+            s.disk().len()
         );
         let r = Store::recover(s.shutdown(), StoreConfig::default());
         assert_eq!(r.row_count("hot"), 1);
@@ -978,13 +1053,11 @@ mod tests {
             t.commit();
         }
         let full = s.shutdown();
-        let mut torn = SimDisk::new();
-        torn.append(&full.contents()[..full.len() - 3]);
-        torn.fsync();
+        let torn = SimDisk::from_images(&full.wal()[..full.wal().len() - 3], full.segment());
         let mut r = Store::recover(torn, StoreConfig::default());
         assert_eq!(r.row_count("t"), 2, "the torn third commit is rolled back");
-        let two_frames = full.len() / 3 * 2;
-        assert_eq!(r.device_len(), two_frames, "and its bytes are cut off the device");
+        let two_frames = full.wal().len() / 3 * 2;
+        assert_eq!(r.disk().wal().len(), two_frames, "and its bytes are cut off the device");
         let mut t = r.begin();
         t.put("t", b"late", b"row");
         t.commit();
@@ -1061,6 +1134,81 @@ mod tests {
         assert_eq!(r.row_count("log"), 12);
     }
 
+    /// One transaction per step: a hot map row and one log row.
+    fn audit_step(s: &mut Store, i: u64) {
+        let mut t = s.begin();
+        t.put("rows", &seq(i % 4), &seq(i));
+        t.append("log", &seq(i), format!("entry-{i}").as_bytes());
+        t.commit();
+    }
+
+    #[test]
+    fn log_rows_are_written_once_and_snapshots_leave_them_in_place() {
+        let mut s = Store::new(StoreConfig { snapshot_every: Some(16), snapshot_wal_factor: 0 });
+        let mut row_bytes = 0;
+        for i in 0..1_000u64 {
+            audit_step(&mut s, i);
+            let mut row = Vec::new();
+            wal::push_op(&mut row, OpKind::Append, "log", &seq(i), format!("entry-{i}").as_bytes());
+            row_bytes += row.len();
+            assert_eq!(s.disk().segment().len(), row_bytes, "step {i}: each row lands once");
+        }
+        assert!(s.stats().snapshots > 50);
+        // The WAL is the last snapshot (four map rows, no log row) plus
+        // fewer than `snapshot_every` commit frames.
+        assert!(s.disk().wal().len() < 16 * 128, "WAL {} B", s.disk().wal().len());
+        assert!(s.last_snapshot_bytes < 256, "a snapshot holds no history");
+        let want: Vec<(Vec<u8>, Vec<u8>)> =
+            s.scan("log").map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        let r = Store::recover(s.shutdown(), StoreConfig::default());
+        let got: Vec<(Vec<u8>, Vec<u8>)> =
+            r.scan("log").map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        assert_eq!(got, want);
+        assert_eq!(r.get("log", &seq(777)), Some(&b"entry-777"[..]));
+        assert_eq!(r.row_count("rows"), 4);
+    }
+
+    #[test]
+    fn a_frame_whose_rows_are_not_all_in_the_segment_is_refused() {
+        let mut s = store();
+        let mut ends = Vec::new();
+        for i in 0..3 {
+            audit_step(&mut s, i);
+            ends.push((s.disk().wal().len(), s.disk().segment().len()));
+        }
+        let full = s.shutdown();
+        // The WAL is whole; the segment loses one byte of the third
+        // commit's row, then the second commit's whole row.
+        for (cut, commits) in [(ends[2].1 - 1, 2), (ends[1].1 - 1, 1), (ends[0].1, 1)] {
+            let torn = SimDisk::from_images(full.wal(), &full.segment()[..cut]);
+            let r = Store::recover(torn, StoreConfig::default());
+            assert_eq!(r.row_count("log"), commits, "segment cut at {cut}");
+            assert_eq!(r.last_key("rows"), Some(&seq(commits as u64 - 1)[..]), "map rows too");
+            let (wal, segment) = ends[commits - 1];
+            assert_eq!((r.disk().wal().len(), r.disk().segment().len()), (wal, segment));
+        }
+    }
+
+    #[test]
+    fn rows_that_ran_ahead_of_the_wal_are_cut_and_later_commits_survive() {
+        let mut s = store();
+        audit_step(&mut s, 0);
+        s.group_begin();
+        for i in 1..5 {
+            audit_step(&mut s, i);
+        }
+        // Four committed rows reached the segment, but no frame marks them.
+        let ahead = s.disk().segment().len();
+        let disk = s.disk().clone();
+        let mut r = Store::recover(disk, StoreConfig::default());
+        assert_eq!((r.row_count("log"), r.row_count("rows")), (1, 1));
+        assert!(r.disk().segment().len() < ahead, "the unmarked rows are cut");
+        audit_step(&mut r, 1);
+        let r2 = Store::recover(r.shutdown(), StoreConfig::default());
+        let keys: Vec<&[u8]> = r2.scan("log").map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![&seq(0)[..], &seq(1)[..]]);
+    }
+
     #[test]
     fn misuse_of_a_table_kind_panics_before_anything_is_logged() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1069,7 +1217,7 @@ mod tests {
         t.append("log", &seq(5), b"entry");
         t.put("rows", b"k", b"v");
         t.commit();
-        let device = s.device_len();
+        let device = s.disk().len();
         type Misuse = (&'static str, fn(&mut Txn<'_>));
         let misuses: [Misuse; 9] = [
             ("append below the last key", |t| t.append("log", &seq(4), b"x")),
@@ -1095,7 +1243,7 @@ mod tests {
                 t.commit();
             }));
             assert!(outcome.is_err(), "{what} must panic");
-            assert_eq!(s.device_len(), device, "{what}: nothing reached the log");
+            assert_eq!(s.disk().len(), device, "{what}: nothing reached the log");
             assert_eq!((s.row_count("log"), s.row_count("rows")), (1, 1), "{what}");
         }
         // The store is unharmed and the correct call still works.
@@ -1137,12 +1285,6 @@ mod tests {
             let mut d = self.disk.clone();
             d.fsync();
             d
-        }
-
-        /// Test helper: clone the device as-is (unsynced tail and any
-        /// open group batch stay volatile).
-        fn disk_clone(&self) -> SimDisk {
-            self.disk.clone()
         }
     }
 }

@@ -1,11 +1,18 @@
-//! Write-ahead-log wire format: CRC-guarded frames carrying
-//! operations.
+//! Write-ahead-log wire format: CRC-guarded frames carrying map-table
+//! operations, each one naming how much of the device's log segment it
+//! covers.
 //!
-//! Frame layout on the device:
+//! Frame layout on the device's WAL file:
 //!
 //! ```text
-//! | magic u16 | kind u8 | lsn u64 | payload_len u32 | crc32 u32 | payload |
+//! | magic u16 | kind u8 | lsn u64 | len u32 | crc32 u32 | seg_end u64 | seg_crc u32 | payload |
 //! ```
+//!
+//! `len` and `crc32` cover everything behind them: the segment mark and
+//! the payload. The mark ([`SegmentMark`]) says the frame's state
+//! includes the log segment's first `seg_end` bytes, and `seg_crc` is
+//! the CRC-32 of exactly those bytes, so a frame proves its log rows
+//! intact however the two files were cut.
 //!
 //! Recovery scans frames from the start ([`frames`]) and stops at the
 //! first one whose header is truncated, whose magic is wrong, or whose
@@ -23,29 +30,32 @@
 //! ```
 //!
 //! with tag 1 = put and 2 = delete (no value field) on a *map* table,
-//! and 3 = append to a *log* table. The tag makes the image
-//! self-describing: recovery learns what kind of table a row belongs
-//! to from the row itself.
+//! and 3 = append to a *log* table. WAL payloads carry puts and
+//! deletes; appends are the rows of the log segment, back to back in
+//! the same encoding. The tag makes both files self-describing:
+//! recovery learns what kind of table a row belongs to from the row
+//! itself.
 //!
 //! # Example
 //!
 //! A torn tail (e.g. a crash mid-append) is detected and cleanly cut:
 //!
 //! ```
-//! use shs_vnistore::wal::{encode_into, frames, ops, push_op, OpKind, RecordKind};
+//! use shs_vnistore::wal::{encode_into, frames, ops, push_op, OpKind, RecordKind, SegmentMark};
 //!
 //! let mut payload = Vec::new();
 //! push_op(&mut payload, OpKind::Put, "vnis", b"k", b"row");
+//! let mark = SegmentMark::default(); // no log rows yet
 //! let mut log = Vec::new();
-//! encode_into(RecordKind::Commit, 1, &payload, &mut log);
+//! encode_into(RecordKind::Commit, 1, mark, &payload, &mut log);
 //! let first = log.len();
-//! encode_into(RecordKind::Commit, 2, &payload, &mut log);
+//! encode_into(RecordKind::Commit, 2, mark, &payload, &mut log);
 //!
 //! // Tear the last frame mid-way.
 //! log.truncate(first + 5);
 //! let mut scan = frames(&log);
 //! let frame = scan.next().expect("the intact frame survives");
-//! assert_eq!((frame.kind, frame.lsn), (RecordKind::Commit, 1));
+//! assert_eq!((frame.kind, frame.lsn, frame.segment), (RecordKind::Commit, 1, mark));
 //! let op = ops(frame.payload).next().unwrap();
 //! assert_eq!((op.kind, op.table, op.key, op.value), (OpKind::Put, "vnis", &b"k"[..], &b"row"[..]));
 //! assert!(scan.next().is_none());
@@ -73,6 +83,17 @@ pub enum RecordKind {
     Batch = 3,
 }
 
+/// How much of the log segment a frame's state includes: its first
+/// `end` bytes, whose CRC-32 is `crc`. A frame stands only if the
+/// segment still holds those bytes intact.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SegmentMark {
+    /// Segment length the frame covers.
+    pub end: u64,
+    /// [`crc32`] of the segment's first `end` bytes.
+    pub crc: u32,
+}
+
 /// One intact frame of a device image, borrowed from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame<'a> {
@@ -80,11 +101,18 @@ pub struct Frame<'a> {
     pub kind: RecordKind,
     /// Log sequence number.
     pub lsn: u64,
+    /// The log segment prefix the frame's state includes.
+    pub segment: SegmentMark,
     /// CRC-verified payload (operations, or a batch of them).
     pub payload: &'a [u8],
 }
 
+/// `magic | kind | lsn | len | crc32`: the part of a frame its CRC does
+/// not cover.
 const HEADER_LEN: usize = 2 + 1 + 8 + 4 + 4;
+
+/// `seg_end | seg_crc`: the segment mark opening the CRC-covered part.
+const MARK_LEN: usize = 8 + 4;
 
 /// Byte-at-a-time CRC-32 lookup table, built at compile time from the
 /// same bitwise recurrence the original implementation ran per bit.
@@ -125,8 +153,9 @@ const CRC_SLICES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 (IEEE, reflected polynomial `0xEDB88320`) — the one checksum
-/// every frame carries. Snapshots and recovery CRC the whole audit log,
-/// so the long inputs take the fastest path the CPU offers:
+/// every frame carries, for its own bytes and for the log segment it
+/// covers. Recovery CRCs the whole log segment, so the long inputs take
+/// the fastest path the CPU offers:
 ///
 /// * on `x86_64`, when the CPU reports `pclmulqdq` and `sse4.1` and the
 ///   input is at least 128 bytes, a carry-less-multiply fold over four
@@ -140,17 +169,25 @@ const CRC_SLICES: [[u32; 256]; 8] = {
 /// length cut and on multi-KiB buffers, to the byte-at-a-time
 /// recurrence, which slicing-by-8 also matches.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(crc) = clmul::crc32(bytes) {
-        return crc;
-    }
-    crc32_sliced(bytes)
+    crc32_extend(0, bytes)
 }
 
-/// Slicing-by-8: the portable [`crc32`].
-fn crc32_sliced(bytes: &[u8]) -> u32 {
+/// The CRC-32 of `a` followed by `bytes`, given `crc == crc32(a)`: a
+/// running checksum grows by the bytes appended since, so a segment
+/// prefix's CRC costs each byte once however many frames cover it.
+pub fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    // The un-inverted register state that `crc` finalizes.
+    let state = !crc;
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = clmul::crc32(state, bytes) {
+        return crc;
+    }
+    crc32_sliced(state, bytes)
+}
+
+/// Slicing-by-8 from register state `crc`: the portable [`crc32_extend`].
+fn crc32_sliced(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_SLICES;
-    let mut crc: u32 = 0xFFFF_FFFF;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -207,10 +244,10 @@ mod clmul {
     /// ones — a single small commit's frame — stay on slicing-by-8.
     const MIN_LEN: usize = 128;
 
-    /// The CRC of `bytes` through the fold, or `None` when the input is
-    /// short or this CPU lacks the instructions — the caller then runs
-    /// the portable code.
-    pub(super) fn crc32(bytes: &[u8]) -> Option<u32> {
+    /// The CRC of `bytes` through the fold, from register state `state`,
+    /// or `None` when the input is short or this CPU lacks the
+    /// instructions — the caller then runs the portable code.
+    pub(super) fn crc32(state: u32, bytes: &[u8]) -> Option<u32> {
         if bytes.len() < MIN_LEN
             || !is_x86_feature_detected!("pclmulqdq")
             || !is_x86_feature_detected!("sse4.1")
@@ -219,15 +256,16 @@ mod clmul {
         }
         // SAFETY: `fold` is compiled for `pclmulqdq` and `sse4.1`, and
         // `is_x86_feature_detected!` has just reported both on this CPU.
-        Some(unsafe { fold(bytes) })
+        Some(unsafe { fold(state, bytes) })
     }
 
-    /// CRC-32 of `bytes`, which must be at least one 64-byte round long.
+    /// CRC-32 of `bytes` from register state `state`; `bytes` must be at
+    /// least one 64-byte round long.
     // SAFETY: only callable where `pclmulqdq` and `sse4.1` are present;
     // `crc32` above checks both with `is_x86_feature_detected!` before
     // its one call.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
-    fn fold(bytes: &[u8]) -> u32 {
+    fn fold(state: u32, bytes: &[u8]) -> u32 {
         // One 16-byte lane, little-endian. (Closures share the function's
         // target features; a helper `fn` would need them, and `unsafe`
         // to call, of its own.)
@@ -245,9 +283,9 @@ mod clmul {
         };
         let mut blocks = bytes.chunks_exact(64);
         let first = blocks.next().expect("at least 64 bytes");
-        // The initial all-ones CRC state enters as an XOR into the first
-        // 32 bits of input.
-        let init = _mm_cvtsi32_si128(!0);
+        // The register state (all ones for a fresh CRC) enters as an XOR
+        // into the first 32 bits of input.
+        let init = _mm_cvtsi32_si128(state as i32);
         let mut x = [
             _mm_xor_si128(lane(&first[..16]), init),
             lane(&first[16..32]),
@@ -283,8 +321,8 @@ mod clmul {
     }
 }
 
-/// Open a frame at the end of `out`: the header with its length and CRC
-/// fields blank. Whatever the caller appends next is the payload;
+/// Open a frame at the end of `out`: the header and segment mark with
+/// their fields blank. Whatever the caller appends next is the payload;
 /// [`end_frame`] with the returned offset seals it. Building a frame in
 /// place spares the store a payload buffer and a copy per snapshot and
 /// per group batch.
@@ -293,25 +331,33 @@ pub(crate) fn begin_frame(kind: RecordKind, lsn: u64, out: &mut Vec<u8>) -> usiz
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(kind as u8);
     out.extend_from_slice(&lsn.to_le_bytes());
-    out.extend_from_slice(&[0u8; 8]);
+    out.extend_from_slice(&[0u8; 8 + MARK_LEN]);
     start
 }
 
-/// Seal the frame opened at `start`: everything after its header is the
-/// payload, whose length and CRC go into the header.
-pub(crate) fn end_frame(out: &mut [u8], start: usize) {
-    let (header, payload) = out[start..].split_at_mut(HEADER_LEN);
-    let len = u32::try_from(payload.len()).expect("a frame payload stays under 4 GiB");
+/// Seal the frame opened at `start`: write the segment mark, then the
+/// length and CRC of everything behind the header.
+pub(crate) fn end_frame(out: &mut [u8], start: usize, segment: SegmentMark) {
+    let (header, sealed) = out[start..].split_at_mut(HEADER_LEN);
+    sealed[..8].copy_from_slice(&segment.end.to_le_bytes());
+    sealed[8..MARK_LEN].copy_from_slice(&segment.crc.to_le_bytes());
+    let len = u32::try_from(sealed.len()).expect("a frame payload stays under 4 GiB");
     header[11..15].copy_from_slice(&len.to_le_bytes());
-    header[15..19].copy_from_slice(&crc32(payload).to_le_bytes());
+    header[15..19].copy_from_slice(&crc32(sealed).to_le_bytes());
 }
 
 /// Append one whole frame around `payload` to `out`.
-pub fn encode_into(kind: RecordKind, lsn: u64, payload: &[u8], out: &mut Vec<u8>) {
-    out.reserve(HEADER_LEN + payload.len());
+pub fn encode_into(
+    kind: RecordKind,
+    lsn: u64,
+    segment: SegmentMark,
+    payload: &[u8],
+    out: &mut Vec<u8>,
+) {
+    out.reserve(HEADER_LEN + MARK_LEN + payload.len());
     let start = begin_frame(kind, lsn, out);
     out.extend_from_slice(payload);
-    end_frame(out, start);
+    end_frame(out, start, segment);
 }
 
 /// Scan a device image's intact frames in order (see [`Frames`]).
@@ -350,16 +396,20 @@ impl<'a> Iterator for Frames<'a> {
             _ => return None,
         };
         let lsn = u64::from_le_bytes(header[3..11].try_into().expect("8 bytes"));
-        let plen = u32::from_le_bytes(header[11..15].try_into().expect("4 bytes")) as usize;
+        let len = u32::from_le_bytes(header[11..15].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(header[15..19].try_into().expect("4 bytes"));
         let body = self.off + HEADER_LEN;
-        // `get` refuses a torn payload; the CRC refuses a corrupt one.
-        let payload = self.image.get(body..body.checked_add(plen)?)?;
-        if crc32(payload) != crc {
+        // `get` refuses a torn frame; the CRC refuses a corrupt one.
+        let sealed = self.image.get(body..body.checked_add(len)?)?;
+        if sealed.len() < MARK_LEN || crc32(sealed) != crc {
             return None;
         }
-        self.off = body + plen;
-        Some(Frame { kind, lsn, payload })
+        let segment = SegmentMark {
+            end: u64::from_le_bytes(sealed[..8].try_into().expect("8 bytes")),
+            crc: u32::from_le_bytes(sealed[8..MARK_LEN].try_into().expect("4 bytes")),
+        };
+        self.off = body + len;
+        Some(Frame { kind, lsn, segment, payload: &sealed[MARK_LEN..] })
     }
 }
 
@@ -455,9 +505,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A segment mark told apart by the frame's LSN.
+    fn mark(lsn: u64) -> SegmentMark {
+        SegmentMark { end: lsn * 100, crc: 0xC0DE_0000 | lsn as u32 }
+    }
+
     fn frame(lsn: u64, kind: RecordKind, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_into(kind, lsn, payload, &mut out);
+        encode_into(kind, lsn, mark(lsn), payload, &mut out);
         out
     }
 
@@ -479,7 +534,8 @@ mod tests {
         /// byte-at-a-time reference for every length 0..=300 at each of
         /// 16 offsets of a larger buffer (every alignment, every lane and
         /// tail remainder on both sides of the cut), and on a few long
-        /// buffers of 4–64 KiB.
+        /// buffers of 4–64 KiB. Extending a running CRC at any split
+        /// equals the CRC of the whole, on both paths.
         #[test]
         fn crc32_matches_the_bytewise_reference(
             buf in prop::collection::vec(any::<u8>(), 316..=340),
@@ -490,13 +546,18 @@ mod tests {
                     let window = &buf[start..start + len];
                     let want = crc32_bytewise(window);
                     prop_assert_eq!(crc32(window), want, "start {} len {}", start, len);
-                    prop_assert_eq!(crc32_sliced(window), want, "start {} len {}", start, len);
+                    prop_assert_eq!(crc32_sliced(!0, window), want, "start {} len {}", start, len);
+                    let (a, b) = window.split_at(len / 3);
+                    prop_assert_eq!(crc32_extend(crc32(a), b), want, "start {} len {}", start, len);
                 }
             }
             for (len, seed) in long {
                 let mut rng = shs_des::DetRng::new(seed);
                 let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-                prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {} seed {}", len, seed);
+                let want = crc32_bytewise(&bytes);
+                prop_assert_eq!(crc32(&bytes), want, "len {} seed {}", len, seed);
+                let (a, b) = bytes.split_at(seed as usize % len);
+                prop_assert_eq!(crc32_extend(crc32(a), b), want, "len {} seed {}", len, seed);
             }
         }
     }
@@ -515,7 +576,10 @@ mod tests {
         let mut scan = frames(&image);
         let decoded: Vec<Frame<'_>> = scan.by_ref().collect();
         let want: Vec<Frame<'_>> =
-            records.iter().map(|&(lsn, kind, payload)| Frame { kind, lsn, payload }).collect();
+            records
+                .iter()
+                .map(|&(lsn, kind, payload)| Frame { kind, lsn, segment: mark(lsn), payload })
+                .collect();
         assert_eq!(decoded, want);
         assert_eq!(scan.consumed(), image.len());
     }
@@ -525,8 +589,30 @@ mod tests {
         let mut out = b"earlier frames".to_vec();
         let start = begin_frame(RecordKind::Batch, 9, &mut out);
         out.extend_from_slice(b"payload bytes");
-        end_frame(&mut out, start);
+        end_frame(&mut out, start, mark(9));
         assert_eq!(out[start..], frame(9, RecordKind::Batch, b"payload bytes")[..]);
+    }
+
+    #[test]
+    fn a_sealed_part_too_short_for_the_mark_is_refused() {
+        // A well-formed header and a matching CRC over 4 bytes: the
+        // segment mark cannot fit, so the frame is corrupt.
+        let mut image = MAGIC.to_le_bytes().to_vec();
+        image.push(RecordKind::Commit as u8);
+        image.extend_from_slice(&1u64.to_le_bytes());
+        image.extend_from_slice(&4u32.to_le_bytes());
+        image.extend_from_slice(&crc32(b"tiny").to_le_bytes());
+        image.extend_from_slice(b"tiny");
+        let mut scan = frames(&image);
+        assert_eq!(scan.next(), None);
+        assert_eq!(scan.consumed(), 0);
+    }
+
+    #[test]
+    fn the_crc_covers_the_segment_mark() {
+        let mut image = frame(3, RecordKind::Commit, b"ok");
+        image[HEADER_LEN] ^= 1; // seg_end moves by one byte
+        assert_eq!(frames(&image).next(), None);
     }
 
     #[test]
