@@ -1,27 +1,16 @@
 //! Reference `bridge` plugin: the primary overlay-network plugin the CXI
 //! plugin chains after (standing in for Flannel/Cilium, §III-B). Creates
 //! a veth pair (host side on the bridge, container side in the pod's
-//! netns) and assigns an address from a host-local /24.
+//! netns) and assigns an address from a host-local /24. Its verbs act
+//! on the node's kernel; the node-side chain runner
+//! (`slingshot_k8s::NodeChain`) invokes them.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use shs_des::SimDur;
 use shs_oslinux::Host;
 
-use crate::chain::CniPlugin;
 use crate::spec::{CniArgs, CniCommand, CniError, CniResult, Interface, IpConfig};
-
-/// Contexts that expose the node's kernel to plugins.
-pub trait HasHost {
-    /// The node's host kernel.
-    fn host_mut(&mut self) -> &mut Host;
-}
-
-impl HasHost for Host {
-    fn host_mut(&mut self) -> &mut Host {
-        self
-    }
-}
 
 /// The bridge plugin with a host-local IPAM pool.
 #[derive(Debug)]
@@ -63,15 +52,15 @@ impl BridgePlugin {
     pub fn allocated(&self) -> usize {
         self.allocated.len()
     }
-}
 
-impl<C: HasHost> CniPlugin<C> for BridgePlugin {
-    fn kind(&self) -> &str {
-        "bridge"
-    }
-
-    fn add(&mut self, ctx: &mut C, args: &CniArgs, mut prev: CniResult) -> Result<CniResult, CniError> {
-        let host = ctx.host_mut();
+    /// ADD: join the container to the bridge network. `prev` is the
+    /// accumulated result of earlier plugins in the chain.
+    pub fn add(
+        &mut self,
+        host: &mut Host,
+        args: &CniArgs,
+        mut prev: CniResult,
+    ) -> Result<CniResult, CniError> {
         let host_ns = host.host_netns();
         // The container netns must exist.
         if host.net_namespace(args.netns).is_none() {
@@ -122,8 +111,9 @@ impl<C: HasHost> CniPlugin<C> for BridgePlugin {
         Ok(prev)
     }
 
-    fn del(&mut self, ctx: &mut C, args: &CniArgs) -> Result<(), CniError> {
-        let host = ctx.host_mut();
+    /// DEL: remove the container from the bridge network. Idempotent —
+    /// DEL may be called repeatedly or without a prior ADD.
+    pub fn del(&mut self, host: &mut Host, args: &CniArgs) -> Result<(), CniError> {
         let host_ns = host.host_netns();
         let veth_host = format!("veth{}", &args.container_id);
         if let Some(ns) = host.net_namespace_mut(host_ns) {
@@ -139,11 +129,11 @@ impl<C: HasHost> CniPlugin<C> for BridgePlugin {
         Ok(())
     }
 
-    fn check(&mut self, ctx: &mut C, args: &CniArgs) -> Result<(), CniError> {
+    /// CHECK: the container was added and its interface is in its netns.
+    pub fn check(&self, host: &Host, args: &CniArgs) -> Result<(), CniError> {
         if !self.allocated.contains_key(&args.container_id) {
             return Err(CniError::invalid_environment("container not added"));
         }
-        let host = ctx.host_mut();
         let ok = host
             .net_namespace(args.netns)
             .is_some_and(|ns| ns.interfaces.iter().any(|i| i == &args.ifname));
@@ -154,7 +144,9 @@ impl<C: HasHost> CniPlugin<C> for BridgePlugin {
         }
     }
 
-    fn cost(&self, cmd: CniCommand) -> SimDur {
+    /// Wall-clock cost of one invocation (process exec + work). Surfaces
+    /// in pod-start latency and thus in the Figs. 9-12 admission numbers.
+    pub fn cost(&self, cmd: CniCommand) -> SimDur {
         match cmd {
             // veth + IPAM work dominates ADD.
             CniCommand::Add => SimDur::from_millis(25),
@@ -275,21 +267,26 @@ mod tests {
     fn check_reflects_state() {
         let (mut host, args) = setup();
         let mut plugin = BridgePlugin::new("cni0", "10.42.0");
-        assert!(plugin.check(&mut host, &args).is_err());
+        assert!(plugin.check(&host, &args).is_err());
         plugin.add(&mut host, &args, CniResult::default()).unwrap();
-        plugin.check(&mut host, &args).unwrap();
+        plugin.check(&host, &args).unwrap();
         plugin.del(&mut host, &args).unwrap();
-        assert!(plugin.check(&mut host, &args).is_err());
+        assert!(plugin.check(&host, &args).is_err());
     }
 
     #[test]
     fn works_inside_a_chain() {
         let (mut host, args) = setup();
-        // What a chain runner sees: a boxed plugin behind the trait.
-        let mut plugin: Box<dyn CniPlugin<Host>> = Box::new(BridgePlugin::new("cni0", "10.42.0"));
-        let result = plugin.add(&mut host, &args, CniResult::default()).unwrap();
-        assert_eq!(result.ips.len(), 1);
+        // What a chain runner relies on: ADD extends the result an
+        // earlier plugin handed over, and each verb has its cost.
+        let mut plugin = BridgePlugin::new("cni0", "10.42.0");
+        let mut prev = CniResult::default();
+        prev.interfaces.push(Interface { name: "lo".into(), sandbox: String::new() });
+        let result = plugin.add(&mut host, &args, prev).unwrap();
+        assert_eq!(result.interfaces[0].name, "lo", "the earlier plugin's interface stays first");
+        assert_eq!(result.ips[0].interface, 1, "the address names the bridge's interface");
         assert_eq!(plugin.cost(CniCommand::Add), SimDur::from_millis(25));
+        assert_eq!(plugin.cost(CniCommand::Del), SimDur::from_millis(12));
         plugin.del(&mut host, &args).unwrap();
     }
 }

@@ -9,7 +9,7 @@
 //! Flannel/Cilium-style primary plugins (§III-B); every pod the kubelet
 //! starts goes through a [`NodeChain`].
 
-use shs_cni::{CniArgs, CniCommand, CniError, CniPlugin, CniResult, HasHost};
+use shs_cni::{BridgePlugin, CniArgs, CniCommand, CniError, CniResult};
 use shs_cxi::CxiDevice;
 use shs_des::SimDur;
 use shs_fabric::{Fabric, NicAddr};
@@ -32,17 +32,9 @@ pub struct NodeCniCtx<'a> {
     pub root: Creds,
 }
 
-impl HasHost for NodeCniCtx<'_> {
-    fn host_mut(&mut self) -> &mut Host {
-        self.host
-    }
-}
-
-/// Object-safe plugin interface specialised to [`NodeCniCtx`] (the
-/// generic `shs_cni::CniPlugin<C>` cannot be boxed over a borrowed
-/// context type; this trait quantifies the lifetime per call). Unlike
-/// the generic trait, verbs return the *actual* cost of the invocation:
-/// a no-op CXI ADD (pod without the `vni` annotation) is much cheaper
+/// The one CNI plugin interface: what a [`NodeChain`] drives, over
+/// [`NodeCniCtx`]. Verbs return the *actual* cost of the invocation: a
+/// no-op CXI ADD (pod without the `vni` annotation) is much cheaper
 /// than one that fetches the VNI CRD and programs a service — the cost
 /// asymmetry behind the paper's vni:true admission overhead.
 pub trait NodeCniPlugin {
@@ -59,14 +51,11 @@ pub trait NodeCniPlugin {
     fn del(&mut self, ctx: &mut NodeCniCtx<'_>, args: &CniArgs) -> (Result<(), CniError>, SimDur);
 }
 
-/// Every generic CNI plugin usable with [`NodeCniCtx`] is a node plugin
-/// (covers the reference bridge plugin), with its static cost model.
-impl<P> NodeCniPlugin for P
-where
-    P: for<'a> CniPlugin<NodeCniCtx<'a>>,
-{
+/// The reference bridge plugin acts on the node kernel, at its static
+/// cost per verb.
+impl NodeCniPlugin for BridgePlugin {
     fn kind(&self) -> &str {
-        CniPlugin::kind(self)
+        "bridge"
     }
     fn add(
         &mut self,
@@ -74,11 +63,11 @@ where
         args: &CniArgs,
         prev: CniResult,
     ) -> Result<(CniResult, SimDur), (CniError, SimDur)> {
-        let cost = CniPlugin::cost(self, CniCommand::Add);
-        CniPlugin::add(self, ctx, args, prev).map(|r| (r, cost)).map_err(|e| (e, cost))
+        let cost = self.cost(CniCommand::Add);
+        BridgePlugin::add(self, ctx.host, args, prev).map(|r| (r, cost)).map_err(|e| (e, cost))
     }
     fn del(&mut self, ctx: &mut NodeCniCtx<'_>, args: &CniArgs) -> (Result<(), CniError>, SimDur) {
-        (CniPlugin::del(self, ctx, args), CniPlugin::cost(self, CniCommand::Del))
+        (BridgePlugin::del(self, ctx.host, args), self.cost(CniCommand::Del))
     }
 }
 
@@ -159,9 +148,8 @@ mod tests {
 
     type Log = Rc<RefCell<Vec<String>>>;
 
-    /// A generic plugin (any context) that records its invocations in a
-    /// shared log, so it reaches the chain through the blanket
-    /// [`NodeCniPlugin`] impl with the default 15 ms cost model.
+    /// A plugin that records its invocations in a shared log, at 15 ms
+    /// per verb.
     struct Recorder {
         name: &'static str,
         fail_add: bool,
@@ -169,29 +157,28 @@ mod tests {
         log: Log,
     }
 
-    impl<C> CniPlugin<C> for Recorder {
+    impl NodeCniPlugin for Recorder {
         fn kind(&self) -> &str {
             self.name
         }
         fn add(
             &mut self,
-            _c: &mut C,
+            _c: &mut NodeCniCtx<'_>,
             _a: &CniArgs,
             mut prev: CniResult,
-        ) -> Result<CniResult, CniError> {
+        ) -> Result<(CniResult, SimDur), (CniError, SimDur)> {
             self.log.borrow_mut().push(format!("{}:add", self.name));
             if self.fail_add {
-                return Err(CniError::plugin(100, "boom"));
+                return Err((CniError::plugin(100, "boom"), STEP));
             }
             prev.interfaces.push(Interface { name: self.name.into(), sandbox: String::new() });
-            Ok(prev)
+            Ok((prev, STEP))
         }
-        fn del(&mut self, _c: &mut C, _a: &CniArgs) -> Result<(), CniError> {
+        fn del(&mut self, _c: &mut NodeCniCtx<'_>, _a: &CniArgs) -> (Result<(), CniError>, SimDur) {
             self.log.borrow_mut().push(format!("{}:del", self.name));
-            if self.fail_del {
-                return Err(CniError::plugin(101, "del failed"));
-            }
-            Ok(())
+            let result =
+                if self.fail_del { Err(CniError::plugin(101, "del failed")) } else { Ok(()) };
+            (result, STEP)
         }
     }
 

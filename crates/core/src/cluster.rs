@@ -28,8 +28,7 @@ use shs_oslinux::{Creds, Host, NetNsId, Pid};
 use crate::chain::{NodeChain, NodeCniCtx};
 use crate::cxi_cni::CxiCniPlugin;
 use crate::endpoint::{EndpointHandle, EndpointRole, VniEndpoint};
-use crate::sharded_db::ShardedVniDb;
-use crate::vni_db::VniDbConfig;
+use crate::vni_db::{VniDb, VniDbConfig};
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -54,12 +53,6 @@ pub struct ClusterConfig {
     /// resync so a job whose acquisition failed is retried once the
     /// quarantine window releases capacity.
     pub vni_resync: Option<SimDur>,
-    /// Number of independent VNI store shards behind the endpoint
-    /// (default 1). Reports are byte-identical at any shard count — the
-    /// facade preserves single-store allocation order and audit
-    /// sequencing; sharding only changes how durable state is spread
-    /// across store devices.
-    pub vni_shards: usize,
     /// Fabric shape. `None` (the default) is the legacy single switch
     /// with `nodes + 8` edge ports; a dragonfly spec places nodes onto
     /// topology switches per [`ClusterConfig::placement`], so
@@ -104,7 +97,6 @@ impl Default for ClusterConfig {
             quarantine: SimDur::from_secs(30),
             nic_params: CassiniParams::default(),
             vni_resync: None,
-            vni_shards: 1,
             topology: None,
             placement: NodePlacement::RoundRobin,
             routing: RoutingPolicy::Minimal,
@@ -372,10 +364,10 @@ impl Cluster {
             });
         }
 
-        let endpoint = Rc::new(RefCell::new(VniEndpoint::new(ShardedVniDb::new(
-            VniDbConfig { range: config.vni_range.clone(), quarantine: config.quarantine },
-            config.vni_shards,
-        ))));
+        let endpoint = Rc::new(RefCell::new(VniEndpoint::new(VniDb::new(VniDbConfig {
+            range: config.vni_range.clone(),
+            quarantine: config.quarantine,
+        }))));
         let vni_jobs = Metacontroller::new(
             DecoratorConfig {
                 name: "vni-jobs".into(),
@@ -683,6 +675,7 @@ pub struct PodHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::Lifecycle;
 
     fn run_cluster(c: &mut Cluster, from_ms: u64, to_ms: u64) {
         c.run_until(
@@ -742,21 +735,10 @@ mod tests {
         c.delete_job("t", "secure");
         run_cluster(&mut c, 4_000, 10_000);
         assert!(!c.job_exists("t", "secure"));
-        assert_eq!(c.endpoint.borrow().db.allocated_count(), 0, "VNI released");
-        let leftover: usize = c
-            .nodes
-            .iter()
-            .map(|n| {
-                n.inner
-                    .device
-                    .driver
-                    .services()
-                    .iter()
-                    .filter(|s| s.label.starts_with("cni:"))
-                    .count()
-            })
-            .sum();
-        assert_eq!(leftover, 0, "no leaked CXI services");
+        let ep = c.endpoint.borrow();
+        assert_eq!(ep.db.allocated_count(), 0, "VNI released");
+        let (model, broken) = Lifecycle::replay(ep.db.quarantine(), &ep.db.audit(), &ep.db.rows());
+        assert_eq!((broken, model.orphans(&c)), (vec![], vec![]), "no leaked service or grant");
     }
 
     #[test]

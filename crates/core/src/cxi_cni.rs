@@ -210,23 +210,3 @@ impl NodeCniPlugin for CxiCniPlugin {
         (Ok(()), cost)
     }
 }
-
-impl CxiCniPlugin {
-    /// CHECK verb: verify a CXI service exists for annotated pods.
-    pub fn check(&self, ctx: &NodeCniCtx<'_>, args: &CniArgs) -> Result<(), CniError> {
-        let label = Self::label_for(&args.container_id);
-        let has = ctx.device.driver.services().iter().any(|s| s.label == label);
-        // Pods without the annotation legitimately have no service; CHECK
-        // passes when either no annotation or a service exists.
-        let Some(pod_ref) = &args.pod else { return Ok(()) };
-        let annotated = ctx
-            .api
-            .get(kinds::POD, &pod_ref.namespace, &pod_ref.name)
-            .and_then(|p| p.annotation(VNI_ANNOTATION))
-            .is_some();
-        if annotated && !has {
-            return Err(CniError::invalid_environment("CXI service missing"));
-        }
-        Ok(())
-    }
-}

@@ -24,8 +24,7 @@ use shs_k8s::{
     kinds, ApiObject, DecoratorHooks, FinalizeResponse, SyncResponse, VNI_ANNOTATION,
 };
 
-use crate::sharded_db::ShardedVniDb;
-use crate::vni_db::{VniDbError, VniOwner};
+use crate::vni_db::{VniDb, VniDbError, VniOwner};
 
 /// Spec of a VNI CRD instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -58,20 +57,18 @@ pub struct EndpointCounters {
     pub stalled_claim_deletes: u64,
 }
 
-/// The endpoint: VNI database + webhook logic. The database is always
-/// the sharded facade — a single store is its 1-shard instance — so
-/// webhook logic and reports are identical at any shard count.
+/// The endpoint: VNI database + webhook logic.
 #[derive(Debug)]
 pub struct VniEndpoint {
-    /// The ACID-backed (possibly sharded) VNI database.
-    pub db: ShardedVniDb,
+    /// The ACID-backed VNI database.
+    pub db: VniDb,
     /// Counters.
     pub counters: EndpointCounters,
 }
 
 impl VniEndpoint {
-    /// Build an endpoint over a (possibly one-shard) database.
-    pub fn new(db: ShardedVniDb) -> Self {
+    /// Build an endpoint over a database.
+    pub fn new(db: VniDb) -> Self {
         VniEndpoint { db, counters: EndpointCounters::default() }
     }
 
@@ -160,7 +157,7 @@ impl VniEndpoint {
         let job_key = Self::job_key(parent);
         if ann == "true" {
             if let Some(vni) = self.db.owner_vni(&VniOwner::Job { key: job_key }) {
-                if self.db.release(vni, now).is_ok() {
+                if self.db.release(Vni(vni), now).is_ok() {
                     self.counters.releases += 1;
                 }
             }
@@ -294,7 +291,7 @@ mod tests {
     use serde_json::json;
 
     fn endpoint() -> VniEndpoint {
-        VniEndpoint::new(ShardedVniDb::new(VniDbConfig::default(), 1))
+        VniEndpoint::new(VniDb::new(VniDbConfig::default()))
     }
 
     fn job(ns: &str, name: &str, ann: &str) -> ApiObject {
@@ -400,7 +397,7 @@ mod tests {
     #[test]
     fn exhaustion_yields_no_child() {
         let cfg = VniDbConfig { range: 2000..2001, quarantine: shs_des::SimDur::from_secs(30) };
-        let mut ep = VniEndpoint::new(ShardedVniDb::new(cfg, 1));
+        let mut ep = VniEndpoint::new(VniDb::new(cfg));
         ep.sync_job(&job("t", "j1", "true"), SimTime::ZERO);
         let r = ep.sync_job(&job("t", "j2", "true"), SimTime::ZERO);
         assert!(r.desired_children.is_empty());

@@ -13,6 +13,9 @@
 //!   backend with Per-Resource VNI and VNI-Claim ownership models, and
 //!   the ACID [`vni_db::VniDb`] with the 30 s reuse quarantine and audit
 //!   log;
+//! * **the VNI lifecycle model** ([`lifecycle::Lifecycle`]) — the
+//!   paper's VNI rules as one executable model that replays the audit
+//!   log and judges every run's node state;
 //! * **the cluster composition** ([`cluster::Cluster`]) that wires hosts,
 //!   NICs, the fabric, container runtimes, CNI chains, kubelets and the
 //!   control plane into one deterministic simulated cluster;
@@ -37,6 +40,7 @@ mod chain;
 pub(crate) mod cluster;
 pub(crate) mod cxi_cni;
 pub(crate) mod endpoint;
+pub mod lifecycle;
 pub(crate) mod parsim;
 pub mod scenario;
 pub(crate) mod sharded_db;

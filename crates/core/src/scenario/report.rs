@@ -4,16 +4,14 @@
 //! the only thing it mutates is the VNI database's expiry sweep (and the
 //! sort order of the latency samples).
 
-use std::collections::BTreeMap;
-
 use serde::Serialize;
 use shs_des::SimTime;
-use shs_fabric::{TrafficClass, Vni};
+use shs_fabric::TrafficClass;
 use shs_k8s::kinds;
 
 use super::engine::{ClassAgg, ServiceTrack, World};
 use super::spec::{Scenario, TrafficPattern};
-use crate::vni_db::{VniRow, VniState};
+use crate::lifecycle::{Lifecycle, Orphan};
 
 /// Per-job outcome in the report.
 #[derive(Debug, Clone, Serialize, PartialEq, Eq)]
@@ -261,12 +259,12 @@ pub struct IsolationReport {
     pub cross_tenant_denied: u64,
     /// Probes that *delivered* on a foreign VNI (violation).
     pub cross_vni_deliveries: u64,
-    /// VNI reuses inside the quarantine window, from the audit log
-    /// (violation).
+    /// Audit entries the [`Lifecycle`] replay rejects (a VNI reissued
+    /// inside its quarantine, among others), plus rows it contradicts.
     pub quarantine_violations: u64,
-    /// CXI services that outlived their pod (violation).
+    /// [`Orphan::Service`]s: CXI services that outlived their pod.
     pub leaked_services: u64,
-    /// Switch-port VNI grants that outlived the allocation (violation).
+    /// [`Orphan::Grant`]s: switch grants no service and held VNI back.
     pub stale_grants: u64,
     /// Pods placed on a drained node after the drain (violation).
     pub placement_violations: u64,
@@ -325,9 +323,8 @@ impl ScenarioReport {
 }
 
 /// Aggregate the run into the report. Takes the finished
-/// [`audit_isolation`] verdict, which must be taken first: the audit
-/// needs the VNI rows as of the horizon, and the VNI section here sweeps
-/// expired quarantines.
+/// [`audit_isolation`] verdict, whose replay has already swept the
+/// expired quarantines the VNI section here counts.
 pub(super) fn build(
     scenario: &Scenario,
     w: &mut World,
@@ -366,85 +363,33 @@ fn key(tenant: &str, name: &str) -> String {
 
 // ---- End-state audit ------------------------------------------------------
 
-/// The end-state isolation audit: the adversarial-probe tallies plus
-/// the four things that must not outlive their owner.
+/// The end-state isolation audit: the adversarial-probe tallies, one
+/// replay of the VNI audit log through the [`Lifecycle`] model, the
+/// model's node projection, and placement after drains.
 pub(super) fn audit_isolation(w: &World, horizon: SimTime) -> IsolationReport {
-    // Rows as of the horizon, captured before the quarantine audit's
-    // sweep deletes expired quarantine rows (a grant left behind for an
-    // expired VNI is just as stale as one inside the window).
-    let rows_at_horizon = w.cluster.endpoint.borrow().db.rows();
+    let (model, quarantine_violations) = {
+        let mut ep = w.cluster.endpoint.borrow_mut();
+        // Sweep first, so the log and the rows are what `acquire` acts on.
+        ep.db.sweep_expired(horizon);
+        let (model, broken) = Lifecycle::replay(ep.db.quarantine(), &ep.db.audit(), &ep.db.rows());
+        (model, broken.len() as u64)
+    };
+    let (mut leaked_services, mut stale_grants) = (0, 0);
+    for orphan in model.orphans(&w.cluster) {
+        match orphan {
+            Orphan::Service { .. } => leaked_services += 1,
+            Orphan::Grant { .. } => stale_grants += 1,
+        }
+    }
     IsolationReport {
         cross_tenant_attempts: w.m.cross_attempts,
         cross_tenant_denied: w.m.cross_denied,
         cross_vni_deliveries: w.m.cross_deliveries,
-        quarantine_violations: quarantine_violations(w, horizon),
-        leaked_services: leaked_services(w),
-        stale_grants: stale_grants(w, &rows_at_horizon),
+        quarantine_violations,
+        leaked_services,
+        stale_grants,
         placement_violations: placement_violations(w),
     }
-}
-
-/// Quarantine discipline, from the audit log: every re-acquisition of a
-/// VNI must be >= the quarantine window after its release.
-fn quarantine_violations(w: &World, horizon: SimTime) -> u64 {
-    let mut ep = w.cluster.endpoint.borrow_mut();
-    let quarantine_ns = ep.db.quarantine().as_nanos();
-    let mut violations = 0;
-    let mut last_release: BTreeMap<u16, u64> = BTreeMap::new();
-    for entry in &ep.db.audit_at(horizon) {
-        match entry.event.as_str() {
-            "acquire" => {
-                if let Some(rel) = last_release.get(&entry.vni) {
-                    if entry.at_ns.saturating_sub(*rel) < quarantine_ns {
-                        violations += 1;
-                    }
-                }
-            }
-            "release" => {
-                last_release.insert(entry.vni, entry.at_ns);
-            }
-            _ => {}
-        }
-    }
-    violations
-}
-
-/// Leaked CXI services: a `cni:` service whose pod no longer exists.
-fn leaked_services(w: &World) -> u64 {
-    let mut leaked = 0;
-    for node in &w.cluster.nodes {
-        for svc in node.inner.device.driver.services() {
-            let Some(sandbox) = svc.label.strip_prefix("cni:") else { continue };
-            let Some((ns, pod)) = sandbox.split_once('_') else { continue };
-            if w.cluster.api.get(kinds::POD, ns, pod).is_none() {
-                leaked += 1;
-            }
-        }
-    }
-    leaked
-}
-
-/// Stale switch grants: a port grant is only legitimate while the VNI
-/// is allocated AND some CXI service on that node still carries it (the
-/// plugin grants after service creation and revokes after the last
-/// service goes). This also catches a leaked grant from a VNI's
-/// *previous* owner after the VNI has been re-acquired elsewhere.
-fn stale_grants(w: &World, rows_at_horizon: &[VniRow]) -> u64 {
-    let mut stale = 0;
-    for row in rows_at_horizon {
-        let vni = Vni(row.vni);
-        for node in &w.cluster.nodes {
-            if !w.cluster.fabric.nic_has_vni(node.inner.nic, vni) {
-                continue;
-            }
-            let justified = row.state == VniState::Allocated
-                && node.inner.device.driver.services().iter().any(|s| s.vnis.contains(&vni));
-            if !justified {
-                stale += 1;
-            }
-        }
-    }
-    stale
 }
 
 /// Placement: nothing may start on a drained node after the drain.

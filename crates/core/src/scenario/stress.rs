@@ -26,13 +26,13 @@ pub struct VniStressScenario {
     pub tenants: u64,
     /// Control-plane transactions to execute.
     pub ops: u64,
-    /// Store shards (overridable by `scenario-run --shards`).
+    /// Store shards.
     pub shards: usize,
 }
 
 /// Deterministic end-state report of a [`VniStressScenario`]. Every
 /// field is shard-count-invariant, so for one seed the report bytes are
-/// identical at any `--shards` value — the facade's equivalence
+/// identical at any `shards` value — the facade's equivalence
 /// contract, asserted by `tests/report_identity.rs`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VniStressReport {

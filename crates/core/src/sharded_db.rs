@@ -17,16 +17,15 @@
 //!
 //! A naive hash-by-tenant allocator would hand out each shard's local
 //! minimum, so the *values* of allocated VNIs would depend on the shard
-//! count — and every downstream report (`JobTraffic.vni`, the audit
-//! log) would differ between `--shards 1` and `--shards 4`. Instead the
+//! count — and every downstream report (the stress report, the audit
+//! log) would differ between shard counts. Instead the
 //! facade asks every shard for the VNI its `acquire` *would* hand out
 //! (`VniDb::peek_min_allocatable`, an O(log n) index peek) and has the
 //! shard owning the global minimum allocate exactly that VNI
 //! (`VniDb::allocate`, without probing again) — the same VNI a single
-//! store over the whole range would pick. Scenario reports are
-//! therefore **byte-identical at any shard count** (integration-tested
-//! and property-tested against a single-store oracle in
-//! `tests/vni_sharded_oracle.rs`).
+//! store over the whole range would pick. Stress reports are therefore
+//! **byte-identical at any shard count** (property-tested against a
+//! single-store oracle in `tests/vni_sharded_oracle.rs`).
 //!
 //! # Global audit sequence
 //!
@@ -152,11 +151,6 @@ impl ShardedVniDb {
     /// Cleanly stop every shard, returning synced device images.
     pub fn into_disks(self) -> Vec<SimDisk> {
         self.shards.into_iter().map(|s| s.into_store().shutdown()).collect()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The configured quarantine window.
@@ -372,12 +366,6 @@ impl ShardedVniDb {
             self.shards.iter().flat_map(|s| s.audit_with_seq()).collect();
         entries.sort_by_key(|(seq, _)| *seq);
         entries.into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// Consistent audit read at `now` (sweeps first).
-    pub(crate) fn audit_at(&mut self, now: SimTime) -> Vec<AuditEntry> {
-        self.sweep_expired(now);
-        self.audit()
     }
 
     /// Total audit-log length across shards.

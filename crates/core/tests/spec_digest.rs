@@ -6,11 +6,11 @@
 //! last event, a pin list on an idle job — and names the scenario.
 //!
 //! A deliberate spec change updates the digest here, in the same commit.
-//! The fifteen library digests were re-pinned once since: `ClusterConfig`
-//! lost its `max_pods_per_node` field (nodes advertise the bridge IPAM
-//! pool size instead), which every spec's rendering carried. Putting
-//! `max_pods_per_node: 256, ` back in front of `nic_params:` reproduced
-//! each PR 14 digest, so nothing else in any spec moved.
+//! The fifteen library digests were re-pinned twice since, each time for
+//! a `ClusterConfig` field every spec carried: `max_pods_per_node`, then
+//! `vni_shards`. Putting `max_pods_per_node: 256, ` back in front of
+//! `nic_params:`, then `vni_shards: 1, ` after `vni_resync: …, `,
+//! reproduced each digest pinned before, so nothing else moved.
 
 use slingshot_k8s::scenario::{library, stress_by_name, stress_library};
 
@@ -33,21 +33,21 @@ fn library_specs_match_their_pinned_digests() {
     assert_digests(
         library(42).iter().map(|s| (s.name.clone(), format!("{s:?}"))).collect(),
         &[
-            ("steady-state", 0xd7ee330ae6cc230a),
-            ("churn", 0xea915b4947b273a3),
-            ("quarantine-pressure", 0x31d8545c6b97b7e7),
-            ("node-drain", 0x209204d3ca8be2b5),
-            ("oversubscribed", 0x90033f3dc73473a9),
-            ("noisy-neighbor", 0x0d1ca62aa4d9cec6),
-            ("incast", 0xe7702916a2f497a9),
-            ("collective-noisy-neighbor", 0xca77cbfca6c196cc),
-            ("cross-group-allreduce", 0xe909332443538a32),
-            ("trunk-cut-allreduce", 0xbcc5cef1f9acbb24),
-            ("flapping-link-incast", 0x0a2bc32f997c40c9),
-            ("adaptive-incast", 0xc9173bcd5819e904),
-            ("service-mesh-allreduce", 0xfd4275261fbdb665),
-            ("autoscale-burst", 0x6678985359ab078c),
-            ("rolling-update-allreduce", 0xcfb4bab706328df6),
+            ("steady-state", 0x2d370d128c202296),
+            ("churn", 0x1fa45bd064168b19),
+            ("quarantine-pressure", 0x422429676fb6d503),
+            ("node-drain", 0xbe0ea64ba66e2771),
+            ("oversubscribed", 0x722f96e5049b989d),
+            ("noisy-neighbor", 0xd1a4232876787ef2),
+            ("incast", 0x12ef74c4e0e4304f),
+            ("collective-noisy-neighbor", 0x5296cc4c517424c2),
+            ("cross-group-allreduce", 0x45558425b6562526),
+            ("trunk-cut-allreduce", 0x159bb08198add4b0),
+            ("flapping-link-incast", 0xffed24f265213805),
+            ("adaptive-incast", 0xa21e1a59bad1f2f0),
+            ("service-mesh-allreduce", 0x61aeb9f02aa4e411),
+            ("autoscale-burst", 0xcfe7b50494a70270),
+            ("rolling-update-allreduce", 0x825f569f06e7ab8a),
         ],
     );
 }

@@ -1,121 +1,22 @@
-//! Property tests for the VNI database invariants (DESIGN.md §5.4):
-//! no VNI is ever allocated to two owners, quarantine windows are
-//! respected, and crash recovery never loses or duplicates allocations.
+//! VNI database invariants the lifecycle model does not state: the
+//! audit log is append-only, dense and crash-safe, and the quarantine
+//! boundary is exact. Exclusivity and the quarantine rule under
+//! arbitrary operation sequences with crash/recovery are judged by the
+//! lifecycle model in `tests/vni_oracle.rs`.
 
 use proptest::prelude::*;
 use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::Vni;
 use slingshot_k8s::{VniDb, VniDbConfig, VniDbError, VniOwner, VniState};
-use std::collections::BTreeMap;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Acquire { owner: u8 },
-    Release { vni_off: u8 },
-    AdvanceMs { ms: u32 },
-    CrashRecover { seed: u64 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u8..32).prop_map(|owner| Op::Acquire { owner }),
-        3 => (0u8..8).prop_map(|vni_off| Op::Release { vni_off }),
-        2 => (1u32..40_000).prop_map(|ms| Op::AdvanceMs { ms }),
-        1 => any::<u64>().prop_map(|seed| Op::CrashRecover { seed }),
-    ]
-}
 
 const RANGE: core::ops::Range<u16> = 1024..1032; // deliberately tight
-const QUARANTINE_MS: u64 = 30_000;
 
 fn config() -> VniDbConfig {
-    VniDbConfig { range: RANGE, quarantine: SimDur::from_millis(QUARANTINE_MS) }
+    VniDbConfig { range: RANGE, quarantine: SimDur::from_secs(30) }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Model-checked exclusivity + quarantine under arbitrary operation
-    /// sequences with crash/recovery injection.
-    #[test]
-    fn no_double_allocation_ever(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let mut db = VniDb::new(config());
-        let mut now = SimTime::ZERO;
-        // Model: vni -> (owner, state).
-        let mut model_alloc: BTreeMap<u16, String> = BTreeMap::new();
-        let mut model_quarantined: BTreeMap<u16, u64> = BTreeMap::new(); // release ns
-        let mut owner_seq = 0u64;
-
-        for op in ops {
-            match op {
-                Op::Acquire { owner } => {
-                    // Unique owner key per acquire attempt (jobs are unique).
-                    let key = format!("ns/j{owner}-{owner_seq}");
-                    owner_seq += 1;
-                    match db.acquire(VniOwner::Job { key: key.clone() }, now) {
-                        Ok(vni) => {
-                            // Exclusivity: not currently allocated.
-                            prop_assert!(
-                                !model_alloc.contains_key(&vni.raw()),
-                                "{vni} already allocated"
-                            );
-                            // Quarantine respected.
-                            if let Some(rel) = model_quarantined.get(&vni.raw()) {
-                                prop_assert!(
-                                    now.as_nanos() >= rel + QUARANTINE_MS * 1_000_000,
-                                    "{vni} reissued {}ns after release",
-                                    now.as_nanos() - rel
-                                );
-                            }
-                            model_quarantined.remove(&vni.raw());
-                            model_alloc.insert(vni.raw(), key);
-                        }
-                        Err(_) => {
-                            // Exhaustion must be genuine: every range VNI is
-                            // allocated or inside quarantine.
-                            let free = RANGE.clone().find(|v| {
-                                !model_alloc.contains_key(v)
-                                    && model_quarantined.get(v).is_none_or(|rel| {
-                                        now.as_nanos() >= rel + QUARANTINE_MS * 1_000_000
-                                    })
-                            });
-                            prop_assert!(free.is_none(), "refused but {free:?} was free");
-                        }
-                    }
-                }
-                Op::Release { vni_off } => {
-                    let vni = Vni(RANGE.start + vni_off as u16);
-                    let was_allocated = model_alloc.contains_key(&vni.raw());
-                    let res = db.release(vni, now);
-                    prop_assert_eq!(res.is_ok(), was_allocated);
-                    if was_allocated {
-                        model_alloc.remove(&vni.raw());
-                        model_quarantined.insert(vni.raw(), now.as_nanos());
-                    }
-                }
-                Op::AdvanceMs { ms } => {
-                    now += SimDur::from_millis(ms as u64);
-                }
-                Op::CrashRecover { seed } => {
-                    let mut rng = DetRng::new(seed);
-                    let disk = db.into_store().crash(&mut rng);
-                    db = VniDb::recover(disk, config());
-                }
-            }
-            // Global invariant after every step: db state matches model.
-            let db_allocated: BTreeMap<u16, ()> = db
-                .rows()
-                .into_iter()
-                .filter(|r| r.state == VniState::Allocated)
-                .map(|r| (r.vni, ()))
-                .collect();
-            prop_assert_eq!(
-                db_allocated.keys().copied().collect::<Vec<_>>(),
-                model_alloc.keys().copied().collect::<Vec<_>>(),
-                "allocated sets diverged"
-            );
-        }
-    }
 
     /// The audit log is append-only and survives crashes: its length
     /// never shrinks and every successful mutation appends exactly once.
@@ -151,7 +52,7 @@ fn reuse_exactly_at_quarantine_boundary() {
         quarantine: SimDur::from_secs(30),
     });
     let released_at = SimTime::from_nanos(7_000_000_000);
-    let boundary = released_at + SimDur::from_secs(30);
+    let boundary = SimTime::from_nanos(37_000_000_000);
 
     let vni = db.acquire(VniOwner::Job { key: "ns/first".into() }, SimTime::ZERO).unwrap();
     db.release(vni, released_at).unwrap();

@@ -1,126 +1,92 @@
 //! State-machine equivalence: the indexed `VniDb` against a naive
-//! scan-based oracle. The oracle re-implements the §III-C2 semantics
-//! the way the pre-index database did — a linear probe over the range
-//! for every acquire, a full-table filter for every sweep — so any
+//! scan-based oracle. The oracle allocates the way the pre-index
+//! database did — a linear probe over the range for every acquire,
+//! lowest legal VNI first, and a filter over every VNI for every sweep
+//! — and takes what is legal from the lifecycle model, so any
 //! divergence (results, rows, stats, audit log) is an index bug, not a
-//! modeling artifact. Crash/recovery is injected mid-sequence; every
-//! committed operation must survive it, and the rebuilt indexes must
-//! pass `check_index_consistency`.
+//! modeling artifact. After every step the database's own audit log is
+//! also replayed through a fresh model, which must accept every entry
+//! and end in the database's rows. Crash/recovery is injected
+//! mid-sequence; every committed operation must survive it, and the
+//! rebuilt indexes must pass `check_index_consistency`.
 
 use proptest::prelude::*;
 use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::Vni;
-use slingshot_k8s::{AuditEntry, VniDb, VniDbConfig, VniDbError, VniOwner, VniRow, VniState};
+use slingshot_k8s::lifecycle::{Lifecycle, Phase};
+use slingshot_k8s::{AuditEntry, VniDb, VniDbConfig, VniDbError, VniOwner};
 use std::collections::BTreeMap;
 
 const RANGE: core::ops::Range<u16> = 4000..4008; // deliberately tight
-const QUARANTINE_MS: u64 = 30_000;
+const QUARANTINE: SimDur = SimDur::from_millis(30_000);
 
 fn config() -> VniDbConfig {
-    VniDbConfig { range: RANGE, quarantine: SimDur::from_millis(QUARANTINE_MS) }
+    VniDbConfig { range: RANGE, quarantine: QUARANTINE }
 }
 
-/// The naive model: same schema, scan-based allocation, in-memory only.
+/// The naive model: the lifecycle model, the owner each row keeps, and
+/// scan-based allocation, in memory only.
 struct Oracle {
-    rows: BTreeMap<u16, VniRow>,
+    model: Lifecycle,
+    owners: BTreeMap<u16, VniOwner>,
     audit: Vec<AuditEntry>,
 }
 
 impl Oracle {
     fn new() -> Self {
-        Oracle { rows: BTreeMap::new(), audit: Vec::new() }
-    }
-
-    fn expired(row: &VniRow, now: SimTime) -> bool {
-        match row.state {
-            VniState::Quarantined { released_at_ns } => {
-                now.as_nanos() >= released_at_ns + QUARANTINE_MS * 1_000_000
-            }
-            VniState::Allocated => false,
-        }
+        Oracle { model: Lifecycle::new(QUARANTINE), owners: BTreeMap::new(), audit: Vec::new() }
     }
 
     fn log(&mut self, now: SimTime, event: String, vni: u16) {
-        self.audit.push(AuditEntry { at_ns: now.as_nanos(), event, vni });
+        let entry = AuditEntry { at_ns: now.as_nanos(), event, vni };
+        self.model.apply(&entry).expect("the oracle makes only legal transitions");
+        self.audit.push(entry);
+    }
+
+    fn held(&self, vni: u16) -> Option<&[String]> {
+        match self.model.phase(vni) {
+            Phase::Held { users } => Some(users),
+            _ => None,
+        }
+    }
+
+    /// The VNI `owner` holds.
+    fn held_by(&self, owner: &VniOwner) -> Option<u16> {
+        self.owners.iter().find_map(|(&v, o)| (o == owner && self.held(v).is_some()).then_some(v))
     }
 
     fn acquire(&mut self, owner: &VniOwner, now: SimTime) -> Result<u16, VniDbError> {
-        if let Some(r) =
-            self.rows.values().find(|r| r.state == VniState::Allocated && &r.owner == owner)
-        {
-            return Ok(r.vni);
+        if let Some(vni) = self.held_by(owner) {
+            return Ok(vni);
         }
-        let vni = RANGE
-            .clone()
-            .find(|v| self.rows.get(v).is_none_or(|r| Self::expired(r, now)))
-            .ok_or(VniDbError::Exhausted)?;
-        self.rows.insert(
-            vni,
-            VniRow { vni, state: VniState::Allocated, owner: owner.clone(), users: vec![] },
-        );
+        let vni =
+            RANGE.clone().find(|&v| self.model.reusable(v, now)).ok_or(VniDbError::Exhausted)?;
+        self.owners.insert(vni, owner.clone());
         self.log(now, "acquire".into(), vni);
         Ok(vni)
     }
 
-    fn release(&mut self, vni: u16, now: SimTime) -> Result<(), VniDbError> {
-        let row = self.rows.get_mut(&vni).ok_or(VniDbError::NotFound)?;
-        if row.state != VniState::Allocated {
-            return Err(VniDbError::NotFound);
-        }
-        row.state = VniState::Quarantined { released_at_ns: now.as_nanos() };
-        row.users.clear();
-        self.log(now, "release".into(), vni);
+    /// `release`, `add_user:` or `remove_user:` — `event` — of `vni`,
+    /// legal only while it is held.
+    fn on_held(&mut self, vni: u16, event: String, now: SimTime) -> Result<(), VniDbError> {
+        self.held(vni).ok_or(VniDbError::NotFound)?;
+        self.log(now, event, vni);
         Ok(())
-    }
-
-    fn add_user(&mut self, vni: u16, user: &str, now: SimTime) -> Result<(), VniDbError> {
-        let row = self.rows.get_mut(&vni).ok_or(VniDbError::NotFound)?;
-        if row.state != VniState::Allocated {
-            return Err(VniDbError::NotFound);
-        }
-        if !row.users.iter().any(|u| u == user) {
-            row.users.push(user.to_string());
-        }
-        self.log(now, format!("add_user:{user}"), vni);
-        Ok(())
-    }
-
-    fn remove_user(&mut self, vni: u16, user: &str, now: SimTime) -> Result<usize, VniDbError> {
-        let row = self.rows.get_mut(&vni).ok_or(VniDbError::NotFound)?;
-        if row.state != VniState::Allocated {
-            return Err(VniDbError::NotFound);
-        }
-        row.users.retain(|u| u != user);
-        let remaining = row.users.len();
-        self.log(now, format!("remove_user:{user}"), vni);
-        Ok(remaining)
     }
 
     fn release_claim(&mut self, claim_key: &str, now: SimTime) -> Result<(), VniDbError> {
-        let row = self
-            .rows
-            .values()
-            .find(|r| {
-                r.state == VniState::Allocated
-                    && r.owner == VniOwner::Claim { key: claim_key.to_string() }
-            })
-            .cloned()
-            .ok_or(VniDbError::NotFound)?;
-        if !row.users.is_empty() {
+        let claim = VniOwner::Claim { key: claim_key.to_string() };
+        let vni = self.held_by(&claim).ok_or(VniDbError::NotFound)?;
+        if !self.held(vni).expect("found held").is_empty() {
             return Err(VniDbError::ClaimInUse);
         }
-        self.release(row.vni, now)
+        self.on_held(vni, "release".into(), now)
     }
 
     fn sweep(&mut self, now: SimTime) -> usize {
-        let expired: Vec<u16> = self
-            .rows
-            .values()
-            .filter(|r| Self::expired(r, now))
-            .map(|r| r.vni)
-            .collect();
+        let expired: Vec<u16> = self.model.expired(now).collect();
         for &vni in &expired {
-            self.rows.remove(&vni);
+            self.owners.remove(&vni);
             self.log(now, "quarantine_expire".into(), vni);
         }
         expired.len()
@@ -129,10 +95,9 @@ impl Oracle {
     /// (allocated, quarantined, free) after the sweep, like `stats`.
     fn stats(&mut self, now: SimTime) -> (usize, usize, usize) {
         self.sweep(now);
-        let allocated =
-            self.rows.values().filter(|r| r.state == VniState::Allocated).count();
-        let quarantined = self.rows.len() - allocated;
-        (allocated, quarantined, RANGE.len() - self.rows.len())
+        let live = self.model.iter().count();
+        let allocated = self.model.iter().filter(|(v, _)| self.held(*v).is_some()).count();
+        (allocated, live - allocated, RANGE.len() - live)
     }
 }
 
@@ -177,6 +142,11 @@ fn owner(id: u8) -> VniOwner {
     }
 }
 
+/// A database result and the oracle's, rendered for comparison.
+fn results<T: std::fmt::Debug>(got: T, want: T) -> Option<(String, String)> {
+    Some((format!("{got:?}"), format!("{want:?}")))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -190,73 +160,71 @@ proptest! {
         let mut now = SimTime::ZERO;
 
         for op in ops {
-            match &op {
+            // Each operation's result on the database and on the oracle.
+            let results: Option<(String, String)> = match &op {
                 Op::Acquire { owner: id } => {
                     let o = owner(*id);
-                    let got = db.acquire(o.clone(), now).map(|v| v.raw());
-                    let want = oracle.acquire(&o, now);
-                    prop_assert_eq!(&got, &want, "acquire diverged at {:?}", op);
+                    results(db.acquire(o.clone(), now).map(|v| v.raw()), oracle.acquire(&o, now))
                 }
                 Op::Release { vni_off } => {
                     let vni = RANGE.start + *vni_off as u16; // may be out of range
-                    let got = db.release(Vni(vni), now);
-                    let want = oracle.release(vni, now);
-                    prop_assert_eq!(&got, &want, "release diverged at {:?}", op);
+                    results(db.release(Vni(vni), now), oracle.on_held(vni, "release".into(), now))
                 }
                 Op::AddUser { vni_off, user } => {
                     let vni = RANGE.start + *vni_off as u16;
                     let u = format!("ns/user{user}");
-                    let got = db.add_user(Vni(vni), &u, now);
-                    let want = oracle.add_user(vni, &u, now);
-                    prop_assert_eq!(&got, &want, "add_user diverged at {:?}", op);
+                    let want = oracle.on_held(vni, format!("add_user:{u}"), now);
+                    results(db.add_user(Vni(vni), &u, now), want)
                 }
                 Op::RemoveUser { vni_off, user } => {
                     let vni = RANGE.start + *vni_off as u16;
                     let u = format!("ns/user{user}");
-                    let got = db.remove_user(Vni(vni), &u, now);
-                    let want = oracle.remove_user(vni, &u, now);
-                    prop_assert_eq!(&got, &want, "remove_user diverged at {:?}", op);
+                    let want = oracle.on_held(vni, format!("remove_user:{u}"), now);
+                    let want = want.map(|()| oracle.held(vni).expect("still held").len());
+                    results(db.remove_user(Vni(vni), &u, now), want)
                 }
                 Op::ReleaseClaim { owner: id } => {
                     let key = format!("ns/claim{id}");
-                    let got = db.release_claim(&key, now);
-                    let want = oracle.release_claim(&key, now);
-                    prop_assert_eq!(&got, &want, "release_claim diverged at {:?}", op);
+                    results(db.release_claim(&key, now), oracle.release_claim(&key, now))
                 }
-                Op::Sweep => {
-                    let got = db.sweep_expired(now);
-                    let want = oracle.sweep(now);
-                    prop_assert_eq!(got, want, "sweep count diverged");
-                }
+                Op::Sweep => results(db.sweep_expired(now), oracle.sweep(now)),
                 Op::Stats => {
                     let got = db.stats(now);
-                    let want = oracle.stats(now);
-                    prop_assert_eq!(
-                        (got.allocated, got.quarantined, got.free),
-                        want,
-                        "stats diverged"
-                    );
+                    results((got.allocated, got.quarantined, got.free), oracle.stats(now))
                 }
                 Op::AdvanceMs { ms } => {
                     now += SimDur::from_millis(*ms as u64);
+                    None
                 }
                 Op::RewindMs { ms } => {
                     let back = (*ms as u64) * 1_000_000;
                     now = SimTime::from_nanos(now.as_nanos().saturating_sub(back));
+                    None
                 }
                 Op::CrashRecover { seed } => {
                     let mut rng = DetRng::new(*seed);
                     let disk = db.into_store().crash(&mut rng);
                     db = VniDb::recover(disk, config());
+                    None
                 }
-            }
-            // Global invariants after every step: rows and audit agree
-            // byte-for-byte, and the indexes agree with the store.
-            let db_rows = db.rows();
-            let want_rows: Vec<VniRow> = oracle.rows.values().cloned().collect();
-            prop_assert_eq!(&db_rows, &want_rows, "rows diverged after {:?}", op);
+            };
+            // The lifecycle judge first, so a broken rule is reported with
+            // its VNI and audit seq: the database's own log must replay
+            // cleanly and end in its rows.
             let db_audit = db.audit();
+            let db_rows = db.rows();
+            let (_, broken) = Lifecycle::replay(QUARANTINE, &db_audit, &db_rows);
+            prop_assert!(broken.is_empty(), "after {:?}: {:?}", op, broken);
+            // Then exact equivalence: results, audit and row owners agree
+            // (with the replay above, the rows agree byte-for-byte), and
+            // the indexes agree with the store.
+            if let Some((got, want)) = results {
+                prop_assert_eq!(got, want, "{:?} diverged", op);
+            }
             prop_assert_eq!(&db_audit, &oracle.audit, "audit diverged after {:?}", op);
+            let owners: BTreeMap<u16, VniOwner> =
+                db_rows.into_iter().map(|r| (r.vni, r.owner)).collect();
+            prop_assert_eq!(&owners, &oracle.owners, "row owners diverged after {:?}", op);
             if let Err(e) = db.check_index_consistency() {
                 return Err(TestCaseError::fail(format!("index inconsistency after {op:?}: {e}")));
             }

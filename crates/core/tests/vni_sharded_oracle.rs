@@ -2,8 +2,9 @@
 //! single-store `VniDb` (itself proven equivalent to the scan-based
 //! semantics oracle in `tests/vni_oracle.rs`). Every operation result,
 //! row, audit entry, stat, counter and transaction count must be
-//! **identical at any shard count** — that is the contract that keeps
-//! scenario reports byte-identical under `--shards N`. Crash/recovery
+//! **identical at any shard count** — the contract that let the cluster
+//! move from the 1-shard facade to one `VniDb` with no report moving,
+//! and keeps stress reports byte-identical at any shard count. Crash/recovery
 //! is injected mid-sequence, including with an open group-commit batch:
 //! both sides must lose exactly the unflushed window and resume the
 //! same global audit cursor.

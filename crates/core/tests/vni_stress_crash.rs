@@ -5,17 +5,17 @@
 //!
 //! Recovery must give back exactly the rows and audit entries of the
 //! last group flush: the audit keys contiguous from 0, every index
-//! consistent with the store, and no acquire made afterwards may reissue
-//! a VNI inside the 30 s quarantine its recovered row records. The range
+//! consistent with the store, and the recovered log plus the acquires
+//! made afterwards must replay through the lifecycle model: no VNI
+//! reissued inside the 30 s quarantine its recovered row records. The range
 //! is narrow enough (800 VNIs, 400 live tenants) that quarantined VNIs
 //! recycle from about step 700, so the acquires after the crash run into
 //! both expired and unexpired quarantines.
 
-use std::collections::HashMap;
-
 use proptest::prelude::*;
 use shs_des::{DetRng, SimDur};
-use slingshot_k8s::{ShardedVniDb, VniDbConfig, VniDbError, VniOwner, VniState, VniStressWorkload};
+use slingshot_k8s::lifecycle::Lifecycle;
+use slingshot_k8s::{ShardedVniDb, VniDbConfig, VniDbError, VniOwner, VniStressWorkload};
 
 fn config() -> VniDbConfig {
     VniDbConfig { range: 1024..1824, quarantine: SimDur::from_secs(30) }
@@ -39,34 +39,18 @@ fn crash_and_recover(shards: usize, steps: u64, crash_seed: u64) -> Result<(), T
     if let Err(e) = db.check_index_consistency() {
         return Err(TestCaseError::fail(format!("recovered indexes: {e}")));
     }
-    // Fresh tenants acquire until the range runs dry; none may get a VNI
-    // whose recovered row is still inside its quarantine window.
-    let quarantine = db.quarantine().as_nanos();
-    let released: HashMap<u16, u64> = db
-        .rows()
-        .into_iter()
-        .filter_map(|r| match r.state {
-            VniState::Quarantined { released_at_ns } => Some((r.vni, released_at_ns)),
-            VniState::Allocated => None,
-        })
-        .collect();
+    // Fresh tenants acquire until the range runs dry; the recovered log
+    // plus those acquires must replay through the lifecycle model — no
+    // VNI reissued inside the quarantine its recovered row records — and
+    // end in the rows the database holds.
     for i in 0.. {
-        let owner = VniOwner::Job { key: format!("after-crash/t{i}") };
-        match db.acquire(owner, now) {
-            Ok(vni) => {
-                let at = released.get(&vni.raw()).copied();
-                prop_assert!(
-                    at.is_none_or(|at| at + quarantine <= now.as_nanos()),
-                    "VNI {} reissued {} ns after its release at {:?}",
-                    vni.raw(),
-                    now.as_nanos() - at.unwrap_or(0),
-                    at
-                );
-            }
-            Err(VniDbError::Exhausted) => break,
-            Err(e) => return Err(TestCaseError::fail(format!("acquire {i}: {e:?}"))),
+        if let Err(e) = db.acquire(VniOwner::Job { key: format!("after-crash/t{i}") }, now) {
+            prop_assert_eq!(e, VniDbError::Exhausted, "acquire {}", i);
+            break;
         }
     }
+    let (_, broken) = Lifecycle::replay(db.quarantine(), &db.audit(), &db.rows());
+    prop_assert!(broken.is_empty(), "after the acquires: {:?}", broken);
     if let Err(e) = db.check_index_consistency() {
         return Err(TestCaseError::fail(format!("after the acquires: {e}")));
     }

@@ -2,7 +2,7 @@
 //! library and emit a JSON report.
 //!
 //! ```text
-//! scenario-run [all|<scenario-name>] [--seed N] [--shards N] [--out FILE] [--list]
+//! scenario-run [all|<scenario-name>] [--seed N] [--out FILE] [--list]
 //! ```
 //!
 //! Runs each k8s scenario's full job lifecycle (admission → CNI chain →
@@ -17,11 +17,8 @@
 //! a `"reports"` array (one [`ScenarioReport`] per k8s scenario), then
 //! a `"run_metrics"` block (wall-clock, DES events executed,
 //! events/sec, VNI database transactions, host fingerprint). For a
-//! fixed seed the report sections are byte-identical across runs **and
-//! across `--shards` values** — `--shards` only chooses how many store
-//! shards back the VNI database (the facade preserves single-store
-//! allocation order and audit semantics); wall-clock throughput lives
-//! only in `"run_metrics"`, after them.
+//! fixed seed the report sections are byte-identical across runs;
+//! wall-clock throughput lives only in `"run_metrics"`, after them.
 //! Exits non-zero if any scenario's assertions fail (isolation for the
 //! k8s library; conservation and conservative-sync for the sweeps;
 //! consistency + crash recovery for the stress runs).
@@ -46,7 +43,6 @@ use slingshot_k8s::{
 struct Opts {
     cmd: String,
     seed: u64,
-    shards: usize,
     out: Option<PathBuf>,
     list: bool,
 }
@@ -57,19 +53,12 @@ fn parse_args() -> Opts {
         Some(a) if !a.starts_with("--") => args.next().expect("peeked"),
         _ => "all".to_string(),
     };
-    let mut opts = Opts { cmd, seed: 42, shards: 1, out: None, list: false };
+    let mut opts = Opts { cmd, seed: 42, out: None, list: false };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => {
                 let v = args.next().unwrap_or_else(|| usage("--seed needs a value"));
                 opts.seed = v.parse().unwrap_or_else(|_| usage("--seed must be numeric"));
-            }
-            "--shards" => {
-                let v = args.next().unwrap_or_else(|| usage("--shards needs a value"));
-                opts.shards = v.parse().unwrap_or_else(|_| usage("--shards must be numeric"));
-                if opts.shards == 0 {
-                    usage("--shards must be >= 1");
-                }
             }
             "--out" => {
                 let v = args.next().unwrap_or_else(|| usage("--out needs a path"));
@@ -85,7 +74,7 @@ fn parse_args() -> Opts {
 fn usage(msg: &str) -> ! {
     eprintln!("scenario-run: {msg}");
     eprintln!(
-        "usage: scenario-run [all|<scenario-name>] [--seed N] [--shards N] [--out FILE] [--list]"
+        "usage: scenario-run [all|<scenario-name>] [--seed N] [--out FILE] [--list]"
     );
     std::process::exit(2);
 }
@@ -96,7 +85,7 @@ fn main() {
     // even when combined with --list. A name resolves in the k8s
     // library, the fabric sweep library, or the stress library.
     #[allow(clippy::type_complexity)]
-    let (mut scenarios, sweeps, mut stress): (
+    let (scenarios, sweeps, stress): (
         Vec<Scenario>,
         Vec<FabricScenario>,
         Vec<VniStressScenario>,
@@ -111,14 +100,6 @@ fn main() {
     } else {
         usage(&format!("unknown scenario {:?}; use --list to see the library", opts.cmd))
     };
-    // --shards applies uniformly: the k8s clusters' VNI databases and
-    // the stress runs all use the same shard count.
-    for s in &mut scenarios {
-        s.config.vni_shards = opts.shards;
-    }
-    for s in &mut stress {
-        s.shards = opts.shards;
-    }
     if opts.list {
         for s in library(opts.seed) {
             println!("{:<22} {}", s.name, s.description);

@@ -1,6 +1,7 @@
 //! `scenario-run` command-line contract: a malformed command line is a
 //! usage error (exit code 2, usage line on stderr) — including the
-//! `--threads` flag the sharded engine no longer has — and what the
+//! `--threads` flag the sharded engine no longer has and the `--shards`
+//! flag the cluster's one VNI store no longer has — and what the
 //! binary prints is the in-process report, byte for byte up to the
 //! wall-clock block.
 
@@ -24,7 +25,7 @@ fn malformed_command_lines_are_usage_errors() {
     for (args, reason) in [
         (&["dragonfly-1024", "--threads", "2"][..], "unknown flag --threads"),
         (&["no-such-scenario"], "unknown scenario \"no-such-scenario\""),
-        (&["all", "--shards", "0"], "--shards must be >= 1"),
+        (&["all", "--shards", "2"], "unknown flag --shards"),
         (&["all", "--seed"], "--seed needs a value"),
     ] {
         let out = scenario_run(args);
