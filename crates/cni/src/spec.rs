@@ -93,10 +93,6 @@ impl CniError {
     pub fn invalid_config(msg: impl Into<String>) -> Self {
         CniError { code: 4, msg: msg.into() }
     }
-    /// Code 6: failed to decode content.
-    pub fn decoding(msg: impl Into<String>) -> Self {
-        CniError { code: 6, msg: msg.into() }
-    }
     /// Code 7: invalid environment (e.g. netns gone).
     pub fn invalid_environment(msg: impl Into<String>) -> Self {
         CniError { code: 7, msg: msg.into() }
@@ -138,7 +134,6 @@ mod tests {
     #[test]
     fn error_codes_follow_spec_ranges() {
         assert_eq!(CniError::invalid_config("x").code, 4);
-        assert_eq!(CniError::decoding("x").code, 6);
         assert_eq!(CniError::invalid_environment("x").code, 7);
         assert_eq!(CniError::try_again("x").code, 11);
         assert!(CniError::plugin(100, "x").code >= 100);

@@ -21,7 +21,7 @@ use shs_fabric::{CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySp
 use shs_k8s::{
     kinds, make_node, ApiObject, ApiServer, CniAddOutcome, DecoratorConfig, JobController,
     JobSpec, Kubelet, KubeletParams, Metacontroller, NodeBackend, Pleg, PodPhase, PodTemplate,
-    Scheduler, ServiceController, ServiceSpec, VNI_ANNOTATION,
+    Scheduler, ServiceController, ServiceSpec, Spec, VniClaimSpec, VNI_ANNOTATION,
 };
 use shs_oslinux::{Creds, Host, NetNsId, Pid};
 
@@ -567,17 +567,19 @@ impl Cluster {
 
     /// Change a service's replica count (the autoscaler's lever).
     pub(crate) fn scale_service(&mut self, namespace: &str, name: &str, replicas: u32) {
-        let _ = self.api.mutate(kinds::SERVICE, namespace, name, |o| {
-            Rc::make_mut(&mut o.spec)["replicas"] = serde_json::json!(replicas);
-        });
+        self.edit_service(namespace, name, |spec| spec.replicas = replicas);
     }
 
     /// Bump a service's template revision, starting a rolling update.
     pub(crate) fn roll_service(&mut self, namespace: &str, name: &str) {
-        let _ = self.api.mutate(kinds::SERVICE, namespace, name, |o| {
-            let spec = Rc::make_mut(&mut o.spec);
-            let v = spec["version"].as_u64().unwrap_or(0);
-            spec["version"] = serde_json::json!(v + 1);
+        self.edit_service(namespace, name, |spec| spec.version += 1);
+    }
+
+    fn edit_service(&mut self, namespace: &str, name: &str, f: impl FnOnce(&mut ServiceSpec)) {
+        let _ = self.api.edit(kinds::SERVICE, namespace, name, |o| {
+            if let Spec::Service(spec) = Rc::make_mut(&mut o.spec) {
+                f(spec);
+            }
         });
     }
 
@@ -594,11 +596,10 @@ impl Cluster {
 
     /// Create a VNI Claim (Listing 2 of the paper).
     pub fn create_claim(&mut self, now: SimTime, namespace: &str, name: &str) {
-        let claim = ApiObject::new(
-            kinds::VNI_CLAIM,
+        let claim = ApiObject::from_spec(
             namespace,
             name,
-            serde_json::json!({ "name": name }),
+            Spec::VniClaim(VniClaimSpec { name: name.to_string() }),
         );
         self.api.create(claim, now).expect("claim name unique");
     }
@@ -636,7 +637,7 @@ impl Cluster {
     /// this cluster does not have, no sandbox yet, or a sandbox holding
     /// only its pause process. (The scenario engine asks once per rank
     /// per round, so every step is a lookup by borrowed name: the pod in
-    /// the API store, its node binding in the snapshot's decoded view,
+    /// the API store, its node binding in the snapshot's typed spec,
     /// the node in the name index, the sandbox in the node's runtime.)
     pub fn pod_handle(&self, namespace: &str, name: &str) -> Option<PodHandle> {
         let pod = self.api.get(kinds::POD, namespace, name)?;
@@ -656,8 +657,7 @@ impl Cluster {
     /// lookup behind [`Cluster::job_vni`] for a caller that keeps the CRD
     /// name ([`VniEndpoint::child_name_for_job`]) instead of rebuilding it.
     pub(crate) fn crd_vni(&self, namespace: &str, crd: &str) -> Option<Vni> {
-        let crd = self.api.get(kinds::VNI, namespace, crd)?;
-        crd.spec["vni"].as_u64().map(|v| Vni(v as u16))
+        Some(Vni(self.api.get(kinds::VNI, namespace, crd)?.vni_spec().vni))
     }
 }
 
@@ -710,7 +710,7 @@ mod tests {
         run_cluster(&mut c, 0, 4_000);
         // VNI CRD exists and the pods run with per-netns CXI services.
         let crd = c.api.get(kinds::VNI, "t", "vni-secure").expect("VNI CRD");
-        let vni = crd.spec["vni"].as_u64().unwrap() as u16;
+        let vni = crd.vni_spec().vni;
         assert!((1024..4096).contains(&vni));
         // Both nodes carry one netns-member service for this job's pods.
         let svc_count: usize = c
@@ -767,8 +767,8 @@ mod tests {
         run_cluster(&mut c, 500, 5_000);
         let v1 = c.api.get(kinds::VNI, "t", "vni-j1").expect("virtual VNI for j1");
         let v2 = c.api.get(kinds::VNI, "t", "vni-j2").expect("virtual VNI for j2");
-        assert_eq!(v1.spec["vni"], v2.spec["vni"], "jobs share the claim VNI");
-        assert_eq!(v1.spec["virtual"], serde_json::json!(true));
+        assert_eq!(v1.vni_spec().vni, v2.vni_spec().vni, "jobs share the claim VNI");
+        assert!(v1.vni_spec().r#virtual);
         // Claim deletion stalls while jobs use it.
         c.delete_claim("t", "shared");
         run_cluster(&mut c, 5_000, 7_000);
@@ -861,7 +861,7 @@ mod tests {
         let bind = |c: &mut Cluster, node: &str| {
             c.api
                 .mutate(kinds::POD, "t", "solo-0", |o| {
-                    Rc::make_mut(&mut o.spec)["node_name"] = serde_json::json!(node)
+                    o.spec["node_name"] = serde_json::json!(node)
                 })
                 .unwrap();
         };
@@ -959,7 +959,7 @@ mod tests {
         run_cluster(&mut c, 0, 4_000);
         // The service owns a VNI CRD and both replicas are ready.
         let crd = c.api.get(kinds::VNI, "t", "vni-web").expect("VNI CRD for the service");
-        let vni = crd.spec["vni"].as_u64().unwrap() as u16;
+        let vni = crd.vni_spec().vni;
         assert_eq!(c.service_ready("t", "web"), vec!["web-v0-0", "web-v0-1"]);
         assert_eq!(c.pods_in_phase(PodPhase::Running), 2);
         // Rolling update: replicas converge on the new revision without

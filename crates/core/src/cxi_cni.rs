@@ -17,7 +17,7 @@ use shs_fabric::Vni;
 use shs_k8s::{kinds, VNI_ANNOTATION};
 
 use crate::chain::{NodeCniCtx, NodeCniPlugin};
-use crate::endpoint::{VniCrdSpec, VniEndpoint};
+use crate::endpoint::VniEndpoint;
 
 /// Maximum termination grace period the plugin accepts for VNI pods
 /// (§III-C1: the 30 s quarantine bound is only safe if no pod outlives
@@ -126,11 +126,7 @@ impl NodeCniPlugin for CxiCniPlugin {
             // The kubelet treats "try again" as a retriable failure.
             return Err((CniError::try_again(format!("VNI CRD {crd_name} not present")), cost));
         };
-        let crd_spec: VniCrdSpec = match serde_json::from_value_ref(&crd.spec) {
-            Ok(s) => s,
-            Err(e) => return Err((CniError::decoding(format!("bad VNI CRD: {e}")), cost)),
-        };
-        let vni = Vni(crd_spec.vni);
+        let vni = Vni(crd.vni_spec().vni);
         // (4) Create the CXI service for exactly this netns.
         cost += self.params.svc_create;
         let desc = CxiServiceDesc {

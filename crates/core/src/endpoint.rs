@@ -17,28 +17,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
 use shs_des::SimTime;
 use shs_fabric::Vni;
 use shs_k8s::{
-    kinds, ApiObject, DecoratorHooks, FinalizeResponse, SyncResponse, VNI_ANNOTATION,
+    ApiObject, DecoratorHooks, FinalizeResponse, Spec, SyncResponse, VniCrdSpec, VNI_ANNOTATION,
 };
 
 use crate::vni_db::{VniDb, VniDbError, VniOwner};
-
-/// Spec of a VNI CRD instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VniCrdSpec {
-    /// The allocated VNI value.
-    pub vni: u16,
-    /// Whether this is a non-owning ("virtual") instance attached to a
-    /// job that redeems a claim (§III-C2, dotted object in Fig. 4).
-    #[serde(default)]
-    pub r#virtual: bool,
-    /// The claim name, for claim-attached instances.
-    #[serde(default)]
-    pub claim: Option<String>,
-}
 
 /// Endpoint counters (observability; also used by EXPERIMENTS.md).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -233,7 +218,7 @@ impl VniEndpoint {
 }
 
 fn make_vni_child(ns: &str, name: &str, spec: VniCrdSpec) -> ApiObject {
-    ApiObject::new(kinds::VNI, ns, name, serde_json::to_value(spec).expect("serializes"))
+    ApiObject::from_spec(ns, name, Spec::Vni(spec))
 }
 
 /// Which parent kind a controller instance serves.
@@ -289,13 +274,15 @@ mod tests {
     use super::*;
     use crate::vni_db::VniDbConfig;
     use serde_json::json;
+    use shs_k8s::kinds;
 
     fn endpoint() -> VniEndpoint {
         VniEndpoint::new(VniDb::new(VniDbConfig::default()))
     }
 
     fn job(ns: &str, name: &str, ann: &str) -> ApiObject {
-        let mut j = ApiObject::new(kinds::JOB, ns, name, json!({}));
+        let spec = json!({"parallelism": 1, "template": {"image": "alpine"}});
+        let mut j = ApiObject::new(kinds::JOB, ns, name, spec);
         j.meta.annotations.insert(VNI_ANNOTATION.into(), ann.into());
         j
     }
@@ -311,13 +298,12 @@ mod tests {
         assert_eq!(resp.desired_children.len(), 1);
         let child = &resp.desired_children[0];
         assert_eq!(&*child.meta.name, "vni-j1");
-        let spec: VniCrdSpec = serde_json::from_value_ref(&child.spec).unwrap();
+        let spec = child.vni_spec().clone();
         assert!(!spec.r#virtual);
         assert_eq!(ep.counters.acquisitions, 1);
         // Re-sync is idempotent (same VNI).
         let resp2 = ep.sync_job(&job("t", "j1", "true"), SimTime::ZERO);
-        let spec2: VniCrdSpec =
-            serde_json::from_value_ref(&resp2.desired_children[0].spec).unwrap();
+        let spec2 = resp2.desired_children[0].vni_spec().clone();
         assert_eq!(spec.vni, spec2.vni);
         assert_eq!(ep.db.allocated_count(), 1);
     }
@@ -327,8 +313,8 @@ mod tests {
         let mut ep = endpoint();
         let r1 = ep.sync_job(&job("t", "j1", "true"), SimTime::ZERO);
         let r2 = ep.sync_job(&job("t", "j2", "true"), SimTime::ZERO);
-        let s1: VniCrdSpec = serde_json::from_value_ref(&r1.desired_children[0].spec).unwrap();
-        let s2: VniCrdSpec = serde_json::from_value_ref(&r2.desired_children[0].spec).unwrap();
+        let s1 = r1.desired_children[0].vni_spec().clone();
+        let s2 = r2.desired_children[0].vni_spec().clone();
         assert_ne!(s1.vni, s2.vni, "per-tenant isolation");
     }
 
@@ -348,12 +334,12 @@ mod tests {
     fn claim_sync_then_job_redemption() {
         let mut ep = endpoint();
         let cr = ep.sync_claim(&claim("t", "shared"), SimTime::ZERO);
-        let cs: VniCrdSpec = serde_json::from_value_ref(&cr.desired_children[0].spec).unwrap();
+        let cs = cr.desired_children[0].vni_spec().clone();
         // Two jobs redeem the claim by name.
         let r1 = ep.sync_job(&job("t", "j1", "shared"), SimTime::ZERO);
         let r2 = ep.sync_job(&job("t", "j2", "shared"), SimTime::ZERO);
-        let s1: VniCrdSpec = serde_json::from_value_ref(&r1.desired_children[0].spec).unwrap();
-        let s2: VniCrdSpec = serde_json::from_value_ref(&r2.desired_children[0].spec).unwrap();
+        let s1 = r1.desired_children[0].vni_spec().clone();
+        let s2 = r2.desired_children[0].vni_spec().clone();
         assert_eq!(s1.vni, cs.vni, "redeemers share the claim's VNI");
         assert_eq!(s2.vni, cs.vni);
         assert!(s1.r#virtual && s2.r#virtual, "virtual non-owning instances");

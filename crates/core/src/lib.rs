@@ -52,7 +52,7 @@ pub use cluster::{
 };
 pub use chain::{NodeChain, NodeCniCtx, NodeCniPlugin};
 pub use cxi_cni::{CxiCniParams, CxiCniPlugin};
-pub use endpoint::{EndpointCounters, EndpointHandle, EndpointRole, VniCrdSpec, VniEndpoint};
+pub use endpoint::{EndpointCounters, EndpointHandle, EndpointRole, VniEndpoint};
 pub use parsim::{
     parallel_by_name, parallel_library, run_fabric_scenario, FabricClassReport, FabricGroupReport,
     FabricScenario, FabricSweepReport,

@@ -35,7 +35,7 @@ use std::rc::Rc;
 
 use shs_des::{Event, Sim, SimDur, SimTime};
 use shs_fabric::{Attachment, FaultKind, SwitchId, TrafficClass, TransferOutcome, Vni};
-use shs_k8s::kinds;
+use shs_k8s::{kinds, NodeStatus, Status};
 
 use super::report::{self, ScenarioReport};
 use super::spec::{ClaimPlan, Fault, JobPlan, Scenario, ServicePlan, TrafficPlan, VniMode};
@@ -547,9 +547,8 @@ fn drain_ev(sim: &mut Sim<World, Ev>, node_idx: usize) {
     let now = sim.now();
     let w = &mut sim.world;
     let name = w.cluster.nodes[node_idx].inner.name.clone();
-    let _ = w.cluster.api.mutate(kinds::NODE, "", &name, |o| {
-        o.status = serde_json::json!({ "ready": false });
-    });
+    let down = Status::Node(NodeStatus { ready: false });
+    let _ = w.cluster.api.set_status(kinds::NODE, "", &name, down);
     // Evict: delete every job with a pod bound to the drained node.
     let mut doomed: BTreeSet<(String, String)> = BTreeSet::new();
     for pod in w.cluster.api.list(kinds::POD) {

@@ -19,7 +19,7 @@ use shs_fabric::{
     CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySpec, TrafficClass,
     TransferOutcome, Vni,
 };
-use shs_k8s::{kinds, make_node, ApiObject, ApiServer, Pleg, PodPhase, Scheduler};
+use shs_k8s::{kinds, make_node, ApiObject, ApiServer, Pleg, PodPhase, PodStatus, Scheduler, Status};
 use shs_vnistore::SimDisk;
 
 use crate::cluster::{alpine, Cluster, ClusterConfig};
@@ -381,10 +381,7 @@ impl PlegStatusReadWorkload {
                 SimTime::ZERO,
             )
             .expect("fresh pod name");
-            api.mutate(kinds::POD, "bench", &name, |o| {
-                o.status = serde_json::json!({"phase": "Running", "started_at_ns": i});
-            })
-            .expect("just created");
+            api.set_status(kinds::POD, "bench", &name, running(Some(i))).expect("just created");
         }
         let mut pleg = Pleg::new();
         pleg.sync(&api);
@@ -540,12 +537,15 @@ impl SchedulerPollPendingWorkload {
         // Pods bind in name order, so the first `pending` names are bound.
         let name = format!("p{:04}", self.i % self.pending);
         self.i += 1;
-        self.api
-            .mutate(kinds::POD, "bench", &name, |o| o.status = serde_json::json!({"phase": "Running"}))
-            .expect("bound pod exists");
+        self.api.set_status(kinds::POD, "bench", &name, running(None)).expect("bound pod exists");
         self.scheduler.poll(&mut self.api, SimTime::ZERO);
         self.scheduler.pending()
     }
+}
+
+/// A Running pod status.
+fn running(started_at_ns: Option<u64>) -> Status {
+    Status::Pod(PodStatus { phase: PodPhase::Running, started_at_ns, message: None })
 }
 
 /// The control-plane stress workload behind the `vni_stress` scenarios

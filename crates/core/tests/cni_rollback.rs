@@ -8,9 +8,9 @@ use shs_cni::{BridgePlugin, CniArgs, CniError, CniResult, PodRef};
 use shs_cxi::{CxiDevice, CxiDriver};
 use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::{Fabric, NicAddr, Vni};
-use shs_k8s::{kinds, ApiObject, ApiServer, VNI_ANNOTATION};
+use shs_k8s::{kinds, ApiObject, ApiServer, VniCrdSpec, VNI_ANNOTATION};
 use shs_oslinux::{Creds, Gid, Host, Pid, Uid};
-use slingshot_k8s::{CxiCniPlugin, NodeChain, NodeCniCtx, NodeCniPlugin, VniCrdSpec};
+use slingshot_k8s::{CxiCniPlugin, NodeChain, NodeCniCtx, NodeCniPlugin};
 
 /// A plugin that always fails its ADD, simulating e.g. a broken
 /// bandwidth-shaping plugin configured after `cxi` in the conflist.

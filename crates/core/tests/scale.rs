@@ -29,7 +29,7 @@ fn four_node_cluster_spreads_and_isolates() {
     for t in 0..4 {
         let ns = format!("tenant-{t}");
         let crd = c.api.get(kinds::VNI, &ns, "vni-app").expect("VNI CRD");
-        vnis.push(crd.spec["vni"].as_u64().unwrap());
+        vnis.push(crd.vni_spec().vni);
         // All four pods run, one per node (topology spread).
         let mut nodes_used = std::collections::BTreeSet::new();
         for i in 0..4 {

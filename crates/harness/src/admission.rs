@@ -65,7 +65,7 @@ impl JobTracker {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
         for ev in events {
-            match (ev.object.kind, ev.kind) {
+            match (ev.object.kind(), ev.kind) {
                 (kinds::POD, WatchType::Modified) => {
                     let status = ev.object.pod_status();
                     let Some(started_ns) = status.and_then(|s| s.started_at_ns) else { continue };

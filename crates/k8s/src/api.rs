@@ -2,29 +2,66 @@
 //! watch events, finalizers, and owner references — the Kubernetes API
 //! machinery subset the paper's VNI Controller and CNI plugin talk to.
 //!
-//! Objects are dynamic (`kind` + JSON spec/status), which makes Custom
-//! Resource Definitions (the VNI and VniClaim CRDs of §III-C1) ordinary
-//! objects rather than special cases. Pods and jobs also carry a typed
-//! view of their JSON, decoded once per snapshot (see
-//! [`ApiObject::pod_spec`]).
+//! Objects are typed: an [`ApiObject`] holds one [`Spec`] / [`Status`]
+//! pair of the closed set of six kinds, the VNI and VniClaim CRDs of
+//! §III-C1 among them, so every controller reads and writes Rust values.
+//! JSON appears only at the door (`wire`): [`ApiObject::new`] decodes a
+//! JSON spec once, at construction, and [`ApiServer::mutate`] hands its
+//! closure the JSON wire form and decodes the result back.
 //!
-//! A write copies only what it changes and a watcher copies nothing:
-//! names, namespaces, finalizers and specs are shared handles, so a new
-//! snapshot of an object — and every controller key naming it — costs
-//! refcount bumps, not string copies.
+//! A write copies only what it changes and a watcher copies nothing. A
+//! write builds one new snapshot; its name and namespace are shared
+//! handles, its spec is an `Rc` it shares until a write replaces it, and
+//! its annotations, owners and finalizers are [`Shared`] collections a
+//! write copies only if it edits them. A watch event carries the
+//! snapshot itself, so every watcher reads the same typed values.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use shs_des::{SimDur, SimTime};
+use shs_des::SimTime;
 
-use crate::objects::ViewCell;
+use crate::objects::{Spec, Status};
 
 /// `(namespace, name)` of an object whose kind the holder knows: the key
 /// every controller indexes its state by. Cloning it is two refcount
 /// bumps, and it orders by content, so a map keyed by it iterates in
 /// (namespace, name) order.
-pub type ObjKey = (Rc<str>, Rc<str>);
+pub(crate) type ObjKey = (Rc<str>, Rc<str>);
+
+/// A copy-on-write value: a clone shares it, and the first mutable
+/// access through a shared handle copies it (`Rc::make_mut`). Reads and
+/// comparisons see through it.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Shared<T>(Rc<T>);
+
+impl<T> Deref for Shared<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T: Clone> DerefMut for Shared<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        Rc::make_mut(&mut self.0)
+    }
+}
+
+impl<T> From<T> for Shared<T> {
+    fn from(value: T) -> Self {
+        Shared(Rc::new(value))
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
 
 /// Object metadata (the `metadata:` block).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -39,70 +76,48 @@ pub struct ObjectMeta {
     /// Monotone resource version, bumped on every mutation.
     pub resource_version: u64,
     /// Annotations (the paper's `vni:` key lives here).
-    pub annotations: BTreeMap<String, String>,
-    /// Labels.
-    pub labels: BTreeMap<String, String>,
+    pub annotations: Shared<BTreeMap<String, String>>,
     /// Owner uids (cascade deletion).
-    pub owner_uids: Vec<u64>,
+    pub owner_uids: Shared<Vec<u64>>,
     /// Finalizers blocking physical deletion. A controller pushes the
     /// one handle it built for its finalizer.
-    pub finalizers: Vec<Rc<str>>,
+    pub finalizers: Shared<Vec<Rc<str>>>,
     /// Set when deletion has been requested.
     pub deletion_requested: bool,
     /// Creation instant (simulated).
     pub created_at_ns: u64,
 }
 
-/// A stored API object.
+/// A stored API object. Its kind is its spec's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApiObject {
-    /// Kind: one of the closed [`kinds`](crate::objects::kinds) set.
-    pub kind: &'static str,
     /// Metadata.
     pub meta: ObjectMeta,
     /// Desired state, shared by every snapshot until a write replaces
     /// it; edit a field through `Rc::make_mut`.
-    pub spec: Rc<serde_json::Value>,
+    pub spec: Rc<Spec>,
     /// Observed state.
-    pub status: serde_json::Value,
-    /// The typed pod/job view of `spec` + `status`, decoded on first
-    /// read. Every write path of [`ApiServer`] empties it; a field
-    /// edited by hand after a read leaves it stale.
-    pub(crate) view: ViewCell,
+    pub status: Status,
 }
 
 impl ApiObject {
-    /// Convenience constructor.
-    pub fn new(kind: &'static str, namespace: &str, name: &str, spec: serde_json::Value) -> Self {
-        ApiObject::with_key(kind, namespace.into(), name.into(), spec)
+    /// An object of `spec`'s kind, with no status.
+    pub fn from_spec(namespace: &str, name: &str, spec: Spec) -> Self {
+        ApiObject::with_key(namespace.into(), name.into(), spec)
     }
 
-    /// [`ApiObject::new`] under names the caller already holds.
-    pub(crate) fn with_key(
-        kind: &'static str,
-        namespace: Rc<str>,
-        name: Rc<str>,
-        spec: serde_json::Value,
-    ) -> Self {
-        let meta = ObjectMeta {
-            name,
-            namespace,
-            uid: 0,
-            resource_version: 0,
-            annotations: BTreeMap::new(),
-            labels: BTreeMap::new(),
-            owner_uids: Vec::new(),
-            finalizers: Vec::new(),
-            deletion_requested: false,
-            created_at_ns: 0,
-        };
+    /// [`ApiObject::from_spec`] under names the caller already holds.
+    pub(crate) fn with_key(namespace: Rc<str>, name: Rc<str>, spec: Spec) -> Self {
         ApiObject {
-            kind,
-            meta,
+            meta: ObjectMeta { name, namespace, ..ObjectMeta::default() },
             spec: Rc::new(spec),
-            status: serde_json::Value::Null,
-            view: ViewCell::default(),
+            status: Status::None,
         }
+    }
+
+    /// Kind: one of the closed [`kinds`](crate::objects::kinds) set.
+    pub fn kind(&self) -> &'static str {
+        self.spec.kind()
     }
 
     /// This object's `(namespace, name)` key: two refcount bumps.
@@ -172,28 +187,6 @@ impl core::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
-/// API-server service-time model (per request; shapes the control-plane
-/// queueing in Figs. 9-12).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApiParams {
-    /// Mutating request (create/update/delete) service time.
-    pub write_latency: SimDur,
-    /// Read request service time.
-    pub read_latency: SimDur,
-    /// Watch fan-out delay (event visible to watchers after this).
-    pub watch_latency: SimDur,
-}
-
-impl Default for ApiParams {
-    fn default() -> Self {
-        ApiParams {
-            write_latency: SimDur::from_millis(4),
-            read_latency: SimDur::from_millis(2),
-            watch_latency: SimDur::from_millis(25),
-        }
-    }
-}
-
 /// `(kind, namespace, name)` of a stored object.
 type Key = (&'static str, Rc<str>, Rc<str>);
 
@@ -225,7 +218,7 @@ impl Objects {
     fn insert(&mut self, obj: Rc<ApiObject>) {
         let names = self
             .kinds
-            .entry(obj.kind)
+            .entry(obj.kind())
             .or_default()
             .entry(Rc::clone(&obj.meta.namespace))
             .or_default();
@@ -279,7 +272,6 @@ fn child_slot(children: &[Key], kind: &str, namespace: &str, name: &str) -> Resu
 /// The API server.
 #[derive(Debug)]
 pub struct ApiServer {
-    params: ApiParams,
     /// Each stored object is the snapshot its latest watch event carries.
     objects: Objects,
     /// Owner index: uid → keys of the stored objects naming it in
@@ -298,16 +290,9 @@ pub struct ApiServer {
 }
 
 impl Default for ApiServer {
-    fn default() -> Self {
-        ApiServer::new(ApiParams::default())
-    }
-}
-
-impl ApiServer {
     /// Fresh API server.
-    pub fn new(params: ApiParams) -> Self {
+    fn default() -> Self {
         ApiServer {
-            params,
             objects: Objects::default(),
             owned: BTreeMap::new(),
             events: Vec::new(),
@@ -317,12 +302,9 @@ impl ApiServer {
             requests: 0,
         }
     }
+}
 
-    /// Service-time model.
-    pub fn params(&self) -> &ApiParams {
-        &self.params
-    }
-
+impl ApiServer {
     fn bump(&mut self) -> u64 {
         let rv = self.next_rv;
         self.next_rv += 1;
@@ -339,7 +321,7 @@ impl ApiServer {
         if old == new {
             return;
         }
-        let (kind, namespace, name) = (obj.kind, &*obj.meta.namespace, &*obj.meta.name);
+        let (kind, namespace, name) = (obj.kind(), &*obj.meta.namespace, &*obj.meta.name);
         for uid in old {
             if let Some(children) = self.owned.get_mut(uid) {
                 if let Ok(i) = child_slot(children, kind, namespace, name) {
@@ -362,7 +344,7 @@ impl ApiServer {
     /// Create an object; assigns uid and resource version.
     pub fn create(&mut self, mut obj: ApiObject, now: SimTime) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        if self.objects.get(obj.kind, &obj.meta.namespace, &obj.meta.name).is_some() {
+        if self.objects.get(obj.kind(), &obj.meta.namespace, &obj.meta.name).is_some() {
             return Err(ApiError::AlreadyExists);
         }
         obj.meta.uid = self.next_uid;
@@ -370,7 +352,6 @@ impl ApiServer {
         obj.meta.resource_version = self.bump();
         obj.meta.created_at_ns = now.as_nanos();
         obj.meta.deletion_requested = false;
-        obj.view.clear();
         let obj = Rc::new(obj);
         self.reindex(&obj, &[], &obj.meta.owner_uids);
         self.objects.insert(Rc::clone(&obj));
@@ -422,7 +403,7 @@ impl ApiServer {
         self.requests += 1;
         let current = self
             .objects
-            .get(obj.kind, &obj.meta.namespace, &obj.meta.name)
+            .get(obj.kind(), &obj.meta.namespace, &obj.meta.name)
             .ok_or(ApiError::NotFound)?;
         if current.meta.resource_version != obj.meta.resource_version {
             return Err(ApiError::Conflict);
@@ -431,9 +412,8 @@ impl ApiServer {
         obj.meta.created_at_ns = current.meta.created_at_ns;
         obj.meta.deletion_requested = current.meta.deletion_requested;
         obj.meta.resource_version = self.bump();
-        obj.view.clear();
         let obj = Rc::new(obj);
-        let (kind, namespace, name) = (obj.kind, &*obj.meta.namespace, &*obj.meta.name);
+        let (kind, namespace, name) = (obj.kind(), &*obj.meta.namespace, &*obj.meta.name);
         let slot = self.objects.get_mut(kind, namespace, name).expect("checked above");
         let old = std::mem::replace(slot, Rc::clone(&obj));
         self.reindex(&obj, &old.meta.owner_uids, &obj.meta.owner_uids);
@@ -444,9 +424,9 @@ impl ApiServer {
 
     /// Store `next(stored)` under a fresh resource version, emit the
     /// Modified event, and reap if that cleared the way. The previous
-    /// snapshot, decoded view and all, stays with the events that carry
-    /// it; the new one shares every handle `next` did not replace.
-    fn write(
+    /// snapshot stays with the events that carry it; the new one shares
+    /// every handle `next` did not replace.
+    pub(crate) fn write(
         &mut self,
         kind: &str,
         namespace: &str,
@@ -455,7 +435,6 @@ impl ApiServer {
     ) -> Result<Rc<ApiObject>, ApiError> {
         let slot = self.objects.get_mut(kind, namespace, name).ok_or(ApiError::NotFound)?;
         let mut obj = next(slot);
-        obj.view.clear();
         obj.meta.resource_version = self.next_rv;
         self.next_rv += 1;
         let snapshot = Rc::new(obj);
@@ -466,9 +445,11 @@ impl ApiServer {
         Ok(snapshot)
     }
 
-    /// Mutate an object in place via a closure (read-modify-write without
-    /// caller-side conflicts). Returns the new version.
-    pub fn mutate(
+    /// Edit an object in place via a closure (read-modify-write without
+    /// caller-side conflicts) and return the new version. The closure
+    /// edits a copy of the stored snapshot that shares its spec and
+    /// metadata collections, so the write copies only what it touches.
+    pub fn edit(
         &mut self,
         kind: &str,
         namespace: &str,
@@ -485,22 +466,19 @@ impl ApiServer {
 
     /// Replace an object's status: Kubernetes' `/status` subresource.
     /// Request, resource version, event and reaping are exactly those of
-    /// `mutate(|o| o.status = status)`, but the old status is not copied
-    /// and the new snapshot shares the stored spec.
+    /// `edit(|o| o.status = status)`, but the old status is not copied.
     pub fn set_status(
         &mut self,
         kind: &str,
         namespace: &str,
         name: &str,
-        status: serde_json::Value,
+        status: Status,
     ) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
         self.write(kind, namespace, name, |o| ApiObject {
-            kind: o.kind,
             meta: o.meta.clone(),
             spec: Rc::clone(&o.spec),
             status,
-            view: ViewCell::default(),
         })
     }
 
@@ -529,7 +507,7 @@ impl ApiServer {
         name: &str,
         finalizer: &str,
     ) -> Result<(), ApiError> {
-        self.mutate(kind, namespace, name, |o| {
+        self.edit(kind, namespace, name, |o| {
             o.meta.finalizers.retain(|f| &**f != finalizer);
         })
         .map(|_| ())
@@ -598,21 +576,30 @@ impl ApiServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objects::{JobSpec, PodPhase, PodStatus, PodTemplate};
     use serde_json::json;
 
     fn api() -> ApiServer {
         ApiServer::default()
     }
 
+    fn job(name: &str) -> ApiObject {
+        ApiObject::new("Job", "ns", name, json!({"parallelism": 1, "template": {"image": "x"}}))
+    }
+
+    fn pod(ns: &str, name: &str) -> ApiObject {
+        ApiObject::new("Pod", ns, name, json!({"image": "x"}))
+    }
+
     #[test]
     fn create_assigns_uid_and_rv() {
         let mut api = api();
-        let a = api.create(ApiObject::new("Job", "ns", "a", json!({})), SimTime::ZERO).unwrap();
-        let b = api.create(ApiObject::new("Job", "ns", "b", json!({})), SimTime::ZERO).unwrap();
+        let a = api.create(job("a"), SimTime::ZERO).unwrap();
+        let b = api.create(job("b"), SimTime::ZERO).unwrap();
         assert_ne!(a.meta.uid, b.meta.uid);
         assert!(b.meta.resource_version > a.meta.resource_version);
         assert_eq!(
-            api.create(ApiObject::new("Job", "ns", "a", json!({})), SimTime::ZERO)
+            api.create(job("a"), SimTime::ZERO)
                 .unwrap_err(),
             ApiError::AlreadyExists
         );
@@ -621,21 +608,26 @@ mod tests {
     #[test]
     fn update_enforces_optimistic_concurrency() {
         let mut api = api();
-        let obj = api.create(ApiObject::new("Job", "ns", "a", json!({})), SimTime::ZERO).unwrap();
+        let obj = api.create(job("a"), SimTime::ZERO).unwrap();
+        let spec = |parallelism| {
+            let template =
+                PodTemplate { image: "x".into(), run_ms: None, userns_base: None, node_selector: None };
+            Rc::new(Spec::Job(JobSpec { parallelism, template, ttl_seconds_after_finished: None }))
+        };
         let mut stale = (*obj).clone();
         let mut fresh = stale.clone();
-        fresh.spec = Rc::new(json!({"v": 1}));
+        fresh.spec = spec(1);
         let fresh = api.update(fresh).unwrap();
-        stale.spec = Rc::new(json!({"v": 2}));
+        stale.spec = spec(2);
         assert_eq!(api.update(stale).unwrap_err(), ApiError::Conflict);
-        assert_eq!(*api.get("Job", "ns", "a").unwrap().spec, json!({"v": 1}));
+        assert_eq!(api.get("Job", "ns", "a").unwrap().spec, spec(1));
         assert!(fresh.meta.resource_version > 1);
     }
 
     #[test]
     fn delete_without_finalizers_reaps_immediately() {
         let mut api = api();
-        api.create(ApiObject::new("Pod", "ns", "p", json!({})), SimTime::ZERO).unwrap();
+        api.create(pod("ns", "p"), SimTime::ZERO).unwrap();
         api.delete("Pod", "ns", "p").unwrap();
         assert!(api.get("Pod", "ns", "p").is_none());
         let (evs, _) = api.events_since(0);
@@ -645,7 +637,7 @@ mod tests {
     #[test]
     fn finalizers_block_deletion_until_removed() {
         let mut api = api();
-        let mut obj = ApiObject::new("Job", "ns", "j", json!({}));
+        let mut obj = job("j");
         obj.meta.finalizers.push("vni.example/finalize".into());
         api.create(obj, SimTime::ZERO).unwrap();
         api.delete("Job", "ns", "j").unwrap();
@@ -658,7 +650,7 @@ mod tests {
     #[test]
     fn delete_is_idempotent_while_terminating() {
         let mut api = api();
-        let mut obj = ApiObject::new("Job", "ns", "j", json!({}));
+        let mut obj = job("j");
         obj.meta.finalizers.push("f".into());
         api.create(obj, SimTime::ZERO).unwrap();
         api.delete("Job", "ns", "j").unwrap();
@@ -669,8 +661,8 @@ mod tests {
     #[test]
     fn cascade_deletes_owned_children() {
         let mut api = api();
-        let job = api.create(ApiObject::new("Job", "ns", "j", json!({})), SimTime::ZERO).unwrap();
-        let mut pod = ApiObject::new("Pod", "ns", "j-0", json!({}));
+        let job = api.create(job("j"), SimTime::ZERO).unwrap();
+        let mut pod = pod("ns", "j-0");
         pod.meta.owner_uids.push(job.meta.uid);
         api.create(pod, SimTime::ZERO).unwrap();
         api.delete("Job", "ns", "j").unwrap();
@@ -680,10 +672,10 @@ mod tests {
     #[test]
     fn watch_events_resume_from_rv() {
         let mut api = api();
-        api.create(ApiObject::new("Pod", "ns", "a", json!({})), SimTime::ZERO).unwrap();
+        api.create(pod("ns", "a"), SimTime::ZERO).unwrap();
         let (evs1, rv1) = api.events_since(0);
         assert_eq!(evs1.len(), 1);
-        api.create(ApiObject::new("Pod", "ns", "b", json!({})), SimTime::ZERO).unwrap();
+        api.create(pod("ns", "b"), SimTime::ZERO).unwrap();
         let (evs2, rv2) = api.events_since(rv1);
         assert_eq!(evs2.len(), 1);
         assert_eq!(&*evs2[0].object.meta.name, "b");
@@ -695,21 +687,22 @@ mod tests {
     #[test]
     fn mutate_bumps_rv_and_emits() {
         let mut api = api();
-        api.create(ApiObject::new("Pod", "ns", "a", json!({})), SimTime::ZERO).unwrap();
+        api.create(pod("ns", "a"), SimTime::ZERO).unwrap();
         let before = api.latest_rv();
         api.mutate("Pod", "ns", "a", |o| {
             o.status = json!({"phase": "Running"});
         })
         .unwrap();
         assert!(api.latest_rv() > before);
-        assert_eq!(api.get("Pod", "ns", "a").unwrap().status, json!({"phase": "Running"}));
+        let running = PodStatus { phase: PodPhase::Running, started_at_ns: None, message: None };
+        assert_eq!(api.get("Pod", "ns", "a").unwrap().status, Status::Pod(running));
     }
 
     #[test]
     fn list_is_deterministic_and_namespaced() {
         let mut api = api();
         for (ns, n) in [("b", "x"), ("a", "y"), ("a", "x")] {
-            api.create(ApiObject::new("Pod", ns, n, json!({})), SimTime::ZERO).unwrap();
+            api.create(pod(ns, n), SimTime::ZERO).unwrap();
         }
         let names: Vec<String> = api.list("Pod").iter().map(|o| o.full_name()).collect();
         assert_eq!(names, vec!["a/x", "a/y", "b/x"]);

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use shs_des::SimTime;
 
 use crate::api::{ApiObject, ApiServer, ObjKey, WatchType};
-use crate::objects::{kinds, PodPhase, PodSpec};
+use crate::objects::{kinds, PodPhase, PodSpec, Spec, Status};
 
 /// Finalizer owned by the kubelet on every pod it must tear down.
 pub const KUBELET_FINALIZER: &str = "kubelet.simk8s/teardown";
@@ -28,7 +28,7 @@ pub struct JobController {
     /// reconciles it again, which decides from the stored job alone.
     ttl_due: BinaryHeap<Reverse<(u64, ObjKey)>>,
     /// Jobs seen → pods created (diagnostics).
-    pub pods_created: u64,
+    pub(crate) pods_created: u64,
 }
 
 impl Default for JobController {
@@ -59,11 +59,11 @@ impl JobController {
         self.last_rv = rv;
 
         // Collect job keys that need reconciling. A pod names its job
-        // by a decoded string; the stored job lends its key, and a pod
+        // by a plain string; the stored job lends its key, and a pod
         // of no stored job (a service's) has nothing to reconcile.
         let mut dirty: BTreeSet<ObjKey> = BTreeSet::new();
         for ev in events {
-            match ev.object.kind {
+            match ev.object.kind() {
                 kinds::JOB => {
                     dirty.insert(ev.object.key());
                 }
@@ -119,14 +119,13 @@ impl JobController {
                 termination_grace_period_secs: 30,
             };
             let mut pod = ApiObject::with_key(
-                kinds::POD,
                 Rc::clone(&job.meta.namespace),
                 pod_name.into(),
-                serde_json::to_value(pod_spec).expect("PodSpec serializes"),
+                Spec::Pod(pod_spec),
             );
             pod.meta.owner_uids.push(job.meta.uid);
             pod.meta.finalizers.push(Rc::clone(&self.finalizer));
-            // Pods inherit the job's annotations — the CXI CNI plugin
+            // Pods share the job's annotations — the CXI CNI plugin
             // reads the `vni` annotation from the pod's metadata (§III-B).
             pod.meta.annotations = job.meta.annotations.clone();
             if api.create(pod, now).is_ok() {
@@ -142,8 +141,7 @@ impl JobController {
                 status.complete = true;
                 status.completed_at_ns = Some(now.as_nanos());
             }
-            let st = serde_json::to_value(&status).expect("JobStatus serializes");
-            let _ = api.set_status(kinds::JOB, ns, job_name, st);
+            let _ = api.set_status(kinds::JOB, ns, job_name, Status::Job(status.clone()));
         }
 
         // TTL-after-finished: delete completed jobs, now or at the first

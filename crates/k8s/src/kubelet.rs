@@ -19,7 +19,7 @@ use shs_oslinux::NetNsId;
 
 use crate::api::{ApiObject, ApiServer, ObjKey, WatchType};
 use crate::job::KUBELET_FINALIZER;
-use crate::objects::{kinds, PodPhase, PodStatus};
+use crate::objects::{kinds, PodPhase, PodStatus, Status};
 
 /// Outcome of a CNI ADD attempt, as seen by the kubelet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,7 +165,7 @@ pub struct Kubelet {
     deadlines: BinaryHeap<Reverse<(SimTime, ObjKey)>>,
     /// Pods `advance_stages` looked at (diagnostics): grows with due
     /// deadlines, not with tracked pods.
-    pub stage_visits: u64,
+    pub(crate) stage_visits: u64,
     /// Counters.
     pub counters: KubeletCounters,
 }
@@ -230,7 +230,7 @@ impl Kubelet {
         // so the writes land in the order they were decided.
         let mut release: Vec<ObjKey> = Vec::new();
         for ev in events {
-            if ev.object.kind != kinds::POD {
+            if ev.object.kind() != kinds::POD {
                 continue;
             }
             if ev.object.pod_spec().node_name.as_deref() != Some(self.node.as_str()) {
@@ -541,8 +541,8 @@ impl Kubelet {
         started_at_ns: Option<u64>,
         message: Option<String>,
     ) {
-        // The status comes from the stored snapshot's decoded view. A pod
-        // already gone still gets the (refused) write: `requests` counts it.
+        // The status builds on the stored one. A pod already gone still
+        // gets the (refused) write: `requests` counts it.
         let mut st = api
             .get(kinds::POD, &key.0, &key.1)
             .and_then(|o| o.pod_status().cloned())
@@ -554,14 +554,14 @@ impl Kubelet {
         if message.is_some() {
             st.message = message;
         }
-        let st = serde_json::to_value(st).expect("PodStatus serializes");
-        let _ = api.set_status(kinds::POD, &key.0, &key.1, st);
+        let _ = api.set_status(kinds::POD, &key.0, &key.1, Status::Pod(st));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objects::Spec;
     use serde_json::json;
 
     /// Scripted backend with fixed costs.
@@ -649,7 +649,8 @@ mod tests {
         let mut kubelet = Kubelet::new("n0", KubeletParams::default());
         let mut backend = MockBackend::default();
         let mut pod = bound_pod("p", Some(1));
-        Rc::make_mut(&mut pod.spec)["node_name"] = json!("other-node");
+        let Spec::Pod(spec) = Rc::make_mut(&mut pod.spec) else { unreachable!() };
+        spec.node_name = Some("other-node".into());
         api.create(pod, SimTime::ZERO).unwrap();
         run(&mut kubelet, &mut api, &mut backend, 500);
         assert_eq!(kubelet.tracked(), 0);

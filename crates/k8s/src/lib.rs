@@ -1,7 +1,7 @@
 //! # shs-k8s — Kubernetes-lite control plane
 //!
 //! The Kubernetes subset the paper's integration plugs into: an API
-//! server with typed-by-kind dynamic objects, resource versions, watches,
+//! server with typed objects (JSON only at its door), resource versions, watches,
 //! finalizers and cascading owner deletion (`api`); Jobs/Pods/Nodes
 //! (`objects`); a job controller (`job`); a service controller with
 //! rolling updates ([`service`]); a PLEG-style pod-lifecycle cache that
@@ -24,20 +24,22 @@ pub(crate) mod objects;
 pub(crate) mod pleg;
 pub(crate) mod scheduler;
 pub mod service;
+pub(crate) mod wire;
 
 pub use api::{
-    ApiError, ApiObject, ApiParams, ApiServer, ObjKey, ObjectMeta, WatchEvent, WatchType,
+    ApiError, ApiObject, ApiServer, ObjectMeta, Shared, WatchEvent, WatchType,
 };
 pub use job::{JobController, KUBELET_FINALIZER};
 pub use pleg::{GroupSnapshot, Pleg, PlegSnapshot};
 pub use kubelet::{CniAddOutcome, Kubelet, KubeletCounters, KubeletParams, NodeBackend};
 pub use metacontroller::{
-    DecoratorConfig, DecoratorCounters, DecoratorHooks, FinalizeResponse, Metacontroller,
+    DecoratorConfig, DecoratorHooks, FinalizeResponse, Metacontroller,
     SyncResponse,
 };
 pub use objects::{
-    kinds, make_job, make_node, spec_of, status_of, JobSpec, JobStatus, PodPhase,
-    PodSpec, PodStatus, PodTemplate, VNI_ANNOTATION,
+    kinds, make_job, make_node, JobSpec, JobStatus, NodeSpec, NodeStatus, PodPhase, PodSpec,
+    PodStatus, PodTemplate, Spec, Status, VniClaimSpec, VniCrdSpec, VNI_ANNOTATION,
 };
 pub use scheduler::Scheduler;
+pub use wire::WireObject;
 pub use service::{make_service, pod_ready, ServiceController, ServiceSpec, ServiceStatus};

@@ -79,15 +79,15 @@ pub struct DecoratorConfig {
 
 /// Controller counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecoratorCounters {
+pub(crate) struct DecoratorCounters {
     /// `/sync` calls made.
-    pub sync_calls: u64,
+    pub(crate) sync_calls: u64,
     /// `/finalize` calls made.
-    pub finalize_calls: u64,
+    pub(crate) finalize_calls: u64,
     /// Children created.
-    pub children_created: u64,
+    pub(crate) children_created: u64,
     /// Children deleted.
-    pub children_deleted: u64,
+    pub(crate) children_deleted: u64,
 }
 
 /// The decorator controller.
@@ -97,7 +97,7 @@ pub struct Metacontroller<H: DecoratorHooks> {
     /// The finalizer this controller owns on its parents, built once.
     finalizer: Rc<str>,
     /// The webhook backend.
-    pub hooks: H,
+    pub(crate) hooks: H,
     last_rv: u64,
     queue: VecDeque<(ObjKey, SimTime)>,
     queued: BTreeSet<ObjKey>,
@@ -106,7 +106,7 @@ pub struct Metacontroller<H: DecoratorHooks> {
     busy_until: SimTime,
     last_resync: SimTime,
     /// Counters.
-    pub counters: DecoratorCounters,
+    pub(crate) counters: DecoratorCounters,
 }
 
 impl<H: DecoratorHooks> Metacontroller<H> {
@@ -143,7 +143,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
     }
 
     fn in_scope(&self, obj: &ApiObject) -> bool {
-        obj.kind == self.config.parent_kind
+        obj.kind() == self.config.parent_kind
             && self
                 .config
                 .annotation_filter
@@ -179,9 +179,9 @@ impl<H: DecoratorHooks> Metacontroller<H> {
                         self.enqueue(key, now);
                     }
                 }
-            } else if ev.object.kind == self.config.child_kind {
+            } else if ev.object.kind() == self.config.child_kind {
                 // Route child events to their parent.
-                for uid in &ev.object.meta.owner_uids {
+                for uid in ev.object.meta.owner_uids.iter() {
                     if let Some(key) = self.parent_by_uid.get(uid).cloned() {
                         self.enqueue(key, now);
                     }
@@ -223,7 +223,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
 
         // Ensure our finalizer on live parents.
         if !parent.meta.deletion_requested && !parent.meta.finalizers.contains(&self.finalizer) {
-            let _ = api.mutate(parent.kind, &key.0, &key.1, |o| {
+            let _ = api.edit(parent.kind(), &key.0, &key.1, |o| {
                 o.meta.finalizers.push(Rc::clone(&self.finalizer));
             });
         }
@@ -250,9 +250,9 @@ impl<H: DecoratorHooks> Metacontroller<H> {
             }
         }
         for mut child in desired {
-            child.kind = self.config.child_kind;
+            assert_eq!(child.kind(), self.config.child_kind, "desired child {}", child.full_name());
             child.meta.namespace = Rc::clone(&key.0);
-            child.meta.owner_uids = vec![parent.meta.uid];
+            *child.meta.owner_uids = vec![parent.meta.uid];
             match api.get_rc(self.config.child_kind, &key.0, &child.meta.name) {
                 None => {
                     if api.create(child, now).is_ok() {
@@ -261,7 +261,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
                 }
                 Some(cur) => {
                     if cur.spec != child.spec {
-                        let _ = api.mutate(self.config.child_kind, &key.0, &cur.meta.name, |o| {
+                        let _ = api.edit(self.config.child_kind, &key.0, &cur.meta.name, |o| {
                             o.spec = Rc::clone(&child.spec);
                         });
                     }
@@ -270,7 +270,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         }
 
         if finalized == Some(true) {
-            let _ = api.remove_finalizer(parent.kind, &key.0, &key.1, &self.finalizer);
+            let _ = api.remove_finalizer(parent.kind(), &key.0, &key.1, &self.finalizer);
         }
     }
 }
@@ -323,8 +323,12 @@ mod tests {
         }
     }
 
+    fn job_spec() -> serde_json::Value {
+        json!({"parallelism": 1, "template": {"image": "x"}})
+    }
+
     fn annotated_job(name: &str) -> ApiObject {
-        let mut job = ApiObject::new("Job", "ns", name, json!({}));
+        let mut job = ApiObject::new("Job", "ns", name, job_spec());
         job.meta.annotations.insert("vni".into(), "true".into());
         job
     }
@@ -335,7 +339,7 @@ mod tests {
         let mut mc =
             Metacontroller::new(config(), OneChild { finalize_after_calls: 1, finalize_seen: 0 });
         api.create(annotated_job("j1"), SimTime::ZERO).unwrap();
-        api.create(ApiObject::new("Job", "ns", "plain", json!({})), SimTime::ZERO).unwrap();
+        api.create(ApiObject::new("Job", "ns", "plain", job_spec()), SimTime::ZERO).unwrap();
         mc.poll(&mut api, SimTime::ZERO);
         mc.poll(&mut api, SimTime::from_nanos(20_000_000)); // webhook completed
         assert!(api.get("Vni", "ns", "vni-j1").is_some());
@@ -345,7 +349,7 @@ mod tests {
         assert_eq!(mc.counters.sync_calls, 1);
         // Child carries owner reference.
         let child = api.get("Vni", "ns", "vni-j1").unwrap();
-        assert_eq!(child.meta.owner_uids, vec![job.meta.uid]);
+        assert_eq!(*child.meta.owner_uids, vec![job.meta.uid]);
     }
 
     #[test]

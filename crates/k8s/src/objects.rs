@@ -1,11 +1,13 @@
-//! Typed views over the dynamic API objects: Jobs, Pods, Nodes.
-
-use std::cell::OnceCell;
-use std::fmt;
+//! The typed API objects: one closed [`Spec`] / [`Status`] pair over the
+//! six [`kinds`] the control plane stores, and typed reads of both.
+//!
+//! The serde derives are the JSON schema of each kind; only the door
+//! (`wire`) encodes or decodes it.
 
 use serde::{Deserialize, Serialize};
 
 use crate::api::ApiObject;
+use crate::service::{ServiceSpec, ServiceStatus};
 
 /// The annotation key carrying VNI requests (paper §III-C1): `vni: true`
 /// for a Per-Resource VNI, `vni: <claim-name>` to redeem a VNI Claim.
@@ -133,113 +135,119 @@ pub struct JobStatus {
     pub completed_at_ns: Option<u64>,
 }
 
+/// Node spec.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct NodeSpec {
+    /// Pod capacity.
+    #[serde(rename = "maxPods")]
+    pub max_pods: u32,
+}
+
+/// Node status.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct NodeStatus {
+    /// Schedulable.
+    pub ready: bool,
+}
+
+/// Spec of a VNI CRD instance.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct VniCrdSpec {
+    /// The allocated VNI value.
+    pub vni: u16,
+    /// Whether this is a non-owning ("virtual") instance attached to a
+    /// job that redeems a claim (§III-C2, dotted object in Fig. 4).
+    #[serde(default)]
+    pub r#virtual: bool,
+    /// The claim name, for claim-attached instances.
+    #[serde(default)]
+    pub claim: Option<String>,
+}
+
+/// Spec of a VNI Claim (Listing 2 of the paper).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct VniClaimSpec {
+    /// The claim's name, which jobs redeem it by.
+    pub name: String,
+}
+
+/// Desired state of an object, one variant per kind: the variant *is*
+/// the object's kind.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Spec {
+    /// [`kinds::JOB`].
+    Job(JobSpec),
+    /// [`kinds::POD`].
+    Pod(PodSpec),
+    /// [`kinds::NODE`].
+    Node(NodeSpec),
+    /// [`kinds::VNI`].
+    Vni(VniCrdSpec),
+    /// [`kinds::VNI_CLAIM`].
+    VniClaim(VniClaimSpec),
+    /// [`kinds::SERVICE`].
+    Service(ServiceSpec),
+}
+
+impl Spec {
+    /// The kind this spec belongs to.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            Spec::Job(_) => kinds::JOB,
+            Spec::Pod(_) => kinds::POD,
+            Spec::Node(_) => kinds::NODE,
+            Spec::Vni(_) => kinds::VNI,
+            Spec::VniClaim(_) => kinds::VNI_CLAIM,
+            Spec::Service(_) => kinds::SERVICE,
+        }
+    }
+}
+
+/// Observed state of an object: `None` until a controller writes one
+/// (JSON `null`). VNIs and claims never carry one.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Status {
+    /// No status yet.
+    None,
+    /// A pod's.
+    Pod(PodStatus),
+    /// A job's.
+    Job(JobStatus),
+    /// A node's.
+    Node(NodeStatus),
+    /// A service's.
+    Service(ServiceStatus),
+}
+
 /// Build a Job object.
 pub fn make_job(namespace: &str, name: &str, spec: &JobSpec) -> ApiObject {
-    ApiObject::new(
-        kinds::JOB,
-        namespace,
-        name,
-        serde_json::to_value(spec).expect("JobSpec serializes"),
-    )
+    ApiObject::from_spec(namespace, name, Spec::Job(spec.clone()))
 }
 
 /// Build a Node object.
 pub fn make_node(name: &str, max_pods: u32) -> ApiObject {
-    let mut node = ApiObject::new(kinds::NODE, "", name, serde_json::json!({"maxPods": max_pods}));
-    node.status = serde_json::json!({"ready": true});
+    let mut node = ApiObject::from_spec("", name, Spec::Node(NodeSpec { max_pods }));
+    node.status = Status::Node(NodeStatus { ready: true });
     node
 }
 
-/// Decode a typed spec from an object; panics on schema mismatch (which
-/// is a programming error in this closed system).
-pub fn spec_of<T: serde::de::DeserializeOwned>(obj: &ApiObject) -> T {
-    serde_json::from_value_ref(&obj.spec)
-        .unwrap_or_else(|e| panic!("bad {} spec for {}: {e}", obj.kind, obj.full_name()))
-}
-
-/// Decode a typed status; `None` when the status is null/absent.
-pub fn status_of<T: serde::de::DeserializeOwned>(obj: &ApiObject) -> Option<T> {
-    if obj.status.is_null() {
-        None
-    } else {
-        serde_json::from_value_ref(&obj.status).ok()
-    }
-}
-
-/// The typed view of one pod or job snapshot: what every watcher used
-/// to decode from the same JSON on its own.
-#[derive(Debug)]
-enum View {
-    Pod { spec: PodSpec, status: Option<PodStatus> },
-    Job { spec: JobSpec, status: Option<JobStatus> },
-}
-
-/// The lazily decoded [`View`] of an [`ApiObject`]. It is a function of
-/// the object's JSON, so it takes no part in equality or `Debug`, and a
-/// clone starts empty: a copy is usually about to be edited.
-#[derive(Default)]
-pub(crate) struct ViewCell(OnceCell<View>);
-
-impl ViewCell {
-    /// Forget the decoded view (the JSON it came from has changed).
-    pub(crate) fn clear(&mut self) {
-        self.0.take();
-    }
-}
-
-impl Clone for ViewCell {
-    fn clone(&self) -> Self {
-        ViewCell::default()
-    }
-}
-
-impl PartialEq for ViewCell {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl fmt::Debug for ViewCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ViewCell")
-    }
-}
-
-/// Typed reads of pods and jobs. The first read of a snapshot decodes
-/// its spec and status ([`spec_of`] / [`status_of`]); every later read
-/// of it, by any watcher, is a borrow. Each panics on an object of
-/// another kind.
+/// Typed reads. Each spec read panics on an object of another kind; a
+/// status read is `None` while the object has no status.
 impl ApiObject {
-    fn view(&self) -> &View {
-        self.view.0.get_or_init(|| match self.kind {
-            kinds::POD => View::Pod { spec: spec_of(self), status: status_of(self) },
-            kinds::JOB => View::Job { spec: spec_of(self), status: status_of(self) },
-            other => panic!("{other} {} has no typed view", self.full_name()),
-        })
-    }
-
-    fn pod_view(&self) -> (&PodSpec, Option<&PodStatus>) {
-        match self.view() {
-            View::Pod { spec, status } => (spec, status.as_ref()),
-            View::Job { .. } => panic!("job {} read as a pod", self.full_name()),
-        }
-    }
-
-    fn job_view(&self) -> (&JobSpec, Option<&JobStatus>) {
-        match self.view() {
-            View::Job { spec, status } => (spec, status.as_ref()),
-            View::Pod { .. } => panic!("pod {} read as a job", self.full_name()),
-        }
-    }
-
     /// A pod's spec.
     pub fn pod_spec(&self) -> &PodSpec {
-        self.pod_view().0
+        match &*self.spec {
+            Spec::Pod(spec) => spec,
+            _ => self.wrong_kind(kinds::POD),
+        }
     }
 
-    /// A pod's status; `None` while null (or not a `PodStatus`).
+    /// A pod's status.
     pub fn pod_status(&self) -> Option<&PodStatus> {
-        self.pod_view().1
+        match &self.status {
+            Status::Pod(status) => Some(status),
+            _ => None,
+        }
     }
 
     /// A pod's phase (Pending when unset).
@@ -249,12 +257,46 @@ impl ApiObject {
 
     /// A job's spec.
     pub fn job_spec(&self) -> &JobSpec {
-        self.job_view().0
+        match &*self.spec {
+            Spec::Job(spec) => spec,
+            _ => self.wrong_kind(kinds::JOB),
+        }
     }
 
-    /// A job's status; `None` while null (or not a `JobStatus`).
-    pub fn job_status(&self) -> Option<&JobStatus> {
-        self.job_view().1
+    /// A job's status.
+    pub(crate) fn job_status(&self) -> Option<&JobStatus> {
+        match &self.status {
+            Status::Job(status) => Some(status),
+            _ => None,
+        }
+    }
+
+    /// A VNI CRD's spec.
+    pub fn vni_spec(&self) -> &VniCrdSpec {
+        match &*self.spec {
+            Spec::Vni(spec) => spec,
+            _ => self.wrong_kind(kinds::VNI),
+        }
+    }
+
+    /// A service's spec.
+    pub fn service_spec(&self) -> &ServiceSpec {
+        match &*self.spec {
+            Spec::Service(spec) => spec,
+            _ => self.wrong_kind(kinds::SERVICE),
+        }
+    }
+
+    /// A service's status.
+    pub(crate) fn service_status(&self) -> Option<&ServiceStatus> {
+        match &self.status {
+            Status::Service(status) => Some(status),
+            _ => None,
+        }
+    }
+
+    fn wrong_kind(&self, want: &str) -> ! {
+        panic!("{} {} read as a {want}", self.kind(), self.full_name())
     }
 }
 
@@ -276,10 +318,10 @@ mod tests {
             ttl_seconds_after_finished: Some(0),
         };
         let obj = make_job("tenant-a", "bench", &spec);
-        let back: JobSpec = spec_of(&obj);
-        assert_eq!(back, spec);
+        let json = serde_json::to_value(&spec).unwrap();
+        assert_eq!(ApiObject::new(kinds::JOB, "tenant-a", "bench", json), obj);
         assert_eq!(obj.job_spec(), &spec);
-        assert_eq!(obj.kind, kinds::JOB);
+        assert_eq!(obj.kind(), kinds::JOB);
     }
 
     #[test]
@@ -291,23 +333,17 @@ mod tests {
     #[test]
     fn pod_status_roundtrip() {
         let mut api = crate::api::ApiServer::default();
-        let pod = ApiObject::new(
-            kinds::POD,
-            "ns",
-            "p",
-            serde_json::to_value(PodSpec {
-                job_name: None,
-                image: "alpine".into(),
-                run_ms: Some(5),
-                userns_base: None,
-                node_name: None,
-                spread_key: None,
-                node_selector: None,
-                termination_grace_period_secs: 30,
-            })
-            .unwrap(),
-        );
-        api.create(pod, SimTime::ZERO).unwrap();
+        let spec = PodSpec {
+            job_name: None,
+            image: "alpine".into(),
+            run_ms: Some(5),
+            userns_base: None,
+            node_name: None,
+            spread_key: None,
+            node_selector: None,
+            termination_grace_period_secs: 30,
+        };
+        api.create(ApiObject::from_spec("ns", "p", Spec::Pod(spec)), SimTime::ZERO).unwrap();
         api.mutate(kinds::POD, "ns", "p", |o| {
             o.status = serde_json::to_value(PodStatus {
                 phase: PodPhase::Running,
@@ -324,8 +360,7 @@ mod tests {
 
     #[test]
     fn default_grace_period_is_thirty_seconds() {
-        let spec: PodSpec =
-            serde_json::from_value(serde_json::json!({"image": "alpine"})).unwrap();
-        assert_eq!(spec.termination_grace_period_secs, 30);
+        let pod = ApiObject::new(kinds::POD, "ns", "p", serde_json::json!({"image": "alpine"}));
+        assert_eq!(pod.pod_spec().termination_grace_period_secs, 30);
     }
 }

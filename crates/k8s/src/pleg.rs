@@ -85,7 +85,7 @@ pub struct Pleg {
     /// `(namespace, group)` up without building a key.
     groups: BTreeMap<Rc<str>, BTreeMap<Rc<str>, GroupState>>,
     /// Watch events consumed (diagnostics).
-    pub events_observed: u64,
+    pub(crate) events_observed: u64,
 }
 
 impl Pleg {
@@ -104,7 +104,7 @@ impl Pleg {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
         for ev in events {
-            if ev.object.kind != kinds::POD {
+            if ev.object.kind() != kinds::POD {
                 continue;
             }
             self.events_observed += 1;

@@ -13,7 +13,7 @@ use std::rc::Rc;
 use shs_des::SimTime;
 
 use crate::api::{ApiServer, ObjKey, WatchType};
-use crate::objects::{kinds, PodPhase};
+use crate::objects::{kinds, PodPhase, Spec, Status};
 
 /// Where a counted pod sits: its node and topology-spread group.
 type Placement = (Rc<str>, Option<Rc<str>>);
@@ -31,7 +31,7 @@ pub struct Scheduler {
     pods_on: BTreeMap<Rc<str>, u32>,
     group_on: BTreeMap<Rc<str>, BTreeMap<Rc<str>, u32>>,
     /// Pods bound over this scheduler's lifetime (diagnostics).
-    pub bindings: u64,
+    pub(crate) bindings: u64,
 }
 
 impl Scheduler {
@@ -96,7 +96,7 @@ impl Scheduler {
         }
         self.last_rv = rv;
         for ev in events {
-            if ev.object.kind != kinds::POD {
+            if ev.object.kind() != kinds::POD {
                 continue;
             }
             let key = ev.object.key();
@@ -129,10 +129,11 @@ impl Scheduler {
         let nodes: Vec<(Rc<str>, u32)> = api
             .list(kinds::NODE)
             .iter()
-            .filter(|n| n.status["ready"] == serde_json::json!(true))
-            .map(|n| {
-                let max = n.spec["maxPods"].as_u64().unwrap_or(110) as u32;
-                (Rc::clone(&n.meta.name), max)
+            .filter_map(|n| match (&*n.spec, &n.status) {
+                (Spec::Node(spec), Status::Node(status)) if status.ready => {
+                    Some((Rc::clone(&n.meta.name), spec.max_pods))
+                }
+                _ => None,
             })
             .collect();
         if nodes.is_empty() {
@@ -175,8 +176,8 @@ impl Scheduler {
             let Some((_, _, chosen)) = best else { continue }; // no capacity: stays pending
             let mut bound = spec.clone();
             bound.node_name = Some(chosen.to_string());
-            let bound = Rc::new(serde_json::to_value(bound).expect("PodSpec serializes"));
-            api.mutate(kinds::POD, &key.0, &key.1, |o| o.spec = bound).expect("pod exists");
+            let bound = Rc::new(Spec::Pod(bound));
+            api.edit(kinds::POD, &key.0, &key.1, |o| o.spec = bound).expect("pod exists");
             self.place(&key, Some((chosen, spec.spread_key.as_deref())));
             self.bindings += 1;
             self.pending.remove(&key);
@@ -223,6 +224,11 @@ mod tests {
                 "spread_key": spread,
             }),
         )
+    }
+
+    fn select(pod: &mut ApiObject, nodes: &[&str]) {
+        let Spec::Pod(spec) = Rc::make_mut(&mut pod.spec) else { unreachable!() };
+        spec.node_selector = Some(nodes.iter().map(|n| n.to_string()).collect());
     }
 
     fn cluster(api: &mut ApiServer, nodes: &[(&str, u32)]) {
@@ -297,14 +303,14 @@ mod tests {
         cluster(&mut api, &[("n0", 10), ("n1", 10), ("n2", 10)]);
         // n0 is least loaded overall, but the selector excludes it.
         let mut p = pod("ns", "pinned", None);
-        Rc::make_mut(&mut p.spec)["node_selector"] = json!(["n1", "n2"]);
+        select(&mut p, &["n1", "n2"]);
         api.create(p, SimTime::ZERO).unwrap();
         let mut s = Scheduler::new();
         s.poll(&mut api, SimTime::ZERO);
         assert_eq!(bound_node(&api, "ns", "pinned").as_deref(), Some("n1"));
         // A selector naming no schedulable node leaves the pod pending.
         let mut q = pod("ns", "stuck", None);
-        Rc::make_mut(&mut q.spec)["node_selector"] = json!(["n9"]);
+        select(&mut q, &["n9"]);
         api.create(q, SimTime::ZERO).unwrap();
         s.poll(&mut api, SimTime::ZERO);
         assert!(bound_node(&api, "ns", "stuck").is_none());
@@ -329,14 +335,14 @@ mod tests {
     fn unready_nodes_get_nothing() {
         let mut api = ApiServer::default();
         let mut node = make_node("n0", 10);
-        node.status = json!({"ready": false});
+        node.status = Status::Node(crate::objects::NodeStatus { ready: false });
         api.create(node, SimTime::ZERO).unwrap();
         api.create(pod("ns", "p", None), SimTime::ZERO).unwrap();
         Scheduler::new().poll(&mut api, SimTime::ZERO);
         assert!(bound_node(&api, "ns", "p").is_none());
     }
 
-    /// The pre-index occupancy: list and decode every pod (test oracle).
+    /// The pre-index occupancy: list and read every pod (test oracle).
     #[allow(clippy::type_complexity)]
     fn scan_occupancy(api: &ApiServer) -> (BTreeMap<String, u32>, BTreeMap<(String, String), u32>) {
         let mut pods_on = BTreeMap::new();

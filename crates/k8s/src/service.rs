@@ -23,7 +23,7 @@ use shs_des::SimTime;
 
 use crate::api::{ApiObject, ApiServer, ObjKey};
 use crate::job::KUBELET_FINALIZER;
-use crate::objects::{kinds, spec_of, status_of, PodPhase, PodSpec, PodTemplate};
+use crate::objects::{kinds, PodPhase, PodSpec, PodTemplate, Spec, Status};
 
 /// Annotation recording which template revision a service pod was
 /// created from; pods whose recorded revision differs from the service
@@ -67,12 +67,7 @@ pub struct ServiceStatus {
 
 /// Build a Service object.
 pub fn make_service(namespace: &str, name: &str, spec: &ServiceSpec) -> ApiObject {
-    ApiObject::new(
-        kinds::SERVICE,
-        namespace,
-        name,
-        serde_json::to_value(spec).expect("ServiceSpec serializes"),
-    )
+    ApiObject::from_spec(namespace, name, Spec::Service(spec.clone()))
 }
 
 /// The template revision a pod was created from (0 when unannotated).
@@ -106,9 +101,9 @@ pub struct ServiceController {
     /// [`KUBELET_FINALIZER`], built once and shared by every pod.
     finalizer: Rc<str>,
     /// Pods created (diagnostics).
-    pub pods_created: u64,
+    pub(crate) pods_created: u64,
     /// Pod deletions requested (diagnostics).
-    pub pods_deleted: u64,
+    pub(crate) pods_deleted: u64,
 }
 
 impl Default for ServiceController {
@@ -140,7 +135,7 @@ impl ServiceController {
 
         let mut dirty: BTreeSet<ObjKey> = BTreeSet::new();
         for ev in events {
-            match ev.object.kind {
+            match ev.object.kind() {
                 kinds::SERVICE => {
                     dirty.insert(ev.object.key());
                 }
@@ -172,7 +167,7 @@ impl ServiceController {
         if svc.meta.deletion_requested {
             return; // cascade + kubelet finalizers tear the pods down
         }
-        let spec: ServiceSpec = spec_of(&svc);
+        let spec = svc.service_spec();
         // Both knobs zero would deadlock a rolling update (no room to
         // surge, no license to dip); treat it as surge 1, like upstream
         // validation would reject it.
@@ -261,10 +256,9 @@ impl ServiceController {
                 termination_grace_period_secs: 30,
             };
             let mut pod = ApiObject::with_key(
-                kinds::POD,
                 Rc::clone(&svc.meta.namespace),
                 pod_name.into(),
-                serde_json::to_value(pod_spec).expect("PodSpec serializes"),
+                Spec::Pod(pod_spec),
             );
             pod.meta.owner_uids.push(svc.meta.uid);
             pod.meta.finalizers.push(Rc::clone(&self.finalizer));
@@ -288,10 +282,8 @@ impl ServiceController {
             current: current_alive as u32,
             total: total_alive as u32,
         };
-        let old: ServiceStatus = status_of(&svc).unwrap_or_default();
-        if status != old {
-            let st = serde_json::to_value(&status).expect("ServiceStatus serializes");
-            let _ = api.set_status(kinds::SERVICE, ns, name, st);
+        if svc.service_status().cloned().unwrap_or_default() != status {
+            let _ = api.set_status(kinds::SERVICE, ns, name, Status::Service(status));
         }
     }
 }
@@ -407,7 +399,7 @@ mod tests {
         sc.poll(&mut api, SimTime::ZERO);
         settle(&mut api, "ns");
         api.mutate(kinds::SERVICE, "ns", "web", |o| {
-            Rc::make_mut(&mut o.spec)["replicas"] = json!(2);
+            o.spec["replicas"] = json!(2);
         })
         .unwrap();
         sc.poll(&mut api, SimTime::from_nanos(1));
@@ -431,7 +423,7 @@ mod tests {
         assert_eq!(ready_pods(&api, "ns").len(), 4);
         // Bump the template revision to start the roll.
         api.mutate(kinds::SERVICE, "ns", "web", |o| {
-            Rc::make_mut(&mut o.spec)["version"] = json!(1);
+            o.spec["version"] = json!(1);
         })
         .unwrap();
         let floor = 3; // replicas 4, max_unavailable 1
@@ -457,7 +449,7 @@ mod tests {
         sc.poll(&mut api, SimTime::ZERO);
         settle(&mut api, "ns");
         api.mutate(kinds::SERVICE, "ns", "web", |o| {
-            Rc::make_mut(&mut o.spec)["version"] = json!(1);
+            o.spec["version"] = json!(1);
         })
         .unwrap();
         for step in 0..20u64 {
@@ -484,7 +476,7 @@ mod tests {
         sc.poll(&mut api, SimTime::ZERO);
         settle(&mut api, "ns");
         api.mutate(kinds::SERVICE, "ns", "web", |o| {
-            Rc::make_mut(&mut o.spec)["version"] = json!(1);
+            o.spec["version"] = json!(1);
         })
         .unwrap();
         for step in 0..20u64 {
@@ -523,7 +515,7 @@ mod tests {
         sc.poll(&mut api, SimTime::ZERO);
         settle(&mut api, "ns");
         sc.poll(&mut api, SimTime::ZERO);
-        let st: ServiceStatus = status_of(api.get(kinds::SERVICE, "ns", "web").unwrap()).unwrap();
-        assert_eq!(st, ServiceStatus { ready: 2, current: 2, total: 2 });
+        let st = api.get(kinds::SERVICE, "ns", "web").unwrap().service_status().cloned();
+        assert_eq!(st, Some(ServiceStatus { ready: 2, current: 2, total: 2 }));
     }
 }

@@ -1,30 +1,33 @@
 //! Equivalence oracle for the indexed API store: after every step of a
-//! random create / mutate / re-own / update / delete / finalizer /
+//! random create / status write / re-own / update / delete / finalizer /
 //! compact sequence, the range lists, the owner index (which is also the
 //! cascade set) and the watch log equal those of [`NaiveApi`] — the
 //! store as it was before the indexes, which answers everything by
 //! scanning every object.
 //!
-//! The same run checks the decoded pod/job views: every stored object,
-//! and every watch snapshot as it is first read, shows exactly what a
-//! fresh `spec_of` / `status_of` of its own JSON gives, and a snapshot
-//! held past later writes still reads its own, older view.
+//! The same run pins what a write shares: consecutive snapshots of one
+//! object hold the very same name, namespace and (unless a full replace
+//! gave it a new one) spec handles; and status writes through the
+//! `/status` subresource leave a server indistinguishable — events,
+//! resource versions, request count, reaping — from a twin that writes
+//! them as JSON through the door (`mutate`).
 //!
-//! And it pins what a write shares: consecutive snapshots of one object
-//! hold the very same name, namespace and (unless a full replace gave
-//! it a new one) spec handles; and status writes through the `/status`
-//! subresource leave a server indistinguishable — events, resource
-//! versions, request count, reaping — from a twin that writes them
-//! through `mutate`.
+//! The door itself is checked over all six kinds: a typed spec and
+//! status sent in as JSON come back out of `mutate`'s wire form
+//! unchanged, a no-op `mutate` only bumps the resource version, and a
+//! JSON edit that breaks the schema panics naming the kind and the
+//! object.
 
 use proptest::prelude::*;
 use serde_json::{json, Value};
 use shs_des::SimTime;
 use shs_k8s::{
-    spec_of, status_of, ApiObject, ApiServer, JobSpec, JobStatus, PodPhase, PodSpec, PodStatus,
-    PodTemplate, WatchType,
+    kinds, ApiObject, ApiServer, JobSpec, JobStatus, NodeSpec, NodeStatus, PodPhase, PodSpec,
+    PodStatus, PodTemplate, ServiceSpec, ServiceStatus, Spec, Status, VniClaimSpec, VniCrdSpec,
+    WatchType,
 };
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 type Key = (String, String, String);
@@ -40,7 +43,7 @@ struct NaiveApi {
 
 impl NaiveApi {
     fn key(o: &ApiObject) -> Key {
-        (o.kind.to_string(), o.meta.namespace.to_string(), o.meta.name.to_string())
+        (o.kind().to_string(), o.meta.namespace.to_string(), o.meta.name.to_string())
     }
 
     fn create(&mut self, mut obj: ApiObject) {
@@ -178,84 +181,107 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Spec variant `v` of `kind`: a valid `PodSpec` / `JobSpec`, or free
-/// JSON for a kind without a typed view.
-fn spec_for(kind: &str, v: u8) -> Value {
+/// Every kind the store holds.
+const ALL_KINDS: [&str; 6] =
+    [kinds::JOB, kinds::POD, kinds::NODE, kinds::VNI, kinds::VNI_CLAIM, kinds::SERVICE];
+
+/// Spec variant `v` of `kind`.
+fn spec_for(kind: &str, v: u8) -> Spec {
     let image = format!("img{v}");
+    let template = PodTemplate {
+        image: image.clone(),
+        run_ms: v.is_multiple_of(2).then_some(v.into()),
+        userns_base: v.is_multiple_of(5).then_some(100_000),
+        node_selector: v.is_multiple_of(3).then(|| vec!["n0".to_string(), format!("n{v}")]),
+    };
     match kind {
-        "Pod" => serde_json::to_value(PodSpec {
+        kinds::POD => Spec::Pod(PodSpec {
             job_name: v.is_multiple_of(2).then(|| format!("j{}", v % 4)),
             image,
             run_ms: Some(v.into()),
             userns_base: None,
             node_name: v.is_multiple_of(3).then(|| "n0".to_string()),
-            spread_key: None,
-            node_selector: None,
-            termination_grace_period_secs: 30,
+            spread_key: v.is_multiple_of(4).then(|| format!("ns/j{v}")),
+            node_selector: v.is_multiple_of(7).then(|| vec!["n1".to_string()]),
+            termination_grace_period_secs: u64::from(v % 40),
         }),
-        "Job" => serde_json::to_value(JobSpec {
+        kinds::JOB => Spec::Job(JobSpec {
             parallelism: v.into(),
-            template: PodTemplate { image, run_ms: None, userns_base: None, node_selector: None },
+            template,
             ttl_seconds_after_finished: v.is_multiple_of(2).then_some(0),
         }),
-        _ => Ok(json!({ "vni": v })),
+        kinds::NODE => Spec::Node(NodeSpec { max_pods: v.into() }),
+        kinds::VNI => Spec::Vni(VniCrdSpec {
+            vni: 1024 + u16::from(v),
+            r#virtual: v.is_multiple_of(2),
+            claim: v.is_multiple_of(3).then(|| format!("c{v}")),
+        }),
+        kinds::VNI_CLAIM => Spec::VniClaim(VniClaimSpec { name: format!("c{v}") }),
+        kinds::SERVICE => Spec::Service(ServiceSpec {
+            replicas: (v % 8).into(),
+            template,
+            max_unavailable: (v % 3).into(),
+            max_surge: (v % 2).into(),
+            version: v.into(),
+        }),
+        other => panic!("no spec for {other}"),
     }
-    .expect("serializes")
 }
 
-/// Status variant `v` of `kind`; every fifth one is not a typed status
-/// at all, which a typed read must see as `None`.
-fn status_for(kind: &str, v: u8) -> Value {
+/// Status variant `v` of `kind`; every fifth one is no status at all,
+/// and VNIs and claims never have one.
+fn status_for(kind: &str, v: u8) -> Status {
     const PHASES: [PodPhase; 4] =
         [PodPhase::Pending, PodPhase::Running, PodPhase::Succeeded, PodPhase::Failed];
     match kind {
-        _ if v % 5 == 4 => Ok(json!({ "touched": v })),
-        "Pod" => serde_json::to_value(PodStatus {
+        _ if v % 5 == 4 => Status::None,
+        kinds::POD => Status::Pod(PodStatus {
             phase: PHASES[usize::from(v) % 4],
             started_at_ns: Some(v.into()),
             message: v.is_multiple_of(3).then(|| "m".to_string()),
         }),
-        "Job" => serde_json::to_value(JobStatus {
+        kinds::JOB => Status::Job(JobStatus {
             succeeded: v.into(),
             complete: v.is_multiple_of(2),
-            completed_at_ns: None,
+            completed_at_ns: v.is_multiple_of(3).then_some(v.into()),
         }),
-        _ => Ok(json!({ "touched": v })),
+        kinds::NODE => Status::Node(NodeStatus { ready: v.is_multiple_of(2) }),
+        kinds::SERVICE => Status::Service(ServiceStatus {
+            ready: v.into(),
+            current: (v / 2).into(),
+            total: (v / 3).into(),
+        }),
+        _ => Status::None,
+    }
+}
+
+/// `spec` or `status` as the door speaks it.
+fn spec_json(spec: &Spec) -> Value {
+    match spec {
+        Spec::Job(s) => serde_json::to_value(s),
+        Spec::Pod(s) => serde_json::to_value(s),
+        Spec::Node(s) => serde_json::to_value(s),
+        Spec::Vni(s) => serde_json::to_value(s),
+        Spec::VniClaim(s) => serde_json::to_value(s),
+        Spec::Service(s) => serde_json::to_value(s),
     }
     .expect("serializes")
 }
 
-/// What a typed read of an object shows.
-#[derive(Debug, Clone, PartialEq)]
-enum Typed {
-    Pod(PodSpec, Option<PodStatus>),
-    Job(JobSpec, Option<JobStatus>),
-    Untyped,
-}
-
-/// A fresh decode of `o`'s JSON — the oracle.
-fn decoded(o: &ApiObject) -> Typed {
-    match o.kind {
-        "Pod" => Typed::Pod(spec_of(o), status_of(o)),
-        "Job" => Typed::Job(spec_of(o), status_of(o)),
-        _ => Typed::Untyped,
+fn status_json(status: &Status) -> Value {
+    match status {
+        Status::None => Ok(Value::Null),
+        Status::Pod(s) => serde_json::to_value(s),
+        Status::Job(s) => serde_json::to_value(s),
+        Status::Node(s) => serde_json::to_value(s),
+        Status::Service(s) => serde_json::to_value(s),
     }
+    .expect("serializes")
 }
 
-/// `o` read through its decoded view.
-fn viewed(o: &ApiObject) -> Typed {
-    match o.kind {
-        "Pod" => Typed::Pod(o.pod_spec().clone(), o.pod_status().cloned()),
-        "Job" => Typed::Job(o.job_spec().clone(), o.job_status().cloned()),
-        _ => Typed::Untyped,
-    }
-}
-
-/// Fill `obj`'s view, then give it spec variant `v`: the store must not
-/// keep a view the caller decoded before editing.
-fn respec_after_read(obj: &mut ApiObject, v: u8) {
-    viewed(obj);
-    obj.spec = Rc::new(spec_for(obj.kind, v));
+/// Give `obj` spec variant `v`.
+fn respec(obj: &mut ApiObject, v: u8) {
+    obj.spec = Rc::new(spec_for(obj.kind(), v));
 }
 
 fn key_of((k, ns, n): Addr) -> Key {
@@ -280,8 +306,7 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op, subresource: bool) 
         Op::Create { at, owner, v } => {
             let (_, ns, n) = key_of(at);
             let kind = KINDS[at.0];
-            let mut obj = ApiObject::new(kind, &ns, &n, spec_for(kind, v.wrapping_add(1)));
-            respec_after_read(&mut obj, v);
+            let mut obj = ApiObject::from_spec(&ns, &n, spec_for(kind, v));
             obj.meta.owner_uids.extend(uid_at(api, owner));
             naive.create(obj.clone());
             let _ = api.create(obj, SimTime::ZERO);
@@ -293,19 +318,19 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op, subresource: bool) 
             let _ = if subresource {
                 api.set_status(&key.0, &key.1, &key.2, status)
             } else {
-                api.mutate(&key.0, &key.1, &key.2, |o| o.status = status)
+                api.mutate(&key.0, &key.1, &key.2, |o| o.status = status_json(&status))
             };
         }
         Op::Reown { at, owner } => {
             let key = key_of(at);
             let owners: Vec<u64> = owner.and_then(|a| uid_at(api, a)).into_iter().collect();
-            naive.mutate(&key, |o| o.meta.owner_uids = owners.clone());
-            let _ = api.mutate(&key.0, &key.1, &key.2, |o| o.meta.owner_uids = owners.clone());
+            naive.mutate(&key, |o| o.meta.owner_uids = owners.clone().into());
+            let _ = api.edit(&key.0, &key.1, &key.2, |o| o.meta.owner_uids = owners.into());
         }
         Op::Replace { at, v } => {
             let key = key_of(at);
             let Some(mut obj) = api.get(&key.0, &key.1, &key.2).cloned() else { return };
-            respec_after_read(&mut obj, v);
+            respec(&mut obj, v);
             obj.meta.owner_uids.clear();
             naive.update(obj.clone());
             let _ = api.update(obj);
@@ -323,7 +348,7 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op, subresource: bool) 
                 }
             };
             naive.mutate(&key, add);
-            let _ = api.mutate(&key.0, &key.1, &key.2, add);
+            let _ = api.edit(&key.0, &key.1, &key.2, add);
         }
         Op::RemoveFinalizer { at } => {
             let key = key_of(at);
@@ -336,7 +361,7 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op, subresource: bool) 
             for key in &doomed {
                 let clear = |o: &mut ApiObject| o.meta.finalizers.clear();
                 naive.mutate(key, clear);
-                let _ = api.mutate(&key.0, &key.1, &key.2, clear);
+                let _ = api.edit(&key.0, &key.1, &key.2, clear);
                 naive.delete(key);
                 let _ = api.delete(&key.0, &key.1, &key.2);
             }
@@ -357,15 +382,15 @@ proptest! {
     ) {
         let mut api = ApiServer::default();
         let mut naive = NaiveApi::default();
-        // The twin writes statuses through `mutate`.
+        // The twin writes statuses as JSON through `mutate`.
         let (mut twin, mut twin_naive) = (ApiServer::default(), NaiveApi::default());
-        // The one watch reader: its cursor, the naive events it has
-        // matched, and every other snapshot it saw, with that snapshot's
-        // decode at the time.
+        // The one watch reader: its cursor and the naive events it has
+        // matched.
         let (mut cursor, mut seen) = (0u64, 0usize);
-        let mut held: Vec<(Rc<ApiObject>, Typed)> = Vec::new();
-        // The latest snapshot of each object (by uid) the reader saw.
+        // The latest snapshot of each object (by uid) the reader saw, on
+        // each server.
         let mut latest: BTreeMap<u64, Rc<ApiObject>> = BTreeMap::new();
+        let mut twin_seen: BTreeMap<u64, Rc<ApiObject>> = BTreeMap::new();
         for (step, op) in ops.iter().enumerate() {
             apply(&mut api, &mut naive, op, true);
             apply(&mut twin, &mut twin_naive, op, false);
@@ -377,8 +402,7 @@ proptest! {
             prop_assert_eq!(api.object_count(), twin.object_count(), "reaping @{}", step);
             let (twin_events, _) = twin.events_since(cursor);
             // The watch log — order of every Added / Modified / Deleted,
-            // cascades included — is the pre-index one, and each snapshot
-            // reads as its own JSON decodes.
+            // cascades included — is the pre-index one.
             let (events, rv) = api.events_since(cursor);
             cursor = rv;
             prop_assert_eq!(events.len(), twin_events.len(), "twin events @{}", step);
@@ -386,6 +410,8 @@ proptest! {
                 prop_assert_eq!((ev.rv, ev.kind), (twin_ev.rv, twin_ev.kind));
                 prop_assert_eq!(&*ev.object, &*twin_ev.object, "twin snapshot @{}", step);
             }
+            let twin_latest: BTreeMap<u64, Rc<ApiObject>> =
+                twin_events.iter().map(|e| (e.object.meta.uid, Rc::clone(&e.object))).collect();
             // Only a full replace hands an object a spec of its own.
             let respecced = match *op {
                 Op::Replace { at, .. } => naive.get(&key_of(at)).map(|o| o.meta.uid),
@@ -404,16 +430,20 @@ proptest! {
                 }
                 latest.insert(uid, Rc::clone(&ev.object));
             }
+            // The door keeps an unchanged spec's handle too.
+            for (uid, o) in &twin_latest {
+                if let Some(prev) = twin_seen.insert(*uid, Rc::clone(o)) {
+                    prop_assert!(
+                        respecced == Some(*uid) || Rc::ptr_eq(&o.spec, &prev.spec),
+                        "the door copied {}'s spec @{}", o.full_name(), step
+                    );
+                }
+            }
             prop_assert_eq!(events.len(), naive.events.len() - seen, "events @{}", step);
-            for (i, (ev, (rv, kind, object))) in events.iter().zip(&naive.events[seen..]).enumerate() {
+            for (ev, (rv, kind, object)) in events.iter().zip(&naive.events[seen..]) {
                 prop_assert_eq!(ev.rv, *rv);
                 prop_assert_eq!(ev.kind, *kind);
                 prop_assert_eq!(&*ev.object, object);
-                let typed = decoded(object);
-                prop_assert_eq!(viewed(&ev.object), typed.clone(), "event view @{}", step);
-                if (seen + i) % 2 == 0 {
-                    held.push((Rc::clone(&ev.object), typed));
-                }
             }
             seen = naive.events.len();
             prop_assert_eq!(api.object_count(), naive.objects.len(), "step {}", step);
@@ -447,14 +477,85 @@ proptest! {
                         "owned_by {} {} @{}", uid, kind, step
                     );
                 }
-                for o in api.list(kind) {
-                    prop_assert_eq!(viewed(o), decoded(o), "stored view {} @{}", o.full_name(), step);
-                }
             }
         }
-        // Snapshots held across later writes kept their own views.
-        for (snapshot, typed) in &held {
-            prop_assert_eq!(&viewed(snapshot), typed, "held {}", snapshot.full_name());
-        }
+    }
+}
+
+/// The message `f` panicked with.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_door_round_trips_every_kind(
+        kind in 0..ALL_KINDS.len(),
+        v in any::<u8>(),
+        w in any::<u8>(),
+    ) {
+        let kind = ALL_KINDS[kind];
+        let (spec, status) = (spec_for(kind, v), status_for(kind, w));
+        let mut api = ApiServer::default();
+        // In as JSON: decoded once, at construction.
+        let obj = ApiObject::new(kind, "ns", "o", spec_json(&spec));
+        prop_assert_eq!(&*obj.spec, &spec);
+        prop_assert_eq!(obj.kind(), kind);
+        api.create(obj, SimTime::ZERO).unwrap();
+        api.mutate(kind, "ns", "o", |o| o.status = status_json(&status)).unwrap();
+        let stored = api.get_rc(kind, "ns", "o").unwrap();
+        prop_assert_eq!((&*stored.spec, &stored.status), (&spec, &status));
+        // Out through the wire form: the same JSON, so the same values.
+        let mut wire = None;
+        api.mutate(kind, "ns", "o", |o| wire = Some((o.spec.clone(), o.status.clone()))).unwrap();
+        prop_assert_eq!(wire, Some((spec_json(&spec), status_json(&status))));
+        // That was a no-op edit: a new resource version, one request and
+        // one Modified event, and nothing else changed or copied.
+        let after = api.get_rc(kind, "ns", "o").unwrap();
+        prop_assert_eq!(after.meta.resource_version, stored.meta.resource_version + 1);
+        let (events, _) = api.events_since(stored.meta.resource_version);
+        prop_assert_eq!(events.len(), 1);
+        prop_assert_eq!(events[0].kind, WatchType::Modified);
+        prop_assert_eq!(api.requests, 3);
+        prop_assert!(Rc::ptr_eq(&after.spec, &stored.spec), "a no-op edit copied the spec");
+        let mut same = (*after).clone();
+        same.meta.resource_version = stored.meta.resource_version;
+        prop_assert_eq!(&same, &*stored);
+    }
+
+    #[test]
+    fn a_json_edit_that_breaks_the_schema_panics_naming_the_object(
+        kind in 0..ALL_KINDS.len(),
+        status in any::<bool>(),
+    ) {
+        let kind = ALL_KINDS[kind];
+        let mut api = ApiServer::default();
+        api.create(ApiObject::from_spec("tenant", "obj-7", spec_for(kind, 3)), SimTime::ZERO)
+            .unwrap();
+        let msg = panic_message(|| {
+            let _ = api.mutate(kind, "tenant", "obj-7", |o| {
+                if status {
+                    o.status = json!(["not", "a", "status"]);
+                } else {
+                    o.spec = json!("not a spec");
+                }
+            });
+        });
+        let part = if status { "status" } else { "spec" };
+        prop_assert!(
+            msg.starts_with(&format!("bad {kind} {part} for tenant/obj-7: ")),
+            "{}", msg
+        );
+        // A schema break at construction names the object too.
+        let msg = panic_message(|| {
+            ApiObject::new(kind, "", "node-x", json!({ "parallelism": "many" }));
+        });
+        prop_assert!(msg.starts_with(&format!("bad {kind} spec for node-x: ")), "{}", msg);
     }
 }

@@ -31,12 +31,13 @@ fn run_ops(api: &mut ApiServer, ops: &[Op]) {
     for op in ops {
         match op {
             Op::Create { name } => {
-                let obj = ApiObject::new("Pod", "ns", &format!("p{name}"), serde_json::json!({}));
+                let spec = serde_json::json!({"image": "x"});
+                let obj = ApiObject::new("Pod", "ns", &format!("p{name}"), spec);
                 let _ = api.create(obj, SimTime::ZERO);
             }
             Op::Mutate { name } => {
                 let _ = api.mutate("Pod", "ns", &format!("p{name}"), |o| {
-                    o.status = serde_json::json!({"touched": true});
+                    o.status = serde_json::json!({"phase": "Running"});
                 });
             }
             Op::Delete { name } => {
@@ -175,7 +176,8 @@ proptest! {
     #[test]
     fn finalizers_gate_reaping(n_finalizers in 1usize..4) {
         let mut api = ApiServer::default();
-        let mut obj = ApiObject::new("Job", "ns", "j", serde_json::json!({}));
+        let spec = serde_json::json!({"parallelism": 1, "template": {"image": "x"}});
+        let mut obj = ApiObject::new("Job", "ns", "j", spec);
         for i in 0..n_finalizers {
             obj.meta.finalizers.push(format!("f{i}").into());
         }
@@ -195,7 +197,7 @@ proptest! {
         let mut api = ApiServer::default();
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..cycles {
-            let obj = ApiObject::new("Pod", "ns", "same-name", serde_json::json!({}));
+            let obj = ApiObject::new("Pod", "ns", "same-name", serde_json::json!({"image": "x"}));
             let created = api.create(obj, SimTime::ZERO).unwrap();
             prop_assert!(seen.insert(created.meta.uid), "uid reused");
             api.delete("Pod", "ns", "same-name").unwrap();
@@ -210,8 +212,8 @@ proptest! {
 fn reading_below_the_compacted_floor_panics() {
     let mut api = ApiServer::default();
     for name in ["a", "b", "c"] {
-        api.create(ApiObject::new("Pod", "ns", name, serde_json::json!({})), SimTime::ZERO)
-            .unwrap();
+        let pod = ApiObject::new("Pod", "ns", name, serde_json::json!({"image": "x"}));
+        api.create(pod, SimTime::ZERO).unwrap();
     }
     let (_, fast) = api.events_since(0);
     api.compact(fast - 1);

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use shs_des::SimTime;
 use shs_k8s::{
-    kinds, make_service, pod_ready, spec_of, ApiServer, Pleg, PodPhase, PodTemplate,
+    kinds, make_service, pod_ready, ApiServer, Pleg, PodPhase, PodTemplate,
     ServiceController, ServiceSpec, KUBELET_FINALIZER,
 };
 
@@ -110,12 +110,12 @@ fn apply(
         Op::Scale { replicas } => {
             let r = *replicas;
             let _ = api.mutate(kinds::SERVICE, NS, SVC, |o| {
-                std::rc::Rc::make_mut(&mut o.spec)["replicas"] = serde_json::json!(r);
+                o.spec["replicas"] = serde_json::json!(r);
             });
         }
         Op::Roll => {
             let _ = api.mutate(kinds::SERVICE, NS, SVC, |o| {
-                let spec = std::rc::Rc::make_mut(&mut o.spec);
+                let spec = &mut o.spec;
                 let v = spec["version"].as_u64().unwrap_or(0);
                 spec["version"] = serde_json::json!(v + 1);
             });
@@ -126,7 +126,7 @@ fn apply(
             // transition: ready may only go below the floor if a crash
             // already put it there, never by a reconcile decision.
             let spec: ServiceSpec =
-                spec_of(api.get(kinds::SERVICE, NS, SVC).expect("service exists"));
+                api.get(kinds::SERVICE, NS, SVC).expect("service exists").service_spec().clone();
             let floor = spec.replicas.saturating_sub(spec.max_unavailable) as usize;
             let before = ready_count(api);
             sc.poll(api, SimTime::from_nanos(step));
@@ -203,7 +203,7 @@ proptest! {
         prop_assert_eq!(ready_count(&api), replicas as usize);
 
         api.mutate(kinds::SERVICE, NS, SVC, |o| {
-            std::rc::Rc::make_mut(&mut o.spec)["version"] = serde_json::json!(1);
+            o.spec["version"] = serde_json::json!(1);
         }).unwrap();
         let floor = replicas.saturating_sub(1) as usize;
         let ceiling = (replicas + 1) as usize;

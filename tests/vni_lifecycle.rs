@@ -38,9 +38,7 @@ impl RunJudged for Cluster {
 }
 
 fn crd_vni(cluster: &Cluster, ns: &str, name: &str) -> u16 {
-    cluster.api.get(kinds::VNI, ns, name).expect("VNI CRD").spec["vni"]
-        .as_u64()
-        .expect("vni field") as u16
+    cluster.api.get(kinds::VNI, ns, name).expect("VNI CRD").vni_spec().vni
 }
 
 /// Two concurrently live jobs never share a VNI; a re-submitted job does
