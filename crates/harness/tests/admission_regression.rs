@@ -5,7 +5,10 @@
 //!   O(changes) (indexed API store, deadline-driven kubelet, watch-tallied
 //!   scheduler, shared watch snapshots). Byte equality here means every
 //!   sample and every per-job instant — hence the order of every API
-//!   mutation — survived the rewrite.
+//!   mutation — survived the rewrite. The ramp `vni:true` capture was
+//!   re-pinned once since, when a parent deleted while queued stopped
+//!   costing a webhook call: two reaps land earlier, and no admission
+//!   instant moved.
 //! * The 600-job cliff: past 253 pods *ever started* per node the bridge
 //!   IPAM used to run dry, leaving jobs `Failed` forever.
 //! * The 2 000-job cliff: nodes used to advertise `maxPods` 256 over a

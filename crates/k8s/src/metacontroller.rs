@@ -200,8 +200,14 @@ impl<H: DecoratorHooks> Metacontroller<H> {
             }
         }
 
-        // Serve the queue under the serial webhook budget.
+        // Serve the queue under the serial webhook budget. A key no
+        // longer in `queued` was deleted while it waited: there is no
+        // parent to call the webhook for, so it costs nothing.
         while let Some((key, enq)) = self.queue.front().cloned() {
+            if !self.queued.contains(&key) {
+                self.queue.pop_front();
+                continue;
+            }
             let finish = self.busy_until.max(enq) + self.config.webhook_latency;
             if finish > now {
                 break;
@@ -371,6 +377,25 @@ mod tests {
         mc.poll(&mut api, SimTime::from_nanos(1_000_000_000));
         assert_eq!(mc.counters.sync_calls, 10);
         assert_eq!(api.list("Vni").len(), 10);
+    }
+
+    #[test]
+    fn a_parent_deleted_while_queued_costs_no_webhook_call() {
+        let mut api = ApiServer::default();
+        let mut mc =
+            Metacontroller::new(config(), OneChild { finalize_after_calls: 1, finalize_seen: 0 });
+        api.create(annotated_job("j1"), SimTime::ZERO).unwrap();
+        api.create(annotated_job("j2"), SimTime::ZERO).unwrap();
+        mc.poll(&mut api, SimTime::ZERO);
+        assert_eq!(mc.backlog(), 2);
+        // Reaped before its call: no finalizer was added yet.
+        api.delete("Job", "ns", "j1").unwrap();
+        // j2's call is the first the server makes, so it completes one
+        // latency after enqueue, not two.
+        mc.poll(&mut api, SimTime::from_nanos(10_000_000));
+        assert_eq!(mc.counters.sync_calls, 1);
+        assert!(api.get("Vni", "ns", "vni-j2").is_some());
+        assert_eq!(mc.backlog(), 0);
     }
 
     #[test]
