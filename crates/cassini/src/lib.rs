@@ -8,7 +8,7 @@
 //! paper's communication-overhead figures (5-8) come out flat.
 //!
 //! Timing constants ([`CassiniParams`]) are calibrated to 200 Gb/s
-//! Slingshot magnitudes; see EXPERIMENTS.md.
+//! Slingshot magnitudes: the paper's Figs. 5 and 7.
 
 pub(crate) mod nic;
 pub(crate) mod params;

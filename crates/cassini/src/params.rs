@@ -3,7 +3,8 @@
 //! Calibrated so that the full stack (libfabric-like layer + MPI-lite on
 //! top) reproduces the magnitudes of the paper's Figs. 5 and 7: ~2 µs
 //! small-message one-way latency and ~24 GB/s peak `osu_bw` throughput on
-//! a 200 Gb/s link. See EXPERIMENTS.md for the calibration record.
+//! a 200 Gb/s link. `repro fig5` and `repro fig7` print the measured
+//! values beside the paper's.
 
 /// Timing constants for the NIC data path.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -54,17 +54,11 @@ pub struct ClusterConfig {
     /// quarantine window releases capacity.
     pub vni_resync: Option<SimDur>,
     /// Fabric shape. `None` (the default) is the legacy single switch
-    /// with `nodes + 8` edge ports; a dragonfly spec places nodes onto
-    /// topology switches per [`ClusterConfig::placement`], so
-    /// cross-switch and cross-group contention scenarios can be
-    /// expressed.
+    /// with `nodes + 8` edge ports; a dragonfly spec places node *i* on
+    /// switch *i* mod switches, so consecutive nodes alternate
+    /// dragonfly groups and cross-switch and cross-group contention
+    /// scenarios can be expressed (see `COLLECTIVES.md`).
     pub topology: Option<TopologySpec>,
-    /// How nodes map onto topology switches — the rank-placement knob
-    /// for collectives (see `COLLECTIVES.md`): round-robin skews a
-    /// job's ranks across dragonfly groups (every ring hop crosses a
-    /// trunk), packed fills each switch's edge ports first so
-    /// consecutive nodes share a group.
-    pub placement: NodePlacement,
     /// Fabric routing policy. The default (`Minimal`) keeps every
     /// legacy scenario byte-identical; `Adaptive` turns on the per-
     /// message UGAL minimal-vs-Valiant choice (see FABRIC.md).
@@ -72,18 +66,6 @@ pub struct ClusterConfig {
     /// Fabric cost model; scenarios override it to lower the ECN
     /// threshold (sender pacing) or bias the UGAL decision.
     pub cost_model: CostModel,
-}
-
-/// Node → switch placement policy (topology-aware rank placement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NodePlacement {
-    /// Node *i* on switch *i* mod switches — ranks of a multi-node job
-    /// alternate dragonfly groups (the legacy default).
-    #[default]
-    RoundRobin,
-    /// Node *i* on switch *i* / edge_ports — consecutive nodes fill one
-    /// switch (and therefore one group) before spilling to the next.
-    Packed,
 }
 
 impl Default for ClusterConfig {
@@ -98,7 +80,6 @@ impl Default for ClusterConfig {
             nic_params: CassiniParams::default(),
             vni_resync: None,
             topology: None,
-            placement: NodePlacement::RoundRobin,
             routing: RoutingPolicy::Minimal,
             cost_model: CostModel::default(),
         }
@@ -318,11 +299,7 @@ impl Cluster {
         for i in 0..config.nodes {
             let name = format!("node{i}");
             let nic = NicAddr(i as u32 + 1);
-            let sw = match config.placement {
-                NodePlacement::RoundRobin => i % switches,
-                NodePlacement::Packed => i / spec.edge_ports,
-            };
-            fabric.attach_to(nic, SwitchId(sw));
+            fabric.attach_to(nic, SwitchId(i % switches));
             fabric.grant_vni(nic, Vni::GLOBAL).expect("node NIC just attached");
             let host = Host::new(&name);
             let mut device = CxiDevice::new(
@@ -920,18 +897,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_placement_fills_groups_and_pinning_constrains_ranks() {
+    fn pinning_constrains_ranks_to_the_named_nodes() {
         let mut c = Cluster::new(ClusterConfig {
             nodes: 8,
             topology: Some(TopologySpec { groups: 2, switches_per_group: 1, edge_ports: 4 }),
-            placement: NodePlacement::Packed,
             ..Default::default()
         });
-        // Packed: nodes 0-3 fill switch 0 (group 0), 4-7 switch 1.
-        for (i, n) in c.nodes.iter().enumerate() {
-            let (sw, _) = c.fabric.attachment(n.inner.nic).unwrap();
-            assert_eq!(sw.0, i / 4, "node{i}");
-        }
         // A pinned job may only land on the named nodes, even though
         // others are less loaded.
         c.submit_job_placed(SimTime::ZERO, "t", "pin", &[], 2, &alpine(), None, Some(&[5, 6]));

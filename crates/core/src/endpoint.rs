@@ -25,7 +25,7 @@ use shs_k8s::{
 
 use crate::vni_db::{VniDb, VniDbError, VniOwner};
 
-/// Endpoint counters (observability; also used by EXPERIMENTS.md).
+/// Endpoint counters (observability).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EndpointCounters {
     /// Successful VNI acquisitions.

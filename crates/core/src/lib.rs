@@ -20,9 +20,8 @@
 //!   NICs, the fabric, container runtimes, CNI chains, kubelets and the
 //!   control plane into one deterministic simulated cluster;
 //! * **cluster-scale fabric sweeps** (`parsim`) — named 128–1024-node
-//!   dragonfly fabric scenarios running sharded per group under
-//!   `shs_des::ShardedSim`, their reports pinned byte for byte by
-//!   fixtures.
+//!   dragonfly fabric scenarios, each on one `shs_des::Sim` with one net
+//!   per group, their reports pinned byte for byte by fixtures.
 //!
 //! ```
 //! use shs_des::{SimDur, SimTime};
@@ -48,7 +47,7 @@ pub mod vni_db;
 pub mod workloads;
 
 pub use cluster::{
-    alpine, osu_image, Cluster, ClusterConfig, Node, NodeInner, NodePlacement, PodHandle,
+    alpine, osu_image, Cluster, ClusterConfig, Node, NodeInner, PodHandle,
 };
 pub use chain::{NodeChain, NodeCniCtx, NodeCniPlugin};
 pub use cxi_cni::{CxiCniParams, CxiCniPlugin};

@@ -9,11 +9,13 @@
 //! every library report at seed 42: the twelve job-only reports were
 //! generated *before* the serving plane existed, so matching them today
 //! proves that merging Services/PLEG changed no byte of any pre-existing
-//! report (no new JSON fields, no counter drift). The four fabric-sweep
-//! fixtures were rendered by the threaded engine at 1 and 2 workers
-//! (identical bytes) before it was reduced to one thread, and
-//! `dragonfly-1024-256B` by the engine that still scheduled every
-//! launch up front, before injection was streamed.
+//! report (no new JSON fields, no counter drift). The five fabric-sweep
+//! fixtures were re-pinned once when the sweeps moved from one shard
+//! per group onto one `Sim`: only the sharding keys left them, and
+//! `dragonfly-256-trunkcut`'s event count fell by its per-group copies
+//! of two faults; every traffic figure is the earlier engines' (threaded
+//! at 1 and 2 workers, and for `dragonfly-1024-256B` with every launch
+//! scheduled up front).
 
 use shs_fabric::{CostModel, RoutingPolicy, SweepConfig, TopologySpec};
 use slingshot_k8s::{
@@ -50,7 +52,7 @@ fn dragonfly_1024_256b(seed: u64) -> FabricScenario {
 /// and the service Metacontroller are invisible to scenarios that don't
 /// plan them; the three service fixtures freeze the serving-plane
 /// reports themselves, and the five sweep fixtures (the library's four
-/// and the benchmark shape) freeze the sharded fabric engine's.
+/// and the benchmark shape) freeze the fabric sweeps'.
 #[test]
 fn library_reports_match_their_committed_fixtures() {
     let scenarios = library(42).into_iter().map(|s| {

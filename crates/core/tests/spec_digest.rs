@@ -6,11 +6,13 @@
 //! last event, a pin list on an idle job — and names the scenario.
 //!
 //! A deliberate spec change updates the digest here, in the same commit.
-//! The fifteen library digests were re-pinned twice since, each time for
-//! a `ClusterConfig` field every spec carried: `max_pods_per_node`, then
-//! `vni_shards`. Putting `max_pods_per_node: 256, ` back in front of
-//! `nic_params:`, then `vni_shards: 1, ` after `vni_resync: …, `,
-//! reproduced each digest pinned before, so nothing else moved.
+//! The fifteen library digests were re-pinned three times since, each
+//! time for a `ClusterConfig` field every spec carried:
+//! `max_pods_per_node`, `vni_shards`, then `placement`. Putting
+//! `max_pods_per_node: 256, ` back in front of `nic_params:`,
+//! `vni_shards: 1, ` after `vni_resync: …, `, then
+//! `placement: RoundRobin, ` in front of `routing:`, reproduced each
+//! digest pinned before, so nothing else moved.
 
 use slingshot_k8s::scenario::{library, stress_by_name, stress_library};
 
@@ -33,21 +35,21 @@ fn library_specs_match_their_pinned_digests() {
     assert_digests(
         library(42).iter().map(|s| (s.name.clone(), format!("{s:?}"))).collect(),
         &[
-            ("steady-state", 0x2d370d128c202296),
-            ("churn", 0x1fa45bd064168b19),
-            ("quarantine-pressure", 0x422429676fb6d503),
-            ("node-drain", 0xbe0ea64ba66e2771),
-            ("oversubscribed", 0x722f96e5049b989d),
-            ("noisy-neighbor", 0xd1a4232876787ef2),
-            ("incast", 0x12ef74c4e0e4304f),
-            ("collective-noisy-neighbor", 0x5296cc4c517424c2),
-            ("cross-group-allreduce", 0x45558425b6562526),
-            ("trunk-cut-allreduce", 0x159bb08198add4b0),
-            ("flapping-link-incast", 0xffed24f265213805),
-            ("adaptive-incast", 0xa21e1a59bad1f2f0),
-            ("service-mesh-allreduce", 0x61aeb9f02aa4e411),
-            ("autoscale-burst", 0xcfe7b50494a70270),
-            ("rolling-update-allreduce", 0x825f569f06e7ab8a),
+            ("steady-state", 0x95364cef9f38a119),
+            ("churn", 0x7d30594330762fa8),
+            ("quarantine-pressure", 0x5928293bc84deaf8),
+            ("node-drain", 0x2d1b04395bad0502),
+            ("oversubscribed", 0xc613c48204c59446),
+            ("noisy-neighbor", 0x5f314d53152874b3),
+            ("incast", 0xdc2c43b5c0cf4dc6),
+            ("collective-noisy-neighbor", 0xc2035bd42768c8d3),
+            ("cross-group-allreduce", 0x754fa864afee47fb),
+            ("trunk-cut-allreduce", 0xc9c8af9e7154b477),
+            ("flapping-link-incast", 0x96a94f4cb3905fd2),
+            ("adaptive-incast", 0x22e35ca7ad7b88a3),
+            ("service-mesh-allreduce", 0x958d5bf597d7605a),
+            ("autoscale-burst", 0x7608245a3fdd25f9),
+            ("rolling-update-allreduce", 0x29f4f52e0fa72cc1),
         ],
     );
 }

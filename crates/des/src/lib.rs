@@ -25,23 +25,11 @@
 //! assert_eq!(sim.now().as_nanos(), 1_100);
 //! ```
 
-//!
-//! For cluster-scale models the same [`Sim`] also runs as one shard of
-//! a **sharded decomposition**: a [`ShardSim`] is a `Sim` whose world
-//! carries an id, a lookahead and an outbox, and the conservative-window
-//! coordinator [`ShardedSim`] steps one shard per switch group on the
-//! calling thread — see the `sharded` module docs for the
-//! synchronisation algebra and what it proves.
-
 pub(crate) mod rng;
-pub(crate) mod shard;
-pub(crate) mod sharded;
 pub(crate) mod sim;
 pub mod stats;
 pub(crate) mod time;
 
 pub use rng::DetRng;
-pub use shard::{Shard, ShardId, ShardSim};
-pub use sharded::ShardedSim;
 pub use sim::{Event, EventFn, Sim};
 pub use time::{SimDur, SimTime};

@@ -270,10 +270,8 @@ impl<W, E> Sim<W, E> {
         self.queue.len()
     }
 
-    /// Due time of the earliest queued event. The one peek:
-    /// [`run_until`](Self::run_until) and a shard's window stop on it,
-    /// and the sharded coordinator takes its minimum across all shards
-    /// to open the next window.
+    /// Due time of the earliest queued event: the peek
+    /// [`run_until`](Self::run_until) stops on.
     #[inline]
     pub(crate) fn next_time(&self) -> Option<SimTime> {
         self.queue.peek().map(|e| e.time)
@@ -331,11 +329,6 @@ impl<W, E> Sim<W, E> {
         debug_assert!(t >= self.now, "scheduling into the past: {t} < {}", self.now);
         self.push(t.max(self.now), slot, e);
     }
-
-    /// Advance the clock to `t` if it lags behind.
-    pub(crate) fn advance_to(&mut self, t: SimTime) {
-        self.now = self.now.max(t);
-    }
 }
 
 impl<W, E: Event<W>> Sim<W, E> {
@@ -362,22 +355,11 @@ impl<W, E: Event<W>> Sim<W, E> {
     /// Events scheduled exactly at the deadline still execute; the clock
     /// is advanced to the deadline if the queue empties earlier.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.run_through(deadline);
-        self.advance_to(deadline);
-    }
-
-    /// Execute every event due at or before `last`, in `(time, seq)`
-    /// order, follow-ups included. Unlike [`run_until`](Self::run_until)
-    /// the clock stays at the last event executed, and later events are
-    /// left untouched: an event scheduled afterwards below the queued
-    /// head still runs first. One shard's share of a coordinator
-    /// window.
-    pub(crate) fn run_through(&mut self, last: SimTime) {
-        while self.next_time().is_some_and(|t| t <= last) {
+        while self.next_time().is_some_and(|t| t <= deadline) {
             self.step();
         }
+        self.now = self.now.max(deadline);
     }
-
 }
 
 #[cfg(test)]
@@ -692,9 +674,9 @@ mod tests {
 
     #[test]
     fn a_declined_deadline_leaves_nearer_events_runnable_first() {
-        // What a sharded run leans on: a shard declines a window that
-        // ends before its head, and another shard then injects an event
-        // between that window's end and the declined head.
+        // A deadline that ends before the head declines it, and an event
+        // scheduled afterwards between the deadline and that head still
+        // runs first.
         let mut sim = Sim::new(W::default());
         sim.at(SimTime::from_nanos(2 * FAR), log("start"));
         sim.run();

@@ -31,6 +31,15 @@
 //! * pops interleaved with pushes at the clock's monotone floor;
 //! * `run_until` declining a far-future head, after which the script
 //!   schedules nearer events that must run first.
+//!
+//! A second property holds what the reserved slots are for: chains of
+//! events at strictly increasing instants, dense with equal-time ties
+//! between chains, bystanders and follow-ups, run identically whether
+//! every link is scheduled at setup or each link queues only its
+//! successor under [`Sim::schedule_slot`] — the streamed injection of a
+//! fabric sweep.
+
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use shs_des::{Event, Sim, SimDur, SimTime};
@@ -358,5 +367,111 @@ proptest! {
         drains_like_model(&mut fork, &mut fork_model)?;
         follows_model(&mut sim, &mut model, suffix)?;
         drains_like_model(&mut sim, &mut model)?;
+    }
+}
+
+/// Apply trace of the chain workload: `(time ns, label)`.
+type Trace = Vec<(u64, u32)>;
+
+/// One process: links due at strictly increasing instants, some of
+/// which also schedule a follow-up `delay` ns after they run.
+#[derive(Debug, Clone)]
+struct Chain {
+    links: Vec<(u64, Option<u64>)>,
+}
+
+#[derive(Debug, Clone)]
+struct ChainWorkload {
+    chains: Vec<Chain>,
+    /// Plain events scheduled before the chains, and after them.
+    before: Vec<u64>,
+    after: Vec<u64>,
+}
+
+fn chain_workload_strategy() -> impl Strategy<Value = ChainWorkload> {
+    // Gaps of 1–4 ns over a handful of chains: ties everywhere.
+    let follow = prop_oneof![2 => Just(None), 1 => (0u64..8).prop_map(Some)];
+    let chain = prop::collection::vec((1u64..=4, follow), 1..12).prop_map(|gaps| {
+        let mut t = 0;
+        let links = gaps
+            .into_iter()
+            .map(|(gap, follow)| {
+                t += gap;
+                (t, follow)
+            })
+            .collect();
+        Chain { links }
+    });
+    let plain = || prop::collection::vec(0u64..48, 0..6);
+    (prop::collection::vec(chain, 1..8), plain(), plain())
+        .prop_map(|(chains, before, after)| ChainWorkload { chains, before, after })
+}
+
+/// The chain workload's events.
+enum ChainEv {
+    /// Log `(now, label)`.
+    Log(u32),
+    /// Link `k` of `chain` (numbered `id`); `slots` is the chain's first
+    /// reserved slot when links are chained.
+    Link { chain: Rc<Chain>, id: u32, k: usize, slots: Option<u64> },
+}
+
+impl Event<Trace> for ChainEv {
+    fn fire(self, s: &mut Sim<Trace, ChainEv>) {
+        match self {
+            ChainEv::Log(label) => {
+                let t = s.now().as_nanos();
+                s.world.push((t, label));
+            }
+            ChainEv::Link { chain, id, k, slots } => {
+                if let (Some(first), Some(&(t, _))) = (slots, chain.links.get(k + 1)) {
+                    let next = ChainEv::Link { chain: Rc::clone(&chain), id, k: k + 1, slots };
+                    s.schedule_slot(SimTime::from_nanos(t), first + k as u64 + 1, next);
+                }
+                let label = id * 100 + k as u32;
+                ChainEv::Log(label).fire(s);
+                if let Some(delay) = chain.links[k].1 {
+                    s.schedule_after(SimDur::from_nanos(delay), ChainEv::Log(10_000 + label));
+                }
+            }
+        }
+    }
+}
+
+/// Run the chain workload with every link scheduled at setup
+/// (`chained = false`), or with each chain's block of slots reserved at
+/// the same point and every link queuing only its successor.
+fn run_chains(w: &ChainWorkload, chained: bool) -> (Trace, u64) {
+    let mut sim: Sim<Trace, ChainEv> = Sim::typed(Trace::new());
+    for &t in &w.before {
+        sim.schedule(SimTime::from_nanos(t), ChainEv::Log(20_000));
+    }
+    for (id, chain) in w.chains.iter().enumerate() {
+        let (id, chain) = (id as u32, Rc::new(chain.clone()));
+        if chained {
+            let first = sim.reserve(chain.links.len() as u64);
+            let t = SimTime::from_nanos(chain.links[0].0);
+            sim.schedule_slot(t, first, ChainEv::Link { chain, id, k: 0, slots: Some(first) });
+        } else {
+            for (k, &(t, _)) in chain.links.iter().enumerate() {
+                let link = ChainEv::Link { chain: Rc::clone(&chain), id, k, slots: None };
+                sim.schedule(SimTime::from_nanos(t), link);
+            }
+        }
+    }
+    for &t in &w.after {
+        sim.schedule(SimTime::from_nanos(t), ChainEv::Log(30_000));
+    }
+    sim.run();
+    let executed = sim.events_executed();
+    (sim.world, executed)
+}
+
+proptest! {
+    /// Filling reserved slots one link ahead is indistinguishable from
+    /// scheduling every link up front: same trace, same event count.
+    #[test]
+    fn chains_under_reserved_slots_match_eager_scheduling(w in chain_workload_strategy()) {
+        prop_assert_eq!(run_chains(&w, true), run_chains(&w, false));
     }
 }

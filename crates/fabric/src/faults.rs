@@ -10,11 +10,9 @@
 //! instance of the packet path picks the same detour.
 //!
 //! The serial [`crate::Fabric`] applies [`FaultKind`] events directly;
-//! the sharded engine ([`crate::shardsim`]) schedules the same
-//! globally-known fault schedule into **every** shard's local event
-//! queue — liveness views never diverge between shards, so no
-//! cross-shard fault notification exists and the conservative lookahead
-//! is untouched by failures.
+//! a fabric sweep ([`crate::shardsim`]) schedules each fault as one
+//! event that flips every group's liveness view, so the views never
+//! diverge.
 
 use std::collections::BTreeSet;
 

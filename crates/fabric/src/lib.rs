@@ -25,8 +25,8 @@
 //! There is one packet path (`trunknet.rs`: trunk state, liveness, route
 //! selection, the hop walk). [`fabric::Fabric`] is that path owning
 //! every dragonfly group; for cluster-scale sweeps (1000+ nodes) the
-//! [`shardsim`] module runs one instance per group under
-//! `shs_des::ShardedSim`, one shard after another on the calling thread.
+//! [`shardsim`] module runs one instance per group inside one
+//! `shs_des::Sim`.
 
 pub(crate) mod fabric;
 pub(crate) mod faults;
@@ -46,8 +46,7 @@ pub use packet::{segment, CostModel, Packet};
 pub use ring::{ring_allreduce_schedule, ring_step_into};
 pub use switch::{DropReason, Switch, SwitchConfig, SwitchCounters, Verdict, WrrArbiter};
 pub use shardsim::{
-    run_sweep, sweep_messages, GroupCounters, GroupNet, SweepConfig, SweepFault,
-    SweepMsg, SweepStats,
+    run_sweep, sweep_messages, GroupCounters, SweepConfig, SweepFault, SweepMsg, SweepStats,
 };
 pub use topology::{GroupView, RoutingPolicy, Topology, TopologySpec};
 pub use trunknet::TrunkClassCounters;

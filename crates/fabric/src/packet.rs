@@ -3,7 +3,8 @@
 use crate::types::{NicAddr, TrafficClass, Vni};
 
 /// Link/fabric cost-model constants, calibrated to Slingshot 200 Gbps
-/// magnitudes (see DESIGN.md §1 and EXPERIMENTS.md for calibration).
+/// magnitudes (FABRIC.md, "The packet path", shows where each is
+/// charged).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Link bandwidth in bytes per nanosecond (25 B/ns == 200 Gb/s).

@@ -1,50 +1,35 @@
-//! Sharded fabric engine: one [`ShardSim`] per dragonfly group under
-//! the conservative-window coordinator [`ShardedSim`], for
-//! cluster-scale sweeps (1000+ nodes). The shards run one after another
-//! on the calling thread; the decomposition is what makes each group's
-//! slice of a sweep a function of that group's events alone.
+//! Fabric sweeps: synthetic all-groups traffic over 128–1024-node
+//! dragonfly topologies, run on one [`Sim`] whose world holds one
+//! `GroupNet` per dragonfly group.
 //!
-//! # Shard ownership
+//! # Groups and hand-offs
 //!
-//! The partition follows `Topology::group_view`: a shard owns its
-//! group's switches, the edge links of the nodes attached there, and
-//! every directed trunk *sourced* in the group. A message's walk only
-//! ever reserves state the executing shard owns; when the route crosses
-//! a group boundary the message has, by then, cleared the boundary
-//! trunk (owned by the sending shard), and the continuation is handed
-//! to the destination group via [`ShardSim::send_to`], due at the
-//! head's arrival instant on the far side.
-//!
-//! # The lookahead rule
-//!
-//! Every cross-group handoff is due at least one trunk step —
-//! propagation + hop latency, `trunk_lookahead` — after the emitting
-//! event's time: a launch event hands off no earlier than uplink + the
-//! boundary trunk step (2 steps), and a continuation entering group
-//! *g* hands off to a third group no earlier than one further trunk
-//! step. That bound is the coordinator's conservative lookahead, so no
-//! shard ever receives an event below its local clock (asserted by
-//! `tests/shardsim_props.rs` over arbitrary topologies).
+//! A group's net owns the group's switches, the edge links of the nodes
+//! attached there, and every directed trunk *sourced* in the group
+//! (`Topology::group_view`). A message's walk reserves only the trunks
+//! of the group it is in; when the route crosses a group boundary the
+//! message has, by then, cleared the boundary trunk, and its
+//! continuation is scheduled at the head's arrival instant on the far
+//! side, where the next group's net walks it on. So every boundary
+//! trunk's far side is reserved in the order heads arrive there.
 //!
 //! # Streamed injection
 //!
 //! The workload is a pure function of the config (`sweep_message`, the
 //! generator behind [`sweep_messages`]), so it is never materialized:
 //! every node is a self-rescheduling process whose launch event first
-//! queues the node's *next* generated message, and a shard's queue
-//! holds one launch per node plus the continuations in flight —
-//! O(nodes), not O(messages). Queuing a launch that late is
-//! unobservable because its place in the tie-break order is reserved
-//! at setup ([`shs_des::Sim::reserve`]): the shard's faults first, then
-//! one slot per `(node, k)` in node-major order, then — under plain
-//! insertion order — every continuation. A node's injection instants
-//! strictly increase, so its successor is always in the future when it
-//! is queued, and the earliest pending launch of every node (hence
-//! every coordinator window) is that of the fully scheduled sweep.
+//! queues the node's *next* generated message, and the queue holds one
+//! launch per node plus the continuations in flight — O(nodes), not
+//! O(messages). Queuing a launch that late is unobservable because its
+//! place in the tie-break order is reserved at setup
+//! ([`shs_des::Sim::reserve`]): the faults first, then one slot per
+//! `(node, k)` in node-major order, then — under plain insertion order
+//! — every continuation. A node's injection instants strictly increase,
+//! so its successor is always in the future when it is queued.
 //!
 //! # Per-hop timing
 //!
-//! A shard is the packet path of `trunknet.rs` owning one group —
+//! A group's net is the packet path of `trunknet.rs` owning one group —
 //! the serial [`Fabric`](crate::Fabric) is the same code owning all of
 //! them — so routing, edge links, weighted trunk sharing and finite
 //! queues cannot differ between the engines. This engine measures
@@ -53,7 +38,7 @@
 
 use std::rc::Rc;
 
-use shs_des::{Event, Shard, ShardSim, ShardedSim, SimDur, SimTime};
+use shs_des::{Event, Sim, SimDur, SimTime};
 
 use crate::faults::{FaultKind, MAX_REPAIR_PATH};
 use crate::packet::CostModel;
@@ -61,16 +46,15 @@ use crate::topology::{RoutingPolicy, Topology, TopologySpec};
 use crate::trunknet::{LinkState, RouteBuf, TrunkNet, WalkEnd};
 use crate::types::{SwitchId, TrafficClass};
 
-/// The conservative lookahead of the sharded engine: one trunk step.
-/// Any event an in-flight message triggers in *another* group is at
-/// least one boundary-trunk traversal away.
-pub(crate) fn trunk_lookahead(model: &CostModel) -> SimDur {
+/// One trunk step: propagation + hop latency, the least time a head
+/// spends between two switches.
+fn trunk_step(model: &CostModel) -> SimDur {
     SimDur::from_nanos(model.propagation_ns + model.hop_latency_ns)
 }
 
 /// One message of a sweep's generated workload (see
 /// [`sweep_messages`]); small and `Copy`, so continuations carry it
-/// across shard boundaries by value.
+/// across group boundaries by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepMsg {
     /// Sending node (global id; node `i` hangs off switch
@@ -88,43 +72,48 @@ pub struct SweepMsg {
     pub id: u64,
 }
 
-/// A sweep shard's events, as plain data: the whole of what a sweep
-/// ever schedules.
+/// A sweep's events, as plain data: the whole of what a sweep ever
+/// schedules.
 #[derive(Clone, Copy)]
 enum SweepEv {
-    /// A scheduled fault of the globally-known schedule.
+    /// A scheduled fault: every group's liveness view flips.
     Fault(FaultKind),
-    /// A node's launch: queue its next message, then inject this one.
-    Launch(SweepMsg),
-    /// A message handed across a group boundary, resuming its walk at
-    /// hop `pos` of its carried route; its head arrives now.
-    Continue { m: SweepMsg, route: RouteBuf, hops: usize, pos: usize, tail_t: SimTime },
+    /// The launch of a node of `group`: queue its next message, then
+    /// inject this one.
+    Launch { group: usize, m: SweepMsg },
+    /// A message that crossed into `group`, resuming its walk at hop
+    /// `pos` of its carried route; its head arrives now.
+    Continue { group: usize, m: SweepMsg, route: RouteBuf, hops: usize, pos: usize, tail_t: SimTime },
     /// An injection with no successor to queue: the launches of the
     /// test oracle `run_sweep_materialized`, every one queued up front.
     #[cfg(test)]
-    Inject(SweepMsg),
+    Inject { group: usize, m: SweepMsg },
 }
 
-/// One shard of a sweep.
-type GroupSim = ShardSim<GroupNet, SweepEv>;
+/// A sweep's simulator.
+type SweepSim = Sim<SweepNet, SweepEv>;
 
-impl Event<Shard<GroupNet, SweepEv>> for SweepEv {
+impl Event<SweepNet> for SweepEv {
     #[inline]
-    fn fire(self, s: &mut GroupSim) {
+    fn fire(self, s: &mut SweepSim) {
         match self {
-            SweepEv::Fault(kind) => s.world.net.apply_fault(kind),
-            SweepEv::Launch(m) => launch(s, m),
-            SweepEv::Continue { m, route, hops, pos, tail_t } => {
+            SweepEv::Fault(kind) => {
+                for g in &mut s.world.groups {
+                    g.net.apply_fault(kind);
+                }
+            }
+            SweepEv::Launch { group, m } => launch(s, group, m),
+            SweepEv::Continue { group, m, route, hops, pos, tail_t } => {
                 let head = s.now();
-                walk_from(s, m, route, hops, pos, head, tail_t);
+                walk_from(s, group, m, route, hops, pos, head, tail_t);
             }
             #[cfg(test)]
-            SweepEv::Inject(m) => inject(s, m),
+            SweepEv::Inject { group, m } => inject(s, group, m),
         }
     }
 }
 
-/// Counters one shard owns outright (its group's slice of the sweep).
+/// Counters of one group's slice of a sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupCounters {
     /// Messages launched by nodes of this group.
@@ -151,101 +140,95 @@ pub struct GroupCounters {
     pub route_drops: u64,
 }
 
-/// The per-shard world: one group's slice of the fabric, and the
-/// generator of the messages its nodes inject.
-pub struct GroupNet {
-    /// The trunks sourced in this group, plus this shard's view of
-    /// fabric liveness. Every shard schedules the same globally-known
-    /// fault schedule locally, so the views never diverge and no
-    /// cross-shard fault notification (which would break the lookahead)
-    /// is needed.
+/// One dragonfly group's slice of the fabric.
+struct GroupNet {
+    /// The trunks sourced in this group, plus the group's view of
+    /// fabric liveness (every fault flips every group's view).
     net: TrunkNet,
-    /// The sweep being run: what [`sweep_message`] generates this
-    /// group's launches from, one message ahead per node.
-    cfg: Rc<SweepConfig>,
     /// First global node id of this group.
     node_base: u32,
-    /// First of the shard's reserved launch slots: message `k` of local
-    /// node `n` launches under slot
-    /// `slot_base + n · messages_per_node + k`.
-    slot_base: u64,
     /// Edge-link occupancy per local node.
     edge: Vec<LinkState>,
     /// The group's counters.
-    pub counters: GroupCounters,
+    counters: GroupCounters,
 }
 
 impl GroupNet {
-    fn new(topo: Rc<Topology>, cfg: Rc<SweepConfig>, group: usize) -> Self {
-        let nodes_per_group = nodes_per_group(&cfg) as usize;
-        GroupNet {
-            net: TrunkNet::new(topo, cfg.model, Some(group)),
-            cfg,
-            node_base: (group * nodes_per_group) as u32,
-            slot_base: 0,
-            edge: vec![LinkState::default(); nodes_per_group],
-            counters: GroupCounters::default(),
-        }
-    }
-
-    #[inline]
-    fn switch_of(&self, node: u32) -> SwitchId {
-        SwitchId(node as usize / self.cfg.nodes_per_switch)
-    }
-
     #[inline]
     fn edge_mut(&mut self, node: u32) -> &mut LinkState {
         &mut self.edge[(node - self.node_base) as usize]
     }
 }
 
-/// Queue the launch of `node`'s first generated message with index
-/// `≥ from_k` (indices that generate `None` are skipped) under its
-/// reserved slot, and return its injection instant.
-fn queue_next_launch(s: &mut GroupSim, node: u32, from_k: u32) -> Option<SimTime> {
+/// A sweep's world: the config its launches are generated from, one
+/// net per group, and the hand-offs between them.
+struct SweepNet {
+    cfg: SweepConfig,
+    /// First of the reserved launch slots: message `k` of node `n`
+    /// launches under slot `slot_base + n · messages_per_node + k`.
+    slot_base: u64,
+    groups: Vec<GroupNet>,
+    /// Continuations scheduled at a group boundary.
+    handoffs: u64,
+}
+
+impl SweepNet {
+    #[inline]
+    fn switch_of(&self, node: u32) -> SwitchId {
+        SwitchId(node as usize / self.cfg.nodes_per_switch)
+    }
+}
+
+/// Queue the launch of `node`'s (a node of `group`) first generated
+/// message with index `≥ from_k` (indices that generate `None` are
+/// skipped) under its reserved slot, and return its injection instant.
+fn queue_next_launch(s: &mut SweepSim, group: usize, node: u32, from_k: u32) -> Option<SimTime> {
     let w = &s.world;
     let per_node = w.cfg.messages_per_node;
     let (k, m) = (from_k..per_node).find_map(|k| Some((k, sweep_message(&w.cfg, node, k)?)))?;
-    let slot = w.slot_base + (node - w.node_base) as u64 * per_node as u64 + k as u64;
-    s.schedule_slot(m.t0, slot, SweepEv::Launch(m));
+    let slot = w.slot_base + node as u64 * per_node as u64 + k as u64;
+    s.schedule_slot(m.t0, slot, SweepEv::Launch { group, m });
     Some(m.t0)
 }
 
 /// The launch event: queue the node's next message, then inject this
 /// one.
-fn launch(s: &mut GroupSim, m: SweepMsg) {
-    let next_t0 = queue_next_launch(s, m.src, m.id as u32 + 1);
+fn launch(s: &mut SweepSim, group: usize, m: SweepMsg) {
+    let next_t0 = queue_next_launch(s, group, m.src, m.id as u32 + 1);
     // What makes queuing this late unobservable: a node's injection
     // instants strictly increase, so nothing due at the successor's
     // instant can have run yet.
     debug_assert!(next_t0.is_none_or(|t| t > s.now()), "node {} injects out of order", m.src);
-    inject(s, m);
+    inject(s, group, m);
 }
 
-/// Inject a message at `now`: uplink reservation in the source group,
-/// route selection against the shard's live state, then the route walk
-/// (which may hand off at a group boundary).
-fn inject(s: &mut GroupSim, m: SweepMsg) {
+/// Inject a message of a node of `group` at `now`: uplink reservation
+/// and route selection there, then the route walk (which may hand off
+/// at a group boundary).
+fn inject(s: &mut SweepSim, group: usize, m: SweepMsg) {
     let now = s.now();
     let w = &mut s.world;
-    w.counters.sent += 1;
-    let model = w.net.model;
-    let ser = SimDur::from_nanos(model.serialize_ns(model.wire_bytes(m.len)));
-    let t_start = w.edge_mut(m.src).reserve_up(now, ser);
     let (from, to) = (w.switch_of(m.src), w.switch_of(m.dst));
+    let g = &mut w.groups[group];
+    g.counters.sent += 1;
+    let model = g.net.model;
+    let ser = SimDur::from_nanos(model.serialize_ns(model.wire_bytes(m.len)));
+    let t_start = g.edge_mut(m.src).reserve_up(now, ser);
     let mut route = [SwitchId(0); MAX_REPAIR_PATH];
-    let Some((hops, _)) = w.net.select_route(from, to, m.tc, m.id, now, &mut route) else {
-        w.counters.route_drops += 1;
+    let Some((hops, _)) = g.net.select_route(from, to, m.tc, m.id, now, &mut route) else {
+        g.counters.route_drops += 1;
         return;
     };
-    walk_from(s, m, route, hops, 0, t_start + trunk_lookahead(&model), t_start + ser);
+    walk_from(s, group, m, route, hops, 0, t_start + trunk_step(&model), t_start + ser);
 }
 
 /// Walk the message's carried route (`hops` switches of `route`) from
-/// hop index `pos` (an owned switch): hand off to the next group's
-/// shard at a boundary, or deliver onto the destination downlink.
+/// hop index `pos`, a switch of `group`: schedule its continuation at a
+/// group boundary, or deliver onto the destination downlink.
+#[allow(clippy::too_many_arguments)]
 fn walk_from(
-    s: &mut GroupSim,
+    s: &mut SweepSim,
+    group: usize,
     m: SweepMsg,
     route: RouteBuf,
     hops: usize,
@@ -254,35 +237,34 @@ fn walk_from(
     tail_t: SimTime,
 ) {
     let w = &mut s.world;
-    let model = w.net.model;
+    let g = &mut w.groups[group];
+    let model = g.net.model;
     let ser_ns = model.serialize_ns(model.wire_bytes(m.len));
-    let walk = w.net.walk(&route[..hops], pos, m.tc, ser_ns, m.len, head_t, tail_t);
+    let walk = g.net.walk(&route[..hops], pos, m.tc, ser_ns, m.len, head_t, tail_t);
     match walk.end {
         // A trunk on the route died while the message was in flight.
-        WalkEnd::LinkDead => w.counters.route_drops += 1,
+        WalkEnd::LinkDead => g.counters.route_drops += 1,
         WalkEnd::Congested => {
-            w.counters.congestion_drops += 1;
-            w.counters.class_drops[m.tc.index()] += 1;
+            g.counters.congestion_drops += 1;
+            g.counters.class_drops[m.tc.index()] += 1;
         }
         WalkEnd::Handoff => {
-            // The message cleared the boundary trunk this shard owns;
-            // its head arrives at the next group's switch at
-            // `walk.head_t`, at least one trunk step in the future —
-            // the conservative lookahead.
-            let group = w.net.topo.group_of(route[walk.pos]);
-            let delay = walk.head_t - s.now();
+            // The message cleared the boundary trunk; its head reaches
+            // the next group's switch at `walk.head_t`.
+            w.handoffs += 1;
             let (pos, tail_t) = (walk.pos, walk.tail_t);
-            s.send_to(group, delay, SweepEv::Continue { m, route, hops, pos, tail_t });
+            let group = g.net.topo.group_of(route[pos]);
+            s.schedule(walk.head_t, SweepEv::Continue { group, m, route, hops, pos, tail_t });
         }
         WalkEnd::Arrived => {
-            let arrival = w.edge_mut(m.dst).reserve_down(
+            let arrival = g.edge_mut(m.dst).reserve_down(
                 walk.head_t,
                 walk.tail_t,
                 SimDur::from_nanos(ser_ns),
                 SimDur::from_nanos(model.propagation_ns),
             );
             let lat = (arrival - m.t0).as_nanos();
-            let c = &mut w.counters;
+            let c = &mut g.counters;
             c.delivered += 1;
             c.payload_bytes += m.len;
             c.switch_hops += hops as u64;
@@ -293,10 +275,9 @@ fn walk_from(
     }
 }
 
-/// One scheduled fault in a sweep's globally-known fault schedule.
-/// [`run_sweep`] schedules it into **every** shard's local event queue
-/// (before any message of the same instant), so all liveness views
-/// flip identically and the conservative lookahead is untouched.
+/// One scheduled fault in a sweep's fault schedule. [`run_sweep`]
+/// schedules it before any message of the same instant, and it flips
+/// every group's liveness view at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepFault {
     /// Instant the fault takes effect (ns).
@@ -330,7 +311,7 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Timing model.
     pub model: CostModel,
-    /// Fault schedule, applied identically in every shard.
+    /// Fault schedule.
     pub faults: Vec<SweepFault>,
 }
 
@@ -407,7 +388,7 @@ fn sweep_message(cfg: &SweepConfig, node: u32, k: u32) -> Option<SweepMsg> {
 /// this list — each node generates its next message as the previous one
 /// launches — but reserves one launch slot per `(node, k)` in exactly
 /// this order, which is what breaks ties between equal injection
-/// instants inside a shard.
+/// instants.
 pub fn sweep_messages(cfg: &SweepConfig) -> impl Iterator<Item = SweepMsg> + '_ {
     (0..nodes_per_group(cfg) * cfg.spec.groups as u32).flat_map(move |node| {
         (0..cfg.messages_per_node).filter_map(move |k| sweep_message(cfg, node, k))
@@ -415,30 +396,20 @@ pub fn sweep_messages(cfg: &SweepConfig) -> impl Iterator<Item = SweepMsg> + '_ 
 }
 
 /// Aggregated outcome of [`run_sweep`]: the sum of every group's
-/// counters plus the coordinator's accounting — the scenario layer
+/// counters plus the run's event accounting — the scenario layer
 /// serialises this into reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepStats {
     /// Total nodes in the topology.
     pub nodes: u64,
-    /// Shards (= dragonfly groups).
-    pub shards: usize,
-    /// The conservative lookahead used (ns).
-    pub lookahead_ns: u64,
     /// Whole-sweep totals.
     pub totals: GroupCounters,
     /// Per-group counters, group order.
     pub per_group: Vec<GroupCounters>,
-    /// Events executed across all shards.
+    /// Events executed.
     pub events_executed: u64,
-    /// Windows the coordinator ran.
-    pub windows: u64,
-    /// Cross-group events injected.
-    pub injected: u64,
-    /// Minimum observed injection slack (ns): `event time − destination
-    /// clock`, `None` when no cross-group event was exchanged. The
-    /// conservative-sync invariant is `≥ 0`.
-    pub min_inject_slack: Option<i128>,
+    /// Continuations scheduled at a group boundary.
+    pub handoffs: u64,
 }
 
 impl SweepStats {
@@ -455,47 +426,49 @@ impl SweepStats {
     }
 }
 
-/// Build a sweep's shards, ready to run: the fault schedule in every
-/// queue, one launch slot reserved per `(node, k)`, and each node's
-/// first message queued under its own.
-fn build_sweep(cfg: &SweepConfig) -> ShardedSim<GroupNet, SweepEv> {
+/// A sweep's simulator with one net per group and the fault schedule
+/// queued — scheduled first, so at equal instants a fault (lower
+/// sequence number) applies before any message — and no launch yet.
+fn new_sweep(cfg: &SweepConfig) -> SweepSim {
     assert!(cfg.nodes_per_switch >= 1 && cfg.nodes_per_switch <= cfg.spec.edge_ports);
     let topo = Rc::new(Topology::new(cfg.spec, cfg.policy));
-    let cfg = Rc::new(cfg.clone());
-    let worlds: Vec<GroupNet> = (0..topo.groups())
-        .map(|g| GroupNet::new(Rc::clone(&topo), Rc::clone(&cfg), g))
+    let nodes_per_group = nodes_per_group(cfg);
+    let groups = (0..topo.groups())
+        .map(|g| GroupNet {
+            net: TrunkNet::new(Rc::clone(&topo), cfg.model, Some(g)),
+            node_base: g as u32 * nodes_per_group,
+            edge: vec![LinkState::default(); nodes_per_group as usize],
+            counters: GroupCounters::default(),
+        })
         .collect();
-    let mut psim = ShardedSim::new(worlds, trunk_lookahead(&cfg.model));
-
-    let nodes_per_group = nodes_per_group(&cfg);
-    for g in 0..topo.groups() {
-        let shard = psim.shard_mut(g);
-        // The fault schedule is globally known at setup: schedule it
-        // into every shard before any message, so at equal instants the
-        // fault event (lower sequence number) applies first and all
-        // shards' liveness views flip identically — no cross-shard
-        // notification, no lookahead impact.
-        for f in &cfg.faults {
-            shard.schedule(SimTime::from_nanos(f.at_ns), SweepEv::Fault(f.kind));
-        }
-        // Launches tie behind the faults, in node-major order among
-        // themselves, and ahead of every continuation (injected later,
-        // so under later sequence numbers).
-        shard.world.slot_base =
-            shard.reserve(nodes_per_group as u64 * cfg.messages_per_node as u64);
-        let node_base = shard.world.node_base;
-        for node in node_base..node_base + nodes_per_group {
-            queue_next_launch(shard, node, 0);
-        }
+    let world = SweepNet { cfg: cfg.clone(), slot_base: 0, groups, handoffs: 0 };
+    let mut sim = Sim::typed(world);
+    for f in &cfg.faults {
+        sim.schedule(SimTime::from_nanos(f.at_ns), SweepEv::Fault(f.kind));
     }
-    psim
+    sim
 }
 
-/// Run built shards to completion and fold their counters.
-fn finish_sweep(cfg: &SweepConfig, mut psim: ShardedSim<GroupNet, SweepEv>) -> SweepStats {
-    psim.run();
+/// Build a sweep ready to run: the fault schedule queued, one launch
+/// slot reserved per `(node, k)` — behind the faults, node-major, and
+/// ahead of every continuation — and each node's first message queued
+/// under its own.
+fn build_sweep(cfg: &SweepConfig) -> SweepSim {
+    let mut sim = new_sweep(cfg);
+    let nodes_per_group = nodes_per_group(cfg);
+    let nodes = nodes_per_group * cfg.spec.groups as u32;
+    sim.world.slot_base = sim.reserve(nodes as u64 * cfg.messages_per_node as u64);
+    for node in 0..nodes {
+        queue_next_launch(&mut sim, (node / nodes_per_group) as usize, node, 0);
+    }
+    sim
+}
 
-    let per_group: Vec<GroupCounters> = psim.shards().map(|s| s.world.counters).collect();
+/// Run a built sweep to completion and fold its counters.
+fn finish_sweep(mut sim: SweepSim) -> SweepStats {
+    sim.run();
+    let w = &sim.world;
+    let per_group: Vec<GroupCounters> = w.groups.iter().map(|g| g.counters).collect();
     let mut totals = GroupCounters::default();
     for c in &per_group {
         totals.sent += c.sent;
@@ -512,24 +485,19 @@ fn finish_sweep(cfg: &SweepConfig, mut psim: ShardedSim<GroupNet, SweepEv>) -> S
         }
     }
     SweepStats {
-        nodes: nodes_per_group(cfg) as u64 * cfg.spec.groups as u64,
-        shards: psim.shard_count(),
-        lookahead_ns: trunk_lookahead(&cfg.model).as_nanos(),
+        nodes: nodes_per_group(&w.cfg) as u64 * w.groups.len() as u64,
         totals,
         per_group,
-        events_executed: psim.events_executed(),
-        windows: psim.windows(),
-        injected: psim.injected(),
-        min_inject_slack: psim.min_inject_slack(),
+        events_executed: sim.events_executed(),
+        handoffs: w.handoffs,
     }
 }
 
-/// Run a sweep, one shard per dragonfly group, injection streamed: a
-/// shard's queue never holds more than one launch per node plus the
-/// continuations in flight. The result — every counter, every clock —
-/// is a function of `cfg` alone.
+/// Run a sweep, injection streamed: the queue never holds more than one
+/// launch per node plus the faults and the continuations in flight. The
+/// result — every counter, every clock — is a function of `cfg` alone.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepStats {
-    finish_sweep(cfg, build_sweep(cfg))
+    finish_sweep(build_sweep(cfg))
 }
 
 #[cfg(test)]
@@ -537,28 +505,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The reference streamed injection is held against: the sweep as
-    /// it ran before, every launch of every node queued into its shard's
-    /// queue before the first event runs, ties broken by that
-    /// scheduling order alone (faults, launches node-major,
-    /// continuations).
+    /// The reference streamed injection is held against: the sweep
+    /// with every launch of every node queued before the first event
+    /// runs, ties broken by that scheduling order alone (faults,
+    /// launches node-major, continuations).
     fn run_sweep_materialized(cfg: &SweepConfig) -> SweepStats {
-        let topo = Rc::new(Topology::new(cfg.spec, cfg.policy));
-        let shared = Rc::new(cfg.clone());
-        let worlds: Vec<GroupNet> = (0..topo.groups())
-            .map(|g| GroupNet::new(Rc::clone(&topo), Rc::clone(&shared), g))
-            .collect();
-        let mut psim = ShardedSim::new(worlds, trunk_lookahead(&cfg.model));
-        for g in 0..topo.groups() {
-            for f in &cfg.faults {
-                psim.shard_mut(g).schedule(SimTime::from_nanos(f.at_ns), SweepEv::Fault(f.kind));
-            }
-        }
-        let nodes_per_group = nodes_per_group(cfg);
+        let mut sim = new_sweep(cfg);
         for m in sweep_messages(cfg) {
-            psim.shard_mut((m.src / nodes_per_group) as usize).schedule(m.t0, SweepEv::Inject(m));
+            let group = (m.src / nodes_per_group(cfg)) as usize;
+            sim.schedule(m.t0, SweepEv::Inject { group, m });
         }
-        finish_sweep(cfg, psim)
+        finish_sweep(sim)
     }
 
     /// Sweeps sized to tie: few nodes, short intervals (at `0` and `1`
@@ -619,7 +576,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Streaming is unobservable: every counter of every group,
-        /// every executed event, window and injection equals the fully
+        /// every executed event and hand-off equals the fully
         /// materialized sweep's.
         #[test]
         fn streamed_sweep_equals_the_materialized_sweep(cfg in tie_dense_config()) {
@@ -631,11 +588,10 @@ mod tests {
     fn a_shard_queues_one_launch_per_node_however_long_the_sweep() {
         let cut = SweepFault { at_ns: 5_000, kind: FaultKind::LinkDown(SwitchId(1), SwitchId(2)) };
         let cfg = SweepConfig { messages_per_node: 1_000, faults: vec![cut], ..SweepConfig::default() };
-        let psim = build_sweep(&cfg);
-        for shard in psim.shards() {
-            assert_eq!(shard.pending(), nodes_per_group(&cfg) as usize + cfg.faults.len());
-        }
-        let stats = finish_sweep(&cfg, psim);
+        let sim = build_sweep(&cfg);
+        let nodes = nodes_per_group(&cfg) as usize * cfg.spec.groups;
+        assert_eq!(sim.pending(), nodes + cfg.faults.len());
+        let stats = finish_sweep(sim);
         assert_eq!(stats.totals.sent, stats.nodes * 1_000);
         assert!(stats.conserved(), "{:?}", stats.totals);
     }
@@ -664,7 +620,7 @@ mod tests {
         assert!(base.totals.sent > 0);
         assert!(base.conserved(), "{:?}", base.totals);
         assert!(base.totals.delivered > 0);
-        assert!(base.min_inject_slack.unwrap() >= 0);
+        assert!(base.handoffs > 0, "every other message crosses groups");
     }
 
     #[test]
@@ -676,8 +632,8 @@ mod tests {
         };
         let stats = run_sweep(&cfg);
         assert!(stats.conserved());
-        assert_eq!(stats.shards, 1);
-        assert_eq!(stats.injected, 0);
+        assert_eq!(stats.per_group.len(), 1);
+        assert_eq!(stats.handoffs, 0);
         assert!(stats.totals.delivered > 0);
     }
 
@@ -692,7 +648,6 @@ mod tests {
         let base = run_sweep(&cfg);
         assert!(base.conserved());
         assert!(base.totals.delivered > 0);
-        assert!(base.min_inject_slack.unwrap() >= 0);
         // Valiant detours mean more hops per delivered message than the
         // minimal 4-switch bound would allow on average workloads.
         assert!(base.totals.switch_hops >= base.totals.delivered * 2);
@@ -710,7 +665,6 @@ mod tests {
         let base = run_sweep(&cfg);
         assert!(base.conserved(), "{:?}", base.totals);
         assert!(base.totals.delivered > 0);
-        assert!(base.min_inject_slack.unwrap() >= 0);
     }
 
     #[test]
@@ -734,7 +688,6 @@ mod tests {
         let base = run_sweep(&cfg);
         assert!(base.conserved(), "{:?}", base.totals);
         assert!(base.totals.delivered > 0, "detours keep traffic flowing");
-        assert!(base.min_inject_slack.unwrap() >= 0);
     }
 
     #[test]
@@ -799,8 +752,9 @@ mod tests {
 
     #[test]
     fn unloaded_cross_group_latency_matches_serial_fabric_formula() {
-        // One message, idle fabric: the sharded walk must reproduce the
-        // serial engine's unloaded arrival formula exactly.
+        // One message, idle fabric: the walk across a group boundary
+        // must reproduce the serial engine's unloaded arrival formula
+        // exactly.
         let cfg = SweepConfig {
             spec: TopologySpec { groups: 2, switches_per_group: 1, edge_ports: 4 },
             nodes_per_switch: 1,

@@ -268,12 +268,13 @@ impl Topology {
         self.spec.groups
     }
 
-    /// The per-group view a simulation shard owns: its switches and the
-    /// directed trunks *sourced* in the group. Ownership by source
+    /// The per-group view a sweep's group net owns: its switches and
+    /// the directed trunks *sourced* in the group. Ownership by source
     /// switch partitions every directed trunk across the groups — a
-    /// shard reserves only links it owns, and a cross-group message is
-    /// handed to the destination group exactly when it has cleared the
-    /// boundary trunk (whose source side the sending shard owns).
+    /// group's net reserves only links it owns, and a cross-group
+    /// message is handed to the destination group exactly when it has
+    /// cleared the boundary trunk (whose source side the sending group
+    /// owns).
     pub(crate) fn group_view(&self, group: usize) -> GroupView {
         assert!(group < self.spec.groups, "group {group} out of range");
         let a = self.spec.switches_per_group;
@@ -390,7 +391,7 @@ impl Topology {
     }
 }
 
-/// One group's slice of the topology, as owned by a simulation shard:
+/// One group's slice of the topology, as owned by a sweep's group net:
 /// the group's switches plus every directed trunk sourced there. See
 /// `Topology::group_view` for the ownership rule.
 #[derive(Debug, Clone)]
@@ -404,7 +405,7 @@ pub struct GroupView {
     /// [`Topology::trunk_links`] order.
     pub trunks_out: Vec<(SwitchId, SwitchId)>,
     /// The subset of [`trunks_out`](GroupView::trunks_out) crossing
-    /// into another group — the shard's handoff boundary.
+    /// into another group — the group's hand-off boundary.
     pub boundary_out: Vec<(SwitchId, SwitchId)>,
 }
 

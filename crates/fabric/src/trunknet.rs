@@ -3,13 +3,14 @@
 //!
 //! A [`TrunkNet`] owns the directed trunks sourced in a set of dragonfly
 //! groups — every group for the serial [`Fabric`](crate::Fabric), one
-//! group for a [`shardsim`](crate::shardsim) shard — plus the liveness
-//! mask and the fallback routes cached since the last fault event.
-//! Routes are chosen once at injection by [`TrunkNet::select_route`] and
-//! walked by [`TrunkNet::walk`], which reserves owned trunks and stops
-//! where ownership ends. The engines add only what is theirs: edge
-//! links ([`LinkState`]), enforcement and tenant counters in `Fabric`;
-//! per-group counters and the cross-shard handoff in `shardsim`.
+//! group for each group of a [`shardsim`](crate::shardsim) sweep — plus
+//! the liveness mask and the fallback routes cached since the last
+//! fault event. Routes are chosen once at injection by
+//! [`TrunkNet::select_route`] and walked by [`TrunkNet::walk`], which
+//! reserves owned trunks and stops where ownership ends. The engines add
+//! only what is theirs: edge links ([`LinkState`]), enforcement and
+//! tenant counters in `Fabric`; per-group counters and the hand-off at
+//! a group boundary in `shardsim`.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -133,9 +134,9 @@ impl TrunkState {
 
 /// Caller-provided storage for a chosen route, endpoints included.
 /// [`TrunkNet::select_route`] fills a prefix in place (no by-value
-/// route crosses a call), and a message carries it across shard
-/// boundaries — the destination shard could not re-derive which
-/// candidate the source picked.
+/// route crosses a call), and a message carries it across group
+/// boundaries — the next group could not re-derive which candidate the
+/// source picked.
 pub(crate) type RouteBuf = [SwitchId; MAX_REPAIR_PATH];
 
 /// Why a [`TrunkNet::walk`] stopped at [`Walk::pos`].

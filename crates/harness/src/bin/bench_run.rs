@@ -82,10 +82,10 @@
 //! Scenarios (`churn`, `steady-state`) run once under the DES clock;
 //! their event counts are deterministic, their wall-clock is not.
 //!
-//! The **sharded fabric sweep**: the 1024-node `dragonfly-1024` sweep
-//! runs once under the sharded engine and is emitted as one
-//! `dragonfly-1024` scenario row; a `"parallel"` block records its
-//! deterministic shape (nodes, shards, windows, cross-group events).
+//! The **fabric sweep**: the 1024-node `dragonfly-1024` sweep runs once
+//! and is emitted as one `dragonfly-1024` scenario row; a `"parallel"`
+//! block records its deterministic shape (nodes, events, cross-group
+//! hand-offs).
 //!
 //! The **control-plane sharding curve**: a bench-scale tenant-churn
 //! stress run (2000 tenants through the sharded VNI database under
@@ -464,10 +464,7 @@ fn time_row(row: Row, b: &Budgets) -> (Value, Shape) {
             let parallel = json!({
                 "scenario": SWEEP_SCENARIO,
                 "nodes": r.nodes,
-                "shards": r.shards,
-                "lookahead_ns": r.lookahead_ns,
                 "events_executed": r.events_executed,
-                "windows": r.windows,
                 "cross_group_injected": r.cross_group_injected,
             });
             (scenario(r.events_executed, wall_s), Shape::Block("parallel", parallel))

@@ -13,8 +13,8 @@
 //! * [`gate`] — the perf regression gate `bench-run --gate` applies
 //!   against a committed baseline in CI's bench-smoke job.
 //!
-//! The `repro` binary exposes each figure as a subcommand; EXPERIMENTS.md
-//! records paper-vs-measured for every one.
+//! The `repro` binary exposes each figure as a subcommand and prints the
+//! paper's figure beside the measured one.
 
 pub mod admission;
 pub(crate) mod collective;

@@ -1,7 +1,6 @@
 //! Smoke tests over the full experiment harness at miniature scale:
 //! every figure's pipeline runs end-to-end and yields the paper's
-//! qualitative shape. These are the acceptance criteria of DESIGN.md §4
-//! wired into CI.
+//! qualitative shape, wired into CI.
 
 use shs_des::stats;
 use shs_harness::{

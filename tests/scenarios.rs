@@ -56,12 +56,12 @@ fn parallel_scenarios_pass_and_seeds_reach_the_sweep() {
 
 #[test]
 fn the_1024_node_scenario_completes() {
-    // The 1024-node, 4-group dragonfly sweep completes under the
-    // sharded engine and passes, with traffic genuinely crossing shards.
+    // The 1024-node, 4-group dragonfly sweep completes and passes, with
+    // traffic genuinely crossing groups.
     let sweep = parallel_by_name("dragonfly-1024", 42).expect("headline scenario");
     let r = run_fabric_scenario(&sweep, 1);
     assert_eq!(r.nodes, 1024);
-    assert_eq!(r.shards, 4);
+    assert_eq!(r.per_group.len(), 4);
     assert!(r.passed, "{r:?}");
     assert!(r.delivered > 0 && r.cross_group_injected > 0);
 }

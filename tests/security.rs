@@ -1,4 +1,4 @@
-//! Cross-crate security properties (DESIGN.md §5): the motivating
+//! Cross-crate security properties: the motivating
 //! vulnerability and the paper's fix, exercised through the full stack
 //! (container runtime → namespaces → CXI driver → fabric).
 

@@ -1,6 +1,7 @@
-//! VNI lifecycle properties through the full control plane (DESIGN.md
-//! §5): exclusivity, the 30 s quarantine, claim semantics, and endpoint
-//! database consistency under cluster churn.
+//! VNI lifecycle properties through the full control plane
+//! (ARCHITECTURE.md, "VNI lifecycle state machine"): exclusivity, the
+//! 30 s quarantine, claim semantics, and endpoint database consistency
+//! under cluster churn.
 //!
 //! Every run is judged after every tick ([`RunJudged`]): the whole
 //! audit log is replayed through the lifecycle model, so a test's last
