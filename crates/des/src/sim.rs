@@ -98,6 +98,25 @@
 //! // scheduled, but their slots did: they win the ties.
 //! assert_eq!(sim.world, ["a", "b", "after b", "c", "after c"]);
 //! ```
+//!
+//! A reserved key need not be queued at all. [`Sim::run_before`] runs
+//! every event ordered before `(t, slot)` and stops the clock at `t`,
+//! so a driver that acts by hand right after it acts exactly where an
+//! event under that slot would have run — the way a fabric sweep
+//! injects its messages without ever queuing them:
+//!
+//! ```
+//! use shs_des::{Sim, SimTime};
+//!
+//! let mut sim = Sim::new(Vec::new());
+//! sim.at(SimTime::from_nanos(5), |s| s.world.push("before the block"));
+//! let slot = sim.reserve(1);
+//! sim.at(SimTime::from_nanos(5), |s| s.world.push("after the block"));
+//! sim.run_before(SimTime::from_nanos(5), slot);
+//! sim.world.push("by hand");
+//! sim.run();
+//! assert_eq!(sim.world, ["before the block", "by hand", "after the block"]);
+//! ```
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -270,10 +289,9 @@ impl<W, E> Sim<W, E> {
         self.queue.len()
     }
 
-    /// Due time of the earliest queued event: the peek
-    /// [`run_until`](Self::run_until) stops on.
-    #[inline]
-    pub(crate) fn next_time(&self) -> Option<SimTime> {
+    /// Due time of the earliest queued event, for tests that peek.
+    #[cfg(test)]
+    fn next_time(&self) -> Option<SimTime> {
         self.queue.peek().map(|e| e.time)
     }
 
@@ -355,10 +373,23 @@ impl<W, E: Event<W>> Sim<W, E> {
     /// Events scheduled exactly at the deadline still execute; the clock
     /// is advanced to the deadline if the queue empties earlier.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while self.next_time().is_some_and(|t| t <= deadline) {
+        self.run_before(deadline, u64::MAX);
+    }
+
+    /// Run every queued event whose key `(time, seq)` sorts before
+    /// `(t, seq)`, then set the clock to `t`: the one peek-and-run loop.
+    /// Whatever the caller does next at `t` — inject a message by hand,
+    /// say — happens exactly where an event scheduled under key
+    /// `(t, seq)` would have run, after the events at `t` with a lower
+    /// `seq` and before those with a higher one. `t` must not be in the
+    /// past (debug builds panic; release builds leave the clock alone).
+    pub fn run_before(&mut self, t: SimTime, seq: u64) {
+        debug_assert!(t >= self.now, "running to a key in the past: {t} < {}", self.now);
+        let bound = Entry { time: t, seq, payload: 0 }.key();
+        while self.queue.peek().is_some_and(|e| e.key() < bound) {
             self.step();
         }
-        self.now = self.now.max(deadline);
+        self.now = self.now.max(t);
     }
 }
 

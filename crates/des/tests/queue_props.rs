@@ -10,7 +10,7 @@
 //! obviously right: push, stable sort, take the front. Whatever
 //! structure sits inside `Sim` is held to that sequence through the
 //! public API alone (`at`, `after`, `reserve` + `at_slot`, `step`,
-//! `run_until`, `pending`), never through the queue's own type, so the
+//! `run_until`, `run_before`, `pending`), never through the queue's own type, so the
 //! oracle cannot end up comparing an implementation with itself.
 //!
 //! One script interpreter ([`apply`], [`spawn`], [`fire`]) drives every
@@ -30,14 +30,20 @@
 //!   after later positions were queued;
 //! * pops interleaved with pushes at the clock's monotone floor;
 //! * `run_until` declining a far-future head, after which the script
-//!   schedules nearer events that must run first.
+//!   schedules nearer events that must run first;
+//! * `run_before(t, seq)` on keys drawn from the queue itself — on a
+//!   pending key, just past one, between two, and at one instant on
+//!   both sides of a `seq`, a free reserved slot's among them — after
+//!   which exactly the events ordered before the key have run and the
+//!   clock reads `t`: the tie contract a fabric sweep injects its
+//!   launches under.
 //!
 //! A second property holds what the reserved slots are for: chains of
 //! events at strictly increasing instants, dense with equal-time ties
 //! between chains, bystanders and follow-ups, run identically whether
 //! every link is scheduled at setup or each link queues only its
-//! successor under [`Sim::schedule_slot`] — the streamed injection of a
-//! fabric sweep.
+//! successor under [`Sim::schedule_slot`] — deferred scheduling that
+//! cannot be observed.
 
 use std::rc::Rc;
 
@@ -79,6 +85,7 @@ trait Kernel {
     fn at_slot(&mut self, delay: u64, slot: u64, ev: Ev);
     fn step(&mut self) -> bool;
     fn run_until(&mut self, deadline: u64);
+    fn run_before(&mut self, t: u64, seq: u64);
     fn pending(&self) -> usize;
     fn executed(&self) -> usize;
 }
@@ -138,6 +145,9 @@ impl Kernel for Sim<State> {
     fn run_until(&mut self, deadline: u64) {
         Sim::run_until(self, SimTime::from_nanos(deadline));
     }
+    fn run_before(&mut self, t: u64, seq: u64) {
+        Sim::run_before(self, SimTime::from_nanos(t), seq);
+    }
     fn pending(&self) -> usize {
         Sim::pending(self)
     }
@@ -180,6 +190,9 @@ impl Kernel for Sim<State, Ev> {
     }
     fn run_until(&mut self, deadline: u64) {
         Sim::run_until(self, SimTime::from_nanos(deadline));
+    }
+    fn run_before(&mut self, t: u64, seq: u64) {
+        Sim::run_before(self, SimTime::from_nanos(t), seq);
     }
     fn pending(&self) -> usize {
         Sim::pending(self)
@@ -240,6 +253,12 @@ impl Kernel for Model {
         }
         self.now = self.now.max(deadline);
     }
+    fn run_before(&mut self, t: u64, seq: u64) {
+        while self.queue.first().is_some_and(|&(time, s, _)| (time, s) < (t, seq)) {
+            self.step();
+        }
+        self.now = t;
+    }
     fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -260,6 +279,56 @@ enum Op {
     Step,
     /// Run through `now + delay`, leaving later events queued.
     RunUntil(u64),
+    /// Run before a key drawn by [`Draw`] from the pending keys (the
+    /// `usize` picks one) — resolved to [`Op::RunBeforeKey`] against
+    /// the model, so both sides run before the same key.
+    RunBefore(Draw, usize),
+    /// Run every event ordered before `(t, seq)`; the clock stops at `t`.
+    RunBeforeKey(u64, u64),
+}
+
+/// Where a [`Op::RunBefore`] key falls, relative to the picked pending
+/// key `(t, s)`.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    /// `(t, s)` itself: the events before it run, it does not.
+    On,
+    /// `(t, s + 1)`: it runs, and nothing after it.
+    Past,
+    /// `(t, s − 1)`: at one instant, just below a `seq`.
+    Below,
+    /// `(t, 0)` and `(t, u64::MAX)`: nothing at `t` runs, or all of it.
+    InstantStart,
+    InstantEnd,
+    /// Midway in time between the picked key and the next one.
+    Between,
+    /// At `t` under a free reserved slot, as a sweep's launch would be.
+    FreeSlot,
+}
+
+/// Resolve a drawn key against the model's pending keys; an empty queue
+/// draws at the clock.
+fn resolve(op: &Op, model: &Model) -> Op {
+    let Op::RunBefore(draw, pick) = *op else { return op.clone() };
+    let keys: Vec<(u64, u64)> = model.queue.iter().map(|&(t, s, _)| (t, s)).collect();
+    let i = pick % keys.len().max(1);
+    let (t, s) = keys.get(i).copied().unwrap_or((model.now, 0));
+    let (t, seq) = match draw {
+        Draw::On => (t, s),
+        Draw::Past => (t, s.saturating_add(1)),
+        Draw::Below => (t, s.saturating_sub(1)),
+        Draw::InstantStart => (t, 0),
+        Draw::InstantEnd => (t, u64::MAX),
+        Draw::Between => match keys.get(i + 1) {
+            Some(&(next, _)) => (t + (next - t) / 2, pick as u64),
+            None => (t + 1, 0),
+        },
+        Draw::FreeSlot => match model.state.free.get(pick % model.state.free.len().max(1)) {
+            Some(&slot) => (t, slot),
+            None => (t, s),
+        },
+    };
+    Op::RunBeforeKey(t, seq)
 }
 
 fn apply<K: Kernel>(k: &mut K, op: &Op) {
@@ -276,6 +345,8 @@ fn apply<K: Kernel>(k: &mut K, op: &Op) {
             let deadline = k.now() + delay;
             k.run_until(deadline);
         }
+        Op::RunBefore(..) => unreachable!("resolved against the model first"),
+        Op::RunBeforeKey(t, seq) => k.run_before(*t, *seq),
     }
 }
 
@@ -296,6 +367,18 @@ fn slot() -> impl Strategy<Value = Option<usize>> {
     prop_oneof![2 => Just(None), 1 => (0usize..8).prop_map(Some)]
 }
 
+fn draw() -> impl Strategy<Value = Draw> {
+    prop_oneof![
+        Just(Draw::On),
+        Just(Draw::Past),
+        Just(Draw::Below),
+        Just(Draw::InstantStart),
+        Just(Draw::InstantEnd),
+        Just(Draw::Between),
+        Just(Draw::FreeSlot),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     let follows = prop::collection::vec((delay(), slot()), 0..3);
     prop_oneof![
@@ -304,6 +387,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (1u64..5).prop_map(Op::Reserve),
         3 => Just(Op::Step),
         1 => delay().prop_map(Op::RunUntil),
+        2 => (draw(), any::<usize>()).prop_map(|(d, pick)| Op::RunBefore(d, pick)),
+    ]
+}
+
+/// Scripts that run to a drawn key as often as they schedule, with
+/// reservations frequent enough that free slots are there to draw.
+fn run_before_script() -> impl Strategy<Value = Op> {
+    let follows = prop::collection::vec((delay(), slot()), 0..3);
+    prop_oneof![
+        4 => (delay(), slot(), follows)
+            .prop_map(|(delay, slot, follows)| Op::Schedule { delay, slot, follows }),
+        1 => (1u64..5).prop_map(Op::Reserve),
+        4 => (draw(), any::<usize>()).prop_map(|(d, pick)| Op::RunBefore(d, pick)),
     ]
 }
 
@@ -312,9 +408,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn follows_model<K: Kernel>(k: &mut K, model: &mut Model, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut checked = model.state.log.len();
     for op in ops {
+        let op = &resolve(op, model);
         apply(k, op);
         apply(model, op);
         prop_assert_eq!(&k.state().log[checked..], &model.state.log[checked..], "after {:?}", op);
+        if let Op::RunBeforeKey(t, seq) = *op {
+            // Exactly the events ordered before the key ran: none of
+            // them later than `t`, and none ordered before it is left.
+            prop_assert!(model.state.log[checked..].iter().all(|&(time, _)| time <= t));
+            let head = model.queue.first().map(|&(time, s, _)| (time, s));
+            prop_assert!(head.is_none_or(|key| key >= (t, seq)), "{:?} left before {:?}", head, op);
+            prop_assert_eq!(model.now, t, "the clock stops at the key");
+        }
         checked = model.state.log.len();
         prop_assert_eq!(k.now(), model.now, "clock after {:?}", op);
         prop_assert_eq!(k.pending(), model.queue.len(), "pending after {:?}", op);
@@ -339,6 +444,26 @@ proptest! {
     #[test]
     fn sim_executes_in_sorted_time_seq_order(
         ops in prop::collection::vec(op_strategy(), 1..400)
+    ) {
+        let mut sim = Sim::new(State::default());
+        let mut model = Model::default();
+        follows_model(&mut sim, &mut model, &ops)?;
+        drains_like_model(&mut sim, &mut model)?;
+
+        let mut typed: Sim<State, Ev> = Sim::typed(State::default());
+        let mut model = Model::default();
+        follows_model(&mut typed, &mut model, &ops)?;
+        drains_like_model(&mut typed, &mut model)?;
+    }
+
+    /// The tie contract of `run_before`, on scripts dense with it:
+    /// schedules, reservations and slot fills between runs to keys on,
+    /// past, below and between the pending keys. After each run exactly
+    /// the events ordered before its key have run and the clock reads
+    /// the key's instant, on both payload kinds.
+    #[test]
+    fn run_before_runs_exactly_the_events_ordered_before_its_key(
+        ops in prop::collection::vec(run_before_script(), 1..300)
     ) {
         let mut sim = Sim::new(State::default());
         let mut model = Model::default();

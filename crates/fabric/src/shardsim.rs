@@ -13,19 +13,24 @@
 //! side, where the next group's net walks it on. So every boundary
 //! trunk's far side is reserved in the order heads arrive there.
 //!
-//! # Streamed injection
+//! # The round schedule
 //!
 //! The workload is a pure function of the config (`sweep_message`, the
-//! generator behind [`sweep_messages`]), so it is never materialized:
-//! every node is a self-rescheduling process whose launch event first
-//! queues the node's *next* generated message, and the queue holds one
-//! launch per node plus the continuations in flight — O(nodes), not
-//! O(messages). Queuing a launch that late is unobservable because its
-//! place in the tie-break order is reserved at setup
+//! generator behind [`sweep_messages`]), so it is never materialized,
+//! and launches are never queued at all: the queue holds only the
+//! faults and the continuations in flight. [`run_sweep`] walks the
+//! workload one round at a time — round `k` is message `k` of every
+//! node, injected at `t0 = k·I + h mod I ∈ [k·I, (k+1)·I)` for the
+//! interval `I ≥ 1`, so rounds never overlap in time. Each round is
+//! generated into one reused buffer, put in `(t0, node)` order by a
+//! radix sort on the instants, and injected by hand, message by
+//! message, each right after [`Sim::run_before`] has run every event
+//! ordered before the message's key. The key is reserved at setup
 //! ([`shs_des::Sim::reserve`]): the faults first, then one slot per
 //! `(node, k)` in node-major order, then — under plain insertion order
-//! — every continuation. A node's injection instants strictly increase,
-//! so its successor is always in the future when it is queued.
+//! — every continuation. Within a round `(t0, node)` order is slot
+//! order, so every tie between a fault, a launch and a continuation
+//! resolves as it would had every launch been queued up front.
 //!
 //! # Per-hop timing
 //!
@@ -73,21 +78,18 @@ pub struct SweepMsg {
 }
 
 /// A sweep's events, as plain data: the whole of what a sweep ever
-/// schedules.
+/// schedules. Launches are not among them (see the module docs).
 #[derive(Clone, Copy)]
 enum SweepEv {
     /// A scheduled fault: every group's liveness view flips.
     Fault(FaultKind),
-    /// The launch of a node of `group`: queue its next message, then
-    /// inject this one.
-    Launch { group: usize, m: SweepMsg },
     /// A message that crossed into `group`, resuming its walk at hop
     /// `pos` of its carried route; its head arrives now.
     Continue { group: usize, m: SweepMsg, route: RouteBuf, hops: usize, pos: usize, tail_t: SimTime },
-    /// An injection with no successor to queue: the launches of the
-    /// test oracle `run_sweep_materialized`, every one queued up front.
+    /// A launch as a queued event: the test oracle
+    /// `run_sweep_materialized` queues every one up front.
     #[cfg(test)]
-    Inject { group: usize, m: SweepMsg },
+    Inject(SweepMsg),
 }
 
 /// A sweep's simulator.
@@ -102,13 +104,12 @@ impl Event<SweepNet> for SweepEv {
                     g.net.apply_fault(kind);
                 }
             }
-            SweepEv::Launch { group, m } => launch(s, group, m),
             SweepEv::Continue { group, m, route, hops, pos, tail_t } => {
                 let head = s.now();
                 walk_from(s, group, m, route, hops, pos, head, tail_t);
             }
             #[cfg(test)]
-            SweepEv::Inject { group, m } => inject(s, group, m),
+            SweepEv::Inject(m) => inject(s, m),
         }
     }
 }
@@ -161,12 +162,18 @@ impl GroupNet {
 }
 
 /// A sweep's world: the config its launches are generated from, one
-/// net per group, and the hand-offs between them.
+/// net per group, the hand-offs between them, and the per-message
+/// constants of its one payload size.
 struct SweepNet {
     cfg: SweepConfig,
-    /// First of the reserved launch slots: message `k` of node `n`
+    /// First of the reserved launch keys: message `k` of node `n`
     /// launches under slot `slot_base + n · messages_per_node + k`.
     slot_base: u64,
+    /// Nodes attached to each group.
+    nodes_per_group: u32,
+    /// Serialization time of one message (every message of a sweep
+    /// carries `cfg.payload_bytes`).
+    ser_ns: u64,
     groups: Vec<GroupNet>,
     /// Continuations scheduled at a group boundary.
     handoffs: u64,
@@ -179,47 +186,26 @@ impl SweepNet {
     }
 }
 
-/// Queue the launch of `node`'s (a node of `group`) first generated
-/// message with index `≥ from_k` (indices that generate `None` are
-/// skipped) under its reserved slot, and return its injection instant.
-fn queue_next_launch(s: &mut SweepSim, group: usize, node: u32, from_k: u32) -> Option<SimTime> {
-    let w = &s.world;
-    let per_node = w.cfg.messages_per_node;
-    let (k, m) = (from_k..per_node).find_map(|k| Some((k, sweep_message(&w.cfg, node, k)?)))?;
-    let slot = w.slot_base + node as u64 * per_node as u64 + k as u64;
-    s.schedule_slot(m.t0, slot, SweepEv::Launch { group, m });
-    Some(m.t0)
-}
-
-/// The launch event: queue the node's next message, then inject this
-/// one.
-fn launch(s: &mut SweepSim, group: usize, m: SweepMsg) {
-    let next_t0 = queue_next_launch(s, group, m.src, m.id as u32 + 1);
-    // What makes queuing this late unobservable: a node's injection
-    // instants strictly increase, so nothing due at the successor's
-    // instant can have run yet.
-    debug_assert!(next_t0.is_none_or(|t| t > s.now()), "node {} injects out of order", m.src);
-    inject(s, group, m);
-}
-
-/// Inject a message of a node of `group` at `now`: uplink reservation
-/// and route selection there, then the route walk (which may hand off
-/// at a group boundary).
-fn inject(s: &mut SweepSim, group: usize, m: SweepMsg) {
+/// Inject a message at `now`: uplink reservation and route selection
+/// in its sender's group, then the route walk (which may hand off at a
+/// group boundary).
+fn inject(s: &mut SweepSim, m: SweepMsg) {
     let now = s.now();
     let w = &mut s.world;
+    debug_assert_eq!(m.len, w.cfg.payload_bytes, "one payload size per sweep");
     let (from, to) = (w.switch_of(m.src), w.switch_of(m.dst));
+    let group = (m.src / w.nodes_per_group) as usize;
+    let ser = SimDur::from_nanos(w.ser_ns);
     let g = &mut w.groups[group];
     g.counters.sent += 1;
-    let model = g.net.model;
-    let ser = SimDur::from_nanos(model.serialize_ns(model.wire_bytes(m.len)));
     let t_start = g.edge_mut(m.src).reserve_up(now, ser);
     let mut route = [SwitchId(0); MAX_REPAIR_PATH];
     let Some((hops, _)) = g.net.select_route(from, to, m.tc, m.id, now, &mut route) else {
         g.counters.route_drops += 1;
         return;
     };
-    walk_from(s, group, m, route, hops, 0, t_start + trunk_step(&model), t_start + ser);
+    let head_t = t_start + trunk_step(&g.net.model);
+    walk_from(s, group, m, route, hops, 0, head_t, t_start + ser);
 }
 
 /// Walk the message's carried route (`hops` switches of `route`) from
@@ -237,9 +223,8 @@ fn walk_from(
     tail_t: SimTime,
 ) {
     let w = &mut s.world;
+    let ser_ns = w.ser_ns;
     let g = &mut w.groups[group];
-    let model = g.net.model;
-    let ser_ns = model.serialize_ns(model.wire_bytes(m.len));
     let walk = g.net.walk(&route[..hops], pos, m.tc, ser_ns, m.len, head_t, tail_t);
     match walk.end {
         // A trunk on the route died while the message was in flight.
@@ -257,12 +242,9 @@ fn walk_from(
             s.schedule(walk.head_t, SweepEv::Continue { group, m, route, hops, pos, tail_t });
         }
         WalkEnd::Arrived => {
-            let arrival = g.edge_mut(m.dst).reserve_down(
-                walk.head_t,
-                walk.tail_t,
-                SimDur::from_nanos(ser_ns),
-                SimDur::from_nanos(model.propagation_ns),
-            );
+            let prop = SimDur::from_nanos(g.net.model.propagation_ns);
+            let ser = SimDur::from_nanos(ser_ns);
+            let arrival = g.edge_mut(m.dst).reserve_down(walk.head_t, walk.tail_t, ser, prop);
             let lat = (arrival - m.t0).as_nanos();
             let c = &mut g.counters;
             c.delivered += 1;
@@ -385,10 +367,9 @@ fn sweep_message(cfg: &SweepConfig, node: u32, k: u32) -> Option<SweepMsg> {
 }
 
 /// The messages a sweep injects, node-major. [`run_sweep`] never builds
-/// this list — each node generates its next message as the previous one
-/// launches — but reserves one launch slot per `(node, k)` in exactly
-/// this order, which is what breaks ties between equal injection
-/// instants.
+/// this list — it generates one round at a time — but reserves one
+/// launch key per `(node, k)` in exactly this order, which is what
+/// breaks ties between equal injection instants.
 pub fn sweep_messages(cfg: &SweepConfig) -> impl Iterator<Item = SweepMsg> + '_ {
     (0..nodes_per_group(cfg) * cfg.spec.groups as u32).flat_map(move |node| {
         (0..cfg.messages_per_node).filter_map(move |k| sweep_message(cfg, node, k))
@@ -406,7 +387,8 @@ pub struct SweepStats {
     pub totals: GroupCounters,
     /// Per-group counters, group order.
     pub per_group: Vec<GroupCounters>,
-    /// Events executed.
+    /// Events executed, each launch counted as one though none is
+    /// queued.
     pub events_executed: u64,
     /// Continuations scheduled at a group boundary.
     pub handoffs: u64,
@@ -426,9 +408,11 @@ impl SweepStats {
     }
 }
 
-/// A sweep's simulator with one net per group and the fault schedule
+/// A sweep's simulator with one net per group, the fault schedule
 /// queued — scheduled first, so at equal instants a fault (lower
-/// sequence number) applies before any message — and no launch yet.
+/// sequence number) applies before any message — and one launch key
+/// reserved per `(node, k)`: behind the faults, node-major, and ahead
+/// of every continuation.
 fn new_sweep(cfg: &SweepConfig) -> SweepSim {
     assert!(cfg.nodes_per_switch >= 1 && cfg.nodes_per_switch <= cfg.spec.edge_ports);
     let topo = Rc::new(Topology::new(cfg.spec, cfg.policy));
@@ -441,31 +425,89 @@ fn new_sweep(cfg: &SweepConfig) -> SweepSim {
             counters: GroupCounters::default(),
         })
         .collect();
-    let world = SweepNet { cfg: cfg.clone(), slot_base: 0, groups, handoffs: 0 };
+    let model = cfg.model;
+    let world = SweepNet {
+        cfg: cfg.clone(),
+        slot_base: 0,
+        nodes_per_group,
+        ser_ns: model.serialize_ns(model.wire_bytes(cfg.payload_bytes)),
+        groups,
+        handoffs: 0,
+    };
     let mut sim = Sim::typed(world);
     for f in &cfg.faults {
         sim.schedule(SimTime::from_nanos(f.at_ns), SweepEv::Fault(f.kind));
     }
+    let nodes = nodes_per_group as u64 * cfg.spec.groups as u64;
+    sim.world.slot_base = sim.reserve(nodes * cfg.messages_per_node as u64);
     sim
 }
 
-/// Build a sweep ready to run: the fault schedule queued, one launch
-/// slot reserved per `(node, k)` — behind the faults, node-major, and
-/// ahead of every continuation — and each node's first message queued
-/// under its own.
-fn build_sweep(cfg: &SweepConfig) -> SweepSim {
-    let mut sim = new_sweep(cfg);
-    let nodes_per_group = nodes_per_group(cfg);
-    let nodes = nodes_per_group * cfg.spec.groups as u32;
-    sim.world.slot_base = sim.reserve(nodes as u64 * cfg.messages_per_node as u64);
-    for node in 0..nodes {
-        queue_next_launch(&mut sim, (node / nodes_per_group) as usize, node, 0);
+/// Put a round, generated in node order, in `(t0, node)` order: fill
+/// `keys` with one key per message, `(t0 − the round's first t0) << 32
+/// | its index in round`, sorted by a stable LSD radix sort over the
+/// bytes of the instant alone, skipping every byte no message sets.
+/// Stability keeps equal instants in index order, which is node order.
+/// (On a 1024-node, 2 µs-interval sweep a comparison sort cost ≈ 50 ns
+/// a message, ≈ 35 on these keys; the radix sort's two passes cost ≈ 9.)
+fn order_round(round: &[SweepMsg], keys: &mut Vec<u128>, scratch: &mut Vec<u128>) {
+    keys.clear();
+    let Some(first) = round.iter().map(|m| m.t0).min() else { return };
+    let mut set = 0;
+    keys.extend(round.iter().enumerate().map(|(i, m)| {
+        let offset = (m.t0 - first).as_nanos();
+        set |= offset;
+        (offset as u128) << 32 | i as u128
+    }));
+    for shift in (32..96).step_by(8).filter(|s| (set >> (s - 32)) & 0xff != 0) {
+        let digit = |key: u128| (key >> shift) as u8 as usize;
+        let mut at = [0usize; 256];
+        for &key in keys.iter() {
+            at[digit(key)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut at {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        scratch.clear();
+        scratch.resize(keys.len(), 0);
+        for &key in keys.iter() {
+            let d = digit(key);
+            scratch[at[d]] = key;
+            at[d] += 1;
+        }
+        std::mem::swap(keys, scratch);
     }
-    sim
 }
 
-/// Run a built sweep to completion and fold its counters.
-fn finish_sweep(mut sim: SweepSim) -> SweepStats {
+/// Inject every message of the sweep, round by round, each right after
+/// the events ordered before its reserved key (see the module docs),
+/// and return how many were launched.
+fn inject_rounds(sim: &mut SweepSim) -> u64 {
+    let (per_node, slot_base) = (sim.world.cfg.messages_per_node, sim.world.slot_base);
+    let nodes = sim.world.nodes_per_group * sim.world.groups.len() as u32;
+    // One round's messages and their order, reused round after round.
+    let mut round = Vec::with_capacity(nodes as usize);
+    let (mut keys, mut scratch) = (Vec::with_capacity(nodes as usize), Vec::new());
+    let mut launched = 0;
+    for k in 0..per_node {
+        round.clear();
+        round.extend((0..nodes).filter_map(|node| sweep_message(&sim.world.cfg, node, k)));
+        order_round(&round, &mut keys, &mut scratch);
+        for &key in &keys {
+            let m: SweepMsg = round[key as u32 as usize];
+            sim.run_before(m.t0, slot_base + m.src as u64 * per_node as u64 + k as u64);
+            inject(sim, m);
+        }
+        launched += round.len() as u64;
+    }
+    launched
+}
+
+/// Run a sweep whose launches have all been injected or queued to
+/// completion, and fold its counters; `launched` counts the injections
+/// made by hand, which the queue never saw.
+fn finish_sweep(mut sim: SweepSim, launched: u64) -> SweepStats {
     sim.run();
     let w = &sim.world;
     let per_group: Vec<GroupCounters> = w.groups.iter().map(|g| g.counters).collect();
@@ -485,19 +527,21 @@ fn finish_sweep(mut sim: SweepSim) -> SweepStats {
         }
     }
     SweepStats {
-        nodes: nodes_per_group(&w.cfg) as u64 * w.groups.len() as u64,
+        nodes: w.nodes_per_group as u64 * w.groups.len() as u64,
         totals,
         per_group,
-        events_executed: sim.events_executed(),
+        events_executed: sim.events_executed() + launched,
         handoffs: w.handoffs,
     }
 }
 
-/// Run a sweep, injection streamed: the queue never holds more than one
-/// launch per node plus the faults and the continuations in flight. The
-/// result — every counter, every clock — is a function of `cfg` alone.
+/// Run a sweep on the round schedule: the queue never holds a launch,
+/// only the faults and the continuations in flight. The result — every
+/// counter, every clock — is a function of `cfg` alone.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepStats {
-    finish_sweep(build_sweep(cfg))
+    let mut sim = new_sweep(cfg);
+    let launched = inject_rounds(&mut sim);
+    finish_sweep(sim, launched)
 }
 
 #[cfg(test)]
@@ -505,17 +549,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The reference streamed injection is held against: the sweep
+    /// The reference the round schedule is held against: the sweep
     /// with every launch of every node queued before the first event
     /// runs, ties broken by that scheduling order alone (faults,
     /// launches node-major, continuations).
     fn run_sweep_materialized(cfg: &SweepConfig) -> SweepStats {
         let mut sim = new_sweep(cfg);
         for m in sweep_messages(cfg) {
-            let group = (m.src / nodes_per_group(cfg)) as usize;
-            sim.schedule(m.t0, SweepEv::Inject { group, m });
+            sim.schedule(m.t0, SweepEv::Inject(m));
         }
-        finish_sweep(sim)
+        finish_sweep(sim, 0)
     }
 
     /// Sweeps sized to tie: few nodes, short intervals (at `0` and `1`
@@ -575,8 +618,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Streaming is unobservable: every counter of every group,
-        /// every executed event and hand-off equals the fully
+        /// The round schedule is unobservable: every counter of every
+        /// group, every executed event and hand-off equals the fully
         /// materialized sweep's.
         #[test]
         fn streamed_sweep_equals_the_materialized_sweep(cfg in tie_dense_config()) {
@@ -584,15 +627,55 @@ mod tests {
         }
     }
 
+    proptest! {
+        /// A round's order is `(t0, node)` order, whatever the spread of
+        /// its instants: equal ones, bytes set only above the lowest,
+        /// and offsets up to the whole of `u64`.
+        #[test]
+        fn a_round_is_ordered_by_instant_then_node(
+            raw in prop::collection::vec((any::<u64>(), 0u32..4), 0..300),
+            first in any::<u32>(),
+        ) {
+            let round: Vec<SweepMsg> = raw
+                .iter()
+                .enumerate()
+                .map(|(node, &(t, spread))| {
+                    // Shift the draw so every byte position gets exercised
+                    // alone, and most rounds hold ties.
+                    let offset = match spread {
+                        0 => t % 4,
+                        1 => (t % 4) << 16,
+                        2 => t % 5_000,
+                        _ => t,
+                    };
+                    let t0 = SimTime::from_nanos((first as u64).saturating_add(offset));
+                    SweepMsg { src: node as u32, dst: 0, t0, len: 0, tc: TrafficClass::BulkData, id: 0 }
+                })
+                .collect();
+            let (mut keys, mut scratch) = (Vec::new(), Vec::new());
+            order_round(&round, &mut keys, &mut scratch);
+            let got: Vec<(SimTime, u32)> =
+                keys.iter().map(|&k| round[k as u32 as usize]).map(|m| (m.t0, m.src)).collect();
+            let mut want: Vec<(SimTime, u32)> = round.iter().map(|m| (m.t0, m.src)).collect();
+            want.sort();
+            prop_assert_eq!(got, want);
+        }
+    }
+
     #[test]
-    fn a_shard_queues_one_launch_per_node_however_long_the_sweep() {
+    fn the_queue_holds_no_launch_however_long_the_sweep() {
         let cut = SweepFault { at_ns: 5_000, kind: FaultKind::LinkDown(SwitchId(1), SwitchId(2)) };
         let cfg = SweepConfig { messages_per_node: 1_000, faults: vec![cut], ..SweepConfig::default() };
-        let sim = build_sweep(&cfg);
-        let nodes = nodes_per_group(&cfg) as usize * cfg.spec.groups;
-        assert_eq!(sim.pending(), nodes + cfg.faults.len());
-        let stats = finish_sweep(sim);
+        let mut sim = new_sweep(&cfg);
+        assert_eq!(sim.pending(), cfg.faults.len(), "only the faults are queued before the run");
+        let launched = inject_rounds(&mut sim);
+        let stats = finish_sweep(sim, launched);
         assert_eq!(stats.totals.sent, stats.nodes * 1_000);
+        assert_eq!(launched, stats.totals.sent);
+        // Every launch counts once, and the queue ran only faults and
+        // hand-off continuations.
+        let queued = cfg.faults.len() as u64 + stats.handoffs;
+        assert_eq!(stats.events_executed, stats.totals.sent + queued);
         assert!(stats.conserved(), "{:?}", stats.totals);
     }
 

@@ -34,8 +34,28 @@ pub(crate) type ObjKey = (Rc<str>, Rc<str>);
 /// A copy-on-write value: a clone shares it, and the first mutable
 /// access through a shared handle copies it (`Rc::make_mut`). Reads and
 /// comparisons see through it.
-#[derive(Clone, Default, PartialEq, Eq)]
+///
+/// The default of each metadata collection is one empty value per
+/// thread, shared: a fresh object allocates no collection it never
+/// writes, and the first write copies the empty value into a handle of
+/// its own.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Shared<T>(Rc<T>);
+
+/// `Default` for the `Shared` collections of [`ObjectMeta`]: a refcount
+/// bump on the thread's one empty value.
+macro_rules! shared_empty_default {
+    ($($t:ty),*) => {$(
+        impl Default for Shared<$t> {
+            fn default() -> Self {
+                thread_local!(static EMPTY: Shared<$t> = Shared(Rc::default()));
+                EMPTY.with(Shared::clone)
+            }
+        }
+    )*};
+}
+
+shared_empty_default!(BTreeMap<String, String>, Vec<u64>, Vec<Rc<str>>);
 
 impl<T> Deref for Shared<T> {
     type Target = T;
@@ -107,9 +127,21 @@ impl ApiObject {
     }
 
     /// [`ApiObject::from_spec`] under names the caller already holds.
+    /// Built field by field, not over `ObjectMeta::default()`, whose
+    /// name and namespace strings would be allocated only to be dropped.
     pub(crate) fn with_key(namespace: Rc<str>, name: Rc<str>, spec: Spec) -> Self {
         ApiObject {
-            meta: ObjectMeta { name, namespace, ..ObjectMeta::default() },
+            meta: ObjectMeta {
+                name,
+                namespace,
+                uid: 0,
+                resource_version: 0,
+                annotations: Shared::default(),
+                owner_uids: Shared::default(),
+                finalizers: Shared::default(),
+                deletion_requested: false,
+                created_at_ns: 0,
+            },
             spec: Rc::new(spec),
             status: Status::None,
         }
