@@ -42,7 +42,6 @@ pub(crate) mod endpoint;
 pub mod lifecycle;
 pub(crate) mod parsim;
 pub mod scenario;
-pub(crate) mod sharded_db;
 pub mod vni_db;
 pub mod workloads;
 
@@ -62,7 +61,6 @@ pub use scenario::{
     JobTraffic, Scenario, ScenarioReport, ServicePlan, ServiceReport, TrafficPattern,
     TrafficPlan, VniMode, VniStressReport, VniStressScenario,
 };
-pub use sharded_db::ShardedVniDb;
 pub use vni_db::{
     AuditEntry, VniDb, VniDbConfig, VniDbCounters, VniDbError, VniDbStats, VniOwner, VniRow,
     VniState,
@@ -71,5 +69,5 @@ pub use workloads::{
     run_admission_spike, AcquireReleaseWorkload, AdmissionSpikeRun, ChurnHotWorkload,
     ClusterTickIdleWorkload, FabricAdaptiveHotWorkload, FabricTransferHotWorkload,
     PlegStatusReadWorkload, SchedulerPollPendingWorkload, ServiceMeshHotWorkload,
-    VniStressWorkload,
+    ShardedVniDb, VniStressWorkload,
 };

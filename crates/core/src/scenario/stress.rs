@@ -1,19 +1,18 @@
 //! Control-plane **stress** scenarios: tenants churning directly through
-//! a sharded VNI database under group commit, without the cluster around
-//! it. Independent of the spec/engine/report modules — it shares only
-//! the `scenario-run` front end with them.
+//! the VNI database under group commit, without the cluster around it.
+//! Independent of the spec/engine/report modules — it shares only the
+//! `scenario-run` front end with them.
 
 use serde::Serialize;
 use shs_des::DetRng;
 
-use crate::sharded_db::ShardedVniDb;
-use crate::vni_db::VniDbConfig;
+use crate::vni_db::VniDb;
 use crate::workloads::VniStressWorkload;
 
-/// A control-plane stress scenario: tenants churning directly through a
-/// sharded VNI database under group commit, without the cluster around
-/// it — the scale test for the million-tenant control plane
-/// (`shs-harness scenario-run` reports these under `control_reports`).
+/// A control-plane stress scenario: tenants churning directly through
+/// the VNI database under group commit, without the cluster around it
+/// — the scale test for the million-tenant control plane (`shs-harness
+/// scenario-run` reports these under `control_reports`).
 #[derive(Debug, Clone)]
 pub struct VniStressScenario {
     /// Scenario name (`vni-stress-10k`, `vni-stress-1m`).
@@ -26,14 +25,15 @@ pub struct VniStressScenario {
     pub tenants: u64,
     /// Control-plane transactions to execute.
     pub ops: u64,
-    /// Store shards.
+    /// Ignored: the run drives one store. Kept only because `sysbench`
+    /// still sets it; see the compatibility block at the end of
+    /// `workloads.rs`.
     pub shards: usize,
 }
 
-/// Deterministic end-state report of a [`VniStressScenario`]. Every
-/// field is shard-count-invariant, so for one seed the report bytes are
-/// identical at any `shards` value — the facade's equivalence
-/// contract, asserted by `tests/report_identity.rs`.
+/// Deterministic end-state report of a [`VniStressScenario`]: for one
+/// scenario the report bytes are fixed, pinned by
+/// `tests/report_identity.rs`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VniStressReport {
     /// Scenario name.
@@ -75,13 +75,14 @@ pub struct VniStressReport {
 
 /// Execute a control-plane stress scenario (see [`VniStressWorkload`]
 /// for the step semantics): run the churn, audit the end state, then
-/// crash every shard and verify recovery reproduces it.
+/// crash the store and verify recovery reproduces it.
 pub fn run_vni_stress(scenario: &VniStressScenario) -> VniStressReport {
-    let mut w = VniStressWorkload::new(scenario.shards, scenario.tenants);
+    let mut w = VniStressWorkload::with_config(scenario.tenants, VniStressWorkload::config());
     for _ in 0..scenario.ops {
         w.step();
     }
-    let (mut db, now, ops, _) = w.finish();
+    let (db, now, ops, _) = w.finish();
+    let mut db = db.0;
     let consistent = db.check_index_consistency().is_ok();
     let stats = db.stats(now);
     let c = db.counters();
@@ -89,11 +90,10 @@ pub fn run_vni_stress(scenario: &VniStressScenario) -> VniStressReport {
     let audit_len = db.audit_len() as u64;
     let txns = db.txn_count();
 
-    // Crash-recovery audit: after the final group flush, a crash at any
-    // shard must lose nothing.
-    let config = VniDbConfig { range: VniStressWorkload::RANGE, quarantine: db.quarantine() };
-    let mut rng = DetRng::new(scenario.seed);
-    let recovered_db = ShardedVniDb::recover(db.crash(&mut rng), config);
+    // Crash-recovery audit: after the final group flush, a crash must
+    // lose nothing.
+    let disk = db.into_store().crash(&mut DetRng::new(scenario.seed));
+    let recovered_db = VniDb::recover(disk, VniStressWorkload::config());
     let recovered = recovered_db.rows() == rows
         && recovered_db.audit_len() as u64 == audit_len
         && recovered_db.check_index_consistency().is_ok();
@@ -138,6 +138,8 @@ pub fn stress_by_name(name: &str, seed: u64) -> Option<VniStressScenario> {
 fn vni_stress(seed: u64, name: &str, tenants: u64, ops: u64) -> VniStressScenario {
     VniStressScenario {
         name: name.into(),
+        // "sharded" predates the single store; `spec_digest.rs` pins
+        // this wording, which goes with the `shards` field.
         description: format!(
             "{tenants} tenants churning {ops} control-plane transactions through the \
              sharded VNI database under WAL group commit, with a crash-recovery audit"

@@ -430,12 +430,10 @@ impl VniDb {
     /// Recover a database from a crashed/persisted store image. One scan
     /// of the `vnis` table rebuilds every index.
     ///
-    /// The audit cursor resumes from the highest persisted key + 1, not
-    /// the row count: a database serving as one shard of a
-    /// [`ShardedVniDb`](crate::sharded_db::ShardedVniDb) holds a sparse
-    /// slice of the *global* sequence, so counting rows would re-issue
-    /// keys another shard already owns. For a standalone log the keys
-    /// are contiguous and the two are equal.
+    /// The audit cursor resumes past the last persisted key. The keys
+    /// of a log this database wrote run contiguously from 0, so that is
+    /// also the entry count; [`VniDb::check_index_consistency`] fails an
+    /// image whose keys skip one.
     pub fn recover(disk: shs_vnistore::SimDisk, config: VniDbConfig) -> Self {
         let store = Store::recover(disk, VniDb::store_config());
         let next_audit_seq = store.last_key(T_AUDIT).map_or(0, |k| audit_seq_of(k) + 1);
@@ -506,75 +504,12 @@ impl VniDb {
         self.store.group_end();
     }
 
-    // ---- Sharding hooks (crate-private) ---------------------------------
-    //
-    // A `ShardedVniDb` owns the *global* audit sequence and allocation
-    // order; these hooks let it thread that state through each shard
-    // while every per-shard invariant stays locally checkable.
-
-    /// Current audit cursor (the next sequence this database would
-    /// assign).
-    pub(crate) fn audit_seq(&self) -> u64 {
-        self.next_audit_seq
-    }
-
-    /// Point the audit cursor at a facade-assigned global sequence.
-    pub(crate) fn set_audit_seq(&mut self, seq: u64) {
-        self.next_audit_seq = seq;
-    }
-
-    /// Audit entries paired with their persisted sequence keys — the
-    /// k-way-merge input for the facade's global audit view.
-    pub(crate) fn audit_with_seq(&self) -> Vec<(u64, AuditEntry)> {
-        self.store
-            .scan(T_AUDIT)
-            .map(|(k, v)| (audit_seq_of(k), try_decode_audit(v).expect("audit rows decode")))
-            .collect()
-    }
-
-    /// The persisted audit sequence keys, ascending, without decoding
-    /// the entries under them (the facade's contiguity check).
-    pub(crate) fn audit_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.store.scan(T_AUDIT).map(|(k, _)| audit_seq_of(k))
-    }
-
-    /// Whether a row (allocated or quarantined) exists for `vni` — the
-    /// facade's probe for rows outside the directory, which needs
-    /// presence, not the row.
-    pub(crate) fn has_row(&self, vni: u16) -> bool {
-        self.store.get(T_VNIS, &Self::key(vni)).is_some()
-    }
-
-    /// The VNI `acquire` would hand out at `now`, without allocating —
-    /// the facade probes every shard with this and has the shard holding
-    /// the global minimum [`allocate`](VniDb::allocate) it, so sharded
-    /// allocation order is identical to a single store's.
-    pub(crate) fn peek_min_allocatable(&mut self, now: SimTime) -> Option<u16> {
-        self.promote_expired(now);
-        match (self.idx.free.first(), self.idx.expired.first()) {
-            (Some(&f), Some(&e)) => Some(f.min(e)),
-            (Some(&f), None) => Some(f),
-            (None, Some(&e)) => Some(e),
-            (None, None) => None,
-        }
-    }
-
-    /// Owner-index lookup without promotion side effects (the facade's
-    /// idempotent re-acquire probe).
+    /// Owner-index lookup without promotion side effects: `acquire`'s
+    /// idempotent re-acquire probe, and the endpoint's "is this owner
+    /// new" test.
     pub(crate) fn owner_vni(&self, owner: &VniOwner) -> Option<u16> {
         let (slot, key) = owner_slot(owner);
         self.idx.owners[slot].get(key).copied()
-    }
-
-    /// Quarantined-index size (valid after a sweep at the caller's
-    /// clock).
-    pub(crate) fn quarantined_count(&self) -> usize {
-        self.idx.quarantined.len()
-    }
-
-    /// Free-set size.
-    pub(crate) fn free_count(&self) -> usize {
-        self.idx.free.len()
     }
 
     fn key(vni: u16) -> [u8; 2] {
@@ -677,19 +612,16 @@ impl VniDb {
         if let Some(vni) = self.owner_vni(&owner) {
             return Ok(Vni(vni));
         }
-        let Some(vni) = self.peek_min_allocatable(now) else {
-            self.counters.exhaustions += 1;
-            return Err(VniDbError::Exhausted);
+        self.promote_expired(now);
+        let vni = match (self.idx.free.first(), self.idx.expired.first()) {
+            (Some(&f), Some(&e)) => f.min(e),
+            (Some(&f), None) => f,
+            (None, Some(&e)) => e,
+            (None, None) => {
+                self.counters.exhaustions += 1;
+                return Err(VniDbError::Exhausted);
+            }
         };
-        Ok(self.allocate(owner, vni, now))
-    }
-
-    /// Commit `vni` to `owner` — `acquire` after its probes. `vni` must
-    /// be what [`VniDb::peek_min_allocatable`] returned at `now`, with
-    /// nothing changed since, for an owner holding no VNI: the sharded
-    /// facade runs those probes across its shards and then calls this
-    /// on the winner, so the winner does not run them again.
-    pub(crate) fn allocate(&mut self, owner: VniOwner, vni: u16, now: SimTime) -> Vni {
         self.scratch.clear();
         encode_row_into(&mut self.scratch, vni, &VniState::Allocated, owner_slot(&owner), []);
         self.commit_row(vni, now, "acquire", "");
@@ -709,7 +641,7 @@ impl VniDb {
         };
         self.idx.owners[slot].insert(key, vni);
         self.counters.acquires += 1;
-        Vni(vni)
+        Ok(Vni(vni))
     }
 
     /// The transaction every single-row operation is: write the row
@@ -862,7 +794,8 @@ impl VniDb {
         }
     }
 
-    /// Verify every index invariant against a full (slow) table scan.
+    /// Verify every index invariant against a full (slow) table scan,
+    /// and that the audit keys are exactly `0..next_audit_seq`.
     /// Diagnostics/tests only — the regression and oracle suites call
     /// this after every operation, including failed ones.
     pub fn check_index_consistency(&self) -> Result<(), String> {
@@ -927,15 +860,21 @@ impl VniDb {
                 "quarantine coverage diverged: covered={covered:?} rows={quar_keys:?}"
             ));
         }
-        // The cursor may run ahead of this database's own rows (as one
-        // shard of a global sequence) but must never lag them; the
-        // sharded facade's check restores full strictness by requiring
-        // the union of shard keys to be contiguous.
-        let min_next = self.store.last_key(T_AUDIT).map_or(0, |k| audit_seq_of(k) + 1);
-        if self.next_audit_seq < min_next {
+        // The audit keys are exactly `0..next_audit_seq`: read in key
+        // order, each key is the next sequence number, and the cursor
+        // sits one past the last. Keys only; no entry is decoded.
+        let mut want = 0u64;
+        for (key, _) in self.store.scan(T_AUDIT) {
+            let seq = audit_seq_of(key);
+            if seq != want {
+                return Err(format!("audit sequence gap: expected key {want}, found {seq}"));
+            }
+            want += 1;
+        }
+        if self.next_audit_seq != want {
             return Err(format!(
-                "audit cursor lags persisted keys: next_audit_seq={} max key+1={}",
-                self.next_audit_seq, min_next
+                "audit cursor diverged: next_audit_seq={} after {want} keys",
+                self.next_audit_seq
             ));
         }
         Ok(())
@@ -1106,6 +1045,34 @@ mod tests {
         assert_eq!(row.users, vec!["u".to_string()]);
         assert_eq!(db2.audit_len(), 2);
         db2.check_index_consistency().expect("rebuilt indexes agree with the store");
+    }
+
+    #[test]
+    fn an_audit_key_gap_fails_the_consistency_check() {
+        // A log the database writes itself runs 0, 1, 2, ...
+        let mut db = db();
+        let v = db.acquire(job("ns/a"), SimTime::ZERO).unwrap();
+        db.release(v, SimTime::ZERO).unwrap();
+        db.sweep_expired(SimTime::from_nanos(31_000_000_000));
+        db.check_index_consistency().expect("contiguous audit keys");
+        // A cursor past the last key would leave a gap at the next write.
+        db.next_audit_seq += 1;
+        let err = db.check_index_consistency().unwrap_err();
+        assert!(err.contains("cursor diverged"), "{err}");
+        // An image whose log skips key 1: recovery resumes past key 2,
+        // but the keys are not `0..3`.
+        let mut store = Store::new(VniDb::store_config());
+        let mut entry = Vec::new();
+        encode_audit_into(&mut entry, 0, 1024, "acquire", "");
+        for seq in [0u64, 2] {
+            let mut txn = store.begin();
+            txn.append(T_AUDIT, &seq.to_be_bytes(), &entry);
+            txn.commit();
+        }
+        let cfg = VniDbConfig { range: 1024..1030, quarantine: SimDur::from_secs(30) };
+        let gapped = VniDb::recover(store.shutdown(), cfg);
+        let err = gapped.check_index_consistency().unwrap_err();
+        assert!(err.contains("expected key 1, found 2"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! The measurement: live bytes just before the workload crashes, minus
 //! live bytes just after. The crash consumes the database and hands
-//! back its device images, so the difference is exactly what the
+//! back its device image, so the difference is exactly what the
 //! database held besides them. This is the only test in its binary, so
 //! the counter sees nothing but the workload.
 
@@ -76,16 +76,16 @@ const FIXED_ALLOWANCE: usize = 4 << 20;
 
 #[test]
 fn history_costs_at_most_one_offset_per_audit_row() {
-    let mut w = VniStressWorkload::new(1, TENANTS);
+    let mut w = VniStressWorkload::with_config(TENANTS, VniStressWorkload::config());
     for _ in 0..STEPS {
         w.step();
     }
     let rows = w.db().audit_len();
     assert_eq!(rows as u64, STEPS, "one audit row per step");
     let before = LIVE.load(Ordering::Relaxed);
-    let disks = w.crash(&mut DetRng::new(42));
+    let disk = w.crash(&mut DetRng::new(42));
     let held = before - LIVE.load(Ordering::Relaxed);
-    let device: usize = disks.iter().map(|d| d.len()).sum();
+    let device = disk.len();
     println!(
         "{held} B held besides a {device} B device: {:.1} B per audit row",
         held as f64 / rows as f64

@@ -1,6 +1,6 @@
 //! Allocation budget of the VNI control plane's steady state: the
 //! `vni-churn` step (one acquire or release, each one ACID transaction
-//! through `ShardedVniDb` and the store's WAL) under a counting global
+//! through `VniDb` and the store's WAL) under a counting global
 //! allocator.
 //!
 //! This is the only test in its binary, so the counter sees nothing but
@@ -71,7 +71,7 @@ const MAX_ALLOCS_PER_STEP: f64 = 1.0;
 
 #[test]
 fn churn_steps_stay_within_their_allocation_budget() {
-    let mut w = VniStressWorkload::new(1, TENANTS);
+    let mut w = VniStressWorkload::with_config(TENANTS, VniStressWorkload::config());
     for _ in 0..TENANTS {
         w.step();
     }
@@ -87,6 +87,5 @@ fn churn_steps_stay_within_their_allocation_budget() {
         per_step <= MAX_ALLOCS_PER_STEP,
         "{per_step:.2} allocations per step (budget {MAX_ALLOCS_PER_STEP}; {bytes_per_step} B)"
     );
-    let (db, ..) = w.finish();
-    db.check_index_consistency().expect("indexes agree with the store");
+    w.db().check_index_consistency().expect("indexes agree with the store");
 }

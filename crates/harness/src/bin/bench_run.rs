@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! bench-run [--quick] [--baseline FILE] [--gate] [--label NAME] [--out FILE]
-//!           [--shards LIST]
 //! ```
 //!
 //! Times the control-plane hot paths the paper's VNI Database serializes
@@ -87,14 +86,11 @@
 //! block records its deterministic shape (nodes, events, cross-group
 //! hand-offs).
 //!
-//! The **control-plane sharding curve**: a bench-scale tenant-churn
-//! stress run (2000 tenants through the sharded VNI database under
-//! group commit, ending in a crash-recovery audit) runs once per
-//! `--shards` entry (default `1,2,4`), emitting one `vni_stress-s<N>`
-//! scenario row each. The run asserts the stress report —
-//! allocations, audit length, transaction count, recovery outcome —
-//! is **identical at every shard count** before reporting; only
-//! wall-clock (and so ops/sec) may differ between rows.
+//! The **control-plane stress run**: a bench-scale tenant churn (2000
+//! tenants through the VNI database under group commit, ending in a
+//! crash-recovery audit) runs once and is emitted as the
+//! `vni_stress-s1` scenario row — the name the committed baselines
+//! know it by; a `"control"` block records its deterministic report.
 //!
 //! The emitted document also records a top-level `"host"` fingerprint
 //! (core count, OS, architecture, CPU model): medians are only
@@ -119,13 +115,10 @@ use slingshot_k8s::{
 /// The fabric-sweep row: the 1024-node library sweep.
 const SWEEP_SCENARIO: &str = "dragonfly-1024";
 
-/// `--shards` when the flag is absent.
-const DEFAULT_SHARDS: [usize; 3] = [1, 2, 4];
-
 /// Tenant identities cycled by the bench-scale stress run.
 const STRESS_TENANTS: u64 = 2_000;
 
-/// Steps per bench-scale stress run (`vni_stress-s<N>` rows). Fixed
+/// Steps per bench-scale stress run (the `vni_stress-s1` row). Fixed
 /// across `--quick` and full mode — the run ends in a crash+recovery
 /// whose fixed cost amortizes over the op count, so rows are only
 /// gate-comparable to a baseline recorded at the *same* size (unlike
@@ -155,9 +148,6 @@ struct Opts {
     gate: bool,
     label: String,
     out: Option<PathBuf>,
-    /// Shard counts for the control-plane sharding curve (one
-    /// `vni_stress-s<N>` scenario row per entry).
-    shards: Vec<usize>,
 }
 
 /// Sample/iteration budgets shared by the first measurement pass and
@@ -193,11 +183,10 @@ enum Row {
     SchedulerPollPending,
     /// A library scenario under the DES clock.
     Scenario(&'static str),
-    /// The 1024-node sharded fabric sweep.
+    /// The 1024-node fabric sweep.
     Sweep,
-    /// `vni_stress-s<N>`: the bench-scale stress run at N store shards
-    /// (one row of the control-plane sharding curve).
-    Stress(usize),
+    /// The bench-scale control-plane stress run.
+    Stress,
 }
 
 impl Row {
@@ -221,14 +210,16 @@ impl Row {
             Row::SchedulerPollPending => "scheduler_poll_100pending".into(),
             Row::Scenario(name) => name.into(),
             Row::Sweep => SWEEP_SCENARIO.into(),
-            Row::Stress(shards) => format!("vni_stress-s{shards}"),
+            // The `-s1` suffix is the one-shard row of the retired
+            // sharding curve; the baselines gate the run under it.
+            Row::Stress => "vni_stress-s1".into(),
         }
     }
 
     /// Scenario rows go in `"scenarios"` and are judged on events/sec
     /// (higher is better); the rest go in `"benchmarks"`, on ns/op.
     fn is_scenario(self) -> bool {
-        matches!(self, Row::Scenario(_) | Row::Sweep | Row::Stress(_))
+        matches!(self, Row::Scenario(_) | Row::Sweep | Row::Stress)
     }
 
     /// The field the row's value, baseline and gate live in.
@@ -242,9 +233,9 @@ impl Row {
 }
 
 /// Every row `bench-run` emits, in emission order: 17 benchmarks, then
-/// the scenarios, ending in one stress row per `shards` entry.
-fn table(shards: &[usize]) -> Vec<Row> {
-    let mut rows = vec![
+/// the scenarios, ending in the stress row.
+fn table() -> Vec<Row> {
+    vec![
         Row::AcquireRelease,
         Row::ChurnHot,
         Row::StoreCommit,
@@ -265,9 +256,8 @@ fn table(shards: &[usize]) -> Vec<Row> {
         Row::Scenario("churn"),
         Row::Scenario("steady-state"),
         Row::Sweep,
-    ];
-    rows.extend(shards.iter().map(|&n| Row::Stress(n)));
-    rows
+        Row::Stress,
+    ]
 }
 
 /// What timing a row yields besides its entry.
@@ -276,8 +266,7 @@ enum Shape {
     /// A top-level block of the document this row's run determines:
     /// `allocator_counters` (churn-hot) or `parallel` (the sweep).
     Block(&'static str, Value),
-    /// The stress run's report — identical at every shard count, so
-    /// recorded once as `control`.
+    /// The stress run's report, recorded as `control`.
     Stress(VniStressReport),
 }
 
@@ -288,26 +277,12 @@ fn parse_args() -> Opts {
         gate: false,
         label: "bench-run".into(),
         out: None,
-        shards: DEFAULT_SHARDS.to_vec(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--gate" => opts.gate = true,
-            "--shards" => {
-                let v = args.next().unwrap_or_else(|| usage("--shards needs a list, e.g. 1,2,4"));
-                opts.shards = v
-                    .split(',')
-                    .map(|t| match t.trim().parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => usage("--shards entries must be integers >= 1"),
-                    })
-                    .collect();
-                if opts.shards.is_empty() {
-                    usage("--shards needs at least one entry");
-                }
-            }
             "--baseline" => {
                 let v = args.next().unwrap_or_else(|| usage("--baseline needs a path"));
                 opts.baseline = Some(PathBuf::from(v));
@@ -330,10 +305,7 @@ fn parse_args() -> Opts {
 
 fn usage(msg: &str) -> ! {
     eprintln!("bench-run: {msg}");
-    eprintln!(
-        "usage: bench-run [--quick] [--baseline FILE] [--gate] [--label NAME] [--out FILE] \
-         [--shards LIST]"
-    );
+    eprintln!("usage: bench-run [--quick] [--baseline FILE] [--gate] [--label NAME] [--out FILE]");
     std::process::exit(2);
 }
 
@@ -469,21 +441,20 @@ fn time_row(row: Row, b: &Budgets) -> (Value, Shape) {
             });
             (scenario(r.events_executed, wall_s), Shape::Block("parallel", parallel))
         }
-        Row::Stress(shards) => {
+        Row::Stress => {
             let s = VniStressScenario {
                 name: "vni-stress-bench".into(),
-                description: "bench-scale tenant churn through the sharded VNI database".into(),
+                description: "bench-scale tenant churn through the VNI database".into(),
                 seed: 42,
                 tenants: STRESS_TENANTS,
                 ops: STRESS_OPS,
-                shards,
+                shards: 1,
             };
             let start = Instant::now();
             let report = run_vni_stress(&s);
             let wall_s = start.elapsed().as_secs_f64();
             assert!(report.passed, "bench stress run must stay consistent and recover: {report:?}");
             let mut entry = scenario(report.ops, wall_s);
-            entry["shards"] = json!(shards);
             entry["txns"] = json!(report.txns);
             (entry, Shape::Stress(report))
         }
@@ -656,7 +627,7 @@ fn gate_checks(entries: &[(Row, Value)]) -> Vec<GateCheck> {
 
 fn main() {
     let opts = parse_args();
-    let rows = table(&opts.shards);
+    let rows = table();
     let baseline = opts.baseline.as_deref().map(|p| load_baseline(p, &rows, opts.gate));
     // Sample/iteration budgets keep acquire_release inside one workload
     // epoch (the backlog profile stays comparable across runs) and keep
@@ -681,12 +652,7 @@ fn main() {
         match shape {
             Shape::None => {}
             Shape::Block(key, block) => doc[key] = block,
-            // The sharding curve: only wall-clock (and so ops/sec) may
-            // differ between its rows.
-            Shape::Stress(report) => match &stress {
-                Some(first) => assert_eq!(&report, first, "stress report diverged at {}", row.name()),
-                None => stress = Some(report),
-            },
+            Shape::Stress(report) => stress = Some(report),
         }
         entries.push((row, entry));
     }
@@ -705,7 +671,7 @@ fn main() {
     };
     doc["benchmarks"] = json!(section(false));
     doc["scenarios"] = json!(section(true));
-    let r = stress.expect("the table ends in stress rows");
+    let r = stress.expect("the table ends in the stress row");
     doc["control"] = json!({
         "scenario": r.scenario,
         "tenants": r.tenants,
@@ -769,9 +735,10 @@ mod tests {
 
     /// The first pass and the gate retry both time a [`Row`] through
     /// [`time_row`], so no row can be reachable by one and not the
-    /// other; what can drift is the table. At the default `--shards`
-    /// it must name exactly the baseline's rows, in order, so
-    /// `--gate --baseline results/BENCH_pr35.json` compares every one.
+    /// other; what can drift is the table. It must name the baseline's
+    /// rows, in order, so `--gate --baseline results/BENCH_pr35.json`
+    /// compares every one. The baseline's only other rows are the two
+    /// multi-shard points of the retired sharding curve.
     #[test]
     fn the_default_table_is_the_baselines_rows() {
         let doc: Value = serde_json::from_str(BASELINE).expect("baseline parses");
@@ -779,11 +746,12 @@ mod tests {
             .into_iter()
             .flat_map(|s| doc[s].as_array().expect("a row array"))
             .map(|e| e["name"].as_str().expect("a row name"))
+            .filter(|name| !["vni_stress-s2", "vni_stress-s4"].contains(name))
             .collect();
-        let names: Vec<String> = table(&DEFAULT_SHARDS).into_iter().map(Row::name).collect();
+        let names: Vec<String> = table().into_iter().map(Row::name).collect();
         assert_eq!(names, recorded);
-        assert_eq!(names.len(), 17 + 6);
-        let benchmarks = table(&DEFAULT_SHARDS).into_iter().filter(|r| !r.is_scenario()).count();
+        assert_eq!(names.len(), 17 + 4);
+        let benchmarks = table().into_iter().filter(|r| !r.is_scenario()).count();
         assert_eq!(benchmarks, doc["benchmarks"].as_array().expect("benchmarks").len());
     }
 }

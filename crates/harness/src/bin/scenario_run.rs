@@ -8,10 +8,10 @@
 //! Runs each k8s scenario's full job lifecycle (admission → CNI chain →
 //! VNI allocation → CXI service → fabric traffic → teardown) under the
 //! deterministic DES clock, plus the cluster-scale **fabric sweeps**
-//! (128–1024-node dragonfly topologies sharded per group) and
+//! (128–1024-node dragonfly topologies, one net per group) and
 //! the **control-plane stress runs** (tenant churn straight through the
-//! sharded VNI database under WAL group commit, ending in a
-//! crash-recovery audit), and prints one JSON document: a
+//! VNI database under WAL group commit, ending in a crash-recovery
+//! audit), and prints one JSON document: a
 //! `"control_reports"` array (one [`VniStressReport`] per stress run),
 //! a `"parallel_reports"` array (one [`FabricSweepReport`] per sweep),
 //! a `"reports"` array (one [`ScenarioReport`] per k8s scenario), then
@@ -20,7 +20,7 @@
 //! fixed seed the report sections are byte-identical across runs;
 //! wall-clock throughput lives only in `"run_metrics"`, after them.
 //! Exits non-zero if any scenario's assertions fail (isolation for the
-//! k8s library; conservation and conservative-sync for the sweeps;
+//! k8s library; conservation for the sweeps;
 //! consistency + crash recovery for the stress runs).
 //!
 //! The full-scale `vni-stress-1m` (one million tenants, ten million
@@ -134,7 +134,7 @@ fn main() {
     let control: Vec<VniStressReport> = stress
         .iter()
         .map(|s| {
-            eprintln!("running {} (shards={}) ...", s.name, s.shards);
+            eprintln!("running {} ...", s.name);
             run_vni_stress(s)
         })
         .collect();

@@ -160,7 +160,7 @@ mod tests {
             seed: 5,
             tenants: 100,
             ops: 400,
-            shards: 2,
+            shards: 1,
         })
     }
 

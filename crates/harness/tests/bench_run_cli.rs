@@ -28,7 +28,7 @@ fn malformed_command_lines_are_usage_errors() {
     for (args, reason) in [
         (&["--threads", "2"][..], "unknown flag --threads"),
         (&["--gate"], "--gate needs --baseline"),
-        (&["--shards", "0"], "--shards entries must be integers >= 1"),
+        (&["--shards", "0"], "unknown flag --shards"),
         (&["--baseline", missing], "cannot read baseline"),
         (&["--baseline", garbled], "is not valid JSON"),
         (&["--gate", "--baseline", empty], "shares no row with this run"),
