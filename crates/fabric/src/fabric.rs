@@ -9,11 +9,9 @@
 //! 1-group × 1-switch topology times a message as one serialization
 //! plus per-hop constants. Inter-switch (*trunk*) links add what the
 //! paper's multi-tenant story needs: **per-traffic-class weighted
-//! scheduling** (the message-level counterpart of the packet-level
-//! [`crate::switch::WrrArbiter`], modeled as weighted processor
-//! sharing over the four classes) and **finite per-class queues** whose
-//! overflow is a congestion drop, counted per hop, per class, and per
-//! tenant VNI.
+//! scheduling** (weighted processor sharing over the four classes) and
+//! **finite per-class queues** whose overflow is a congestion drop,
+//! counted per hop, per class, and per tenant VNI.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -21,7 +19,7 @@ use std::rc::Rc;
 use shs_des::{SimDur, SimTime};
 
 use crate::faults::{FaultKind, LivenessMask, MAX_REPAIR_PATH};
-use crate::packet::{CostModel, Packet};
+use crate::packet::CostModel;
 use crate::switch::{DropReason, Switch, SwitchConfig};
 use crate::topology::{RoutingPolicy, Topology, TopologySpec};
 use crate::trunknet::{LinkState, TrunkClassCounters, TrunkNet, WalkEnd};
@@ -145,8 +143,8 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Build a single-switch fabric with the default cost model and
-    /// switch configuration.
+    /// Build a single-switch fabric with `ports` edge ports and the
+    /// default cost model.
     pub fn new(ports: usize) -> Self {
         Fabric::with_topology(
             CostModel::default(),
@@ -155,13 +153,13 @@ impl Fabric {
         )
     }
 
-    /// Build a multi-switch fabric over a dragonfly topology with the
-    /// default switch configuration (VNI enforcement + source checks on).
+    /// Build a multi-switch fabric over a dragonfly topology, each
+    /// switch with `spec.edge_ports` edge ports.
     pub fn with_topology(model: CostModel, spec: TopologySpec, policy: RoutingPolicy) -> Self {
-        let switch_config = SwitchConfig { ports: spec.edge_ports, ..Default::default() };
+        let switch_config = SwitchConfig { ports: spec.edge_ports };
         let n = spec.total_switches();
         Fabric {
-            net: TrunkNet::new(Rc::new(Topology::new(spec, policy)), model, None),
+            net: TrunkNet::new(Rc::new(Topology::new(spec, policy)), model),
             switches: (0..n).map(|_| Switch::new(switch_config.clone())).collect(),
             links: vec![Vec::new(); n],
             ports_of: Vec::new(),
@@ -400,10 +398,10 @@ impl Fabric {
 
     /// Message-level transfer between two resolved attachments:
     /// enforcement at the source and destination edge switches, one route
-    /// selection and one trunk walk over the topology, and the arrival
-    /// time of the last byte (cut-through pipelining: end-to-end time ≈
-    /// one serialization of the message plus per-hop constants, plus any
-    /// queueing).
+    /// selection and a trunk walk continued past every group boundary in
+    /// the same call, and the arrival time of the last byte (cut-through
+    /// pipelining: end-to-end time ≈ one serialization of the message
+    /// plus per-hop constants, plus any queueing).
     ///
     /// The switches check every message — the source port's binding, the
     /// ingress and egress grants, and that the destination is still
@@ -427,19 +425,8 @@ impl Fabric {
         };
         let model = &self.net.model;
         let pkts = model.packets_for(len);
-        // Representative head packet carries the routing/enforcement fields.
-        let head = Packet {
-            src: src.nic,
-            dst: dst.nic,
-            vni,
-            tc,
-            payload_len: len.min(model.mtu as u64) as u32,
-            msg_id,
-            seq: 0,
-            last_of_msg: pkts == 1,
-        };
         // Ingress enforcement at the source edge switch.
-        if let Some(reason) = self.switches[ssw].admit(sport, &head) {
+        if let Some(reason) = self.switches[ssw].admit(sport, src.nic, vni) {
             return TransferOutcome::Dropped(reason);
         }
         let Some((dsw, dport)) = dst.at else {
@@ -452,7 +439,7 @@ impl Fabric {
             return TransferOutcome::Dropped(self.switches[dsw].note_drop(DropReason::NoRoute));
         }
         // Egress enforcement at the destination edge switch.
-        if let Some(reason) = self.switches[dsw].egress_check(dport, &head) {
+        if let Some(reason) = self.switches[dsw].egress_check(dport, vni) {
             return TransferOutcome::Dropped(reason);
         }
 
@@ -483,7 +470,17 @@ impl Fabric {
                 return TransferOutcome::Dropped(self.switches[ssw].note_drop(DropReason::NoRoute));
             };
             let route = &route[..route_len];
-            let walk = self.net.walk(route, 0, tc, ser_ns, len, head_t, tail_t);
+            // The walk stops at every group boundary; the serial fabric
+            // continues it in place.
+            let mut pos = 0;
+            let walk = loop {
+                let leg = self.net.walk(route, pos, tc, ser_ns, len, head_t, tail_t);
+                (pos, head_t, tail_t) = (leg.pos, leg.head_t, leg.tail_t);
+                ecn_marks += leg.ecn_marks;
+                if leg.end != WalkEnd::Handoff {
+                    break leg;
+                }
+            };
             // A switch counts the message once it has cleared that
             // switch's outbound trunk, so per-switch and per-trunk totals
             // reconcile even when a later hop drops the message.
@@ -492,7 +489,8 @@ impl Fabric {
             }
             let stopped = &mut self.switches[route[walk.pos].0];
             match walk.end {
-                WalkEnd::Arrived => {}
+                // The loop above continues every hand-off.
+                WalkEnd::Arrived | WalkEnd::Handoff => {}
                 WalkEnd::Congested => {
                     let reason = stopped.note_drop(DropReason::Congested);
                     self.traffic_mut(vni).congestion_drops += 1;
@@ -501,9 +499,7 @@ impl Fabric {
                 WalkEnd::LinkDead => {
                     return TransferOutcome::Dropped(stopped.note_drop(DropReason::NoRoute));
                 }
-                WalkEnd::Handoff => unreachable!("the serial fabric owns every group"),
             }
-            (head_t, tail_t, ecn_marks) = (walk.head_t, walk.tail_t, walk.ecn_marks);
             (hops, rerouted) = (route.len() as u64, failover);
         }
         // The destination edge switch forwards onto its downlink.

@@ -1,6 +1,4 @@
-//! The fabric packet and message cost model.
-
-use crate::types::{NicAddr, TrafficClass, Vni};
+//! The fabric's message cost model.
 
 /// Link/fabric cost-model constants, calibrated to Slingshot 200 Gbps
 /// magnitudes (FABRIC.md, "The packet path", shows where each is
@@ -85,66 +83,6 @@ impl CostModel {
     pub(crate) fn serialize_ns(&self, bytes: u64) -> u64 {
         (bytes as f64 / self.bw_bytes_per_ns).ceil() as u64
     }
-
-}
-
-/// One fabric packet, as emitted by a Cassini NIC.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
-    /// Source NIC fabric address.
-    pub src: NicAddr,
-    /// Destination NIC fabric address.
-    pub dst: NicAddr,
-    /// Virtual network the packet claims membership of. Enforced at the
-    /// switch per §II-C.
-    pub vni: Vni,
-    /// Traffic class for egress arbitration.
-    pub tc: TrafficClass,
-    /// Payload bytes carried (≤ MTU).
-    pub payload_len: u32,
-    /// Message this packet belongs to (reassembly key).
-    pub msg_id: u64,
-    /// Packet index within the message.
-    pub seq: u32,
-    /// Set on the final packet of a message.
-    pub last_of_msg: bool,
-}
-
-impl Packet {
-    /// Wire size of the packet (payload + header).
-    pub fn wire_bytes(&self, model: &CostModel) -> u64 {
-        self.payload_len as u64 + model.header_bytes as u64
-    }
-}
-
-/// Segment a message into packets under the cost model.
-pub fn segment(
-    model: &CostModel,
-    src: NicAddr,
-    dst: NicAddr,
-    vni: Vni,
-    tc: TrafficClass,
-    msg_id: u64,
-    len: u64,
-) -> Vec<Packet> {
-    let n = model.packets_for(len);
-    let mut out = Vec::with_capacity(n as usize);
-    let mut remaining = len;
-    for seq in 0..n {
-        let take = remaining.min(model.mtu as u64) as u32;
-        remaining -= take as u64;
-        out.push(Packet {
-            src,
-            dst,
-            vni,
-            tc,
-            payload_len: take,
-            msg_id,
-            seq: seq as u32,
-            last_of_msg: seq + 1 == n,
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -184,19 +122,5 @@ mod tests {
         let m = m();
         assert_eq!(m.serialize_ns(25), 1);
         assert_eq!(m.serialize_ns(2500), 100);
-    }
-
-    #[test]
-    fn segmentation_roundtrips_payload() {
-        let m = m();
-        for len in [0u64, 1, 100, 2048, 2049, 10_000, 1 << 20] {
-            let pkts = segment(&m, NicAddr(0), NicAddr(1), Vni(5), TrafficClass::Dedicated, 9, len);
-            assert_eq!(pkts.len() as u64, m.packets_for(len));
-            assert_eq!(pkts.iter().map(|p| p.payload_len as u64).sum::<u64>(), len);
-            assert!(pkts.last().unwrap().last_of_msg);
-            assert!(pkts.iter().rev().skip(1).all(|p| !p.last_of_msg));
-            assert!(pkts.iter().all(|p| p.payload_len <= m.mtu));
-            assert!(pkts.iter().enumerate().all(|(i, p)| p.seq as usize == i));
-        }
     }
 }

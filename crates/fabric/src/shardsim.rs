@@ -1,17 +1,18 @@
 //! Fabric sweeps: synthetic all-groups traffic over 128–1024-node
 //! dragonfly topologies, run on one [`Sim`] whose world holds one
-//! `GroupNet` per dragonfly group.
+//! `TrunkNet` over the whole fabric.
 //!
-//! # Groups and hand-offs
+//! # Group boundaries and hand-offs
 //!
-//! A group's net owns the group's switches, the edge links of the nodes
-//! attached there, and every directed trunk *sourced* in the group
-//! (`Topology::group_view`). A message's walk reserves only the trunks
-//! of the group it is in; when the route crosses a group boundary the
-//! message has, by then, cleared the boundary trunk, and its
+//! The sweep's net owns every trunk, every node's edge link, and the
+//! fabric's liveness, as the serial [`Fabric`](crate::Fabric)'s does. A
+//! message's walk stops once its head has crossed a group boundary: by
+//! then the message has cleared the boundary trunk, and its
 //! continuation is scheduled at the head's arrival instant on the far
-//! side, where the next group's net walks it on. So every boundary
-//! trunk's far side is reserved in the order heads arrive there.
+//! side, where the walk resumes. So every trunk past a boundary is
+//! reserved in the order heads arrive there, not in the order messages
+//! were injected — the serial `Fabric` continues the same walk in
+//! place, which reserves the whole route at injection.
 //!
 //! # The round schedule
 //!
@@ -34,12 +35,12 @@
 //!
 //! # Per-hop timing
 //!
-//! A group's net is the packet path of `trunknet.rs` owning one group —
-//! the serial [`Fabric`](crate::Fabric) is the same code owning all of
-//! them — so routing, edge links, weighted trunk sharing and finite
-//! queues cannot differ between the engines. This engine measures
-//! routing, queueing and QoS at scale; VNI enforcement stays with the
-//! serial k8s engine, which exercises it end to end per message.
+//! The sweep's net is the packet path of `trunknet.rs`, the same code
+//! the serial [`Fabric`](crate::Fabric) runs, so routing, edge links,
+//! weighted trunk sharing and finite queues cannot differ between the
+//! engines. This engine measures routing, queueing and QoS at scale;
+//! VNI enforcement stays with the serial k8s engine, which exercises it
+//! end to end per message.
 
 use std::rc::Rc;
 
@@ -81,11 +82,11 @@ pub struct SweepMsg {
 /// schedules. Launches are not among them (see the module docs).
 #[derive(Clone, Copy)]
 enum SweepEv {
-    /// A scheduled fault: every group's liveness view flips.
+    /// A scheduled fault: the fabric's liveness flips.
     Fault(FaultKind),
-    /// A message that crossed into `group`, resuming its walk at hop
-    /// `pos` of its carried route; its head arrives now.
-    Continue { group: usize, m: SweepMsg, route: RouteBuf, hops: usize, pos: usize, tail_t: SimTime },
+    /// A message that crossed a group boundary, resuming its walk at
+    /// hop `pos` of its carried route; its head arrives now.
+    Continue { m: SweepMsg, route: RouteBuf, hops: usize, pos: usize, tail_t: SimTime },
     /// A launch as a queued event: the test oracle
     /// `run_sweep_materialized` queues every one up front.
     #[cfg(test)]
@@ -99,14 +100,10 @@ impl Event<SweepNet> for SweepEv {
     #[inline]
     fn fire(self, s: &mut SweepSim) {
         match self {
-            SweepEv::Fault(kind) => {
-                for g in &mut s.world.groups {
-                    g.net.apply_fault(kind);
-                }
-            }
-            SweepEv::Continue { group, m, route, hops, pos, tail_t } => {
+            SweepEv::Fault(kind) => s.world.net.apply_fault(kind),
+            SweepEv::Continue { m, route, hops, pos, tail_t } => {
                 let head = s.now();
-                walk_from(s, group, m, route, hops, pos, head, tail_t);
+                walk_from(s, m, route, hops, pos, head, tail_t);
             }
             #[cfg(test)]
             SweepEv::Inject(m) => inject(s, m),
@@ -141,40 +138,23 @@ pub struct GroupCounters {
     pub route_drops: u64,
 }
 
-/// One dragonfly group's slice of the fabric.
-struct GroupNet {
-    /// The trunks sourced in this group, plus the group's view of
-    /// fabric liveness (every fault flips every group's view).
-    net: TrunkNet,
-    /// First global node id of this group.
-    node_base: u32,
-    /// Edge-link occupancy per local node.
-    edge: Vec<LinkState>,
-    /// The group's counters.
-    counters: GroupCounters,
-}
-
-impl GroupNet {
-    #[inline]
-    fn edge_mut(&mut self, node: u32) -> &mut LinkState {
-        &mut self.edge[(node - self.node_base) as usize]
-    }
-}
-
-/// A sweep's world: the config its launches are generated from, one
-/// net per group, the hand-offs between them, and the per-message
-/// constants of its one payload size.
+/// A sweep's world: the config its launches are generated from, the
+/// one net over the whole fabric, the per-group counters, and the
+/// per-message constants of its one payload size.
 struct SweepNet {
     cfg: SweepConfig,
     /// First of the reserved launch keys: message `k` of node `n`
     /// launches under slot `slot_base + n · messages_per_node + k`.
     slot_base: u64,
-    /// Nodes attached to each group.
-    nodes_per_group: u32,
     /// Serialization time of one message (every message of a sweep
     /// carries `cfg.payload_bytes`).
     ser_ns: u64,
-    groups: Vec<GroupNet>,
+    /// Every trunk, and the fabric's liveness.
+    net: TrunkNet,
+    /// Edge-link occupancy per node.
+    edge: Vec<LinkState>,
+    /// Counters per group, group order.
+    counters: Vec<GroupCounters>,
     /// Continuations scheduled at a group boundary.
     handoffs: u64,
 }
@@ -184,37 +164,39 @@ impl SweepNet {
     fn switch_of(&self, node: u32) -> SwitchId {
         SwitchId(node as usize / self.cfg.nodes_per_switch)
     }
+
+    /// The counters of the group `sw` belongs to.
+    #[inline]
+    fn counters_at(&mut self, sw: SwitchId) -> &mut GroupCounters {
+        &mut self.counters[self.net.topo.group_of(sw)]
+    }
 }
 
-/// Inject a message at `now`: uplink reservation and route selection
-/// in its sender's group, then the route walk (which may hand off at a
-/// group boundary).
+/// Inject a message at `now`: uplink reservation and route selection,
+/// then the route walk (which may hand off at a group boundary).
 fn inject(s: &mut SweepSim, m: SweepMsg) {
     let now = s.now();
     let w = &mut s.world;
     debug_assert_eq!(m.len, w.cfg.payload_bytes, "one payload size per sweep");
     let (from, to) = (w.switch_of(m.src), w.switch_of(m.dst));
-    let group = (m.src / w.nodes_per_group) as usize;
     let ser = SimDur::from_nanos(w.ser_ns);
-    let g = &mut w.groups[group];
-    g.counters.sent += 1;
-    let t_start = g.edge_mut(m.src).reserve_up(now, ser);
+    w.counters_at(from).sent += 1;
+    let t_start = w.edge[m.src as usize].reserve_up(now, ser);
     let mut route = [SwitchId(0); MAX_REPAIR_PATH];
-    let Some((hops, _)) = g.net.select_route(from, to, m.tc, m.id, now, &mut route) else {
-        g.counters.route_drops += 1;
+    let Some((hops, _)) = w.net.select_route(from, to, m.tc, m.id, now, &mut route) else {
+        w.counters_at(from).route_drops += 1;
         return;
     };
-    let head_t = t_start + trunk_step(&g.net.model);
-    walk_from(s, group, m, route, hops, 0, head_t, t_start + ser);
+    let head_t = t_start + trunk_step(&w.net.model);
+    walk_from(s, m, route, hops, 0, head_t, t_start + ser);
 }
 
 /// Walk the message's carried route (`hops` switches of `route`) from
-/// hop index `pos`, a switch of `group`: schedule its continuation at a
-/// group boundary, or deliver onto the destination downlink.
-#[allow(clippy::too_many_arguments)]
+/// hop index `pos`: schedule its continuation at a group boundary, or
+/// deliver onto the destination downlink. A drop counts against the
+/// group whose trunk dropped it, a delivery against the destination's.
 fn walk_from(
     s: &mut SweepSim,
-    group: usize,
     m: SweepMsg,
     route: RouteBuf,
     hops: usize,
@@ -224,29 +206,28 @@ fn walk_from(
 ) {
     let w = &mut s.world;
     let ser_ns = w.ser_ns;
-    let g = &mut w.groups[group];
-    let walk = g.net.walk(&route[..hops], pos, m.tc, ser_ns, m.len, head_t, tail_t);
+    let walk = w.net.walk(&route[..hops], pos, m.tc, ser_ns, m.len, head_t, tail_t);
     match walk.end {
         // A trunk on the route died while the message was in flight.
-        WalkEnd::LinkDead => g.counters.route_drops += 1,
+        WalkEnd::LinkDead => w.counters_at(route[walk.pos]).route_drops += 1,
         WalkEnd::Congested => {
-            g.counters.congestion_drops += 1;
-            g.counters.class_drops[m.tc.index()] += 1;
+            let c = w.counters_at(route[walk.pos]);
+            c.congestion_drops += 1;
+            c.class_drops[m.tc.index()] += 1;
         }
         WalkEnd::Handoff => {
             // The message cleared the boundary trunk; its head reaches
             // the next group's switch at `walk.head_t`.
             w.handoffs += 1;
             let (pos, tail_t) = (walk.pos, walk.tail_t);
-            let group = g.net.topo.group_of(route[pos]);
-            s.schedule(walk.head_t, SweepEv::Continue { group, m, route, hops, pos, tail_t });
+            s.schedule(walk.head_t, SweepEv::Continue { m, route, hops, pos, tail_t });
         }
         WalkEnd::Arrived => {
-            let prop = SimDur::from_nanos(g.net.model.propagation_ns);
+            let prop = SimDur::from_nanos(w.net.model.propagation_ns);
             let ser = SimDur::from_nanos(ser_ns);
-            let arrival = g.edge_mut(m.dst).reserve_down(walk.head_t, walk.tail_t, ser, prop);
+            let arrival = w.edge[m.dst as usize].reserve_down(walk.head_t, walk.tail_t, ser, prop);
             let lat = (arrival - m.t0).as_nanos();
-            let c = &mut g.counters;
+            let c = w.counters_at(route[walk.pos]);
             c.delivered += 1;
             c.payload_bytes += m.len;
             c.switch_hops += hops as u64;
@@ -258,8 +239,7 @@ fn walk_from(
 }
 
 /// One scheduled fault in a sweep's fault schedule. [`run_sweep`]
-/// schedules it before any message of the same instant, and it flips
-/// every group's liveness view at once.
+/// schedules it before any message of the same instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepFault {
     /// Instant the fault takes effect (ns).
@@ -408,37 +388,29 @@ impl SweepStats {
     }
 }
 
-/// A sweep's simulator with one net per group, the fault schedule
-/// queued — scheduled first, so at equal instants a fault (lower
-/// sequence number) applies before any message — and one launch key
-/// reserved per `(node, k)`: behind the faults, node-major, and ahead
-/// of every continuation.
+/// A sweep's simulator over one net, the fault schedule queued —
+/// scheduled first, so at equal instants a fault (lower sequence
+/// number) applies before any message — and one launch key reserved per
+/// `(node, k)`: behind the faults, node-major, and ahead of every
+/// continuation.
 fn new_sweep(cfg: &SweepConfig) -> SweepSim {
     assert!(cfg.nodes_per_switch >= 1 && cfg.nodes_per_switch <= cfg.spec.edge_ports);
     let topo = Rc::new(Topology::new(cfg.spec, cfg.policy));
-    let nodes_per_group = nodes_per_group(cfg);
-    let groups = (0..topo.groups())
-        .map(|g| GroupNet {
-            net: TrunkNet::new(Rc::clone(&topo), cfg.model, Some(g)),
-            node_base: g as u32 * nodes_per_group,
-            edge: vec![LinkState::default(); nodes_per_group as usize],
-            counters: GroupCounters::default(),
-        })
-        .collect();
+    let nodes = nodes_per_group(cfg) as u64 * cfg.spec.groups as u64;
     let model = cfg.model;
     let world = SweepNet {
         cfg: cfg.clone(),
         slot_base: 0,
-        nodes_per_group,
         ser_ns: model.serialize_ns(model.wire_bytes(cfg.payload_bytes)),
-        groups,
+        edge: vec![LinkState::default(); nodes as usize],
+        counters: vec![GroupCounters::default(); topo.groups()],
+        net: TrunkNet::new(topo, model),
         handoffs: 0,
     };
     let mut sim = Sim::typed(world);
     for f in &cfg.faults {
         sim.schedule(SimTime::from_nanos(f.at_ns), SweepEv::Fault(f.kind));
     }
-    let nodes = nodes_per_group as u64 * cfg.spec.groups as u64;
     sim.world.slot_base = sim.reserve(nodes * cfg.messages_per_node as u64);
     sim
 }
@@ -485,7 +457,7 @@ fn order_round(round: &[SweepMsg], keys: &mut Vec<u128>, scratch: &mut Vec<u128>
 /// and return how many were launched.
 fn inject_rounds(sim: &mut SweepSim) -> u64 {
     let (per_node, slot_base) = (sim.world.cfg.messages_per_node, sim.world.slot_base);
-    let nodes = sim.world.nodes_per_group * sim.world.groups.len() as u32;
+    let nodes = sim.world.edge.len() as u32;
     // One round's messages and their order, reused round after round.
     let mut round = Vec::with_capacity(nodes as usize);
     let (mut keys, mut scratch) = (Vec::with_capacity(nodes as usize), Vec::new());
@@ -510,9 +482,8 @@ fn inject_rounds(sim: &mut SweepSim) -> u64 {
 fn finish_sweep(mut sim: SweepSim, launched: u64) -> SweepStats {
     sim.run();
     let w = &sim.world;
-    let per_group: Vec<GroupCounters> = w.groups.iter().map(|g| g.counters).collect();
     let mut totals = GroupCounters::default();
-    for c in &per_group {
+    for c in &w.counters {
         totals.sent += c.sent;
         totals.delivered += c.delivered;
         totals.congestion_drops += c.congestion_drops;
@@ -527,9 +498,9 @@ fn finish_sweep(mut sim: SweepSim, launched: u64) -> SweepStats {
         }
     }
     SweepStats {
-        nodes: w.nodes_per_group as u64 * w.groups.len() as u64,
+        nodes: w.edge.len() as u64,
         totals,
-        per_group,
+        per_group: w.counters.clone(),
         events_executed: sim.events_executed() + launched,
         handoffs: w.handoffs,
     }

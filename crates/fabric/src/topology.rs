@@ -268,30 +268,6 @@ impl Topology {
         self.spec.groups
     }
 
-    /// The per-group view a sweep's group net owns: its switches and
-    /// the directed trunks *sourced* in the group. Ownership by source
-    /// switch partitions every directed trunk across the groups — a
-    /// group's net reserves only links it owns, and a cross-group
-    /// message is handed to the destination group exactly when it has
-    /// cleared the boundary trunk (whose source side the sending group
-    /// owns).
-    pub(crate) fn group_view(&self, group: usize) -> GroupView {
-        assert!(group < self.spec.groups, "group {group} out of range");
-        let a = self.spec.switches_per_group;
-        let switches: Vec<SwitchId> = (0..a).map(|i| SwitchId(group * a + i)).collect();
-        let mut trunks_out = Vec::new();
-        let mut boundary_out = Vec::new();
-        for (s, d) in self.trunk_links() {
-            if self.group_of(s) == group {
-                trunks_out.push((s, d));
-                if self.group_of(d) != group {
-                    boundary_out.push((s, d));
-                }
-            }
-        }
-        GroupView { group, switches, trunks_out, boundary_out }
-    }
-
     fn compute_next_hop(spec: &TopologySpec, src: usize, dst: usize) -> usize {
         if src == dst {
             return dst;
@@ -389,24 +365,6 @@ impl Topology {
         self.walk_minimal(mid, to, tail);
         path.extend_from_slice(&tail[1..]);
     }
-}
-
-/// One group's slice of the topology, as owned by a sweep's group net:
-/// the group's switches plus every directed trunk sourced there. See
-/// `Topology::group_view` for the ownership rule.
-#[derive(Debug, Clone)]
-pub struct GroupView {
-    /// The group index.
-    pub group: usize,
-    /// The group's switches, ascending.
-    pub switches: Vec<SwitchId>,
-    /// Every directed trunk whose source switch is in this group
-    /// (intra-group local links and outgoing global links), in
-    /// [`Topology::trunk_links`] order.
-    pub trunks_out: Vec<(SwitchId, SwitchId)>,
-    /// The subset of [`trunks_out`](GroupView::trunks_out) crossing
-    /// into another group — the group's hand-off boundary.
-    pub boundary_out: Vec<(SwitchId, SwitchId)>,
 }
 
 #[cfg(test)]
@@ -513,43 +471,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn group_views_partition_switches_and_trunks() {
-        for (groups, a) in [(1usize, 1usize), (2, 2), (4, 3), (4, 8)] {
-            let t = topo(groups, a);
-            let mut all_switches = Vec::new();
-            let mut all_trunks = Vec::new();
-            for g in 0..t.groups() {
-                let v = t.group_view(g);
-                assert_eq!(v.group, g);
-                assert_eq!(v.switches.len(), a);
-                assert!(v.switches.iter().all(|&s| t.group_of(s) == g));
-                for &(s, d) in &v.trunks_out {
-                    assert_eq!(t.group_of(s), g, "owned by source group");
-                    assert!(t.connected(s, d));
-                }
-                for &(s, d) in &v.boundary_out {
-                    assert!(t.group_of(d) != g, "boundary must cross groups");
-                    assert!(v.trunks_out.contains(&(s, d)));
-                }
-                assert_eq!(
-                    v.trunks_out.iter().filter(|&&(_, d)| t.group_of(d) != g).count(),
-                    v.boundary_out.len()
-                );
-                all_switches.extend(v.switches);
-                all_trunks.extend(v.trunks_out);
-            }
-            // Views partition the fabric: every switch and every
-            // directed trunk is owned by exactly one group.
-            all_switches.sort();
-            assert_eq!(all_switches, (0..t.switch_count()).map(SwitchId).collect::<Vec<_>>());
-            all_trunks.sort();
-            let mut expect = t.trunk_links();
-            expect.sort();
-            assert_eq!(all_trunks, expect);
         }
     }
 

@@ -1,16 +1,18 @@
 //! The one fabric packet path: trunk state, route selection and the
 //! hop-by-hop walk, shared by both engines.
 //!
-//! A [`TrunkNet`] owns the directed trunks sourced in a set of dragonfly
-//! groups — every group for the serial [`Fabric`](crate::Fabric), one
-//! group for each group of a [`shardsim`](crate::shardsim) sweep — plus
-//! the liveness mask and the fallback routes cached since the last
+//! A [`TrunkNet`] owns every directed trunk of a dragonfly topology,
+//! plus the liveness mask and the fallback routes cached since the last
 //! fault event. Routes are chosen once at injection by
 //! [`TrunkNet::select_route`] and walked by [`TrunkNet::walk`], which
-//! reserves owned trunks and stops where ownership ends. The engines add
-//! only what is theirs: edge links ([`LinkState`]), enforcement and
-//! tenant counters in `Fabric`; per-group counters and the hand-off at
-//! a group boundary in `shardsim`.
+//! reserves trunks hop by hop and stops once the head has crossed into
+//! another group. The engines differ only in how a walk continues past
+//! that boundary: the serial [`Fabric`](crate::Fabric) walks on in the
+//! same call, and a [`shardsim`](crate::shardsim) sweep walks on at the
+//! head's arrival instant, so the far side of a boundary trunk is
+//! reserved in the order heads arrive there. Both add only what is
+//! theirs: edge links ([`LinkState`]), enforcement and tenant counters
+//! in `Fabric`; per-group counters in `shardsim`.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -82,6 +84,8 @@ pub struct TrunkClassCounters {
 pub(crate) struct TrunkState {
     cls_busy: [SimTime; 4],
     counters: [TrunkClassCounters; 4],
+    /// A global link: its far end is in another group.
+    crosses_group: bool,
 }
 
 impl TrunkState {
@@ -134,9 +138,9 @@ impl TrunkState {
 
 /// Caller-provided storage for a chosen route, endpoints included.
 /// [`TrunkNet::select_route`] fills a prefix in place (no by-value
-/// route crosses a call), and a message carries it across group
-/// boundaries — the next group could not re-derive which candidate the
-/// source picked.
+/// route crosses a call), and a sweep message carries it across group
+/// boundaries — its walk resumes there later, and the far side could
+/// not re-derive which candidate the source picked.
 pub(crate) type RouteBuf = [SwitchId; MAX_REPAIR_PATH];
 
 /// Why a [`TrunkNet::walk`] stopped at [`Walk::pos`].
@@ -144,9 +148,9 @@ pub(crate) type RouteBuf = [SwitchId; MAX_REPAIR_PATH];
 pub(crate) enum WalkEnd {
     /// The head reached the route's last switch.
     Arrived,
-    /// The next switch belongs to a group this net does not own: the
-    /// message cleared the boundary trunk and continues there at
-    /// `head_t`, at least one trunk step after it entered the trunk.
+    /// The head crossed into another group: the message cleared the
+    /// boundary trunk and continues from [`Walk::pos`] at `head_t`, at
+    /// least one trunk step after it entered the trunk.
     Handoff,
     /// The outbound trunk's class queue was over its bound (already
     /// counted on the trunk).
@@ -175,19 +179,16 @@ pub(crate) struct Walk {
     pub(crate) end: WalkEnd,
 }
 
-/// Trunk state, liveness and routing for the groups one engine
-/// instance owns.
+/// Trunk state, liveness and routing of a whole topology.
 #[derive(Debug)]
 pub(crate) struct TrunkNet {
     pub(crate) topo: Rc<Topology>,
     pub(crate) model: CostModel,
-    /// The one owned group, or `None` when every group is owned.
-    group: Option<usize>,
-    /// State of the owned directed trunks, in [`Topology::trunk_links`]
+    /// State of every directed trunk, in [`Topology::trunk_links`]
     /// order.
     trunks: Vec<TrunkState>,
     /// Dense `(from, to) → trunks` index (`from * n + to`), `u32::MAX`
-    /// where no owned trunk exists.
+    /// where no trunk exists.
     trunk_idx: Vec<u32>,
     /// Runtime fault state; empty on a healthy fabric.
     liveness: LivenessMask,
@@ -199,31 +200,33 @@ pub(crate) struct TrunkNet {
 }
 
 impl TrunkNet {
-    /// The net owning the trunks sourced in `group`, or every trunk of
-    /// the topology for `None`.
-    pub(crate) fn new(topo: Rc<Topology>, model: CostModel, group: Option<usize>) -> Self {
-        let links = match group {
-            Some(g) => topo.group_view(g).trunks_out,
-            None => topo.trunk_links(),
-        };
+    /// The net over every trunk of `topo`, all idle and live.
+    pub(crate) fn new(topo: Rc<Topology>, model: CostModel) -> Self {
+        let links = topo.trunk_links();
         let n = topo.switch_count();
         let mut trunk_idx = vec![u32::MAX; n * n];
         for (i, &(a, b)) in links.iter().enumerate() {
             trunk_idx[a.0 * n + b.0] = i as u32;
         }
+        let trunks = links
+            .iter()
+            .map(|&(a, b)| TrunkState {
+                crosses_group: topo.group_of(a) != topo.group_of(b),
+                ..TrunkState::default()
+            })
+            .collect();
         TrunkNet {
             topo,
             model,
-            group,
-            trunks: vec![TrunkState::default(); links.len()],
+            trunks,
             trunk_idx,
             liveness: LivenessMask::default(),
             fallback_cache: BTreeMap::new(),
         }
     }
 
-    /// Index into `trunks` of the owned directed trunk `a → b`, if
-    /// there is one.
+    /// Index into `trunks` of the directed trunk `a → b`, if there is
+    /// one.
     fn trunk(&self, a: SwitchId, b: SwitchId) -> Option<usize> {
         match self.trunk_idx.get(a.0 * self.topo.switch_count() + b.0) {
             Some(&i) if i != u32::MAX => Some(i as usize),
@@ -231,12 +234,12 @@ impl TrunkNet {
         }
     }
 
-    /// Per-class counters of one owned directed trunk, if it exists.
+    /// Per-class counters of one directed trunk, if it exists.
     pub(crate) fn trunk_counters(&self, a: SwitchId, b: SwitchId) -> Option<&[TrunkClassCounters; 4]> {
         self.trunk(a, b).map(|i| &self.trunks[i].counters)
     }
 
-    /// Per-class counters of every owned trunk.
+    /// Per-class counters of every trunk.
     pub(crate) fn all_trunk_counters(&self) -> impl Iterator<Item = &[TrunkClassCounters; 4]> {
         self.trunks.iter().map(|t| &t.counters)
     }
@@ -265,8 +268,7 @@ impl TrunkNet {
     /// minimal path's cost — first-trunk queue depth × path switch count
     /// — exceeds the detour's by more than the cost model's
     /// `adaptive_bias_ns`. Both first hops leave the source switch, so
-    /// the signal is what a Rosetta ingress port sees at injection and
-    /// is always owned by the injecting net.
+    /// the signal is what a Rosetta ingress port sees at injection.
     pub(crate) fn select_route(
         &mut self,
         from: SwitchId,
@@ -283,7 +285,7 @@ impl TrunkNet {
             // arena degraded to it (< 3 groups or a same-group pair).
             if val.len() > primary.len() {
                 let cost = |path: &[SwitchId]| {
-                    let first = self.trunk(path[0], path[1]).expect("first hop is an owned trunk");
+                    let first = self.trunk(path[0], path[1]).expect("first hop is a trunk");
                     self.trunks[first].queue_ns(tc, now) * path.len() as u64
                 };
                 if cost(primary) > cost(val) + self.model.adaptive_bias_ns {
@@ -306,12 +308,13 @@ impl TrunkNet {
         Some((primary.len(), rerouted))
     }
 
-    /// Walk `route` from index `pos` (an owned switch) with the head at
-    /// that switch's egress at `head_t`: per hop, check the trunk is
-    /// still live, reserve it on class `tc`, and advance head and tail;
-    /// stop at the destination, at the first switch of a group this net
-    /// does not own, or where the message is dropped.
+    /// Walk `route` from index `pos` with the head at that switch's
+    /// egress at `head_t`: per hop, check the trunk is still live,
+    /// reserve it on class `tc`, and advance head and tail; stop at the
+    /// destination, at the first switch past a group boundary, or where
+    /// the message is dropped.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub(crate) fn walk(
         &mut self,
         route: &[SwitchId],
@@ -332,7 +335,7 @@ impl TrunkNet {
                 end = WalkEnd::LinkDead;
                 break;
             }
-            let ti = self.trunk(a, b).expect("route follows owned topology links");
+            let ti = self.trunk(a, b).expect("route follows topology links");
             let Some((start, finish)) =
                 self.trunks[ti].traverse(tc, ser_ns, len, head_t, self.model.trunk_queue_ns)
             else {
@@ -345,7 +348,7 @@ impl TrunkNet {
             head_t = start + step;
             tail_t = (tail_t + prop).max(finish);
             pos += 1;
-            if self.group.is_some_and(|g| self.topo.group_of(b) != g) {
+            if self.trunks[ti].crosses_group {
                 end = WalkEnd::Handoff;
                 break;
             }

@@ -1,43 +1,12 @@
-//! Property tests for fabric invariants: segmentation conservation,
-//! VNI enforcement completeness, timing monotonicity, and arbitration
-//! work conservation.
+//! Property tests for fabric invariants: VNI enforcement completeness
+//! and timing monotonicity.
 
 use proptest::prelude::*;
 use shs_des::SimTime;
-use shs_fabric::{
-    segment, CostModel, DropReason, Fabric, NicAddr, TrafficClass, TransferOutcome, Vni,
-    WrrArbiter,
-};
-
-fn tc_strategy() -> impl Strategy<Value = TrafficClass> {
-    prop_oneof![
-        Just(TrafficClass::LowLatency),
-        Just(TrafficClass::Dedicated),
-        Just(TrafficClass::BulkData),
-        Just(TrafficClass::BestEffort),
-    ]
-}
+use shs_fabric::{DropReason, Fabric, NicAddr, TrafficClass, TransferOutcome, Vni};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Segmentation conserves payload, respects the MTU, and numbers
-    /// packets densely with exactly one last-of-message marker.
-    #[test]
-    fn segmentation_invariants(len in 0u64..6_000_000, tc in tc_strategy()) {
-        let m = CostModel::default();
-        let pkts = segment(&m, NicAddr(1), NicAddr(2), Vni(3), tc, 9, len);
-        prop_assert_eq!(pkts.iter().map(|p| p.payload_len as u64).sum::<u64>(), len);
-        prop_assert!(pkts.iter().all(|p| p.payload_len <= m.mtu));
-        prop_assert_eq!(pkts.iter().filter(|p| p.last_of_msg).count(), 1);
-        prop_assert!(pkts.last().unwrap().last_of_msg);
-        for (i, p) in pkts.iter().enumerate() {
-            prop_assert_eq!(p.seq as usize, i);
-        }
-        // Wire bytes match the closed-form model.
-        let wire: u64 = pkts.iter().map(|p| p.wire_bytes(&m)).sum();
-        prop_assert_eq!(wire, m.wire_bytes(len));
-    }
 
     /// Enforcement completeness: a transfer is delivered *iff* both ports
     /// hold the VNI; otherwise it is dropped with an enforcement reason.
@@ -102,29 +71,5 @@ proptest! {
         let f = Fabric::new(2);
         let (lo, hi) = (a.min(b), a.max(b));
         prop_assert!(f.unloaded_ns(lo) <= f.unloaded_ns(hi));
-    }
-
-    /// The WRR arbiter conserves work: everything enqueued is dequeued
-    /// exactly once regardless of class mix.
-    #[test]
-    fn arbiter_conserves_packets(
-        msgs in prop::collection::vec((tc_strategy(), 1u64..10_000), 1..30),
-    ) {
-        let m = CostModel::default();
-        let mut arb = WrrArbiter::new(m.mtu as i64 + m.header_bytes as i64);
-        let mut expected = 0usize;
-        for (i, (tc, len)) in msgs.iter().enumerate() {
-            let pkts = segment(&m, NicAddr(1), NicAddr(2), Vni(1), *tc, i as u64, *len);
-            expected += pkts.len();
-            for p in pkts {
-                arb.enqueue(p);
-            }
-        }
-        let mut got = 0usize;
-        while arb.dequeue().is_some() {
-            got += 1;
-        }
-        prop_assert_eq!(got, expected);
-        prop_assert!(arb.is_empty());
     }
 }

@@ -3,9 +3,10 @@
 //! such as check-pointing", using different Slingshot traffic classes.
 //!
 //! Two parts:
-//! 1. a packet-level look at the switch's weighted egress arbitration
-//!    (low-latency packets overtake bulk checkpoints on a congested
-//!    port), and
+//! 1. a two-switch fabric whose one trunk a bulk checkpoint burst
+//!    backlogs, while a low-latency message crossing the same trunk
+//!    stays within 2x its unloaded route time (the trunk's classes
+//!    share it by weight, each with its own queue), and
 //! 2. a flow-level run where a latency-critical ping-pong shares the
 //!    fabric with a checkpoint stream, each in its own VNI-isolated job.
 //!
@@ -14,42 +15,67 @@
 //! ```
 
 use shs_des::{SimDur, SimTime};
-use shs_fabric::{segment, CostModel, NicAddr, TrafficClass, Vni, WrrArbiter};
+use shs_fabric::{
+    CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySpec, TrafficClass,
+    TransferOutcome, Vni,
+};
 use shs_harness::job_communicator;
 use shs_mpi::osu_latency_once;
 use slingshot_k8s::{osu_image, Cluster, ClusterConfig};
 
 fn main() {
-    // --- Part 1: egress arbitration under congestion ------------------
-    let model = CostModel::default();
-    let mut arbiter = WrrArbiter::new(model.mtu as i64 + model.header_bytes as i64);
-    // A 1 MB checkpoint burst is already queued...
-    for pkt in segment(&model, NicAddr(1), NicAddr(2), Vni(2), TrafficClass::BulkData, 1, 1 << 20)
-    {
-        arbiter.enqueue(pkt);
+    // --- Part 1: a contended trunk ------------------------------------
+    // Two groups of one switch each, joined by one trunk.
+    let mut fabric = Fabric::with_topology(
+        CostModel::default(),
+        TopologySpec { groups: 2, switches_per_group: 1, edge_ports: 8 },
+        RoutingPolicy::Minimal,
+    );
+    // The checkpoint tenant (VNI 2) sends from switch 0 to a sink on
+    // switch 1; the solver tenant (VNI 3) has one node on each switch.
+    let ckpt = [NicAddr(1), NicAddr(2), NicAddr(3)];
+    let (sink, solver_a, solver_b) = (NicAddr(9), NicAddr(4), NicAddr(10));
+    let wiring = [
+        (ckpt[0], 0, 2),
+        (ckpt[1], 0, 2),
+        (ckpt[2], 0, 2),
+        (sink, 1, 2),
+        (solver_a, 0, 3),
+        (solver_b, 1, 3),
+    ];
+    for (nic, sw, vni) in wiring {
+        fabric.attach_to(nic, SwitchId(sw));
+        fabric.grant_vni(nic, Vni(vni)).expect("attached");
     }
-    // ...when 8 low-latency messages arrive.
-    for msg in 0..8 {
-        for pkt in
-            segment(&model, NicAddr(3), NicAddr(2), Vni(3), TrafficClass::LowLatency, 2 + msg, 64)
-        {
-            arbiter.enqueue(pkt);
-        }
+    // A 1 MiB checkpoint burst from three nodes backlogs the trunk's
+    // bulk-data queue...
+    let burst = 1u64 << 20;
+    for (i, &src) in ckpt.iter().enumerate() {
+        let tc = TrafficClass::BulkData;
+        let out = fabric.transfer(SimTime::ZERO, src, sink, Vni(2), tc, burst, i as u64);
+        assert!(matches!(out, TransferOutcome::Delivered { .. }), "checkpoint {i}: {out:?}");
     }
-    let mut slots_until_ll_done = 0;
-    let mut ll_seen = 0;
-    while let Some(pkt) = arbiter.dequeue() {
-        slots_until_ll_done += 1;
-        if pkt.tc == TrafficClass::LowLatency {
-            ll_seen += 1;
-            if ll_seen == 8 {
-                break;
-            }
-        }
-    }
+    let backlog_ns = fabric.trunk_class_totals()[TrafficClass::BulkData.index()].queued_ns_max;
+    assert!(backlog_ns > 0, "the burst queued on the trunk");
+    // ...when a low-latency message from another tenant crosses the
+    // same trunk: it waits behind none of that backlog, and only the
+    // weighted sharing of the link stretches its serialization.
+    let TransferOutcome::Delivered { arrival, .. } =
+        fabric.transfer(SimTime::ZERO, solver_a, solver_b, Vni(3), TrafficClass::LowLatency, 64, 99)
+    else {
+        panic!("the low-latency message was dropped");
+    };
+    let unloaded = fabric.unloaded_route_ns(solver_a, solver_b, 64).expect("attached");
+    assert!(
+        arrival.as_nanos() < 2 * unloaded,
+        "low-latency {} ns vs unloaded {unloaded} ns",
+        arrival.as_nanos()
+    );
     println!(
-        "switch egress: all 8 low-latency packets served within the first {slots_until_ll_done} \
-         slots, ahead of ~512 queued checkpoint packets"
+        "shared trunk: checkpoints queued up to {:.1} us on the bulk class; a 64 B \
+         low-latency message crossed in {} ns (unloaded {unloaded} ns)",
+        backlog_ns as f64 / 1_000.0,
+        arrival.as_nanos()
     );
 
     // --- Part 2: two tenant jobs, two traffic classes ------------------
@@ -78,7 +104,7 @@ fn main() {
     println!("solver 8B latency (idle fabric, low-latency TC): {idle_latency:.2} us");
     println!(
         "checkpoint job runs on the bulk-data class in its own VNI — isolated by the \
-         switch, arbitrated by weight at egress"
+         switch, sharing trunks with the solver by weight"
     );
     // VNI isolation means the checkpoint job cannot even address the
     // solver's network; interference is limited to link sharing, which
