@@ -16,6 +16,25 @@ use shs_fabric::{Fabric, NicAddr};
 use shs_k8s::ApiServer;
 use shs_oslinux::{Creds, Host};
 
+use crate::lifecycle::{Lifecycle, NodeEvent, PodId};
+
+/// The lifecycle judge one CNI call reports to: the cluster's model,
+/// the node the call runs on and the pod it runs for. Only a
+/// [`Cluster`](crate::Cluster) builds one.
+pub struct CniJudge<'a> {
+    pub(crate) model: &'a mut Lifecycle,
+    pub(crate) node: usize,
+    pub(crate) pod: &'a PodId,
+    pub(crate) at_ns: u64,
+}
+
+/// Tell `judge`, if the call has one, that `ev` happened.
+pub(crate) fn report(judge: &mut Option<CniJudge<'_>>, ev: NodeEvent) {
+    if let Some(j) = judge {
+        j.model.node_event(j.node, j.pod, j.at_ns, ev);
+    }
+}
+
 /// The per-invocation node context the CNI chain operates on.
 pub struct NodeCniCtx<'a> {
     /// The node kernel.
@@ -30,6 +49,9 @@ pub struct NodeCniCtx<'a> {
     pub nic: NicAddr,
     /// Credentials the plugin runs with (CNI plugins execute privileged).
     pub root: Creds,
+    /// Where the call reports the CXI services and switch grants it
+    /// changes; `None` for a chain run outside a [`Cluster`](crate::Cluster).
+    pub judge: Option<CniJudge<'a>>,
 }
 
 /// The one CNI plugin interface: what a [`NodeChain`] drives, over
@@ -209,6 +231,7 @@ mod tests {
             api: &api,
             nic,
             root,
+            judge: None,
         };
         let args = CniArgs {
             container_id: "ctr-1".into(),

@@ -9,7 +9,7 @@
 //! (the harness uses 20 ms) and all controllers and kubelets advance.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use shs_cassini::{CassiniNic, CassiniParams};
@@ -20,14 +20,16 @@ use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::{CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySpec, Vni};
 use shs_k8s::{
     kinds, make_node, ApiObject, ApiServer, CniAddOutcome, DecoratorConfig, JobController,
-    JobSpec, Kubelet, KubeletParams, Metacontroller, NodeBackend, Pleg, PodPhase, PodTemplate,
-    Scheduler, ServiceController, ServiceSpec, Spec, VniClaimSpec, VNI_ANNOTATION,
+    JobSpec, Kubelet, KubeletParams, Metacontroller, NodeBackend, NodeStatus, Pleg, PodPhase,
+    PodTemplate, Scheduler, ServiceController, ServiceSpec, Spec, Status, VniClaimSpec,
+    VNI_ANNOTATION,
 };
 use shs_oslinux::{Creds, Host, NetNsId, Pid};
 
-use crate::chain::{NodeChain, NodeCniCtx};
+use crate::chain::{CniJudge, NodeChain, NodeCniCtx};
 use crate::cxi_cni::CxiCniPlugin;
 use crate::endpoint::{EndpointHandle, EndpointRole, VniEndpoint};
+use crate::lifecycle::{Lifecycle, NodeEvent, PodId};
 use crate::vni_db::{VniDb, VniDbConfig};
 
 /// Cluster-wide configuration.
@@ -136,9 +138,30 @@ pub struct Node {
     pub inner: NodeInner,
 }
 
+/// One node's kubelet backend for one poll at `now`. It reports what it
+/// does to the node — and, through the CNI context, what the CXI plugin
+/// does — to the cluster's lifecycle judge as node `node`.
 struct Backend<'a> {
     inner: &'a mut NodeInner,
     fabric: &'a mut Fabric,
+    judge: &'a mut Lifecycle,
+    node: usize,
+    now: SimTime,
+}
+
+impl Backend<'_> {
+    fn report(&mut self, pod: &ApiObject, ev: NodeEvent) {
+        self.judge.node_event(self.node, &pod_id(pod), self.now.as_nanos(), ev);
+    }
+}
+
+/// The judge's name for `pod`: its uid and its shared name strings.
+fn pod_id(pod: &ApiObject) -> PodId {
+    PodId {
+        uid: pod.meta.uid,
+        namespace: Rc::clone(&pod.meta.namespace),
+        name: Rc::clone(&pod.meta.name),
+    }
 }
 
 impl NodeBackend for Backend<'_> {
@@ -165,6 +188,7 @@ impl NodeBackend for Backend<'_> {
             }),
         };
         let root = self.inner.root_creds();
+        let id = pod_id(pod);
         let mut ctx = NodeCniCtx {
             host: &mut self.inner.host,
             device: &mut self.inner.device,
@@ -172,6 +196,12 @@ impl NodeBackend for Backend<'_> {
             api,
             nic: self.inner.nic,
             root,
+            judge: Some(CniJudge {
+                model: self.judge,
+                node: self.node,
+                pod: &id,
+                at_ns: self.now.as_nanos(),
+            }),
         };
         match self.inner.chain.add(&mut ctx, &args) {
             Ok((_result, cost)) => CniAddOutcome::Ok(cost),
@@ -187,7 +217,8 @@ impl NodeBackend for Backend<'_> {
             size_bytes: 0, // size only matters for publish; ensure() uses the registry's copy
         };
         let run = spec.run_ms.map(SimDur::from_millis);
-        self.inner
+        let (_pid, cost) = self
+            .inner
             .runtime
             .start_container(
                 &mut self.inner.host,
@@ -197,8 +228,10 @@ impl NodeBackend for Backend<'_> {
                 &image,
                 run,
             )
-            .map(|(_pid, cost)| (cost, run))
-            .map_err(|e| e.to_string())
+            .map_err(|e| e.to_string())?;
+        let vni_pod = pod.annotation(VNI_ANNOTATION).is_some();
+        self.report(pod, NodeEvent::Started { vni_pod });
+        Ok((cost, run))
     }
 
     fn cni_del(&mut self, pod: &ApiObject, netns: NetNsId) -> SimDur {
@@ -215,6 +248,7 @@ impl NodeBackend for Backend<'_> {
         let root = self.inner.root_creds();
         // DEL must not depend on API state (the pod object may be gone).
         let empty_api = EMPTY_API.with(|a| a.clone());
+        let id = pod_id(pod);
         let mut ctx = NodeCniCtx {
             host: &mut self.inner.host,
             device: &mut self.inner.device,
@@ -222,15 +256,26 @@ impl NodeBackend for Backend<'_> {
             api: &empty_api.borrow(),
             nic: self.inner.nic,
             root,
+            judge: Some(CniJudge {
+                model: self.judge,
+                node: self.node,
+                pod: &id,
+                at_ns: self.now.as_nanos(),
+            }),
         };
-        self.inner.chain.del(&mut ctx, &args)
+        let cost = self.inner.chain.del(&mut ctx, &args);
+        self.report(pod, NodeEvent::Deleted);
+        cost
     }
 
     fn remove_sandbox(&mut self, pod: &ApiObject) -> SimDur {
-        self.inner
+        let cost = self
+            .inner
             .runtime
             .remove_sandbox(&mut self.inner.host, &pod.meta.namespace, &pod.meta.name)
-            .unwrap_or(SimDur::from_millis(1))
+            .unwrap_or(SimDur::from_millis(1));
+        self.report(pod, NodeEvent::SandboxRemoved);
+        cost
     }
 }
 
@@ -271,6 +316,10 @@ pub struct Cluster {
     pub pleg: Pleg,
     /// Shared VNI endpoint (+ database).
     pub endpoint: Rc<RefCell<VniEndpoint>>,
+    /// The lifecycle judge: [`Cluster::tick`] feeds it the VNI audit
+    /// log and every node's events in execution order, and it keeps a
+    /// verdict for every one that breaks a rule.
+    pub lifecycle: Lifecycle,
     /// Configuration.
     pub config: ClusterConfig,
     /// RNG root for this cluster instance.
@@ -296,8 +345,10 @@ impl Cluster {
             spec.edge_ports
         );
         let mut nodes = Vec::with_capacity(config.nodes);
+        let mut lifecycle = Lifecycle::new(config.quarantine);
         for i in 0..config.nodes {
             let name = format!("node{i}");
+            lifecycle.add_node(&name);
             let nic = NicAddr(i as u32 + 1);
             fabric.attach_to(nic, SwitchId(i % switches));
             fabric.grant_vni(nic, Vni::GLOBAL).expect("node NIC just attached");
@@ -401,6 +452,7 @@ impl Cluster {
             vni_claims,
             pleg: Pleg::new(),
             endpoint,
+            lifecycle,
             config,
             rng,
         }
@@ -409,6 +461,12 @@ impl Cluster {
     /// One control-plane tick: controllers reconcile, kubelets advance,
     /// and the PLEG cache ingests the tick's watch events so status
     /// reads between ticks are served from the cache.
+    ///
+    /// The lifecycle judge sees the tick in execution order. VNI
+    /// transactions happen only in the decorator polls — a CNI ADD reads
+    /// the VNI CRD from the API, never the database — so the judge
+    /// applies the audit entries they appended before the kubelets run,
+    /// and the kubelets' node events after them.
     pub fn tick(&mut self, now: SimTime) {
         self.job_controller.poll(&mut self.api, now);
         self.service_controller.poll(&mut self.api, now);
@@ -416,11 +474,47 @@ impl Cluster {
         self.vni_jobs.poll(&mut self.api, now);
         self.vni_services.poll(&mut self.api, now);
         self.scheduler.poll(&mut self.api, now);
-        for node in &mut self.nodes {
-            let mut backend = Backend { inner: &mut node.inner, fabric: &mut self.fabric };
+        self.lifecycle.pull(&self.endpoint.borrow().db);
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            let mut backend = Backend {
+                inner: &mut node.inner,
+                fabric: &mut self.fabric,
+                judge: &mut self.lifecycle,
+                node: i,
+                now,
+            };
             node.kubelet.poll(&mut self.api, &mut backend, now);
+            debug_assert_eq!(
+                self.endpoint.borrow().db.audit_len() as u64,
+                self.lifecycle.applied(),
+                "a kubelet poll moved the VNI audit log"
+            );
         }
+        self.lifecycle.pull(&self.endpoint.borrow().db);
         self.pleg.sync(&self.api);
+    }
+
+    /// Drain node `node_idx` at `now`: cordon it (its node object goes
+    /// not-ready, so the scheduler binds nothing more to it), evict every
+    /// job with a pod bound to it, and tell the lifecycle judge the
+    /// drain instant.
+    pub fn drain_node(&mut self, node_idx: usize, now: SimTime) {
+        self.lifecycle.drained(node_idx, now.as_nanos());
+        let name = &self.nodes[node_idx].inner.name;
+        let down = Status::Node(NodeStatus { ready: false });
+        let _ = self.api.set_status(kinds::NODE, "", name, down);
+        let mut doomed: BTreeSet<(Rc<str>, String)> = BTreeSet::new();
+        for pod in self.api.list(kinds::POD) {
+            let spec = pod.pod_spec();
+            if spec.node_name.as_deref() == Some(name.as_str()) {
+                if let Some(job) = &spec.job_name {
+                    doomed.insert((Rc::clone(&pod.meta.namespace), job.clone()));
+                }
+            }
+        }
+        for (ns, job) in doomed {
+            self.delete_job(&ns, &job);
+        }
     }
 
     /// The oldest resource version one of the cluster's own watchers —
@@ -652,7 +746,6 @@ pub struct PodHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifecycle::Lifecycle;
 
     fn run_cluster(c: &mut Cluster, from_ms: u64, to_ms: u64) {
         c.run_until(
@@ -714,8 +807,8 @@ mod tests {
         assert!(!c.job_exists("t", "secure"));
         let ep = c.endpoint.borrow();
         assert_eq!(ep.db.allocated_count(), 0, "VNI released");
-        let (model, broken) = Lifecycle::replay(ep.db.quarantine(), &ep.db.audit(), &ep.db.rows());
-        assert_eq!((broken, model.orphans(&c)), (vec![], vec![]), "no leaked service or grant");
+        c.lifecycle.finish(&ep.db.rows());
+        assert_eq!(c.lifecycle.verdicts(), [], "no leaked service or grant, rows agree");
     }
 
     #[test]

@@ -16,8 +16,9 @@ use shs_des::SimDur;
 use shs_fabric::Vni;
 use shs_k8s::{kinds, VNI_ANNOTATION};
 
-use crate::chain::{NodeCniCtx, NodeCniPlugin};
+use crate::chain::{report, NodeCniCtx, NodeCniPlugin};
 use crate::endpoint::VniEndpoint;
+use crate::lifecycle::NodeEvent;
 
 /// Maximum termination grace period the plugin accepts for VNI pods
 /// (§III-C1: the 30 s quarantine bound is only safe if no pod outlives
@@ -141,22 +142,27 @@ impl NodeCniPlugin for CxiCniPlugin {
                 return Err((CniError::plugin(121, format!("CXI service creation: {e}")), cost))
             }
         };
+        report(&mut ctx.judge, NodeEvent::ServiceCreated { svc: svc.0, vni });
         // (5) Realise the VNI on the wire (fabric-manager grant). An
         // unknown NIC means the node is miswired — fail the ADD (undoing
         // the service) rather than launching a pod with no network.
-        let NodeCniCtx { device, fabric, root, nic, .. } = ctx;
+        let NodeCniCtx { device, fabric, root, nic, judge, .. } = ctx;
         if let Err(e) = fabric.grant_vni(*nic, vni) {
             // Undo exactly the service this ADD created (a label match
             // could also sweep a healthy sibling left by a retried ADD).
             cost += self.params.svc_destroy;
             let msg = match device.driver.svc_destroy(root, svc, &mut device.nic) {
-                Ok(_) => format!("fabric VNI grant: {e}"),
+                Ok(_) => {
+                    report(judge, NodeEvent::ServiceDestroyed { svc: svc.0 });
+                    format!("fabric VNI grant: {e}")
+                }
                 Err(undo) => {
                     format!("fabric VNI grant: {e}; service rollback also failed: {undo}")
                 }
             };
             return Err((CniError::plugin(123, msg), cost));
         }
+        report(judge, NodeEvent::Granted(vni));
         self.adds += 1;
         prev.extensions.insert("cxi/vni".into(), serde_json::json!(vni.raw()));
         prev.extensions.insert("cxi/service".into(), serde_json::json!(svc.0));
@@ -175,7 +181,7 @@ impl NodeCniPlugin for CxiCniPlugin {
             .filter(|s| s.label == label)
             .flat_map(|s| s.vnis.clone())
             .collect();
-        let NodeCniCtx { device, fabric, root, nic, .. } = ctx;
+        let NodeCniCtx { device, fabric, root, nic, judge, .. } = ctx;
         let destroyed = match device
             .driver
             .svc_destroy_matching(root, &mut device.nic, |s| s.label == label)
@@ -192,6 +198,9 @@ impl NodeCniPlugin for CxiCniPlugin {
             self.dels += 1;
             cost += self.params.svc_destroy;
         }
+        for svc in destroyed {
+            report(judge, NodeEvent::ServiceDestroyed { svc: svc.0 });
+        }
         // Retire fabric grants no longer referenced by any service.
         for vni in vnis {
             let still_used = device
@@ -199,8 +208,8 @@ impl NodeCniPlugin for CxiCniPlugin {
                 .services()
                 .iter()
                 .any(|s| s.vnis.contains(&vni));
-            if !still_used && vni != Vni::GLOBAL {
-                fabric.revoke_vni(*nic, vni);
+            if !still_used && vni != Vni::GLOBAL && fabric.revoke_vni(*nic, vni) {
+                report(judge, NodeEvent::Revoked(vni));
             }
         }
         (Ok(()), cost)

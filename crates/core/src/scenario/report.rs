@@ -1,17 +1,17 @@
-//! The scenario **report**: the serialized result schema, the end-state
-//! isolation audit, and the aggregation of the engine's raw counters
-//! into a [`ScenarioReport`]. Reads the engine's `World` after the run;
-//! the only thing it mutates is the VNI database's expiry sweep (and the
-//! sort order of the latency samples).
+//! The scenario **report**: the serialized result schema, the isolation
+//! verdict, and the aggregation of the engine's raw counters into a
+//! [`ScenarioReport`]. Reads the engine's `World` after the run; the
+//! only things it mutates are the VNI database's expiry sweep, which
+//! the lifecycle judge then applies, and the sort order of the latency
+//! samples.
 
 use serde::Serialize;
 use shs_des::SimTime;
 use shs_fabric::TrafficClass;
-use shs_k8s::kinds;
 
 use super::engine::{ClassAgg, ServiceTrack, World};
 use super::spec::{Scenario, TrafficPattern};
-use crate::lifecycle::{Lifecycle, Orphan};
+use crate::lifecycle::Rule;
 
 /// Per-job outcome in the report.
 #[derive(Debug, Clone, Serialize, PartialEq, Eq)]
@@ -259,14 +259,18 @@ pub struct IsolationReport {
     pub cross_tenant_denied: u64,
     /// Probes that *delivered* on a foreign VNI (violation).
     pub cross_vni_deliveries: u64,
-    /// Audit entries the [`Lifecycle`] replay rejects (a VNI reissued
-    /// inside its quarantine, among others), plus rows it contradicts.
+    /// Audit entries the [`Lifecycle`](crate::lifecycle::Lifecycle)
+    /// judge rejects (a VNI reissued inside its quarantine, or while a
+    /// node still carries it, among others), plus rows it contradicts.
     pub quarantine_violations: u64,
-    /// [`Orphan::Service`]s: CXI services that outlived their pod.
+    /// [`Rule::LeakedService`] verdicts: CXI services that outlived
+    /// their pod's sandbox.
     pub leaked_services: u64,
-    /// [`Orphan::Grant`]s: switch grants no service and held VNI back.
+    /// [`Rule::StaleGrant`] verdicts: switch grants a CNI DEL left with
+    /// no CXI service on the node carrying them.
     pub stale_grants: u64,
-    /// Pods placed on a drained node after the drain (violation).
+    /// Workloads started on a drained node after the drain, or without
+    /// their CNI ADD ([`Rule::StartOnDrained`], [`Rule::StartWithoutAdd`]).
     pub placement_violations: u64,
 }
 
@@ -323,8 +327,8 @@ impl ScenarioReport {
 }
 
 /// Aggregate the run into the report. Takes the finished
-/// [`audit_isolation`] verdict, whose replay has already swept the
-/// expired quarantines the VNI section here counts.
+/// [`audit_isolation`] verdict, which has already swept the expired
+/// quarantines the VNI section here counts.
 pub(super) fn build(
     scenario: &Scenario,
     w: &mut World,
@@ -363,51 +367,42 @@ fn key(tenant: &str, name: &str) -> String {
 
 // ---- End-state audit ------------------------------------------------------
 
-/// The end-state isolation audit: the adversarial-probe tallies, one
-/// replay of the VNI audit log through the [`Lifecycle`] model, the
-/// model's node projection, and placement after drains.
-pub(super) fn audit_isolation(w: &World, horizon: SimTime) -> IsolationReport {
-    let (model, quarantine_violations) = {
-        let mut ep = w.cluster.endpoint.borrow_mut();
+/// The isolation verdict at the horizon: the adversarial-probe tallies,
+/// and the cluster's lifecycle judge's verdicts counted by rule. The
+/// judge has followed the whole run; here it applies the horizon's
+/// quarantine sweep and compares itself with the database's rows.
+pub(super) fn audit_isolation(w: &mut World, horizon: SimTime) -> IsolationReport {
+    let cluster = &mut w.cluster;
+    {
+        let mut ep = cluster.endpoint.borrow_mut();
         // Sweep first, so the log and the rows are what `acquire` acts on.
         ep.db.sweep_expired(horizon);
-        let (model, broken) = Lifecycle::replay(ep.db.quarantine(), &ep.db.audit(), &ep.db.rows());
-        (model, broken.len() as u64)
-    };
-    let (mut leaked_services, mut stale_grants) = (0, 0);
-    for orphan in model.orphans(&w.cluster) {
-        match orphan {
-            Orphan::Service { .. } => leaked_services += 1,
-            Orphan::Grant { .. } => stale_grants += 1,
-        }
+        cluster.lifecycle.pull(&ep.db);
+        cluster.lifecycle.finish(&ep.db.rows());
     }
-    IsolationReport {
+    let mut iso = IsolationReport {
         cross_tenant_attempts: w.m.cross_attempts,
         cross_tenant_denied: w.m.cross_denied,
         cross_vni_deliveries: w.m.cross_deliveries,
-        quarantine_violations,
-        leaked_services,
-        stale_grants,
-        placement_violations: placement_violations(w),
+        ..Default::default()
+    };
+    for verdict in cluster.lifecycle.verdicts() {
+        let count = match verdict.rule {
+            Rule::AcquireHeld
+            | Rule::AcquireInQuarantine
+            | Rule::NotHeld
+            | Rule::ExpireNotQuarantined
+            | Rule::ExpireEarly
+            | Rule::UnknownEvent
+            | Rule::RowDiverged
+            | Rule::AcquireWhileGranted => &mut iso.quarantine_violations,
+            Rule::LeakedService => &mut iso.leaked_services,
+            Rule::StaleGrant => &mut iso.stale_grants,
+            Rule::StartWithoutAdd | Rule::StartOnDrained => &mut iso.placement_violations,
+        };
+        *count += 1;
     }
-}
-
-/// Placement: nothing may start on a drained node after the drain.
-fn placement_violations(w: &World) -> u64 {
-    let mut violations = 0;
-    for &(node_idx, at) in &w.drained {
-        let name = &w.cluster.nodes[node_idx].inner.name;
-        for pod in w.cluster.api.list(kinds::POD) {
-            if pod.pod_spec().node_name.as_deref() != Some(name.as_str()) {
-                continue;
-            }
-            let started = pod.pod_status().and_then(|s| s.started_at_ns);
-            if started.is_some_and(|s| s > at.as_nanos()) {
-                violations += 1;
-            }
-        }
-    }
-    violations
+    iso
 }
 
 // ---- Aggregation ----------------------------------------------------------

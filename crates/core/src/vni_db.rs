@@ -305,15 +305,22 @@ fn encode_audit_into(out: &mut Vec<u8>, at_ns: u64, vni: u16, event: &str, detai
     out.extend_from_slice(detail.as_bytes());
 }
 
-fn try_decode_audit(bytes: &[u8]) -> Option<AuditEntry> {
+/// An audit entry as `(at_ns, vni, event)`, the event borrowed from
+/// the stored bytes.
+fn decode_audit_ref(bytes: &[u8]) -> Option<(u64, u16, &str)> {
     let mut off = 0usize;
     if read_u8(bytes, &mut off)? != CODEC_V1 {
         return None;
     }
     let at_ns = read_u64(bytes, &mut off)?;
     let vni = read_u16(bytes, &mut off)?;
-    let event = String::from_utf8(read_slice(bytes, &mut off)?.to_vec()).ok()?;
-    (off == bytes.len()).then_some(AuditEntry { at_ns, event, vni })
+    let event = std::str::from_utf8(read_slice(bytes, &mut off)?).ok()?;
+    (off == bytes.len()).then_some((at_ns, vni, event))
+}
+
+fn try_decode_audit(bytes: &[u8]) -> Option<AuditEntry> {
+    let (at_ns, vni, event) = decode_audit_ref(bytes)?;
+    Some(AuditEntry { at_ns, event: event.to_string(), vni })
 }
 
 /// Owner-map slots: one map per owner kind, so lookups borrow a `&str`
@@ -543,6 +550,16 @@ impl VniDb {
             .scan(T_AUDIT)
             .map(|(_, v)| try_decode_audit(v).expect("audit rows decode"))
             .collect()
+    }
+
+    /// The audit entries from seq `from` on, as `(at_ns, vni, event)`
+    /// borrowed from the log: a reader that follows the log as it grows
+    /// decodes each entry once and copies nothing.
+    pub fn audit_since(&self, from: u64) -> impl Iterator<Item = (u64, u16, &str)> + '_ {
+        (from..self.audit_len() as u64).map(|seq| {
+            let bytes = self.store.get(T_AUDIT, &seq.to_be_bytes());
+            decode_audit_ref(bytes.expect("audit keys are contiguous")).expect("audit rows decode")
+        })
     }
 
     /// JSON view of the full database state (rows, audit log, allocator

@@ -117,6 +117,7 @@ impl Rig {
             api: &self.api,
             nic: self.nic,
             root: self.root,
+            judge: None,
         }
     }
 

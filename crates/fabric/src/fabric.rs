@@ -20,7 +20,7 @@ use shs_des::{SimDur, SimTime};
 
 use crate::faults::{FaultKind, LivenessMask, MAX_REPAIR_PATH};
 use crate::packet::CostModel;
-use crate::switch::{DropReason, Switch, SwitchConfig};
+use crate::switch::{DropReason, Switch};
 use crate::topology::{RoutingPolicy, Topology, TopologySpec};
 use crate::trunknet::{LinkState, TrunkClassCounters, TrunkNet, WalkEnd};
 use crate::types::{NicAddr, PortId, SwitchId, TrafficClass, Vni};
@@ -156,11 +156,10 @@ impl Fabric {
     /// Build a multi-switch fabric over a dragonfly topology, each
     /// switch with `spec.edge_ports` edge ports.
     pub fn with_topology(model: CostModel, spec: TopologySpec, policy: RoutingPolicy) -> Self {
-        let switch_config = SwitchConfig { ports: spec.edge_ports };
         let n = spec.total_switches();
         Fabric {
             net: TrunkNet::new(Rc::new(Topology::new(spec, policy)), model),
-            switches: (0..n).map(|_| Switch::new(switch_config.clone())).collect(),
+            switches: (0..n).map(|_| Switch::new(spec.edge_ports)).collect(),
             links: vec![Vec::new(); n],
             ports_of: Vec::new(),
             next_port: vec![0; n],

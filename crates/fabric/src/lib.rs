@@ -44,7 +44,7 @@ pub use fabric::{
 pub use faults::{fallback_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
 pub use packet::CostModel;
 pub use ring::{ring_allreduce_schedule, ring_step_into};
-pub use switch::{DropReason, Switch, SwitchConfig, SwitchCounters};
+pub use switch::{DropReason, Switch, SwitchCounters};
 pub use shardsim::{
     run_sweep, sweep_messages, GroupCounters, SweepConfig, SweepFault, SweepMsg, SweepStats,
 };

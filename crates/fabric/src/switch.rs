@@ -42,23 +42,9 @@ impl SwitchCounters {
     }
 }
 
-/// Switch configuration.
-#[derive(Debug, Clone)]
-pub struct SwitchConfig {
-    /// Number of ports.
-    pub ports: usize,
-}
-
-impl Default for SwitchConfig {
-    fn default() -> Self {
-        SwitchConfig { ports: 64 }
-    }
-}
-
 /// The switch state machine (sans-IO; timing lives in the fabric engine).
 #[derive(Debug)]
 pub struct Switch {
-    config: SwitchConfig,
     /// VNIs granted per port, indexed by port number, each list sorted
     /// (the per-packet enforcement lookup is one array index + a binary
     /// search of a few entries).
@@ -66,18 +52,17 @@ pub struct Switch {
     /// Destination NIC -> egress port, sorted by NIC (binary search;
     /// never iterated on the hot path).
     routes: Vec<(NicAddr, PortId)>,
-    /// NIC bound to each port (for source validation), indexed by port.
+    /// NIC bound to each port (for source validation), indexed by port;
+    /// its length is the port count.
     bindings: Vec<Option<NicAddr>>,
     /// Counters.
     pub counters: SwitchCounters,
 }
 
 impl Switch {
-    /// Build a switch with the given configuration.
-    pub fn new(config: SwitchConfig) -> Self {
-        let ports = config.ports;
+    /// Build a switch with `ports` ports.
+    pub fn new(ports: usize) -> Self {
         Switch {
-            config,
             vni_table: vec![Vec::new(); ports],
             routes: Vec::new(),
             bindings: vec![None; ports],
@@ -85,15 +70,10 @@ impl Switch {
         }
     }
 
-    /// Access the configuration.
-    pub fn config(&self) -> &SwitchConfig {
-        &self.config
-    }
-
     /// Bind a NIC to a port and install its route. Panics if the port is
     /// out of range; returns `false` if the port was already bound.
     pub fn bind(&mut self, port: PortId, nic: NicAddr) -> bool {
-        assert!(port.0 < self.config.ports, "{port} out of range");
+        assert!(port.0 < self.bindings.len(), "{port} out of range");
         if self.bindings[port.0].is_some() {
             return false;
         }
@@ -158,9 +138,9 @@ impl Switch {
     /// `Switch::egress_check` at the destination's.
     ///
     /// ```
-    /// use shs_fabric::{DropReason, NicAddr, PortId, Switch, SwitchConfig, Vni};
+    /// use shs_fabric::{DropReason, NicAddr, PortId, Switch, Vni};
     ///
-    /// let mut sw = Switch::new(SwitchConfig { ports: 2 });
+    /// let mut sw = Switch::new(2);
     /// sw.bind(PortId(0), NicAddr(10));
     /// assert_eq!(sw.admit(PortId(0), NicAddr(10), Vni(5)), Some(DropReason::VniDeniedIngress));
     /// sw.grant_vni(PortId(0), Vni(5));
@@ -206,7 +186,7 @@ mod tests {
     use super::*;
 
     fn two_port_switch() -> Switch {
-        let mut sw = Switch::new(SwitchConfig { ports: 4 });
+        let mut sw = Switch::new(4);
         sw.bind(PortId(0), NicAddr(10));
         sw.bind(PortId(1), NicAddr(11));
         sw

@@ -1,16 +1,13 @@
-//! The lifecycle model's verdict on the admission path: both halves of
+//! The lifecycle judge's verdict on the admission path: both halves of
 //! a Fig. 11 spike (`vni:true`, then `vni:false`), driven through the
 //! public `Cluster` API the way the benchmark's traced loop drives
-//! `run_admission`, must end with an audit log the model replays
-//! without a violation and with no CXI service or switch grant on any
-//! node that the replayed model does not justify.
-//!
-//! The judge runs here, after the run, so `run_admission` itself stays
-//! free of it.
+//! `run_admission`. The cluster's own judge follows every tick — the
+//! VNI audit log, every CXI service and switch grant the CNI changes,
+//! every workload start and sandbox removal — and must end with no
+//! verdict and a model that agrees with the database's rows.
 
 use shs_des::{SimDur, SimTime};
 use shs_harness::JobTracker;
-use slingshot_k8s::lifecycle::Lifecycle;
 use slingshot_k8s::{alpine, Cluster, ClusterConfig};
 
 /// Spike size.
@@ -53,12 +50,12 @@ fn spike(vni: bool, seed: u64) -> Cluster {
 #[test]
 fn both_spike_halves_leave_a_legal_audit_log_and_no_orphan() {
     for (vni, seed) in [(true, 3), (false, 4)] {
-        let cluster = spike(vni, seed);
+        let mut cluster = spike(vni, seed);
         let ep = cluster.endpoint.borrow();
-        let (model, broken) = Lifecycle::replay(ep.db.quarantine(), &ep.db.audit(), &ep.db.rows());
-        assert_eq!(broken, vec![], "vni:{vni}: the audit log breaks the lifecycle");
-        let orphans = model.orphans(&cluster);
-        assert_eq!(orphans, vec![], "vni:{vni}: a node keeps what no VNI justifies");
+        cluster.lifecycle.finish(&ep.db.rows());
+        if let Some(v) = cluster.lifecycle.verdicts().first() {
+            panic!("vni:{vni}: {v}");
+        }
         if vni {
             assert_eq!(ep.counters.acquisitions, JOBS as u64, "one VNI per job");
             assert_eq!(ep.counters.releases, JOBS as u64, "every VNI released");

@@ -174,6 +174,7 @@ fn grace_period_bound_is_enforced() {
         api: &api,
         nic: NicAddr(1),
         root,
+        judge: None,
     };
     let args = CniArgs {
         container_id: "t_p".into(),

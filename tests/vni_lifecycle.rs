@@ -3,39 +3,33 @@
 //! 30 s quarantine, claim semantics, and endpoint database consistency
 //! under cluster churn.
 //!
-//! Every run is judged after every tick ([`RunJudged`]): the whole
-//! audit log is replayed through the lifecycle model, so a test's last
-//! tick replays all of it.
+//! Every run is judged at every tick ([`run_checked`]) by the cluster's
+//! own lifecycle judge, which has already taken the tick's audit
+//! entries and node events as they happened: a tick only adds to what
+//! the judge has seen, so a run costs time linear in its length.
 
 use shs_des::{SimDur, SimTime};
 use shs_k8s::kinds;
-use slingshot_k8s::lifecycle::Lifecycle;
 use slingshot_k8s::{alpine, osu_image, Cluster, ClusterConfig, VniState};
 
-/// `Cluster::run_until`, stepping `Cluster::tick` itself and judging
-/// after every tick: a replay of the whole audit log must accept every
-/// entry and end in the database's rows, and no node may hold a CXI
-/// service or switch grant the replayed model does not justify.
-trait RunJudged {
-    fn run_judged(&mut self, from: SimTime, to: SimTime, tick: SimDur) -> SimTime;
-}
-
-impl RunJudged for Cluster {
-    fn run_judged(&mut self, from: SimTime, to: SimTime, tick: SimDur) -> SimTime {
-        let mut t = from;
-        while t < to {
-            t = (t + tick).min(to);
-            self.tick(t);
-            let ep = self.endpoint.borrow();
-            let (model, broken) =
-                Lifecycle::replay(ep.db.quarantine(), &ep.db.audit(), &ep.db.rows());
-            drop(ep);
-            let orphans = model.orphans(self);
-            assert!(broken.is_empty(), "tick at {} ns: {broken:?}", t.as_nanos());
-            assert!(orphans.is_empty(), "tick at {} ns: {orphans:?}", t.as_nanos());
+/// `Cluster::run_until`, stepping `Cluster::tick` itself: no tick may
+/// give the cluster's lifecycle judge a verdict, and at the end the
+/// judge's model must agree with the database's rows.
+fn run_checked(cluster: &mut Cluster, from: SimTime, to: SimTime, tick: SimDur) -> SimTime {
+    let mut t = from;
+    while t < to {
+        t = (t + tick).min(to);
+        cluster.tick(t);
+        if let Some(v) = cluster.lifecycle.verdicts().first() {
+            panic!("tick at {} ns: {v}", t.as_nanos());
         }
-        t
     }
+    let rows = cluster.endpoint.borrow().db.rows();
+    cluster.lifecycle.finish(&rows);
+    if let Some(v) = cluster.lifecycle.verdicts().first() {
+        panic!("rows at {} ns: {v}", t.as_nanos());
+    }
+    t
 }
 
 fn crd_vni(cluster: &Cluster, ns: &str, name: &str) -> u16 {
@@ -49,7 +43,8 @@ fn vni_exclusivity_and_quarantine_through_the_cluster() {
     let mut cluster = Cluster::new(ClusterConfig::default());
     cluster.submit_job(SimTime::ZERO, "t", "one", &[("vni", "true")], 1, &osu_image(), None);
     cluster.submit_job(SimTime::ZERO, "t", "two", &[("vni", "true")], 1, &osu_image(), None);
-    let now = cluster.run_judged(
+    let now = run_checked(
+        &mut cluster,
         SimTime::ZERO,
         SimTime::from_nanos(6_000_000_000),
         SimDur::from_millis(20),
@@ -60,7 +55,7 @@ fn vni_exclusivity_and_quarantine_through_the_cluster() {
 
     // Delete job one; its VNI goes into quarantine.
     cluster.delete_job("t", "one");
-    let now = cluster.run_judged(now, now + SimDur::from_secs(8), SimDur::from_millis(20));
+    let now = run_checked(&mut cluster, now, now + SimDur::from_secs(8), SimDur::from_millis(20));
     {
         let ep = cluster.endpoint.borrow();
         let row = ep.db.row(shs_fabric::Vni(v1)).expect("row kept through quarantine");
@@ -69,14 +64,14 @@ fn vni_exclusivity_and_quarantine_through_the_cluster() {
 
     // A new job right away must NOT receive v1 (quarantine is 30 s).
     cluster.submit_job(now, "t", "three", &[("vni", "true")], 1, &osu_image(), None);
-    let now = cluster.run_judged(now, now + SimDur::from_secs(5), SimDur::from_millis(20));
+    let now = run_checked(&mut cluster, now, now + SimDur::from_secs(5), SimDur::from_millis(20));
     let v3 = crd_vni(&cluster, "t", "vni-three");
     assert_ne!(v3, v1, "quarantined VNI must not be reissued early");
 
     // After the quarantine window, the VNI becomes reusable.
-    let now = cluster.run_judged(now, now + SimDur::from_secs(35), SimDur::from_millis(20));
+    let now = run_checked(&mut cluster, now, now + SimDur::from_secs(35), SimDur::from_millis(20));
     cluster.submit_job(now, "t", "four", &[("vni", "true")], 1, &osu_image(), None);
-    cluster.run_judged(now, now + SimDur::from_secs(5), SimDur::from_millis(20));
+    run_checked(&mut cluster, now, now + SimDur::from_secs(5), SimDur::from_millis(20));
     let v4 = crd_vni(&cluster, "t", "vni-four");
     assert_eq!(v4, v1, "lowest free VNI is the now-dequarantined one");
 }
@@ -86,7 +81,8 @@ fn vni_exclusivity_and_quarantine_through_the_cluster() {
 fn audit_log_tracks_cluster_operations() {
     let mut cluster = Cluster::new(ClusterConfig::default());
     cluster.submit_job(SimTime::ZERO, "t", "j", &[("vni", "true")], 1, &alpine(), Some(10));
-    cluster.run_judged(SimTime::ZERO, SimTime::from_nanos(8_000_000_000), SimDur::from_millis(20));
+    let (end, tick) = (SimTime::from_nanos(8_000_000_000), SimDur::from_millis(20));
+    run_checked(&mut cluster, SimTime::ZERO, end, tick);
     let ep = cluster.endpoint.borrow();
     let events: Vec<String> = ep.db.audit().into_iter().map(|e| e.event).collect();
     assert!(events.contains(&"acquire".to_string()));
@@ -100,17 +96,17 @@ fn claim_user_tracking_matches_job_lifecycle() {
     let mut cluster = Cluster::new(ClusterConfig::default());
     cluster.create_claim(SimTime::ZERO, "t", "net");
     let t1 = SimTime::from_nanos(1_000_000_000);
-    cluster.run_judged(SimTime::ZERO, t1, SimDur::from_millis(20));
+    run_checked(&mut cluster, SimTime::ZERO, t1, SimDur::from_millis(20));
     cluster.submit_job(t1, "t", "ja", &[("vni", "net")], 1, &osu_image(), None);
     cluster.submit_job(t1, "t", "jb", &[("vni", "net")], 1, &osu_image(), None);
-    let now = cluster.run_judged(t1, t1 + SimDur::from_secs(5), SimDur::from_millis(20));
+    let now = run_checked(&mut cluster, t1, t1 + SimDur::from_secs(5), SimDur::from_millis(20));
     {
         let ep = cluster.endpoint.borrow();
         let row = ep.db.find_by_claim("t/net").expect("claim VNI");
         assert_eq!(row.users.len(), 2, "both jobs registered: {:?}", row.users);
     }
     cluster.delete_job("t", "ja");
-    let now = cluster.run_judged(now, now + SimDur::from_secs(6), SimDur::from_millis(20));
+    let now = run_checked(&mut cluster, now, now + SimDur::from_secs(6), SimDur::from_millis(20));
     {
         let ep = cluster.endpoint.borrow();
         let row = ep.db.find_by_claim("t/net").expect("claim VNI");
@@ -120,7 +116,7 @@ fn claim_user_tracking_matches_job_lifecycle() {
     assert!(cluster.api.get(kinds::VNI, "t", "vni-jb").is_some());
     cluster.delete_job("t", "jb");
     cluster.delete_claim("t", "net");
-    cluster.run_judged(now, now + SimDur::from_secs(10), SimDur::from_millis(20));
+    run_checked(&mut cluster, now, now + SimDur::from_secs(10), SimDur::from_millis(20));
     assert_eq!(cluster.endpoint.borrow().db.allocated_count(), 0);
 }
 
@@ -144,7 +140,8 @@ fn exhaustion_blocks_and_recovers() {
             None,
         );
     }
-    let now = cluster.run_judged(
+    let now = run_checked(
+        &mut cluster,
         SimTime::ZERO,
         SimTime::from_nanos(8_000_000_000),
         SimDur::from_millis(20),
@@ -159,7 +156,7 @@ fn exhaustion_blocks_and_recovers() {
     // on events, so deleting job a (freeing a VNI + quarantine 1s) and
     // touching job c via the kubelet's CNI retry path lets it launch.
     cluster.delete_job("t", "a");
-    cluster.run_judged(now, now + SimDur::from_secs(30), SimDur::from_millis(20));
+    run_checked(&mut cluster, now, now + SimDur::from_secs(30), SimDur::from_millis(20));
     // The kubelet keeps retrying the pod; once the VNI controller hands
     // out the freed VNI (on one of its sync retries) the pod starts.
     // Note: sync is event-driven; the retry CNI failure does not itself
@@ -167,7 +164,8 @@ fn exhaustion_blocks_and_recovers() {
     let _ = cluster.api.mutate(kinds::JOB, "t", "c", |o| {
         o.meta.annotations.insert("nudge".into(), "1".into());
     });
-    let end = cluster.run_judged(
+    let end = run_checked(
+        &mut cluster,
         now + SimDur::from_secs(30),
         now + SimDur::from_secs(45),
         SimDur::from_millis(20),
@@ -196,7 +194,8 @@ fn cluster_runs_are_deterministic_per_seed() {
                 Some(10),
             );
         }
-        cluster.run_judged(
+        run_checked(
+        &mut cluster,
             SimTime::ZERO,
             SimTime::from_nanos(10_000_000_000),
             SimDur::from_millis(20),
