@@ -19,7 +19,7 @@ use shs_cxi::{CxiDevice, CxiDriver, CxiServiceDesc};
 use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::{CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySpec, Vni};
 use shs_k8s::{
-    kinds, make_node, ApiObject, ApiServer, CniAddOutcome, DecoratorConfig, JobController,
+    kinds, make_node, ApiObject, ApiServer, CniAddOutcome, DecoratorConfig, JobController, ObjId,
     JobSpec, Kubelet, KubeletParams, Metacontroller, NodeBackend, NodeStatus, Pleg, PodPhase,
     PodTemplate, Scheduler, ServiceController, ServiceSpec, Spec, Status, VniClaimSpec,
     VNI_ANNOTATION,
@@ -659,10 +659,10 @@ impl Cluster {
         let _ = self.api.delete(kinds::SERVICE, namespace, name);
     }
 
-    /// Ready pod names of a service (Running, not terminating) — a PLEG
-    /// cache read, no pod scan.
-    pub(crate) fn service_ready(&self, namespace: &str, name: &str) -> Vec<String> {
-        self.pleg.ready(namespace, name)
+    /// The ids of a service's ready pods (Running, not terminating), in
+    /// name order — a PLEG cache read, no pod scan.
+    pub(crate) fn service_ready(&self, namespace: &str, name: &str) -> Vec<ObjId> {
+        self.pleg.ready_ids(namespace, name)
     }
 
     /// Create a VNI Claim (Listing 2 of the paper).
@@ -711,9 +711,16 @@ impl Cluster {
     /// the API store, its node binding in the snapshot's typed spec,
     /// the node in the name index, the sandbox in the node's runtime.)
     pub fn pod_handle(&self, namespace: &str, name: &str) -> Option<PodHandle> {
-        let pod = self.api.get(kinds::POD, namespace, name)?;
+        self.pod_handle_id(self.api.id(kinds::POD, namespace, name)?)
+    }
+
+    /// [`Cluster::pod_handle`] of the pod interned as `id`
+    /// ([`ApiServer::intern`]): the pod is found by id, not by name.
+    pub fn pod_handle_id(&self, id: ObjId) -> Option<PodHandle> {
+        let pod = self.api.object(id)?;
         let node_idx = *self.node_index.get(pod.pod_spec().node_name.as_deref()?)?;
-        let sandbox = self.nodes[node_idx].inner.runtime.sandbox(namespace, name)?;
+        let runtime = &self.nodes[node_idx].inner.runtime;
+        let sandbox = runtime.sandbox(&pod.meta.namespace, &pod.meta.name)?;
         let pid = sandbox.containers.last().map(|c| c.pid)?;
         Some(PodHandle { node_idx, pid, netns: sandbox.netns })
     }
@@ -721,14 +728,15 @@ impl Cluster {
     /// The VNI the pods of job (or service) `namespace/job` authenticate
     /// with, once the VNI Service has decorated it with its CRD.
     pub fn job_vni(&self, namespace: &str, job: &str) -> Option<Vni> {
-        self.crd_vni(namespace, &VniEndpoint::child_name_for_job(job))
+        self.crd_vni(self.api.id(kinds::VNI, namespace, &VniEndpoint::child_name_for_job(job))?)
     }
 
-    /// The VNI recorded in the VNI CRD `namespace/crd`, if it exists — the
-    /// lookup behind [`Cluster::job_vni`] for a caller that keeps the CRD
-    /// name ([`VniEndpoint::child_name_for_job`]) instead of rebuilding it.
-    pub(crate) fn crd_vni(&self, namespace: &str, crd: &str) -> Option<Vni> {
-        Some(Vni(self.api.get(kinds::VNI, namespace, crd)?.vni_spec().vni))
+    /// The VNI recorded in the VNI CRD interned as `crd`, if one is
+    /// stored — the lookup behind [`Cluster::job_vni`] for a caller that
+    /// interned the CRD's name ([`VniEndpoint::child_name_for_job`])
+    /// once instead of rebuilding it.
+    pub(crate) fn crd_vni(&self, crd: ObjId) -> Option<Vni> {
+        Some(Vni(self.api.object(crd)?.vni_spec().vni))
     }
 }
 
@@ -1024,13 +1032,13 @@ mod tests {
         // The service owns a VNI CRD and both replicas are ready.
         let crd = c.api.get(kinds::VNI, "t", "vni-web").expect("VNI CRD for the service");
         let vni = crd.vni_spec().vni;
-        assert_eq!(c.service_ready("t", "web"), vec!["web-v0-0", "web-v0-1"]);
+        assert_eq!(c.pleg.ready("t", "web"), vec!["web-v0-0", "web-v0-1"]);
         assert_eq!(c.pods_in_phase(PodPhase::Running), 2);
         // Rolling update: replicas converge on the new revision without
         // the ready count ever reaching zero (floor = replicas - 1).
         c.roll_service("t", "web");
         run_cluster(&mut c, 4_000, 14_000);
-        assert_eq!(c.service_ready("t", "web"), vec!["web-v1-0", "web-v1-1"]);
+        assert_eq!(c.pleg.ready("t", "web"), vec!["web-v1-0", "web-v1-1"]);
         // Scale up, then delete: everything unwinds.
         c.scale_service("t", "web", 3);
         run_cluster(&mut c, 14_000, 18_000);

@@ -203,8 +203,17 @@ struct NodeView {
     name: String,
     /// The drain instant, once drained.
     drained_at: Option<u64>,
-    /// Every live CNI-created service.
-    services: Vec<Carried>,
+    /// Every live CNI-created service, keyed by the order its creation
+    /// was reported in.
+    services: BTreeMap<u64, Carried>,
+    /// The key the next reported service takes.
+    next_key: u64,
+    /// `(CXI service id, key)` of every live service.
+    by_svc: BTreeSet<(u32, u64)>,
+    /// `(pod uid, key)` of every live service.
+    by_pod: BTreeSet<(u64, u64)>,
+    /// `(VNI, key)` of every live service.
+    by_vni: BTreeSet<(u16, u64)>,
     /// Job VNIs granted on the node's port by CNI calls, ascending (the
     /// global VNI every node holds is no job's).
     grants: Vec<u16>,
@@ -212,6 +221,54 @@ struct NodeView {
     /// the grants that DEL must have let go unless another live
     /// service still carries them.
     dropped: Vec<u16>,
+}
+
+impl NodeView {
+    fn add_service(&mut self, c: Carried) {
+        let key = self.next_key;
+        self.next_key += 1;
+        self.by_svc.insert((c.svc, key));
+        self.by_pod.insert((c.pod.uid, key));
+        self.by_vni.insert((c.vni, key));
+        self.services.insert(key, c);
+    }
+
+    /// Drop every live service with CXI id `svc`, in the order they were
+    /// reported, adding their VNIs to `dropped`.
+    fn destroy_services(&mut self, svc: u32) {
+        while let Some(&(_, key)) = self.by_svc.range((svc, 0)..=(svc, u64::MAX)).next() {
+            let c = self.services.remove(&key).expect("indexed services are live");
+            self.by_svc.remove(&(svc, key));
+            self.by_pod.remove(&(c.pod.uid, key));
+            self.by_vni.remove(&(c.vni, key));
+            self.dropped.push(c.vni);
+        }
+    }
+
+    /// The live services pod `uid`'s ADDs created, in the order they
+    /// were reported.
+    fn services_of(&self, uid: u64) -> impl Iterator<Item = &Carried> {
+        let keys = self.by_pod.range((uid, 0)..=(uid, u64::MAX));
+        keys.map(|(_, key)| &self.services[key])
+    }
+
+    /// The first-reported live service that carries `vni`.
+    fn first_carrying(&self, vni: u16) -> Option<&Carried> {
+        let (_, key) = self.by_vni.range((vni, 0)..=(vni, u64::MAX)).next()?;
+        Some(&self.services[key])
+    }
+}
+
+/// Count one more (`up`) or one fewer carrier of `vni` in `carried`.
+fn carry(carried: &mut BTreeMap<u16, u32>, vni: u16, up: bool) {
+    if up {
+        *carried.entry(vni).or_insert(0) += 1;
+    } else if let Some(n) = carried.get_mut(&vni) {
+        *n -= 1;
+        if *n == 0 {
+            carried.remove(&vni);
+        }
+    }
 }
 
 /// The lifecycle of every VNI one audit log names, the node state the
@@ -224,6 +281,9 @@ pub struct Lifecycle {
     next_seq: u64,
     last_at_ns: u64,
     nodes: Vec<NodeView>,
+    /// For each VNI some node carries: its live CNI-created services
+    /// plus its port grants, over every node.
+    carried: BTreeMap<u16, u32>,
     verdicts: Vec<Violation>,
 }
 
@@ -337,10 +397,12 @@ impl Lifecycle {
     }
 
     /// The first node that carries `vni` in a live CNI-created service,
-    /// or grants it on its port, with that service's pod.
+    /// or grants it on its port, with that service's pod. A VNI no node
+    /// carries is one lookup.
     fn carrier(&self, vni: u16) -> Option<(Option<String>, Option<String>)> {
+        self.carried.get(&vni)?;
         self.nodes.iter().find_map(|n| {
-            let svc = n.services.iter().find(|c| c.vni == vni);
+            let svc = n.first_carrying(vni);
             let carried = svc.is_some() || n.grants.binary_search(&vni).is_ok();
             carried.then(|| (Some(n.name.clone()), svc.map(|c| c.pod.label())))
         })
@@ -396,30 +458,34 @@ impl Lifecycle {
             NodeEvent::ServiceCreated { svc, vni } => {
                 let vni = vni.raw();
                 let held = matches!(self.phase(vni), Phase::Held { .. });
-                let pod = pod.clone();
-                self.nodes[node].services.push(Carried { svc, pod, vni, held });
+                self.nodes[node].add_service(Carried { svc, pod: pod.clone(), vni, held });
+                carry(&mut self.carried, vni, true);
             }
             NodeEvent::Granted(vni) => {
                 let grants = &mut self.nodes[node].grants;
                 if let Err(i) = grants.binary_search(&vni.raw()) {
                     grants.insert(i, vni.raw());
+                    carry(&mut self.carried, vni.raw(), true);
                 }
             }
             NodeEvent::Revoked(vni) => {
                 let grants = &mut self.nodes[node].grants;
                 if let Ok(i) = grants.binary_search(&vni.raw()) {
                     grants.remove(i);
+                    carry(&mut self.carried, vni.raw(), false);
                 }
             }
             NodeEvent::ServiceDestroyed { svc } => {
                 let n = &mut self.nodes[node];
-                let gone = n.services.iter().filter(|c| c.svc == svc).map(|c| c.vni);
-                n.dropped.extend(gone);
-                n.services.retain(|c| c.svc != svc);
+                let first = n.dropped.len();
+                n.destroy_services(svc);
+                for &vni in &n.dropped[first..] {
+                    carry(&mut self.carried, vni, false);
+                }
             }
             NodeEvent::Started { vni_pod } => {
                 let n = &self.nodes[node];
-                let own = n.services.iter().find(|c| c.pod.uid == pod.uid);
+                let own = n.services_of(pod.uid).next();
                 if n.drained_at.is_some_and(|d| at_ns > d) {
                     broken.push((Rule::StartOnDrained, own.map(|c| c.vni)));
                 }
@@ -433,14 +499,14 @@ impl Lifecycle {
                 n.dropped.dedup();
                 for &vni in &n.dropped {
                     let granted = n.grants.binary_search(&vni).is_ok();
-                    if granted && !n.services.iter().any(|c| c.vni == vni) {
+                    if granted && n.first_carrying(vni).is_none() {
                         broken.push((Rule::StaleGrant, Some(vni)));
                     }
                 }
                 n.dropped.clear();
             }
             NodeEvent::SandboxRemoved => {
-                let leaked = self.nodes[node].services.iter().filter(|c| c.pod.uid == pod.uid);
+                let leaked = self.nodes[node].services_of(pod.uid);
                 broken.extend(leaked.map(|c| (Rule::LeakedService, Some(c.vni))));
             }
         }

@@ -34,6 +34,7 @@ use std::rc::Rc;
 
 use shs_des::{Event, Sim, SimDur, SimTime};
 use shs_fabric::{Attachment, FaultKind, SwitchId, TrafficClass, TransferOutcome, Vni};
+use shs_k8s::{kinds, ObjId};
 
 use super::report::{self, ScenarioReport};
 use super::spec::{ClaimPlan, Fault, JobPlan, Scenario, ServicePlan, TrafficPlan, VniMode};
@@ -45,10 +46,11 @@ type RoundOps = [(usize, usize, u64, bool)];
 
 pub(super) struct JobTrack {
     pub(super) plan: JobPlan,
-    /// The rank pods' names, `<job>-<rank>`: a plan constant.
-    pods: Vec<String>,
-    /// The job's VNI CRD name, `vni-<job>`: a plan constant.
-    vni_crd: String,
+    /// The ids of the rank pods, `<job>-<rank>`, interned when the plan
+    /// is laid out: a round looks no name up.
+    pods: Vec<ObjId>,
+    /// The id of the job's VNI CRD, `vni-<job>`, interned likewise.
+    vni_crd: ObjId,
     /// What one round sends ([`TrafficPattern::round_ops`] of the plan's
     /// ranks and size): a plan constant, shared so a round can walk it
     /// while it books into the world.
@@ -63,8 +65,9 @@ pub(super) struct JobTrack {
 
 pub(super) struct ServiceTrack {
     pub(super) plan: ServicePlan,
-    /// The service's VNI CRD name, `vni-<service>`: a plan constant.
-    vni_crd: String,
+    /// The id of the service's VNI CRD, `vni-<service>`, interned when
+    /// the plan is laid out.
+    vni_crd: ObjId,
     pub(super) vni_seen: Option<Vni>,
     /// Round-trip latency samples (ns), sorted once at report time.
     pub(super) latencies: Vec<u64>,
@@ -172,18 +175,35 @@ pub(super) struct World {
 
 impl World {
     fn new(scenario: &Scenario) -> World {
+        let mut cluster = Cluster::new(scenario.config.clone());
+        let mut crd = |tenant: &str, name: &str| {
+            cluster.api.intern(kinds::VNI, tenant, &VniEndpoint::child_name_for_job(name))
+        };
+        let job_crds: Vec<ObjId> = scenario.jobs.iter().map(|p| crd(&p.tenant, &p.name)).collect();
+        let service_crds: Vec<ObjId> =
+            scenario.services.iter().map(|p| crd(&p.tenant, &p.name)).collect();
+        let pods: Vec<Vec<ObjId>> = scenario
+            .jobs
+            .iter()
+            .map(|p| {
+                let pod = |r| cluster.api.intern(kinds::POD, &p.tenant, &format!("{}-{r}", p.name));
+                (0..p.ranks).map(pod).collect()
+            })
+            .collect();
         World {
-            cluster: Cluster::new(scenario.config.clone()),
+            cluster,
             horizon: scenario.horizon,
             tick: scenario.tick,
             claims: scenario.claims.clone(),
             jobs: scenario
                 .jobs
                 .iter()
-                .map(|p| JobTrack {
+                .zip(pods)
+                .zip(job_crds)
+                .map(|((p, pods), vni_crd)| JobTrack {
                     plan: p.clone(),
-                    pods: (0..p.ranks).map(|r| format!("{}-{r}", p.name)).collect(),
-                    vni_crd: VniEndpoint::child_name_for_job(&p.name),
+                    pods,
+                    vni_crd,
                     ops: p
                         .traffic
                         .map_or_else(Vec::new, |tp| tp.pattern.round_ops(p.ranks as usize, tp.size))
@@ -196,9 +216,10 @@ impl World {
             services: scenario
                 .services
                 .iter()
-                .map(|p| ServiceTrack {
+                .zip(service_crds)
+                .map(|(p, vni_crd)| ServiceTrack {
                     plan: p.clone(),
-                    vni_crd: VniEndpoint::child_name_for_job(&p.name),
+                    vni_crd,
                     vni_seen: None,
                     latencies: Vec::new(),
                     fires: 0,
@@ -281,10 +302,10 @@ impl World {
     /// then services, so the two planes probe each other — currently
     /// decorated with a non-global VNI other than `own`.
     fn foreign_vni(&self, own: Vni) -> Option<Vni> {
-        let jobs = self.jobs.iter().map(|t| (&t.plan.vni, &t.plan.tenant, &t.vni_crd));
-        let services = self.services.iter().map(|t| (&t.plan.vni, &t.plan.tenant, &t.vni_crd));
-        jobs.chain(services).find_map(|(mode, tenant, crd)| {
-            let v = resolve_vni(&self.cluster, mode, tenant, crd)?;
+        let jobs = self.jobs.iter().map(|t| (&t.plan.vni, t.vni_crd));
+        let services = self.services.iter().map(|t| (&t.plan.vni, t.vni_crd));
+        jobs.chain(services).find_map(|(mode, crd)| {
+            let v = resolve_vni(&self.cluster, mode, crd)?;
             (v != own && v != Vni::GLOBAL).then_some(v)
         })
     }
@@ -298,12 +319,12 @@ fn annotations(mode: &VniMode) -> Vec<(&str, &str)> {
     }
 }
 
-/// The VNI the pods of a job or service in `tenant` would authenticate
-/// with, if decorated yet; `crd` is its VNI CRD's name.
-fn resolve_vni(cluster: &Cluster, mode: &VniMode, tenant: &str, crd: &str) -> Option<Vni> {
+/// The VNI the pods of a job or service would authenticate with, if
+/// decorated yet; `crd` is its VNI CRD's id.
+fn resolve_vni(cluster: &Cluster, mode: &VniMode, crd: ObjId) -> Option<Vni> {
     match mode {
         VniMode::Global => Some(Vni::GLOBAL),
-        _ => cluster.crd_vni(tenant, crd),
+        _ => cluster.crd_vni(crd),
     }
 }
 
@@ -510,8 +531,8 @@ fn traffic_round(sim: &mut Sim<World, Ev>, ji: usize) {
 fn job_round(w: &mut World, now: SimTime, ji: usize, tp: TrafficPlan) -> bool {
     let t = &w.jobs[ji];
     let p = &t.plan;
-    let running = t.pods.iter().map_while(|pod| w.cluster.pod_handle(&p.tenant, pod));
-    let vni = resolve_vni(&w.cluster, &p.vni, &p.tenant, &t.vni_crd);
+    let running = t.pods.iter().map_while(|&pod| w.cluster.pod_handle_id(pod));
+    let vni = resolve_vni(&w.cluster, &p.vni, t.vni_crd);
     let ranks = vni.map_or_else(Vec::new, |vni| w.admit(running, vni));
     let (true, Some(vni)) = (ranks.len() == t.pods.len(), vni) else {
         w.m.skipped_rounds += 1;
@@ -594,8 +615,8 @@ fn service_fire(w: &mut World, now: SimTime, si: usize) {
     }
     // Membership rule: whichever replicas are ready, at least two.
     let ready = w.cluster.service_ready(&plan.tenant, &plan.name);
-    let running = ready.iter().filter_map(|p| w.cluster.pod_handle(&plan.tenant, p));
-    let vni = resolve_vni(&w.cluster, &plan.vni, &plan.tenant, &w.services[si].vni_crd);
+    let running = ready.iter().filter_map(|&p| w.cluster.pod_handle_id(p));
+    let vni = resolve_vni(&w.cluster, &plan.vni, w.services[si].vni_crd);
     let replicas = vni.map_or_else(Vec::new, |vni| w.admit(running, vni));
     let (Some(vni), true) = (vni, replicas.len() >= 2) else {
         w.services[si].skipped_fires += 1;
@@ -793,7 +814,7 @@ mod tests {
 
     fn replica(w: &World, i: usize) -> PodHandle {
         let ready = w.cluster.service_ready("web", "front");
-        w.cluster.pod_handle("web", &ready[i]).unwrap()
+        w.cluster.pod_handle_id(ready[i]).unwrap()
     }
 
     /// Everything a round or a fire may move, as one comparable value.

@@ -7,10 +7,11 @@
 //! allocation/release and CXI service lifecycle, as in the paper.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use shs_des::stats;
 use shs_des::{SimDur, SimTime};
-use shs_k8s::{kinds, ApiServer, WatchType};
+use shs_k8s::{ApiObject, ApiServer, IdMap, Kind, WatchType};
 use slingshot_k8s::{alpine, Cluster, ClusterConfig};
 
 use crate::par;
@@ -37,27 +38,84 @@ impl JobRecord {
     }
 }
 
+/// Per-job records, iterated in job-name order.
+#[derive(Debug, Default)]
+pub struct JobBook {
+    records: Vec<(Rc<str>, JobRecord)>,
+    /// Job name → index into `records`.
+    by_name: BTreeMap<Rc<str>, usize>,
+}
+
+impl JobBook {
+    /// Record `rec` for `job`, replacing any record it had.
+    fn insert(&mut self, job: &str, rec: JobRecord) {
+        match self.by_name.get(job) {
+            Some(&i) => self.records[i].1 = rec,
+            None => {
+                let job: Rc<str> = job.into();
+                self.by_name.insert(Rc::clone(&job), self.records.len());
+                self.records.push((job, rec));
+            }
+        }
+    }
+
+    /// The records, in job-name order.
+    pub fn values(&self) -> impl Iterator<Item = &JobRecord> {
+        self.by_name.values().map(|&i| &self.records[i].1)
+    }
+
+    /// The records, in job-name order.
+    pub fn into_values(self) -> impl Iterator<Item = JobRecord> {
+        let records = self.records;
+        self.by_name.into_values().map(move |i| records[i].1)
+    }
+
+    /// Jobs recorded.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether no job is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+}
+
 /// Watch-driven tracker: observes pod starts and job deletions without
 /// rescanning the store.
 #[derive(Debug, Default)]
 pub struct JobTracker {
     last_rv: u64,
     /// Keyed by job name.
-    pub jobs: BTreeMap<String, JobRecord>,
+    pub jobs: JobBook,
+    /// The record of the job each pod names, found by name at the pod's
+    /// first event that needs it and remembered by the pod's id.
+    of_pod: IdMap<usize>,
 }
 
 impl JobTracker {
     /// Register a submission.
     pub fn submitted(&mut self, job: &str, batch: usize, at: SimTime) {
-        self.jobs.insert(
-            job.to_string(),
-            JobRecord { batch, submitted: at, started: None, deleted: None },
-        );
+        self.jobs.insert(job, JobRecord { batch, submitted: at, started: None, deleted: None });
     }
 
     /// The rv this tracker has consumed the watch log through.
     pub fn cursor(&self) -> u64 {
         self.last_rv
+    }
+
+    /// The record of the job `pod` names, if that job was submitted.
+    fn record(&mut self, pod: &ApiObject) -> Option<&mut JobRecord> {
+        let job = pod.pod_spec().job_name.as_deref()?;
+        let i = match self.of_pod.get(&pod.meta.id) {
+            Some(&i) if *self.jobs.records[i].0 == *job => i,
+            _ => {
+                let i = *self.jobs.by_name.get(job)?;
+                self.of_pod.insert(pod.meta.id, i);
+                i
+            }
+        };
+        Some(&mut self.jobs.records[i].1)
     }
 
     /// Consume new watch events.
@@ -66,23 +124,21 @@ impl JobTracker {
         self.last_rv = rv;
         for ev in events {
             match (ev.object.kind(), ev.kind) {
-                (kinds::POD, WatchType::Modified) => {
+                (Kind::Pod, WatchType::Modified) => {
                     let status = ev.object.pod_status();
                     let Some(started_ns) = status.and_then(|s| s.started_at_ns) else { continue };
-                    let Some(job) = &ev.object.pod_spec().job_name else { continue };
-                    if let Some(rec) = self.jobs.get_mut(job) {
+                    if let Some(rec) = self.record(&ev.object) {
                         let t = SimTime::from_nanos(started_ns);
                         if rec.started.is_none_or(|cur| t < cur) {
                             rec.started = Some(t);
                         }
                     }
                 }
-                (kinds::POD, WatchType::Deleted) => {
-                    if let Some(job) = &ev.object.pod_spec().job_name {
-                        if let Some(rec) = self.jobs.get_mut(job) {
-                            rec.deleted = Some(now);
-                        }
+                (Kind::Pod, WatchType::Deleted) => {
+                    if let Some(rec) = self.record(&ev.object) {
+                        rec.deleted = Some(now);
                     }
+                    self.of_pod.remove(&ev.object.meta.id);
                 }
                 _ => {}
             }

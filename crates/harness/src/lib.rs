@@ -28,7 +28,7 @@ pub mod table1;
 
 pub use admission::{
     median_overhead_pct, ramp_batches, run_admission, run_pattern, AdmissionRun,
-    AdmissionSeries, JobRecord, JobTracker, Pattern,
+    AdmissionSeries, JobBook, JobRecord, JobTracker, Pattern,
 };
 pub use collective::{job_communicator, pod_communicator, CollectiveRig, OsuAllreduceWorkload};
 pub use gate::{evaluate as evaluate_gate, GateCheck, GateReport, MAX_REGRESSION_PCT};

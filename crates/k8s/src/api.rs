@@ -3,11 +3,25 @@
 //! machinery subset the paper's VNI Controller and CNI plugin talk to.
 //!
 //! Objects are typed: an [`ApiObject`] holds one [`Spec`] / [`Status`]
-//! pair of the closed set of six kinds, the VNI and VniClaim CRDs of
+//! pair of the closed set of six [`Kind`]s, the VNI and VniClaim CRDs of
 //! §III-C1 among them, so every controller reads and writes Rust values.
 //! JSON appears only at the door (`wire`): [`ApiObject::new`] decodes a
 //! JSON spec once, at construction, and [`ApiServer::mutate`] hands its
 //! closure the JSON wire form and decodes the result back.
+//!
+//! Every stored object has an integer identity. [`ApiServer::create`]
+//! interns the object's `(kind, namespace, name)` into a dense
+//! [`ObjId`], carried in [`ObjectMeta::id`]; the server keeps the names
+//! for its lifetime, so a name created again gets its old id back and no
+//! two live objects share one. The store is a table indexed by id, and
+//! a controller keys its per-object state by the id its watch events
+//! carry: no string is compared to find an object. The `&str` entry
+//! points (`get`, `edit`, `delete`, …) stay for callers that hold only
+//! names, at one interner lookup each. Order by `(namespace, name)` is
+//! kept only where iteration decides a write or a report: [`list`],
+//! [`list_namespaced`], [`owned_by_rc`] and the reap cascade walk
+//! name-sorted indexes that change only when an object is created,
+//! re-owned or reaped.
 //!
 //! A write copies only what it changes and a watcher copies nothing. A
 //! write builds one new snapshot; its name and namespace are shared
@@ -15,21 +29,107 @@
 //! its annotations, owners and finalizers are [`Shared`] collections a
 //! write copies only if it edits them. A watch event carries the
 //! snapshot itself, so every watcher reads the same typed values.
+//!
+//! [`list`]: ApiServer::list
+//! [`list_namespaced`]: ApiServer::list_namespaced
+//! [`owned_by_rc`]: ApiServer::owned_by_rc
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use shs_des::SimTime;
 
-use crate::objects::{Spec, Status};
+use crate::objects::{Kind, Spec, Status};
 
-/// `(namespace, name)` of an object whose kind the holder knows: the key
-/// every controller indexes its state by. Cloning it is two refcount
-/// bumps, and it orders by content, so a map keyed by it iterates in
-/// (namespace, name) order.
+/// A stored object's identity: the dense index its `(kind, namespace,
+/// name)` was interned to at its first create. It outlives the object —
+/// a name created again gets the same id — and an object built but not
+/// yet created carries the default, which names nothing until
+/// [`ApiServer::create`] assigns the real one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ObjId(u32);
+
+impl ObjId {
+    /// The id's position in its server's table: ids count up from 0 in
+    /// the order names are first interned.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The id at position `index`.
+    pub fn from_index(index: usize) -> Self {
+        ObjId(u32::try_from(index).expect("fewer than 2^32 interned names"))
+    }
+}
+
+/// `(namespace, name)` of an object whose kind the holder knows: the
+/// key a name-ordered set sorts by. Cloning it is two refcount bumps,
+/// and it orders by content. Per-object state is keyed by [`ObjId`]
+/// instead; a key is built only where (namespace, name) order decides
+/// the order of writes.
 pub(crate) type ObjKey = (Rc<str>, Rc<str>);
+
+/// A multiplicative hasher for the control plane's own keys: an
+/// [`ObjId`] costs one multiply, a name one multiply per eight bytes.
+/// It is not DoS-resistant, which names the simulator makes itself do
+/// not need.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Per-object state keyed by [`ObjId`].
+pub type IdMap<V> = HashMap<ObjId, V, BuildHasherDefault<KeyHasher>>;
+
+/// A set of [`ObjId`]s.
+pub(crate) type IdSet = HashSet<ObjId, BuildHasherDefault<KeyHasher>>;
+
+/// A map a borrowed `&str` looks `Rc<str>` keys up in: one level of the
+/// interner.
+pub(crate) type NameMap<V> = HashMap<Rc<str>, V, BuildHasherDefault<KeyHasher>>;
 
 /// A copy-on-write value: a clone shares it, and the first mutable
 /// access through a shared handle copies it (`Rc::make_mut`). Reads and
@@ -91,6 +191,8 @@ pub struct ObjectMeta {
     pub name: Rc<str>,
     /// Namespace (`""` for cluster-scoped objects), shared like `name`.
     pub namespace: Rc<str>,
+    /// The interned `(kind, namespace, name)`, assigned at creation.
+    pub id: ObjId,
     /// Cluster-unique uid, assigned at creation.
     pub uid: u64,
     /// Monotone resource version, bumped on every mutation.
@@ -134,6 +236,7 @@ impl ApiObject {
             meta: ObjectMeta {
                 name,
                 namespace,
+                id: ObjId::default(),
                 uid: 0,
                 resource_version: 0,
                 annotations: Shared::default(),
@@ -147,8 +250,8 @@ impl ApiObject {
         }
     }
 
-    /// Kind: one of the closed [`kinds`](crate::objects::kinds) set.
-    pub fn kind(&self) -> &'static str {
+    /// Kind: one of the closed [`Kind`] set.
+    pub fn kind(&self) -> Kind {
         self.spec.kind()
     }
 
@@ -219,86 +322,122 @@ impl core::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
-/// `(kind, namespace, name)` of a stored object.
-type Key = (&'static str, Rc<str>, Rc<str>);
+/// One interned `(kind, namespace, name)`: its names, kept for the
+/// server's lifetime, and the object stored under them now, if any.
+#[derive(Debug)]
+struct Slot {
+    kind: Kind,
+    namespace: Rc<str>,
+    name: Rc<str>,
+    obj: Option<Rc<ApiObject>>,
+}
 
-/// One sorted level of [`Objects`].
-type Level<T> = BTreeMap<Rc<str>, T>;
+/// A kind's live ids, namespace → name → id, sorted.
+type Sorted = BTreeMap<Rc<str>, BTreeMap<Rc<str>, ObjId>>;
 
-/// The stored objects, nested kind → namespace → name, one sorted map
-/// per level: a borrowed `(&str, &str, &str)` walks down it without
-/// building a key (`Rc<str>: Borrow<str>`), and a kind's objects iterate
-/// in (namespace, name) order — the order of the tuple key it replaced.
-/// The levels are keyed by the object's own name handles, so an insert
-/// copies no string. A remove prunes the levels it empties.
+/// The stored objects: a table indexed by [`ObjId`], the interner that
+/// maps names to ids (kind, then namespace, then name, each level a
+/// hash map a borrowed `&str` looks up), and one name-sorted index per
+/// kind for the listings, which only create and reap touch.
 #[derive(Debug, Default)]
 struct Objects {
-    kinds: BTreeMap<&'static str, Level<Level<Rc<ApiObject>>>>,
+    slots: Vec<Slot>,
+    ids: [NameMap<NameMap<ObjId>>; Kind::ALL.len()],
+    /// One handle per distinct name or namespace interned: a name
+    /// interned again under another kind shares its string.
+    strings: NameMap<()>,
+    sorted: [Sorted; Kind::ALL.len()],
     len: usize,
 }
 
 impl Objects {
-    fn get(&self, kind: &str, namespace: &str, name: &str) -> Option<&Rc<ApiObject>> {
-        self.kinds.get(kind)?.get(namespace)?.get(name)
+    /// The id `(kind, namespace, name)` was interned to, if it was.
+    fn id(&self, kind: Kind, namespace: &str, name: &str) -> Option<ObjId> {
+        self.ids[kind.index()].get(namespace)?.get(name).copied()
     }
 
-    fn get_mut(&mut self, kind: &str, namespace: &str, name: &str) -> Option<&mut Rc<ApiObject>> {
-        self.kinds.get_mut(kind)?.get_mut(namespace)?.get_mut(name)
+    /// The id of `(kind, namespace, name)`, interning it under these
+    /// handles if it is new.
+    fn intern(&mut self, kind: Kind, namespace: &Rc<str>, name: &Rc<str>) -> ObjId {
+        if let Some(id) = self.id(kind, namespace, name) {
+            return id;
+        }
+        let id = ObjId::from_index(self.slots.len());
+        let namespace = self.share(namespace, || Rc::clone(namespace));
+        let name = self.share(name, || Rc::clone(name));
+        let (ns, n) = (Rc::clone(&namespace), Rc::clone(&name));
+        self.slots.push(Slot { kind, namespace: ns, name: n, obj: None });
+        self.ids[kind.index()].entry(namespace).or_default().insert(name, id);
+        id
     }
 
-    /// Store `obj`, which must be new, under its own key.
-    fn insert(&mut self, obj: Rc<ApiObject>) {
-        let names = self
-            .kinds
-            .entry(obj.kind())
+    /// The pooled handle of `s`; if the pool has none, `make()` joins
+    /// it.
+    fn share(&mut self, s: &str, make: impl FnOnce() -> Rc<str>) -> Rc<str> {
+        if let Some((pooled, ())) = self.strings.get_key_value(s) {
+            return Rc::clone(pooled);
+        }
+        let handle = make();
+        self.strings.insert(Rc::clone(&handle), ());
+        handle
+    }
+
+    fn get(&self, id: ObjId) -> Option<&Rc<ApiObject>> {
+        self.slots.get(id.index())?.obj.as_ref()
+    }
+
+    fn get_mut(&mut self, id: ObjId) -> Option<&mut Rc<ApiObject>> {
+        self.slots.get_mut(id.index())?.obj.as_mut()
+    }
+
+    /// Store `obj` under `id`, which must hold no object.
+    fn insert(&mut self, id: ObjId, obj: Rc<ApiObject>) {
+        let slot = &mut self.slots[id.index()];
+        assert!(slot.obj.is_none(), "insert over a stored object");
+        self.sorted[slot.kind.index()]
+            .entry(Rc::clone(&slot.namespace))
             .or_default()
-            .entry(Rc::clone(&obj.meta.namespace))
-            .or_default();
-        let old = names.insert(Rc::clone(&obj.meta.name), obj);
-        assert!(old.is_none(), "insert over a stored object");
+            .insert(Rc::clone(&slot.name), id);
+        slot.obj = Some(obj);
         self.len += 1;
     }
 
-    fn remove(&mut self, kind: &str, namespace: &str, name: &str) -> Option<Rc<ApiObject>> {
-        let namespaces = self.kinds.get_mut(kind)?;
-        let names = namespaces.get_mut(namespace)?;
-        let obj = names.remove(name)?;
+    fn remove(&mut self, id: ObjId) -> Option<Rc<ApiObject>> {
+        let slot = self.slots.get_mut(id.index())?;
+        let obj = slot.obj.take()?;
+        let namespaces = &mut self.sorted[slot.kind.index()];
+        let names = namespaces.get_mut(&slot.namespace).expect("stored objects are sorted");
+        names.remove(&slot.name);
         if names.is_empty() {
-            namespaces.remove(namespace);
-            if namespaces.is_empty() {
-                self.kinds.remove(kind);
-            }
+            namespaces.remove(&slot.namespace);
         }
         self.len -= 1;
         Some(obj)
     }
 
+    /// `(kind, namespace, name)` order of two interned ids.
+    fn cmp_keys(&self, a: ObjId, b: ObjId) -> Ordering {
+        let (a, b) = (&self.slots[a.index()], &self.slots[b.index()]);
+        (a.kind, &a.namespace, &a.name).cmp(&(b.kind, &b.namespace, &b.name))
+    }
+
+    fn stored<'a>(
+        &'a self,
+        ids: impl Iterator<Item = &'a ObjId>,
+    ) -> impl Iterator<Item = &'a Rc<ApiObject>> {
+        ids.map(|&id| self.get(id).expect("sorted ids are stored"))
+    }
+
     /// Every object of `kind`, in (namespace, name) order.
-    fn of_kind<'a>(&'a self, kind: &str) -> impl Iterator<Item = &'a Rc<ApiObject>> {
-        self.kinds
-            .get(kind)
-            .into_iter()
-            .flat_map(|namespaces| namespaces.values().flat_map(|names| names.values()))
+    fn of_kind(&self, kind: Kind) -> impl Iterator<Item = &Rc<ApiObject>> {
+        self.stored(self.sorted[kind.index()].values().flat_map(|names| names.values()))
     }
 
     /// Every object of `kind` in `namespace`, in name order.
-    fn in_namespace<'a>(
-        &'a self,
-        kind: &str,
-        namespace: &str,
-    ) -> impl Iterator<Item = &'a Rc<ApiObject>> {
-        self.kinds
-            .get(kind)
-            .and_then(|namespaces| namespaces.get(namespace))
-            .into_iter()
-            .flat_map(|names| names.values())
+    fn in_namespace(&self, kind: Kind, namespace: &str) -> impl Iterator<Item = &Rc<ApiObject>> {
+        let names = self.sorted[kind.index()].get(namespace).into_iter();
+        self.stored(names.flat_map(|names| names.values()))
     }
-}
-
-/// Where `kind/namespace/name` is, or would go, in an owner's sorted
-/// child list — compared as borrowed strings, so no key is built.
-fn child_slot(children: &[Key], kind: &str, namespace: &str, name: &str) -> Result<usize, usize> {
-    children.binary_search_by(|(k, ns, n)| (*k, &**ns, &**n).cmp(&(kind, namespace, name)))
 }
 
 /// The API server.
@@ -306,11 +445,11 @@ fn child_slot(children: &[Key], kind: &str, namespace: &str, name: &str) -> Resu
 pub struct ApiServer {
     /// Each stored object is the snapshot its latest watch event carries.
     objects: Objects,
-    /// Owner index: uid → keys of the stored objects naming it in
-    /// `owner_uids`, sorted (an owner has a handful of children). A
-    /// reaped owner's entry lives on until its last (terminating) child
-    /// is reaped too; uids are never reused.
-    owned: BTreeMap<u64, Vec<Key>>,
+    /// Owner index: uid → ids of the stored objects naming it in
+    /// `owner_uids`, sorted by (kind, namespace, name) (an owner has a
+    /// handful of children). A reaped owner's entry lives on until its
+    /// last (terminating) child is reaped too; uids are never reused.
+    owned: BTreeMap<u64, Vec<ObjId>>,
     /// The watch log from `compacted_through` on, in rv order.
     events: Vec<WatchEvent>,
     /// Every event with `rv <= compacted_through` has been dropped.
@@ -353,10 +492,10 @@ impl ApiServer {
         if old == new {
             return;
         }
-        let (kind, namespace, name) = (obj.kind(), &*obj.meta.namespace, &*obj.meta.name);
+        let id = obj.meta.id;
         for uid in old {
             if let Some(children) = self.owned.get_mut(uid) {
-                if let Ok(i) = child_slot(children, kind, namespace, name) {
+                if let Some(i) = children.iter().position(|&c| c == id) {
                     children.remove(i);
                 }
                 if children.is_empty() {
@@ -364,21 +503,24 @@ impl ApiServer {
                 }
             }
         }
+        let objects = &self.objects;
         for &uid in new {
             let children = self.owned.entry(uid).or_default();
-            if let Err(i) = child_slot(children, kind, namespace, name) {
-                let (ns, n) = obj.key();
-                children.insert(i, (kind, ns, n));
+            if !children.contains(&id) {
+                let i = children.partition_point(|&c| objects.cmp_keys(c, id) == Ordering::Less);
+                children.insert(i, id);
             }
         }
     }
 
-    /// Create an object; assigns uid and resource version.
+    /// Create an object; assigns its id, uid and resource version.
     pub fn create(&mut self, mut obj: ApiObject, now: SimTime) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        if self.objects.get(obj.kind(), &obj.meta.namespace, &obj.meta.name).is_some() {
+        let id = self.objects.intern(obj.kind(), &obj.meta.namespace, &obj.meta.name);
+        if self.objects.get(id).is_some() {
             return Err(ApiError::AlreadyExists);
         }
+        obj.meta.id = id;
         obj.meta.uid = self.next_uid;
         self.next_uid += 1;
         obj.meta.resource_version = self.bump();
@@ -386,30 +528,82 @@ impl ApiServer {
         obj.meta.deletion_requested = false;
         let obj = Rc::new(obj);
         self.reindex(&obj, &[], &obj.meta.owner_uids);
-        self.objects.insert(Rc::clone(&obj));
+        self.objects.insert(id, Rc::clone(&obj));
         self.emit(WatchType::Added, Rc::clone(&obj));
         Ok(obj)
     }
 
+    /// The id `(kind, namespace, name)` was interned to — by a create,
+    /// or by [`intern`](Self::intern) — whether or not an object is
+    /// stored under it now.
+    pub fn id(&self, kind: Kind, namespace: &str, name: &str) -> Option<ObjId> {
+        self.objects.id(kind, namespace, name)
+    }
+
+    /// The id an object of `kind` named `namespace/name` has, or will
+    /// get when it is created: a caller that will look an object up
+    /// many times resolves its name once, here.
+    pub fn intern(&mut self, kind: Kind, namespace: &str, name: &str) -> ObjId {
+        if let Some(id) = self.objects.id(kind, namespace, name) {
+            return id;
+        }
+        let namespace = self.objects.share(namespace, || namespace.into());
+        let name = self.objects.share(name, || name.into());
+        self.objects.intern(kind, &namespace, &name)
+    }
+
+    /// The server's shared handle of `s`, if some object's name or
+    /// namespace was interned as `s`.
+    pub(crate) fn string(&self, s: &str) -> Option<&Rc<str>> {
+        self.objects.strings.get_key_value(s).map(|(handle, ())| handle)
+    }
+
+    /// The object stored under `id` now: the snapshot its latest watch
+    /// event carries.
+    pub fn object(&self, id: ObjId) -> Option<&Rc<ApiObject>> {
+        self.objects.get(id)
+    }
+
+    /// The name `id` was interned under.
+    pub(crate) fn name_of(&self, id: ObjId) -> &str {
+        &self.objects.slots[id.index()].name
+    }
+
+    /// `(kind, namespace, name)` order of two interned ids — the order
+    /// of the string keys they replaced.
+    pub(crate) fn name_order(&self, a: ObjId, b: ObjId) -> Ordering {
+        self.objects.cmp_keys(a, b)
+    }
+
+    /// Drop repeats from `ids` and sort them by [`name_order`].
+    ///
+    /// [`name_order`]: Self::name_order
+    pub(crate) fn sort_by_name(&self, ids: &mut Vec<ObjId>) {
+        ids.sort_unstable();
+        ids.dedup();
+        ids.sort_unstable_by(|&a, &b| self.name_order(a, b));
+    }
+
     /// Get an object.
-    pub fn get(&self, kind: &str, namespace: &str, name: &str) -> Option<&ApiObject> {
-        self.objects.get(kind, namespace, name).map(|o| &**o)
+    pub fn get(&self, kind: Kind, namespace: &str, name: &str) -> Option<&ApiObject> {
+        self.objects.get(self.id(kind, namespace, name)?).map(|o| &**o)
     }
 
     /// Get the stored snapshot itself: a handle a controller can hold
     /// across its own writes without copying the object.
-    pub fn get_rc(&self, kind: &str, namespace: &str, name: &str) -> Option<Rc<ApiObject>> {
-        self.objects.get(kind, namespace, name).cloned()
+    pub fn get_rc(&self, kind: Kind, namespace: &str, name: &str) -> Option<Rc<ApiObject>> {
+        self.objects.get(self.id(kind, namespace, name)?).cloned()
     }
 
     /// List all objects of a kind (all namespaces), in deterministic
-    /// (namespace, name) order: a walk of the kind's own map, not a scan.
-    pub fn list(&self, kind: &str) -> Vec<&ApiObject> {
+    /// (namespace, name) order: a walk of the kind's sorted index, not a
+    /// scan.
+    pub fn list(&self, kind: Kind) -> Vec<&ApiObject> {
         self.objects.of_kind(kind).map(|o| &**o).collect()
     }
 
     /// List objects of a kind in one namespace, in name order.
-    pub fn list_namespaced(&self, kind: &str, namespace: &str) -> Vec<&ApiObject> {
+    pub fn list_namespaced(&self, kind: Kind, namespace: &str) -> Vec<&ApiObject> {
         self.objects.in_namespace(kind, namespace).map(|o| &**o).collect()
     }
 
@@ -417,40 +611,34 @@ impl ApiServer {
     /// (namespace, name) order — an owner-index read proportional to the
     /// owner's children, never to the store. The handles are the stored
     /// snapshots, so a reconcile can write while it holds them.
-    pub fn owned_by_rc(&self, uid: u64, kind: &str) -> Vec<Rc<ApiObject>> {
+    pub fn owned_by_rc(&self, uid: u64, kind: Kind) -> Vec<Rc<ApiObject>> {
         let Some(children) = self.owned.get(&uid) else { return Vec::new() };
-        let first = children.partition_point(|(k, _, _)| *k < kind);
-        children[first..]
-            .iter()
-            .take_while(|(k, _, _)| *k == kind)
-            .map(|(_, ns, n)| {
-                Rc::clone(self.objects.get(kind, ns, n).expect("indexed objects are stored"))
-            })
-            .collect()
+        let stored =
+            children.iter().map(|&c| self.objects.get(c).expect("indexed objects are stored"));
+        stored.filter(|o| o.kind() == kind).cloned().collect()
     }
 
     /// Update an object (full replace). Enforces optimistic concurrency:
     /// the supplied object must carry the current resource version.
     pub fn update(&mut self, mut obj: ApiObject) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        let current = self
-            .objects
-            .get(obj.kind(), &obj.meta.namespace, &obj.meta.name)
-            .ok_or(ApiError::NotFound)?;
+        let id = self.id(obj.kind(), &obj.meta.namespace, &obj.meta.name);
+        let id = id.ok_or(ApiError::NotFound)?;
+        let current = self.objects.get(id).ok_or(ApiError::NotFound)?;
         if current.meta.resource_version != obj.meta.resource_version {
             return Err(ApiError::Conflict);
         }
+        obj.meta.id = id;
         obj.meta.uid = current.meta.uid;
         obj.meta.created_at_ns = current.meta.created_at_ns;
         obj.meta.deletion_requested = current.meta.deletion_requested;
         obj.meta.resource_version = self.bump();
         let obj = Rc::new(obj);
-        let (kind, namespace, name) = (obj.kind(), &*obj.meta.namespace, &*obj.meta.name);
-        let slot = self.objects.get_mut(kind, namespace, name).expect("checked above");
+        let slot = self.objects.get_mut(id).expect("checked above");
         let old = std::mem::replace(slot, Rc::clone(&obj));
         self.reindex(&obj, &old.meta.owner_uids, &obj.meta.owner_uids);
         self.emit(WatchType::Modified, Rc::clone(&obj));
-        self.maybe_reap(kind, namespace, name);
+        self.maybe_reap(id);
         Ok(obj)
     }
 
@@ -460,20 +648,19 @@ impl ApiServer {
     /// every handle `next` did not replace.
     pub(crate) fn write(
         &mut self,
-        kind: &str,
-        namespace: &str,
-        name: &str,
+        id: ObjId,
         next: impl FnOnce(&ApiObject) -> ApiObject,
     ) -> Result<Rc<ApiObject>, ApiError> {
-        let slot = self.objects.get_mut(kind, namespace, name).ok_or(ApiError::NotFound)?;
+        let slot = self.objects.get_mut(id).ok_or(ApiError::NotFound)?;
         let mut obj = next(slot);
+        obj.meta.id = id;
         obj.meta.resource_version = self.next_rv;
         self.next_rv += 1;
         let snapshot = Rc::new(obj);
         let before = std::mem::replace(slot, Rc::clone(&snapshot));
         self.reindex(&snapshot, &before.meta.owner_uids, &snapshot.meta.owner_uids);
         self.emit(WatchType::Modified, Rc::clone(&snapshot));
-        self.maybe_reap(kind, namespace, name);
+        self.maybe_reap(id);
         Ok(snapshot)
     }
 
@@ -483,13 +670,30 @@ impl ApiServer {
     /// metadata collections, so the write copies only what it touches.
     pub fn edit(
         &mut self,
-        kind: &str,
+        kind: Kind,
         namespace: &str,
         name: &str,
         f: impl FnOnce(&mut ApiObject),
     ) -> Result<Rc<ApiObject>, ApiError> {
+        self.edit_at(self.id(kind, namespace, name), f)
+    }
+
+    /// [`edit`](Self::edit) the object stored under `id`.
+    pub fn edit_id(
+        &mut self,
+        id: ObjId,
+        f: impl FnOnce(&mut ApiObject),
+    ) -> Result<Rc<ApiObject>, ApiError> {
+        self.edit_at(Some(id), f)
+    }
+
+    fn edit_at(
+        &mut self,
+        id: Option<ObjId>,
+        f: impl FnOnce(&mut ApiObject),
+    ) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        self.write(kind, namespace, name, |o| {
+        self.write(id.ok_or(ApiError::NotFound)?, |o| {
             let mut o = o.clone();
             f(&mut o);
             o
@@ -501,13 +705,26 @@ impl ApiServer {
     /// `edit(|o| o.status = status)`, but the old status is not copied.
     pub fn set_status(
         &mut self,
-        kind: &str,
+        kind: Kind,
         namespace: &str,
         name: &str,
         status: Status,
     ) -> Result<Rc<ApiObject>, ApiError> {
+        self.set_status_at(self.id(kind, namespace, name), status)
+    }
+
+    /// [`set_status`](Self::set_status) of the object stored under `id`.
+    pub fn set_status_id(&mut self, id: ObjId, status: Status) -> Result<Rc<ApiObject>, ApiError> {
+        self.set_status_at(Some(id), status)
+    }
+
+    fn set_status_at(
+        &mut self,
+        id: Option<ObjId>,
+        status: Status,
+    ) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        self.write(kind, namespace, name, |o| ApiObject {
+        self.write(id.ok_or(ApiError::NotFound)?, |o| ApiObject {
             meta: o.meta.clone(),
             spec: Rc::clone(&o.spec),
             status,
@@ -517,11 +734,21 @@ impl ApiServer {
     /// Request deletion. With finalizers present the object enters the
     /// "terminating" state (deletion_requested = true) and watchers see a
     /// Modified event; once the last finalizer is removed it is reaped.
-    pub fn delete(&mut self, kind: &str, namespace: &str, name: &str) -> Result<(), ApiError> {
+    pub fn delete(&mut self, kind: Kind, namespace: &str, name: &str) -> Result<(), ApiError> {
+        self.delete_at(self.id(kind, namespace, name))
+    }
+
+    /// [`delete`](Self::delete) the object stored under `id`.
+    pub fn delete_id(&mut self, id: ObjId) -> Result<(), ApiError> {
+        self.delete_at(Some(id))
+    }
+
+    fn delete_at(&mut self, id: Option<ObjId>) -> Result<(), ApiError> {
         self.requests += 1;
-        let obj = self.objects.get(kind, namespace, name).ok_or(ApiError::NotFound)?;
+        let id = id.ok_or(ApiError::NotFound)?;
+        let obj = self.objects.get(id).ok_or(ApiError::NotFound)?;
         if !obj.meta.deletion_requested {
-            self.write(kind, namespace, name, |o| {
+            self.write(id, |o| {
                 let mut o = o.clone();
                 o.meta.deletion_requested = true;
                 o
@@ -534,27 +761,37 @@ impl ApiServer {
     /// deletion was requested.
     pub fn remove_finalizer(
         &mut self,
-        kind: &str,
+        kind: Kind,
         namespace: &str,
         name: &str,
         finalizer: &str,
     ) -> Result<(), ApiError> {
-        self.edit(kind, namespace, name, |o| {
+        self.remove_finalizer_at(self.id(kind, namespace, name), finalizer)
+    }
+
+    /// [`remove_finalizer`](Self::remove_finalizer) from the object
+    /// stored under `id`.
+    pub fn remove_finalizer_id(&mut self, id: ObjId, finalizer: &str) -> Result<(), ApiError> {
+        self.remove_finalizer_at(Some(id), finalizer)
+    }
+
+    fn remove_finalizer_at(&mut self, id: Option<ObjId>, finalizer: &str) -> Result<(), ApiError> {
+        self.edit_at(id, |o| {
             o.meta.finalizers.retain(|f| &**f != finalizer);
         })
         .map(|_| ())
     }
 
-    fn maybe_reap(&mut self, kind: &str, namespace: &str, name: &str) {
-        let Some(obj) = self.objects.get(kind, namespace, name) else { return };
+    fn maybe_reap(&mut self, id: ObjId) {
+        let Some(obj) = self.objects.get(id) else { return };
         if obj.meta.deletion_requested && obj.meta.finalizers.is_empty() {
-            let obj = self.objects.remove(kind, namespace, name).expect("present");
+            let obj = self.objects.remove(id).expect("present");
             self.reindex(&obj, &obj.meta.owner_uids, &[]);
             // Cascade: delete children owned by this uid, in key order.
             let children = self.owned.get(&obj.meta.uid).cloned().unwrap_or_default();
             self.emit(WatchType::Deleted, obj);
-            for (k, ns, n) in children {
-                let _ = self.delete(k, &ns, &n);
+            for child in children {
+                let _ = self.delete_id(child);
             }
         }
     }
@@ -616,11 +853,11 @@ mod tests {
     }
 
     fn job(name: &str) -> ApiObject {
-        ApiObject::new("Job", "ns", name, json!({"parallelism": 1, "template": {"image": "x"}}))
+        ApiObject::new(Kind::Job, "ns", name, json!({"parallelism": 1, "template": {"image": "x"}}))
     }
 
     fn pod(ns: &str, name: &str) -> ApiObject {
-        ApiObject::new("Pod", ns, name, json!({"image": "x"}))
+        ApiObject::new(Kind::Pod, ns, name, json!({"image": "x"}))
     }
 
     #[test]
@@ -652,7 +889,7 @@ mod tests {
         let fresh = api.update(fresh).unwrap();
         stale.spec = spec(2);
         assert_eq!(api.update(stale).unwrap_err(), ApiError::Conflict);
-        assert_eq!(api.get("Job", "ns", "a").unwrap().spec, spec(1));
+        assert_eq!(api.get(Kind::Job, "ns", "a").unwrap().spec, spec(1));
         assert!(fresh.meta.resource_version > 1);
     }
 
@@ -660,8 +897,8 @@ mod tests {
     fn delete_without_finalizers_reaps_immediately() {
         let mut api = api();
         api.create(pod("ns", "p"), SimTime::ZERO).unwrap();
-        api.delete("Pod", "ns", "p").unwrap();
-        assert!(api.get("Pod", "ns", "p").is_none());
+        api.delete(Kind::Pod, "ns", "p").unwrap();
+        assert!(api.get(Kind::Pod, "ns", "p").is_none());
         let (evs, _) = api.events_since(0);
         assert!(matches!(evs.last().unwrap().kind, WatchType::Deleted));
     }
@@ -672,11 +909,11 @@ mod tests {
         let mut obj = job("j");
         obj.meta.finalizers.push("vni.example/finalize".into());
         api.create(obj, SimTime::ZERO).unwrap();
-        api.delete("Job", "ns", "j").unwrap();
-        let o = api.get("Job", "ns", "j").expect("still terminating");
+        api.delete(Kind::Job, "ns", "j").unwrap();
+        let o = api.get(Kind::Job, "ns", "j").expect("still terminating");
         assert!(o.meta.deletion_requested);
-        api.remove_finalizer("Job", "ns", "j", "vni.example/finalize").unwrap();
-        assert!(api.get("Job", "ns", "j").is_none());
+        api.remove_finalizer(Kind::Job, "ns", "j", "vni.example/finalize").unwrap();
+        assert!(api.get(Kind::Job, "ns", "j").is_none());
     }
 
     #[test]
@@ -685,9 +922,9 @@ mod tests {
         let mut obj = job("j");
         obj.meta.finalizers.push("f".into());
         api.create(obj, SimTime::ZERO).unwrap();
-        api.delete("Job", "ns", "j").unwrap();
-        api.delete("Job", "ns", "j").unwrap();
-        assert!(api.get("Job", "ns", "j").is_some());
+        api.delete(Kind::Job, "ns", "j").unwrap();
+        api.delete(Kind::Job, "ns", "j").unwrap();
+        assert!(api.get(Kind::Job, "ns", "j").is_some());
     }
 
     #[test]
@@ -697,8 +934,8 @@ mod tests {
         let mut pod = pod("ns", "j-0");
         pod.meta.owner_uids.push(job.meta.uid);
         api.create(pod, SimTime::ZERO).unwrap();
-        api.delete("Job", "ns", "j").unwrap();
-        assert!(api.get("Pod", "ns", "j-0").is_none(), "cascade");
+        api.delete(Kind::Job, "ns", "j").unwrap();
+        assert!(api.get(Kind::Pod, "ns", "j-0").is_none(), "cascade");
     }
 
     #[test]
@@ -721,13 +958,13 @@ mod tests {
         let mut api = api();
         api.create(pod("ns", "a"), SimTime::ZERO).unwrap();
         let before = api.latest_rv();
-        api.mutate("Pod", "ns", "a", |o| {
+        api.mutate(Kind::Pod, "ns", "a", |o| {
             o.status = json!({"phase": "Running"});
         })
         .unwrap();
         assert!(api.latest_rv() > before);
         let running = PodStatus { phase: PodPhase::Running, started_at_ns: None, message: None };
-        assert_eq!(api.get("Pod", "ns", "a").unwrap().status, Status::Pod(running));
+        assert_eq!(api.get(Kind::Pod, "ns", "a").unwrap().status, Status::Pod(running));
     }
 
     #[test]
@@ -736,8 +973,8 @@ mod tests {
         for (ns, n) in [("b", "x"), ("a", "y"), ("a", "x")] {
             api.create(pod(ns, n), SimTime::ZERO).unwrap();
         }
-        let names: Vec<String> = api.list("Pod").iter().map(|o| o.full_name()).collect();
+        let names: Vec<String> = api.list(Kind::Pod).iter().map(|o| o.full_name()).collect();
         assert_eq!(names, vec!["a/x", "a/y", "b/x"]);
-        assert_eq!(api.list_namespaced("Pod", "a").len(), 2);
+        assert_eq!(api.list_namespaced(Kind::Pod, "a").len(), 2);
     }
 }

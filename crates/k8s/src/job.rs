@@ -3,16 +3,72 @@
 //! admission experiments delete jobs "immediately after completion").
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use shs_des::SimTime;
 
-use crate::api::{ApiObject, ApiServer, ObjKey, WatchType};
-use crate::objects::{kinds, PodPhase, PodSpec, Spec, Status};
+use crate::api::{ApiObject, ApiServer, IdMap, ObjId, WatchType};
+use crate::objects::{Kind, PodPhase, PodSpec, Spec, Status};
 
 /// Finalizer owned by the kubelet on every pod it must tear down.
 pub const KUBELET_FINALIZER: &str = "kubelet.simk8s/teardown";
+
+/// The manager of one kind — a job, or a service — that each pod names
+/// by the plain string `spec.job_name`, resolved through the interner
+/// once per pod instead of once per watch event. Ids outlive objects,
+/// so a remembered id stays right while the pod names the same manager;
+/// only a changed name is resolved again.
+#[derive(Debug)]
+pub(crate) struct Managers {
+    kind: Kind,
+    of_pod: IdMap<ObjId>,
+    /// Pods a poll met first, resolved once its borrowed events are
+    /// done with (resolving interns, which writes).
+    unresolved: Vec<Rc<ApiObject>>,
+}
+
+impl Managers {
+    pub(crate) fn new(kind: Kind) -> Self {
+        Managers { kind, of_pod: IdMap::default(), unresolved: Vec::new() }
+    }
+
+    /// The stored manager `pod` names, if this poll already knows it:
+    /// `Ok(None)` for a pod that names none or one not stored now, and
+    /// `Err(())` for a pod to hand to [`Managers::resolve`].
+    pub(crate) fn known(&self, api: &ApiServer, pod: &ApiObject) -> Result<Option<ObjId>, ()> {
+        let Some(name) = pod.pod_spec().job_name.as_deref() else { return Ok(None) };
+        match self.of_pod.get(&pod.meta.id) {
+            Some(&id) if api.name_of(id) == name => Ok(api.object(id).is_some().then_some(id)),
+            _ => Err(()),
+        }
+    }
+
+    /// Queue `pod` for [`Managers::resolve`].
+    pub(crate) fn defer(&mut self, pod: &Rc<ApiObject>) {
+        self.unresolved.push(Rc::clone(pod));
+    }
+
+    /// Resolve every deferred pod, remembering the manager of each one
+    /// still stored, and push the ids of the managers stored now.
+    pub(crate) fn resolve(&mut self, api: &mut ApiServer, stored: &mut Vec<ObjId>) {
+        for pod in self.unresolved.drain(..) {
+            let Some(name) = pod.pod_spec().job_name.as_deref() else { continue };
+            let id = api.intern(self.kind, &pod.meta.namespace, name);
+            if api.object(pod.meta.id).is_some() {
+                self.of_pod.insert(pod.meta.id, id);
+            }
+            if api.object(id).is_some() {
+                stored.push(id);
+            }
+        }
+    }
+
+    /// Forget a reaped pod.
+    pub(crate) fn forget(&mut self, pod: ObjId) {
+        self.of_pod.remove(&pod);
+    }
+}
 
 /// The job controller.
 #[derive(Debug)]
@@ -20,13 +76,17 @@ pub struct JobController {
     last_rv: u64,
     /// [`KUBELET_FINALIZER`], built once and shared by every pod.
     finalizer: Rc<str>,
+    /// The job each pod names.
+    jobs: Managers,
+    /// Jobs a poll reconciles (kept to reuse its buffer).
+    dirty: Vec<ObjId>,
     /// Finished jobs whose `ttlSecondsAfterFinished` has not yet run
     /// out, as `(deadline ns, job)`, soonest first. A finished job sees
     /// no more events, so [`JobController::poll`] reaps it by the clock.
     /// A job may sit here more than once (each reconcile before its
     /// deadline pushes it) or be gone by its deadline; reaping
     /// reconciles it again, which decides from the stored job alone.
-    ttl_due: BinaryHeap<Reverse<(u64, ObjKey)>>,
+    ttl_due: BinaryHeap<Reverse<(u64, ObjId)>>,
     /// Jobs seen → pods created (diagnostics).
     pub(crate) pods_created: u64,
 }
@@ -36,6 +96,8 @@ impl Default for JobController {
         JobController {
             last_rv: 0,
             finalizer: KUBELET_FINALIZER.into(),
+            jobs: Managers::new(Kind::Job),
+            dirty: Vec::new(),
             ttl_due: BinaryHeap::new(),
             pods_created: 0,
         }
@@ -58,46 +120,56 @@ impl JobController {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
 
-        // Collect job keys that need reconciling. A pod names its job
-        // by a plain string; the stored job lends its key, and a pod
-        // of no stored job (a service's) has nothing to reconcile.
-        let mut dirty: BTreeSet<ObjKey> = BTreeSet::new();
+        // Collect the jobs that need reconciling: those with an event,
+        // and the stored job each live pod's event names (a pod of no
+        // stored job — a service's — has nothing to reconcile).
+        let mut dirty = std::mem::take(&mut self.dirty);
         for ev in events {
-            match ev.object.kind() {
-                kinds::JOB => {
-                    dirty.insert(ev.object.key());
-                }
-                kinds::POD if ev.kind != WatchType::Deleted => {
-                    let ns = &ev.object.meta.namespace;
-                    let Some(job) = &ev.object.pod_spec().job_name else { continue };
-                    if let Some(job) = api.get(kinds::JOB, ns, job) {
-                        dirty.insert(job.key());
-                    }
-                }
+            match (ev.object.kind(), ev.kind) {
+                (Kind::Job, _) => dirty.push(ev.object.meta.id),
+                (Kind::Pod, WatchType::Deleted) => self.jobs.forget(ev.object.meta.id),
+                (Kind::Pod, _) => match self.jobs.known(api, &ev.object) {
+                    Ok(job) => dirty.extend(job),
+                    Err(()) => self.jobs.defer(&ev.object),
+                },
                 _ => {}
             }
         }
+        self.jobs.resolve(api, &mut dirty);
 
-        for (ns, job_name) in dirty {
-            self.reconcile_job(api, &ns, &job_name, now);
+        // Reconcile in (namespace, name) order.
+        api.sort_by_name(&mut dirty);
+        for &job in &dirty {
+            self.reconcile_job(api, job, now);
         }
+        dirty.clear();
 
+        self.dirty = dirty;
+
+        // Jobs whose TTL ran out, by deadline and then name. A reconcile
+        // queues only deadlines still ahead, so none joins this batch.
+        let mut due: Vec<(u64, ObjId)> = Vec::new();
         while self.ttl_due.peek().is_some_and(|Reverse((due, _))| *due <= now.as_nanos()) {
-            let Reverse((_, (ns, job_name))) = self.ttl_due.pop().expect("peeked");
-            self.reconcile_job(api, &ns, &job_name, now);
+            let Reverse(entry) = self.ttl_due.pop().expect("peeked");
+            due.push(entry);
+        }
+        due.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| api.name_order(a.1, b.1)));
+        for (_, job) in due {
+            self.reconcile_job(api, job, now);
         }
     }
 
-    fn reconcile_job(&mut self, api: &mut ApiServer, ns: &str, job_name: &str, now: SimTime) {
-        let Some(job) = api.get_rc(kinds::JOB, ns, job_name) else { return };
+    fn reconcile_job(&mut self, api: &mut ApiServer, id: ObjId, now: SimTime) {
+        let Some(job) = api.object(id).cloned() else { return };
         if job.meta.deletion_requested {
             return; // finalizers (VNI controller) and GC handle the rest
         }
+        let (ns, job_name) = (&job.meta.namespace, &*job.meta.name);
         let spec = job.job_spec();
         let mut status = job.job_status().cloned().unwrap_or_default();
 
         // Existing pods of this job, from the owner index.
-        let pods = api.owned_by_rc(job.meta.uid, kinds::POD);
+        let pods = api.owned_by_rc(job.meta.uid, Kind::Pod);
         let succeeded =
             pods.iter().filter(|p| p.pod_phase() == PodPhase::Succeeded).count() as u32;
         let failed = pods.iter().any(|p| p.pod_phase() == PodPhase::Failed);
@@ -118,11 +190,7 @@ impl JobController {
                 node_selector: spec.template.node_selector.clone(),
                 termination_grace_period_secs: 30,
             };
-            let mut pod = ApiObject::with_key(
-                Rc::clone(&job.meta.namespace),
-                pod_name.into(),
-                Spec::Pod(pod_spec),
-            );
+            let mut pod = ApiObject::with_key(Rc::clone(ns), pod_name.into(), Spec::Pod(pod_spec));
             pod.meta.owner_uids.push(job.meta.uid);
             pod.meta.finalizers.push(Rc::clone(&self.finalizer));
             // Pods share the job's annotations — the CXI CNI plugin
@@ -141,7 +209,7 @@ impl JobController {
                 status.complete = true;
                 status.completed_at_ns = Some(now.as_nanos());
             }
-            let _ = api.set_status(kinds::JOB, ns, job_name, Status::Job(status.clone()));
+            let _ = api.set_status_id(id, Status::Job(status.clone()));
         }
 
         // TTL-after-finished: delete completed jobs, now or at the first
@@ -150,9 +218,9 @@ impl JobController {
             if let Some(ttl) = spec.ttl_seconds_after_finished {
                 let due = status.completed_at_ns.unwrap_or(0) + ttl * 1_000_000_000;
                 if now.as_nanos() >= due {
-                    let _ = api.delete(kinds::JOB, ns, job_name);
+                    let _ = api.delete_id(id);
                 } else {
-                    self.ttl_due.push(Reverse((due, job.key())));
+                    self.ttl_due.push(Reverse((due, id)));
                 }
             }
         }
@@ -162,7 +230,7 @@ impl JobController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objects::{make_job, JobSpec, PodTemplate};
+    use crate::objects::{kinds, make_job, JobSpec, PodTemplate};
     use serde_json::json;
 
     fn job_spec(parallelism: u32) -> JobSpec {

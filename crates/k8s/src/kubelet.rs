@@ -11,15 +11,15 @@
 //! [`NodeBackend`], implemented by the composition layer.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 use shs_des::{SimDur, SimTime};
 use shs_oslinux::NetNsId;
 
-use crate::api::{ApiObject, ApiServer, ObjKey, WatchType};
+use crate::api::{ApiObject, ApiServer, IdMap, ObjId, WatchType};
 use crate::job::KUBELET_FINALIZER;
-use crate::objects::{kinds, PodPhase, PodStatus, Status};
+use crate::objects::{Kind, PodPhase, PodStatus, Status};
 
 /// Outcome of a CNI ADD attempt, as seen by the kubelet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,9 +147,9 @@ pub struct Kubelet {
     pub node: String,
     params: KubeletParams,
     last_rv: u64,
-    work: BTreeMap<ObjKey, PodWork>,
-    setup_q: VecDeque<ObjKey>,
-    teardown_q: VecDeque<ObjKey>,
+    work: IdMap<PodWork>,
+    setup_q: VecDeque<ObjId>,
+    teardown_q: VecDeque<ObjId>,
     /// Exact instants at which idle setup-pool slots became free. Slots
     /// are released at exact stage-completion times (not tick
     /// boundaries), so back-to-back pipelines chain without quantization
@@ -158,11 +158,11 @@ pub struct Kubelet {
     setup_slots: BinaryHeap<Reverse<SimTime>>,
     /// The statically reserved teardown slot(s).
     teardown_slots: BinaryHeap<Reverse<SimTime>>,
-    /// One `(instant, pod key)` entry per timed stage entered: the only
+    /// One `(instant, pod id)` entry per timed stage entered: the only
     /// pods [`Self::advance_stages`] looks at are those with an entry
     /// that has come due. Entries whose pod has since moved on or gone
     /// are dropped when they surface.
-    deadlines: BinaryHeap<Reverse<(SimTime, ObjKey)>>,
+    deadlines: BinaryHeap<Reverse<(SimTime, ObjId)>>,
     /// Pods `advance_stages` looked at (diagnostics): grows with due
     /// deadlines, not with tracked pods.
     pub(crate) stage_visits: u64,
@@ -186,7 +186,7 @@ impl Kubelet {
             node: node.into(),
             params,
             last_rv: 0,
-            work: BTreeMap::new(),
+            work: IdMap::default(),
             setup_q: VecDeque::new(),
             teardown_q: VecDeque::new(),
             setup_slots,
@@ -228,15 +228,15 @@ impl Kubelet {
         // Finalizers of pods that never started here, released once the
         // borrowed events are done with: nothing else ingest does writes,
         // so the writes land in the order they were decided.
-        let mut release: Vec<ObjKey> = Vec::new();
+        let mut release: Vec<ObjId> = Vec::new();
         for ev in events {
-            if ev.object.kind() != kinds::POD {
+            if ev.object.kind() != Kind::Pod {
                 continue;
             }
             if ev.object.pod_spec().node_name.as_deref() != Some(self.node.as_str()) {
                 continue;
             }
-            let key = ev.object.key();
+            let key = ev.object.meta.id;
             match ev.kind {
                 WatchType::Added | WatchType::Modified => {
                     let terminating = ev.object.meta.deletion_requested;
@@ -248,7 +248,7 @@ impl Kubelet {
                                 continue;
                             }
                             self.work.insert(
-                                key.clone(),
+                                key,
                                 PodWork {
                                     pod: Rc::clone(&ev.object),
                                     stage: Stage::QueuedSetup,
@@ -298,8 +298,8 @@ impl Kubelet {
                 }
             }
         }
-        for (ns, name) in release {
-            let _ = api.remove_finalizer(kinds::POD, &ns, &name, KUBELET_FINALIZER);
+        for id in release {
+            let _ = api.remove_finalizer_id(id, KUBELET_FINALIZER);
         }
     }
 
@@ -310,15 +310,14 @@ impl Kubelet {
         now: SimTime,
     ) -> bool {
         let mut progressed = false;
-        let mut due: Vec<ObjKey> = Vec::new();
+        let mut due: Vec<ObjId> = Vec::new();
         while self.deadlines.peek().is_some_and(|Reverse((t, _))| *t <= now) {
-            let Reverse((_, key)) = self.deadlines.pop().expect("peeked");
-            due.push(key);
+            let Reverse((_, id)) = self.deadlines.pop().expect("peeked");
+            due.push(id);
         }
-        // Visit in (namespace, name) order — the order a scan over `work`
-        // would use — so API writes land in the same sequence.
-        due.sort_unstable();
-        due.dedup();
+        // Visit in (namespace, name) order — the order a scan over the
+        // pods would use — so API writes land in the same sequence.
+        api.sort_by_name(&mut due);
         for key in due {
             self.stage_visits += 1;
             while let Some(w) = self.work.get_mut(&key) {
@@ -340,7 +339,7 @@ impl Kubelet {
                                     self.counters.pods_failed += 1;
                                     Self::write_phase(
                                         api,
-                                        &key,
+                                        key,
                                         PodPhase::Failed,
                                         None,
                                         Some("CNI ADD retries exhausted".into()),
@@ -358,7 +357,7 @@ impl Kubelet {
                                 self.setup_slots.push(Reverse(done + cost + del + rm));
                                 w.stage = Stage::Failed;
                                 self.counters.pods_failed += 1;
-                                Self::write_phase(api, &key, PodPhase::Failed, None, Some(msg));
+                                Self::write_phase(api, key, PodPhase::Failed, None, Some(msg));
                             }
                         }
                     }
@@ -372,7 +371,7 @@ impl Kubelet {
                                 self.setup_slots.push(Reverse(done));
                                 w.stage = Stage::Failed;
                                 self.counters.pods_failed += 1;
-                                Self::write_phase(api, &key, PodPhase::Failed, None, Some(msg));
+                                Self::write_phase(api, key, PodPhase::Failed, None, Some(msg));
                             }
                         }
                     }
@@ -383,7 +382,7 @@ impl Kubelet {
                         w.stage = Stage::Running { exits };
                         Self::write_phase(
                             api,
-                            &key,
+                            key,
                             PodPhase::Running,
                             Some(done.as_nanos()),
                             None,
@@ -391,18 +390,18 @@ impl Kubelet {
                         if w.terminating {
                             w.stage = Stage::QueuedTeardown;
                             w.enqueued_at = done;
-                            self.teardown_q.push_back(key.clone());
+                            self.teardown_q.push_back(key);
                         }
                     }
                     Stage::Running { exits: Some(t) } if t <= now => {
                         w.stage = Stage::Succeeded;
-                        Self::write_phase(api, &key, PodPhase::Succeeded, None, None);
+                        Self::write_phase(api, key, PodPhase::Succeeded, None, None);
                     }
                     Stage::RetryWait { at } if at <= now => {
                         w.enqueued_at = at;
                         if w.terminating {
                             w.stage = Stage::QueuedTeardown;
-                            self.teardown_q.push_back(key.clone());
+                            self.teardown_q.push_back(key);
                         } else {
                             // Retries go to the *front*: the real kubelet
                             // retries each pod in its own worker, so a
@@ -410,7 +409,7 @@ impl Kubelet {
                             // later arrival (that would skew the admission
                             // distribution of the whole burst).
                             w.stage = Stage::QueuedSetup;
-                            self.setup_q.push_front(key.clone());
+                            self.setup_q.push_front(key);
                         }
                     }
                     Stage::CniDel { done } if done <= now => {
@@ -424,12 +423,7 @@ impl Kubelet {
                             self.teardown_slots.push(Reverse(done));
                         }
                         self.counters.pods_removed += 1;
-                        let _ = api.remove_finalizer(
-                            kinds::POD,
-                            &key.0,
-                            &key.1,
-                            KUBELET_FINALIZER,
-                        );
+                        let _ = api.remove_finalizer_id(key, KUBELET_FINALIZER);
                         self.work.remove(&key);
                     }
                     _ => break,
@@ -440,7 +434,7 @@ impl Kubelet {
                 match self.work.get(&key).and_then(|w| w.stage.deadline()) {
                     Some(t) if t <= now => {}
                     Some(t) => {
-                        self.deadlines.push(Reverse((t, key.clone())));
+                        self.deadlines.push(Reverse((t, key)));
                         break;
                     }
                     None => break,
@@ -480,7 +474,7 @@ impl Kubelet {
                 Err(msg) => {
                     w.stage = Stage::Failed;
                     self.counters.pods_failed += 1;
-                    Self::write_phase(api, &key, PodPhase::Failed, None, Some(msg));
+                    Self::write_phase(api, key, PodPhase::Failed, None, Some(msg));
                 }
             }
         }
@@ -524,8 +518,7 @@ impl Kubelet {
                 None => {
                     // Nothing was ever set up.
                     self.counters.pods_removed += 1;
-                    let _ =
-                        api.remove_finalizer(kinds::POD, &key.0, &key.1, KUBELET_FINALIZER);
+                    let _ = api.remove_finalizer_id(key, KUBELET_FINALIZER);
                     self.work.remove(&key);
                     progressed = true;
                 }
@@ -536,7 +529,7 @@ impl Kubelet {
 
     fn write_phase(
         api: &mut ApiServer,
-        key: &ObjKey,
+        id: ObjId,
         phase: PodPhase,
         started_at_ns: Option<u64>,
         message: Option<String>,
@@ -544,7 +537,7 @@ impl Kubelet {
         // The status builds on the stored one. A pod already gone still
         // gets the (refused) write: `requests` counts it.
         let mut st = api
-            .get(kinds::POD, &key.0, &key.1)
+            .object(id)
             .and_then(|o| o.pod_status().cloned())
             .unwrap_or(PodStatus { phase: PodPhase::Pending, started_at_ns: None, message: None });
         st.phase = phase;
@@ -554,14 +547,14 @@ impl Kubelet {
         if message.is_some() {
             st.message = message;
         }
-        let _ = api.set_status(kinds::POD, &key.0, &key.1, Status::Pod(st));
+        let _ = api.set_status_id(id, Status::Pod(st));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objects::Spec;
+    use crate::objects::{kinds, Spec};
     use serde_json::json;
 
     /// Scripted backend with fixed costs.

@@ -1,7 +1,8 @@
 //! # shs-k8s — Kubernetes-lite control plane
 //!
 //! The Kubernetes subset the paper's integration plugs into: an API
-//! server with typed objects (JSON only at its door), resource versions, watches,
+//! server with typed objects (JSON only at its door) under interned
+//! integer ids, resource versions, watches,
 //! finalizers and cascading owner deletion (`api`); Jobs/Pods/Nodes
 //! (`objects`); a job controller (`job`); a service controller with
 //! rolling updates ([`service`]); a PLEG-style pod-lifecycle cache that
@@ -27,7 +28,8 @@ pub mod service;
 pub(crate) mod wire;
 
 pub use api::{
-    ApiError, ApiObject, ApiServer, ObjectMeta, Shared, WatchEvent, WatchType,
+    ApiError, ApiObject, ApiServer, IdMap, KeyHasher, ObjId, ObjectMeta, Shared, WatchEvent,
+    WatchType,
 };
 pub use job::{JobController, KUBELET_FINALIZER};
 pub use pleg::{GroupSnapshot, Pleg, PlegSnapshot};
@@ -37,7 +39,7 @@ pub use metacontroller::{
     SyncResponse,
 };
 pub use objects::{
-    kinds, make_job, make_node, JobSpec, JobStatus, NodeSpec, NodeStatus, PodPhase, PodSpec,
+    kinds, make_job, make_node, JobSpec, Kind, JobStatus, NodeSpec, NodeStatus, PodPhase, PodSpec,
     PodStatus, PodTemplate, Spec, Status, VniClaimSpec, VniCrdSpec, VNI_ANNOTATION,
 };
 pub use scheduler::Scheduler;

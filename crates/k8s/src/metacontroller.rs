@@ -12,12 +12,13 @@
 //! this is the management-plane queue that gives the `vni:true` runs
 //! their (small) extra admission delay in Figs. 9-12.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use shs_des::{SimDur, SimTime};
 
-use crate::api::{ApiObject, ApiServer, ObjKey, WatchType};
+use crate::api::{ApiObject, ApiServer, IdSet, ObjId, WatchType};
+use crate::objects::Kind;
 
 /// Response of the `/sync` hook: the full desired set of children for
 /// this parent (apply semantics — missing ones are created, undesired
@@ -64,11 +65,11 @@ pub struct DecoratorConfig {
     /// Controller name (used in the finalizer).
     pub name: String,
     /// Parent kind to watch (e.g. `Job`).
-    pub parent_kind: &'static str,
+    pub parent_kind: Kind,
     /// Only parents carrying this annotation key are in scope.
     pub annotation_filter: Option<String>,
     /// Kind of the managed children (e.g. `Vni`).
-    pub child_kind: &'static str,
+    pub child_kind: Kind,
     /// Per-webhook-call latency (HTTP round trip + handler).
     pub webhook_latency: SimDur,
     /// Re-enqueue every known parent on this period (`None` = event-driven
@@ -99,10 +100,11 @@ pub struct Metacontroller<H: DecoratorHooks> {
     /// The webhook backend.
     pub(crate) hooks: H,
     last_rv: u64,
-    queue: VecDeque<(ObjKey, SimTime)>,
-    queued: BTreeSet<ObjKey>,
-    /// uid -> parent key index for routing child events.
-    parent_by_uid: BTreeMap<u64, ObjKey>,
+    queue: VecDeque<(ObjId, SimTime)>,
+    queued: IdSet,
+    /// uid -> parent id index for routing child events; a resync
+    /// enqueues the parents in uid order.
+    parent_by_uid: BTreeMap<u64, ObjId>,
     busy_until: SimTime,
     last_resync: SimTime,
     /// Counters.
@@ -119,7 +121,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
             hooks,
             last_rv: 0,
             queue: VecDeque::new(),
-            queued: BTreeSet::new(),
+            queued: IdSet::default(),
             parent_by_uid: BTreeMap::new(),
             busy_until: SimTime::ZERO,
             last_resync: SimTime::ZERO,
@@ -151,9 +153,9 @@ impl<H: DecoratorHooks> Metacontroller<H> {
                 .is_none_or(|key| obj.meta.annotations.contains_key(key))
     }
 
-    fn enqueue(&mut self, key: ObjKey, at: SimTime) {
-        if self.queued.insert(key.clone()) {
-            self.queue.push_back((key, at));
+    fn enqueue(&mut self, id: ObjId, at: SimTime) {
+        if self.queued.insert(id) {
+            self.queue.push_back((id, at));
         }
     }
 
@@ -168,22 +170,22 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         self.last_rv = rv;
         for ev in events {
             if self.in_scope(&ev.object) {
-                let key = ev.object.key();
+                let id = ev.object.meta.id;
                 match ev.kind {
                     WatchType::Deleted => {
                         self.parent_by_uid.remove(&ev.object.meta.uid);
-                        self.queued.remove(&key);
+                        self.queued.remove(&id);
                     }
                     _ => {
-                        self.parent_by_uid.insert(ev.object.meta.uid, key.clone());
-                        self.enqueue(key, now);
+                        self.parent_by_uid.insert(ev.object.meta.uid, id);
+                        self.enqueue(id, now);
                     }
                 }
             } else if ev.object.kind() == self.config.child_kind {
                 // Route child events to their parent.
                 for uid in ev.object.meta.owner_uids.iter() {
-                    if let Some(key) = self.parent_by_uid.get(uid).cloned() {
-                        self.enqueue(key, now);
+                    if let Some(&id) = self.parent_by_uid.get(uid) {
+                        self.enqueue(id, now);
                     }
                 }
             }
@@ -193,18 +195,18 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         if let Some(period) = self.config.resync_period {
             if now >= self.last_resync + period {
                 self.last_resync = now;
-                let keys: Vec<ObjKey> = self.parent_by_uid.values().cloned().collect();
-                for key in keys {
-                    self.enqueue(key, now);
+                let ids: Vec<ObjId> = self.parent_by_uid.values().copied().collect();
+                for id in ids {
+                    self.enqueue(id, now);
                 }
             }
         }
 
-        // Serve the queue under the serial webhook budget. A key no
+        // Serve the queue under the serial webhook budget. An id no
         // longer in `queued` was deleted while it waited: there is no
         // parent to call the webhook for, so it costs nothing.
-        while let Some((key, enq)) = self.queue.front().cloned() {
-            if !self.queued.contains(&key) {
+        while let Some(&(id, enq)) = self.queue.front() {
+            if !self.queued.contains(&id) {
                 self.queue.pop_front();
                 continue;
             }
@@ -213,23 +215,24 @@ impl<H: DecoratorHooks> Metacontroller<H> {
                 break;
             }
             self.queue.pop_front();
-            self.queued.remove(&key);
+            self.queued.remove(&id);
             self.busy_until = finish;
-            self.reconcile(api, &key, now);
+            self.reconcile(api, id, now);
         }
     }
 
-    fn reconcile(&mut self, api: &mut ApiServer, key: &ObjKey, now: SimTime) {
-        let Some(parent) = api.get_rc(self.config.parent_kind, &key.0, &key.1) else {
+    fn reconcile(&mut self, api: &mut ApiServer, id: ObjId, now: SimTime) {
+        let Some(parent) = api.object(id).cloned() else {
             return;
         };
         if !self.in_scope(&parent) {
             return;
         }
+        let ns = &parent.meta.namespace;
 
         // Ensure our finalizer on live parents.
         if !parent.meta.deletion_requested && !parent.meta.finalizers.contains(&self.finalizer) {
-            let _ = api.edit(parent.kind(), &key.0, &key.1, |o| {
+            let _ = api.edit_id(id, |o| {
                 o.meta.finalizers.push(Rc::clone(&self.finalizer));
             });
         }
@@ -251,15 +254,15 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         // Apply semantics.
         for child in &children {
             if !desired.iter().any(|c| c.meta.name == child.meta.name) {
-                let _ = api.delete(self.config.child_kind, &key.0, &child.meta.name);
+                let _ = api.delete_id(child.meta.id);
                 self.counters.children_deleted += 1;
             }
         }
         for mut child in desired {
             assert_eq!(child.kind(), self.config.child_kind, "desired child {}", child.full_name());
-            child.meta.namespace = Rc::clone(&key.0);
+            child.meta.namespace = Rc::clone(ns);
             *child.meta.owner_uids = vec![parent.meta.uid];
-            match api.get_rc(self.config.child_kind, &key.0, &child.meta.name) {
+            match api.get_rc(self.config.child_kind, ns, &child.meta.name) {
                 None => {
                     if api.create(child, now).is_ok() {
                         self.counters.children_created += 1;
@@ -267,7 +270,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
                 }
                 Some(cur) => {
                     if cur.spec != child.spec {
-                        let _ = api.edit(self.config.child_kind, &key.0, &cur.meta.name, |o| {
+                        let _ = api.edit_id(cur.meta.id, |o| {
                             o.spec = Rc::clone(&child.spec);
                         });
                     }
@@ -276,7 +279,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         }
 
         if finalized == Some(true) {
-            let _ = api.remove_finalizer(parent.kind(), &key.0, &key.1, &self.finalizer);
+            let _ = api.remove_finalizer_id(id, &self.finalizer);
         }
     }
 }
@@ -297,7 +300,7 @@ mod tests {
         fn sync(&mut self, parent: &ApiObject, _ch: &[Rc<ApiObject>], _now: SimTime) -> SyncResponse {
             SyncResponse {
                 desired_children: vec![ApiObject::new(
-                    "Vni",
+                    Kind::Vni,
                     &parent.meta.namespace,
                     &format!("vni-{}", parent.meta.name),
                     json!({"vni": 1024}),
@@ -321,9 +324,9 @@ mod tests {
     fn config() -> DecoratorConfig {
         DecoratorConfig {
             name: "vni".into(),
-            parent_kind: "Job",
+            parent_kind: Kind::Job,
             annotation_filter: Some("vni".into()),
-            child_kind: "Vni",
+            child_kind: Kind::Vni,
             webhook_latency: SimDur::from_millis(10),
             resync_period: None,
         }
@@ -334,7 +337,7 @@ mod tests {
     }
 
     fn annotated_job(name: &str) -> ApiObject {
-        let mut job = ApiObject::new("Job", "ns", name, job_spec());
+        let mut job = ApiObject::new(Kind::Job, "ns", name, job_spec());
         job.meta.annotations.insert("vni".into(), "true".into());
         job
     }
@@ -345,16 +348,16 @@ mod tests {
         let mut mc =
             Metacontroller::new(config(), OneChild { finalize_after_calls: 1, finalize_seen: 0 });
         api.create(annotated_job("j1"), SimTime::ZERO).unwrap();
-        api.create(ApiObject::new("Job", "ns", "plain", job_spec()), SimTime::ZERO).unwrap();
+        api.create(ApiObject::new(Kind::Job, "ns", "plain", job_spec()), SimTime::ZERO).unwrap();
         mc.poll(&mut api, SimTime::ZERO);
         mc.poll(&mut api, SimTime::from_nanos(20_000_000)); // webhook completed
-        assert!(api.get("Vni", "ns", "vni-j1").is_some());
-        assert!(api.get("Vni", "ns", "vni-plain").is_none(), "filter by annotation");
-        let job = api.get("Job", "ns", "j1").unwrap();
+        assert!(api.get(Kind::Vni, "ns", "vni-j1").is_some());
+        assert!(api.get(Kind::Vni, "ns", "vni-plain").is_none(), "filter by annotation");
+        let job = api.get(Kind::Job, "ns", "j1").unwrap();
         assert!(job.meta.finalizers.contains(mc.finalizer()));
         assert_eq!(mc.counters.sync_calls, 1);
         // Child carries owner reference.
-        let child = api.get("Vni", "ns", "vni-j1").unwrap();
+        let child = api.get(Kind::Vni, "ns", "vni-j1").unwrap();
         assert_eq!(*child.meta.owner_uids, vec![job.meta.uid]);
     }
 
@@ -376,7 +379,7 @@ mod tests {
         // Far in the future the queue drains.
         mc.poll(&mut api, SimTime::from_nanos(1_000_000_000));
         assert_eq!(mc.counters.sync_calls, 10);
-        assert_eq!(api.list("Vni").len(), 10);
+        assert_eq!(api.list(Kind::Vni).len(), 10);
     }
 
     #[test]
@@ -389,12 +392,12 @@ mod tests {
         mc.poll(&mut api, SimTime::ZERO);
         assert_eq!(mc.backlog(), 2);
         // Reaped before its call: no finalizer was added yet.
-        api.delete("Job", "ns", "j1").unwrap();
+        api.delete(Kind::Job, "ns", "j1").unwrap();
         // j2's call is the first the server makes, so it completes one
         // latency after enqueue, not two.
         mc.poll(&mut api, SimTime::from_nanos(10_000_000));
         assert_eq!(mc.counters.sync_calls, 1);
-        assert!(api.get("Vni", "ns", "vni-j2").is_some());
+        assert!(api.get(Kind::Vni, "ns", "vni-j2").is_some());
         assert_eq!(mc.backlog(), 0);
     }
 
@@ -412,16 +415,16 @@ mod tests {
             }
         };
         tick(&mut mc, &mut api, 100);
-        assert!(api.get("Vni", "ns", "vni-j1").is_some());
-        api.delete("Job", "ns", "j1").unwrap();
+        assert!(api.get(Kind::Vni, "ns", "vni-j1").is_some());
+        api.delete(Kind::Job, "ns", "j1").unwrap();
         // First finalize call completes but reports not-finalized.
         tick(&mut mc, &mut api, 160);
         assert_eq!(mc.counters.finalize_calls, 1);
-        assert!(api.get("Job", "ns", "j1").is_some(), "finalizer still held");
-        assert!(api.get("Vni", "ns", "vni-j1").is_none(), "children removed");
+        assert!(api.get(Kind::Job, "ns", "j1").is_some(), "finalizer still held");
+        assert!(api.get(Kind::Vni, "ns", "vni-j1").is_none(), "children removed");
         // The child-deletion event re-enqueues; the second call finalizes.
         tick(&mut mc, &mut api, 400);
-        assert!(api.get("Job", "ns", "j1").is_none(), "reaped after finalize");
+        assert!(api.get(Kind::Job, "ns", "j1").is_none(), "reaped after finalize");
         assert_eq!(mc.counters.finalize_calls, 2);
     }
 
@@ -434,7 +437,7 @@ mod tests {
         for tick in 0..20u64 {
             mc.poll(&mut api, SimTime::from_nanos(tick * 20_000_000));
         }
-        assert_eq!(api.list("Vni").len(), 1, "apply semantics: one child");
+        assert_eq!(api.list(Kind::Vni).len(), 1, "apply semantics: one child");
         assert_eq!(mc.counters.children_created, 1);
     }
 
@@ -459,13 +462,13 @@ mod tests {
         api.create(annotated_job("j1"), SimTime::ZERO).unwrap();
         mc.poll(&mut api, SimTime::ZERO);
         mc.poll(&mut api, SimTime::from_nanos(20_000_000));
-        assert!(api.get("Vni", "ns", "vni-j1").is_some());
+        assert!(api.get(Kind::Vni, "ns", "vni-j1").is_some());
         // Switch to hooks that want no children: the child is removed.
         let mut mc2 = Metacontroller::new(config(), NoChildren);
         // mc2 must learn the uid mapping from the event stream.
         mc2.poll(&mut api, SimTime::from_nanos(30_000_000));
         mc2.poll(&mut api, SimTime::from_nanos(60_000_000));
-        assert!(api.get("Vni", "ns", "vni-j1").is_none());
+        assert!(api.get(Kind::Vni, "ns", "vni-j1").is_none());
         assert_eq!(mc2.counters.children_deleted, 1);
     }
 }

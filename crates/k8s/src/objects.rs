@@ -4,6 +4,8 @@
 //! The serde derives are the JSON schema of each kind; only the door
 //! (`wire`) encodes or decodes it.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 use crate::api::ApiObject;
@@ -13,20 +15,70 @@ use crate::service::{ServiceSpec, ServiceStatus};
 /// for a Per-Resource VNI, `vni: <claim-name>` to redeem a VNI Claim.
 pub const VNI_ANNOTATION: &str = "vni";
 
-/// Well-known kinds.
-pub mod kinds {
+/// The closed set of kinds the API server stores. Kinds order as their
+/// names do, so a key that starts with the kind sorts as the string keys
+/// it replaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Kind {
     /// Batch job.
-    pub const JOB: &str = "Job";
-    /// Pod.
-    pub const POD: &str = "Pod";
+    Job,
     /// Cluster node.
-    pub const NODE: &str = "Node";
-    /// The VNI custom resource (paper CRD).
-    pub const VNI: &str = "Vni";
-    /// The VNI Claim custom resource (paper CRD).
-    pub const VNI_CLAIM: &str = "VniClaim";
+    Node,
+    /// Pod.
+    Pod,
     /// Long-running replicated service (the serving plane).
-    pub const SERVICE: &str = "Service";
+    Service,
+    /// The VNI custom resource (paper CRD).
+    Vni,
+    /// The VNI Claim custom resource (paper CRD).
+    VniClaim,
+}
+
+impl Kind {
+    /// Every kind, in order.
+    pub const ALL: [Kind; 6] =
+        [Kind::Job, Kind::Node, Kind::Pod, Kind::Service, Kind::Vni, Kind::VniClaim];
+
+    /// The kind's name, as the API speaks it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Kind::Job => "Job",
+            Kind::Node => "Node",
+            Kind::Pod => "Pod",
+            Kind::Service => "Service",
+            Kind::Vni => "Vni",
+            Kind::VniClaim => "VniClaim",
+        }
+    }
+
+    /// Position in [`Kind::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl fmt::Display for Kind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// Well-known kinds, by their API names.
+pub mod kinds {
+    use super::Kind;
+
+    /// Batch job.
+    pub const JOB: Kind = Kind::Job;
+    /// Pod.
+    pub const POD: Kind = Kind::Pod;
+    /// Cluster node.
+    pub const NODE: Kind = Kind::Node;
+    /// The VNI custom resource (paper CRD).
+    pub const VNI: Kind = Kind::Vni;
+    /// The VNI Claim custom resource (paper CRD).
+    pub const VNI_CLAIM: Kind = Kind::VniClaim;
+    /// Long-running replicated service (the serving plane).
+    pub const SERVICE: Kind = Kind::Service;
 }
 
 /// Pod template inside a job spec.
@@ -191,7 +243,7 @@ pub enum Spec {
 
 impl Spec {
     /// The kind this spec belongs to.
-    pub(crate) fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> Kind {
         match self {
             Spec::Job(_) => kinds::JOB,
             Spec::Pod(_) => kinds::POD,
@@ -295,7 +347,7 @@ impl ApiObject {
         }
     }
 
-    fn wrong_kind(&self, want: &str) -> ! {
+    fn wrong_kind(&self, want: Kind) -> ! {
         panic!("{} {} read as a {want}", self.kind(), self.full_name())
     }
 }

@@ -15,35 +15,53 @@
 //! `tests/service_props.rs`: after any event sequence, a PLEG snapshot
 //! is byte-identical to a full pod scan ([`Pleg::scan`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use serde::Serialize;
 
-use crate::api::{ApiObject, ApiServer, ObjKey, WatchType};
-use crate::objects::{kinds, PodPhase};
+use crate::api::{ApiObject, ApiServer, IdMap, NameMap, ObjId, WatchType};
+use crate::objects::{Kind, PodPhase};
+
+/// A pod group's index in [`Pleg::groups`].
+type GroupId = usize;
 
 /// Cached state of one live pod (what the watch stream last showed).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PodRecord {
     phase: PodPhase,
-    /// The pod's manager (`spec.job_name`), shared by jobs and services;
-    /// one handle for every record of the pod that names the same group.
-    group: Option<Rc<str>>,
+    /// The group the pod's `spec.job_name` names, shared by jobs and
+    /// services.
+    group: Option<GroupId>,
     started_at_ns: Option<u64>,
     deletion_requested: bool,
 }
 
-/// Cached state of one pod group (all pods naming the same manager).
+impl PodRecord {
+    /// Running and not terminating.
+    fn ready(&self) -> bool {
+        self.phase == PodPhase::Running && !self.deletion_requested
+    }
+}
+
+/// Cached state of one pod group (all pods naming the same manager). A
+/// group outlives its last member, empty, so a pod naming it again
+/// finds its id.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct GroupState {
-    /// Live member pod names (any phase, including terminating).
-    members: BTreeSet<Rc<str>>,
-    /// Ready member names: Running and not terminating.
-    ready: BTreeSet<Rc<str>>,
+    namespace: Rc<str>,
+    name: Rc<str>,
+    /// Live member pods (any phase, including terminating).
+    members: usize,
+    /// Ready members by name: Running and not terminating. Kept in name
+    /// order, and touched only when a pod's readiness changes.
+    ready: BTreeMap<Rc<str>, ObjId>,
     /// Start instants of members that have started.
-    started: BTreeMap<Rc<str>, u64>,
+    started: Vec<(ObjId, u64)>,
 }
+
+/// Groups by namespace, then group name.
+type GroupIndex = NameMap<NameMap<GroupId>>;
 
 /// A serializable summary of everything the cache answers; the proptest
 /// oracle compares this byte-for-byte against [`Pleg::scan`].
@@ -79,11 +97,13 @@ fn phase_idx(phase: PodPhase) -> usize {
 #[derive(Debug, Default)]
 pub struct Pleg {
     last_rv: u64,
-    pods: BTreeMap<ObjKey, PodRecord>,
+    pods: IdMap<PodRecord>,
     phase_counts: [u64; 4],
-    /// Groups by namespace, then group name: a read looks a borrowed
-    /// `(namespace, group)` up without building a key.
-    groups: BTreeMap<Rc<str>, BTreeMap<Rc<str>, GroupState>>,
+    /// Every group a pod has named, by [`GroupId`].
+    groups: Vec<GroupState>,
+    /// `(namespace, group)` → [`GroupId`]: consulted when a pod first
+    /// names a group, and by the by-name reads.
+    group_ids: GroupIndex,
     /// Watch events consumed (diagnostics).
     pub(crate) events_observed: u64,
 }
@@ -104,67 +124,114 @@ impl Pleg {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
         for ev in events {
-            if ev.object.kind() != kinds::POD {
+            if ev.object.kind() != Kind::Pod {
                 continue;
             }
             self.events_observed += 1;
-            let key = ev.object.key();
+            let id = ev.object.meta.id;
             match ev.kind {
                 WatchType::Added | WatchType::Modified => {
-                    let record = record_of(&ev.object, self.pods.get(&key));
-                    let old = self.pods.insert(key.clone(), record.clone());
-                    self.apply(&key, old.as_ref(), Some(&record));
+                    let old = self.pods.get(&id).copied();
+                    let record = self.record_of(api, &ev.object, old.as_ref());
+                    self.pods.insert(id, record);
+                    self.apply(&ev.object, old.as_ref(), Some(&record));
                 }
                 WatchType::Deleted => {
-                    let old = self.pods.remove(&key);
-                    self.apply(&key, old.as_ref(), None);
+                    let old = self.pods.remove(&id);
+                    self.apply(&ev.object, old.as_ref(), None);
                 }
             }
         }
     }
 
-    /// Retire `old`'s contribution and add `new`'s.
-    fn apply(&mut self, (ns, name): &ObjKey, old: Option<&PodRecord>, new: Option<&PodRecord>) {
+    /// What the cache keeps of `pod`, reusing the group of the pod's
+    /// previous record when it names the same one.
+    fn record_of(
+        &mut self,
+        api: &ApiServer,
+        pod: &ApiObject,
+        prev: Option<&PodRecord>,
+    ) -> PodRecord {
+        let group = pod.pod_spec().job_name.as_deref().map(|g| {
+            match prev.and_then(|p| p.group).filter(|&old| *self.groups[old].name == *g) {
+                Some(old) => old,
+                None => self.group_id(api, &pod.meta.namespace, g),
+            }
+        });
+        PodRecord {
+            phase: pod.pod_phase(),
+            group,
+            started_at_ns: pod.pod_status().and_then(|s| s.started_at_ns),
+            deletion_requested: pod.meta.deletion_requested,
+        }
+    }
+
+    /// The id of group `namespace/group`, made if it is new. A new
+    /// group shares the name of the job or service it is named after.
+    fn group_id(&mut self, api: &ApiServer, namespace: &Rc<str>, group: &str) -> GroupId {
+        if let Some(&id) = self.group_ids.get(&**namespace).and_then(|g| g.get(group)) {
+            return id;
+        }
+        let id = self.groups.len();
+        let name = api.string(group).cloned().unwrap_or_else(|| group.into());
+        self.groups.push(GroupState {
+            namespace: Rc::clone(namespace),
+            name: Rc::clone(&name),
+            ..Default::default()
+        });
+        self.group_ids.entry(Rc::clone(namespace)).or_default().insert(name, id);
+        id
+    }
+
+    /// Retire `old`'s contribution and add `new`'s: a pod that stays in
+    /// its group touches only what changed.
+    fn apply(&mut self, pod: &ApiObject, old: Option<&PodRecord>, new: Option<&PodRecord>) {
         if let Some(old) = old {
             self.phase_counts[phase_idx(old.phase)] -= 1;
-            if let Some(group) = &old.group {
-                if let Some(groups) = self.groups.get_mut(ns) {
-                    if let Some(g) = groups.get_mut(group) {
-                        g.members.remove(name);
-                        g.ready.remove(name);
-                        g.started.remove(name);
-                        if g.members.is_empty() {
-                            groups.remove(group);
-                        }
-                    }
-                    if groups.is_empty() {
-                        self.groups.remove(ns);
-                    }
-                }
-            }
         }
         if let Some(new) = new {
             self.phase_counts[phase_idx(new.phase)] += 1;
-            if let Some(group) = &new.group {
-                let g = self
-                    .groups
-                    .entry(Rc::clone(ns))
-                    .or_default()
-                    .entry(Rc::clone(group))
-                    .or_default();
-                g.members.insert(Rc::clone(name));
-                if new.phase == PodPhase::Running && !new.deletion_requested {
-                    g.ready.insert(Rc::clone(name));
-                }
-                if let Some(t) = new.started_at_ns {
-                    g.started.insert(Rc::clone(name), t);
+        }
+        let (id, name) = (pod.meta.id, &pod.meta.name);
+        let (from, to) = (old.and_then(|r| r.group), new.and_then(|r| r.group));
+        if let (Some(old), Some(new), true) = (old, new, from == to) {
+            let Some(g) = to.map(|g| &mut self.groups[g]) else { return };
+            if old.ready() != new.ready() {
+                if new.ready() {
+                    g.ready.insert(Rc::clone(name), id);
+                } else {
+                    g.ready.remove(name);
                 }
             }
+            if old.started_at_ns != new.started_at_ns {
+                g.set_started(id, new.started_at_ns);
+            }
+            return;
+        }
+        if let (Some(old), Some(g)) = (old, from) {
+            let g = &mut self.groups[g];
+            g.members -= 1;
+            if old.ready() {
+                g.ready.remove(name);
+            }
+            g.set_started(id, None);
+            if g.members == 0 {
+                g.started = Vec::new(); // an empty group keeps no buffer
+            }
+        }
+        if let (Some(new), Some(g)) = (new, to) {
+            let g = &mut self.groups[g];
+            g.members += 1;
+            if new.ready() {
+                g.ready.insert(Rc::clone(name), id);
+            }
+            g.set_started(id, new.started_at_ns);
         }
     }
 
     fn group(&self, namespace: &str, group: &str) -> Option<&GroupState> {
-        self.groups.get(namespace)?.get(group)
+        let id = *self.group_ids.get(namespace)?.get(group)?;
+        Some(&self.groups[id])
     }
 
     /// Pods currently in `phase` — O(1), independent of pod count.
@@ -181,8 +248,14 @@ impl Pleg {
     /// Empty when the group has no ready pods.
     pub fn ready(&self, namespace: &str, group: &str) -> Vec<String> {
         self.group(namespace, group)
-            .map(|g| g.ready.iter().map(|n| n.to_string()).collect())
+            .map(|g| g.ready.keys().map(|n| n.to_string()).collect())
             .unwrap_or_default()
+    }
+
+    /// The ids of a group's ready pods, in [`Pleg::ready`]'s order.
+    pub fn ready_ids(&self, namespace: &str, group: &str) -> Vec<ObjId> {
+        let group = self.group(namespace, group);
+        group.map(|g| g.ready.values().copied().collect()).unwrap_or_default()
     }
 
     /// Number of ready pods in a group.
@@ -194,16 +267,14 @@ impl Pleg {
     /// `job_started_at` read) — proportional to the group, not the
     /// cluster.
     pub fn group_started_at(&self, namespace: &str, group: &str) -> Option<u64> {
-        self.group(namespace, group).and_then(|g| g.started.values().min().copied())
+        self.group(namespace, group).and_then(GroupState::started_at)
     }
 
     /// Serializable summary of the whole cache (test oracle; O(pods)).
     pub fn snapshot(&self) -> PlegSnapshot {
         let mut snap = PlegSnapshot { phase_counts: self.phase_counts, ..Default::default() };
-        for (ns, groups) in &self.groups {
-            for (group, g) in groups {
-                snap.groups.insert(format!("{ns}/{group}"), g.snapshot());
-            }
+        for g in self.groups.iter().filter(|g| g.members > 0) {
+            snap.groups.insert(format!("{}/{}", g.namespace, g.name), g.snapshot());
         }
         snap
     }
@@ -213,57 +284,56 @@ impl Pleg {
     /// the status-read benchmark).
     pub fn scan(api: &ApiServer) -> PlegSnapshot {
         let mut snap = PlegSnapshot::default();
-        let mut groups: BTreeMap<String, GroupState> = BTreeMap::new();
-        for pod in api.list(kinds::POD) {
-            let record = record_of(pod, None);
-            snap.phase_counts[phase_idx(record.phase)] += 1;
-            if let Some(group) = &record.group {
-                let g = groups.entry(format!("{}/{group}", pod.meta.namespace)).or_default();
-                g.members.insert(Rc::clone(&pod.meta.name));
-                if record.phase == PodPhase::Running && !record.deletion_requested {
-                    g.ready.insert(Rc::clone(&pod.meta.name));
-                }
-                if let Some(t) = record.started_at_ns {
-                    g.started.insert(Rc::clone(&pod.meta.name), t);
-                }
+        let mut groups: BTreeMap<String, GroupSnapshot> = BTreeMap::new();
+        for pod in api.list(Kind::Pod) {
+            snap.phase_counts[phase_idx(pod.pod_phase())] += 1;
+            let Some(group) = &pod.pod_spec().job_name else { continue };
+            let g = groups.entry(format!("{}/{group}", pod.meta.namespace)).or_default();
+            if pod.pod_phase() == PodPhase::Running && !pod.meta.deletion_requested {
+                g.ready.push(pod.meta.name.to_string());
+            }
+            if let Some(t) = pod.pod_status().and_then(|s| s.started_at_ns) {
+                g.started_at_ns = Some(g.started_at_ns.map_or(t, |s| s.min(t)));
             }
         }
-        for (key, g) in groups {
-            snap.groups.insert(key, g.snapshot());
+        for (key, mut g) in groups {
+            g.ready.sort();
+            snap.groups.insert(key, g);
         }
         snap
     }
 }
 
 impl GroupState {
-    fn snapshot(&self) -> GroupSnapshot {
-        GroupSnapshot {
-            ready: self.ready.iter().map(|n| n.to_string()).collect(),
-            started_at_ns: self.started.values().min().copied(),
+    /// Record member `pod`'s start instant, or that it has none.
+    fn set_started(&mut self, pod: ObjId, at: Option<u64>) {
+        let slot = self.started.iter().position(|&(p, _)| p == pod);
+        match (slot, at) {
+            (Some(i), Some(t)) => self.started[i].1 = t,
+            (Some(i), None) => {
+                self.started.swap_remove(i);
+            }
+            (None, Some(t)) => self.started.push((pod, t)),
+            (None, None) => {}
         }
     }
-}
 
-/// What the cache keeps of `pod`, reusing the group handle of the pod's
-/// previous record when it names the same group.
-fn record_of(pod: &ApiObject, prev: Option<&PodRecord>) -> PodRecord {
-    let group = pod.pod_spec().job_name.as_deref().map(|g| {
-        match prev.and_then(|p| p.group.as_ref()).filter(|old| ***old == *g) {
-            Some(old) => Rc::clone(old),
-            None => Rc::from(g),
+    fn started_at(&self) -> Option<u64> {
+        self.started.iter().map(|&(_, t)| t).min()
+    }
+
+    fn snapshot(&self) -> GroupSnapshot {
+        GroupSnapshot {
+            ready: self.ready.keys().map(|n| n.to_string()).collect(),
+            started_at_ns: self.started_at(),
         }
-    });
-    PodRecord {
-        phase: pod.pod_phase(),
-        group,
-        started_at_ns: pod.pod_status().and_then(|s| s.started_at_ns),
-        deletion_requested: pod.meta.deletion_requested,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objects::kinds;
     use serde_json::json;
     use shs_des::SimTime;
 

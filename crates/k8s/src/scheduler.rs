@@ -12,22 +12,36 @@ use std::rc::Rc;
 
 use shs_des::SimTime;
 
-use crate::api::{ApiServer, ObjKey, WatchType};
-use crate::objects::{kinds, PodPhase, Spec, Status};
+use crate::api::{ApiServer, IdMap, ObjId, ObjKey, WatchType};
+use crate::objects::{Kind, PodPhase, Spec, Status};
 
 /// Where a counted pod sits: its node and topology-spread group.
 type Placement = (Rc<str>, Option<Rc<str>>);
+
+/// What the scheduler knows of one stored pod.
+#[derive(Debug, Default)]
+struct Tracked {
+    /// Unbound and not terminating: it has a key in `pending`.
+    pending: bool,
+    /// Bound and not Failed: where it counts.
+    placed: Option<Placement>,
+}
 
 /// Scheduler state (a controller; poll-driven).
 #[derive(Debug, Default)]
 pub struct Scheduler {
     last_rv: u64,
-    pending: BTreeSet<ObjKey>,
-    /// Every stored pod that is bound and not Failed, as last seen on
-    /// the watch stream (or bound here), with the two occupancy tallies
-    /// derived from it: pods per node, and pods per (spread group, node),
-    /// the group level first so a pod's candidates share one lookup.
-    placed: BTreeMap<ObjKey, Placement>,
+    /// Pods awaiting a binding, in (namespace, name) order — the order
+    /// a pass binds them in. A pod's key joins when it turns pending and
+    /// leaves when it stops, so an event that changes neither touches
+    /// no key.
+    pending: BTreeSet<(ObjKey, ObjId)>,
+    /// Every stored pod as last seen on the watch stream (or bound
+    /// here), with the two occupancy tallies derived from where the
+    /// bound, non-Failed ones count: pods per node, and pods per (spread
+    /// group, node), the group level first so a pod's candidates share
+    /// one lookup.
+    pods: IdMap<Tracked>,
     pods_on: BTreeMap<Rc<str>, u32>,
     group_on: BTreeMap<Rc<str>, BTreeMap<Rc<str>, u32>>,
     /// Pods bound over this scheduler's lifetime (diagnostics).
@@ -50,22 +64,37 @@ impl Scheduler {
         self.pending.len()
     }
 
-    /// Record where `key` now counts — `Some((node, spread group))`, or
-    /// `None` for nowhere — keeping the per-node and per-(group, node)
+    /// Mark pod `key` pending or not, keying it in `pending` only on a
+    /// change.
+    fn set_pending(&mut self, key: (ObjKey, ObjId), pending: bool) {
+        let tracked = self.pods.entry(key.1).or_default();
+        if tracked.pending != pending {
+            tracked.pending = pending;
+            if pending {
+                self.pending.insert(key);
+            } else {
+                self.pending.remove(&key);
+            }
+        }
+    }
+
+    /// Record where pod `id` now counts — `Some((node, spread group))`,
+    /// or `None` for nowhere — keeping the per-node and per-(group, node)
     /// tallies in step. An unchanged placement costs a comparison; a
     /// changed one reuses the name handles the tallies already hold.
-    fn place(&mut self, key: &ObjKey, new: Option<(&str, Option<&str>)>) {
-        if self.placed.get(key).map(|(n, g)| (&**n, g.as_deref())) == new {
+    fn place(&mut self, id: ObjId, new: Option<(&str, Option<&str>)>) {
+        let tracked = self.pods.entry(id).or_default();
+        if tracked.placed.as_ref().map(|(n, g)| (&**n, g.as_deref())) == new {
             return;
         }
-        if let Some(old) = self.placed.remove(key) {
+        if let Some(old) = tracked.placed.take() {
             self.count(&old, false);
         }
         if let Some((node, group)) = new {
             let node = handle(&self.pods_on, node);
             let new = (node, group.map(|g| handle(&self.group_on, g)));
             self.count(&new, true);
-            self.placed.insert(key.clone(), new);
+            self.pods.entry(id).or_default().placed = Some(new);
         }
     }
 
@@ -96,29 +125,32 @@ impl Scheduler {
         }
         self.last_rv = rv;
         for ev in events {
-            if ev.object.kind() != kinds::POD {
+            if ev.object.kind() != Kind::Pod {
                 continue;
             }
-            let key = ev.object.key();
+            let id = ev.object.meta.id;
             match ev.kind {
                 WatchType::Deleted => {
-                    self.pending.remove(&key);
-                    self.place(&key, None);
+                    if let Some(tracked) = self.pods.remove(&id) {
+                        if tracked.pending {
+                            self.pending.remove(&(ev.object.key(), id));
+                        }
+                        if let Some(old) = tracked.placed {
+                            self.count(&old, false);
+                        }
+                    }
                 }
                 _ => {
                     let spec = ev.object.pod_spec();
-                    if spec.node_name.is_none() && !ev.object.meta.deletion_requested {
-                        self.pending.insert(key.clone());
-                    } else {
-                        self.pending.remove(&key);
-                    }
+                    let pending = spec.node_name.is_none() && !ev.object.meta.deletion_requested;
+                    self.set_pending((ev.object.key(), id), pending);
                     let counted = ev.object.pod_phase() != PodPhase::Failed;
                     let placement = spec
                         .node_name
                         .as_deref()
                         .filter(|_| counted)
                         .map(|n| (n, spec.spread_key.as_deref()));
-                    self.place(&key, placement);
+                    self.place(id, placement);
                 }
             }
         }
@@ -127,7 +159,7 @@ impl Scheduler {
         }
 
         let nodes: Vec<(Rc<str>, u32)> = api
-            .list(kinds::NODE)
+            .list(Kind::Node)
             .iter()
             .filter_map(|n| match (&*n.spec, &n.status) {
                 (Spec::Node(spec), Status::Node(status)) if status.ready => {
@@ -140,14 +172,15 @@ impl Scheduler {
             return;
         }
 
-        let work: Vec<ObjKey> = self.pending.iter().cloned().collect();
+        let work: Vec<(ObjKey, ObjId)> = self.pending.iter().cloned().collect();
         for key in work {
-            let Some(pod) = api.get_rc(kinds::POD, &key.0, &key.1) else {
-                self.pending.remove(&key);
+            let id = key.1;
+            let Some(pod) = api.object(id).cloned() else {
+                self.set_pending(key, false);
                 continue;
             };
             if pod.meta.deletion_requested {
-                self.pending.remove(&key);
+                self.set_pending(key, false);
                 continue;
             }
             let spec = pod.pod_spec();
@@ -177,10 +210,10 @@ impl Scheduler {
             let mut bound = spec.clone();
             bound.node_name = Some(chosen.to_string());
             let bound = Rc::new(Spec::Pod(bound));
-            api.edit(kinds::POD, &key.0, &key.1, |o| o.spec = bound).expect("pod exists");
-            self.place(&key, Some((chosen, spec.spread_key.as_deref())));
+            api.edit_id(id, |o| o.spec = bound).expect("pod exists");
+            self.place(id, Some((chosen, spec.spread_key.as_deref())));
             self.bindings += 1;
-            self.pending.remove(&key);
+            self.set_pending(key, false);
         }
     }
 }
@@ -206,7 +239,7 @@ fn handle<T>(map: &BTreeMap<Rc<str>, T>, name: &str) -> Rc<str> {
 mod tests {
     use super::*;
     use crate::api::ApiObject;
-    use crate::objects::make_node;
+    use crate::objects::{kinds, make_node};
     use serde_json::json;
 
     /// The node a pod is bound to.

@@ -21,9 +21,9 @@ use std::rc::Rc;
 use serde::{Deserialize, Serialize};
 use shs_des::SimTime;
 
-use crate::api::{ApiObject, ApiServer, ObjKey};
-use crate::job::KUBELET_FINALIZER;
-use crate::objects::{kinds, PodPhase, PodSpec, PodTemplate, Spec, Status};
+use crate::api::{ApiObject, ApiServer, ObjId, WatchType};
+use crate::job::{Managers, KUBELET_FINALIZER};
+use crate::objects::{Kind, PodPhase, PodSpec, PodTemplate, Spec, Status};
 
 /// Annotation recording which template revision a service pod was
 /// created from; pods whose recorded revision differs from the service
@@ -83,6 +83,7 @@ pub fn pod_ready(pod: &ApiObject) -> bool {
 /// Tracked view of one service pod during a reconcile pass.
 #[derive(Debug, Clone)]
 struct PodView {
+    id: ObjId,
     name: Rc<str>,
     /// Created from the spec's current revision.
     current: bool,
@@ -100,6 +101,10 @@ pub struct ServiceController {
     last_rv: u64,
     /// [`KUBELET_FINALIZER`], built once and shared by every pod.
     finalizer: Rc<str>,
+    /// The service each pod names.
+    services: Managers,
+    /// Services a poll reconciles (kept to reuse its buffer).
+    dirty: Vec<ObjId>,
     /// Pods created (diagnostics).
     pub(crate) pods_created: u64,
     /// Pod deletions requested (diagnostics).
@@ -111,6 +116,8 @@ impl Default for ServiceController {
         ServiceController {
             last_rv: 0,
             finalizer: KUBELET_FINALIZER.into(),
+            services: Managers::new(Kind::Service),
+            dirty: Vec::new(),
             pods_created: 0,
             pods_deleted: 0,
         }
@@ -133,40 +140,45 @@ impl ServiceController {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
 
-        let mut dirty: BTreeSet<ObjKey> = BTreeSet::new();
+        let mut dirty = std::mem::take(&mut self.dirty);
         for ev in events {
             match ev.object.kind() {
-                kinds::SERVICE => {
-                    dirty.insert(ev.object.key());
-                }
+                Kind::Service => dirty.push(ev.object.meta.id),
                 // Unlike the job controller, pod *deletions* matter:
                 // a reaped pod must be replaced to hold the replica
                 // count. Pods name their manager through `job_name`;
-                // the stored service lends its key, and a job's pod
+                // the stored service it names is dirty, and a job's pod
                 // (no service of that name) is skipped.
-                kinds::POD => {
-                    let ns = &ev.object.meta.namespace;
-                    let Some(owner) = &ev.object.pod_spec().job_name else { continue };
-                    if let Some(svc) = api.get(kinds::SERVICE, ns, owner) {
-                        dirty.insert(svc.key());
+                Kind::Pod => {
+                    match self.services.known(api, &ev.object) {
+                        Ok(svc) => dirty.extend(svc),
+                        Err(()) => self.services.defer(&ev.object),
+                    }
+                    if ev.kind == WatchType::Deleted {
+                        self.services.forget(ev.object.meta.id);
                     }
                 }
                 _ => {}
             }
         }
-        for (ns, name) in dirty {
-            self.reconcile_service(api, &ns, &name, now);
+        self.services.resolve(api, &mut dirty);
+        api.sort_by_name(&mut dirty);
+        for &svc in &dirty {
+            self.reconcile_service(api, svc, now);
         }
+        dirty.clear();
+        self.dirty = dirty;
     }
 
     /// Reconcile one service. Deterministic: pods are processed in
     /// lexicographic name order and every decision depends only on API
     /// state.
-    pub(crate) fn reconcile_service(&mut self, api: &mut ApiServer, ns: &str, name: &str, now: SimTime) {
-        let Some(svc) = api.get_rc(kinds::SERVICE, ns, name) else { return };
+    pub(crate) fn reconcile_service(&mut self, api: &mut ApiServer, id: ObjId, now: SimTime) {
+        let Some(svc) = api.object(id).cloned() else { return };
         if svc.meta.deletion_requested {
             return; // cascade + kubelet finalizers tear the pods down
         }
+        let (ns, name) = (&*svc.meta.namespace, &*svc.meta.name);
         let spec = svc.service_spec();
         // Both knobs zero would deadlock a rolling update (no room to
         // surge, no license to dip); treat it as surge 1, like upstream
@@ -177,9 +189,10 @@ impl ServiceController {
         let ceiling = (spec.replicas + max_surge) as usize;
 
         let mut pods: Vec<PodView> = api
-            .owned_by_rc(svc.meta.uid, kinds::POD)
+            .owned_by_rc(svc.meta.uid, Kind::Pod)
             .into_iter()
             .map(|p| PodView {
+                id: p.meta.id,
                 name: Rc::clone(&p.meta.name),
                 current: pod_revision(&p) == spec.version,
                 ready: pod_ready(&p),
@@ -191,7 +204,7 @@ impl ServiceController {
         // 1. Failed pods are dead weight: delete them (they are not
         //    ready, so the floor is unaffected).
         for p in pods.iter_mut().filter(|p| p.alive && p.phase == PodPhase::Failed) {
-            if api.delete(kinds::POD, ns, &p.name).is_ok() {
+            if api.delete_id(p.id).is_ok() {
                 self.pods_deleted += 1;
             }
             p.alive = false;
@@ -205,7 +218,7 @@ impl ServiceController {
             if current_alive <= spec.replicas as usize {
                 break;
             }
-            if api.delete(kinds::POD, ns, &p.name).is_ok() {
+            if api.delete_id(p.id).is_ok() {
                 self.pods_deleted += 1;
             }
             p.alive = false;
@@ -222,7 +235,7 @@ impl ServiceController {
             if !safe {
                 continue;
             }
-            if api.delete(kinds::POD, ns, &p.name).is_ok() {
+            if api.delete_id(p.id).is_ok() {
                 self.pods_deleted += 1;
             }
             if p.ready {
@@ -283,7 +296,7 @@ impl ServiceController {
             total: total_alive as u32,
         };
         if svc.service_status().cloned().unwrap_or_default() != status {
-            let _ = api.set_status(kinds::SERVICE, ns, name, Status::Service(status));
+            let _ = api.set_status_id(id, Status::Service(status));
         }
     }
 }
@@ -291,6 +304,7 @@ impl ServiceController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objects::kinds;
     use serde_json::json;
 
     fn svc_spec(replicas: u32, version: u64) -> ServiceSpec {

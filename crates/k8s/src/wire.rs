@@ -15,7 +15,7 @@ use serde::Serialize;
 use serde_json::Value;
 
 use crate::api::{ApiError, ApiObject, ApiServer, ObjectMeta};
-use crate::objects::{kinds, Spec, Status};
+use crate::objects::{Kind, Spec, Status};
 
 /// An object as JSON: typed metadata, and the spec and status in their
 /// wire encoding (`null` for no status).
@@ -38,15 +38,14 @@ fn encode<T: Serialize>(value: &T) -> Value {
 }
 
 impl Spec {
-    fn decode(kind: &str, json: Value) -> Result<Spec, serde_json::Error> {
+    fn decode(kind: Kind, json: Value) -> Result<Spec, serde_json::Error> {
         Ok(match kind {
-            kinds::JOB => Spec::Job(decode(json)?),
-            kinds::POD => Spec::Pod(decode(json)?),
-            kinds::NODE => Spec::Node(decode(json)?),
-            kinds::VNI => Spec::Vni(decode(json)?),
-            kinds::VNI_CLAIM => Spec::VniClaim(decode(json)?),
-            kinds::SERVICE => Spec::Service(decode(json)?),
-            other => return Err(serde_json::Error::custom(format!("unknown kind {other}"))),
+            Kind::Job => Spec::Job(decode(json)?),
+            Kind::Pod => Spec::Pod(decode(json)?),
+            Kind::Node => Spec::Node(decode(json)?),
+            Kind::Vni => Spec::Vni(decode(json)?),
+            Kind::VniClaim => Spec::VniClaim(decode(json)?),
+            Kind::Service => Spec::Service(decode(json)?),
         })
     }
 
@@ -63,13 +62,13 @@ impl Spec {
 }
 
 impl Status {
-    fn decode(kind: &str, json: Value) -> Result<Status, serde_json::Error> {
+    fn decode(kind: Kind, json: Value) -> Result<Status, serde_json::Error> {
         Ok(match kind {
             _ if json.is_null() => Status::None,
-            kinds::POD => Status::Pod(decode(json)?),
-            kinds::JOB => Status::Job(decode(json)?),
-            kinds::NODE => Status::Node(decode(json)?),
-            kinds::SERVICE => Status::Service(decode(json)?),
+            Kind::Pod => Status::Pod(decode(json)?),
+            Kind::Job => Status::Job(decode(json)?),
+            Kind::Node => Status::Node(decode(json)?),
+            Kind::Service => Status::Service(decode(json)?),
             other => return Err(serde_json::Error::custom(format!("a {other} has no status"))),
         })
     }
@@ -86,14 +85,14 @@ impl Status {
 }
 
 /// `decoded`, or a panic naming the kind, the part and the object.
-fn fit<T>(decoded: Result<T, serde_json::Error>, kind: &str, part: &str, obj: &str) -> T {
+fn fit<T>(decoded: Result<T, serde_json::Error>, kind: Kind, part: &str, obj: &str) -> T {
     decoded.unwrap_or_else(|e| panic!("bad {kind} {part} for {obj}: {e}"))
 }
 
 impl ApiObject {
     /// An object of `kind` from its JSON spec, decoded here, once.
     /// Panics if `spec` does not fit the kind's schema.
-    pub fn new(kind: &str, namespace: &str, name: &str, spec: Value) -> Self {
+    pub fn new(kind: Kind, namespace: &str, name: &str, spec: Value) -> Self {
         let obj = if namespace.is_empty() { name.into() } else { format!("{namespace}/{name}") };
         let spec = fit(Spec::decode(kind, spec), kind, "spec", &obj);
         ApiObject::from_spec(namespace, name, spec)
@@ -117,13 +116,14 @@ impl ApiServer {
     /// fits the kind's schema.
     pub fn mutate(
         &mut self,
-        kind: &str,
+        kind: Kind,
         namespace: &str,
         name: &str,
         f: impl FnOnce(&mut WireObject),
     ) -> Result<Rc<ApiObject>, ApiError> {
         self.requests += 1;
-        self.write(kind, namespace, name, |o| {
+        let id = self.id(kind, namespace, name).ok_or(ApiError::NotFound)?;
+        self.write(id, |o| {
             let mut wire = o.to_wire();
             f(&mut wire);
             let (kind, full_name) = (o.kind(), o.full_name());

@@ -12,6 +12,14 @@
 //! resource versions, request count, reaping — from a twin that writes
 //! them as JSON through the door (`mutate`).
 //!
+//! Ids are checked against the oracle's own interner: a name's id is
+//! the count of distinct `(kind, namespace, name)`s created before it,
+//! a name created again after it was reaped keeps its id, a lookup by
+//! name and one by id see the same object, and no two live objects
+//! share an id. The addresses put one name in two namespaces and under
+//! every kind, and include names longer than 16 bytes that share a long
+//! prefix.
+//!
 //! The door itself is checked over all six kinds: a typed spec and
 //! status sent in as JSON come back out of `mutate`'s wire form
 //! unchanged, a no-op `mutate` only bumps the resource version, and a
@@ -22,20 +30,22 @@ use proptest::prelude::*;
 use serde_json::{json, Value};
 use shs_des::SimTime;
 use shs_k8s::{
-    kinds, ApiObject, ApiServer, JobSpec, JobStatus, NodeSpec, NodeStatus, PodPhase, PodSpec,
-    PodStatus, PodTemplate, ServiceSpec, ServiceStatus, Spec, Status, VniClaimSpec, VniCrdSpec,
-    WatchType,
+    ApiObject, ApiServer, JobSpec, JobStatus, Kind, NodeSpec, NodeStatus, ObjId, PodPhase,
+    PodSpec, PodStatus, PodTemplate, ServiceSpec, ServiceStatus, Spec, Status, VniClaimSpec,
+    VniCrdSpec, WatchType,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-type Key = (String, String, String);
+type Key = (Kind, String, String);
 
-/// The pre-index store: full scans for lists and for the reap cascade.
+/// The pre-index store: full scans for lists and for the reap cascade,
+/// and a map from every key ever created to its id.
 #[derive(Default)]
 struct NaiveApi {
     objects: BTreeMap<Key, ApiObject>,
+    ids: BTreeMap<Key, ObjId>,
     events: Vec<(u64, WatchType, ApiObject)>,
     rv: u64,
     uid: u64,
@@ -43,14 +53,17 @@ struct NaiveApi {
 
 impl NaiveApi {
     fn key(o: &ApiObject) -> Key {
-        (o.kind().to_string(), o.meta.namespace.to_string(), o.meta.name.to_string())
+        (o.kind(), o.meta.namespace.to_string(), o.meta.name.to_string())
     }
 
     fn create(&mut self, mut obj: ApiObject) {
         let key = Self::key(&obj);
+        let next = ObjId::from_index(self.ids.len());
+        let id = *self.ids.entry(key.clone()).or_insert(next);
         if self.objects.contains_key(&key) {
             return;
         }
+        obj.meta.id = id;
         self.uid += 1;
         self.rv += 1;
         obj.meta.uid = self.uid;
@@ -65,6 +78,7 @@ impl NaiveApi {
         if cur.meta.resource_version != obj.meta.resource_version {
             return;
         }
+        obj.meta.id = cur.meta.id;
         obj.meta.uid = cur.meta.uid;
         obj.meta.created_at_ns = cur.meta.created_at_ns;
         obj.meta.deletion_requested = cur.meta.deletion_requested;
@@ -108,19 +122,19 @@ impl NaiveApi {
         }
     }
 
-    fn list(&self, kind: &str) -> Vec<&ApiObject> {
-        self.objects.iter().filter(|((k, _, _), _)| k == kind).map(|(_, v)| v).collect()
+    fn list(&self, kind: Kind) -> Vec<&ApiObject> {
+        self.objects.iter().filter(|((k, _, _), _)| *k == kind).map(|(_, v)| v).collect()
     }
 
-    fn list_namespaced(&self, kind: &str, ns: &str) -> Vec<&ApiObject> {
+    fn list_namespaced(&self, kind: Kind, ns: &str) -> Vec<&ApiObject> {
         self.objects
             .iter()
-            .filter(|((k, n, _), _)| k == kind && n == ns)
+            .filter(|((k, n, _), _)| *k == kind && n == ns)
             .map(|(_, v)| v)
             .collect()
     }
 
-    fn owned_by(&self, uid: u64, kind: &str) -> Vec<&ApiObject> {
+    fn owned_by(&self, uid: u64, kind: Kind) -> Vec<&ApiObject> {
         self.list(kind).into_iter().filter(|o| o.meta.owner_uids.contains(&uid)).collect()
     }
 
@@ -129,13 +143,15 @@ impl NaiveApi {
     }
 }
 
-const KINDS: [&str; 3] = ["Job", "Pod", "Vni"];
+const KINDS: [Kind; 3] = [Kind::Job, Kind::Pod, Kind::Vni];
 /// The cluster-scoped `""` namespace, and one namespace that is a
 /// prefix of another.
 const NAMESPACES: [&str; 3] = ["", "a", "ab"];
-/// Names that are prefixes of each other; every name recurs in every
-/// kind and namespace.
-const NAMES: [&str; 4] = ["o", "o1", "o10", "p"];
+/// Names that are prefixes of each other, two of them longer than 16
+/// bytes with a 25-byte common prefix; every name recurs in every kind
+/// and namespace.
+const NAMES: [&str; 6] =
+    ["o", "o1", "o10", "p", "workload-with-a-long-name", "workload-with-a-long-name-1"];
 
 /// An object address: (kind, namespace, name) indices.
 type Addr = (usize, usize, usize);
@@ -181,12 +197,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Every kind the store holds.
-const ALL_KINDS: [&str; 6] =
-    [kinds::JOB, kinds::POD, kinds::NODE, kinds::VNI, kinds::VNI_CLAIM, kinds::SERVICE];
-
 /// Spec variant `v` of `kind`.
-fn spec_for(kind: &str, v: u8) -> Spec {
+fn spec_for(kind: Kind, v: u8) -> Spec {
     let image = format!("img{v}");
     let template = PodTemplate {
         image: image.clone(),
@@ -195,7 +207,7 @@ fn spec_for(kind: &str, v: u8) -> Spec {
         node_selector: v.is_multiple_of(3).then(|| vec!["n0".to_string(), format!("n{v}")]),
     };
     match kind {
-        kinds::POD => Spec::Pod(PodSpec {
+        Kind::Pod => Spec::Pod(PodSpec {
             job_name: v.is_multiple_of(2).then(|| format!("j{}", v % 4)),
             image,
             run_ms: Some(v.into()),
@@ -205,48 +217,47 @@ fn spec_for(kind: &str, v: u8) -> Spec {
             node_selector: v.is_multiple_of(7).then(|| vec!["n1".to_string()]),
             termination_grace_period_secs: u64::from(v % 40),
         }),
-        kinds::JOB => Spec::Job(JobSpec {
+        Kind::Job => Spec::Job(JobSpec {
             parallelism: v.into(),
             template,
             ttl_seconds_after_finished: v.is_multiple_of(2).then_some(0),
         }),
-        kinds::NODE => Spec::Node(NodeSpec { max_pods: v.into() }),
-        kinds::VNI => Spec::Vni(VniCrdSpec {
+        Kind::Node => Spec::Node(NodeSpec { max_pods: v.into() }),
+        Kind::Vni => Spec::Vni(VniCrdSpec {
             vni: 1024 + u16::from(v),
             r#virtual: v.is_multiple_of(2),
             claim: v.is_multiple_of(3).then(|| format!("c{v}")),
         }),
-        kinds::VNI_CLAIM => Spec::VniClaim(VniClaimSpec { name: format!("c{v}") }),
-        kinds::SERVICE => Spec::Service(ServiceSpec {
+        Kind::VniClaim => Spec::VniClaim(VniClaimSpec { name: format!("c{v}") }),
+        Kind::Service => Spec::Service(ServiceSpec {
             replicas: (v % 8).into(),
             template,
             max_unavailable: (v % 3).into(),
             max_surge: (v % 2).into(),
             version: v.into(),
         }),
-        other => panic!("no spec for {other}"),
     }
 }
 
 /// Status variant `v` of `kind`; every fifth one is no status at all,
 /// and VNIs and claims never have one.
-fn status_for(kind: &str, v: u8) -> Status {
+fn status_for(kind: Kind, v: u8) -> Status {
     const PHASES: [PodPhase; 4] =
         [PodPhase::Pending, PodPhase::Running, PodPhase::Succeeded, PodPhase::Failed];
     match kind {
         _ if v % 5 == 4 => Status::None,
-        kinds::POD => Status::Pod(PodStatus {
+        Kind::Pod => Status::Pod(PodStatus {
             phase: PHASES[usize::from(v) % 4],
             started_at_ns: Some(v.into()),
             message: v.is_multiple_of(3).then(|| "m".to_string()),
         }),
-        kinds::JOB => Status::Job(JobStatus {
+        Kind::Job => Status::Job(JobStatus {
             succeeded: v.into(),
             complete: v.is_multiple_of(2),
             completed_at_ns: v.is_multiple_of(3).then_some(v.into()),
         }),
-        kinds::NODE => Status::Node(NodeStatus { ready: v.is_multiple_of(2) }),
-        kinds::SERVICE => Status::Service(ServiceStatus {
+        Kind::Node => Status::Node(NodeStatus { ready: v.is_multiple_of(2) }),
+        Kind::Service => Status::Service(ServiceStatus {
             ready: v.into(),
             current: (v / 2).into(),
             total: (v / 3).into(),
@@ -285,7 +296,7 @@ fn respec(obj: &mut ApiObject, v: u8) {
 }
 
 fn key_of((k, ns, n): Addr) -> Key {
-    (KINDS[k].to_string(), NAMESPACES[ns].to_string(), NAMES[n].to_string())
+    (KINDS[k], NAMESPACES[ns].to_string(), NAMES[n].to_string())
 }
 
 /// Every address the generator can name.
@@ -300,7 +311,7 @@ fn every_key() -> impl Iterator<Item = Key> {
 fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op, subresource: bool) {
     let uid_at = |api: &ApiServer, a: Addr| {
         let (k, ns, n) = key_of(a);
-        api.get(&k, &ns, &n).map(|o| o.meta.uid)
+        api.get(k, &ns, &n).map(|o| o.meta.uid)
     };
     match *op {
         Op::Create { at, owner, v } => {
@@ -313,23 +324,23 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op, subresource: bool) 
         }
         Op::Touch { at, v } => {
             let key = key_of(at);
-            let status = status_for(&key.0, v);
+            let status = status_for(key.0, v);
             naive.mutate(&key, |o| o.status = status.clone());
             let _ = if subresource {
-                api.set_status(&key.0, &key.1, &key.2, status)
+                api.set_status(key.0, &key.1, &key.2, status)
             } else {
-                api.mutate(&key.0, &key.1, &key.2, |o| o.status = status_json(&status))
+                api.mutate(key.0, &key.1, &key.2, |o| o.status = status_json(&status))
             };
         }
         Op::Reown { at, owner } => {
             let key = key_of(at);
             let owners: Vec<u64> = owner.and_then(|a| uid_at(api, a)).into_iter().collect();
             naive.mutate(&key, |o| o.meta.owner_uids = owners.clone().into());
-            let _ = api.edit(&key.0, &key.1, &key.2, |o| o.meta.owner_uids = owners.into());
+            let _ = api.edit(key.0, &key.1, &key.2, |o| o.meta.owner_uids = owners.into());
         }
         Op::Replace { at, v } => {
             let key = key_of(at);
-            let Some(mut obj) = api.get(&key.0, &key.1, &key.2).cloned() else { return };
+            let Some(mut obj) = api.get(key.0, &key.1, &key.2).cloned() else { return };
             respec(&mut obj, v);
             obj.meta.owner_uids.clear();
             naive.update(obj.clone());
@@ -338,7 +349,7 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op, subresource: bool) 
         Op::Delete { at } => {
             let key = key_of(at);
             naive.delete(&key);
-            let _ = api.delete(&key.0, &key.1, &key.2);
+            let _ = api.delete(key.0, &key.1, &key.2);
         }
         Op::AddFinalizer { at } => {
             let key = key_of(at);
@@ -348,12 +359,12 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op, subresource: bool) 
                 }
             };
             naive.mutate(&key, add);
-            let _ = api.edit(&key.0, &key.1, &key.2, add);
+            let _ = api.edit(key.0, &key.1, &key.2, add);
         }
         Op::RemoveFinalizer { at } => {
             let key = key_of(at);
             naive.mutate(&key, |o| o.meta.finalizers.clear());
-            let _ = api.remove_finalizer(&key.0, &key.1, &key.2, "t");
+            let _ = api.remove_finalizer(key.0, &key.1, &key.2, "t");
         }
         Op::Drain { ns } => {
             let doomed: Vec<Key> =
@@ -361,9 +372,9 @@ fn apply(api: &mut ApiServer, naive: &mut NaiveApi, op: &Op, subresource: bool) 
             for key in &doomed {
                 let clear = |o: &mut ApiObject| o.meta.finalizers.clear();
                 naive.mutate(key, clear);
-                let _ = api.edit(&key.0, &key.1, &key.2, clear);
+                let _ = api.edit(key.0, &key.1, &key.2, clear);
                 naive.delete(key);
-                let _ = api.delete(&key.0, &key.1, &key.2);
+                let _ = api.delete(key.0, &key.1, &key.2);
             }
             for kind in KINDS {
                 assert!(api.list_namespaced(kind, NAMESPACES[ns]).is_empty(), "drained {kind}");
@@ -450,7 +461,7 @@ proptest! {
             // Point reads at every address, live or not: `get` is the
             // stored object and `get_rc` hands out that same snapshot.
             for key in every_key() {
-                let (k, ns, n) = (&key.0, &key.1, &key.2);
+                let (k, ns, n) = (key.0, &key.1, &key.2);
                 prop_assert_eq!(api.get(k, ns, n), naive.get(&key), "get {:?} @{}", key, step);
                 let rc = api.get_rc(k, ns, n);
                 prop_assert_eq!(rc.as_deref(), naive.get(&key), "get_rc {:?} @{}", key, step);
@@ -458,6 +469,19 @@ proptest! {
                     == api.get(k, ns, n).map(std::ptr::from_ref);
                 prop_assert!(same, "get_rc {:?} is the stored snapshot @{}", key, step);
             }
+            // Ids: every name's id is the oracle's, live or not — so a
+            // name created again kept its id — the object under a name's
+            // id is the object under the name, and no two live objects
+            // share an id.
+            for key in every_key() {
+                let id = api.id(key.0, &key.1, &key.2);
+                prop_assert_eq!(id, naive.ids.get(&key).copied(), "id {:?} @{}", key, step);
+                let by_id = id.and_then(|id| api.object(id)).map(|o| &**o);
+                prop_assert_eq!(by_id, naive.get(&key), "object by id {:?} @{}", key, step);
+            }
+            let live: BTreeSet<ObjId> =
+                KINDS.iter().flat_map(|&k| api.list(k)).map(|o| o.meta.id).collect();
+            prop_assert_eq!(live.len(), api.object_count(), "live ids are distinct @{}", step);
             for kind in KINDS {
                 prop_assert_eq!(api.list(kind), naive.list(kind), "list {} @{}", kind, step);
                 for ns in NAMESPACES {
@@ -496,11 +520,11 @@ proptest! {
 
     #[test]
     fn the_door_round_trips_every_kind(
-        kind in 0..ALL_KINDS.len(),
+        kind in 0..Kind::ALL.len(),
         v in any::<u8>(),
         w in any::<u8>(),
     ) {
-        let kind = ALL_KINDS[kind];
+        let kind = Kind::ALL[kind];
         let (spec, status) = (spec_for(kind, v), status_for(kind, w));
         let mut api = ApiServer::default();
         // In as JSON: decoded once, at construction.
@@ -531,10 +555,10 @@ proptest! {
 
     #[test]
     fn a_json_edit_that_breaks_the_schema_panics_naming_the_object(
-        kind in 0..ALL_KINDS.len(),
+        kind in 0..Kind::ALL.len(),
         status in any::<bool>(),
     ) {
-        let kind = ALL_KINDS[kind];
+        let kind = Kind::ALL[kind];
         let mut api = ApiServer::default();
         api.create(ApiObject::from_spec("tenant", "obj-7", spec_for(kind, 3)), SimTime::ZERO)
             .unwrap();

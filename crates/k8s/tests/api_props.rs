@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use shs_des::SimTime;
-use shs_k8s::{ApiObject, ApiServer, WatchEvent, WatchType};
+use shs_k8s::{ApiObject, ApiServer, Kind, WatchEvent, WatchType};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
@@ -32,26 +32,26 @@ fn run_ops(api: &mut ApiServer, ops: &[Op]) {
         match op {
             Op::Create { name } => {
                 let spec = serde_json::json!({"image": "x"});
-                let obj = ApiObject::new("Pod", "ns", &format!("p{name}"), spec);
+                let obj = ApiObject::new(Kind::Pod, "ns", &format!("p{name}"), spec);
                 let _ = api.create(obj, SimTime::ZERO);
             }
             Op::Mutate { name } => {
-                let _ = api.mutate("Pod", "ns", &format!("p{name}"), |o| {
+                let _ = api.mutate(Kind::Pod, "ns", &format!("p{name}"), |o| {
                     o.status = serde_json::json!({"phase": "Running"});
                 });
             }
             Op::Delete { name } => {
-                let _ = api.delete("Pod", "ns", &format!("p{name}"));
+                let _ = api.delete(Kind::Pod, "ns", &format!("p{name}"));
             }
             Op::AddFinalizer { name } => {
-                let _ = api.mutate("Pod", "ns", &format!("p{name}"), |o| {
+                let _ = api.mutate(Kind::Pod, "ns", &format!("p{name}"), |o| {
                     if !o.meta.finalizers.iter().any(|f| &**f == "t") {
                         o.meta.finalizers.push("t".into());
                     }
                 });
             }
             Op::RemoveFinalizer { name } => {
-                let _ = api.remove_finalizer("Pod", "ns", &format!("p{name}"), "t");
+                let _ = api.remove_finalizer(Kind::Pod, "ns", &format!("p{name}"), "t");
             }
         }
     }
@@ -146,7 +146,7 @@ proptest! {
             }
         }
         let live: BTreeMap<String, ApiObject> = api
-            .list("Pod")
+            .list(Kind::Pod)
             .into_iter()
             .map(|o| (o.meta.name.to_string(), o.clone()))
             .collect();
@@ -177,17 +177,17 @@ proptest! {
     fn finalizers_gate_reaping(n_finalizers in 1usize..4) {
         let mut api = ApiServer::default();
         let spec = serde_json::json!({"parallelism": 1, "template": {"image": "x"}});
-        let mut obj = ApiObject::new("Job", "ns", "j", spec);
+        let mut obj = ApiObject::new(Kind::Job, "ns", "j", spec);
         for i in 0..n_finalizers {
             obj.meta.finalizers.push(format!("f{i}").into());
         }
         api.create(obj, SimTime::ZERO).unwrap();
-        api.delete("Job", "ns", "j").unwrap();
+        api.delete(Kind::Job, "ns", "j").unwrap();
         for i in 0..n_finalizers {
-            prop_assert!(api.get("Job", "ns", "j").is_some(), "reaped too early");
-            api.remove_finalizer("Job", "ns", "j", &format!("f{i}")).unwrap();
+            prop_assert!(api.get(Kind::Job, "ns", "j").is_some(), "reaped too early");
+            api.remove_finalizer(Kind::Job, "ns", "j", &format!("f{i}")).unwrap();
         }
-        prop_assert!(api.get("Job", "ns", "j").is_none(), "not reaped at zero finalizers");
+        prop_assert!(api.get(Kind::Job, "ns", "j").is_none(), "not reaped at zero finalizers");
     }
 
     /// Uid uniqueness: no two creations ever share a uid, even through
@@ -197,10 +197,11 @@ proptest! {
         let mut api = ApiServer::default();
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..cycles {
-            let obj = ApiObject::new("Pod", "ns", "same-name", serde_json::json!({"image": "x"}));
+            let spec = serde_json::json!({"image": "x"});
+            let obj = ApiObject::new(Kind::Pod, "ns", "same-name", spec);
             let created = api.create(obj, SimTime::ZERO).unwrap();
             prop_assert!(seen.insert(created.meta.uid), "uid reused");
-            api.delete("Pod", "ns", "same-name").unwrap();
+            api.delete(Kind::Pod, "ns", "same-name").unwrap();
         }
     }
 }
@@ -212,7 +213,7 @@ proptest! {
 fn reading_below_the_compacted_floor_panics() {
     let mut api = ApiServer::default();
     for name in ["a", "b", "c"] {
-        let pod = ApiObject::new("Pod", "ns", name, serde_json::json!({"image": "x"}));
+        let pod = ApiObject::new(Kind::Pod, "ns", name, serde_json::json!({"image": "x"}));
         api.create(pod, SimTime::ZERO).unwrap();
     }
     let (_, fast) = api.events_since(0);
