@@ -136,7 +136,7 @@ impl BridgePlugin {
         }
         let ok = host
             .net_namespace(args.netns)
-            .is_some_and(|ns| ns.interfaces.iter().any(|i| i == &args.ifname));
+            .is_some_and(|ns| ns.has_interface(&args.ifname));
         if ok {
             Ok(())
         } else {
@@ -182,9 +182,9 @@ mod tests {
         assert_eq!(result.interfaces.len(), 1);
         assert_eq!(result.ips[0].address, "10.42.0.2/24");
         let ns = host.net_namespace(args.netns).unwrap();
-        assert!(ns.interfaces.iter().any(|i| i == "eth0"));
+        assert!(ns.has_interface("eth0"));
         let host_ns = host.net_namespace(host.host_netns()).unwrap();
-        assert!(host_ns.interfaces.iter().any(|i| i == "vethabc123"));
+        assert!(host_ns.has_interface("vethabc123"));
     }
 
     #[test]
@@ -227,7 +227,7 @@ mod tests {
         plugin.del(&mut host, &args).unwrap();
         assert_eq!(plugin.allocated(), 0);
         let ns = host.net_namespace(args.netns).unwrap();
-        assert!(!ns.interfaces.iter().any(|i| i == "eth0"));
+        assert!(!ns.has_interface("eth0"));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use shs_des::{SimDur, SimTime};
 
 use crate::faults::{FaultKind, LivenessMask, MAX_REPAIR_PATH};
-use crate::packet::CostModel;
+use crate::packet::{CostModel, MsgCost};
 use crate::switch::{DropReason, Switch};
 use crate::topology::{RoutingPolicy, Topology, TopologySpec};
 use crate::trunknet::{LinkState, TrunkClassCounters, TrunkNet, WalkEnd};
@@ -133,9 +133,15 @@ pub struct Fabric {
     next_port: Vec<usize>,
     /// Edge ports freed by [`Fabric::detach`], reused LIFO per switch.
     free_ports: Vec<Vec<usize>>,
-    /// Per-VNI counters, sorted by VNI (binary search; tenant counts are
-    /// small and reads never iterate).
-    traffic: Vec<(Vni, VniTraffic)>,
+    /// Per-VNI counters, in the order VNIs were first counted.
+    traffic: Vec<VniTraffic>,
+    /// VNI → 1 + its index in `traffic` (0: never counted), as long as
+    /// the highest VNI counted needs: a delivery finds its counters by
+    /// one array index.
+    traffic_slot: Vec<u32>,
+    /// The cost of the last message length sent: consecutive messages
+    /// of one length (a round, an OSU window, a sweep) derive it once.
+    last_cost: MsgCost,
     audit: Vec<FabricAuditEvent>,
     /// ECN marks awaiting pickup by the sending NIC, per source NIC.
     /// Consumed (and cleared) by [`Fabric::take_ecn_marks`].
@@ -165,6 +171,8 @@ impl Fabric {
             next_port: vec![0; n],
             free_ports: vec![Vec::new(); n],
             traffic: Vec::new(),
+            traffic_slot: Vec::new(),
+            last_cost: model.msg_cost(0),
             audit: Vec::new(),
             ecn_feedback: BTreeMap::new(),
         }
@@ -179,16 +187,36 @@ impl Fabric {
             .map(|i| self.ports_of[i].1)
     }
 
-    /// Per-VNI counter slot, created zeroed on first touch.
+    /// Per-VNI counters, created zeroed on first touch.
+    #[inline]
     fn traffic_mut(&mut self, vni: Vni) -> &mut VniTraffic {
-        let i = match self.traffic.binary_search_by_key(&vni, |&(v, _)| v) {
-            Ok(i) => i,
-            Err(i) => {
-                self.traffic.insert(i, (vni, VniTraffic::default()));
-                i
-            }
+        let v = usize::from(vni.0);
+        let slot = match self.traffic_slot.get(v) {
+            Some(&s) if s != 0 => s as usize - 1,
+            _ => self.new_traffic_slot(v),
         };
-        &mut self.traffic[i].1
+        &mut self.traffic[slot]
+    }
+
+    /// Give VNI `v` its counters (cold: once per VNI).
+    #[cold]
+    fn new_traffic_slot(&mut self, v: usize) -> usize {
+        if self.traffic_slot.len() <= v {
+            self.traffic_slot.resize(v + 1, 0);
+        }
+        self.traffic.push(VniTraffic::default());
+        self.traffic_slot[v] = u32::try_from(self.traffic.len()).expect("at most 2^16 VNIs");
+        self.traffic.len() - 1
+    }
+
+    /// The cost of a `len`-byte message, derived again only when the
+    /// length differs from the previous message's.
+    #[inline]
+    fn msg_cost(&mut self, len: u64) -> MsgCost {
+        if self.last_cost.len != len {
+            self.last_cost = self.net.model.msg_cost(len);
+        }
+        self.last_cost
     }
 
     /// The cost model in force.
@@ -303,11 +331,11 @@ impl Fabric {
     }
 
     /// Per-VNI delivered-traffic counters (`VniTraffic` is `Copy`; no
-    /// per-read clone).
+    /// per-read clone): one index into the VNI slot table.
     pub fn traffic(&self, vni: Vni) -> VniTraffic {
-        match self.traffic.binary_search_by_key(&vni, |&(v, _)| v) {
-            Ok(i) => self.traffic[i].1,
-            Err(_) => VniTraffic::default(),
+        match self.traffic_slot.get(usize::from(vni.0)) {
+            Some(&s) if s != 0 => self.traffic[s as usize - 1],
+            _ => VniTraffic::default(),
         }
     }
 
@@ -354,7 +382,7 @@ impl Fabric {
     /// `queued`-style maxima do not exist here, all fields are sums).
     pub fn traffic_totals(&self) -> VniTraffic {
         let mut out = VniTraffic::default();
-        for (_, t) in self.traffic.iter() {
+        for t in &self.traffic {
             out.messages += t.messages;
             out.payload_bytes += t.payload_bytes;
             out.congestion_drops += t.congestion_drops;
@@ -404,10 +432,15 @@ impl Fabric {
     ///
     /// The switches check every message — the source port's binding, the
     /// ingress and egress grants, and that the destination is still
-    /// routed to its port — so only the *lookup* of an attachment is
+    /// bound to its port — so only the *lookup* of an attachment is
     /// saved by resolving it once per batch. An attachment resolved
     /// before a detach or re-attach is dropped by those checks, never
     /// delivered to whichever NIC holds its port now.
+    ///
+    /// Every step is an index or a pure function of the arguments: the
+    /// checks read the ports' bindings and grant bitsets, the message's
+    /// packets and serialization time come from a memo keyed by `len`,
+    /// and the tenant's counters from the VNI slot table.
     #[allow(clippy::too_many_arguments)]
     pub fn transfer_between(
         &mut self,
@@ -422,8 +455,6 @@ impl Fabric {
         let Some((ssw, sport)) = src.at else {
             return TransferOutcome::Dropped(DropReason::NoRoute);
         };
-        let model = &self.net.model;
-        let pkts = model.packets_for(len);
         // Ingress enforcement at the source edge switch.
         if let Some(reason) = self.switches[ssw].admit(sport, src.nic, vni) {
             return TransferOutcome::Dropped(reason);
@@ -431,10 +462,11 @@ impl Fabric {
         let Some((dsw, dport)) = dst.at else {
             return TransferOutcome::Dropped(self.switches[ssw].note_drop(DropReason::NoRoute));
         };
-        // The destination switch's routing table stays authoritative: a
-        // NIC unbound there (node removal via `Switch::unbind`) must drop
-        // NoRoute.
-        if self.switches[dsw].route_to(dst.nic) != Some(dport) {
+        // The destination port's binding stays authoritative: a NIC
+        // unbound there (node removal via `Switch::unbind`) must drop
+        // NoRoute. A fabric binds each NIC to at most one port, so this
+        // is the routing check `dst.nic → dport`.
+        if self.switches[dsw].binding(dport) != Some(dst.nic) {
             return TransferOutcome::Dropped(self.switches[dsw].note_drop(DropReason::NoRoute));
         }
         // Egress enforcement at the destination edge switch.
@@ -442,7 +474,8 @@ impl Fabric {
             return TransferOutcome::Dropped(reason);
         }
 
-        let ser_ns = model.serialize_ns(model.wire_bytes(len));
+        let MsgCost { pkts, ser_ns, .. } = self.msg_cost(len);
+        let model = &self.net.model;
         let ser = SimDur::from_nanos(ser_ns);
         let prop = SimDur::from_nanos(model.propagation_ns);
 

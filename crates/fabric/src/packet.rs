@@ -79,10 +79,39 @@ impl CostModel {
         len + self.packets_for(len) * self.header_bytes as u64
     }
 
-    /// Serialization time of `bytes` on the link, in nanoseconds.
+    /// Serialization time of `bytes` on the link, in nanoseconds: the
+    /// quotient rounded up. The rounding is spelled out because `f64::ceil`
+    /// is a libm call on the baseline x86-64 target; a truncating cast
+    /// plus one where it dropped a fraction is the same value for every
+    /// input, `NaN` (0) and overflow (`u64::MAX`) included.
     pub(crate) fn serialize_ns(&self, bytes: u64) -> u64 {
-        (bytes as f64 / self.bw_bytes_per_ns).ceil() as u64
+        let exact = bytes as f64 / self.bw_bytes_per_ns;
+        let whole = exact as u64;
+        whole.saturating_add(u64::from((whole as f64) < exact))
     }
+
+    /// What a message of `len` payload bytes costs on every link it
+    /// crosses.
+    pub(crate) fn msg_cost(&self, len: u64) -> MsgCost {
+        MsgCost {
+            len,
+            pkts: self.packets_for(len),
+            ser_ns: self.serialize_ns(self.wire_bytes(len)),
+        }
+    }
+}
+
+/// The per-length cost of a message under one [`CostModel`]: a pure
+/// function of `len`, so an engine may keep the last one and reuse it
+/// for the next message of the same length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MsgCost {
+    /// Payload bytes.
+    pub(crate) len: u64,
+    /// Packets the message segments into.
+    pub(crate) pkts: u64,
+    /// Serialization time of its wire bytes, in nanoseconds.
+    pub(crate) ser_ns: u64,
 }
 
 #[cfg(test)]
@@ -122,5 +151,40 @@ mod tests {
         let m = m();
         assert_eq!(m.serialize_ns(25), 1);
         assert_eq!(m.serialize_ns(2500), 100);
+    }
+
+    #[test]
+    fn serialization_rounds_up_like_ceil() {
+        let ceil = |m: &CostModel, bytes: u64| (bytes as f64 / m.bw_bytes_per_ns).ceil() as u64;
+        let models = [
+            m(),
+            CostModel { bw_bytes_per_ns: 12.5, ..m() },
+            CostModel { bw_bytes_per_ns: 0.3, ..m() },
+            CostModel { bw_bytes_per_ns: 1e-30, ..m() },
+            CostModel { bw_bytes_per_ns: 0.0, ..m() },
+            CostModel { bw_bytes_per_ns: -2.0, ..m() },
+            CostModel { bw_bytes_per_ns: f64::NAN, ..m() },
+        ];
+        let mut bytes: Vec<u64> = (0..5_000).collect();
+        bytes.extend((0..64).map(|s| 1u64 << s));
+        bytes.extend((0..64).map(|s| (1u64 << s) - 1));
+        bytes.extend([u64::MAX, u64::MAX - 1, (1 << 53) + 1, 3 * (1 << 52) + 7]);
+        for model in &models {
+            for &b in &bytes {
+                let bw = model.bw_bytes_per_ns;
+                assert_eq!(model.serialize_ns(b), ceil(model, b), "{b} B at {bw} B/ns");
+            }
+        }
+    }
+
+    #[test]
+    fn msg_cost_matches_its_parts() {
+        let m = m();
+        for len in [0, 1, 2048, 2049, 16 * 1024, 1 << 20] {
+            let c = m.msg_cost(len);
+            assert_eq!(c.len, len);
+            assert_eq!(c.pkts, m.packets_for(len));
+            assert_eq!(c.ser_ns, m.serialize_ns(m.wire_bytes(len)));
+        }
     }
 }

@@ -45,15 +45,14 @@ impl SwitchCounters {
 /// The switch state machine (sans-IO; timing lives in the fabric engine).
 #[derive(Debug)]
 pub struct Switch {
-    /// VNIs granted per port, indexed by port number, each list sorted
-    /// (the per-packet enforcement lookup is one array index + a binary
-    /// search of a few entries).
-    vni_table: Vec<Vec<Vni>>,
-    /// Destination NIC -> egress port, sorted by NIC (binary search;
-    /// never iterated on the hot path).
-    routes: Vec<(NicAddr, PortId)>,
-    /// NIC bound to each port (for source validation), indexed by port;
-    /// its length is the port count.
+    /// VNIs granted per port, indexed by port number: a bitset indexed
+    /// by VNI (bit `v % 64` of word `v / 64`), as long as the highest
+    /// VNI the port was ever granted needs. The per-packet enforcement
+    /// lookup is one array index and one bit test.
+    vni_table: Vec<Vec<u64>>,
+    /// NIC bound to each port (for source validation and the
+    /// destination check), indexed by port; its length is the port
+    /// count.
     bindings: Vec<Option<NicAddr>>,
     /// Counters.
     pub counters: SwitchCounters,
@@ -64,68 +63,78 @@ impl Switch {
     pub fn new(ports: usize) -> Self {
         Switch {
             vni_table: vec![Vec::new(); ports],
-            routes: Vec::new(),
             bindings: vec![None; ports],
             counters: SwitchCounters::default(),
         }
     }
 
-    /// Bind a NIC to a port and install its route. Panics if the port is
-    /// out of range; returns `false` if the port was already bound.
+    /// Bind a NIC to a port. Panics if the port is out of range;
+    /// returns `false` if the port was already bound.
     pub fn bind(&mut self, port: PortId, nic: NicAddr) -> bool {
         assert!(port.0 < self.bindings.len(), "{port} out of range");
         if self.bindings[port.0].is_some() {
             return false;
         }
         self.bindings[port.0] = Some(nic);
-        if let Err(i) = self.routes.binary_search_by_key(&nic, |&(n, _)| n) {
-            self.routes.insert(i, (nic, port));
-        }
         true
     }
 
-    /// Remove a NIC binding (node removal).
+    /// Remove a NIC binding and the port's grants (node removal).
     pub(crate) fn unbind(&mut self, port: PortId) {
-        if let Some(nic) = self.bindings[port.0].take() {
-            if let Ok(i) = self.routes.binary_search_by_key(&nic, |&(n, _)| n) {
-                self.routes.remove(i);
-            }
-        }
+        self.bindings[port.0] = None;
         self.vni_table[port.0].clear();
+    }
+
+    /// The NIC bound to a port (`None` after [`Switch::unbind`] or for
+    /// a port out of range).
+    #[inline]
+    pub(crate) fn binding(&self, port: PortId) -> Option<NicAddr> {
+        self.bindings.get(port.0).copied().flatten()
     }
 
     /// Grant a VNI on a port (management-plane operation performed by the
     /// fabric manager when the VNI Service allocates a virtual network).
     pub fn grant_vni(&mut self, port: PortId, vni: Vni) {
         let grants = &mut self.vni_table[port.0];
-        if let Err(i) = grants.binary_search(&vni) {
-            grants.insert(i, vni);
+        let (word, bit) = vni_bit(vni);
+        if grants.len() <= word {
+            grants.resize(word + 1, 0);
         }
+        grants[word] |= bit;
     }
 
-    /// Revoke a VNI from a port.
+    /// Revoke a VNI from a port. Returns whether it was granted.
     pub fn revoke_vni(&mut self, port: PortId, vni: Vni) -> bool {
-        let Some(grants) = self.vni_table.get_mut(port.0) else { return false };
-        grants.binary_search(&vni).map(|i| grants.remove(i)).is_ok()
-    }
-
-    /// Egress port a NIC is currently bound to on this switch (`None`
-    /// after [`Switch::unbind`]).
-    pub(crate) fn route_to(&self, nic: NicAddr) -> Option<PortId> {
-        self.routes
-            .binary_search_by_key(&nic, |&(n, _)| n)
-            .ok()
-            .map(|i| self.routes[i].1)
+        let (word, bit) = vni_bit(vni);
+        let Some(w) = self.vni_table.get_mut(port.0).and_then(|g| g.get_mut(word)) else {
+            return false;
+        };
+        let held = *w & bit != 0;
+        *w &= !bit;
+        held
     }
 
     /// Whether a port holds a VNI grant.
+    #[inline]
     pub(crate) fn has_vni(&self, port: PortId, vni: Vni) -> bool {
-        self.vni_table.get(port.0).is_some_and(|s| s.binary_search(&vni).is_ok())
+        let (word, bit) = vni_bit(vni);
+        self.vni_table
+            .get(port.0)
+            .and_then(|g| g.get(word))
+            .is_some_and(|w| w & bit != 0)
     }
 
     /// All VNIs granted on a port, in VNI order.
     pub fn vnis_on(&self, port: PortId) -> impl Iterator<Item = Vni> + '_ {
-        self.vni_table.get(port.0).into_iter().flatten().copied()
+        let words = self.vni_table.get(port.0).map_or(&[][..], Vec::as_slice);
+        words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros() as u16;
+                rest &= rest.wrapping_sub(1);
+                (bit < 64).then(|| Vni(i as u16 * 64 + bit))
+            })
+        })
     }
 
     /// Ingress-side admission of a message from `src` on `vni` arriving
@@ -147,8 +156,9 @@ impl Switch {
     /// assert_eq!(sw.admit(PortId(0), NicAddr(10), Vni(5)), None);
     /// assert_eq!(sw.admit(PortId(0), NicAddr(11), Vni(5)), Some(DropReason::SourceSpoofed));
     /// ```
+    #[inline]
     pub fn admit(&mut self, ingress: PortId, src: NicAddr, vni: Vni) -> Option<DropReason> {
-        if self.bindings.get(ingress.0).copied().flatten().is_some_and(|nic| nic != src) {
+        if self.binding(ingress).is_some_and(|nic| nic != src) {
             return Some(self.note_drop(DropReason::SourceSpoofed));
         }
         if !self.has_vni(ingress, vni) {
@@ -159,6 +169,7 @@ impl Switch {
 
     /// Egress-side VNI enforcement for a message on `vni` leaving via
     /// `egress`, with drops counted. `None` means the grant is in place.
+    #[inline]
     pub(crate) fn egress_check(&mut self, egress: PortId, vni: Vni) -> Option<DropReason> {
         if !self.has_vni(egress, vni) {
             return Some(self.note_drop(DropReason::VniDeniedEgress));
@@ -181,6 +192,12 @@ impl Switch {
     }
 }
 
+/// Word index and bit mask of `vni` in a port's grant bitset.
+#[inline]
+fn vni_bit(vni: Vni) -> (usize, u64) {
+    (usize::from(vni.0 / 64), 1 << (vni.0 % 64))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +215,7 @@ mod tests {
         sw.grant_vni(PortId(0), Vni(5));
         sw.grant_vni(PortId(1), Vni(5));
         assert_eq!(sw.admit(PortId(0), NicAddr(10), Vni(5)), None);
-        assert_eq!(sw.route_to(NicAddr(11)), Some(PortId(1)));
+        assert_eq!(sw.binding(PortId(1)), Some(NicAddr(11)));
         assert_eq!(sw.egress_check(PortId(1), Vni(5)), None);
         assert_eq!(sw.counters.total_drops(), 0);
     }
@@ -228,7 +245,7 @@ mod tests {
         let mut sw = two_port_switch();
         sw.grant_vni(PortId(0), Vni(5));
         assert_eq!(sw.admit(PortId(0), NicAddr(10), Vni(5)), None);
-        assert_eq!(sw.route_to(NicAddr(99)), None);
+        assert!((0..4).all(|p| sw.binding(PortId(p)) != Some(NicAddr(99))));
     }
 
     #[test]
@@ -267,7 +284,7 @@ mod tests {
         sw.unbind(PortId(1));
         sw.grant_vni(PortId(0), Vni(5));
         assert_eq!(sw.admit(PortId(0), NicAddr(10), Vni(5)), None);
-        assert_eq!(sw.route_to(NicAddr(11)), None);
+        assert_eq!(sw.binding(PortId(1)), None);
         assert!(!sw.has_vni(PortId(1), Vni(5)));
         assert_eq!(sw.egress_check(PortId(1), Vni(5)), Some(DropReason::VniDeniedEgress));
     }

@@ -105,40 +105,44 @@ pub struct Topology {
     valiant: RouteCache,
 }
 
+/// An interned route as the arena holds it: its switches padded to
+/// [`ROUTE_STRIDE`], and its length. A fixed-size copy of the array
+/// moves a route into a caller's buffer with no `memcpy` call.
+pub(crate) type PaddedRoute<'a> = (&'a [SwitchId; ROUTE_STRIDE], usize);
+
+/// Longest interned route: Valiant's `src → gw → land(mid) → mid-gw →
+/// land(dst) → dst`.
+pub(crate) const ROUTE_STRIDE: usize = 6;
+
 /// A flat arena of interned routes. Routes are at most
-/// [`RouteCache::STRIDE`] switches long (Valiant's 6-switch worst case),
-/// so the arena uses a fixed stride: route `i` occupies
-/// `switches[i * STRIDE ..][.. lens[i]]`. Lookup is one multiply and one
-/// bounds-checked slice — no pointer chase through per-route `Vec`s.
+/// [`ROUTE_STRIDE`] switches long (Valiant's 6-switch worst case), so
+/// the arena uses a fixed stride: route `i` is the first `lens[i]`
+/// switches of `routes[i]`. Lookup is one index — no pointer chase
+/// through per-route `Vec`s.
 #[derive(Debug, Clone, Default)]
 struct RouteCache {
-    switches: Vec<SwitchId>,
+    routes: Vec<[SwitchId; ROUTE_STRIDE]>,
     lens: Vec<u8>,
 }
 
 impl RouteCache {
-    /// Longest possible route: Valiant's `src → gw → land(mid) → mid-gw
-    /// → land(dst) → dst`.
-    const STRIDE: usize = 6;
-
     fn with_capacity(routes: usize) -> Self {
-        RouteCache {
-            switches: Vec::with_capacity(routes * Self::STRIDE),
-            lens: Vec::with_capacity(routes),
-        }
+        RouteCache { routes: Vec::with_capacity(routes), lens: Vec::with_capacity(routes) }
     }
 
     /// Intern `path` as the next route slot (callers index slots in the
     /// same order they push).
     fn push(&mut self, path: &[SwitchId]) {
-        debug_assert!(!path.is_empty() && path.len() <= Self::STRIDE);
-        self.switches.extend_from_slice(path);
-        self.switches.resize(self.lens.len() * Self::STRIDE + Self::STRIDE, SwitchId(0));
+        debug_assert!(!path.is_empty() && path.len() <= ROUTE_STRIDE);
+        let mut padded = [SwitchId(0); ROUTE_STRIDE];
+        padded[..path.len()].copy_from_slice(path);
+        self.routes.push(padded);
         self.lens.push(path.len() as u8);
     }
 
-    fn get(&self, idx: usize) -> &[SwitchId] {
-        &self.switches[idx * Self::STRIDE..][..self.lens[idx] as usize]
+    #[inline]
+    fn get(&self, idx: usize) -> PaddedRoute<'_> {
+        (&self.routes[idx], usize::from(self.lens[idx]))
     }
 }
 
@@ -158,7 +162,7 @@ impl Topology {
         }
         let mut topo =
             Topology { spec, policy, next_hop, minimal: RouteCache::default(), valiant: RouteCache::default() };
-        let mut scratch = Vec::with_capacity(RouteCache::STRIDE);
+        let mut scratch = Vec::with_capacity(ROUTE_STRIDE);
         let mut minimal = RouteCache::with_capacity(n * n);
         for src in 0..n {
             for dst in 0..n {
@@ -174,7 +178,7 @@ impl Topology {
             // pair cover every possible salt.
             let classes = topo.salt_classes();
             let mut valiant = RouteCache::with_capacity(n * n * classes);
-            let mut tail = Vec::with_capacity(RouteCache::STRIDE);
+            let mut tail = Vec::with_capacity(ROUTE_STRIDE);
             for src in 0..n {
                 for dst in 0..n {
                     for class in 0..classes {
@@ -201,6 +205,16 @@ impl Topology {
     /// iterate these classes when repairing a route around a failure.
     pub(crate) fn salt_classes(&self) -> usize {
         self.spec.groups.saturating_sub(2).max(1)
+    }
+
+    /// `salt % salt_classes()`. With one class (three groups) the class
+    /// is 0 and no divide is made.
+    #[inline]
+    pub(crate) fn salt_class(&self, salt: u64) -> usize {
+        match self.salt_classes() {
+            1 => 0,
+            classes => (salt % classes as u64) as usize,
+        }
     }
 
     /// The shape this topology was built from.
@@ -289,7 +303,8 @@ impl Topology {
     /// never revisits a switch and is at most 4 switches long. One
     /// arena lookup — the route was interned at build time.
     pub fn route_minimal(&self, from: SwitchId, to: SwitchId) -> &[SwitchId] {
-        self.minimal.get(from.0 * self.switch_count() + to.0)
+        let (path, len) = self.minimal.get(from.0 * self.switch_count() + to.0);
+        &path[..len]
     }
 
     /// The route the fabric uses for a message, per the policy. `salt`
@@ -297,15 +312,16 @@ impl Topology {
     /// deterministically; minimal routing ignores it. One arena lookup;
     /// nothing is allocated per call.
     pub fn route(&self, from: SwitchId, to: SwitchId, salt: u64) -> &[SwitchId] {
-        match self.policy {
-            RoutingPolicy::Minimal => self.route_minimal(from, to),
-            RoutingPolicy::Valiant => self.route_valiant(from, to, salt),
+        let (minimal, valiant) = self.candidates(from, to, salt);
+        let (path, len) = match self.policy {
+            RoutingPolicy::Valiant => valiant,
             // Adaptive's per-packet choice needs live queue state the
-            // topology does not hold; the engines call `route_minimal` /
-            // `route_valiant` themselves. The policy-only route is the
-            // minimal base path (what a zero-load UGAL decision picks).
-            RoutingPolicy::Adaptive => self.route_minimal(from, to),
-        }
+            // topology does not hold; the engines weigh both candidates
+            // themselves. The policy-only route is the minimal base path
+            // (what a zero-load UGAL decision picks).
+            RoutingPolicy::Minimal | RoutingPolicy::Adaptive => minimal,
+        };
+        &path[..len]
     }
 
     /// Valiant route: minimal to the landing switch of an intermediate
@@ -313,13 +329,27 @@ impl Topology {
     /// because the groups visited (`src`, `mid`, `dst`) are distinct and
     /// each group's switches appear consecutively.
     pub fn route_valiant(&self, from: SwitchId, to: SwitchId, salt: u64) -> &[SwitchId] {
+        let (path, len) = self.candidates(from, to, salt).1;
+        &path[..len]
+    }
+
+    /// Both routes a message may take, read at one pair index: the
+    /// minimal route and the salted Valiant route (the minimal again
+    /// where Valiant degrades to it) — the two a UGAL decision weighs.
+    #[inline]
+    pub(crate) fn candidates(
+        &self,
+        from: SwitchId,
+        to: SwitchId,
+        salt: u64,
+    ) -> (PaddedRoute<'_>, PaddedRoute<'_>) {
+        let pair = from.0 * self.switch_count() + to.0;
+        let minimal = self.minimal.get(pair);
         if self.valiant.lens.is_empty() {
             // Minimal-policy or < 3 groups: Valiant degrades to minimal.
-            return self.route_minimal(from, to);
+            return (minimal, minimal);
         }
-        let classes = self.salt_classes();
-        let class = (salt % classes as u64) as usize;
-        self.valiant.get((from.0 * self.switch_count() + to.0) * classes + class)
+        (minimal, self.valiant.get(pair * self.salt_classes() + self.salt_class(salt)))
     }
 
     /// Compute (not look up) the minimal route into `path`.

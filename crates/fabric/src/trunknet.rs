@@ -21,7 +21,7 @@ use shs_des::{SimDur, SimTime};
 
 use crate::faults::{fallback_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
 use crate::packet::CostModel;
-use crate::topology::{RoutingPolicy, Topology};
+use crate::topology::{PaddedRoute, RoutingPolicy, Topology, ROUTE_STRIDE};
 use crate::types::{SwitchId, TrafficClass};
 
 /// One NIC↔switch edge link (full duplex: separate up/down directions)
@@ -96,6 +96,7 @@ impl TrunkState {
     /// of the link rate — or `None` when the class queue exceeds
     /// `queue_bound_ns` (the congestion drop is already counted on this
     /// trunk; the caller books tenant/switch counters).
+    #[inline]
     fn traverse(
         &mut self,
         tc: TrafficClass,
@@ -114,13 +115,15 @@ impl TrunkState {
         // Weighted processor sharing across the classes backlogged at
         // `start`: class `tc` drains at weight(tc)/Σ weights of the
         // link rate, so its serialization stretches by the inverse
-        // share (1x when it has the trunk to itself).
-        let active: u64 = TrafficClass::ALL
-            .iter()
-            .filter(|c| c.index() == cls || self.cls_busy[c.index()] > start)
-            .map(|c| c.weight() as u64)
-            .sum();
-        let ser_eff = SimDur::from_nanos(ser_ns * active / tc.weight() as u64);
+        // share (1x when it has the trunk to itself). `start` is at or
+        // past `tc`'s own horizon, so the sum counts `tc` exactly once,
+        // and a weight is a power of two, so dividing by it is a shift.
+        let busy = |c: TrafficClass| {
+            u64::from(c.weight()) * u64::from(self.cls_busy[c.index()] > start)
+        };
+        let [ll, ded, bulk, be] = TrafficClass::ALL;
+        let active = u64::from(tc.weight()) + busy(ll) + busy(ded) + busy(bulk) + busy(be);
+        let ser_eff = SimDur::from_nanos((ser_ns * active) >> tc.weight().trailing_zeros());
         self.cls_busy[cls] = start + ser_eff;
         self.counters[cls].messages += 1;
         self.counters[cls].payload_bytes += len;
@@ -194,9 +197,10 @@ pub(crate) struct TrunkNet {
     liveness: LivenessMask,
     /// Failure fallbacks chosen since the last fault event, keyed by
     /// `(src switch, dst switch, salt class)` — everything
-    /// [`fallback_route`] depends on besides the mask. `None` caches
+    /// [`fallback_route`] depends on besides the mask — each padded to
+    /// a whole [`RouteBuf`] with its length. `None` caches
     /// "partitioned".
-    fallback_cache: BTreeMap<(u16, u16, u16), Option<Vec<SwitchId>>>,
+    fallback_cache: BTreeMap<(u16, u16, u16), Option<(RouteBuf, usize)>>,
 }
 
 impl TrunkNet {
@@ -227,6 +231,7 @@ impl TrunkNet {
 
     /// Index into `trunks` of the directed trunk `a → b`, if there is
     /// one.
+    #[inline]
     fn trunk(&self, a: SwitchId, b: SwitchId) -> Option<usize> {
         match self.trunk_idx.get(a.0 * self.topo.switch_count() + b.0) {
             Some(&i) if i != u32::MAX => Some(i as usize),
@@ -278,34 +283,43 @@ impl TrunkNet {
         now: SimTime,
         buf: &mut RouteBuf,
     ) -> Option<(usize, bool)> {
-        let mut primary = self.topo.route(from, to, salt);
-        if self.topo.policy() == RoutingPolicy::Adaptive {
-            let val = self.topo.route_valiant(from, to, salt);
-            // A detour no longer than the minimal route is the Valiant
-            // arena degraded to it (< 3 groups or a same-group pair).
-            if val.len() > primary.len() {
-                let cost = |path: &[SwitchId]| {
+        let (min, val) = self.topo.candidates(from, to, salt);
+        let (path, len) = match self.topo.policy() {
+            RoutingPolicy::Minimal => min,
+            RoutingPolicy::Valiant => val,
+            RoutingPolicy::Adaptive => {
+                let cost = |(path, len): PaddedRoute<'_>| {
                     let first = self.trunk(path[0], path[1]).expect("first hop is a trunk");
-                    self.trunks[first].queue_ns(tc, now) * path.len() as u64
+                    self.trunks[first].queue_ns(tc, now) * len as u64
                 };
-                if cost(primary) > cost(val) + self.model.adaptive_bias_ns {
-                    primary = val;
+                // A detour no longer than the minimal route is the Valiant
+                // arena degraded to it (< 3 groups or a same-group pair).
+                if val.1 > min.1 && cost(min) > cost(val) + self.model.adaptive_bias_ns {
+                    val
+                } else {
+                    min
                 }
             }
+        };
+        if self.liveness.route_live(&path[..len]) {
+            buf[..ROUTE_STRIDE].copy_from_slice(path);
+            return Some((len, false));
         }
-        let mut rerouted = false;
-        if !self.liveness.route_live(primary) {
-            let class = salt % self.topo.salt_classes() as u64;
-            let (topo, mask) = (&self.topo, &self.liveness);
-            primary = self
-                .fallback_cache
-                .entry((from.0 as u16, to.0 as u16, class as u16))
-                .or_insert_with(|| fallback_route(topo, mask, from, to, salt))
-                .as_deref()?;
-            rerouted = true;
-        }
-        buf[..primary.len()].copy_from_slice(primary);
-        Some((primary.len(), rerouted))
+        let class = self.topo.salt_class(salt);
+        let (topo, mask) = (&self.topo, &self.liveness);
+        let (fallback, len) = self
+            .fallback_cache
+            .entry((from.0 as u16, to.0 as u16, class as u16))
+            .or_insert_with(|| {
+                fallback_route(topo, mask, from, to, salt).map(|route| {
+                    let mut padded = [SwitchId(0); MAX_REPAIR_PATH];
+                    padded[..route.len()].copy_from_slice(&route);
+                    (padded, route.len())
+                })
+            })
+            .as_ref()?;
+        *buf = *fallback;
+        Some((*len, true))
     }
 
     /// Walk `route` from index `pos` with the head at that switch's

@@ -86,7 +86,8 @@ impl TrafficClass {
         TrafficClass::BestEffort,
     ];
 
-    /// Weighted-round-robin arbitration weight at switch egress.
+    /// Weighted-round-robin arbitration weight at switch egress (a power
+    /// of two).
     pub fn weight(self) -> u32 {
         match self {
             TrafficClass::LowLatency => 8,
@@ -135,6 +136,12 @@ mod tests {
         let mut sorted = ws.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(ws, sorted, "ALL must be highest-priority first");
+    }
+
+    #[test]
+    fn tc_weights_are_powers_of_two() {
+        // The trunk's weighted share divides by a weight with a shift.
+        assert!(TrafficClass::ALL.iter().all(|t| t.weight().is_power_of_two()));
     }
 
     #[test]

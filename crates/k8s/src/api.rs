@@ -37,7 +37,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
@@ -73,53 +73,10 @@ impl ObjId {
 /// the order of writes.
 pub(crate) type ObjKey = (Rc<str>, Rc<str>);
 
-/// A multiplicative hasher for the control plane's own keys: an
-/// [`ObjId`] costs one multiply, a name one multiply per eight bytes.
-/// It is not DoS-resistant, which names the simulator makes itself do
-/// not need.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.add(n.into());
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(n.into());
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// The control plane's hasher: [`shs_oslinux::IdHasher`], which the
+/// host's tables use too. An [`ObjId`] costs one multiply, a name one
+/// multiply per eight bytes.
+pub use shs_oslinux::IdHasher as KeyHasher;
 
 /// Per-object state keyed by [`ObjId`].
 pub type IdMap<V> = HashMap<ObjId, V, BuildHasherDefault<KeyHasher>>;

@@ -1,8 +1,7 @@
 //! A simulated host kernel: process table, namespace registries, and the
 //! syscall-like surface the container runtime and CXI driver consume.
 
-use std::collections::HashMap;
-
+use crate::hash::IdMap;
 use crate::ids::{Gid, NetNsId, Pid, Uid, UserNsId, NS_INODE_BASE};
 use crate::ns::{IdMapEntry, NetNamespace, UserNamespace};
 
@@ -80,12 +79,15 @@ pub struct Creds {
 pub struct Host {
     /// Host name (diagnostics, fabric addressing).
     pub hostname: String,
-    /// Live processes only: an exited pid leaves the table, so scans
-    /// (netns occupancy, the live count) cost what is running, not every
-    /// process the node ever ran.
-    processes: HashMap<Pid, Process>,
-    user_namespaces: HashMap<UserNsId, UserNamespace>,
-    net_namespaces: HashMap<NetNsId, NetNamespace>,
+    /// Live processes only: an exited pid leaves the table. Each of the
+    /// three tables hashes its kernel-assigned key with one multiply
+    /// ([`IdHasher`](crate::IdHasher)), so a credential lookup
+    /// costs no SipHash round.
+    processes: IdMap<Pid, Process>,
+    user_namespaces: IdMap<UserNsId, UserNamespace>,
+    /// Network namespaces, each counting the live processes inside, so
+    /// deleting one checks a count instead of scanning the processes.
+    net_namespaces: IdMap<NetNsId, NetNamespace>,
     next_pid: u32,
     next_ns_inode: u64,
     init_userns: UserNsId,
@@ -109,16 +111,13 @@ impl Host {
         let base = NS_INODE_BASE + (h % 1_000_000) * 100_000;
         let init_userns = UserNsId(base);
         let host_netns = NetNsId(base + 1);
-        let mut user_namespaces = HashMap::new();
+        let mut user_namespaces = IdMap::default();
         user_namespaces.insert(init_userns, UserNamespace::initial(init_userns));
-        let mut net_namespaces = HashMap::new();
-        net_namespaces.insert(
-            host_netns,
-            NetNamespace { id: host_netns, is_host: true, interfaces: vec!["lo".into()] },
-        );
+        let mut net_namespaces = IdMap::default();
+        net_namespaces.insert(host_netns, NetNamespace::new(host_netns, true));
         let mut host = Host {
             hostname,
-            processes: HashMap::new(),
+            processes: IdMap::default(),
             user_namespaces,
             net_namespaces,
             next_pid: 1,
@@ -140,6 +139,7 @@ impl Host {
     pub fn spawn_detached(&mut self, comm: &str, uid: Uid, gid: Gid) -> Pid {
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
+        self.occupy(self.host_netns, 1);
         self.processes.insert(
             pid,
             Process {
@@ -160,13 +160,25 @@ impl Host {
         let p = self.process(parent)?.clone();
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
+        self.occupy(p.netns, 1);
         self.processes.insert(pid, Process { pid, comm: comm.to_string(), ..p });
         Ok(pid)
     }
 
     /// Terminate a process: its pid leaves the process table.
     pub fn exit(&mut self, pid: Pid) -> Result<(), OsError> {
-        self.processes.remove(&pid).map(|_| ()).ok_or(OsError::Srch)
+        let p = self.processes.remove(&pid).ok_or(OsError::Srch)?;
+        self.occupy(p.netns, -1);
+        Ok(())
+    }
+
+    /// Count a process into (`+1`) or out of (`-1`) a network
+    /// namespace. Every process's namespace exists: one is deleted only
+    /// once its count is zero.
+    fn occupy(&mut self, netns: NetNsId, delta: isize) {
+        let ns = self.net_namespaces.get_mut(&netns).expect("a process's netns exists");
+        ns.occupants =
+            ns.occupants.checked_add_signed(delta).expect("occupancy stays non-negative");
     }
 
     /// Look up a live process.
@@ -209,11 +221,12 @@ impl Host {
 
     /// `unshare(CLONE_NEWNET)`: move `pid` into a fresh network namespace.
     pub fn unshare_net_ns(&mut self, pid: Pid) -> Result<NetNsId, OsError> {
-        self.process(pid)?;
+        let old = self.process(pid)?.netns;
         let id = NetNsId(self.next_ns_inode);
         self.next_ns_inode += 1;
-        self.net_namespaces
-            .insert(id, NetNamespace { id, is_host: false, interfaces: vec!["lo".into()] });
+        self.net_namespaces.insert(id, NetNamespace::new(id, false));
+        self.occupy(old, -1);
+        self.occupy(id, 1);
         self.process_mut(pid)?.netns = id;
         Ok(id)
     }
@@ -318,15 +331,20 @@ impl Host {
     }
 
     /// Delete a network namespace once its last user is gone. Refuses to
-    /// delete the host namespace or one still occupied by live processes.
+    /// delete the host namespace or one still occupied by live processes
+    /// (its occupancy count, not a scan of the process table).
     pub fn delete_net_ns(&mut self, id: NetNsId) -> Result<(), OsError> {
         if id == self.host_netns {
             return Err(OsError::Perm);
         }
-        if self.processes.values().any(|p| p.netns == id) {
-            return Err(OsError::Perm);
+        match self.net_namespaces.get(&id) {
+            None => Err(OsError::Inval),
+            Some(ns) if ns.occupants > 0 => Err(OsError::Perm),
+            Some(_) => {
+                self.net_namespaces.remove(&id);
+                Ok(())
+            }
         }
-        self.net_namespaces.remove(&id).map(|_| ()).ok_or(OsError::Inval)
     }
 }
 
@@ -483,6 +501,18 @@ mod tests {
         assert_eq!(h.delete_net_ns(ns).unwrap_err(), OsError::Perm, "app still inside");
         h.exit(app).unwrap();
         h.delete_net_ns(ns).unwrap();
+    }
+
+    #[test]
+    fn a_process_moving_out_frees_its_old_netns() {
+        let mut h = Host::new("n0");
+        let p = h.spawn_detached("ctr", Uid(1000), Gid(1000));
+        let first = h.unshare_net_ns(p).unwrap();
+        assert_eq!(h.delete_net_ns(first).unwrap_err(), OsError::Perm, "occupied");
+        let second = h.unshare_net_ns(p).unwrap();
+        h.delete_net_ns(first).unwrap();
+        assert_eq!(h.delete_net_ns(second).unwrap_err(), OsError::Perm, "p moved in");
+        assert_eq!(h.delete_net_ns(NetNsId(1)).unwrap_err(), OsError::Inval, "never made");
     }
 
     #[test]

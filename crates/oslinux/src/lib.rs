@@ -10,10 +10,12 @@
 //! One [`Host`] instance models one node's kernel; a cluster is a
 //! collection of hosts wired to the fabric by `slingshot-k8s`.
 
+mod hash;
 pub(crate) mod host;
 pub(crate) mod ids;
 pub(crate) mod ns;
 
+pub use hash::IdHasher;
 pub use host::{Creds, Host, OsError, Process};
 pub use ids::{Gid, NetNsId, Pid, Uid, UserNsId};
 pub use ns::{IdMapEntry, NetNamespace, UserNamespace};

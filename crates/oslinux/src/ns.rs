@@ -4,6 +4,7 @@
 //! ids in the parent namespace (ultimately the host). Network namespaces
 //! are opaque isolation domains identified by a kernel-assigned inode.
 
+use crate::hash::NameSet;
 use crate::ids::{Gid, NetNsId, Uid, UserNsId};
 
 /// One `uid_map`/`gid_map` line: `inside_start outside_start count`.
@@ -80,23 +81,39 @@ pub struct NetNamespace {
     pub id: NetNsId,
     /// Whether this is the host (initial) network namespace.
     pub is_host: bool,
-    /// Names of network interfaces attached to this namespace.
-    pub interfaces: Vec<String>,
+    /// Names of network interfaces attached to this namespace, hashed:
+    /// the host namespace holds one veth per pod on the node, and a
+    /// bridge ADD or DEL finds its name without comparing the others.
+    interfaces: NameSet,
+    /// Live processes inside, kept by [`crate::Host`] as processes
+    /// spawn, fork, move and exit.
+    pub(crate) occupants: usize,
 }
 
 impl NetNamespace {
+    /// A fresh namespace holding only the loopback interface and no
+    /// process.
+    pub(crate) fn new(id: NetNsId, is_host: bool) -> Self {
+        let mut ns = NetNamespace { id, is_host, interfaces: NameSet::default(), occupants: 0 };
+        ns.attach_interface("lo");
+        ns
+    }
+
     /// Attach an interface name (no-op if already present).
     pub fn attach_interface(&mut self, name: &str) {
-        if !self.interfaces.iter().any(|i| i == name) {
-            self.interfaces.push(name.to_string());
+        if !self.interfaces.contains(name) {
+            self.interfaces.insert(name.to_string());
         }
     }
 
     /// Detach an interface name; returns whether it was present.
     pub fn detach_interface(&mut self, name: &str) -> bool {
-        let before = self.interfaces.len();
-        self.interfaces.retain(|i| i != name);
-        self.interfaces.len() != before
+        self.interfaces.remove(name)
+    }
+
+    /// Whether an interface of this name is attached.
+    pub fn has_interface(&self, name: &str) -> bool {
+        self.interfaces.contains(name)
     }
 }
 
@@ -144,12 +161,14 @@ mod tests {
 
     #[test]
     fn netns_interface_management() {
-        let mut ns = NetNamespace { id: NetNsId(9), is_host: false, interfaces: vec![] };
+        let mut ns = NetNamespace::new(NetNsId(9), false);
+        assert!(ns.has_interface("lo"));
         ns.attach_interface("eth0");
         ns.attach_interface("eth0");
-        assert_eq!(ns.interfaces, vec!["eth0".to_string()]);
+        assert!(ns.has_interface("eth0"));
         assert!(ns.detach_interface("eth0"));
-        assert!(!ns.detach_interface("eth0"));
-        assert!(ns.interfaces.is_empty());
+        assert!(!ns.detach_interface("eth0"), "one attach of a name, however often");
+        assert!(!ns.has_interface("eth0"));
+        assert!(ns.has_interface("lo"));
     }
 }
